@@ -9,7 +9,9 @@
 //
 // The steady-state audits additionally cover the flat flow table and flow
 // slab (src/tas/flow_table): connection churn at stable capacity recycles
-// tombstones and free-list slots without touching the allocator.
+// tombstones and free-list slots without touching the allocator, and the
+// control-loop audit steps a TAS host whose slow path iterates over dirty
+// and pending flows every control interval.
 //
 // Each benchmark also reports an "allocs/op" counter. After the benchmarks,
 // main() runs a steady-state audit: warm up each path, snapshot the counter,
@@ -26,10 +28,12 @@
 #include <cstdlib>
 #include <new>
 
+#include "src/harness/experiment.h"
 #include "src/net/packet.h"
 #include "src/net/packet_pool.h"
 #include "src/sim/simulator.h"
 #include "src/tas/flow_table.h"
+#include "src/tas/slow_path.h"
 
 namespace {
 
@@ -254,8 +258,9 @@ bool AuditFlowTable() {
 }
 
 // Flow slot recycling through the slab free list: Free resets the flow in
-// place (buffers keep their capacity) and Allocate pops the free list, so
-// steady-state connection turnover is allocation-free.
+// place and Allocate pops the free list, so steady-state connection turnover
+// is allocation-free (payload storage belongs to the connection and is grown
+// by its first write).
 bool AuditFlowSlab() {
   FlowSlab slab;
   std::vector<FlowId> ids;
@@ -279,6 +284,45 @@ bool AuditFlowSlab() {
   return allocs == 0;
 }
 
+// The slow path's control loop over a steady population of dirty and pending
+// flows. Each iteration swaps the service's dirty list with the slow path's
+// spare and rebuilds the pending scan list into its spare, so neither list
+// allocates once both have reached their working size.
+bool AuditControlLoop() {
+  HostSpec spec;
+  spec.stack = StackKind::kTas;
+  spec.tas_overridden = true;
+  auto exp = Experiment::PointToPoint(spec, spec, LinkConfig{});
+  TasService* tas = exp->host(0).tas();
+  std::vector<FlowId> ids;
+  for (int i = 0; i < 256; ++i) {
+    // Nothing listens on the port: the peer drops the SYN.
+    ids.push_back(tas->Connect(exp->host(1).ip(), 9, 0, 0));
+  }
+  exp->sim().RunUntil(Ms(1));
+  const uint8_t payload[64] = {};
+  for (FlowId id : ids) {
+    // FIN_WAIT_2 keeps the flow on the pending list without retransmitting;
+    // queued, unsent payload re-marks it dirty every iteration without ever
+    // arming the retransmission timeout.
+    Flow* flow = tas->flow_by_id(id);
+    flow->cstate = ConnState::kFinWait2;
+    flow->AppWriteTx(payload, sizeof(payload));
+    tas->MarkFlowDirty(id);
+  }
+  exp->sim().RunUntil(Ms(2));  // Both lists reach their working size.
+  const uint64_t iterations_before = tas->slow_path()->control_iterations();
+  const uint64_t before = AllocCount();
+  exp->sim().RunUntil(Ms(12));
+  const uint64_t allocs = AllocCount() - before;
+  const uint64_t iterations = tas->slow_path()->control_iterations() - iterations_before;
+  const bool ok = allocs == 0 && iterations > 0;
+  std::printf("ALLOC_AUDIT control_loop allocs=%llu iterations=%llu %s\n",
+              static_cast<unsigned long long>(allocs),
+              static_cast<unsigned long long>(iterations), ok ? "PASS" : "FAIL");
+  return ok;
+}
+
 }  // namespace
 }  // namespace tas
 
@@ -293,6 +337,7 @@ int main(int argc, char** argv) {
   ok &= tas::AuditPacketPool();
   ok &= tas::AuditFlowTable();
   ok &= tas::AuditFlowSlab();
+  ok &= tas::AuditControlLoop();
   std::printf("ALLOC_AUDIT overall %s (news=%llu frees=%llu)\n", ok ? "PASS" : "FAIL",
               static_cast<unsigned long long>(g_alloc_count.load()),
               static_cast<unsigned long long>(g_free_count.load()));

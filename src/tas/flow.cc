@@ -1,9 +1,6 @@
 #include "src/tas/flow.h"
 
 #include <algorithm>
-#include <cstring>
-
-#include "src/util/logging.h"
 
 namespace tas {
 
@@ -31,32 +28,9 @@ const char* ConnStateName(ConnState state) {
   return "?";
 }
 
-namespace {
-
-// Copies len bytes to/from a ring at a free-running position.
-void RingCopyIn(uint8_t* base, uint32_t size, uint32_t pos, const uint8_t* src, uint32_t len) {
-  const uint32_t at = pos % size;
-  const uint32_t first = std::min(len, size - at);
-  std::memcpy(base + at, src, first);
-  if (first < len) {
-    std::memcpy(base, src + first, len - first);
-  }
-}
-
-void RingCopyOut(const uint8_t* base, uint32_t size, uint32_t pos, uint8_t* dst, uint32_t len) {
-  const uint32_t at = pos % size;
-  const uint32_t first = std::min(len, size - at);
-  std::memcpy(dst, base + at, first);
-  if (first < len) {
-    std::memcpy(dst + first, base, len - first);
-  }
-}
-
-}  // namespace
-
 void FlowCold::Reset() {
-  rx_mem.clear();  // clear() keeps capacity; the next resize() reuses it.
-  tx_mem.clear();
+  rx_mem.Release();
+  tx_mem.Release();
   cc.reset();
   wcc.reset();
   last_seq_sampled = 0;
@@ -99,17 +73,13 @@ void Flow::Reset() {
 }
 
 void Flow::CopyIntoRx(uint32_t wire_pos, const uint8_t* src, uint32_t len) {
-  if (len == 0) {
-    return;
-  }
-  RingCopyIn(fs.rx_base, fs.rx_size, wire_pos, src, len);
+  RingStorage<uint32_t>& mem = cold().rx_mem;
+  mem.Write(fs.rx_tail, wire_pos, src, len, fs.rx_size);
+  fs.rx_base = mem.data();
 }
 
 void Flow::CopyFromTx(uint32_t wire_pos, uint8_t* dst, uint32_t len) const {
-  if (len == 0) {
-    return;
-  }
-  RingCopyOut(fs.tx_base, fs.tx_size, wire_pos, dst, len);
+  cold().tx_mem.Read(wire_pos, dst, len);
 }
 
 uint32_t Flow::AppWriteTx(const uint8_t* src, uint32_t len) {
@@ -118,7 +88,9 @@ uint32_t Flow::AppWriteTx(const uint8_t* src, uint32_t len) {
   if (n == 0) {
     return 0;
   }
-  RingCopyIn(fs.tx_base, fs.tx_size, fs.tx_head, src, n);
+  RingStorage<uint32_t>& mem = cold().tx_mem;
+  mem.Write(fs.tx_tail, fs.tx_head, src, n, fs.tx_size);
+  fs.tx_base = mem.data();
   fs.tx_head += n;
   return n;
 }
@@ -128,7 +100,7 @@ uint32_t Flow::AppReadRx(uint8_t* dst, uint32_t len) {
   if (n == 0) {
     return 0;
   }
-  RingCopyOut(fs.rx_base, fs.rx_size, fs.rx_tail, dst, n);
+  cold().rx_mem.Read(fs.rx_tail, dst, n);
   fs.rx_tail += n;
   return n;
 }

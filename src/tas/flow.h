@@ -1,21 +1,21 @@
 // Runtime flow record, split hot/cold for million-flow cache residency
 // (paper §3.1, Table 3): `Flow` is the compact record the fast path touches
 // per packet — the packed FlowState, negotiated parameters, and transmit
-// pacing — while `FlowCold` holds everything only the slow path or libTAS
-// setup/teardown touches: payload buffer storage, the congestion-control
-// instance, and the connection-FSM bookkeeping. FlowSlab stores the two in
-// parallel arrays and wires each Flow to its side record; a standalone Flow
-// (tests, scratch use) lazily owns one instead.
+// pacing — while `FlowCold` holds what the per-packet header path never
+// reads: payload ring storage, the congestion-control instance, and the
+// connection-FSM bookkeeping. FlowSlab stores the two in parallel arrays and
+// wires each Flow to its side record; a standalone Flow (tests, scratch use)
+// lazily owns one instead.
 #ifndef SRC_TAS_FLOW_H_
 #define SRC_TAS_FLOW_H_
 
 #include <algorithm>
 #include <memory>
-#include <vector>
 
 #include "src/cc/cc.h"
 #include "src/cc/dctcp_window.h"
 #include "src/tas/flow_state.h"
+#include "src/util/ring_buffer.h"
 #include "src/util/time.h"
 
 namespace tas {
@@ -34,13 +34,16 @@ enum class ConnState : uint8_t {
   kFreed,
 };
 
-// Cold slow-path side record. Nothing here is read on the fast-path
-// per-packet path; keeping it out of Flow keeps the hot array dense.
+// Cold side record. The per-packet header path never reads it; keeping it
+// out of Flow keeps the hot array dense. Payload copies reach the ring
+// storage here, next to the payload bytes they move.
 struct FlowCold {
-  // Payload buffer storage. In the real system these arrays live in app
-  // shared memory; fs.rx_base/tx_base point at them.
-  std::vector<uint8_t> rx_mem;
-  std::vector<uint8_t> tx_mem;
+  // Payload ring storage. In the real system these arrays live in app shared
+  // memory. fs.rx_size/tx_size are their logical sizes; the arrays grow with
+  // the bytes in flight (src/util/ring_buffer.h) and fs.rx_base/tx_base
+  // track them.
+  RingStorage<uint32_t> rx_mem;
+  RingStorage<uint32_t> tx_mem;
 
   std::unique_ptr<RateCc> cc;     // Rate mode policy...
   std::unique_ptr<WindowCc> wcc;  // ...or window mode policy.
@@ -58,8 +61,9 @@ struct FlowCold {
   TimeNs timewait_start = 0;
   TimeNs established_at = 0;
 
-  // Returns to freshly-constructed state while retaining the payload buffer
-  // capacity, so slab slot recycling stays allocation-free.
+  // Returns to freshly-constructed state. The payload storage is released,
+  // so a freed flow holds no buffer memory; nothing here allocates, so slab
+  // slot recycling stays allocation-free.
   void Reset();
 };
 
@@ -111,12 +115,17 @@ struct Flow {
   void Reset();
 
   // --- Buffer arithmetic (all positions are free-running wire sequences) ---
+  // These read the logical sizes fs.rx_size/tx_size, never the storage
+  // behind them, so the advertised window does not depend on how much of a
+  // buffer has been materialised.
   uint32_t RxUsed() const { return fs.rx_head - fs.rx_tail; }
   uint32_t RxFree() const { return fs.rx_size - RxUsed(); }
   uint32_t TxQueued() const { return fs.tx_head - fs.tx_tail; }
   // Bytes written by the app but not yet sent.
   uint32_t TxAvailable() const { return fs.tx_head - (fs.tx_tail + fs.tx_sent); }
 
+  // Payload copies through the cold record's ring storage; writes grow it on
+  // demand and refresh fs.rx_base/tx_base.
   void CopyIntoRx(uint32_t wire_pos, const uint8_t* src, uint32_t len);
   void CopyFromTx(uint32_t wire_pos, uint8_t* dst, uint32_t len) const;
   // libTAS side: append payload at tx_head / read payload at rx_tail.

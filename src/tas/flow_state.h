@@ -10,7 +10,9 @@
 // Positions (rx|tx head/tail, tx_sent) are 32-bit offsets in wire-sequence
 // space, exactly like the original C implementation: all comparisons are
 // modular (src/tcp/seq.h). Buffer memory lives in the untrusted app library
-// (libTAS owns the payload arrays); rx_base/tx_base point into it.
+// (libTAS owns the payload arrays); rx_base/tx_base track those arrays,
+// which grow with the bytes in flight (FlowCold), while rx_size/tx_size keep
+// the configured sizes.
 #ifndef SRC_TAS_FLOW_STATE_H_
 #define SRC_TAS_FLOW_STATE_H_
 

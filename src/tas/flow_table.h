@@ -31,11 +31,11 @@
 //
 // FlowSlab
 //   Fixed 512-slot chunks so Flow addresses are stable across growth (the
-//   fast path holds `Flow&` across calls and fs.rx_base points into the
-//   flow's rx buffer). Each chunk stores the compact hot Flow records in one
-//   contiguous array and their cold slow-path side records (FlowCold:
-//   payload buffers, CC instances, teardown FSM bookkeeping) in a parallel
-//   array, so the fast path's working set per flow is the hot struct only.
+//   fast path holds `Flow&` across calls). Each chunk stores the compact hot
+//   Flow records in one contiguous array and their cold side records
+//   (FlowCold: payload ring storage, CC instances, teardown FSM bookkeeping)
+//   in a parallel array, so the per-packet header path's working set per
+//   flow is the hot struct only.
 //   Slots are recycled through a free list; each slot carries a generation
 //   that is bumped on Free, and FlowIds encode (generation << 20 | slot), so
 //   a stale id held by the slow path's pending scan or an app resolves to
@@ -203,7 +203,7 @@ class FlowSlab {
 
  private:
   // Hot Flow records and cold side records live in parallel arrays: the fast
-  // path walks `flows` without pulling buffer vectors / CC state / teardown
+  // path walks `flows` without pulling payload storage / CC state / teardown
   // bookkeeping into cache. Both arrays are sized once at chunk creation and
   // never move, so slot recycling stays allocation-free and Flow&/FlowCold&
   // stay stable for the lifetime of the slab.

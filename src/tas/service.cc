@@ -475,10 +475,7 @@ FlowId TasService::AllocateFlow(const FlowKey& key) {
   TAS_CHECK(flow_table_.Find(key) == kInvalidFlow);
   const FlowId id = flows_.Allocate();
   Flow* flow = flows_.Get(id);
-  flow->cold().rx_mem.resize(config_.rx_buffer_bytes);
-  flow->cold().tx_mem.resize(config_.tx_buffer_bytes);
-  flow->fs.rx_base = flow->cold().rx_mem.data();
-  flow->fs.tx_base = flow->cold().tx_mem.data();
+  // Logical buffer sizes only: payload storage grows on the first write.
   flow->fs.rx_size = config_.rx_buffer_bytes;
   flow->fs.tx_size = config_.tx_buffer_bytes;
   flow->fs.local_port = key.local_port;

@@ -494,9 +494,10 @@ void SlowPath::ControlLoop() {
   // Congestion control for flows with recent activity (paper: the slow path
   // runs a control-loop iteration per flow every control interval; flows
   // without feedback and without outstanding data have nothing to update).
-  std::vector<FlowId> dirty;
-  dirty.swap(service_->dirty_flows());
-  for (FlowId id : dirty) {
+  // Flows re-marked below land in the service's list, which now holds the
+  // previous iteration's emptied buffer.
+  dirty_scratch_.swap(service_->dirty_flows());
+  for (FlowId id : dirty_scratch_) {
     Flow* flow = service_->flow_by_id(id);
     if (flow == nullptr || flow->cstate == ConnState::kFreed) {
       continue;
@@ -504,6 +505,7 @@ void SlowPath::ControlLoop() {
     flow->in_dirty = false;
     RunCongestionControl(id, *flow);
   }
+  dirty_scratch_.clear();
   ScanPending();
   SpanRecorder& spans = service_->tracer().spans();
   if (spans.enabled()) {
@@ -607,7 +609,6 @@ void SlowPath::RunCongestionControl(FlowId flow_id, Flow& flow) {
 void SlowPath::ScanPending() {
   const TimeNs now = service_->sim()->Now();
   const TasConfig& config = service_->config();
-  std::vector<FlowId> keep;
   for (FlowId id : pending_) {
     Flow* fp = service_->flow_by_id(id);
     if (fp == nullptr || fp->cstate == ConnState::kFreed) {
@@ -682,12 +683,13 @@ void SlowPath::ScanPending() {
       continue;
     }
     if (still_pending) {
-      keep.push_back(id);
+      pending_next_.push_back(id);
     } else {
       cur->cold().in_pending = false;
     }
   }
-  pending_.swap(keep);
+  pending_.swap(pending_next_);
+  pending_next_.clear();
 }
 
 void SlowPath::MonitorCores() {

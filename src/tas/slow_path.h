@@ -88,6 +88,12 @@ class SlowPath {
   bool busy_ = false;
   std::unordered_map<uint16_t, Listener> listeners_;
   std::vector<FlowId> pending_;  // Flows in handshake or teardown.
+  // Spare halves of the control loop's two lists: ControlLoop swaps the
+  // service's dirty list into dirty_scratch_ and ScanPending rebuilds
+  // pending_ into pending_next_. Both keep their capacity across
+  // iterations, so a steady flow population costs no allocation.
+  std::vector<FlowId> dirty_scratch_;
+  std::vector<FlowId> pending_next_;
   std::unique_ptr<PeriodicTask> cc_task_;
   std::unique_ptr<PeriodicTask> monitor_task_;
   std::vector<TimeNs> busy_snapshot_;

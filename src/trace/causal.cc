@@ -170,7 +170,6 @@ CausalTracer::CausalTracer(size_t trace_capacity, size_t exemplars_per_class)
   }
   mask_ = cap - 1;
   shards_.resize(1);
-  shards_[0].ring.resize(cap);
 }
 
 CausalTracer* CausalTracer::Install(CausalTracer* tracer) {
@@ -186,9 +185,6 @@ void CausalTracer::EnableShards(int num_shards) {
   TAS_CHECK(!SimPartition::AnyRunActive())
       << "CausalTracer::EnableShards during a partitioned run";
   shards_.assign(static_cast<size_t>(num_shards), Shard{});
-  for (Shard& s : shards_) {
-    s.ring.resize(mask_ + 1);
-  }
 }
 
 CausalTracer::Shard& CausalTracer::CurShard() {
@@ -198,6 +194,9 @@ CausalTracer::Shard& CausalTracer::CurShard() {
 
 uint64_t CausalTracer::BeginTrace(TimeNs start) {
   Shard& shard = CurShard();
+  if (shard.ring.empty()) {
+    shard.ring.resize(mask_ + 1);
+  }
   const size_t shard_index = static_cast<size_t>(&shard - shards_.data());
   const uint64_t id =
       (static_cast<uint64_t>(shard_index) << kTraceShardShift) | shard.next_trace_id++;
@@ -224,12 +223,12 @@ CausalTracer::TraceRec* CausalTracer::Slot(uint64_t id) {
   // Ring shard from the id's high bits (the island that opened the trace);
   // staleness is charged to the calling island's shard.
   const size_t shard_index = id >> kTraceShardShift;
-  TraceRec& r = shards_[shard_index < shards_.size() ? shard_index : 0].ring[id & mask_];
-  if (r.id != id) {
+  std::vector<TraceRec>& ring = shards_[shard_index < shards_.size() ? shard_index : 0].ring;
+  if (ring.empty() || ring[id & mask_].id != id) {
     ++CurShard().stale;
     return nullptr;
   }
-  return &r;
+  return &ring[id & mask_];
 }
 
 uint32_t CausalTracer::StartSpan(uint64_t trace, uint32_t parent, CausalSpanKind kind,
@@ -383,19 +382,17 @@ void CausalTracer::Abandon(uint64_t trace) {
     return;
   }
   const size_t shard_index = trace >> kTraceShardShift;
-  TraceRec& r =
-      shards_[shard_index < shards_.size() ? shard_index : 0].ring[trace & mask_];
-  if (r.id != trace) {
+  std::vector<TraceRec>& ring = shards_[shard_index < shards_.size() ? shard_index : 0].ring;
+  if (ring.empty() || ring[trace & mask_].id != trace) {
     return;  // Already gone; double-abandon is not an error.
   }
-  r.id = 0;
+  ring[trace & mask_].id = 0;
   ++CurShard().abandoned;
 }
 
 void CausalTracer::Clear() {
   for (Shard& shard : shards_) {
     shard = Shard{};
-    shard.ring.resize(mask_ + 1);
   }
   for (auto& pool : exemplar_cache_) {
     pool.clear();

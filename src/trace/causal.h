@@ -311,7 +311,7 @@ class CausalTracer {
   };
 
   struct Shard {
-    std::vector<TraceRec> ring;
+    std::vector<TraceRec> ring;  // Allocated by the shard's first BeginTrace.
     uint64_t next_trace_id = 1;
     uint32_t next_span_id = 1;
 

@@ -53,7 +53,7 @@ void FlowEventArgNames(FlowEventType type, const char** a, const char** b, const
   *c = info.c;
 }
 
-FlowTracer::FlowTracer(size_t capacity) : ring_(capacity > 0 ? capacity : 1) {}
+FlowTracer::FlowTracer(size_t capacity) : capacity_(capacity > 0 ? capacity : 1) {}
 
 void FlowTracer::RecordSlow(TimeNs t, uint64_t flow, FlowEventType type, uint64_t a,
                             uint64_t b, uint64_t c) {
@@ -65,13 +65,16 @@ void FlowTracer::RecordSlow(TimeNs t, uint64_t flow, FlowEventType type, uint64_
   if (!enabled(flow)) {
     return;
   }
-  if (size_ == ring_.size()) {
+  if (ring_.empty()) {
+    ring_.resize(capacity_);
+  }
+  if (size_ == capacity_) {
     // Ring full: this write evicts the oldest record — charge ITS type.
     ++overwritten_by_type_[static_cast<size_t>(ring_[head_].type)];
   }
   ring_[head_] = FlowEvent{t, flow, type, a, b, c};
-  head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
-  if (size_ < ring_.size()) {
+  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
+  if (size_ < capacity_) {
     ++size_;
   }
   ++recorded_;
@@ -81,9 +84,9 @@ std::vector<FlowEvent> FlowTracer::Events() const {
   std::vector<FlowEvent> out;
   out.reserve(size_);
   // Oldest record: head_ when the ring wrapped, slot 0 otherwise.
-  const size_t start = size_ == ring_.size() ? head_ : 0;
+  const size_t start = size_ == capacity_ ? head_ : 0;
   for (size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
+    out.push_back(ring_[(start + i) % capacity_]);
   }
   return out;
 }

@@ -3,7 +3,8 @@
 // interesting protocol event (handshake transitions, data/ACK tx+rx,
 // dupacks, retransmits, out-of-order handling, congestion-control updates);
 // the ring overwrites its oldest records when full, so a long run keeps the
-// most recent window at fixed memory cost.
+// most recent window at fixed memory cost. The ring is allocated on the
+// first stored record: a host whose tracing stays off holds none.
 //
 // Tracing is off by default. It can be enabled for every flow (global) or
 // per flow id; the disabled-path cost is one inline branch per call site.
@@ -96,7 +97,7 @@ class FlowTracer {
   // Records currently retained, oldest first (ring order).
   std::vector<FlowEvent> Events() const;
   size_t size() const { return size_; }
-  size_t capacity() const { return ring_.size(); }
+  size_t capacity() const { return capacity_; }
   uint64_t recorded() const { return recorded_; }
   // Records overwritten because the ring wrapped.
   uint64_t overwritten() const { return recorded_ - size_; }
@@ -119,7 +120,8 @@ class FlowTracer {
   bool global_ = false;
   bool recorder_tap_ = false;
   std::unordered_set<uint64_t> per_flow_;
-  std::vector<FlowEvent> ring_;
+  size_t capacity_;
+  std::vector<FlowEvent> ring_;  // Empty until the first stored record.
   size_t head_ = 0;  // Next write slot.
   size_t size_ = 0;  // Valid records (<= capacity).
   uint64_t recorded_ = 0;

@@ -6,34 +6,14 @@
 
 namespace tas {
 
-ByteRing::ByteRing(size_t capacity) : data_(capacity) { TAS_CHECK(capacity > 0); }
-
-void ByteRing::CopyIn(uint64_t offset, const uint8_t* src, size_t len) {
-  const size_t cap = data_.size();
-  size_t pos = static_cast<size_t>(offset % cap);
-  const size_t first = std::min(len, cap - pos);
-  std::memcpy(data_.data() + pos, src, first);
-  if (first < len) {
-    std::memcpy(data_.data(), src + first, len - first);
-  }
-}
-
-void ByteRing::CopyOut(uint64_t offset, uint8_t* dst, size_t len) const {
-  const size_t cap = data_.size();
-  size_t pos = static_cast<size_t>(offset % cap);
-  const size_t first = std::min(len, cap - pos);
-  std::memcpy(dst, data_.data() + pos, first);
-  if (first < len) {
-    std::memcpy(dst + first, data_.data(), len - first);
-  }
-}
+ByteRing::ByteRing(size_t capacity) : capacity_(capacity) { TAS_CHECK(capacity > 0); }
 
 size_t ByteRing::Write(const uint8_t* src, size_t len) {
   const size_t n = std::min(len, free_space());
   if (n == 0) {
     return 0;
   }
-  CopyIn(head_, src, n);
+  storage_.Write(tail_, head_, src, n, capacity_);
   head_ += n;
   return n;
 }
@@ -42,9 +22,7 @@ bool ByteRing::WriteAt(uint64_t offset, const uint8_t* src, size_t len) {
   if (offset < tail_ || offset + len > tail_ + capacity()) {
     return false;
   }
-  if (len > 0) {
-    CopyIn(offset, src, len);
-  }
+  storage_.Write(tail_, offset, src, len, capacity_);
   return true;
 }
 
@@ -59,7 +37,7 @@ size_t ByteRing::Read(uint8_t* dst, size_t len) {
   if (n == 0) {
     return 0;
   }
-  CopyOut(tail_, dst, n);
+  storage_.Read(tail_, dst, n);
   tail_ += n;
   return n;
 }
@@ -69,7 +47,7 @@ size_t ByteRing::Peek(uint64_t offset, uint8_t* dst, size_t len) const {
     return 0;
   }
   const size_t n = std::min<uint64_t>(len, head_ - offset);
-  CopyOut(offset, dst, n);
+  storage_.Read(offset, dst, n);
   return n;
 }
 
@@ -81,6 +59,7 @@ void ByteRing::Discard(size_t len) {
 void ByteRing::Clear() {
   head_ = 0;
   tail_ = 0;
+  storage_.Release();
 }
 
 }  // namespace tas

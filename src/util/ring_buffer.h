@@ -1,28 +1,145 @@
-// Fixed-capacity circular byte buffer.
+// Byte rings with lazily grown, live-span backing storage.
 //
-// This is the building block for the per-flow RX/TX payload buffers of
-// paper §3.1 (rx|tx_start/size/head/tail in Table 3): a contiguous region
-// written at `head` and consumed at `tail`, with wraparound. Positions are
-// monotonically increasing 64-bit stream offsets; the mapping to the backing
-// array is offset % capacity, so callers can reason in stream space.
+// These are the building blocks for the per-flow RX/TX payload buffers of
+// paper §3.1 (rx|tx_start/size/head/tail in Table 3): a region written at
+// `head` and consumed at `tail`, with wraparound. Positions are free-running
+// (32-bit wire sequences for TAS flows, 64-bit stream offsets for ByteRing),
+// so callers reason in stream space.
+//
+// A ring has a *logical* capacity — the configured buffer size that window
+// advertisement and free-space checks read — and a *physical* backing array
+// that RingStorage sizes to what the connection actually keeps in flight.
 #ifndef SRC_UTIL_RING_BUFFER_H_
 #define SRC_UTIL_RING_BUFFER_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
-#include <vector>
+#include <memory>
+#include <type_traits>
+
+#include "src/util/logging.h"
 
 namespace tas {
 
+// Backing array of a byte ring addressed by free-running positions of type
+// Pos. It holds nothing until the first write, then grows by doubling:
+//
+//  * The physical size is a power of two, so `pos & (size - 1)` places a
+//    byte at the same slot whatever the position width — including across
+//    the 2^32 wrap of 32-bit wire sequences, where `pos % size` for a size
+//    that does not divide 2^32 would split adjacent bytes.
+//  * A write that reaches past the array grows it to the next power of two
+//    covering the live span: from `tail` (the oldest live position) to the
+//    highest byte written so far, out-of-order placements included. The
+//    floor is kMinBytes; the ceiling is the power of two covering the
+//    ring's logical capacity.
+//  * Growth lays out only the live span again. The array is never
+//    value-initialised: every byte a reader can reach was written first.
+//
+// The logical capacity is the caller's (a flow's rx_size, ByteRing's
+// capacity) and is passed to Write, so a ring has one source of truth.
+template <typename Pos>
+class RingStorage {
+  static_assert(std::is_unsigned_v<Pos>, "ring positions are modular");
+
+ public:
+  // First allocation: one MSS-sized segment plus headroom.
+  static constexpr size_t kMinBytes = 2048;
+
+  // Physical bytes backing the ring (0 before the first write).
+  size_t bytes() const { return size_; }
+  uint8_t* data() { return data_.get(); }
+
+  // Copies `len` bytes to positions [pos, pos + len). `tail` is the oldest
+  // live position; the write must end within `limit` (the logical capacity)
+  // of it.
+  void Write(Pos tail, Pos pos, const uint8_t* src, size_t len, size_t limit) {
+    if (len == 0) {
+      return;
+    }
+    const size_t span = static_cast<size_t>(static_cast<Pos>(pos - tail)) + len;
+    if (span > size_) {
+      Grow(tail, span, limit);
+    }
+    const Pos end = static_cast<Pos>(pos + len);
+    if (static_cast<Pos>(end - tail) > static_cast<Pos>(hi_ - tail)) {
+      hi_ = end;
+    }
+    CopyIn(data_.get(), size_, pos, src, len);
+  }
+
+  // Copies `len` written bytes starting at `pos` into `dst`.
+  void Read(Pos pos, uint8_t* dst, size_t len) const {
+    if (len == 0) {
+      return;
+    }
+    TAS_CHECK(size_ > 0);
+    const size_t at = static_cast<size_t>(pos) & (size_ - 1);
+    const size_t first = std::min(len, size_ - at);
+    std::memcpy(dst, data_.get() + at, first);
+    if (first < len) {
+      std::memcpy(dst + first, data_.get(), len - first);
+    }
+  }
+
+  // Frees the backing array; the next write starts from kMinBytes again.
+  void Release() {
+    data_.reset();
+    size_ = 0;
+  }
+
+ private:
+  static void CopyIn(uint8_t* base, size_t size, Pos pos, const uint8_t* src, size_t len) {
+    const size_t at = static_cast<size_t>(pos) & (size - 1);
+    const size_t first = std::min(len, size - at);
+    std::memcpy(base + at, src, first);
+    if (first < len) {
+      std::memcpy(base, src + first, len - first);
+    }
+  }
+
+  void Grow(Pos tail, size_t span, size_t limit) {
+    const size_t ceiling = std::bit_ceil(limit);
+    TAS_CHECK(span <= ceiling) << "ring write beyond its logical capacity";
+    size_t size = size_ > 0 ? size_ : std::min(kMinBytes, ceiling);
+    while (size < span) {
+      size <<= 1;
+    }
+    std::unique_ptr<uint8_t[]> fresh(new uint8_t[size]);
+    if (size_ > 0) {
+      // Re-place the live span [tail, hi_) under the new mask.
+      const size_t live = static_cast<Pos>(hi_ - tail);
+      const size_t at = static_cast<size_t>(tail) & (size_ - 1);
+      const size_t first = std::min(live, size_ - at);
+      CopyIn(fresh.get(), size, tail, data_.get() + at, first);
+      CopyIn(fresh.get(), size, static_cast<Pos>(tail + first), data_.get(), live - first);
+    } else {
+      hi_ = tail;
+    }
+    data_ = std::move(fresh);
+    size_ = size;
+  }
+
+  std::unique_ptr<uint8_t[]> data_;
+  size_t size_ = 0;  // Physical bytes, a power of two once allocated.
+  Pos hi_ = 0;       // One past the highest byte written (valid when size_ > 0).
+};
+
+// Ring over 64-bit stream offsets with a fixed logical capacity (the TCP
+// engine's send and receive buffers).
 class ByteRing {
  public:
   explicit ByteRing(size_t capacity);
 
-  size_t capacity() const { return data_.size(); }
+  size_t capacity() const { return capacity_; }
   // Bytes currently stored (head - tail).
   size_t used() const { return static_cast<size_t>(head_ - tail_); }
   size_t free_space() const { return capacity() - used(); }
   bool empty() const { return head_ == tail_; }
+  // Physical bytes backing the ring right now (see RingStorage).
+  size_t storage_bytes() const { return storage_.bytes(); }
 
   // Stream offset of the next byte to be written / read.
   uint64_t head() const { return head_; }
@@ -53,14 +170,12 @@ class ByteRing {
   // reclamation on ACK, §3.1).
   void Discard(size_t len);
 
-  // Resets to empty with head = tail = 0.
+  // Resets to empty with head = tail = 0 and releases the backing storage.
   void Clear();
 
  private:
-  void CopyIn(uint64_t offset, const uint8_t* src, size_t len);
-  void CopyOut(uint64_t offset, uint8_t* dst, size_t len) const;
-
-  std::vector<uint8_t> data_;
+  RingStorage<uint64_t> storage_;
+  size_t capacity_;
   uint64_t head_ = 0;  // Next write position (stream offset).
   uint64_t tail_ = 0;  // Next read position (stream offset).
 };

@@ -3,8 +3,10 @@
 // scaler, and rate enforcement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
+#include <vector>
 
 #include "src/app/bulk.h"
 #include "src/app/rpc_echo.h"
@@ -17,10 +19,6 @@ namespace {
 
 TEST(FlowBufferTest, AppWriteReadRoundTrip) {
   Flow flow;
-  flow.cold().rx_mem.resize(1024);
-  flow.cold().tx_mem.resize(1024);
-  flow.fs.rx_base = flow.cold().rx_mem.data();
-  flow.fs.tx_base = flow.cold().tx_mem.data();
   flow.fs.rx_size = 1024;
   flow.fs.tx_size = 1024;
 
@@ -31,6 +29,9 @@ TEST(FlowBufferTest, AppWriteReadRoundTrip) {
   EXPECT_EQ(flow.AppWriteTx(data, 300), 300u);
   EXPECT_EQ(flow.TxQueued(), 300u);
   EXPECT_EQ(flow.TxAvailable(), 300u);
+  // Table 3's tx_start tracks the storage the first write materialised.
+  const uint8_t* tx_base = flow.fs.tx_base;
+  EXPECT_EQ(tx_base, flow.cold().tx_mem.data());
 
   uint8_t out[300];
   flow.CopyFromTx(flow.fs.tx_tail, out, 300);
@@ -40,8 +41,6 @@ TEST(FlowBufferTest, AppWriteReadRoundTrip) {
 TEST(FlowBufferTest, WirePositionWrapAround) {
   // Positions are free-running wire sequences: verify modular indexing.
   Flow flow;
-  flow.cold().rx_mem.resize(256);
-  flow.fs.rx_base = flow.cold().rx_mem.data();
   flow.fs.rx_size = 256;
   const uint32_t base = 0xFFFFFF80u;  // Near the 32-bit wrap.
   flow.fs.rx_head = base;
@@ -60,12 +59,53 @@ TEST(FlowBufferTest, WirePositionWrapAround) {
 
 TEST(FlowBufferTest, TxWriteRespectsCapacity) {
   Flow flow;
-  flow.cold().tx_mem.resize(128);
-  flow.fs.tx_base = flow.cold().tx_mem.data();
   flow.fs.tx_size = 128;
   uint8_t data[200] = {};
   EXPECT_EQ(flow.AppWriteTx(data, 200), 128u);
   EXPECT_EQ(flow.AppWriteTx(data, 10), 0u);  // Full.
+  // Storage never outgrows the power of two covering the logical size.
+  EXPECT_EQ(flow.cold().tx_mem.bytes(), 128u);
+}
+
+// A 100,000-byte ring does not divide 2^32. Mapping wire positions with
+// `pos % size` put the bytes on either side of the wrap in non-adjacent
+// slots, so payload written in one piece and copied out in segments (or the
+// reverse) came back scrambled.
+TEST(FlowBufferTest, NonPowerOfTwoBuffersRoundTripAcrossWireWrap) {
+  constexpr uint32_t kSize = 100000;
+  constexpr uint32_t kLen = 4096;
+  constexpr uint32_t kSegment = 1448;
+  const uint32_t base = 0u - 1000u;  // 2^32 - 1,000.
+  Flow flow;
+  flow.fs.rx_size = kSize;
+  flow.fs.tx_size = kSize;
+  flow.fs.rx_head = base;
+  flow.fs.rx_tail = base;
+  flow.fs.tx_head = base;
+  flow.fs.tx_tail = base;
+  std::vector<uint8_t> data(kLen);
+  for (uint32_t i = 0; i < kLen; ++i) {
+    data[i] = static_cast<uint8_t>(i * 13 + 5);
+  }
+
+  // TX: the app writes the payload in one piece; the fast path segments it.
+  ASSERT_EQ(flow.AppWriteTx(data.data(), kLen), kLen);
+  std::vector<uint8_t> sent(kLen);
+  for (uint32_t off = 0; off < kLen; off += kSegment) {
+    const uint32_t len = std::min(kSegment, kLen - off);
+    flow.CopyFromTx(base + off, sent.data() + off, len);
+  }
+  EXPECT_EQ(sent, data);
+
+  // RX: segments arrive one at a time; the app reads them in one piece.
+  for (uint32_t off = 0; off < kLen; off += kSegment) {
+    const uint32_t len = std::min(kSegment, kLen - off);
+    flow.CopyIntoRx(base + off, data.data() + off, len);
+    flow.fs.rx_head += len;
+  }
+  std::vector<uint8_t> received(kLen);
+  ASSERT_EQ(flow.AppReadRx(received.data(), kLen), kLen);
+  EXPECT_EQ(received, data);
 }
 
 TEST(FlowBufferTest, TokenBucketRefills) {
@@ -186,6 +226,23 @@ TEST_F(TasServiceFixture, SetActiveCoresRestersAndRecordsTrace) {
   }
 }
 
+TEST_F(TasServiceFixture, FreedFlowHoldsNoStorage) {
+  const FlowId id = service_->AllocateFlow(FlowKey{80, MakeIp(10, 0, 0, 2), 5556});
+  Flow* flow = service_->flow_by_id(id);
+  ASSERT_NE(flow, nullptr);
+  EXPECT_EQ(flow->cold().tx_mem.bytes(), 0u);  // Nothing before the first write.
+  const uint8_t data[64] = {};
+  ASSERT_EQ(flow->AppWriteTx(data, sizeof(data)), sizeof(data));
+  EXPECT_GT(flow->cold().tx_mem.bytes(), 0u);
+
+  service_->FreeFlow(id);
+  // The slab slot keeps its address; the freed flow holds no payload memory.
+  EXPECT_EQ(flow->cold().tx_mem.bytes(), 0u);
+  EXPECT_EQ(flow->cold().rx_mem.bytes(), 0u);
+  const uint8_t* tx_base = flow->fs.tx_base;
+  EXPECT_EQ(tx_base, nullptr);
+}
+
 TEST(TasScalerTest, CoresGrowUnderLoadAndShrinkWhenIdle) {
   HostSpec server_spec;
   server_spec.stack = StackKind::kTas;
@@ -250,6 +307,113 @@ TEST(TasRateTest, FastPathEnforcesSlowPathRate) {
   // even though the link is 10G.
   EXPECT_LT(rx.ThroughputBps(), 80e6);
   EXPECT_GT(rx.ThroughputBps(), 20e6);
+}
+
+// Appends every byte it receives.
+class ByteSink : public AppHandler {
+ public:
+  explicit ByteSink(Stack* stack) : stack_(stack) {}
+  void OnData(ConnId conn, size_t bytes) override {
+    const size_t at = data_.size();
+    data_.resize(at + bytes);
+    data_.resize(at + stack_->Recv(conn, data_.data() + at, bytes));
+  }
+  const std::vector<uint8_t>& data() const { return data_; }
+
+ private:
+  Stack* stack_;
+  std::vector<uint8_t> data_;
+};
+
+// Streams `total` bytes whose value is a function of their stream offset.
+class PatternSource : public AppHandler {
+ public:
+  PatternSource(Stack* stack, size_t total) : stack_(stack), total_(total) {}
+  void OnConnected(ConnId conn, bool success) override {
+    if (success) {
+      Pump(conn);
+    }
+  }
+  void OnSendSpace(ConnId conn, size_t) override { Pump(conn); }
+
+ private:
+  void Pump(ConnId conn) {
+    uint8_t chunk[1000];
+    while (sent_ < total_) {
+      const size_t want = std::min(sizeof(chunk), total_ - sent_);
+      for (size_t i = 0; i < want; ++i) {
+        chunk[i] = static_cast<uint8_t>((sent_ + i) % 251);
+      }
+      const size_t n = stack_->Send(conn, chunk, want);
+      sent_ += n;
+      if (n < want) {
+        break;
+      }
+    }
+  }
+
+  Stack* stack_;
+  size_t total_;
+  size_t sent_ = 0;
+};
+
+// A 64 B echo flow materialises a few KiB of its payload buffers while its
+// window keeps reading the full configured size.
+TEST(TasBufferTest, EchoFlowStorageStaysSmall) {
+  HostSpec spec;
+  spec.stack = StackKind::kTas;
+  auto exp = Experiment::PointToPoint(spec, spec, LinkConfig{});
+  EchoServer server(exp->host_sim(0), exp->host(0).stack(), EchoServerConfig{});
+  server.Start();
+  EchoClientConfig cc;
+  cc.server_ip = exp->host(0).ip();
+  cc.pipeline_depth = 4;
+  EchoClient client(exp->host_sim(1), exp->host(1).stack(), cc);
+  client.Start();
+  exp->sim().RunUntil(Ms(20));
+  ASSERT_GT(client.completed(), 100u);
+
+  // The client's one connection took the first ephemeral port.
+  const Flow* flows[] = {
+      exp->host(1).tas()->LookupFlow(FlowKey{20000, exp->host(0).ip(), 7777}),
+      exp->host(0).tas()->LookupFlow(FlowKey{7777, exp->host(1).ip(), 20000}),
+  };
+  for (const Flow* flow : flows) {
+    ASSERT_NE(flow, nullptr);
+    EXPECT_EQ(flow->RxFree() + flow->RxUsed(), exp->host(0).tas()->config().rx_buffer_bytes);
+    for (const RingStorage<uint32_t>* mem : {&flow->cold().rx_mem, &flow->cold().tx_mem}) {
+      EXPECT_GT(mem->bytes(), 0u);
+      EXPECT_LE(mem->bytes(), 4096u);
+    }
+  }
+}
+
+// 1 MB through 128 KiB buffers: the sender's storage grows through several
+// doublings while its ring wraps, and every byte arrives intact.
+TEST(TasBufferTest, MegabyteThroughLazyBuffersIsByteExact) {
+  HostSpec spec;
+  spec.stack = StackKind::kTas;
+  spec.tas_overridden = true;
+  spec.tas.rx_buffer_bytes = 128 * 1024;
+  spec.tas.tx_buffer_bytes = 128 * 1024;
+  auto exp = Experiment::PointToPoint(spec, spec, LinkConfig{});
+  constexpr size_t kTotal = 1 << 20;
+  ByteSink sink(exp->host(0).stack());
+  exp->host(0).stack()->SetHandler(&sink);
+  exp->host(0).stack()->Listen(7000);
+  PatternSource source(exp->host(1).stack(), kTotal);
+  exp->host(1).stack()->SetHandler(&source);
+  exp->host(1).stack()->Connect(exp->host(0).ip(), 7000);
+  exp->sim().RunUntil(Sec(2));
+
+  ASSERT_EQ(sink.data().size(), kTotal);
+  size_t first_bad = kTotal;
+  for (size_t i = 0; i < kTotal && first_bad == kTotal; ++i) {
+    if (sink.data()[i] != static_cast<uint8_t>(i % 251)) {
+      first_bad = i;
+    }
+  }
+  EXPECT_EQ(first_bad, kTotal) << "first corrupted byte";
 }
 
 TEST(TasStateTest, BucketHelpersRoundTrip) {

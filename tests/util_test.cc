@@ -5,6 +5,7 @@
 #include <cstring>
 #include <numeric>
 #include <thread>
+#include <vector>
 
 #include "src/util/logging.h"
 #include "src/util/ring_buffer.h"
@@ -383,6 +384,89 @@ TEST(ByteRingTest, LongStreamProperty) {
   }
   ASSERT_EQ(written.size(), read.size());
   EXPECT_EQ(written, read);
+}
+
+// Stream bytes whose value is a function of their position.
+std::vector<uint8_t> StreamBytes(uint64_t from, size_t len) {
+  std::vector<uint8_t> out(len);
+  for (size_t i = 0; i < len; ++i) {
+    out[i] = static_cast<uint8_t>((from + i) * 7 + 3);
+  }
+  return out;
+}
+
+TEST(ByteRingTest, StorageStartsEmptyAndWriteGrowsIt) {
+  ByteRing ring(128 * 1024);
+  EXPECT_EQ(ring.storage_bytes(), 0u);
+  const std::vector<uint8_t> a = StreamBytes(0, 100);
+  ASSERT_EQ(ring.Write(a.data(), a.size()), a.size());
+  EXPECT_EQ(ring.storage_bytes(), RingStorage<uint64_t>::kMinBytes);
+  const std::vector<uint8_t> b = StreamBytes(100, 5000);
+  ASSERT_EQ(ring.Write(b.data(), b.size()), b.size());
+  EXPECT_EQ(ring.storage_bytes(), 8192u);  // Smallest power of two over 5,100 live bytes.
+  std::vector<uint8_t> out(5100);
+  ASSERT_EQ(ring.Read(out.data(), out.size()), out.size());
+  EXPECT_EQ(out, StreamBytes(0, 5100));
+}
+
+TEST(ByteRingTest, OutOfOrderWriteBeyondStorageGrowsIt) {
+  ByteRing ring(64 * 1024);
+  const std::vector<uint8_t> first = StreamBytes(0, 10);
+  ASSERT_EQ(ring.Write(first.data(), first.size()), first.size());
+  ASSERT_EQ(ring.storage_bytes(), RingStorage<uint64_t>::kMinBytes);
+  // A segment placed past a hole, far beyond the 2 KiB array.
+  const std::vector<uint8_t> ooo = StreamBytes(10000, 100);
+  ASSERT_TRUE(ring.WriteAt(10000, ooo.data(), ooo.size()));
+  EXPECT_EQ(ring.storage_bytes(), 16384u);
+  EXPECT_EQ(ring.used(), 10u);
+  // The retransmission fills the hole; the whole stream reads back intact.
+  const std::vector<uint8_t> hole = StreamBytes(10, 9990);
+  ASSERT_TRUE(ring.WriteAt(10, hole.data(), hole.size()));
+  ring.AdvanceHead(10100);
+  std::vector<uint8_t> out(10100);
+  ASSERT_EQ(ring.Read(out.data(), out.size()), out.size());
+  EXPECT_EQ(out, StreamBytes(0, 10100));
+}
+
+TEST(ByteRingTest, StorageGrowthAcrossWrapPreservesBytes) {
+  ByteRing ring(64 * 1024);
+  const std::vector<uint8_t> a = StreamBytes(0, 1500);
+  ASSERT_EQ(ring.Write(a.data(), a.size()), a.size());
+  std::vector<uint8_t> sink(a.size());
+  ASSERT_EQ(ring.Read(sink.data(), sink.size()), sink.size());
+  // Live bytes [1500, 2500) straddle the end of the 2 KiB array...
+  const std::vector<uint8_t> b = StreamBytes(1500, 1000);
+  ASSERT_EQ(ring.Write(b.data(), b.size()), b.size());
+  ASSERT_EQ(ring.storage_bytes(), 2048u);
+  // ...so growing to 4 KiB must re-place both halves under the new mask.
+  const std::vector<uint8_t> c = StreamBytes(2500, 3000);
+  ASSERT_EQ(ring.Write(c.data(), c.size()), c.size());
+  EXPECT_EQ(ring.storage_bytes(), 4096u);
+  std::vector<uint8_t> out(4000);
+  ASSERT_EQ(ring.Read(out.data(), out.size()), out.size());
+  EXPECT_EQ(out, StreamBytes(1500, 4000));
+}
+
+TEST(ByteRingTest, LogicalCapacityStaysConfiguredAndStorageCapped) {
+  // 100,000 is not a power of two: storage stops at 131,072 while
+  // capacity() and free_space() keep reporting the configured size.
+  constexpr size_t kCapacity = 100000;
+  ByteRing ring(kCapacity);
+  Rng rng(43);
+  uint64_t written = 0;
+  uint64_t read = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::vector<uint8_t> chunk = StreamBytes(written, rng.NextUint64(8192) + 1);
+    written += ring.Write(chunk.data(), chunk.size());
+    std::vector<uint8_t> out(rng.NextUint64(4096) + 1);
+    out.resize(ring.Read(out.data(), out.size()));
+    ASSERT_EQ(out, StreamBytes(read, out.size()));
+    read += out.size();
+    ASSERT_EQ(ring.capacity(), kCapacity);
+    ASSERT_EQ(ring.free_space(), kCapacity - ring.used());
+    ASSERT_LE(ring.storage_bytes(), 131072u);
+  }
+  EXPECT_EQ(ring.storage_bytes(), 131072u);  // The ring filled up on the way.
 }
 
 TEST(SpscQueueTest, FifoOrder) {
