@@ -43,7 +43,7 @@ double RunWithStateBytes(double per_connection_bytes, double lines_per_packet,
   }
   auto exp = Experiment::Star(specs, links);
   EchoServerConfig sc;
-  EchoServer echo_server(exp->host_sim(0), exp->host(0).stack(), sc);
+  EchoServer echo_server(&exp->sim(), exp->host(0).stack(), sc);
   echo_server.Start();
   std::vector<std::unique_ptr<EchoClient>> clients;
   const TimeNs warmup = Ms(10) + static_cast<TimeNs>(connections) * Us(30);
@@ -54,7 +54,7 @@ double RunWithStateBytes(double per_connection_bytes, double lines_per_packet,
     cc.connect_spread = warmup * 3 / 4;
     cc.first_request_at = warmup - Ms(2);
     clients.push_back(
-        std::make_unique<EchoClient>(exp->host_sim(1 + i), exp->host(1 + i).stack(), cc));
+        std::make_unique<EchoClient>(&exp->sim(), exp->host(1 + i).stack(), cc));
     clients.back()->Start();
   }
   exp->sim().RunUntil(warmup);

@@ -167,7 +167,7 @@ inline EchoRunResult RunEcho(EchoRunConfig config) {
   server_config.response_bytes = config.response_bytes;
   server_config.app_cycles = config.server_app_cycles;
   server_config.mode = config.mode;
-  EchoServer server(exp->host_sim(0), exp->host(0).stack(), server_config);
+  EchoServer server(&exp->sim(), exp->host(0).stack(), server_config);
   server.Start();
 
   std::vector<std::unique_ptr<EchoClient>> clients;
@@ -187,7 +187,7 @@ inline EchoRunResult RunEcho(EchoRunConfig config) {
     // measurement starts.
     client_config.first_request_at = config.warmup - Ms(2);
     clients.push_back(std::make_unique<EchoClient>(
-        exp->host_sim(1 + i), exp->host(1 + i).stack(), client_config));
+        &exp->sim(), exp->host(1 + i).stack(), client_config));
     clients.back()->Start();
   }
 
@@ -273,11 +273,10 @@ inline KvRunResult RunKv(KvRunConfig config) {
   server_config.contended = config.contended;
   std::unique_ptr<Core> lock_core;
   if (config.contended) {
-    // The lock lives on the server host's island (host 0 touches it).
-    lock_core = std::make_unique<Core>(exp->host_sim(0), 9000, 2.1);
+    lock_core = std::make_unique<Core>(&exp->sim(), 9000, 2.1);
     server_config.lock_core = lock_core.get();
   }
-  KvServer server(exp->host_sim(0), exp->host(0).stack(), server_config);
+  KvServer server(&exp->sim(), exp->host(0).stack(), server_config);
   server.Start();
 
   std::vector<std::unique_ptr<KvClient>> clients;
@@ -294,7 +293,7 @@ inline KvRunResult RunKv(KvRunConfig config) {
     cc.connect_spread = config.warmup * 3 / 4;
     cc.first_request_at = config.warmup - Ms(2);
     clients.push_back(
-        std::make_unique<KvClient>(exp->host_sim(1 + i), exp->host(1 + i).stack(), cc));
+        std::make_unique<KvClient>(&exp->sim(), exp->host(1 + i).stack(), cc));
     clients.back()->Start();
   }
 

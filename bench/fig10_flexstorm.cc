@@ -50,7 +50,7 @@ FlexResult RunConfig(StackKind kind) {
     std::vector<Core*> cores = exp->host(i).AppCorePtrs();
     config.rng_seed = 7 + i;
     nodes.push_back(std::make_unique<FlexStormNode>(
-        exp->host_sim(i), exp->host(i).stack(), cores, config));
+        &exp->sim(), exp->host(i).stack(), cores, config));
   }
   for (int i = 0; i < 3; ++i) {
     nodes[i]->Start(exp->host((i + 1) % 3).ip());

@@ -57,7 +57,7 @@ CcResult RunPoint(StackKind kind, CcAlgorithm algorithm, TimeNs tau) {
   HostSpec source_spec = ProtocolHost(kind, algorithm, tau);
   auto exp = Experiment::PointToPoint(sink_spec, source_spec, link);
 
-  FlowSink sink(exp->host_sim(0), exp->host(0).stack(), kPort);
+  FlowSink sink(&exp->sim(), exp->host(0).stack(), kPort);
   sink.Start();
 
   FlowGenConfig gen;
@@ -68,7 +68,7 @@ CcResult RunPoint(StackKind kind, CcAlgorithm algorithm, TimeNs tau) {
   BoundedPareto sizes(gen.pareto_min_bytes, gen.pareto_max_bytes, gen.pareto_alpha);
   const double load = 0.75;
   gen.mean_interarrival = static_cast<TimeNs>(sizes.Mean() * 8 / (kLinkGbps * 1e9 * load) * 1e9);
-  FlowSource source(exp->host_sim(1), exp->host(1).stack(), gen);
+  FlowSource source(&exp->sim(), exp->host(1).stack(), gen);
   source.Start();
 
   Link* wire = exp->net()->links()[0].get();

@@ -52,8 +52,8 @@ ClusterResult RunCluster(StackKind kind, CcAlgorithm algorithm) {
   topo.fabric_link = topo.host_link;
 
   auto exp = Experiment::Custom(
-      [&topo](Simulator* sim, SimPartition* partition) {
-        return MakeFatTree(sim, topo, partition);
+      [&topo](Simulator* sim) {
+        return MakeFatTree(sim, topo);
       },
       {ProtocolHost(kind, algorithm)});
 
@@ -78,7 +78,7 @@ ClusterResult RunCluster(StackKind kind, CcAlgorithm algorithm) {
     gen.mean_interarrival =
         static_cast<TimeNs>(sizes.Mean() * 8 / (10e9 * host_load) * 1e9);
     sources.push_back(
-        std::make_unique<FlowSource>(exp->host_sim(i), exp->host(i).stack(), gen));
+        std::make_unique<FlowSource>(&exp->sim(), exp->host(i).stack(), gen));
     sources.back()->Start();
     sources.back()->AlsoSink(kPort);
   }

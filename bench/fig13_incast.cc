@@ -38,7 +38,7 @@ IncastResult RunPoint(StackKind kind, size_t total_connections) {
 
   BulkReceiverConfig rc;
   rc.sample_interval = Ms(100);
-  BulkReceiver rx(exp->host_sim(0), exp->host(0).stack(), rc);
+  BulkReceiver rx(&exp->sim(), exp->host(0).stack(), rc);
   rx.Start();
   std::vector<std::unique_ptr<BulkSender>> senders;
   for (int i = 0; i < 4; ++i) {
@@ -47,7 +47,7 @@ IncastResult RunPoint(StackKind kind, size_t total_connections) {
     sc.num_flows = total_connections / 4;
     sc.chunk_bytes = 8 * 1024;
     senders.push_back(
-        std::make_unique<BulkSender>(exp->host_sim(1 + i), exp->host(1 + i).stack(), sc));
+        std::make_unique<BulkSender>(&exp->sim(), exp->host(1 + i).stack(), sc));
     senders.back()->Start();
   }
 

@@ -31,7 +31,7 @@ void Run() {
   auto exp = Experiment::Star(specs, links);
 
   KvServerConfig server_config;
-  KvServer kv(exp->host_sim(0), exp->host(0).stack(), server_config);
+  KvServer kv(&exp->sim(), exp->host(0).stack(), server_config);
   kv.Start();
 
   // "Adding a client machine" = starting a closed-loop client on an idle
@@ -45,7 +45,7 @@ void Run() {
     cc.rng_seed = 200 + host;
     cc.connect_spread = Ms(10);
     active.push_back(
-        std::make_unique<KvClient>(exp->host_sim(1 + host), exp->host(1 + host).stack(), cc));
+        std::make_unique<KvClient>(&exp->sim(), exp->host(1 + host).stack(), cc));
     active.back()->Start();
   };
 

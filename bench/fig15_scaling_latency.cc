@@ -25,7 +25,7 @@ void Run() {
   auto exp = Experiment::Star(specs, links);
 
   KvServerConfig sc;
-  KvServer kv(exp->host_sim(0), exp->host(0).stack(), sc);
+  KvServer kv(&exp->sim(), exp->host(0).stack(), sc);
   kv.Start();
 
   // Client 1: steady moderate load from t=0.
@@ -34,7 +34,7 @@ void Run() {
   base.num_connections = 64;
   base.target_ops_per_sec = 300000;
   base.rng_seed = 11;
-  KvClient steady(exp->host_sim(1), exp->host(1).stack(), base);
+  KvClient steady(&exp->sim(), exp->host(1).stack(), base);
   steady.Start();
 
   // Client 2: arrives mid-run and pushes the fast path past one core.
@@ -54,7 +54,7 @@ void Run() {
   TimeNs now = 0;
   while (now < end) {
     if (surge == nullptr && now >= surge_at) {
-      surge = std::make_unique<KvClient>(exp->host_sim(2), exp->host(2).stack(), surge_config);
+      surge = std::make_unique<KvClient>(&exp->sim(), exp->host(2).stack(), surge_config);
       surge->Start();
     }
     steady.BeginMeasurement();

@@ -27,12 +27,12 @@ double RunPoint(StackKind kind, double drop_rate, bool go_back_n) {
   }
   auto exp = Experiment::PointToPoint(receiver, sender, link);
 
-  BulkReceiver rx(exp->host_sim(0), exp->host(0).stack(), BulkReceiverConfig{});
+  BulkReceiver rx(&exp->sim(), exp->host(0).stack(), BulkReceiverConfig{});
   rx.Start();
   BulkSenderConfig sc;
   sc.server_ip = exp->host(0).ip();
   sc.num_flows = 100;
-  BulkSender tx(exp->host_sim(1), exp->host(1).stack(), sc);
+  BulkSender tx(&exp->sim(), exp->host(1).stack(), sc);
   tx.Start();
 
   const TimeNs warmup = Ms(30);

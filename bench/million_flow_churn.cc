@@ -293,7 +293,7 @@ SvcResult RunServiceChurn(std::vector<std::string>& failures, bool armed = false
   Rng traffic_rng(0xACED1);
   uint64_t injected = 0;
   size_t churn_cursor = 0;
-  const uint64_t events_before = exp->events_executed();
+  const uint64_t events_before = exp->sim().events_executed();
   // Absolute round deadlines: Now() after RunUntil is the last *executed*
   // event's time, so Now()-relative targets would let passive bookkeeping
   // events (e.g. the armed watchdog's checks) shift the injection schedule.
@@ -325,7 +325,7 @@ SvcResult RunServiceChurn(std::vector<std::string>& failures, bool armed = false
   exp->sim().RunUntil(round_deadline + Ms(2));  // Drain everything.
 
   r.packets = injected;
-  r.events = exp->events_executed() - events_before;
+  r.events = exp->sim().events_executed() - events_before;
   r.events_per_packet =
       injected > 0 ? static_cast<double>(r.events) / static_cast<double>(injected) : 0;
   const TasStats& stats = tas->stats();

@@ -48,32 +48,8 @@ bool WatchdogBenchEnabled() {
 // also absorbs single-core CI wall-clock noise across two back-to-back runs.
 constexpr double kMaxRecorderOverhead = 1.5;
 
-// The same workload on the pre-pooling simulator core (std::function
-// events + shared_ptr cancel flags + per-packet heap allocation),
-// recorded by running this benchmark at commit ecc993c (Release, reduced
-// scale) immediately before the zero-allocation hot path landed:
-// 3,186,605 events dispatched at 2.9M events/sec, i.e. ~1.099 s of wall
-// time.
-constexpr double kPreChangeEventsPerSec = 2.9e6;
-constexpr double kPreChangeEvents = 3186605;
-constexpr double kPreChangeWallSec = kPreChangeEvents / kPreChangeEventsPerSec;
-
-// Post-PR3 baseline (zero-allocation hot path, packet-serial fast path,
-// unordered_map flow table), recorded by running this benchmark at commit
-// bb6ebf5 (Release, reduced scale) immediately before batched fast-path
-// processing landed. The batching PR compares against these: the workload
-// (connections, bytes, pipeline depth) is identical, so events per
-// delivered packet is the apples-to-apples overhead metric.
-constexpr double kPostPr3Events = 2417014;
-constexpr double kPostPr3WallSec = 0.454;
-constexpr double kPostPr3Packets = 393801;
-constexpr double kPostPr3EventsPerPacket = kPostPr3Events / kPostPr3Packets;
-constexpr double kPostPr3Ops = 131650;
-constexpr double kPostPr3Retransmits = 0;
-
 struct SmokeResult {
   uint64_t events = 0;
-  int sim_threads = 1;  // Resolved executor width (TAS_SIM_THREADS).
   double wall_sec = 0;
   double ops = 0;
   uint64_t ops_count = 0;     // Completed echo operations in the window.
@@ -124,7 +100,7 @@ SmokeResult RunSmoke(bool armed = false) {
   server_config.request_bytes = kMessageBytes;
   server_config.response_bytes = kMessageBytes;
   server_config.app_cycles = 250;
-  EchoServer server(exp->host_sim(0), exp->host(0).stack(), server_config);
+  EchoServer server(&exp->sim(), exp->host(0).stack(), server_config);
   server.Start();
 
   std::vector<std::unique_ptr<EchoClient>> clients;
@@ -137,7 +113,7 @@ SmokeResult RunSmoke(bool armed = false) {
     cc.pipeline_depth = 16;
     cc.connect_spread = warmup * 3 / 4;
     cc.first_request_at = warmup - Ms(2);
-    clients.push_back(std::make_unique<EchoClient>(exp->host_sim(1 + i), exp->host(1 + i).stack(), cc));
+    clients.push_back(std::make_unique<EchoClient>(&exp->sim(), exp->host(1 + i).stack(), cc));
     clients.back()->Start();
   }
 
@@ -149,14 +125,13 @@ SmokeResult RunSmoke(bool armed = false) {
   }
   SimNic* server_nic = exp->host(0).tas()->nic();
   const uint64_t pkts_before = server_nic->rx_packets() + server_nic->tx_packets();
-  const uint64_t events_before = exp->events_executed();
+  const uint64_t events_before = exp->sim().events_executed();
   const auto start = std::chrono::steady_clock::now();
   exp->sim().RunUntil(warmup + measure);
   const auto end = std::chrono::steady_clock::now();
 
   SmokeResult result;
-  result.events = exp->events_executed() - events_before;
-  result.sim_threads = exp->sim_threads();
+  result.events = exp->sim().events_executed() - events_before;
   result.wall_sec = std::chrono::duration<double>(end - start).count();
   for (auto& client : clients) {
     result.ops += client->Throughput();
@@ -173,18 +148,11 @@ SmokeResult RunSmoke(bool armed = false) {
   result.retransmits_handshake = stats.handshake_retransmits;
   result.server_rx_drops = server_nic->rx_drops() + stats.rx_buffer_drops;
   result.median_us = clients[0]->latency().Median();
-  if (SimPartition* partition = exp->partition()) {
-    result.cancelled = partition->cancelled_events();
-    result.cancelled_popped = partition->cancelled_popped();
-    result.max_pending = partition->max_pending_events();
-    result.event_nodes = partition->event_nodes_total();
-  } else {
-    result.cancelled = exp->sim().cancelled_events();
-    result.cancelled_popped = exp->sim().cancelled_popped();
-    result.max_pending = exp->sim().max_pending_events();
-    result.event_nodes = exp->sim().event_nodes_total();
-  }
-  result.pool = exp->pool_stats();
+  result.cancelled = exp->sim().cancelled_events();
+  result.cancelled_popped = exp->sim().cancelled_popped();
+  result.max_pending = exp->sim().max_pending_events();
+  result.event_nodes = exp->sim().event_nodes_total();
+  result.pool = exp->packet_pool().stats();
   if (LatencyEnabled()) {
     result.latency_json = exp->host(0).tas()->tracer().latency().Report().ToJson();
   }
@@ -214,10 +182,6 @@ int Run() {
       r.events > 0 ? r.wall_sec * 1e9 / static_cast<double>(r.events) : 0;
   const double events_per_packet =
       r.packets > 0 ? static_cast<double>(r.events) / static_cast<double>(r.packets) : 0;
-  const double speedup = kPreChangeWallSec / r.wall_sec;
-  const double speedup_pr3 = kPostPr3WallSec / r.wall_sec;
-  const double epp_ratio_pr3 =
-      events_per_packet > 0 ? kPostPr3EventsPerPacket / events_per_packet : 0;
 
   // Recorder-overhead column: the same workload with the watchdog armed.
   std::vector<std::string> gate_failures;
@@ -245,7 +209,6 @@ int Run() {
 
   TablePrinter table({"Metric", "Value"});
   table.AddRow("events dispatched", r.events);
-  table.AddRow("sim threads", r.sim_threads);
   table.AddRow("wall seconds", Fmt(r.wall_sec, 3));
   table.AddRow("events/sec", Fmt(events_per_sec / 1e6, 2) + "M");
   table.AddRow("wall ns/event", Fmt(ns_per_event, 1));
@@ -257,9 +220,6 @@ int Run() {
   table.AddRow("retransmits", r.retransmits);
   table.AddRow("median us", Fmt(r.median_us, 1));
   table.AddRow("peak RSS MiB", Fmt(static_cast<double>(PeakRssKb()) / 1024.0, 1));
-  table.AddRow("speedup vs pre-pool", Fmt(speedup, 2) + "x (wall, same workload)");
-  table.AddRow("speedup vs post-PR3", Fmt(speedup_pr3, 2) + "x (wall)");
-  table.AddRow("events/pkt vs post-PR3", Fmt(epp_ratio_pr3, 2) + "x fewer");
   table.AddRow("max pending events", r.max_pending);
   table.AddRow("event nodes (slab)", r.event_nodes);
   table.AddRow("pkts allocated", r.pool.allocated);
@@ -277,7 +237,6 @@ int Run() {
             << "\"benchmark\":\"perf_smoke\""
             << ",\"workload\":\"fig6_pipelined_64b_d16\""
             << ",\"events\":" << r.events
-            << ",\"sim_threads\":" << r.sim_threads
             << ",\"wall_sec\":" << r.wall_sec
             << ",\"wall_ns\":" << static_cast<uint64_t>(r.wall_sec * 1e9)
             << ",\"events_per_sec\":" << events_per_sec
@@ -293,18 +252,6 @@ int Run() {
             << ",\"retransmits_handshake\":" << r.retransmits_handshake
             << ",\"server_rx_drops\":" << r.server_rx_drops
             << ",\"peak_rss_kb\":" << PeakRssKb()
-            << ",\"baseline_events_per_sec_prechange\":" << kPreChangeEventsPerSec
-            << ",\"baseline_events_prechange\":" << kPreChangeEvents
-            << ",\"baseline_wall_sec_prechange\":" << kPreChangeWallSec
-            << ",\"speedup_vs_prechange\":" << speedup
-            << ",\"baseline_events_postpr3\":" << kPostPr3Events
-            << ",\"baseline_wall_sec_postpr3\":" << kPostPr3WallSec
-            << ",\"baseline_packets_postpr3\":" << kPostPr3Packets
-            << ",\"baseline_events_per_packet_postpr3\":" << kPostPr3EventsPerPacket
-            << ",\"baseline_ops_postpr3\":" << kPostPr3Ops
-            << ",\"baseline_retransmits_postpr3\":" << kPostPr3Retransmits
-            << ",\"speedup_vs_postpr3\":" << speedup_pr3
-            << ",\"events_per_packet_ratio_vs_postpr3\":" << epp_ratio_pr3
             << ",\"cancelled_events\":" << r.cancelled
             << ",\"cancelled_popped\":" << r.cancelled_popped
             << ",\"max_pending_events\":" << r.max_pending

@@ -88,11 +88,11 @@ Rig MakeRig(ProxyServerConfig proxy_cfg, OriginServerConfig origin_cfg,
   client_cfg.proxy_port = proxy_cfg.listen_port;
   client_cfg.min_body_bytes = origin_cfg.min_body_bytes;
   client_cfg.body_spread = origin_cfg.body_spread;
-  rig.proxy = std::make_unique<ProxyServer>(rig.exp->host_sim(0), rig.exp->host(0).stack(), proxy_cfg);
+  rig.proxy = std::make_unique<ProxyServer>(&rig.exp->sim(), rig.exp->host(0).stack(), proxy_cfg);
   rig.origin =
-      std::make_unique<OriginServer>(rig.exp->host_sim(1), rig.exp->host(1).stack(), origin_cfg);
+      std::make_unique<OriginServer>(&rig.exp->sim(), rig.exp->host(1).stack(), origin_cfg);
   rig.clients =
-      std::make_unique<ProxyClientGen>(rig.exp->host_sim(2), rig.exp->host(2).stack(), client_cfg);
+      std::make_unique<ProxyClientGen>(&rig.exp->sim(), rig.exp->host(2).stack(), client_cfg);
   rig.origin->Start();
   rig.proxy->Start();
   rig.clients->Start();
@@ -224,7 +224,6 @@ struct ChurnResult {
   double p99_us = 0;
   TimeNs finished_at = 0;
   uint64_t wall_ns = 0;  // Host wall clock spent in the churn loop.
-  int sim_threads = 1;   // Resolved executor width (TAS_SIM_THREADS).
   bool drained = false;
 };
 
@@ -266,7 +265,6 @@ ChurnResult RunChurn(double alpha) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - wall_start)
           .count());
-  result.sim_threads = rig.exp->sim_threads();
   result.drained = rig.clients->completed() >= result.target;
   result.completed = rig.clients->completed();
   result.issued = rig.clients->issued();
@@ -432,7 +430,6 @@ int Run() {
   }
   json << "PROXY_CYCLES_JSON {"
        << "\"benchmark\":\"proxy_cycles\""
-       << ",\"sim_threads\":" << churn[0].sim_threads
        << ",\"wall_ns\":" << total_wall_ns
        << ",\"body_min\":" << kMinBody << ",\"body_spread\":" << kBodySpread
        << ",\"deterministic\":" << (deterministic ? "true" : "false");

@@ -40,7 +40,7 @@ Breakdown MeasureBreakdown(StackKind kind) {
   server_config.request_bytes = config.request_bytes;
   server_config.response_bytes = config.response_bytes;
   server_config.app_cycles = 680;
-  EchoServer server(exp->host_sim(0), exp->host(0).stack(), server_config);
+  EchoServer server(&exp->sim(), exp->host(0).stack(), server_config);
   server.Start();
   std::vector<std::unique_ptr<EchoClient>> clients;
   for (size_t i = 0; i < 4; ++i) {
@@ -52,7 +52,7 @@ Breakdown MeasureBreakdown(StackKind kind) {
     cc.connect_spread = config.warmup * 3 / 4;
     cc.first_request_at = config.warmup - Ms(2);
     clients.push_back(
-        std::make_unique<EchoClient>(exp->host_sim(1 + i), exp->host(1 + i).stack(), cc));
+        std::make_unique<EchoClient>(&exp->sim(), exp->host(1 + i).stack(), cc));
     clients.back()->Start();
   }
 

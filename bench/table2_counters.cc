@@ -35,7 +35,7 @@ Overheads Measure(StackKind kind) {
   sc.request_bytes = config.request_bytes;
   sc.response_bytes = config.response_bytes;
   sc.app_cycles = 680;
-  EchoServer server(exp->host_sim(0), exp->host(0).stack(), sc);
+  EchoServer server(&exp->sim(), exp->host(0).stack(), sc);
   server.Start();
   std::vector<std::unique_ptr<EchoClient>> clients;
   for (int i = 0; i < 4; ++i) {
@@ -47,7 +47,7 @@ Overheads Measure(StackKind kind) {
     cc.connect_spread = config.warmup > 0 ? config.warmup / 2 : Ms(20);
     cc.first_request_at = Ms(10) + static_cast<TimeNs>(config.connections) * Us(30) - Ms(2);
     clients.push_back(
-        std::make_unique<EchoClient>(exp->host_sim(1 + i), exp->host(1 + i).stack(), cc));
+        std::make_unique<EchoClient>(&exp->sim(), exp->host(1 + i).stack(), cc));
     clients.back()->Start();
   }
   const TimeNs warmup = Ms(10) + static_cast<TimeNs>(config.connections) * Us(30);

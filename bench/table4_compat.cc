@@ -18,12 +18,12 @@ double RunCombo(StackKind receiver_kind, StackKind sender_kind) {
   auto exp = Experiment::PointToPoint(receiver, sender, link);
 
   BulkReceiverConfig rc;
-  BulkReceiver rx(exp->host_sim(0), exp->host(0).stack(), rc);
+  BulkReceiver rx(&exp->sim(), exp->host(0).stack(), rc);
   rx.Start();
   BulkSenderConfig sc;
   sc.server_ip = exp->host(0).ip();
   sc.num_flows = 100;
-  BulkSender tx(exp->host_sim(1), exp->host(1).stack(), sc);
+  BulkSender tx(&exp->sim(), exp->host(1).stack(), sc);
   tx.Start();
 
   const TimeNs warmup = Ms(80);  // Rate-based DCTCP converges in ~60ms.

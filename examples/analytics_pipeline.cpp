@@ -52,7 +52,7 @@ PipelineResult RunPipeline(StackKind kind) {
   for (int i = 0; i < 3; ++i) {
     config.rng_seed = 21 + i;
     nodes.push_back(std::make_unique<FlexStormNode>(
-        exp->host_sim(i), exp->host(i).stack(), exp->host(i).AppCorePtrs(), config));
+        &exp->sim(), exp->host(i).stack(), exp->host(i).AppCorePtrs(), config));
   }
   for (int i = 0; i < 3; ++i) {
     nodes[i]->Start(exp->host((i + 1) % 3).ip());

@@ -35,12 +35,12 @@ int main() {
       .ImpairmentWindowBoth(Ms(90), Ms(100), wire, Reordering(0.05, Us(20), Us(100)));
   exp->faults().Install(chaos);
 
-  BulkReceiver rx(exp->host_sim(0), exp->host(0).stack(), BulkReceiverConfig{});
+  BulkReceiver rx(&exp->sim(), exp->host(0).stack(), BulkReceiverConfig{});
   rx.Start();
   BulkSenderConfig sc;
   sc.server_ip = exp->host(0).ip();
   sc.num_flows = 16;
-  BulkSender tx(exp->host_sim(1), exp->host(1).stack(), sc);
+  BulkSender tx(&exp->sim(), exp->host(1).stack(), sc);
   tx.Start();
 
   std::printf("16 bulk TAS flows on one 10G link; scripted faults:\n");

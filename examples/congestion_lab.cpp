@@ -49,17 +49,17 @@ LabResult RunLab(StackKind kind, CcAlgorithm algorithm) {
   bottleneck.propagation_delay = Us(10);
 
   auto exp = Experiment::Custom(
-      [&](Simulator* sim, SimPartition* partition) {
-        return MakeDumbbell(sim, 1, 1, host_link, bottleneck, partition);
+      [&](Simulator* sim) {
+        return MakeDumbbell(sim, 1, 1, host_link, bottleneck);
       },
       {spec});
 
-  BulkReceiver rx(exp->host_sim(0), exp->host(0).stack(), BulkReceiverConfig{});
+  BulkReceiver rx(&exp->sim(), exp->host(0).stack(), BulkReceiverConfig{});
   rx.Start();
   BulkSenderConfig sc;
   sc.server_ip = exp->host(0).ip();
   sc.num_flows = kFlows;
-  BulkSender tx(exp->host_sim(1), exp->host(1).stack(), sc);
+  BulkSender tx(&exp->sim(), exp->host(1).stack(), sc);
   tx.Start();
 
   exp->sim().RunUntil(Ms(50));

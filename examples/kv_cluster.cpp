@@ -40,7 +40,7 @@ int main() {
   server_config.num_keys = 100000;
   server_config.key_bytes = 32;
   server_config.value_bytes = 64;
-  KvServer server(exp->host_sim(0), exp->host(0).stack(), server_config);
+  KvServer server(&exp->sim(), exp->host(0).stack(), server_config);
   server.Start();
 
   std::vector<std::unique_ptr<KvClient>> clients;
@@ -51,7 +51,7 @@ int main() {
     cc.connect_spread = Ms(20);  // Ramp connections gently past the slow path.
     cc.rng_seed = 7 + i;
     clients.push_back(
-        std::make_unique<KvClient>(exp->host_sim(1 + i), exp->host(1 + i).stack(), cc));
+        std::make_unique<KvClient>(&exp->sim(), exp->host(1 + i).stack(), cc));
     clients.back()->Start();
   }
 

@@ -65,7 +65,7 @@ int main() {
 
   EchoServerConfig server_config;
   server_config.app_cycles = 250;
-  EchoServer server(exp->host_sim(0), exp->host(0).stack(), server_config);
+  EchoServer server(&exp->sim(), exp->host(0).stack(), server_config);
   server.Start();
 
   std::vector<std::unique_ptr<EchoClient>> clients;
@@ -76,7 +76,7 @@ int main() {
     cc.pipeline_depth = 8;  // 4 hosts x 8 conns x depth 8: incast pressure.
     cc.connect_spread = warmup / 2;
     clients.push_back(
-        std::make_unique<EchoClient>(exp->host_sim(1 + i), exp->host(1 + i).stack(), cc));
+        std::make_unique<EchoClient>(&exp->sim(), exp->host(1 + i).stack(), cc));
     clients.back()->Start();
   }
 

@@ -62,9 +62,9 @@ int main() {
   client_cfg.min_body_bytes = origin_cfg.min_body_bytes;
   client_cfg.body_spread = origin_cfg.body_spread;
 
-  ProxyServer proxy(exp->host_sim(0), exp->host(0).stack(), proxy_cfg);
-  OriginServer origin(exp->host_sim(1), exp->host(1).stack(), origin_cfg);
-  ProxyClientGen clients(exp->host_sim(2), exp->host(2).stack(), client_cfg);
+  ProxyServer proxy(&exp->sim(), exp->host(0).stack(), proxy_cfg);
+  OriginServer origin(&exp->sim(), exp->host(1).stack(), origin_cfg);
+  ProxyClientGen clients(&exp->sim(), exp->host(2).stack(), client_cfg);
 
   MetricRegistry registry;
   proxy.RegisterMetrics(registry);

@@ -110,7 +110,7 @@ int main() {
   auto exp = Experiment::PointToPoint(server_spec, client_spec, link);
 
   UppercaseServer server(exp->host(0).stack(), 4242);
-  GreetingClient client(exp->host_sim(1), exp->host(1).stack(), exp->host(0).ip(), 4242);
+  GreetingClient client(&exp->sim(), exp->host(1).stack(), exp->host(0).ip(), 4242);
   server.Start();
   client.Start();
 
@@ -130,6 +130,6 @@ int main() {
   std::printf("  slow-path exceptions:    %llu (handshake + teardown only)\n",
               static_cast<unsigned long long>(stats.exceptions));
   std::printf("  sim events executed:     %llu\n",
-              static_cast<unsigned long long>(exp->events_executed()));
+              static_cast<unsigned long long>(exp->sim().events_executed()));
   return 0;
 }

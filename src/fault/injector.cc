@@ -1,6 +1,5 @@
 #include "src/fault/injector.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace tas {
@@ -16,23 +15,11 @@ FaultSchedule& FaultSchedule::At(TimeNs t, std::string description,
 }
 
 FaultSchedule& FaultSchedule::LinkDownAt(TimeNs t, Link* link) {
-  FaultEvent e;
-  e.at = t;
-  e.description = "link down";
-  e.link = link;
-  e.apply_side = [](Link* l, int side) { l->SetDownSide(side, true); };
-  events_.push_back(std::move(e));
-  return *this;
+  return At(t, "link down", [link] { link->SetDown(true); });
 }
 
 FaultSchedule& FaultSchedule::LinkUpAt(TimeNs t, Link* link) {
-  FaultEvent e;
-  e.at = t;
-  e.description = "link up";
-  e.link = link;
-  e.apply_side = [](Link* l, int side) { l->SetDownSide(side, false); };
-  events_.push_back(std::move(e));
-  return *this;
+  return At(t, "link up", [link] { link->SetDown(false); });
 }
 
 FaultSchedule& FaultSchedule::LinkFlap(TimeNs t, TimeNs duration, Link* link) {
@@ -44,29 +31,17 @@ FaultSchedule& FaultSchedule::ImpairmentWindow(TimeNs from, TimeNs to, Link* lin
                                                const ImpairmentSpec& spec) {
   TAS_CHECK(to >= from);
   // The handle is produced when the window opens, so the open/close thunks
-  // share it through one cell. Both run on the targeted side's island.
+  // share it through one cell.
   auto handle = std::make_shared<Impairment*>(nullptr);
   const std::string name = ImpairmentKindName(spec.kind);
-  FaultEvent open;
-  open.at = from;
-  open.description = name + " window opens";
-  open.link = link;
-  open.side = side;
-  open.apply_side = [spec, handle](Link* l, int s) { *handle = l->AddImpairment(s, spec); };
-  events_.push_back(std::move(open));
-  FaultEvent close;
-  close.at = to;
-  close.description = name + " window closes";
-  close.link = link;
-  close.side = side;
-  close.apply_side = [handle](Link* l, int s) {
+  At(from, name + " window opens",
+     [link, side, spec, handle] { *handle = link->AddImpairment(side, spec); });
+  return At(to, name + " window closes", [link, side, handle] {
     if (*handle != nullptr) {
-      l->RemoveImpairment(s, *handle);
+      link->RemoveImpairment(side, *handle);
       *handle = nullptr;
     }
-  };
-  events_.push_back(std::move(close));
-  return *this;
+  });
 }
 
 FaultSchedule& FaultSchedule::ImpairmentWindowBoth(TimeNs from, TimeNs to, Link* link,
@@ -75,43 +50,15 @@ FaultSchedule& FaultSchedule::ImpairmentWindowBoth(TimeNs from, TimeNs to, Link*
   return ImpairmentWindow(from, to, link, 1, spec);
 }
 
-void FaultInjector::Append(TimeNs at, const std::string& description) {
-  std::lock_guard<std::mutex> lock(log_mu_);
-  log_.push_back(LogEntry{at, description});
-}
-
 void FaultInjector::Install(FaultSchedule schedule) {
   for (const FaultEvent& event : schedule.events()) {
     auto apply = std::make_shared<FaultEvent>(event);
-    if (apply->link == nullptr || !apply->apply_side) {
-      // Plain thunk: runs on the control simulator.
-      ++pending_;
-      sim_->AtClamped(apply->at, [this, apply] {
-        Append(sim_->Now(), apply->description);
-        apply->apply();
-        pending_.fetch_sub(1, std::memory_order_relaxed);
-      });
-      continue;
-    }
-    // Link-targeted event: one sim event per targeted side, each on the
-    // island owning that side's state. The first side's event carries the
-    // log entry, so a both-sides mutation still logs once. In serial mode
-    // every side_sim is the control simulator and the per-side events run
-    // back to back at the same instant — the pre-split behavior.
-    const int first = apply->side >= 0 ? apply->side : 0;
-    const int last = apply->side >= 0 ? apply->side : 1;
-    for (int s = first; s <= last; ++s) {
-      ++pending_;
-      Simulator* target = apply->link->side_sim(s);
-      const bool log_this = s == first;
-      target->AtClamped(apply->at, [this, apply, target, s, log_this] {
-        if (log_this) {
-          Append(target->Now(), apply->description);
-        }
-        apply->apply_side(apply->link, s);
-        pending_.fetch_sub(1, std::memory_order_relaxed);
-      });
-    }
+    ++pending_;
+    sim_->AtClamped(apply->at, [this, apply] {
+      log_.push_back(LogEntry{sim_->Now(), apply->description});
+      apply->apply();
+      --pending_;
+    });
   }
 }
 

@@ -6,10 +6,8 @@
 #ifndef SRC_FAULT_INJECTOR_H_
 #define SRC_FAULT_INJECTOR_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -22,16 +20,7 @@ namespace tas {
 struct FaultEvent {
   TimeNs at = 0;
   std::string description;
-  // Plain thunk, applied on the injector's (control) simulator.
   std::function<void()> apply;
-  // Link-targeted alternative (DESIGN.md §13): applied as one event per
-  // targeted side, each scheduled on the island that owns that side's
-  // egress state, so a partitioned run mutates link state without crossing
-  // islands. `side` -1 targets both sides; the event is logged once either
-  // way. Exactly one of `apply` / `apply_side` is set.
-  Link* link = nullptr;
-  int side = -1;
-  std::function<void(Link*, int)> apply_side;
 };
 
 class FaultSchedule {
@@ -67,32 +56,24 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  // Schedules every event of `schedule`. Events whose time already passed
-  // fire at the current simulator time, in schedule order. May be called
-  // repeatedly to layer additional chaos (mid-run layering is a serial-mode
-  // feature; partitioned runs install schedules before RunUntil, so the
-  // per-side events land on their islands' heaps race-free).
+  // Schedules every event of `schedule`, one simulator event each. Events
+  // whose time already passed fire at the current simulator time, in
+  // schedule order. May be called repeatedly to layer additional chaos.
   void Install(FaultSchedule schedule);
 
   struct LogEntry {
     TimeNs at = 0;
     std::string description;
   };
-  // Applied events, in execution order; the reproducibility record. In a
-  // partitioned run, same-instant events on different islands may log in
-  // either order (the mutex only protects memory); per-island order and the
-  // set of entries stay deterministic.
+  // Applied events, in execution order; the reproducibility record.
   const std::vector<LogEntry>& log() const { return log_; }
-  size_t pending() const { return pending_.load(std::memory_order_relaxed); }
+  size_t pending() const { return pending_; }
   Simulator* sim() const { return sim_; }
 
  private:
-  void Append(TimeNs at, const std::string& description);
-
   Simulator* sim_;
-  std::mutex log_mu_;
   std::vector<LogEntry> log_;
-  std::atomic<size_t> pending_{0};
+  size_t pending_ = 0;
 };
 
 }  // namespace tas

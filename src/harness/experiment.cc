@@ -1,13 +1,8 @@
 #include "src/harness/experiment.h"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "src/tas/watchdog.h"
-#include "src/trace/causal.h"
-#include "src/trace/flight_recorder.h"
-#include "src/trace/latency.h"
-#include "src/util/island.h"
 
 namespace tas {
 
@@ -131,166 +126,49 @@ uint64_t SimHost::TotalCycles() const {
   return total;
 }
 
-int Experiment::ResolveSimThreads(const std::vector<HostSpec>& specs) {
-  // Returns 0 when nobody asked for the partitioned executor (the default
-  // serial path). An explicit 1 — env or config — still builds the partition
-  // with one worker: the partitioned schedule is canonical and identical for
-  // every thread count, so thread sweeps compare like with like.
-  const char* env = std::getenv("TAS_SIM_THREADS");
-  if (env != nullptr && *env != '\0') {
-    const int v = std::atoi(env);
-    if (v >= 1) {
-      return v;
-    }
-    TAS_LOG(WARN) << "ignoring TAS_SIM_THREADS=" << env << " (need an integer >= 1)";
-  }
-  int threads = 0;
-  for (const HostSpec& spec : specs) {
-    threads = std::max(threads, spec.tas.sim_threads);
-  }
-  return threads;
-}
-
-void Experiment::EnablePartition(int threads) {
-  if (threads < 1) {
-    sim_threads_ = 1;  // Unset: today's serial single-heap path, untouched.
-    return;
-  }
-  sim_threads_ = threads;
-  partition_ = std::make_unique<SimPartition>(threads);
-  partition_->AdoptControl(&sim_);
-}
-
-void Experiment::FinishPartitionSetup() {
-  // Watchdog sources carry the harness host index ("h0", "h1", ...) so
-  // trigger records are topology-stable across IP assignment changes. This
-  // runs in every mode, serial included.
-  for (size_t i = 0; i < hosts_.size(); ++i) {
-    TasService* tas = hosts_[i]->tas();
+void Experiment::AddHosts(const std::vector<HostSpec>& specs) {
+  TAS_CHECK(!specs.empty());
+  for (size_t i = 0; i < net_->num_hosts(); ++i) {
+    hosts_.push_back(
+        std::make_unique<SimHost>(&sim_, &net_->host(i), specs[i % specs.size()]));
+    // Watchdog sources carry the harness host index ("h0", "h1", ...) so
+    // trigger records are topology-stable across IP assignment changes.
+    TasService* tas = hosts_.back()->tas();
     if (tas != nullptr && tas->watchdog() != nullptr) {
       tas->watchdog()->set_source("h" + std::to_string(i));
     }
   }
-  if (partition_ == nullptr) {
-    return;
-  }
-  const int islands = partition_->num_islands();
-  // One packet pool per island, all in one group: packets cross islands, so
-  // only the aggregate balance is meaningful (checked when the last pool
-  // dies). Island 0 (control) keeps using the experiment pool.
-  auto group = std::make_shared<std::atomic<int64_t>>(0);
-  packet_pool_.set_group(group);
-  for (int i = 1; i < islands; ++i) {
-    island_pools_.push_back(std::make_unique<PacketPool>());
-    island_pools_.back()->set_group(group);
-  }
-  partition_->SetIslandEnterHook([this](int island) {
-    SetCurrentIslandId(island);
-    PacketPool::SetThreadOverride(island == 0 ? nullptr
-                                              : island_pools_[island - 1].get());
-  });
-  // Shard the global tracers by island so stamp sites write race-free.
-  if (LatencyTracer* lat = LatencyTracer::Current()) {
-    lat->EnableShards(islands);
-  }
-  if (CausalTracer* causal = CausalTracer::Current()) {
-    causal->EnableShards(islands);
-  }
-  // Shard the flight recorder and defer bundle serialization to the epoch
-  // boundary, where exactly one thread runs while workers are parked — the
-  // only race-free point for merged window reads and file writes mid-run.
-  if (FlightRecorder* recorder = FlightRecorder::Current()) {
-    recorder->EnableShards(islands);
-    partition_->SetEpochHook([recorder](TimeNs bound) { recorder->OnEpochBound(bound); });
-  }
-  // Executor counters land in the first TAS host's registry, next to the
-  // switch metrics (the bundle WriteTraces dumps).
-  for (auto& host : hosts_) {
-    TasService* tas = host->tas();
-    if (tas == nullptr) {
-      continue;
-    }
-    MetricRegistry& metrics = tas->tracer().metrics();
-    SimPartition* p = partition_.get();
-    metrics.AddCounterFn("sim.island.epochs", [p] { return p->epochs(); });
-    metrics.AddCounterFn("sim.island.cross_posts", [p] { return p->cross_posts(); });
-    metrics.AddCounterFn("sim.island.cross_items", [p] { return p->cross_items(); });
-    metrics.AddCounterFn("sim.island.events", [p] { return p->events_executed(); });
-    metrics.AddGauge("sim.island.count",
-                     [p] { return static_cast<double>(p->num_islands()); });
-    metrics.AddGauge("sim.island.threads",
-                     [p] { return static_cast<double>(p->threads()); });
-    metrics.AddGauge("sim.island.lookahead_ns",
-                     [p] { return static_cast<double>(p->lookahead()); });
-    break;
-  }
+  RegisterSwitchMetrics();
 }
 
 std::unique_ptr<Experiment> Experiment::Star(const std::vector<HostSpec>& specs,
                                              const std::vector<LinkConfig>& links,
                                              TimeNs switch_latency) {
   auto exp = std::make_unique<Experiment>();
-  exp->EnablePartition(ResolveSimThreads(specs));
   std::vector<LinkConfig> host_links;
   for (size_t i = 0; i < specs.size(); ++i) {
     host_links.push_back(links.size() == 1 ? links[0] : links[i]);
   }
-  exp->net_ = MakeStar(&exp->sim_, host_links, switch_latency, exp->partition_.get());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    exp->hosts_.push_back(std::make_unique<SimHost>(exp->net_->host_sim(i),
-                                                    &exp->net_->host(i), specs[i]));
-  }
-  exp->RegisterSwitchMetrics();
-  exp->FinishPartitionSetup();
+  exp->net_ = MakeStar(&exp->sim_, host_links, switch_latency);
+  exp->AddHosts(specs);
   return exp;
 }
 
 std::unique_ptr<Experiment> Experiment::PointToPoint(const HostSpec& a, const HostSpec& b,
                                                      const LinkConfig& link) {
   auto exp = std::make_unique<Experiment>();
-  exp->EnablePartition(ResolveSimThreads({a, b}));
-  exp->net_ = MakePointToPoint(&exp->sim_, link, MakeIp(10, 0, 0, 1), MakeIp(10, 0, 0, 2),
-                               exp->partition_.get());
-  exp->hosts_.push_back(
-      std::make_unique<SimHost>(exp->net_->host_sim(0), &exp->net_->host(0), a));
-  exp->hosts_.push_back(
-      std::make_unique<SimHost>(exp->net_->host_sim(1), &exp->net_->host(1), b));
-  exp->FinishPartitionSetup();
+  exp->net_ = MakePointToPoint(&exp->sim_, link);
+  exp->AddHosts({a, b});
   return exp;
 }
 
 std::unique_ptr<Experiment> Experiment::Custom(
-    const std::function<std::unique_ptr<Network>(Simulator*, SimPartition*)>& build,
+    const std::function<std::unique_ptr<Network>(Simulator*)>& build,
     const std::vector<HostSpec>& specs) {
   auto exp = std::make_unique<Experiment>();
-  exp->EnablePartition(ResolveSimThreads(specs));
-  exp->net_ = build(&exp->sim_, exp->partition_.get());
-  TAS_CHECK(!specs.empty());
-  for (size_t i = 0; i < exp->net_->num_hosts(); ++i) {
-    exp->hosts_.push_back(std::make_unique<SimHost>(
-        exp->net_->host_sim(i), &exp->net_->host(i), specs[i % specs.size()]));
-  }
-  exp->RegisterSwitchMetrics();
-  exp->FinishPartitionSetup();
+  exp->net_ = build(&exp->sim_);
+  exp->AddHosts(specs);
   return exp;
-}
-
-PacketPoolStats Experiment::pool_stats() const {
-  PacketPoolStats total = packet_pool_.stats();
-  for (const auto& pool : island_pools_) {
-    const PacketPoolStats s = pool->stats();
-    total.allocated += s.allocated;
-    total.reused += s.reused;
-    total.released += s.released;
-    total.unpooled += s.unpooled;
-    total.free_size += s.free_size;
-    total.outstanding += s.outstanding;
-  }
-  return total;
-}
-
-uint64_t Experiment::events_executed() const {
-  return partition_ != nullptr ? partition_->events_executed() : sim_.events_executed();
 }
 
 void Experiment::RegisterSwitchMetrics() {
@@ -311,8 +189,8 @@ Experiment::Experiment() { pool_scope_.previous = PacketPool::Install(&packet_po
 
 Experiment::~Experiment() {
   MaybeWriteTraces();
-  // pool_scope_ restores the previously installed pool once the partition and
-  // simulator (and their in-flight packets) are gone.
+  // pool_scope_ restores the previously installed pool once the simulator
+  // (and its in-flight packets) is gone.
 }
 
 size_t Experiment::WriteTraces(const std::string& prefix) {

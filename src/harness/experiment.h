@@ -16,7 +16,6 @@
 #include "src/libtas/tas_stack.h"
 #include "src/net/packet_pool.h"
 #include "src/net/topology.h"
-#include "src/sim/parallel.h"
 #include "src/tas/service.h"
 
 namespace tas {
@@ -86,31 +85,10 @@ class Experiment {
   ~Experiment();
 
   PacketPool& packet_pool() { return packet_pool_; }
-  // Pool stats summed across the control pool and every island pool (equal
-  // to packet_pool().stats() in a serial experiment).
-  PacketPoolStats pool_stats() const;
-  // Events executed across all islands (or the control simulator when
-  // serial). Benches report this instead of sim().events_executed(), which
-  // only covers island 0 under the partitioned executor.
-  uint64_t events_executed() const;
-
   Simulator& sim() { return sim_; }
   Network* net() { return net_.get(); }
   SimHost& host(size_t i) { return *hosts_[i]; }
   size_t num_hosts() const { return hosts_.size(); }
-
-  // The island simulator host i's stack and applications run on. In a serial
-  // experiment (sim_threads unset) this is the control simulator — identical
-  // to &sim(). Apps must schedule their events here so they execute on the
-  // host's island thread (DESIGN.md §13).
-  Simulator* host_sim(size_t i) { return net_->host_sim(i); }
-  // Non-null when the experiment runs the island-partitioned executor (any
-  // explicitly requested sim_threads, including 1 — the partitioned schedule
-  // is identical for every thread count, so sweeps compare like with like).
-  SimPartition* partition() { return partition_.get(); }
-  // Worker threads the event loop runs on (>= 1). Resolved from
-  // TAS_SIM_THREADS (wins) or the max HostSpec::tas.sim_threads.
-  int sim_threads() const { return sim_threads_; }
 
   // Host i's access link — the usual fault-schedule target.
   Link* host_link(size_t i) { return net_->host(i).access_link; }
@@ -144,11 +122,10 @@ class Experiment {
                                                   const LinkConfig& link);
 
   // Hosts on a custom topology: `build` constructs the network on the
-  // experiment's simulator (e.g. MakeFatTree), threading the partition (null
-  // in serial experiments) through to the topology builder; host i of the
-  // network gets specs[i % specs.size()].
+  // experiment's simulator (e.g. MakeFatTree); host i of the network gets
+  // specs[i % specs.size()].
   static std::unique_ptr<Experiment> Custom(
-      const std::function<std::unique_ptr<Network>(Simulator*, SimPartition*)>& build,
+      const std::function<std::unique_ptr<Network>(Simulator*)>& build,
       const std::vector<HostSpec>& specs);
 
  private:
@@ -156,41 +133,25 @@ class Experiment {
   // their counters (forwarded, pending_hw, per-port queue depth) into the
   // first TAS host's metric registry — the bundle WriteTraces dumps.
   void RegisterSwitchMetrics();
+  // Builds one SimHost per network host (host i gets specs[i % size]) and
+  // names each armed watchdog source after its host index.
+  void AddHosts(const std::vector<HostSpec>& specs);
 
-  // TAS_SIM_THREADS env (>= 1) wins; else the max HostSpec::tas.sim_threads;
-  // else 0 — unset, meaning the exact serial simulator.
-  static int ResolveSimThreads(const std::vector<HostSpec>& specs);
-  // Creates the SimPartition (threads >= 1) and adopts sim_ as island 0. Must
-  // run before the topology is built so hosts/switches land on islands.
-  void EnablePartition(int threads);
-  // After hosts exist: watchdog source naming (every mode), then — for
-  // partitioned runs only — per-island packet pools sharing one
-  // group-balance cell, the island-enter hook (thread-local island id +
-  // pool override), tracer/recorder sharding, the epoch-boundary bundle
-  // hook, and the sim.island.* metrics.
-  void FinishPartitionSetup();
-
-  // Declared before sim_ (and before partition_, which owns the island
-  // simulators) so the pools are destroyed last: tearing down a simulator
-  // destroys pending event closures, whose captured PacketPtrs must still
-  // have a live pool to return to.
+  // Declared before sim_ so the pool is destroyed last: tearing down the
+  // simulator destroys pending event closures, whose captured PacketPtrs
+  // must still have a live pool to return to.
   PacketPool packet_pool_;
-  std::vector<std::unique_ptr<PacketPool>> island_pools_;
-  // Restores the previously installed pool *after* partition_/sim_ teardown
-  // (reverse member order), so packets disposed from undrained mailboxes
-  // still release into this experiment's pool group — keeping the group
-  // balance check exact — and *before* the pools above die.
+  // Restores the previously installed pool after sim_ teardown (reverse
+  // member order) and before packet_pool_ dies.
   struct PoolScope {
     PacketPool* previous = nullptr;
     ~PoolScope() { PacketPool::Install(previous); }
   };
   PoolScope pool_scope_;
-  std::unique_ptr<SimPartition> partition_;
   Simulator sim_;
   std::unique_ptr<Network> net_;
   std::vector<std::unique_ptr<SimHost>> hosts_;
   std::unique_ptr<FaultInjector> faults_;
-  int sim_threads_ = 1;
 };
 
 // Scale control: benches run reduced configurations by default on this

@@ -35,7 +35,7 @@ void FlipWireBits(std::vector<uint8_t>& bytes, uint32_t flips, Rng& rng) {
 }  // namespace
 
 Link::Link(Simulator* sim, const LinkConfig& config)
-    : sim_(sim), side_sim_{sim, sim}, config_(config) {
+    : sim_(sim), config_(config) {
   TAS_CHECK(config.gbps > 0);
   explicit_seed_ = config.rng_seed != 0;
   base_seed_ = explicit_seed_ ? config.rng_seed : 0xC0FFEEull;
@@ -53,8 +53,7 @@ Link::Link(Simulator* sim, const LinkConfig& config)
 
 void Link::ReseedDirections() {
   for (int side = 0; side < 2; ++side) {
-    // Each direction owns its stream: the two sides may execute on different
-    // islands, so sharing one Rng would race (and entangle their draws).
+    // Each direction owns its stream, so the two never entangle their draws.
     dir_[side].rng =
         Rng(base_seed_ + static_cast<uint64_t>(side) * 0x632BE59BD9B4E019ull);
   }
@@ -118,10 +117,9 @@ void Link::Send(int from_side, PacketPtr pkt) {
       // owns the packet while in flight; events still pending when the
       // simulator is destroyed return it to the pool.
       d.stats.reordered++;
-      side_sim_[from_side]->After(decision.extra_delay,
-                                  [this, from_side, pkt = std::move(pkt)]() mutable {
-                                    Enqueue(from_side, std::move(pkt));
-                                  });
+      sim_->After(decision.extra_delay, [this, from_side, pkt = std::move(pkt)]() mutable {
+        Enqueue(from_side, std::move(pkt));
+      });
       return;
     }
   }
@@ -130,9 +128,8 @@ void Link::Send(int from_side, PacketPtr pkt) {
 
 void Link::Enqueue(int from_side, PacketPtr pkt) {
   Direction& d = dir_[from_side];
-  Simulator* sim = side_sim_[from_side];
   // Frames whose serialization started are truly gone from the buffer.
-  while (!d.pending_serialize.empty() && d.pending_serialize.front() <= sim->Now()) {
+  while (!d.pending_serialize.empty() && d.pending_serialize.front() <= sim_->Now()) {
     d.pending_serialize.pop_front();
   }
   // Occupancy counts waiting frames plus admitted-but-unserialized burst
@@ -191,36 +188,12 @@ void Link::MaybeStartTransmit(int from_side) {
   if (d.transmitting || d.queue.empty()) {
     return;
   }
-  Simulator* sim = side_sim_[from_side];
-  if (sim->Now() >= d.busy_until) {
+  if (sim_->Now() >= d.busy_until) {
     StartTransmit(from_side);
   } else {
     // Wire still serializing the previous burst; wake up when it frees.
     d.transmitting = true;
-    sim->At(d.busy_until, [this, from_side] { StartTransmit(from_side); });
-  }
-}
-
-void Link::DeliverCross(void* ctx, TimeNs when, void** items, int n) {
-  auto* d = static_cast<Direction*>(ctx);
-  LatencyTracer* tracer = LatencyTracer::Current();
-  for (int i = 0; i < n; ++i) {
-    // Re-wrap on the receiving island: Current() resolves to its pool, so
-    // the packet recycles where it is consumed.
-    PacketPtr pkt = PacketPool::Current().Adopt(static_cast<Packet*>(items[i]));
-    if (tracer != nullptr) {
-      tracer->Stamp(pkt->lat_id, LatencyStage::kLinkWire, when);
-    }
-    if (d->dst != nullptr) {
-      d->dst->Receive(std::move(pkt));
-    }
-  }
-}
-
-void Link::DisposeCross(void* /*ctx*/, void** items, int n) {
-  for (int i = 0; i < n; ++i) {
-    // Wrap-and-drop: routes the packet back to a pool (teardown path).
-    PacketPool::Current().Adopt(static_cast<Packet*>(items[i]));
+    sim_->At(d.busy_until, [this, from_side] { StartTransmit(from_side); });
   }
 }
 
@@ -236,8 +209,7 @@ void Link::StartTransmit(int dir_index) {
   // transmitter-busy window are identical to per-frame dispatch; only the
   // delivery instant of leading frames moves, by less than burst_max_ns.
   const size_t max_burst = std::max<size_t>(1, config_.burst_pkts);
-  Simulator* sim = side_sim_[dir_index];
-  Simulator* dst_sim = side_sim_[1 - dir_index];
+  const TimeNs now = sim_->Now();
   LatencyTracer* lt = LatencyTracer::Current();
   size_t n = 0;
   TimeNs serialize_total = 0;
@@ -252,64 +224,42 @@ void Link::StartTransmit(int dir_index) {
     d.stats.tx_bytes += pkt->WireBytes();
     if (d.pcap != nullptr) {
       // Stamp each frame at its own wire-start time, as before.
-      d.pcap->Record(sim->Now() + serialize_total, *pkt);
+      d.pcap->Record(now + serialize_total, *pkt);
     }
     if (lt != nullptr) {
       // Queue wait ends at this frame's own wire-start instant (same clock
       // the pcap uses); the remainder until delivery is kLinkWire.
-      lt->Stamp(pkt->lat_id, LatencyStage::kLinkQueue, sim->Now() + serialize_total);
+      lt->Stamp(pkt->lat_id, LatencyStage::kLinkQueue, now + serialize_total);
     }
     if (n > 0) {
-      d.pending_serialize.push_back(sim->Now() + serialize_total);
+      d.pending_serialize.push_back(now + serialize_total);
     }
     serialize_total += serialize;
     d.wire.push_back(std::move(pkt));
     ++n;
   }
-  d.busy_until = sim->Now() + serialize_total;
-  if (dst_sim == sim) {
-    sim->After(serialize_total + config_.propagation_delay, [this, dir_index, n] {
-      Direction& dd = dir_[dir_index];
-      LatencyTracer* tracer = LatencyTracer::Current();
-      for (size_t i = 0; i < n && !dd.wire.empty(); ++i) {
-        PacketPtr pkt = std::move(dd.wire.front());
-        dd.wire.pop_front();
-        if (tracer != nullptr) {
-          // Serialize + propagation (plus any burst-mate deferral) charged to
-          // the wire stage; accumulates across hops on multi-link paths.
-          tracer->Stamp(pkt->lat_id, LatencyStage::kLinkWire, side_sim_[dir_index]->Now());
-        }
-        if (dd.dst != nullptr) {
-          dd.dst->Receive(std::move(pkt));
-        }
+  d.busy_until = now + serialize_total;
+  sim_->After(serialize_total + config_.propagation_delay, [this, dir_index, n] {
+    Direction& dd = dir_[dir_index];
+    LatencyTracer* tracer = LatencyTracer::Current();
+    for (size_t i = 0; i < n && !dd.wire.empty(); ++i) {
+      PacketPtr pkt = std::move(dd.wire.front());
+      dd.wire.pop_front();
+      if (tracer != nullptr) {
+        // Serialize + propagation (plus any burst-mate deferral) charged to
+        // the wire stage; accumulates across hops on multi-link paths.
+        tracer->Stamp(pkt->lat_id, LatencyStage::kLinkWire, sim_->Now());
       }
-    });
-  } else {
-    // Receiver lives on another island: the burst's packets travel inside a
-    // CrossArrival through the partition mailbox instead of d.wire, and the
-    // delivery event is scheduled by the receiver when it drains the mailbox
-    // at the epoch barrier (propagation_delay >= the partition lookahead
-    // guarantees the arrival lands in a future epoch). Oversized bursts
-    // split into consecutive-seq arrivals at the same instant.
-    const TimeNs arrive = sim->Now() + serialize_total + config_.propagation_delay;
-    while (!d.wire.empty()) {
-      CrossArrival a;
-      a.when = arrive;
-      a.ctx = &d;
-      a.deliver = &Link::DeliverCross;
-      a.dispose = &Link::DisposeCross;
-      while (a.n < CrossArrival::kMaxItems && !d.wire.empty()) {
-        a.items[a.n++] = d.wire.front().release();
-        d.wire.pop_front();
+      if (dd.dst != nullptr) {
+        dd.dst->Receive(std::move(pkt));
       }
-      sim->PostCross(dst_sim->island_id(), std::move(a));
     }
-  }
+  });
   if (d.queue.empty()) {
     d.transmitting = false;  // Idle; Enqueue re-arms at busy_until if needed.
   } else {
     d.transmitting = true;
-    sim->After(serialize_total, [this, dir_index] { StartTransmit(dir_index); });
+    sim_->After(serialize_total, [this, dir_index] { StartTransmit(dir_index); });
   }
 }
 

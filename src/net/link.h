@@ -97,15 +97,6 @@ class Link {
   // an explicit rng_seed. Must not be called after traffic starts.
   void MixDefaultSeed(uint64_t identity);
 
-  // Island assignment (DESIGN.md §13): side s's egress state runs on
-  // `side<s>`'s simulator and deliveries toward side s land there too. Call
-  // before traffic starts; defaults to the construction simulator (serial).
-  void SetSideSims(Simulator* side0, Simulator* side1) {
-    side_sim_[0] = side0;
-    side_sim_[1] = side1;
-  }
-  Simulator* side_sim(int side) const { return side_sim_[side]; }
-
   void Send(int from_side, PacketPtr pkt);
 
   // Same-instant burst admission (NIC TX rings and switch flushes hand the
@@ -129,7 +120,7 @@ class Link {
     const Direction& d = dir_[from_side];
     size_t unserialized = 0;
     for (auto it = d.pending_serialize.rbegin();
-         it != d.pending_serialize.rend() && *it > side_sim_[from_side]->Now(); ++it) {
+         it != d.pending_serialize.rend() && *it > sim_->Now(); ++it) {
       ++unserialized;
     }
     return d.queue.size() + unserialized;
@@ -160,20 +151,13 @@ class Link {
   // the wire still arrive (they left before the cut); packets queued behind
   // the gate are dropped at Send time with stats attribution.
   void SetDown(bool down) {
-    SetDownSide(0, down);
-    SetDownSide(1, down);
-  }
-  // One direction's gate. On a partitioned topology each side's state is
-  // owned by that side's island, so the fault injector cuts a link with two
-  // per-side events, each on its owner island, instead of one cross-island
-  // mutation (DESIGN.md §13).
-  void SetDownSide(int side, bool down) {
-    Direction& d = dir_[side];
-    if (d.down_gate == nullptr) {
-      d.down_gate = static_cast<LinkDownImpairment*>(
-          d.pipeline.AddFront(std::make_unique<LinkDownImpairment>(down)));
-    } else {
-      d.down_gate->SetDown(down);
+    for (Direction& d : dir_) {
+      if (d.down_gate == nullptr) {
+        d.down_gate = static_cast<LinkDownImpairment*>(
+            d.pipeline.AddFront(std::make_unique<LinkDownImpairment>(down)));
+      } else {
+        d.down_gate->SetDown(down);
+      }
     }
   }
   bool down() const {
@@ -212,8 +196,8 @@ class Link {
     LinkDownImpairment* down_gate = nullptr;   // Owned by pipeline.
     Impairment* legacy_bernoulli = nullptr;    // Owned by pipeline (drop_rate shim).
     PcapWriter* pcap = nullptr;                // Not owned.
-    // Per-direction fault/validation RNG: the two directions are owned by
-    // (potentially) different islands, so they cannot share a stream.
+    // Per-direction fault/validation RNG, so one direction's traffic never
+    // shifts the other's draws.
     Rng rng;
   };
 
@@ -227,17 +211,8 @@ class Link {
   // or at busy_until while the wire finishes the previous serialization).
   void MaybeStartTransmit(int from_side);
   void StartTransmit(int dir_index);
-  // Delivery callback for a cross-island burst (runs on the receiver's
-  // island at the wire-arrival instant).
-  static void DeliverCross(void* ctx, TimeNs when, void** items, int n);
-  static void DisposeCross(void* ctx, void** items, int n);
 
-  Simulator* sim_;  // Construction-time simulator (control island when partitioned).
-  // Simulator owning each side's state: side s's egress direction dir_[s]
-  // runs its queue/transmitter/rng on side_sim_[s]; deliveries land on
-  // side_sim_[1-s]. Both default to sim_; the topology rewires them when it
-  // assigns the endpoints to islands (DESIGN.md §13).
-  Simulator* side_sim_[2];
+  Simulator* sim_;
   LinkConfig config_;
   uint64_t base_seed_;
   bool explicit_seed_;

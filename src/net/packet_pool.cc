@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "src/sim/parallel.h"
 #include "src/util/logging.h"
 
 namespace tas {
@@ -25,45 +24,20 @@ void ResetPacket(Packet* pkt) {
 
 }  // namespace
 
-namespace {
-// Per-thread island pool (DESIGN.md §13). Plain thread_local pointer: each
-// partition worker thread points it at the island it is executing; the main
-// thread leaves it null outside partitioned runs.
-thread_local PacketPool* g_thread_pool = nullptr;
-}  // namespace
-
 void PacketDeleter::operator()(Packet* pkt) const noexcept {
-  // Pooled packets recycle onto the CURRENT thread's island pool when one is
-  // active: the island that consumed the packet keeps it, so island free
-  // lists stay lock-free. Serial runs never set the override, so this is the
-  // captured pool, unchanged.
   if (pool_ != nullptr) {
-    PacketPool* target = g_thread_pool != nullptr ? g_thread_pool : pool_;
-    target->Release(pkt);
+    pool_->Release(pkt);
   } else {
     delete pkt;
   }
 }
 
-PacketPool* PacketPool::ThreadOverride() { return g_thread_pool; }
-
-void PacketPool::SetThreadOverride(PacketPool* pool) { g_thread_pool = pool; }
-
 PacketPool::~PacketPool() {
   // Destroying a pool with packets still out would leave their deleters
   // dangling; local pools (tests, benchmarks) must drain first. The default
-  // pool is leaked and never gets here. Grouped (per-island) pools trade
-  // packets with their siblings, so only the group aggregate is checkable —
-  // the Experiment verifies it before the members die.
-  TAS_CHECK(grouped_ || outstanding() == 0)
+  // pool is leaked and never gets here.
+  TAS_CHECK(outstanding() == 0)
       << "PacketPool destroyed with " << outstanding() << " packets outstanding";
-  if (group_ != nullptr) {
-    const int64_t total =
-        group_->fetch_add(balance(), std::memory_order_acq_rel) + balance();
-    if (group_.use_count() == 1) {
-      TAS_CHECK(total == 0) << "island pool group leaked " << total << " packets";
-    }
-  }
   for (Packet* pkt : free_) {
     delete pkt;
   }
@@ -97,13 +71,6 @@ PacketPtr PacketPool::Clone(const Packet& src) {
   // real packet).
   dst->lat_id = 0;
   return dst;
-}
-
-PacketPtr PacketPool::Adopt(Packet* pkt) {
-  if (!PoolingEnabled()) {
-    return PacketPtr(pkt, PacketDeleter(nullptr));
-  }
-  return PacketPtr(pkt, PacketDeleter(this));
 }
 
 void PacketPool::Release(Packet* pkt) noexcept {
@@ -142,9 +109,6 @@ PacketPool* g_installed_pool = nullptr;
 }  // namespace
 
 PacketPool& PacketPool::Current() {
-  if (g_thread_pool != nullptr) {
-    return *g_thread_pool;
-  }
   if (g_installed_pool != nullptr) {
     return *g_installed_pool;
   }
@@ -153,10 +117,6 @@ PacketPool& PacketPool::Current() {
 }
 
 PacketPool* PacketPool::Install(PacketPool* pool) {
-  // Swapping the process-wide pool while partition workers run would race
-  // with every island's acquire path; experiments install before running.
-  TAS_CHECK(!SimPartition::AnyRunActive())
-      << "PacketPool::Install during a partitioned run";
   PacketPool* previous = g_installed_pool;
   g_installed_pool = pool;
   return previous;

@@ -15,7 +15,6 @@
 #ifndef SRC_NET_PACKET_POOL_H_
 #define SRC_NET_PACKET_POOL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -54,13 +53,6 @@ class PacketPool {
   // Pooled copy of `src` (headers, payload bytes, simulation metadata).
   PacketPtr Clone(const Packet& src);
 
-  // Wraps a raw packet that is already accounted for (it was Acquired from
-  // some pool in this pool group and released raw for a cross-island hop)
-  // with this pool's deleter. No counters change: the acquire was counted at
-  // the source pool and the eventual release is counted wherever the deleter
-  // fires. With pooling disabled the wrap uses the plain-delete deleter.
-  PacketPtr Adopt(Packet* pkt);
-
   // Deleter hook; not for direct use.
   void Release(Packet* pkt) noexcept;
 
@@ -90,40 +82,9 @@ class PacketPool {
   static bool PoolingEnabled();
   static void SetPoolingEnabled(bool enabled);
 
-  // --- Per-island pools (DESIGN.md §13) -------------------------------------
-  // Thread-local pool override: while set, Current() resolves to it and
-  // pooled releases route to it regardless of which pool the packet came
-  // from, so each island's worker thread acquires and recycles packets on
-  // its own free list with zero locking. Installed by the partition's
-  // island-enter hook; nullptr restores the process-wide pool.
-  static PacketPool* ThreadOverride();
-  static void SetThreadOverride(PacketPool* pool);
-
-  // Marks this pool as part of a pool group that exchanges packets across
-  // member free lists (island pools). Cross-member traffic makes the
-  // per-pool outstanding() count meaningless (it can even go "negative"),
-  // so the destructor's leak check is skipped; the group owner (Experiment)
-  // checks the aggregate across members instead.
-  void set_grouped(bool grouped) { grouped_ = grouped; }
-  bool grouped() const { return grouped_; }
-  // Joins a pool group: marks this pool grouped and contributes its final
-  // balance() to the shared cell when destroyed. The last member destroyed
-  // (the one holding the cell's final reference) checks that the aggregate
-  // is zero — the group-level analogue of the per-pool leak check.
-  void set_group(std::shared_ptr<std::atomic<int64_t>> cell) {
-    group_ = std::move(cell);
-    grouped_ = true;
-  }
-  // Signed acquire-minus-release balance, summable across a pool group.
-  int64_t balance() const {
-    return static_cast<int64_t>(allocated_ + reused_) - static_cast<int64_t>(released_);
-  }
-
  private:
   std::vector<Packet*> free_;
   size_t max_free_;
-  bool grouped_ = false;
-  std::shared_ptr<std::atomic<int64_t>> group_;
   uint64_t allocated_ = 0;
   uint64_t reused_ = 0;
   uint64_t released_ = 0;

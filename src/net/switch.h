@@ -25,8 +25,6 @@ class Switch {
   ~Switch();  // Out of line: Port is an implementation detail.
 
   const std::string& name() const { return name_; }
-  // The simulator (island) this switch's forwarding pipeline runs on.
-  Simulator* sim() const { return sim_; }
 
   // Connects a new port to the given link end; returns the port index.
   int AddPort(LinkEnd end);

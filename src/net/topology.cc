@@ -3,8 +3,6 @@
 #include <deque>
 #include <limits>
 
-#include "src/sim/parallel.h"
-
 namespace tas {
 
 Link* Network::AddLink(const LinkConfig& config) {
@@ -13,35 +11,13 @@ Link* Network::AddLink(const LinkConfig& config) {
 }
 
 Switch* Network::AddSwitch(const std::string& name, TimeNs forwarding_latency) {
-  Simulator* sim = partition_ != nullptr ? partition_->NewIsland() : sim_;
-  switches_.push_back(std::make_unique<Switch>(sim, name, forwarding_latency));
+  switches_.push_back(std::make_unique<Switch>(sim_, name, forwarding_latency));
   return switches_.back().get();
-}
-
-void Network::RegisterIslandEdges(Link* link) {
-  Simulator* s0 = link->side_sim(0);
-  Simulator* s1 = link->side_sim(1);
-  if (partition_ == nullptr || s0 == s1) {
-    return;
-  }
-  const TimeNs delay = link->config().propagation_delay;
-  partition_->AddEdge(s0->island_id(), s1->island_id(), delay);
-  partition_->AddEdge(s1->island_id(), s0->island_id(), delay);
 }
 
 int Network::AttachHost(IpAddr ip, Switch* sw, const LinkConfig& config) {
   Link* link = AddLink(config);
   const int port = sw->AddPort(LinkEnd{link, 1});
-  // Island assignment: the host gets its own island when the access link's
-  // propagation delay can serve as lookahead; a zero-delay link would force
-  // the epoch window to zero, so such hosts collapse into the switch's
-  // island and the pair runs serially relative to each other.
-  Simulator* host_sim = sim_;
-  if (partition_ != nullptr) {
-    host_sim = config.propagation_delay > 0 ? partition_->NewIsland() : sw->sim();
-    link->SetSideSims(host_sim, sw->sim());
-    RegisterIslandEdges(link);
-  }
 
   size_t sw_index = std::numeric_limits<size_t>::max();
   for (size_t i = 0; i < switches_.size(); ++i) {
@@ -62,34 +38,18 @@ int Network::AttachHost(IpAddr ip, Switch* sw, const LinkConfig& config) {
   hp.access_link = link;
   hp.ip = ip;
   hp.mac = 0x020000000000ull | (hosts_.size() + 1);
-  hp.sim = host_sim;
   hosts_.push_back(hp);
   host_edges_.push_back(HostEdge{hosts_.size() - 1, sw_index, port});
   return static_cast<int>(hosts_.size()) - 1;
 }
 
 int Network::AttachHostToLink(IpAddr ip, Link* link, int side) {
-  // Point-to-point attachment: with a partition and positive propagation
-  // delay each host gets its own island; the shared link's edge registers
-  // once the second side's island is known. A zero-delay link leaves both
-  // hosts on the control simulator (no parallelism to extract).
-  Simulator* host_sim = sim_;
-  if (partition_ != nullptr && link->config().propagation_delay > 0) {
-    host_sim = partition_->NewIsland();
-    Simulator* s0 = side == 0 ? host_sim : link->side_sim(0);
-    Simulator* s1 = side == 1 ? host_sim : link->side_sim(1);
-    link->SetSideSims(s0, s1);
-    if (s0 != sim_ && s1 != sim_) {
-      RegisterIslandEdges(link);
-    }
-  }
   link->MixDefaultSeed((1ull << 40) | ip);
   HostPort hp;
   hp.end = LinkEnd{link, side};
   hp.access_link = link;
   hp.ip = ip;
   hp.mac = 0x020000000000ull | (hosts_.size() + 1);
-  hp.sim = host_sim;
   hosts_.push_back(hp);
   return static_cast<int>(hosts_.size()) - 1;
 }
@@ -98,14 +58,6 @@ void Network::ConnectSwitches(Switch* a, Switch* b, const LinkConfig& config) {
   Link* link = AddLink(config);
   const int port_a = a->AddPort(LinkEnd{link, 0});
   const int port_b = b->AddPort(LinkEnd{link, 1});
-  if (partition_ != nullptr) {
-    // Switch islands always exist; a zero-delay inter-switch link would make
-    // the conservative window zero, so it is rejected up front.
-    TAS_CHECK(config.propagation_delay > 0)
-        << "partitioned inter-switch links need positive propagation delay";
-    link->SetSideSims(a->sim(), b->sim());
-    RegisterIslandEdges(link);
-  }
 
   size_t ia = std::numeric_limits<size_t>::max();
   size_t ib = std::numeric_limits<size_t>::max();
@@ -180,8 +132,8 @@ void Network::ComputeRoutes() {
 }
 
 std::unique_ptr<Network> MakePointToPoint(Simulator* sim, const LinkConfig& config, IpAddr ip_a,
-                                          IpAddr ip_b, SimPartition* partition) {
-  auto net = std::make_unique<Network>(sim, partition);
+                                          IpAddr ip_b) {
+  auto net = std::make_unique<Network>(sim);
   Link* link = net->AddLink(config);
   net->AttachHostToLink(ip_a, link, 0);
   net->AttachHostToLink(ip_b, link, 1);
@@ -189,8 +141,8 @@ std::unique_ptr<Network> MakePointToPoint(Simulator* sim, const LinkConfig& conf
 }
 
 std::unique_ptr<Network> MakeStar(Simulator* sim, const std::vector<LinkConfig>& host_links,
-                                  TimeNs switch_latency, SimPartition* partition) {
-  auto net = std::make_unique<Network>(sim, partition);
+                                  TimeNs switch_latency) {
+  auto net = std::make_unique<Network>(sim);
   Switch* sw = net->AddSwitch("tor", switch_latency);
   for (size_t i = 0; i < host_links.size(); ++i) {
     net->AttachHost(MakeIp(10, 0, 0, static_cast<uint8_t>(i + 1)), sw, host_links[i]);
@@ -200,9 +152,8 @@ std::unique_ptr<Network> MakeStar(Simulator* sim, const std::vector<LinkConfig>&
 }
 
 std::unique_ptr<Network> MakeDumbbell(Simulator* sim, size_t n_left, size_t n_right,
-                                      const LinkConfig& host_link, const LinkConfig& bottleneck,
-                                      SimPartition* partition) {
-  auto net = std::make_unique<Network>(sim, partition);
+                                      const LinkConfig& host_link, const LinkConfig& bottleneck) {
+  auto net = std::make_unique<Network>(sim);
   Switch* left = net->AddSwitch("left");
   Switch* right = net->AddSwitch("right");
   net->ConnectSwitches(left, right, bottleneck);
@@ -216,12 +167,11 @@ std::unique_ptr<Network> MakeDumbbell(Simulator* sim, size_t n_left, size_t n_ri
   return net;
 }
 
-std::unique_ptr<Network> MakeFatTree(Simulator* sim, const FatTreeConfig& config,
-                                     SimPartition* partition) {
+std::unique_ptr<Network> MakeFatTree(Simulator* sim, const FatTreeConfig& config) {
   const int k = config.k;
   TAS_CHECK(k >= 2 && k % 2 == 0);
   const int half = k / 2;
-  auto net = std::make_unique<Network>(sim, partition);
+  auto net = std::make_unique<Network>(sim);
 
   // Core switches: half*half of them.
   std::vector<Switch*> core;

@@ -14,8 +14,6 @@
 
 namespace tas {
 
-class SimPartition;
-
 // Where a host NIC plugs in: the transmit end of its access link plus its
 // assigned addresses. The NIC attaches itself as the receiving NetDevice.
 struct HostPort {
@@ -23,30 +21,15 @@ struct HostPort {
   Link* access_link = nullptr;
   IpAddr ip = 0;
   MacAddr mac = 0;
-  // Island this host's stack runs on: its own island when the access link has
-  // positive propagation delay, the switch's island when the delay is zero
-  // (zero-lookahead fallback, DESIGN.md §13), or the control simulator in
-  // serial mode.
-  Simulator* sim = nullptr;
 };
 
 class Network {
  public:
-  // With a partition, the builders assign one island per switch and one per
-  // host (hosts on zero-delay access links collapse into their switch's
-  // island) and register every cross-island link direction as a lookahead
-  // edge. Without one, everything runs on `sim` exactly as before.
-  explicit Network(Simulator* sim, SimPartition* partition = nullptr)
-      : sim_(sim), partition_(partition) {}
+  explicit Network(Simulator* sim) : sim_(sim) {}
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
   Simulator* sim() const { return sim_; }
-  SimPartition* partition() const { return partition_; }
-  // The island host i's stack should be built on (control sim when serial).
-  Simulator* host_sim(size_t i) const {
-    return hosts_[i].sim != nullptr ? hosts_[i].sim : sim_;
-  }
 
   Link* AddLink(const LinkConfig& config);
   Switch* AddSwitch(const std::string& name, TimeNs forwarding_latency = 500);
@@ -89,12 +72,7 @@ class Network {
     int port_on_sw;
   };
 
-  // Registers the partition lookahead edge for a link whose two sides landed
-  // on different islands (both directions, delay = propagation_delay).
-  void RegisterIslandEdges(Link* link);
-
   Simulator* sim_;
-  SimPartition* partition_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::unique_ptr<Switch>> switches_;
   std::vector<HostPort> hosts_;
@@ -102,24 +80,20 @@ class Network {
   std::vector<HostEdge> host_edges_;
 };
 
-// Two hosts, one link, no switch. With a partition each host gets its own
-// island when the link has positive propagation delay.
+// Two hosts, one link, no switch.
 std::unique_ptr<Network> MakePointToPoint(Simulator* sim, const LinkConfig& config,
                                           IpAddr ip_a = MakeIp(10, 0, 0, 1),
-                                          IpAddr ip_b = MakeIp(10, 0, 0, 2),
-                                          SimPartition* partition = nullptr);
+                                          IpAddr ip_b = MakeIp(10, 0, 0, 2));
 
 // N hosts around a single switch; per-host link configs allow mixing the
 // paper's 40G server with 10G clients. Host i gets IP 10.0.0.(i+1).
 std::unique_ptr<Network> MakeStar(Simulator* sim, const std::vector<LinkConfig>& host_links,
-                                  TimeNs switch_latency = 500,
-                                  SimPartition* partition = nullptr);
+                                  TimeNs switch_latency = 500);
 
 // n_left + n_right hosts on two switches joined by a bottleneck link.
 std::unique_ptr<Network> MakeDumbbell(Simulator* sim, size_t n_left, size_t n_right,
                                       const LinkConfig& host_link,
-                                      const LinkConfig& bottleneck,
-                                      SimPartition* partition = nullptr);
+                                      const LinkConfig& bottleneck);
 
 struct FatTreeConfig {
   // k-ary fat tree: k pods, k/2 edge + k/2 aggregation switches per pod,
@@ -133,8 +107,7 @@ struct FatTreeConfig {
   TimeNs switch_latency = 500;
 };
 
-std::unique_ptr<Network> MakeFatTree(Simulator* sim, const FatTreeConfig& config,
-                                     SimPartition* partition = nullptr);
+std::unique_ptr<Network> MakeFatTree(Simulator* sim, const FatTreeConfig& config);
 
 }  // namespace tas
 

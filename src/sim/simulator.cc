@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/sim/parallel.h"
-
 namespace tas {
 
 void Simulator::QueuePush(const QueueEntry& entry) {
@@ -94,63 +92,28 @@ void Simulator::ReleaseNode(uint32_t index) {
   ++free_count_;
 }
 
-EventHandle Simulator::At(TimeNs when, EventFn fn) {
+EventHandle Simulator::Push(TimeNs when, uint32_t index) {
   TAS_CHECK(when >= now_);
-  const uint32_t index = AcquireNode();
-  EventNode& node = nodes_[index];
-  node.fn = std::move(fn);
-  node.armed = true;
-  QueueEntry entry;
-  entry.when_key = static_cast<uint64_t>(when);
-  entry.sched_key = static_cast<uint64_t>(now_);
-  FillChildChain(entry.chain);
-  entry.tie_key = NextTie();
-  entry.node = index;
-  entry.generation = node.generation;
-  QueuePush(entry);
+  const uint32_t generation = nodes_[index].generation;
+  QueuePush(QueueEntry{static_cast<uint64_t>(when), next_seq_++, index, generation});
   NoteScheduled();
-  return EventHandle(this, index, node.generation);
+  return EventHandle(this, index, generation);
 }
 
-EventHandle Simulator::AtSequenced(TimeNs when, TimeNs sched,
-                                   const TimeNs (&chain)[kSchedChainLen],
-                                   uint32_t src_island, uint64_t src_seq, EventFn fn) {
-  TAS_CHECK(when >= now_);
+EventHandle Simulator::At(TimeNs when, EventFn fn) {
   const uint32_t index = AcquireNode();
   EventNode& node = nodes_[index];
   node.fn = std::move(fn);
   node.armed = true;
-  QueueEntry entry;
-  entry.when_key = static_cast<uint64_t>(when);
-  entry.sched_key = static_cast<uint64_t>(sched);
-  for (int i = 0; i < kSchedChainLen; ++i) {
-    entry.chain[i] = static_cast<uint64_t>(chain[i]);
-  }
-  entry.tie_key = (static_cast<uint64_t>(src_island) << kTieIslandShift) | src_seq;
-  entry.node = index;
-  entry.generation = node.generation;
-  QueuePush(entry);
-  NoteScheduled();
-  return EventHandle(this, index, node.generation);
+  return Push(when, index);
 }
 
 EventHandle Simulator::RearmCurrent(TimeNs when) {
   TAS_CHECK(current_node_ != kNoNode) << "RearmCurrent outside event dispatch";
   TAS_CHECK(!current_rearmed_) << "RearmCurrent called twice in one dispatch";
-  TAS_CHECK(when >= now_);
-  EventNode& node = nodes_[current_node_];
   current_rearmed_ = true;
-  node.armed = true;
-  QueueEntry entry;
-  entry.when_key = static_cast<uint64_t>(when);
-  entry.sched_key = static_cast<uint64_t>(now_);
-  FillChildChain(entry.chain);
-  entry.tie_key = NextTie();
-  entry.node = current_node_;
-  entry.generation = node.generation;
-  QueuePush(entry);
-  NoteScheduled();
-  return EventHandle(this, current_node_, node.generation);
+  nodes_[current_node_].armed = true;
+  return Push(when, current_node_);
 }
 
 void Simulator::CancelEvent(uint32_t index, uint32_t generation) {
@@ -185,10 +148,6 @@ void Simulator::Dispatch(const QueueEntry& top) {
   ++node.generation;  // Fired: handles must report not-pending.
   current_node_ = index;
   current_rearmed_ = false;
-  current_sched_ = top.sched_key;
-  for (int i = 0; i < kSchedChainLen; ++i) {
-    current_chain_[i] = top.chain[i];
-  }
   node.fn();
   if (!current_rearmed_) {
     ReleaseNode(index);
@@ -198,14 +157,9 @@ void Simulator::Dispatch(const QueueEntry& top) {
 }
 
 uint64_t Simulator::RunUntil(TimeNs until) {
-  if (partition_ != nullptr && !partition_->InRun()) {
-    // Top-level call on a partitioned simulator: drive every island in
-    // lockstep so callers (tests, benches) keep their serial call sites.
-    return partition_->RunUntil(until);
-  }
-  stopped_.store(false, std::memory_order_relaxed);
+  stopped_ = false;
   uint64_t executed = 0;
-  while (!queue_.empty() && !stopped_.load(std::memory_order_relaxed)) {
+  while (!queue_.empty() && !stopped_) {
     const QueueEntry top = queue_.front();
     if (top.when() > until) {
       break;
@@ -221,19 +175,16 @@ uint64_t Simulator::RunUntil(TimeNs until) {
     Dispatch(top);
     ++executed;
   }
-  if (now_ < until && !stopped_.load(std::memory_order_relaxed)) {
+  if (now_ < until && !stopped_) {
     now_ = until;
   }
   return executed;
 }
 
 uint64_t Simulator::Run() {
-  if (partition_ != nullptr && !partition_->InRun()) {
-    return partition_->RunAll();
-  }
-  stopped_.store(false, std::memory_order_relaxed);
+  stopped_ = false;
   uint64_t executed = 0;
-  while (!queue_.empty() && !stopped_.load(std::memory_order_relaxed)) {
+  while (!queue_.empty() && !stopped_) {
     const QueueEntry top = queue_.front();
     QueuePopTop();
     now_ = top.when();
@@ -247,52 +198,6 @@ uint64_t Simulator::Run() {
     ++executed;
   }
   return executed;
-}
-
-uint64_t Simulator::RunEpoch(TimeNs bound, bool inclusive) {
-  // Deliberately no stopped_ reset here: a Stop() that lands mid-run must
-  // keep this island quiet until the partition finishes the run.
-  uint64_t executed = 0;
-  while (!queue_.empty() && !stopped_.load(std::memory_order_relaxed)) {
-    const QueueEntry top = queue_.front();
-    if (inclusive ? top.when() > bound : top.when() >= bound) {
-      break;
-    }
-    QueuePopTop();
-    now_ = top.when();
-    const EventNode& node = nodes_[top.node];
-    if (node.generation != top.generation || !node.armed) {
-      ++cancelled_popped_;
-      --stale_entries_;
-      continue;
-    }
-    Dispatch(top);
-    ++executed;
-  }
-  if (now_ < bound && !stopped_.load(std::memory_order_relaxed)) {
-    now_ = bound;
-  }
-  return executed;
-}
-
-void Simulator::Stop() {
-  stopped_.store(true, std::memory_order_relaxed);
-  if (partition_ != nullptr) {
-    partition_->RequestStop();
-  }
-}
-
-void Simulator::PostCross(int dst_island, CrossArrival arrival) {
-  TAS_CHECK(partition_ != nullptr);
-  // Stamp the provenance the delivery would have carried had the posting
-  // event scheduled it on its own heap: post time plus ancestry chain.
-  arrival.sent = now_;
-  uint64_t chain[kSchedChainLen];
-  FillChildChain(chain);
-  for (int i = 0; i < kSchedChainLen; ++i) {
-    arrival.chain[i] = static_cast<TimeNs>(chain[i]);
-  }
-  partition_->Post(island_id_, dst_island, std::move(arrival));
 }
 
 DeadlineTimer::~DeadlineTimer() {

@@ -1,11 +1,9 @@
 // Discrete-event simulation core.
 //
 // The paper evaluates TAS on a physical cluster plus ns-3 simulations; here
-// every experiment runs on this event simulator. Events are (time, key,
-// callback) entries in a 4-ary min-heap; same-time ties break by scheduling
-// provenance (equivalent to insertion order on a single heap, and identical
-// across thread counts when partitioned — see QueueEntry), so runs are fully
-// deterministic.
+// every experiment runs on this event simulator. Events are (time, seq,
+// callback) entries in a 4-ary min-heap; same-time ties break by insertion
+// order (seq), so runs are fully deterministic.
 //
 // Hot-path memory discipline (DESIGN.md §8): closures live in a slab of
 // pooled event nodes (EventFn keeps captures inline), the heap orders
@@ -14,13 +12,11 @@
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <vector>
 
-#include "src/sim/cross_arrival.h"
 #include "src/sim/event_fn.h"
 #include "src/util/logging.h"
 #include "src/util/time.h"
@@ -28,7 +24,6 @@
 namespace tas {
 
 class Simulator;
-class SimPartition;
 
 // Handle for cancelling a scheduled event. Names a pooled event node by
 // (index, generation); firing, cancelling, or recycling a node bumps its
@@ -81,28 +76,14 @@ class Simulator {
   EventHandle RearmCurrent(TimeNs when);
 
   // Runs events until the queue empties or `until` is reached (whichever is
-  // first). Returns the number of events executed. On a partitioned
-  // simulator (DESIGN.md §13) a top-level call runs ALL islands in lockstep
-  // epochs via the partition, so harness code can keep driving any island's
-  // simulator directly.
+  // first). Returns the number of events executed.
   uint64_t RunUntil(TimeNs until);
 
-  // Runs until the event queue drains completely (all islands' queues when
-  // partitioned).
+  // Runs until the event queue drains completely.
   uint64_t Run();
 
   // Stops the current Run/RunUntil after the in-flight event completes.
-  // Safe from any thread: the flag is atomic, and on a partitioned run every
-  // island stops at the next epoch boundary (this island additionally stops
-  // after its in-flight event).
-  void Stop();
-
-  // --- Island context (set by SimPartition; 0 / null when serial) ----------
-  int island_id() const { return island_id_; }
-  SimPartition* partition() const { return partition_; }
-  // Posts a cross-island handoff from this island's currently-executing
-  // event to `dst_island`'s mailbox. Only meaningful when partitioned.
-  void PostCross(int dst_island, CrossArrival arrival);
+  void Stop() { stopped_ = true; }
 
   uint64_t events_executed() const { return events_executed_; }
   size_t pending_events() const { return queue_.size(); }
@@ -123,41 +104,6 @@ class Simulator {
 
  private:
   friend class EventHandle;
-  friend class SimPartition;
-
-  // --- SimPartition plumbing (DESIGN.md §13) --------------------------------
-  void SetPartition(SimPartition* partition, int island_id) {
-    partition_ = partition;
-    island_id_ = island_id;
-  }
-  // Peeks the earliest pending timestamp (tombstones included: stale entries
-  // only make the epoch window conservative, never unsafe).
-  bool PeekNext(TimeNs* when) const {
-    if (queue_.empty()) {
-      return false;
-    }
-    *when = queue_.front().when();
-    return true;
-  }
-  // Runs one epoch slice: events with when < bound (<= when inclusive), then
-  // advances the clock to the bound. Called from this island's worker thread.
-  uint64_t RunEpoch(TimeNs bound, bool inclusive);
-  void ResetStopped() { stopped_.store(false, std::memory_order_relaxed); }
-  // Schedules `fn` at `when` carrying explicit provenance (a cross-island
-  // arrival's transmit time + ancestry chain / source island / per-source
-  // post sequence) instead of this heap's own clock and counter. Used by the
-  // partition's mailbox drain so deliveries sort as if the sender had
-  // scheduled them directly on this heap.
-  EventHandle AtSequenced(TimeNs when, TimeNs sched,
-                          const TimeNs (&chain)[kSchedChainLen], uint32_t src_island,
-                          uint64_t src_seq, EventFn fn);
-
-  // Island tag bits of QueueEntry::tie_key.
-  static constexpr int kTieIslandShift = 48;
-  uint64_t NextTie() {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(island_id_)) << kTieIslandShift) |
-           next_seq_++;
-  }
 
   static constexpr uint32_t kNoNode = 0xFFFFFFFFu;
 
@@ -170,60 +116,30 @@ class Simulator {
     bool armed = false;  // In the heap and not cancelled.
   };
 
-  // What the heap orders: a 56-byte POD that names its node. Entries are
+  // What the heap orders: a 24-byte POD that names its node. Entries are
   // never removed early; a generation mismatch at pop time means the event
   // was cancelled (or the node recycled) and the entry is skipped.
   //
-  // The sort key is (when, sched, chain..., tie) — `when` is non-negative, so
-  // unsigned lexicographic order matches the signed time order. `sched` is
-  // the clock at scheduling time, `chain` holds the scheduling ancestry's
-  // times (parent's sched, grandparent's sched, ...: copied+shifted from the
-  // event executing at schedule time), and `tie` packs (scheduling island
-  // << 48) | per-island sequence.
-  //
-  // On a single heap this order is IDENTICAL to the historical (when, seq)
-  // order: seq is handed out in increasing Now() order, so within equal
-  // `when`, sched is non-decreasing in seq; within equal (when, sched) the
-  // schedulers executed at one instant in seq order, so (inductively, one
-  // ancestry level up) every chain word is also non-decreasing in seq, and
-  // seq itself finishes the key. The provenance exists for partitioned runs
-  // (DESIGN.md §13): a cross-island delivery carries the transmit site's
-  // (sent, chain, island, post-seq), which slots it among the destination's
-  // same-timestamp events by scheduling provenance, not mailbox-drain order
-  // — a key computed identically for every thread count, and equal to the
-  // serial single-heap order whenever the chain disambiguates the tie (it
-  // cannot when two events' ancestries are time-identical deeper than the
-  // chain reaches; there the island tag decides, deterministically). 48 bits
-  // of seq (~2.8e14 events per island) outlast any simulation by orders of
-  // magnitude.
+  // The sort key is (when, seq): `when` is non-negative, so unsigned order
+  // matches the signed time order, and `seq` is handed out once per schedule
+  // (At and RearmCurrent alike), so events due at the same instant fire in
+  // the order they were scheduled — including events scheduled by separate
+  // RunUntil calls. 64 bits of seq outlast any simulation.
   struct QueueEntry {
     uint64_t when_key;  // static_cast<uint64_t>(when)
-    uint64_t sched_key;  // Clock at scheduling time (provenance, see above).
-    uint64_t chain[kSchedChainLen];  // Ancestor sched times, nearest first.
-    uint64_t tie_key;    // (island << 48) | seq.
+    uint64_t seq;
     uint32_t node;
     uint32_t generation;
 
     TimeNs when() const { return static_cast<TimeNs>(when_key); }
   };
+  static_assert(sizeof(QueueEntry) == 24);
 
-  // (when, sched, chain, tie) is a strict total order — tie is unique within
-  // one heap (local events and per-source arrivals draw from disjoint island
-  // tags) — so pop order does not depend on the heap shape and the 4-ary
-  // layout below is free to differ from std::priority_queue's binary one.
+  // (when, seq) is a strict total order — seq is unique — so pop order does
+  // not depend on the heap shape and the 4-ary layout below is free to differ
+  // from std::priority_queue's binary one.
   static bool EntryLess(const QueueEntry& a, const QueueEntry& b) {
-    if (a.when_key != b.when_key) {
-      return a.when_key < b.when_key;
-    }
-    if (a.sched_key != b.sched_key) {
-      return a.sched_key < b.sched_key;
-    }
-    for (int i = 0; i < kSchedChainLen; ++i) {
-      if (a.chain[i] != b.chain[i]) {
-        return a.chain[i] < b.chain[i];
-      }
-    }
-    return a.tie_key < b.tie_key;
+    return a.when_key != b.when_key ? a.when_key < b.when_key : a.seq < b.seq;
   }
 
   // 4-ary min-heap: shallower than a binary heap and the four children sit
@@ -243,24 +159,10 @@ class Simulator {
   // cost follows the total size, stale or not.
   void PurgeStaleEntries();
 
-  // Writes the sched-chain a child scheduled *now* would carry: the
-  // currently-dispatched event's own sched time followed by its chain,
-  // shifted one slot (zeros outside dispatch, i.e. setup-time scheduling).
-  void FillChildChain(uint64_t (&out)[kSchedChainLen]) const {
-    if (current_node_ == kNoNode) {
-      for (int i = 0; i < kSchedChainLen; ++i) {
-        out[i] = 0;
-      }
-      return;
-    }
-    out[0] = current_sched_;
-    for (int i = 1; i < kSchedChainLen; ++i) {
-      out[i] = current_chain_[i - 1];
-    }
-  }
-
   uint32_t AcquireNode();
   void ReleaseNode(uint32_t index);
+  // Pushes a heap entry for `index` at `when` and returns its handle.
+  EventHandle Push(TimeNs when, uint32_t index);
   void Dispatch(const QueueEntry& top);
   bool HandleArmed(uint32_t node, uint32_t generation) const {
     return node < nodes_.size() && nodes_[node].generation == generation &&
@@ -284,15 +186,7 @@ class Simulator {
   uint32_t free_head_ = kNoNode;
   uint32_t current_node_ = kNoNode;  // Node being dispatched right now.
   bool current_rearmed_ = false;
-  // Provenance of the event being dispatched (its heap entry's sched + chain);
-  // children scheduled from inside the callback inherit it, shifted.
-  uint64_t current_sched_ = 0;
-  uint64_t current_chain_[kSchedChainLen] = {};
-  // Atomic so harness watchdogs may call Stop() from another thread; the run
-  // loops read it relaxed (a one-event delay in observing it is fine).
-  std::atomic<bool> stopped_{false};
-  SimPartition* partition_ = nullptr;
-  int island_id_ = 0;
+  bool stopped_ = false;
   std::deque<EventNode> nodes_;
   std::vector<QueueEntry> queue_;  // 4-ary min-heap ordered by EntryLess.
 };

@@ -334,13 +334,6 @@ void TasService::RegisterTraceInstrumentation() {
       sampler.AddSweepHook([this, max_pts](TimeNs now) {
         TimeSeriesSampler& s = tracer_->sampler();
         const LatencyTracer& lat = tracer_->latency();
-        if (lat.num_shards() > 1) {
-          // Partitioned run: a mid-run merge would read other islands'
-          // shards while they are being written. The end-of-run report
-          // still carries the full distributions; only this live series is
-          // dropped.
-          return;
-        }
         for (int i = 0; i < kNumLatencyStages; ++i) {
           const auto stage = static_cast<LatencyStage>(i);
           const LogHistogram& h = lat.stage_hist(stage);

@@ -99,15 +99,6 @@ struct TasConfig {
   WatchdogConfig watchdog;
 
   uint64_t rng_seed = 0x7A5;
-
-  // Parallel simulation (DESIGN.md §13): worker threads for the
-  // island-partitioned event loop. 0 = unset (the exact serial simulator);
-  // the Experiment builders take the max across host specs, and the
-  // TAS_SIM_THREADS environment variable overrides everything. Any explicit
-  // value >= 1 partitions the topology into islands — the partitioned
-  // schedule is identical for every thread count (1 included), so thread
-  // sweeps hold the workload results fixed while varying parallelism.
-  int sim_threads = 0;
 };
 
 struct TasStats {

@@ -53,9 +53,7 @@ double SloWatchdog::Measure(SloState& state, TimeNs now, TimeNs window_ns,
       if (tracer == nullptr) {
         return 0;
       }
-      // The calling island's shard: the check runs on this service's island
-      // thread, so this reads thread-owned memory mid-run.
-      const LogHistogram& cur = tracer->LocalE2eHist();
+      const LogHistogram& cur = tracer->e2e_hist();
       const LogHistogram window = cur.DiffSince(state.prev_hist);
       state.prev_hist = cur;
       *count = window.count();
@@ -152,9 +150,6 @@ void SloWatchdog::Check() {
     trigger.window_from = std::max<TimeNs>(0, now - config.recorder_window);
     trigger.window_to = now;
     trigger.source = source_;
-    // The context closure runs at serialization time — immediately on the
-    // serial executor, at the next epoch boundary when partitioned — so it
-    // may take merged reads across islands.
     recorder_->Trigger(std::move(trigger), [this] { return ContextJson(); });
   }
 }
@@ -166,11 +161,6 @@ std::string SloWatchdog::ContextJson() const {
   os << ",\"metrics\":[";
   bool first = true;
   for (const MetricSample& s : service_->tracer().metrics().Snapshot()) {
-    // The one registered value that varies with thread count; everything
-    // else is deterministic, and bundles must byte-match across widths.
-    if (s.name == "sim.island.threads") {
-      continue;
-    }
     if (!first) {
       os << ',';
     }

@@ -1,12 +1,12 @@
 // SloWatchdog: declarative SLO evaluation over the flight recorder
 // (DESIGN.md §15). One watchdog per armed TAS host, firing on the monitor
 // cadence; each check measures every spec against deterministic sim state
-// only — island-local latency/probe histograms (windowed via
-// LogHistogram::DiffSince), TasStats deltas, slow-path queue depth, per-core
-// busy-time deltas, or any registered metric — counts consecutive breaches
-// (burn windows), and on a sustained breach hands a SloTrigger plus a
-// context closure to the FlightRecorder for bundle serialization. Same seed
-// => same measurements => same triggers at every sim_threads width.
+// only — latency/probe histograms (windowed via LogHistogram::DiffSince),
+// TasStats deltas, slow-path queue depth, per-core busy-time deltas, or any
+// registered metric — counts consecutive breaches (burn windows), and on a
+// sustained breach hands a SloTrigger plus a context closure to the
+// FlightRecorder for bundle serialization. Same seed => same measurements =>
+// same triggers.
 #ifndef SRC_TAS_WATCHDOG_H_
 #define SRC_TAS_WATCHDOG_H_
 
@@ -52,10 +52,9 @@ class SloWatchdog {
   void Check();
 
   // The bundle "context" object for this host at the current sim time:
-  // metrics snapshot (minus width-dependent entries), steering drain state,
-  // flow-table occupancy, slow-path queue state, and the latency /
-  // critical-path reports when those tracers are installed. Must run
-  // single-threaded (serial run, or the epoch boundary).
+  // metrics snapshot, steering drain state, flow-table occupancy, slow-path
+  // queue state, and the latency / critical-path reports when those tracers
+  // are installed.
   std::string ContextJson() const;
 
  private:

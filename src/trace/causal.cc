@@ -5,9 +5,7 @@
 #include <iomanip>
 #include <sstream>
 
-#include "src/sim/parallel.h"
 #include "src/trace/flight_recorder.h"
-#include "src/util/island.h"
 #include "src/util/logging.h"
 
 namespace tas {
@@ -169,42 +167,24 @@ CausalTracer::CausalTracer(size_t trace_capacity, size_t exemplars_per_class)
     cap <<= 1;
   }
   mask_ = cap - 1;
-  shards_.resize(1);
 }
 
 CausalTracer* CausalTracer::Install(CausalTracer* tracer) {
-  TAS_CHECK(!SimPartition::AnyRunActive())
-      << "CausalTracer::Install during a partitioned run";
   CausalTracer* previous = current_;
   current_ = tracer;
   return previous;
 }
 
-void CausalTracer::EnableShards(int num_shards) {
-  TAS_CHECK(num_shards >= 1);
-  TAS_CHECK(!SimPartition::AnyRunActive())
-      << "CausalTracer::EnableShards during a partitioned run";
-  shards_.assign(static_cast<size_t>(num_shards), Shard{});
-}
-
-CausalTracer::Shard& CausalTracer::CurShard() {
-  const size_t island = static_cast<size_t>(CurrentIslandId());
-  return shards_[island < shards_.size() ? island : 0];
-}
-
 uint64_t CausalTracer::BeginTrace(TimeNs start) {
-  Shard& shard = CurShard();
-  if (shard.ring.empty()) {
-    shard.ring.resize(mask_ + 1);
+  if (ring_.empty()) {
+    ring_.resize(mask_ + 1);
   }
-  const size_t shard_index = static_cast<size_t>(&shard - shards_.data());
-  const uint64_t id =
-      (static_cast<uint64_t>(shard_index) << kTraceShardShift) | shard.next_trace_id++;
-  TraceRec& r = shard.ring[id & mask_];
+  const uint64_t id = next_trace_id_++;
+  TraceRec& r = ring_[id & mask_];
   if (r.id != 0) {
     // Ring wrapped onto a live trace: the oldest in-flight trace is dropped;
     // its late stamps fail the id check (stale).
-    ++shard.dropped;
+    ++dropped_;
   }
   r.id = id;
   r.start = start;
@@ -220,15 +200,11 @@ CausalTracer::TraceRec* CausalTracer::Slot(uint64_t id) {
   if (id == 0) {
     return nullptr;
   }
-  // Ring shard from the id's high bits (the island that opened the trace);
-  // staleness is charged to the calling island's shard.
-  const size_t shard_index = id >> kTraceShardShift;
-  std::vector<TraceRec>& ring = shards_[shard_index < shards_.size() ? shard_index : 0].ring;
-  if (ring.empty() || ring[id & mask_].id != id) {
-    ++CurShard().stale;
+  if (ring_.empty() || ring_[id & mask_].id != id) {
+    ++stale_;
     return nullptr;
   }
-  return &ring[id & mask_];
+  return &ring_[id & mask_];
 }
 
 uint32_t CausalTracer::StartSpan(uint64_t trace, uint32_t parent, CausalSpanKind kind,
@@ -239,13 +215,10 @@ uint32_t CausalTracer::StartSpan(uint64_t trace, uint32_t parent, CausalSpanKind
   }
   if (r->spans.size() >= kMaxSpans) {
     r->truncated = true;
-    ++CurShard().truncated_spans;
+    ++truncated_spans_;
     return 0;
   }
-  Shard& shard = CurShard();
-  const size_t shard_index = static_cast<size_t>(&shard - shards_.data());
-  const uint32_t id = (static_cast<uint32_t>(shard_index) << kSpanShardShift) |
-                      shard.next_span_id++;
+  const uint32_t id = next_span_id_++;
   CausalSpan span;
   span.id = id;
   span.parent = parent;
@@ -280,7 +253,7 @@ void CausalTracer::Mark(uint64_t trace, CausalEdge edge, TimeNs now) {
   }
   if (r->marks.size() >= kMaxMarks) {
     r->truncated = true;
-    ++CurShard().truncated_marks;
+    ++truncated_marks_;
     return;
   }
   r->marks.push_back(CausalMark{now, edge});
@@ -303,7 +276,7 @@ void CausalTracer::Link(uint64_t from_trace, uint32_t from_span, uint64_t to_tra
   }
   if (r->links.size() >= kMaxLinks) {
     r->truncated = true;
-    ++CurShard().truncated_links;
+    ++truncated_links_;
     return;
   }
   r->links.push_back(CausalLink{from_trace, from_span, to_span});
@@ -314,11 +287,8 @@ void CausalTracer::Finish(uint64_t trace, TimeNs end) {
   if (r == nullptr) {
     return;
   }
-  // Statistics fold into the CALLING island's shard (thread-owned memory);
-  // the record may live in another island's ring.
-  Shard& shard = CurShard();
   if (r->truncated) {
-    ++shard.truncated;
+    ++truncated_;
     r->id = 0;
     return;
   }
@@ -328,20 +298,20 @@ void CausalTracer::Finish(uint64_t trace, TimeNs end) {
   std::vector<CriticalPathEdge> path;
   const bool ok = r->has_class && ExtractCriticalPath(r->start, end, r->marks, &path);
   if (!ok) {
-    ++shard.critical_path_mismatches;
+    ++critical_path_mismatches_;
     r->id = 0;
     return;
   }
   const size_t ci = static_cast<size_t>(r->cls);
   for (const CriticalPathEdge& e : path) {
     const size_t idx = Idx(r->cls, e.edge);
-    shard.edge_hist[idx].Add(static_cast<uint64_t>(e.duration));
-    shard.edge_stats[idx].Add(static_cast<double>(e.duration));
+    edge_hist_[idx].Add(static_cast<uint64_t>(e.duration));
+    edge_stats_[idx].Add(static_cast<double>(e.duration));
   }
   const uint64_t e2e = static_cast<uint64_t>(end - r->start);
-  shard.e2e_hist[ci].Add(e2e);
-  shard.e2e_stats[ci].Add(static_cast<double>(e2e));
-  ++shard.completed;
+  e2e_hist_[ci].Add(e2e);
+  e2e_stats_[ci].Add(static_cast<double>(e2e));
+  ++completed_;
   MaybeRetainExemplar(*r, end);
   if (FlightRecorder* recorder = FlightRecorder::Current()) {
     recorder->RecordCausal(end, r->id, static_cast<uint8_t>(r->cls), e2e);
@@ -353,7 +323,7 @@ void CausalTracer::MaybeRetainExemplar(const TraceRec& rec, TimeNs end) {
   if (exemplars_per_class_ == 0) {
     return;
   }
-  std::vector<TraceExemplar>& pool = CurShard().exemplars[static_cast<size_t>(rec.cls)];
+  std::vector<TraceExemplar>& pool = exemplars_[static_cast<size_t>(rec.cls)];
   const TimeNs e2e = end - rec.start;
   if (pool.size() >= exemplars_per_class_ && e2e <= pool.back().end - pool.back().start) {
     return;
@@ -381,75 +351,16 @@ void CausalTracer::Abandon(uint64_t trace) {
   if (trace == 0) {
     return;
   }
-  const size_t shard_index = trace >> kTraceShardShift;
-  std::vector<TraceRec>& ring = shards_[shard_index < shards_.size() ? shard_index : 0].ring;
-  if (ring.empty() || ring[trace & mask_].id != trace) {
+  if (ring_.empty() || ring_[trace & mask_].id != trace) {
     return;  // Already gone; double-abandon is not an error.
   }
-  ring[trace & mask_].id = 0;
-  ++CurShard().abandoned;
+  ring_[trace & mask_].id = 0;
+  ++abandoned_;
 }
 
 void CausalTracer::Clear() {
-  for (Shard& shard : shards_) {
-    shard = Shard{};
-  }
-  for (auto& pool : exemplar_cache_) {
-    pool.clear();
-  }
-}
-
-LogHistogram CausalTracer::edge_hist(RequestClass cls, CausalEdge edge) const {
-  LogHistogram h;
-  for (const Shard& s : shards_) {
-    h.Merge(s.edge_hist[Idx(cls, edge)]);
-  }
-  return h;
-}
-
-RunningStats CausalTracer::edge_stats(RequestClass cls, CausalEdge edge) const {
-  RunningStats st;
-  for (const Shard& s : shards_) {
-    st.Merge(s.edge_stats[Idx(cls, edge)]);
-  }
-  return st;
-}
-
-LogHistogram CausalTracer::e2e_hist(RequestClass cls) const {
-  LogHistogram h;
-  for (const Shard& s : shards_) {
-    h.Merge(s.e2e_hist[static_cast<size_t>(cls)]);
-  }
-  return h;
-}
-
-RunningStats CausalTracer::e2e_stats(RequestClass cls) const {
-  RunningStats st;
-  for (const Shard& s : shards_) {
-    st.Merge(s.e2e_stats[static_cast<size_t>(cls)]);
-  }
-  return st;
-}
-
-const std::vector<TraceExemplar>& CausalTracer::exemplars(RequestClass cls) const {
-  // Global top-k from the union of per-shard top-k pools. Each pool is
-  // already worst-first; a stable sort keeps intra-shard completion order
-  // and island order on exact ties, so one shard reproduces the old serial
-  // order byte-for-byte.
-  std::vector<TraceExemplar>& merged = exemplar_cache_[static_cast<size_t>(cls)];
-  merged.clear();
-  for (const Shard& s : shards_) {
-    const auto& pool = s.exemplars[static_cast<size_t>(cls)];
-    merged.insert(merged.end(), pool.begin(), pool.end());
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const TraceExemplar& a, const TraceExemplar& b) {
-                     return (a.end - a.start) > (b.end - b.start);
-                   });
-  if (merged.size() > exemplars_per_class_) {
-    merged.resize(exemplars_per_class_);
-  }
-  return merged;
+  const size_t capacity = mask_ + 1;
+  *this = CausalTracer(capacity, exemplars_per_class_);
 }
 
 namespace {

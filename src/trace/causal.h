@@ -213,27 +213,14 @@ std::vector<CriticalPathRegression> CompareCriticalPathReports(
 
 // --- Tracer -----------------------------------------------------------------
 
-// Sharded for partitioned runs exactly like LatencyTracer (DESIGN.md §13):
-// one shard per island, trace ids carry the opening island's shard in their
-// high bits, span ids in bits [24, 32). Trace records are reached through
-// the id (cross-island access is ordered by the epoch barrier that carried
-// the request's packet); statistics, counters, and exemplar retention fold
-// into the CALLING island's shard. Report() and the aggregate accessors
-// merge shards in island order — exact integer sums, so merged output is
-// byte-identical to an unsharded serial run. Serial mode is one shard.
 class CausalTracer {
  public:
   explicit CausalTracer(size_t trace_capacity = 1u << 13, size_t exemplars_per_class = 3);
 
   // Process-wide active tracer (LatencyTracer pattern). Returns the
-  // previously installed tracer. Rejected mid-partitioned-run.
+  // previously installed tracer.
   static CausalTracer* Install(CausalTracer* tracer);
   static CausalTracer* Current() { return current_; }
-
-  // Sizes the shard table for a partitioned run (one shard per island).
-  // Must be called before any trace is opened; resets all state.
-  void EnableShards(int num_shards);
-  int num_shards() const { return static_cast<int>(shards_.size()); }
 
   // Opens a trace whose clock starts at `start`; ids are never 0. If the
   // ring slot still holds a live trace, that oldest trace is dropped.
@@ -258,34 +245,38 @@ class CausalTracer {
   // Retires a trace without folding it (request retried / client died).
   void Abandon(uint64_t trace);
 
-  // Aggregates over all shards; safe between runs (any time in serial mode).
-  uint64_t completed() const { return SumCounter(&Shard::completed); }
-  uint64_t abandoned() const { return SumCounter(&Shard::abandoned); }
-  uint64_t dropped() const { return SumCounter(&Shard::dropped); }
-  uint64_t stale() const { return SumCounter(&Shard::stale); }
-  uint64_t truncated() const { return SumCounter(&Shard::truncated); }
+  uint64_t completed() const { return completed_; }
+  uint64_t abandoned() const { return abandoned_; }
+  uint64_t dropped() const { return dropped_; }
+  uint64_t stale() const { return stale_; }
+  uint64_t truncated() const { return truncated_; }
   // Truncation attributed to the cap that was hit — which stream overflowed
   // (the satellite fix to the single opaque `truncated` counter). One trace
   // can charge several caps; the per-site counters count capped *calls*, the
   // aggregate above counts discarded *traces*.
-  uint64_t truncated_spans() const { return SumCounter(&Shard::truncated_spans); }
-  uint64_t truncated_marks() const { return SumCounter(&Shard::truncated_marks); }
-  uint64_t truncated_links() const { return SumCounter(&Shard::truncated_links); }
+  uint64_t truncated_spans() const { return truncated_spans_; }
+  uint64_t truncated_marks() const { return truncated_marks_; }
+  uint64_t truncated_links() const { return truncated_links_; }
   // Finished traces whose mark chain failed to partition end-to-end time, or
   // that never got a class — 0 unless a stamp site regresses.
-  uint64_t critical_path_mismatches() const {
-    return SumCounter(&Shard::critical_path_mismatches);
-  }
+  uint64_t critical_path_mismatches() const { return critical_path_mismatches_; }
 
-  // Merged (shard-summed) distribution views, by value.
-  LogHistogram edge_hist(RequestClass cls, CausalEdge edge) const;
-  RunningStats edge_stats(RequestClass cls, CausalEdge edge) const;
-  LogHistogram e2e_hist(RequestClass cls) const;
-  RunningStats e2e_stats(RequestClass cls) const;
-  // Slowest finished traces of `cls`, worst first (global top-k: each shard
-  // retains its own top-k, the union's top-k is re-selected on read). The
-  // reference stays valid until the next exemplars() call for the same class.
-  const std::vector<TraceExemplar>& exemplars(RequestClass cls) const;
+  const LogHistogram& edge_hist(RequestClass cls, CausalEdge edge) const {
+    return edge_hist_[Idx(cls, edge)];
+  }
+  const RunningStats& edge_stats(RequestClass cls, CausalEdge edge) const {
+    return edge_stats_[Idx(cls, edge)];
+  }
+  const LogHistogram& e2e_hist(RequestClass cls) const {
+    return e2e_hist_[static_cast<size_t>(cls)];
+  }
+  const RunningStats& e2e_stats(RequestClass cls) const {
+    return e2e_stats_[static_cast<size_t>(cls)];
+  }
+  // Slowest finished traces of `cls`, worst first.
+  const std::vector<TraceExemplar>& exemplars(RequestClass cls) const {
+    return exemplars_[static_cast<size_t>(cls)];
+  }
 
   CriticalPathReport Report() const;
   void Clear();
@@ -310,57 +301,36 @@ class CausalTracer {
     std::vector<CausalLink> links;
   };
 
-  struct Shard {
-    std::vector<TraceRec> ring;  // Allocated by the shard's first BeginTrace.
-    uint64_t next_trace_id = 1;
-    uint32_t next_span_id = 1;
-
-    std::array<LogHistogram, kNumRequestClasses * kNumCausalEdges> edge_hist;
-    std::array<RunningStats, kNumRequestClasses * kNumCausalEdges> edge_stats;
-    std::array<LogHistogram, kNumRequestClasses> e2e_hist;
-    std::array<RunningStats, kNumRequestClasses> e2e_stats;
-    std::array<std::vector<TraceExemplar>, kNumRequestClasses> exemplars;
-
-    uint64_t completed = 0;
-    uint64_t abandoned = 0;
-    uint64_t dropped = 0;
-    uint64_t stale = 0;
-    uint64_t truncated = 0;
-    uint64_t truncated_spans = 0;
-    uint64_t truncated_marks = 0;
-    uint64_t truncated_links = 0;
-    uint64_t critical_path_mismatches = 0;
-  };
-
-  // Trace ids: [shard | per-shard sequence]. Span ids are uint32 and travel
-  // on the wire, so their shard tag sits at bit 24 (16M spans per island).
-  static constexpr int kTraceShardShift = 48;
-  static constexpr int kSpanShardShift = 24;
-
   static size_t Idx(RequestClass cls, CausalEdge edge) {
     return static_cast<size_t>(cls) * kNumCausalEdges + static_cast<size_t>(edge);
   }
 
-  Shard& CurShard();
   TraceRec* Slot(uint64_t id);
   void MaybeRetainExemplar(const TraceRec& rec, TimeNs end);
-
-  uint64_t SumCounter(uint64_t Shard::* counter) const {
-    uint64_t sum = 0;
-    for (const Shard& s : shards_) {
-      sum += s.*counter;
-    }
-    return sum;
-  }
 
   static CausalTracer* current_;
 
   size_t mask_;
   size_t exemplars_per_class_;
-  std::vector<Shard> shards_;
-  // Lazily rebuilt per-class merge of the shards' exemplar pools, so
-  // exemplars() can keep returning a reference.
-  mutable std::array<std::vector<TraceExemplar>, kNumRequestClasses> exemplar_cache_;
+  std::vector<TraceRec> ring_;  // Allocated by the first BeginTrace.
+  uint64_t next_trace_id_ = 1;
+  uint32_t next_span_id_ = 1;
+
+  std::array<LogHistogram, kNumRequestClasses * kNumCausalEdges> edge_hist_;
+  std::array<RunningStats, kNumRequestClasses * kNumCausalEdges> edge_stats_;
+  std::array<LogHistogram, kNumRequestClasses> e2e_hist_;
+  std::array<RunningStats, kNumRequestClasses> e2e_stats_;
+  std::array<std::vector<TraceExemplar>, kNumRequestClasses> exemplars_;
+
+  uint64_t completed_ = 0;
+  uint64_t abandoned_ = 0;
+  uint64_t dropped_ = 0;
+  uint64_t stale_ = 0;
+  uint64_t truncated_ = 0;
+  uint64_t truncated_spans_ = 0;
+  uint64_t truncated_marks_ = 0;
+  uint64_t truncated_links_ = 0;
+  uint64_t critical_path_mismatches_ = 0;
 };
 
 }  // namespace tas

@@ -6,10 +6,8 @@
 #include <ostream>
 #include <sstream>
 
-#include "src/sim/parallel.h"
 #include "src/trace/causal.h"
 #include "src/trace/metric_registry.h"
-#include "src/util/island.h"
 #include "src/util/logging.h"
 
 namespace tas {
@@ -26,12 +24,13 @@ std::string TsUs(TimeNs t) {
 
 constexpr int kPid = 1;
 // Recorder tracks sit above the flow tracks of the full-trace bundle
-// (kFlowTrackBase = 1<<20 there); one track per island per stream.
-constexpr uint64_t kIslandTrackBase = 1u << 22;
-constexpr uint64_t kIslandTrackStride = 8;
+// (kFlowTrackBase = 1<<20 there); one track per stream, and the trigger's
+// track just below them.
+constexpr uint64_t kRecorderTrackBase = 1u << 22;
+constexpr uint64_t kTriggerTrack = kRecorderTrackBase - 1;
 
-uint64_t IslandTrack(uint32_t island, RecorderStream stream) {
-  return kIslandTrackBase + island * kIslandTrackStride + static_cast<uint64_t>(stream);
+uint64_t StreamTrack(RecorderStream stream) {
+  return kRecorderTrackBase + static_cast<uint64_t>(stream);
 }
 
 size_t RingCapacity(const WatchdogConfig& config, RecorderStream stream) {
@@ -101,49 +100,21 @@ std::vector<SloSpec> DefaultSlos() {
 }
 
 FlightRecorder::FlightRecorder(const WatchdogConfig& config) : config_(config) {
-  shards_.push_back(std::make_unique<Shard>());
   for (int s = 0; s < kNumRecorderStreams; ++s) {
     const size_t cap = RingCapacity(config_, static_cast<RecorderStream>(s));
-    shards_[0]->streams[static_cast<size_t>(s)].ring.resize(cap > 0 ? cap : 1);
+    streams_[static_cast<size_t>(s)].ring.resize(cap > 0 ? cap : 1);
   }
 }
 
 FlightRecorder* FlightRecorder::Install(FlightRecorder* recorder) {
-  TAS_CHECK(!SimPartition::AnyRunActive())
-      << "FlightRecorder::Install during a partitioned run";
   FlightRecorder* previous = current_;
   current_ = recorder;
   return previous;
 }
 
-void FlightRecorder::EnableShards(int num_shards) {
-  TAS_CHECK(num_shards >= 1);
-  TAS_CHECK(!SimPartition::AnyRunActive())
-      << "FlightRecorder::EnableShards during a partitioned run";
-  shards_.clear();
-  for (int i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-    for (int s = 0; s < kNumRecorderStreams; ++s) {
-      const size_t cap = RingCapacity(config_, static_cast<RecorderStream>(s));
-      shards_.back()->streams[static_cast<size_t>(s)].ring.resize(cap > 0 ? cap : 1);
-    }
-  }
-  // Partitioned: bundle serialization needs merged reads and must wait for
-  // the epoch boundary, where exactly one thread runs.
-  deferred_ = num_shards > 1;
-}
-
-FlightRecorder::Shard& FlightRecorder::CurShard() {
-  const size_t island = static_cast<size_t>(CurrentIslandId());
-  return *shards_[island < shards_.size() ? island : 0];
-}
-
 void FlightRecorder::Append(RecorderStream stream, RecorderRecord rec) {
-  Shard& shard = CurShard();
-  StreamRing& r = shard.streams[static_cast<size_t>(stream)];
-  rec.seq = shard.next_seq++;
-  rec.island = static_cast<uint32_t>(
-      std::min<size_t>(static_cast<size_t>(CurrentIslandId()), shards_.size() - 1));
+  StreamRing& r = streams_[static_cast<size_t>(stream)];
+  rec.seq = next_seq_++;
   rec.stream = stream;
   r.ring[r.head] = rec;
   r.head = r.head + 1 == r.ring.size() ? 0 : r.head + 1;
@@ -195,79 +166,31 @@ void FlightRecorder::RecordSlo(TimeNs t, SloKind kind, double measured, bool bre
 
 std::vector<RecorderRecord> FlightRecorder::CaptureWindow(TimeNs from, TimeNs to) const {
   std::vector<RecorderRecord> out;
-  for (const auto& shard : shards_) {
-    for (const StreamRing& r : shard->streams) {
-      const size_t start = r.size == r.ring.size() ? r.head : 0;
-      for (size_t i = 0; i < r.size; ++i) {
-        const RecorderRecord& rec = r.ring[(start + i) % r.ring.size()];
-        if (rec.t >= from && rec.t <= to) {
-          out.push_back(rec);
-        }
+  for (const StreamRing& r : streams_) {
+    const size_t start = r.size == r.ring.size() ? r.head : 0;
+    for (size_t i = 0; i < r.size; ++i) {
+      const RecorderRecord& rec = r.ring[(start + i) % r.ring.size()];
+      if (rec.t >= from && rec.t <= to) {
+        out.push_back(rec);
       }
     }
   }
   std::sort(out.begin(), out.end(), [](const RecorderRecord& x, const RecorderRecord& y) {
-    if (x.t != y.t) return x.t < y.t;
-    if (x.island != y.island) return x.island < y.island;
-    return x.seq < y.seq;
+    return x.t != y.t ? x.t < y.t : x.seq < y.seq;
   });
   return out;
 }
 
 uint64_t FlightRecorder::recorded(RecorderStream stream) const {
-  uint64_t sum = 0;
-  for (const auto& shard : shards_) {
-    sum += shard->streams[static_cast<size_t>(stream)].recorded;
-  }
-  return sum;
+  return streams_[static_cast<size_t>(stream)].recorded;
 }
 
 uint64_t FlightRecorder::overwritten(RecorderStream stream) const {
-  uint64_t sum = 0;
-  for (const auto& shard : shards_) {
-    const StreamRing& r = shard->streams[static_cast<size_t>(stream)];
-    sum += r.recorded - r.size;
-  }
-  return sum;
+  const StreamRing& r = streams_[static_cast<size_t>(stream)];
+  return r.recorded - r.size;
 }
 
 void FlightRecorder::Trigger(SloTrigger trigger, std::function<std::string()> context_json) {
-  if (deferred_) {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    pending_.push_back(PendingTrigger{std::move(trigger), std::move(context_json)});
-    return;
-  }
-  // Serial executor: the single simulation thread is already the only one
-  // touching recorder state — serialize at the breach point.
-  PendingTrigger pending{std::move(trigger), std::move(context_json)};
-  Serialize(pending);
-}
-
-void FlightRecorder::OnEpochBound(TimeNs) {
-  std::vector<PendingTrigger> batch;
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    if (pending_.empty()) {
-      return;
-    }
-    batch.swap(pending_);
-  }
-  // Several hosts can breach inside one epoch, each from its own island
-  // thread: impose the workload-defined order, not the queueing order.
-  std::stable_sort(batch.begin(), batch.end(),
-                   [](const PendingTrigger& x, const PendingTrigger& y) {
-                     if (x.trigger.t != y.trigger.t) return x.trigger.t < y.trigger.t;
-                     if (x.trigger.source != y.trigger.source)
-                       return x.trigger.source < y.trigger.source;
-                     return x.trigger.slo < y.trigger.slo;
-                   });
-  for (PendingTrigger& pending : batch) {
-    Serialize(pending);
-  }
-}
-
-void FlightRecorder::Serialize(PendingTrigger& pending) {
-  SloTrigger& trigger = pending.trigger;
   const bool write = !config_.bundle_prefix.empty() && bundles_written_ < config_.max_bundles;
   trigger.bundle = write ? bundles_written_ : -1;
   if (write) {
@@ -279,7 +202,7 @@ void FlightRecorder::Serialize(PendingTrigger& pending) {
       std::ofstream os(base + ".json");
       os << "{\"trigger\":" << SloTriggerToJson(trigger)
          << ",\"records\":" << records.size() << ",\"context\":"
-         << (pending.context_json ? pending.context_json() : std::string("{}")) << "}\n";
+         << (context_json ? context_json() : std::string("{}")) << "}\n";
     }
     {
       std::ofstream os(base + ".jsonl");
@@ -300,7 +223,7 @@ void FlightRecorder::Serialize(PendingTrigger& pending) {
 void FlightRecorder::WriteBundleJsonl(const std::vector<RecorderRecord>& records,
                                       std::ostream& os) const {
   for (const RecorderRecord& rec : records) {
-    os << "{\"t\":" << rec.t << ",\"island\":" << rec.island << ",\"seq\":" << rec.seq
+    os << "{\"t\":" << rec.t << ",\"seq\":" << rec.seq
        << ",\"stream\":\"" << RecorderStreamName(rec.stream) << '"';
     switch (rec.stream) {
       case RecorderStream::kFlow: {
@@ -346,15 +269,15 @@ void FlightRecorder::WriteBundlePerfetto(const SloTrigger& trigger,
   sep();
   os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << kPid
      << ",\"args\":{\"name\":\"flight-recorder\"}}";
-  // Name one track per (island, stream) that actually has records.
+  // Name one track per stream that actually has records.
   std::vector<uint64_t> named;
   for (const RecorderRecord& rec : records) {
-    const uint64_t track = IslandTrack(rec.island, rec.stream);
+    const uint64_t track = StreamTrack(rec.stream);
     if (std::find(named.begin(), named.end(), track) == named.end()) {
       named.push_back(track);
       sep();
       os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << kPid
-         << ",\"tid\":" << track << ",\"args\":{\"name\":\"island-" << rec.island << '-'
+         << ",\"tid\":" << track << ",\"args\":{\"name\":\"recorder-"
          << RecorderStreamName(rec.stream) << "\"}}";
     }
   }
@@ -364,14 +287,14 @@ void FlightRecorder::WriteBundlePerfetto(const SloTrigger& trigger,
   os << "{\"name\":\"" << trigger.slo << "\",\"cat\":\"slo\",\"ph\":\"X\",\"ts\":"
      << TsUs(trigger.window_from) << ",\"dur\":"
      << TsUs(trigger.window_to - trigger.window_from) << ",\"pid\":" << kPid
-     << ",\"tid\":" << kIslandTrackBase - 1 << ",\"args\":{\"measured\":"
+     << ",\"tid\":" << kTriggerTrack << ",\"args\":{\"measured\":"
      << JsonNumber(trigger.measured) << ",\"threshold\":" << JsonNumber(trigger.threshold)
      << "}}";
   sep();
   os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << kPid
-     << ",\"tid\":" << kIslandTrackBase - 1 << ",\"args\":{\"name\":\"slo-trigger\"}}";
+     << ",\"tid\":" << kTriggerTrack << ",\"args\":{\"name\":\"slo-trigger\"}}";
   for (const RecorderRecord& rec : records) {
-    const uint64_t track = IslandTrack(rec.island, rec.stream);
+    const uint64_t track = StreamTrack(rec.stream);
     switch (rec.stream) {
       case RecorderStream::kFlow:
         sep();

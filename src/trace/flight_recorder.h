@@ -5,21 +5,20 @@
 // re-running with full tracing on. The FlightRecorder continuously retains
 // the last W ms of four record streams — flow events, latency-anatomy
 // completions, causal-trace completions, and the watchdog's per-check SLO
-// measurements — in bounded per-island rings using the PR 5/7 discipline:
+// measurements — in bounded rings using the PR 5/7 discipline:
 // fixed-capacity rings of POD records, overwrite-oldest, per-stream drop
-// counters. Every tap is a plain array write into thread-owned (per-island)
-// memory; the armed-but-untriggered cost is a null/flag check per site plus
-// that write, and nothing on the simulation side changes (no CPU charges, no
-// RNG draws, no packets) — armed runs are timing-passive.
+// counters. Every tap is a plain array write; the armed-but-untriggered cost
+// is a null/flag check per site plus that write, and nothing on the
+// simulation side changes (no CPU charges, no RNG draws, no packets) — armed
+// runs are timing-passive.
 //
 // On a watchdog breach (src/tas/watchdog) the recorder serializes a
 // *diagnostic bundle*: the window's merged records (JSONL + Perfetto), a full
 // metrics snapshot of the breaching host, steering / flow-table / slow-path
 // state, and a machine-readable trigger record (which SLO, evidence window,
 // measured vs threshold). Triggers read only deterministic sim state and
-// bundles are serialized at deterministic points (the epoch boundary under
-// the partitioned executor, where exactly one thread runs), so same-seed
-// runs produce byte-identical bundles at every sim_threads width.
+// bundles are serialized at the breach point, so same-seed runs produce
+// byte-identical bundles.
 //
 // Reached through the process-wide Install/Current pattern (LatencyTracer
 // precedent): the first watchdog-enabled TAS host installs the recorder;
@@ -30,8 +29,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -43,7 +40,7 @@ namespace tas {
 // --- SLO specification (the watchdog's declarative input) -------------------
 
 enum class SloKind : uint8_t {
-  kE2eLatencyP99 = 0,    // Windowed packet e2e p99 [ns] (island-local shard).
+  kE2eLatencyP99 = 0,    // Windowed packet e2e p99 [ns].
   kRetransmitRate,       // Retransmits per second over the check window.
   kSlowPathQueueDepth,   // Exception-queue depth at check time [packets].
   kFlowTableProbeP99,    // Windowed flow-table probe-length p99 [groups].
@@ -76,7 +73,7 @@ struct WatchdogConfig {
   TimeNs check_interval = 0;
   // Evidence window: a trigger captures [breach - recorder_window, breach].
   TimeNs recorder_window = Ms(50);
-  // Per-island ring capacities, one ring per stream.
+  // Ring capacities, one ring per stream.
   size_t flow_ring_capacity = 1u << 14;
   size_t latency_ring_capacity = 1u << 14;
   size_t causal_ring_capacity = 1u << 13;
@@ -111,8 +108,7 @@ const char* RecorderStreamName(RecorderStream stream);
 //   kSlo:     type = SloKind, v = measured value (a = 1 if breached).
 struct RecorderRecord {
   TimeNs t = 0;
-  uint64_t seq = 0;    // Per-island append order (total order with t+island).
-  uint32_t island = 0;
+  uint64_t seq = 0;    // Append order across all streams.
   RecorderStream stream = RecorderStream::kFlow;
   uint8_t type = 0;
   uint64_t a = 0;
@@ -145,53 +141,35 @@ class FlightRecorder {
  public:
   explicit FlightRecorder(const WatchdogConfig& config);
 
-  // Process-wide active recorder (LatencyTracer::Install pattern). Rejected
-  // while a partitioned run is executing.
+  // Process-wide active recorder (LatencyTracer::Install pattern).
   static FlightRecorder* Install(FlightRecorder* recorder);
   static FlightRecorder* Current() { return current_; }
 
-  // Sizes the per-island shard table for a partitioned run and switches
-  // bundle serialization to deferred mode (triggers queue; OnEpochBound
-  // serializes them single-threaded). Must run before any record is appended.
-  void EnableShards(int num_shards);
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  bool deferred() const { return deferred_; }
-
   const WatchdogConfig& config() const { return config_; }
 
-  // --- Taps (called from the owning island's thread; ring write only) -------
+  // --- Taps (ring write only) ------------------------------------------------
   void RecordFlowEvent(const FlowEvent& e);
   void RecordLatency(TimeNs t, uint64_t e2e_ns, uint64_t queue_ns, uint64_t service_ns);
   void RecordCausal(TimeNs t, uint64_t trace_id, uint8_t request_class, uint64_t e2e_ns);
   void RecordSlo(TimeNs t, SloKind kind, double measured, bool breached);
 
-  // --- Window capture (merged; single-threaded contexts only) ---------------
-  // All retained records with t in [from, to], merged across islands and
-  // streams, sorted by (t, island, seq) — a total order fixed by the workload,
-  // not by thread count.
+  // --- Window capture ---------------------------------------------------------
+  // All retained records with t in [from, to], merged across streams and
+  // sorted by (t, seq).
   std::vector<RecorderRecord> CaptureWindow(TimeNs from, TimeNs to) const;
 
-  // Per-stream retention counters, summed over shards (read between runs or
-  // at an epoch boundary; a mid-run merged read from a worker would race).
+  // Per-stream retention counters.
   uint64_t recorded(RecorderStream stream) const;
   uint64_t overwritten(RecorderStream stream) const;
 
   // --- Triggers & bundles ----------------------------------------------------
-  // Queues a breach for serialization. `context_json` is invoked at
-  // serialization time (single-threaded) and returns the bundle's "context"
-  // object: metrics snapshot, steering/flow-table/slow-path state. In
-  // deferred mode the bundle is written by the next OnEpochBound; in serial
-  // mode it is written immediately.
+  // Records a breach and, while the bundle budget lasts, serializes its
+  // bundle right away. `context_json` returns the bundle's "context" object:
+  // metrics snapshot, steering/flow-table/slow-path state.
   void Trigger(SloTrigger trigger, std::function<std::string()> context_json);
 
-  // Epoch-boundary hook (SimPartition::SetEpochHook): exactly one thread
-  // executes this while all workers are parked, so merged reads and file
-  // writes are race-free. Serializes every queued trigger in (t, source, slo)
-  // order.
-  void OnEpochBound(TimeNs bound);
-
   // All triggers so far, in serialization order (benches and tests assert on
-  // these without touching the filesystem). Same single-threaded-read rule.
+  // these without touching the filesystem).
   const std::vector<SloTrigger>& triggers() const { return triggers_; }
   int bundles_written() const { return bundles_written_; }
 
@@ -203,19 +181,7 @@ class FlightRecorder {
     uint64_t recorded = 0;
   };
 
-  struct Shard {
-    std::array<StreamRing, kNumRecorderStreams> streams;
-    uint64_t next_seq = 0;
-  };
-
-  struct PendingTrigger {
-    SloTrigger trigger;
-    std::function<std::string()> context_json;
-  };
-
-  Shard& CurShard();
   void Append(RecorderStream stream, RecorderRecord rec);
-  void Serialize(PendingTrigger& pending);
   void WriteBundleJsonl(const std::vector<RecorderRecord>& records, std::ostream& os) const;
   void WriteBundlePerfetto(const SloTrigger& trigger,
                            const std::vector<RecorderRecord>& records,
@@ -224,13 +190,8 @@ class FlightRecorder {
   static FlightRecorder* current_;
 
   WatchdogConfig config_;
-  bool deferred_ = false;
-  std::vector<std::unique_ptr<Shard>> shards_;
-
-  // Breaches queue from island threads (several can breach inside one epoch);
-  // the mutex guards only this handoff, never a tap.
-  std::mutex pending_mu_;
-  std::vector<PendingTrigger> pending_;
+  std::array<StreamRing, kNumRecorderStreams> streams_;
+  uint64_t next_seq_ = 0;
 
   std::vector<SloTrigger> triggers_;
   int bundles_written_ = 0;

@@ -6,9 +6,7 @@
 #include <iomanip>
 #include <sstream>
 
-#include "src/sim/parallel.h"
 #include "src/trace/flight_recorder.h"
-#include "src/util/island.h"
 #include "src/util/logging.h"
 
 namespace tas {
@@ -56,43 +54,22 @@ LatencyTracer::LatencyTracer(size_t ring_capacity) {
     cap <<= 1;
   }
   mask_ = cap - 1;
-  shards_.resize(1);
-  shards_[0].ring.resize(cap);
+  ring_.resize(cap);
 }
 
 LatencyTracer* LatencyTracer::Install(LatencyTracer* tracer) {
-  TAS_CHECK(!SimPartition::AnyRunActive())
-      << "LatencyTracer::Install during a partitioned run";
   LatencyTracer* previous = current_;
   current_ = tracer;
   return previous;
 }
 
-void LatencyTracer::EnableShards(int num_shards) {
-  TAS_CHECK(num_shards >= 1);
-  TAS_CHECK(!SimPartition::AnyRunActive())
-      << "LatencyTracer::EnableShards during a partitioned run";
-  shards_.assign(static_cast<size_t>(num_shards), Shard{});
-  for (Shard& s : shards_) {
-    s.ring.resize(mask_ + 1);
-  }
-}
-
-LatencyTracer::Shard& LatencyTracer::CurShard() {
-  const size_t island = static_cast<size_t>(CurrentIslandId());
-  return shards_[island < shards_.size() ? island : 0];
-}
-
 uint64_t LatencyTracer::Begin(TimeNs start) {
-  Shard& shard = CurShard();
-  const size_t shard_index = static_cast<size_t>(&shard - shards_.data());
-  const uint64_t id =
-      (static_cast<uint64_t>(shard_index) << kShardShift) | shard.next_id++;
-  Record& r = shard.ring[id & mask_];
+  const uint64_t id = next_id_++;
+  Record& r = ring_[id & mask_];
   if (r.id != 0) {
     // Ring wrapped onto a record that never finished: the oldest in-flight
     // record is dropped; its late stamps will fail the id check (stale).
-    ++shard.overwritten;
+    ++overwritten_;
   }
   r.id = id;
   r.start = start;
@@ -103,13 +80,9 @@ uint64_t LatencyTracer::Begin(TimeNs start) {
 }
 
 LatencyTracer::Record* LatencyTracer::Slot(uint64_t id) {
-  // The ring that holds the record is the shard of the island that OPENED it
-  // (high id bits); it may differ from the calling island when the packet
-  // crossed a link. The stale counter is charged to the caller's shard.
-  const size_t shard_index = id >> kShardShift;
-  Record& r = shards_[shard_index < shards_.size() ? shard_index : 0].ring[id & mask_];
+  Record& r = ring_[id & mask_];
   if (r.id != id) {
-    ++CurShard().stale;
+    ++stale_;
     return nullptr;
   }
   return &r;
@@ -141,9 +114,6 @@ void LatencyTracer::Finish(uint64_t id, LatencyStage stage, TimeNs now) {
   r->stage_ns[fi] += static_cast<uint64_t>(now - r->last);
   r->touched |= 1u << fi;
 
-  // Fold into the CALLING island's shard (thread-owned), not the ring
-  // shard: the record travelled with the packet, the statistics stay home.
-  Shard& shard = CurShard();
   uint64_t total = 0;
   uint64_t queue_ns = 0;
   uint64_t service_ns = 0;
@@ -152,8 +122,8 @@ void LatencyTracer::Finish(uint64_t id, LatencyStage stage, TimeNs now) {
       continue;
     }
     const uint64_t ns = r->stage_ns[static_cast<size_t>(i)];
-    shard.stage_hist[static_cast<size_t>(i)].Add(ns);
-    shard.stage_stats[static_cast<size_t>(i)].Add(static_cast<double>(ns));
+    stage_hist_[static_cast<size_t>(i)].Add(ns);
+    stage_stats_[static_cast<size_t>(i)].Add(static_cast<double>(ns));
     total += ns;
     if (LatencyStageIsQueue(static_cast<LatencyStage>(i))) {
       queue_ns += ns;
@@ -165,15 +135,15 @@ void LatencyTracer::Finish(uint64_t id, LatencyStage stage, TimeNs now) {
   if (total != e2e) {
     // Every interval between Begin and Finish must be attributed to exactly
     // one stage; a mismatch means a stamp site double-charged or skipped.
-    ++shard.partition_mismatches;
+    ++partition_mismatches_;
   }
-  shard.e2e_hist.Add(e2e);
-  shard.e2e_stats.Add(static_cast<double>(e2e));
-  shard.queue_wait_hist.Add(queue_ns);
-  shard.queue_wait_stats.Add(static_cast<double>(queue_ns));
-  shard.service_hist.Add(service_ns);
-  shard.service_stats.Add(static_cast<double>(service_ns));
-  ++shard.completed;
+  e2e_hist_.Add(e2e);
+  e2e_stats_.Add(static_cast<double>(e2e));
+  queue_wait_hist_.Add(queue_ns);
+  queue_wait_stats_.Add(static_cast<double>(queue_ns));
+  service_hist_.Add(service_ns);
+  service_stats_.Add(static_cast<double>(service_ns));
+  ++completed_;
   r->id = 0;
 
   if (FlightRecorder* recorder = FlightRecorder::Current()) {
@@ -185,52 +155,17 @@ void LatencyTracer::Abandon(uint64_t id) {
   if (id == 0) {
     return;
   }
-  const size_t shard_index = id >> kShardShift;
-  Record& r = shards_[shard_index < shards_.size() ? shard_index : 0].ring[id & mask_];
+  Record& r = ring_[id & mask_];
   if (r.id != id) {
     return;  // Already gone; dropping a dead record twice is not an error.
   }
   r.id = 0;
-  ++CurShard().abandoned;
+  ++abandoned_;
 }
 
 void LatencyTracer::Clear() {
-  for (Shard& shard : shards_) {
-    shard = Shard{};
-    shard.ring.resize(mask_ + 1);
-  }
-}
-
-LogHistogram LatencyTracer::stage_hist(LatencyStage stage) const {
-  LogHistogram h;
-  for (const Shard& s : shards_) {
-    h.Merge(s.stage_hist[static_cast<size_t>(stage)]);
-  }
-  return h;
-}
-
-RunningStats LatencyTracer::stage_stats(LatencyStage stage) const {
-  RunningStats st;
-  for (const Shard& s : shards_) {
-    st.Merge(s.stage_stats[static_cast<size_t>(stage)]);
-  }
-  return st;
-}
-
-LogHistogram LatencyTracer::e2e_hist() const {
-  LogHistogram h;
-  for (const Shard& s : shards_) {
-    h.Merge(s.e2e_hist);
-  }
-  return h;
-}
-
-RunningStats LatencyTracer::e2e_stats() const {
-  RunningStats st;
-  for (const Shard& s : shards_) {
-    st.Merge(s.e2e_stats);
-  }
-  return st;
+  const size_t capacity = ring_.size();
+  *this = LatencyTracer(capacity);
 }
 
 namespace {
@@ -264,20 +199,9 @@ LatencyReport LatencyTracer::Report() const {
                                       LatencyStageIsQueue(stage) ? "queue" : "service",
                                       stage_hist(stage), stage_stats(stage)));
   }
-  // Class totals, merged across shards in island order.
-  LogHistogram queue_wait_hist;
-  RunningStats queue_wait_stats;
-  LogHistogram service_hist;
-  RunningStats service_stats;
-  for (const Shard& s : shards_) {
-    queue_wait_hist.Merge(s.queue_wait_hist);
-    queue_wait_stats.Merge(s.queue_wait_stats);
-    service_hist.Merge(s.service_hist);
-    service_stats.Merge(s.service_stats);
-  }
-  report.stages.push_back(Summarize("queue_wait", "total", queue_wait_hist,
-                                    queue_wait_stats));
-  report.stages.push_back(Summarize("service", "total", service_hist, service_stats));
+  report.stages.push_back(Summarize("queue_wait", "total", queue_wait_hist_,
+                                    queue_wait_stats_));
+  report.stages.push_back(Summarize("service", "total", service_hist_, service_stats_));
   report.stages.push_back(Summarize("e2e", "total", e2e_hist(), e2e_stats()));
   return report;
 }

@@ -99,17 +99,6 @@ std::vector<LatencyRegression> CompareLatencyReports(const LatencyReport& baseli
                                                      double tolerance,
                                                      uint64_t min_count = 50);
 
-// Sharded for partitioned runs (DESIGN.md §13): one shard per island, with
-// the shard id encoded in the record id's high bits. Begin allocates from
-// the calling island's shard ring; Stamp/Finish locate the record through
-// the id (the packet handoff that carried the id across islands is ordered
-// by the partition's epoch barrier, so the record's fields are race-free)
-// and fold statistics/counters into the CALLING island's shard, so every
-// write in steady state touches thread-owned memory. Report() and the
-// aggregate accessors merge shards in island order; because the merged
-// surfaces are exact integer sums (histograms, counters, sum/count means),
-// they are byte-identical to an unsharded serial run. Serial mode is one
-// shard and behaves exactly as before.
 class LatencyTracer {
  public:
   explicit LatencyTracer(size_t ring_capacity = 1u << 12);
@@ -117,15 +106,9 @@ class LatencyTracer {
   // Process-wide active tracer (PacketPool::Install pattern). The TAS host
   // whose TraceConfig enables latency_stages installs its tracer; every
   // stamp site in every device then feeds it, so a record follows the packet
-  // across hosts. Returns the previously installed tracer. Rejected while a
-  // partitioned run is executing (it would race with worker threads).
+  // across hosts. Returns the previously installed tracer.
   static LatencyTracer* Install(LatencyTracer* tracer);
   static LatencyTracer* Current() { return current_; }
-
-  // Sizes the shard table for a partitioned run (one shard per island).
-  // Must be called before any record is opened; resets all state.
-  void EnableShards(int num_shards);
-  int num_shards() const { return static_cast<int>(shards_.size()); }
 
   // Opens a record whose clock starts at `start` (ids are never 0, so a
   // Packet::lat_id of 0 means "untracked"). If the ring slot still holds an
@@ -139,29 +122,22 @@ class LatencyTracer {
   // Retires a record without folding it (packet dropped / exception path).
   void Abandon(uint64_t id);
 
-  // Aggregates over all shards. Safe between runs (or any time in serial
-  // mode); mid-run reads from a partitioned worker would race with other
-  // islands' shard writes.
-  uint64_t completed() const { return SumCounter(&Shard::completed); }
-  uint64_t abandoned() const { return SumCounter(&Shard::abandoned); }
-  uint64_t overwritten() const { return SumCounter(&Shard::overwritten); }
-  uint64_t stale() const { return SumCounter(&Shard::stale); }
+  uint64_t completed() const { return completed_; }
+  uint64_t abandoned() const { return abandoned_; }
+  uint64_t overwritten() const { return overwritten_; }
+  uint64_t stale() const { return stale_; }
   // Records whose folded stage intervals failed to sum to their end-to-end
   // time — always 0 unless a stamp site regresses (latency_test asserts it).
-  uint64_t partition_mismatches() const {
-    return SumCounter(&Shard::partition_mismatches);
+  uint64_t partition_mismatches() const { return partition_mismatches_; }
+
+  const LogHistogram& stage_hist(LatencyStage stage) const {
+    return stage_hist_[static_cast<size_t>(stage)];
   }
-
-  // Merged (shard-summed) distribution views, by value.
-  LogHistogram stage_hist(LatencyStage stage) const;
-  RunningStats stage_stats(LatencyStage stage) const;
-  LogHistogram e2e_hist() const;
-  RunningStats e2e_stats() const;
-
-  // The CALLING island's e2e histogram, by reference: safe to read mid-run
-  // from a worker (thread-owned memory, unlike the merged views above). The
-  // watchdog's windowed p99 snapshots this each check.
-  const LogHistogram& LocalE2eHist() { return CurShard().e2e_hist; }
+  const RunningStats& stage_stats(LatencyStage stage) const {
+    return stage_stats_[static_cast<size_t>(stage)];
+  }
+  const LogHistogram& e2e_hist() const { return e2e_hist_; }
+  const RunningStats& e2e_stats() const { return e2e_stats_; }
 
   LatencyReport Report() const;
   void Clear();
@@ -175,48 +151,31 @@ class LatencyTracer {
     std::array<uint64_t, kNumLatencyStages> stage_ns{};
   };
 
-  struct Shard {
-    std::vector<Record> ring;
-    uint64_t next_id = 1;
-
-    std::array<LogHistogram, kNumLatencyStages> stage_hist;
-    std::array<RunningStats, kNumLatencyStages> stage_stats;
-    LogHistogram e2e_hist;
-    RunningStats e2e_stats;
-    // Per-record totals over the queue-wait / service stage classes.
-    LogHistogram queue_wait_hist;
-    RunningStats queue_wait_stats;
-    LogHistogram service_hist;
-    RunningStats service_stats;
-
-    uint64_t completed = 0;
-    uint64_t abandoned = 0;
-    uint64_t overwritten = 0;
-    uint64_t stale = 0;
-    uint64_t partition_mismatches = 0;
-  };
-
-  // Record ids: [shard | per-shard sequence]. 16 bits of shard leaves 48
-  // bits of sequence per island — no experiment gets close to either bound.
-  static constexpr int kShardShift = 48;
-
-  // The calling island's shard (stats/counter writes, Begin allocation).
-  Shard& CurShard();
-  // The shard whose ring holds `id`, from the id's high bits.
+  // The ring slot holding `id`, or null (counted as stale) if the record
+  // was retired or overwritten.
   Record* Slot(uint64_t id);
-
-  uint64_t SumCounter(uint64_t Shard::* counter) const {
-    uint64_t sum = 0;
-    for (const Shard& s : shards_) {
-      sum += s.*counter;
-    }
-    return sum;
-  }
 
   static LatencyTracer* current_;
 
   size_t mask_;
-  std::vector<Shard> shards_;
+  std::vector<Record> ring_;
+  uint64_t next_id_ = 1;
+
+  std::array<LogHistogram, kNumLatencyStages> stage_hist_;
+  std::array<RunningStats, kNumLatencyStages> stage_stats_;
+  LogHistogram e2e_hist_;
+  RunningStats e2e_stats_;
+  // Per-record totals over the queue-wait / service stage classes.
+  LogHistogram queue_wait_hist_;
+  RunningStats queue_wait_stats_;
+  LogHistogram service_hist_;
+  RunningStats service_stats_;
+
+  uint64_t completed_ = 0;
+  uint64_t abandoned_ = 0;
+  uint64_t overwritten_ = 0;
+  uint64_t stale_ = 0;
+  uint64_t partition_mismatches_ = 0;
 };
 
 }  // namespace tas

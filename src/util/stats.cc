@@ -44,9 +44,9 @@ void RunningStats::Merge(const RunningStats& other) {
 }
 
 // sum/count instead of the Welford running mean: integer-valued samples
-// (every latency is whole nanoseconds) sum exactly in ANY order, so merged
-// per-island stats report byte-identical means to a serial run (DESIGN.md
-// §13). The Welford mean_ stays maintained for the variance recurrence.
+// (every latency is whole nanoseconds) sum exactly in any order, so merged
+// stats report the same mean as one accumulator fed every sample. The
+// Welford mean_ stays maintained for the variance recurrence.
 double RunningStats::mean() const {
   return count_ == 0 ? 0 : sum_ / static_cast<double>(count_);
 }

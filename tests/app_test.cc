@@ -33,13 +33,13 @@ TEST_P(EchoOnStackTest, ClosedLoopEchoCompletes) {
   EchoServerConfig sc;
   sc.request_bytes = 64;
   sc.response_bytes = 64;
-  EchoServer server(exp->host_sim(0), exp->host(0).stack(), sc);
+  EchoServer server(&exp->sim(), exp->host(0).stack(), sc);
   server.Start();
 
   EchoClientConfig cc;
   cc.server_ip = exp->host(0).ip();
   cc.num_connections = 8;
-  EchoClient client(exp->host_sim(1), exp->host(1).stack(), cc);
+  EchoClient client(&exp->sim(), exp->host(1).stack(), cc);
   client.Start();
 
   exp->sim().RunUntil(Ms(50));
@@ -60,13 +60,13 @@ TEST(EchoTest, ShortLivedConnectionsReconnect) {
   spec.stack = StackKind::kTas;
   auto exp = Experiment::PointToPoint(spec, spec, FastLink());
   EchoServerConfig sc;
-  EchoServer server(exp->host_sim(0), exp->host(0).stack(), sc);
+  EchoServer server(&exp->sim(), exp->host(0).stack(), sc);
   server.Start();
   EchoClientConfig cc;
   cc.server_ip = exp->host(0).ip();
   cc.num_connections = 4;
   cc.messages_per_connection = 3;
-  EchoClient client(exp->host_sim(1), exp->host(1).stack(), cc);
+  EchoClient client(&exp->sim(), exp->host(1).stack(), cc);
   client.Start();
   exp->sim().RunUntil(Ms(200));
   EXPECT_GT(client.reconnects(), 10u);
@@ -79,13 +79,13 @@ TEST(EchoTest, PipelinedDepthIncreasesThroughput) {
     spec.stack = StackKind::kTas;
     auto exp = Experiment::PointToPoint(spec, spec, FastLink());
     EchoServerConfig sc;
-    EchoServer server(exp->host_sim(0), exp->host(0).stack(), sc);
+    EchoServer server(&exp->sim(), exp->host(0).stack(), sc);
     server.Start();
     EchoClientConfig cc;
     cc.server_ip = exp->host(0).ip();
     cc.num_connections = 1;
     cc.pipeline_depth = depth;
-    EchoClient client(exp->host_sim(1), exp->host(1).stack(), cc);
+    EchoClient client(&exp->sim(), exp->host(1).stack(), cc);
     client.Start();
     exp->sim().RunUntil(Ms(20));
     client.BeginMeasurement();
@@ -104,13 +104,13 @@ TEST_P(KvOnStackTest, GetSetMixServed) {
   auto exp = Experiment::PointToPoint(spec, spec, FastLink());
   KvServerConfig sc;
   sc.num_keys = 1000;
-  KvServer server(exp->host_sim(0), exp->host(0).stack(), sc);
+  KvServer server(&exp->sim(), exp->host(0).stack(), sc);
   server.Start();
   KvClientConfig cc;
   cc.server_ip = exp->host(0).ip();
   cc.num_connections = 16;
   cc.num_keys = 1000;
-  KvClient client(exp->host_sim(1), exp->host(1).stack(), cc);
+  KvClient client(&exp->sim(), exp->host(1).stack(), cc);
   client.Start();
   exp->sim().RunUntil(Ms(100));
   EXPECT_GT(client.completed(), 500u);
@@ -128,13 +128,13 @@ TEST(KvTest, OpenLoopRateIsRespected) {
   spec.stack = StackKind::kTas;
   auto exp = Experiment::PointToPoint(spec, spec, FastLink());
   KvServerConfig sc;
-  KvServer server(exp->host_sim(0), exp->host(0).stack(), sc);
+  KvServer server(&exp->sim(), exp->host(0).stack(), sc);
   server.Start();
   KvClientConfig cc;
   cc.server_ip = exp->host(0).ip();
   cc.num_connections = 32;
   cc.target_ops_per_sec = 50000;
-  KvClient client(exp->host_sim(1), exp->host(1).stack(), cc);
+  KvClient client(&exp->sim(), exp->host(1).stack(), cc);
   client.Start();
   exp->sim().RunUntil(Ms(50));
   client.BeginMeasurement();
@@ -148,18 +148,18 @@ TEST(KvTest, ContendedModeSerializesOnLock) {
   spec.app_cores = 4;
   spec.stack_cores = 4;
   auto exp = Experiment::PointToPoint(spec, spec, FastLink());
-  Core lock_core(exp->host_sim(0), 999, 2.1);
+  Core lock_core(&exp->sim(), 999, 2.1);
   KvServerConfig sc;
   sc.contended = true;
   sc.lock_core = &lock_core;
   sc.lock_hold_cycles = 2100;  // 1us per op -> 1 mOps hard cap.
   sc.app_cycles_per_op = 100;
-  KvServer server(exp->host_sim(0), exp->host(0).stack(), sc);
+  KvServer server(&exp->sim(), exp->host(0).stack(), sc);
   server.Start();
   KvClientConfig cc;
   cc.server_ip = exp->host(0).ip();
   cc.num_connections = 64;
-  KvClient client(exp->host_sim(1), exp->host(1).stack(), cc);
+  KvClient client(&exp->sim(), exp->host(1).stack(), cc);
   client.Start();
   exp->sim().RunUntil(Ms(30));
   client.BeginMeasurement();
@@ -176,12 +176,12 @@ TEST(BulkTest, TransfersAtNearLineRate) {
   LinkConfig link = FastLink();
   link.ecn_threshold_pkts = 65;
   auto exp = Experiment::PointToPoint(spec, spec, link);
-  BulkReceiver rx(exp->host_sim(0), exp->host(0).stack(), BulkReceiverConfig{});
+  BulkReceiver rx(&exp->sim(), exp->host(0).stack(), BulkReceiverConfig{});
   rx.Start();
   BulkSenderConfig sc;
   sc.server_ip = exp->host(0).ip();
   sc.num_flows = 16;
-  BulkSender tx(exp->host_sim(1), exp->host(1).stack(), sc);
+  BulkSender tx(&exp->sim(), exp->host(1).stack(), sc);
   tx.Start();
   // Rate-based DCTCP converges via +10 Mbps additive steps (paper default):
   // 16 flows x 10G need ~60ms to reach equilibrium.
@@ -198,12 +198,12 @@ TEST(BulkTest, WindowSamplingCollectsPerConnection) {
   auto exp = Experiment::PointToPoint(spec, spec, FastLink());
   BulkReceiverConfig rc;
   rc.sample_interval = Ms(10);
-  BulkReceiver rx(exp->host_sim(0), exp->host(0).stack(), rc);
+  BulkReceiver rx(&exp->sim(), exp->host(0).stack(), rc);
   rx.Start();
   BulkSenderConfig sc;
   sc.server_ip = exp->host(0).ip();
   sc.num_flows = 4;
-  BulkSender tx(exp->host_sim(1), exp->host(1).stack(), sc);
+  BulkSender tx(&exp->sim(), exp->host(1).stack(), sc);
   tx.Start();
   exp->sim().RunUntil(Ms(20));
   rx.BeginMeasurement();
@@ -230,7 +230,7 @@ TEST(FlexStormTest, TuplesFlowThreeHops) {
   for (int i = 0; i < 3; ++i) {
     config.rng_seed = 50 + i;
     nodes.push_back(std::make_unique<FlexStormNode>(
-        exp->host_sim(i), exp->host(i).stack(), exp->host(i).AppCorePtrs(), config));
+        &exp->sim(), exp->host(i).stack(), exp->host(i).AppCorePtrs(), config));
   }
   for (int i = 0; i < 3; ++i) {
     nodes[i]->Start(exp->host((i + 1) % 3).ip());
@@ -269,7 +269,7 @@ TEST(FlexStormTest, BatchingRaisesOutputWait) {
     for (int i = 0; i < 3; ++i) {
       config.rng_seed = 60 + i;
       nodes.push_back(std::make_unique<FlexStormNode>(
-          exp->host_sim(i), exp->host(i).stack(), exp->host(i).AppCorePtrs(), config));
+          &exp->sim(), exp->host(i).stack(), exp->host(i).AppCorePtrs(), config));
     }
     for (int i = 0; i < 3; ++i) {
       nodes[i]->Start(exp->host((i + 1) % 3).ip());

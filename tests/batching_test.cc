@@ -58,13 +58,13 @@ BatchRun RunEcho(int rx_batch, int app_event_batch) {
   auto exp = Experiment::PointToPoint(spec, spec, link);
 
   EchoServerConfig sc;
-  EchoServer server(exp->host_sim(0), exp->host(0).stack(), sc);
+  EchoServer server(&exp->sim(), exp->host(0).stack(), sc);
   server.Start();
   EchoClientConfig cc;
   cc.server_ip = exp->host(0).ip();
   cc.num_connections = 8;
   cc.pipeline_depth = 8;
-  EchoClient client(exp->host_sim(1), exp->host(1).stack(), cc);
+  EchoClient client(&exp->sim(), exp->host(1).stack(), cc);
   client.Start();
   exp->sim().RunUntil(Ms(20));
 

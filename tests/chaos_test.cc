@@ -349,8 +349,8 @@ TEST(ChaosTest, SwitchUplinkLossWindowHitsCrossSwitchTraffic) {
   LinkConfig host_link = ChaosLink();
   LinkConfig bottleneck = ChaosLink();
   auto exp = Experiment::Custom(
-      [&](Simulator* sim, SimPartition* partition) {
-        return MakeDumbbell(sim, 1, 1, host_link, bottleneck, partition);
+      [&](Simulator* sim) {
+        return MakeDumbbell(sim, 1, 1, host_link, bottleneck);
       },
       {TasSpec()});
   Link* uplink = exp->net()->SwitchLink(exp->net()->switch_at(0), exp->net()->switch_at(1));
@@ -535,6 +535,23 @@ TEST(ChaosTest, ScheduleEventsApplyInOrderWithPastTimesClamped) {
   EXPECT_EQ(injector.log()[1].description, "stale");
   EXPECT_EQ(injector.log()[1].at, Ms(2));
   EXPECT_EQ(injector.pending(), 0u);
+}
+
+TEST(ChaosTest, EachFaultEventIsOneSimulatorEvent) {
+  Simulator sim;
+  Link link(&sim, LinkConfig{});
+  FaultInjector injector(&sim);
+  FaultSchedule schedule;
+  schedule.LinkDownAt(Ms(1), &link);
+  injector.Install(schedule);
+  // Both directions go down inside the one event.
+  EXPECT_EQ(sim.Run(), 1u);
+  ASSERT_EQ(injector.log().size(), 1u);
+  for (int side = 0; side < 2; ++side) {
+    link.Send(side, MakeTcpPacket(MakeIp(10, 0, 0, 1), 1, MakeIp(10, 0, 0, 2), 2, 0, 0,
+                                  TcpFlags::kAck));
+    EXPECT_EQ(link.stats(side).drops_down, 1u) << "side " << side;
+  }
 }
 
 TEST(ChaosTest, LinkDownGateAttributesDropsAndReopens) {

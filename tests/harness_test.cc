@@ -30,11 +30,11 @@ TEST(ExperimentTest, CustomTopologyAssignsSpecsRoundRobin) {
   HostSpec spec;
   spec.stack = StackKind::kIx;
   auto exp = Experiment::Custom(
-      [](Simulator* sim, SimPartition* partition) {
+      [](Simulator* sim) {
         FatTreeConfig config;
         config.k = 2;
         config.hosts_per_edge = 2;
-        return MakeFatTree(sim, config, partition);
+        return MakeFatTree(sim, config);
       },
       {spec});
   EXPECT_EQ(exp->num_hosts(), 4u);  // k=2: 2 pods x 1 edge x 2 hosts.
@@ -73,14 +73,14 @@ TEST(FlowGenTest, FlowsCompleteAndFctsRecorded) {
   link.gbps = 10.0;
   auto exp = Experiment::PointToPoint(spec, spec, link);
 
-  FlowSink sink(exp->host_sim(0), exp->host(0).stack(), 9000);
+  FlowSink sink(&exp->sim(), exp->host(0).stack(), 9000);
   sink.Start();
   FlowGenConfig gen;
   gen.destinations = {{exp->host(0).ip(), 9000}};
   gen.mean_interarrival = Us(500);
   gen.pareto_min_bytes = 2896;
   gen.pareto_max_bytes = 100000;
-  FlowSource source(exp->host_sim(1), exp->host(1).stack(), gen);
+  FlowSource source(&exp->sim(), exp->host(1).stack(), gen);
   source.Start();
   source.BeginMeasurement();
   exp->sim().RunUntil(Ms(100));
@@ -107,13 +107,13 @@ TEST(FlowGenTest, SinkRoleDrainsIncomingFlows) {
   FlowGenConfig gen;
   gen.destinations = {{exp->host(0).ip(), 9000}};
   gen.mean_interarrival = Ms(1);
-  FlowSource a(exp->host_sim(0), exp->host(0).stack(), gen);
+  FlowSource a(&exp->sim(), exp->host(0).stack(), gen);
   a.Start();
   a.AlsoSink(9000);
   FlowGenConfig gen_b = gen;
   gen_b.destinations = {{exp->host(0).ip(), 9000}};
   gen_b.rng_seed = 123;
-  FlowSource b(exp->host_sim(1), exp->host(1).stack(), gen_b);
+  FlowSource b(&exp->sim(), exp->host(1).stack(), gen_b);
   b.Start();
   b.AlsoSink(9000);
   exp->sim().RunUntil(Ms(100));

@@ -181,12 +181,12 @@ std::string RunLossyTransfer() {
   link.rng_seed = 11;  // Fixed seed: byte-identical reruns.
   auto exp = Experiment::PointToPoint(spec, spec, link);
 
-  BulkReceiver rx(exp->host_sim(0), exp->host(0).stack(), BulkReceiverConfig{});
+  BulkReceiver rx(&exp->sim(), exp->host(0).stack(), BulkReceiverConfig{});
   rx.Start();
   BulkSenderConfig sc;
   sc.server_ip = exp->host(0).ip();
   sc.num_flows = 2;
-  BulkSender tx(exp->host_sim(1), exp->host(1).stack(), sc);
+  BulkSender tx(&exp->sim(), exp->host(1).stack(), sc);
   tx.Start();
   exp->sim().RunUntil(Ms(30));
 

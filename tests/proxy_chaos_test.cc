@@ -49,11 +49,11 @@ Rig MakeRig(ProxyServerConfig proxy_cfg, OriginServerConfig origin_cfg,
   client_cfg.proxy_port = proxy_cfg.listen_port;
   client_cfg.min_body_bytes = origin_cfg.min_body_bytes;
   client_cfg.body_spread = origin_cfg.body_spread;
-  rig.proxy = std::make_unique<ProxyServer>(rig.exp->host_sim(0), rig.exp->host(0).stack(), proxy_cfg);
+  rig.proxy = std::make_unique<ProxyServer>(&rig.exp->sim(), rig.exp->host(0).stack(), proxy_cfg);
   rig.origin =
-      std::make_unique<OriginServer>(rig.exp->host_sim(1), rig.exp->host(1).stack(), origin_cfg);
+      std::make_unique<OriginServer>(&rig.exp->sim(), rig.exp->host(1).stack(), origin_cfg);
   rig.clients =
-      std::make_unique<ProxyClientGen>(rig.exp->host_sim(2), rig.exp->host(2).stack(), client_cfg);
+      std::make_unique<ProxyClientGen>(&rig.exp->sim(), rig.exp->host(2).stack(), client_cfg);
   rig.origin->Start();
   rig.proxy->Start();
   rig.clients->Start();

@@ -34,6 +34,21 @@ TEST(SimulatorTest, TiesBreakByInsertionOrder) {
   }
 }
 
+TEST(SimulatorTest, TiesBreakByInsertionOrderAcrossRunUntil) {
+  // C is scheduled from inside an event during the first RunUntil; H is
+  // scheduled later, between runs, for the same instant. Insertion order
+  // decides the tie, whoever did the scheduling.
+  Simulator sim;
+  std::vector<char> order;
+  sim.At(200, [&] {
+    sim.At(1000, [&] { sim.At(1010, [&] { order.push_back('C'); }); });
+  });
+  sim.RunUntil(1000);
+  sim.At(1010, [&] { order.push_back('H'); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<char>{'C', 'H'}));
+}
+
 TEST(SimulatorTest, EventsCanScheduleEvents) {
   Simulator sim;
   int fired = 0;

@@ -262,13 +262,13 @@ TEST(TasScalerTest, CoresGrowUnderLoadAndShrinkWhenIdle) {
   auto exp = Experiment::PointToPoint(server_spec, client_spec, link);
 
   EchoServerConfig sc;
-  EchoServer server(exp->host_sim(0), exp->host(0).stack(), sc);
+  EchoServer server(&exp->sim(), exp->host(0).stack(), sc);
   server.Start();
   EchoClientConfig cc;
   cc.server_ip = exp->host(0).ip();
   cc.num_connections = 128;
   cc.pipeline_depth = 8;
-  EchoClient client(exp->host_sim(1), exp->host(1).stack(), cc);
+  EchoClient client(&exp->sim(), exp->host(1).stack(), cc);
   client.Start();
 
   EXPECT_EQ(exp->host(0).tas()->active_cores(), 1);  // Dynamic start: 1 core.
@@ -293,12 +293,12 @@ TEST(TasRateTest, FastPathEnforcesSlowPathRate) {
   spec.tas.dctcp.initial_bps = 50e6;
   auto exp = Experiment::PointToPoint(spec, spec, LinkConfig{});
 
-  BulkReceiver rx(exp->host_sim(0), exp->host(0).stack(), BulkReceiverConfig{});
+  BulkReceiver rx(&exp->sim(), exp->host(0).stack(), BulkReceiverConfig{});
   rx.Start();
   BulkSenderConfig sc;
   sc.server_ip = exp->host(0).ip();
   sc.num_flows = 1;
-  BulkSender tx(exp->host_sim(1), exp->host(1).stack(), sc);
+  BulkSender tx(&exp->sim(), exp->host(1).stack(), sc);
   tx.Start();
   exp->sim().RunUntil(Ms(20));
   rx.BeginMeasurement();
@@ -363,12 +363,12 @@ TEST(TasBufferTest, EchoFlowStorageStaysSmall) {
   HostSpec spec;
   spec.stack = StackKind::kTas;
   auto exp = Experiment::PointToPoint(spec, spec, LinkConfig{});
-  EchoServer server(exp->host_sim(0), exp->host(0).stack(), EchoServerConfig{});
+  EchoServer server(&exp->sim(), exp->host(0).stack(), EchoServerConfig{});
   server.Start();
   EchoClientConfig cc;
   cc.server_ip = exp->host(0).ip();
   cc.pipeline_depth = 4;
-  EchoClient client(exp->host_sim(1), exp->host(1).stack(), cc);
+  EchoClient client(&exp->sim(), exp->host(1).stack(), cc);
   client.Start();
   exp->sim().RunUntil(Ms(20));
   ASSERT_GT(client.completed(), 100u);

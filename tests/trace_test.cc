@@ -322,12 +322,12 @@ TEST(NetMetricsTest, LinkAndSwitchRegisterViews) {
   EXPECT_TRUE(reg.Has("switch.forwarded"));
   EXPECT_TRUE(reg.Has("switch.port.0.queue_pkts"));
 
-  BulkReceiver rx(exp->host_sim(0), exp->host(0).stack(), BulkReceiverConfig{});
+  BulkReceiver rx(&exp->sim(), exp->host(0).stack(), BulkReceiverConfig{});
   rx.Start();
   BulkSenderConfig sc;
   sc.server_ip = exp->host(0).ip();
   sc.num_flows = 1;
-  BulkSender tx(exp->host_sim(1), exp->host(1).stack(), sc);
+  BulkSender tx(&exp->sim(), exp->host(1).stack(), sc);
   tx.Start();
   exp->sim().RunUntil(Ms(5));
 
@@ -375,12 +375,12 @@ TraceRun RunLossyTransfer() {
   link.rng_seed = 11;  // Fixed seed: byte-identical reruns.
   auto exp = Experiment::PointToPoint(spec, spec, link);
 
-  BulkReceiver rx(exp->host_sim(0), exp->host(0).stack(), BulkReceiverConfig{});
+  BulkReceiver rx(&exp->sim(), exp->host(0).stack(), BulkReceiverConfig{});
   rx.Start();
   BulkSenderConfig sc;
   sc.server_ip = exp->host(0).ip();
   sc.num_flows = 2;
-  BulkSender tx(exp->host_sim(1), exp->host(1).stack(), sc);
+  BulkSender tx(&exp->sim(), exp->host(1).stack(), sc);
   tx.Start();
   exp->sim().RunUntil(Ms(30));
 

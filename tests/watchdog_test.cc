@@ -1,7 +1,7 @@
 // Flight recorder + SLO watchdog suite (DESIGN.md §15): a fault-injected
 // chaos run must auto-produce a diagnostic bundle naming the breached SLO
 // whose evidence window covers the injected fault; same-seed runs must
-// produce byte-identical bundles at every sim_threads width; and an
+// produce byte-identical bundles; and an
 // armed-but-untriggered run must leave the workload byte-identical to a
 // recorder-off run (timing passivity).
 #include <gtest/gtest.h>
@@ -38,10 +38,9 @@ HostSpec TasSpec() {
 
 // Arms the watchdog with one aggressive retransmit-rate SLO: any sustained
 // retransmission over two consecutive 2 ms checks triggers.
-HostSpec ArmedClientSpec(const std::string& bundle_prefix, int sim_threads = 0) {
+HostSpec ArmedClientSpec(const std::string& bundle_prefix) {
   HostSpec spec = TasSpec();
   spec.tas_overridden = true;
-  spec.tas.sim_threads = sim_threads;
   spec.tas.watchdog.enabled = true;
   spec.tas.watchdog.check_interval = Ms(2);
   spec.tas.watchdog.recorder_window = Ms(20);
@@ -175,15 +174,12 @@ struct ChaosRun {
 // wire black in both directions over [2 ms, 12 ms] mid-transfer, so the
 // slow-path RTO fires timeout retransmits — a sustained retransmit-rate
 // breach the watchdog must catch.
-ChaosRun RunArmedChaos(const std::string& prefix, int sim_threads = 0,
-                       bool inject_fault = true) {
+ChaosRun RunArmedChaos(const std::string& prefix, bool inject_fault = true) {
   LinkConfig slow = ChaosLink();
   slow.gbps = 0.1;
   HostSpec server_spec = TasSpec();
   server_spec.tas_overridden = true;
-  server_spec.tas.sim_threads = sim_threads;
-  auto exp = Experiment::PointToPoint(server_spec, ArmedClientSpec(prefix, sim_threads),
-                                      slow);
+  auto exp = Experiment::PointToPoint(server_spec, ArmedClientSpec(prefix), slow);
   if (inject_fault) {
     FaultSchedule chaos;
     chaos.ImpairmentWindowBoth(Ms(2), Ms(12), exp->host_link(0), BernoulliLoss(1.0));
@@ -256,7 +252,7 @@ TEST(WatchdogTest, FaultedChaosRunTriggersBundleNamingTheBreachedSlo) {
 
 TEST(WatchdogTest, CleanRunDoesNotTrigger) {
   const std::string prefix = "/tmp/tas_watchdog_clean";
-  const ChaosRun run = RunArmedChaos(prefix, 0, /*inject_fault=*/false);
+  const ChaosRun run = RunArmedChaos(prefix, /*inject_fault=*/false);
   EXPECT_GT(run.checks, 0u);
   EXPECT_EQ(run.triggers.size(), 0u);
   EXPECT_EQ(run.bundles_written, 0);
@@ -278,33 +274,6 @@ TEST(WatchdogTest, SameSeedRerunsProduceByteIdenticalBundles) {
   EXPECT_EQ(a.bundle_perfetto, b.bundle_perfetto);
   RemoveBundle("/tmp/tas_watchdog_rerun_a", a.bundles_written);
   RemoveBundle("/tmp/tas_watchdog_rerun_b", b.bundles_written);
-}
-
-TEST(WatchdogTest, BundlesByteIdenticalAcrossSimThreadWidths) {
-  // The partitioned schedule is canonical for every thread count, and bundle
-  // serialization happens at the epoch boundary — so widths 1, 2, and 4 must
-  // produce the same bundle bytes (width-dependent metrics are excluded).
-  std::vector<ChaosRun> runs;
-  for (int width : {1, 2, 4}) {
-    const std::string prefix = "/tmp/tas_watchdog_w" + std::to_string(width);
-    runs.push_back(RunArmedChaos(prefix, width));
-  }
-  ASSERT_GE(runs[0].triggers.size(), 1u);
-  ASSERT_FALSE(runs[0].bundle_json.empty());
-  for (size_t i = 1; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[0].fingerprint, runs[i].fingerprint) << "width index " << i;
-    ASSERT_EQ(runs[0].triggers.size(), runs[i].triggers.size());
-    for (size_t k = 0; k < runs[0].triggers.size(); ++k) {
-      EXPECT_EQ(SloTriggerToJson(runs[0].triggers[k]),
-                SloTriggerToJson(runs[i].triggers[k]));
-    }
-    EXPECT_EQ(runs[0].bundle_json, runs[i].bundle_json) << "width index " << i;
-    EXPECT_EQ(runs[0].bundle_jsonl, runs[i].bundle_jsonl) << "width index " << i;
-    EXPECT_EQ(runs[0].bundle_perfetto, runs[i].bundle_perfetto) << "width index " << i;
-  }
-  for (int width : {1, 2, 4}) {
-    RemoveBundle("/tmp/tas_watchdog_w" + std::to_string(width), runs[0].bundles_written);
-  }
 }
 
 // --- Passivity: armed-but-untriggered == recorder-off ------------------------
