@@ -13,6 +13,11 @@
 // control-loop audit steps a TAS host whose slow path iterates over dirty
 // and pending flows every control interval.
 //
+// The far-future audit mixes millisecond timers, half of them cancelled,
+// with nanosecond events while the clock crosses powers of two it never
+// reached during warm-up, which routes entries into event-queue buckets the
+// warm-up left untouched.
+//
 // Each benchmark also reports an "allocs/op" counter. After the benchmarks,
 // main() runs a steady-state audit: warm up each path, snapshot the counter,
 // run N more operations, and FAIL (nonzero exit) if any allocation happened.
@@ -23,6 +28,7 @@
 // nothrow) or a stray overload bypasses the audit.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -206,6 +212,46 @@ bool AuditScheduleCancel() {
   return allocs == 0;
 }
 
+// Each 10 ns step schedules a +10 ns event; every 4th step adds a +100 us
+// timer and every 32nd a +1 ms one, and half the timers of each kind are
+// cancelled 80 ns after they were armed. Warm-up (4 ms) fills the timer
+// population and its tombstones; the audited phase runs to 20 ms, crossing
+// 2^22, 2^23 and 2^24 ns.
+bool AuditFarFutureMix() {
+  Simulator sim;
+  uint64_t sink = 0;
+  TimeNs when = 0;
+  std::array<EventHandle, 8> doomed;  // Timers to cancel, by arming step.
+  auto step = [&](uint64_t i) {
+    sim.At(when + 10, [&sink] { ++sink; });
+    doomed[i % doomed.size()].Cancel();  // A stale handle is a no-op.
+    if (i % 4 == 0) {
+      const TimeNs delay = i % 32 == 0 ? Ms(1) : Us(100);
+      EventHandle timer = sim.At(when + delay, [&sink] { ++sink; });
+      const uint64_t k = i / 4;  // Timer number; every 8th is a +1 ms one.
+      if ((k + k / 8) % 2 == 1) {
+        doomed[i % doomed.size()] = timer;
+      }
+    }
+    when += 10;
+    sim.RunUntil(when);
+  };
+  uint64_t i = 0;
+  for (; when < Ms(4); ++i) {
+    step(i);
+  }
+  const uint64_t before = AllocCount();
+  for (; when < Ms(20); ++i) {
+    step(i);
+  }
+  const uint64_t allocs = AllocCount() - before;
+  const bool ok = allocs == 0 && sim.cancelled_events() > 0;
+  std::printf("ALLOC_AUDIT far_future_mix allocs=%llu cancelled=%llu %s\n",
+              static_cast<unsigned long long>(allocs),
+              static_cast<unsigned long long>(sim.cancelled_events()), ok ? "PASS" : "FAIL");
+  return ok;
+}
+
 bool AuditPacketPool() {
   PacketPool pool;
   for (int i = 0; i < 64; ++i) {
@@ -334,6 +380,7 @@ int main(int argc, char** argv) {
   bool ok = true;
   ok &= tas::AuditSimulatorSchedule();
   ok &= tas::AuditScheduleCancel();
+  ok &= tas::AuditFarFutureMix();
   ok &= tas::AuditPacketPool();
   ok &= tas::AuditFlowTable();
   ok &= tas::AuditFlowSlab();

@@ -1,89 +1,172 @@
 #include "src/sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <utility>
 
 namespace tas {
 
-void Simulator::QueuePush(const QueueEntry& entry) {
-  // Hole-sift: bubble the insertion point up, then write the entry once.
-  size_t i = queue_.size();
-  queue_.push_back(entry);
-  while (i > 0) {
-    const size_t parent = (i - 1) / kHeapArity;
-    if (!EntryLess(entry, queue_[parent])) {
-      break;
+void Simulator::BucketAppend(Bucket& bucket, const QueueEntry& entry) {
+  if (bucket.tail == kNoBlock || blocks_[bucket.tail].count == kBlockEntries) {
+    const uint32_t index = free_block_;  // Never empty: see kSpareBlocks.
+    Block& block = blocks_[index];
+    free_block_ = block.next;
+    block.next = kNoBlock;
+    block.count = 0;
+    if (bucket.tail == kNoBlock) {
+      bucket.head = index;
+    } else {
+      blocks_[bucket.tail].next = index;
     }
-    queue_[i] = queue_[parent];
-    i = parent;
+    bucket.tail = index;
   }
-  queue_[i] = entry;
+  Block& tail = blocks_[bucket.tail];
+  tail.entries[tail.count++] = entry;
 }
 
-void Simulator::QueuePopTop() {
-  const QueueEntry last = queue_.back();
-  queue_.pop_back();
-  if (!queue_.empty()) {
-    SiftDown(0, last);
-  }
+void Simulator::ReleaseBlock(uint32_t index) {
+  blocks_[index].next = free_block_;
+  free_block_ = index;
 }
 
-void Simulator::SiftDown(size_t i, const QueueEntry& value) {
-  const size_t n = queue_.size();
-  for (;;) {
-    const size_t first = i * kHeapArity + 1;
-    if (first >= n) {
-      break;
+void Simulator::QueueInsert(const QueueEntry& entry) {
+  const uint64_t diff = entry.when_key ^ last_;
+  if (diff == 0) {
+    BucketAppend(current_, entry);
+    return;
+  }
+  const int bit = static_cast<int>(std::bit_width(diff)) - 1;
+  Bucket& bucket = far_[bit];
+  BucketAppend(bucket, entry);
+  bucket.min = std::min(bucket.min, entry.when_key);
+  occupied_ |= uint64_t{1} << bit;
+}
+
+bool Simulator::LoadDue(TimeNs until) {
+  if (current_.head == kNoBlock) {
+    if (occupied_ == 0) {
+      return false;
     }
-    const size_t limit = std::min(first + kHeapArity, n);
-    size_t best = first;
-    for (size_t c = first + 1; c < limit; ++c) {
-      if (EntryLess(queue_[c], queue_[best])) {
-        best = c;
+    const int bit = std::countr_zero(occupied_);
+    Bucket& source = far_[bit];
+    if (static_cast<TimeNs>(source.min) > until) {
+      return false;  // Peek only: last_ stays put.
+    }
+    last_ = source.min;
+    occupied_ &= ~(uint64_t{1} << bit);
+    const Bucket moving = source;
+    source = Bucket{};
+    if (moving.head == moving.tail && blocks_[moving.head].count == 1) {
+      current_ = moving;  // A lone entry: its block becomes the current bucket.
+      return true;
+    }
+    // Every entry lands strictly below `bit`, so the chain being drained is
+    // never appended to; each drained block goes back to the pool at once.
+    for (uint32_t b = moving.head; b != kNoBlock;) {
+      const Block& block = blocks_[b];
+      for (uint32_t i = 0; i < block.count; ++i) {
+        QueueInsert(block.entries[i]);
       }
+      const uint32_t next = block.next;
+      ReleaseBlock(b);
+      b = next;
     }
-    if (!EntryLess(queue_[best], value)) {
-      break;
-    }
-    queue_[i] = queue_[best];
-    i = best;
   }
-  queue_[i] = value;
+  return static_cast<TimeNs>(last_) <= until;
+}
+
+Simulator::QueueEntry Simulator::PopCurrent() {
+  Block& block = blocks_[current_.head];
+  const QueueEntry entry = block.entries[current_pos_++];
+  if (current_pos_ == block.count) {
+    // Consumed all that was written: only the tail block can be partial.
+    const uint32_t next = block.next;
+    ReleaseBlock(current_.head);
+    current_.head = next;
+    if (next == kNoBlock) {
+      current_.tail = kNoBlock;
+    }
+    current_pos_ = 0;
+  }
+  --size_;
+  return entry;
+}
+
+size_t Simulator::PurgeBucket(Bucket& bucket, uint32_t first) {
+  if (bucket.head == kNoBlock) {
+    return 0;
+  }
+  // Compact in place: the write cursor trails the read cursor.
+  uint32_t write_block = bucket.head;
+  uint32_t write_pos = 0;
+  uint64_t min = ~uint64_t{0};
+  size_t dropped = 0;
+  for (uint32_t b = bucket.head, i = first; b != kNoBlock; b = blocks_[b].next, i = 0) {
+    for (; i < blocks_[b].count; ++i) {
+      const QueueEntry e = blocks_[b].entries[i];
+      if (!HandleArmed(e.node, e.generation)) {
+        ++dropped;
+        continue;
+      }
+      if (write_pos == kBlockEntries) {
+        write_block = blocks_[write_block].next;
+        write_pos = 0;
+      }
+      blocks_[write_block].entries[write_pos++] = e;
+      min = std::min(min, e.when_key);
+    }
+  }
+  uint32_t spare;
+  if (write_pos == 0) {  // No survivors.
+    spare = bucket.head;
+    bucket = Bucket{};
+  } else {
+    spare = blocks_[write_block].next;
+    blocks_[write_block].next = kNoBlock;
+    blocks_[write_block].count = write_pos;
+    bucket.tail = write_block;
+    bucket.min = min;
+  }
+  while (spare != kNoBlock) {
+    const uint32_t next = blocks_[spare].next;
+    ReleaseBlock(spare);
+    spare = next;
+  }
+  return dropped;
 }
 
 void Simulator::PurgeStaleEntries() {
-  size_t kept = 0;
-  for (size_t i = 0; i < queue_.size(); ++i) {
-    const QueueEntry e = queue_[i];
-    if (HandleArmed(e.node, e.generation)) {
-      queue_[kept++] = e;
+  size_t dropped = PurgeBucket(current_, current_pos_);
+  current_pos_ = 0;
+  for (uint32_t bit = 0; bit < kFarBuckets; ++bit) {
+    dropped += PurgeBucket(far_[bit], 0);
+    if (far_[bit].head == kNoBlock) {
+      occupied_ &= ~(uint64_t{1} << bit);
     }
   }
-  cancelled_popped_ += queue_.size() - kept;  // Retired here instead of at pop.
-  queue_.resize(kept);
+  cancelled_popped_ += dropped;  // Retired here instead of at pop.
+  size_ -= dropped;
   stale_entries_ = 0;
-  if (kept > 1) {
-    for (size_t i = (kept - 2) / kHeapArity + 1; i-- > 0;) {
-      const QueueEntry e = queue_[i];  // Copy: SiftDown writes through slot i.
-      SiftDown(i, e);
-    }
-  }
 }
 
 uint32_t Simulator::AcquireNode() {
   if (free_head_ != kNoNode) {
     const uint32_t index = free_head_;
-    free_head_ = nodes_[index].next_free;
-    nodes_[index].next_free = kNoNode;
+    EventNode& node = Node(index);
+    free_head_ = node.next_free;
+    node.next_free = kNoNode;
     --free_count_;
     return index;
   }
-  nodes_.emplace_back();
-  return static_cast<uint32_t>(nodes_.size() - 1);
+  if ((node_count_ & kNodeChunkMask) == 0) {
+    node_chunks_.push_back(std::make_unique<EventNode[]>(kNodeChunkMask + 1));
+  }
+  return node_count_++;
 }
 
 void Simulator::ReleaseNode(uint32_t index) {
-  EventNode& node = nodes_[index];
+  EventNode& node = Node(index);
   node.fn.reset();  // Destroys captures now (returns pooled packets etc).
   ++node.generation;
   node.armed = false;
@@ -94,15 +177,26 @@ void Simulator::ReleaseNode(uint32_t index) {
 
 EventHandle Simulator::Push(TimeNs when, uint32_t index) {
   TAS_CHECK(when >= now_);
-  const uint32_t generation = nodes_[index].generation;
-  QueuePush(QueueEntry{static_cast<uint64_t>(when), next_seq_++, index, generation});
-  NoteScheduled();
+  if (++size_ > max_pending_events_) {
+    max_pending_events_ = size_;
+    const size_t want = size_ / kBlockEntries + kSpareBlocks;
+    if (blocks_.size() < want) {
+      // A new high-water mark: top the block pool up to the bound.
+      const size_t old_size = blocks_.size();
+      blocks_.resize(std::max(want, old_size * 2));
+      for (size_t b = blocks_.size(); b-- > old_size;) {
+        ReleaseBlock(static_cast<uint32_t>(b));
+      }
+    }
+  }
+  const uint32_t generation = Node(index).generation;
+  QueueInsert(QueueEntry{static_cast<uint64_t>(when), index, generation});
   return EventHandle(this, index, generation);
 }
 
 EventHandle Simulator::At(TimeNs when, EventFn fn) {
   const uint32_t index = AcquireNode();
-  EventNode& node = nodes_[index];
+  EventNode& node = Node(index);
   node.fn = std::move(fn);
   node.armed = true;
   return Push(when, index);
@@ -112,15 +206,15 @@ EventHandle Simulator::RearmCurrent(TimeNs when) {
   TAS_CHECK(current_node_ != kNoNode) << "RearmCurrent outside event dispatch";
   TAS_CHECK(!current_rearmed_) << "RearmCurrent called twice in one dispatch";
   current_rearmed_ = true;
-  nodes_[current_node_].armed = true;
+  Node(current_node_).armed = true;
   return Push(when, current_node_);
 }
 
 void Simulator::CancelEvent(uint32_t index, uint32_t generation) {
-  if (index >= nodes_.size()) {
+  if (index >= node_count_) {
     return;
   }
-  EventNode& node = nodes_[index];
+  EventNode& node = Node(index);
   if (node.generation != generation || !node.armed) {
     return;
   }
@@ -135,15 +229,15 @@ void Simulator::CancelEvent(uint32_t index, uint32_t generation) {
   } else {
     ReleaseNode(index);
   }
-  ++stale_entries_;  // The heap entry is now a tombstone.
-  if (stale_entries_ * 2 > queue_.size() && queue_.size() >= kPurgeMinEntries) {
+  ++stale_entries_;  // The queue entry is now a tombstone.
+  if (stale_entries_ * 2 > size_ && size_ >= kPurgeMinEntries) {
     PurgeStaleEntries();
   }
 }
 
 void Simulator::Dispatch(const QueueEntry& top) {
   const uint32_t index = top.node;
-  EventNode& node = nodes_[index];  // Deque: stable across mid-dispatch growth.
+  EventNode& node = Node(index);  // Chunked slab: stable across growth.
   node.armed = false;
   ++node.generation;  // Fired: handles must report not-pending.
   current_node_ = index;
@@ -156,17 +250,13 @@ void Simulator::Dispatch(const QueueEntry& top) {
   ++events_executed_;
 }
 
-uint64_t Simulator::RunUntil(TimeNs until) {
+uint64_t Simulator::Drain(TimeNs until) {
   stopped_ = false;
   uint64_t executed = 0;
-  while (!queue_.empty() && !stopped_) {
-    const QueueEntry top = queue_.front();
-    if (top.when() > until) {
-      break;
-    }
-    QueuePopTop();
+  while (!stopped_ && LoadDue(until)) {
+    const QueueEntry top = PopCurrent();
     now_ = top.when();
-    const EventNode& node = nodes_[top.node];
+    const EventNode& node = Node(top.node);
     if (node.generation != top.generation || !node.armed) {
       ++cancelled_popped_;  // Lazy deletion: cancelled or recycled entry.
       --stale_entries_;
@@ -175,30 +265,18 @@ uint64_t Simulator::RunUntil(TimeNs until) {
     Dispatch(top);
     ++executed;
   }
+  return executed;
+}
+
+uint64_t Simulator::RunUntil(TimeNs until) {
+  const uint64_t executed = Drain(until);
   if (now_ < until && !stopped_) {
     now_ = until;
   }
   return executed;
 }
 
-uint64_t Simulator::Run() {
-  stopped_ = false;
-  uint64_t executed = 0;
-  while (!queue_.empty() && !stopped_) {
-    const QueueEntry top = queue_.front();
-    QueuePopTop();
-    now_ = top.when();
-    const EventNode& node = nodes_[top.node];
-    if (node.generation != top.generation || !node.armed) {
-      ++cancelled_popped_;
-      --stale_entries_;
-      continue;
-    }
-    Dispatch(top);
-    ++executed;
-  }
-  return executed;
-}
+uint64_t Simulator::Run() { return Drain(std::numeric_limits<TimeNs>::max()); }
 
 DeadlineTimer::~DeadlineTimer() {
   armed_ = false;

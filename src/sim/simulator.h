@@ -1,20 +1,22 @@
 // Discrete-event simulation core.
 //
 // The paper evaluates TAS on a physical cluster plus ns-3 simulations; here
-// every experiment runs on this event simulator. Events are (time, seq,
-// callback) entries in a 4-ary min-heap; same-time ties break by insertion
-// order (seq), so runs are fully deterministic.
+// every experiment runs on this event simulator. Events are (time, callback)
+// entries in a monotone radix queue; same-time ties fire in scheduling order
+// (the queue keeps every bucket in insertion order), so runs are fully
+// deterministic.
 //
 // Hot-path memory discipline (DESIGN.md §8): closures live in a slab of
-// pooled event nodes (EventFn keeps captures inline), the heap orders
+// pooled event nodes (EventFn keeps captures inline), the queue orders
 // compact POD entries, and cancellation is a generation bump — steady-state
 // scheduling performs zero heap allocations.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "src/sim/event_fn.h"
@@ -36,8 +38,8 @@ class EventHandle {
   // True while the event is still pending (not fired, not cancelled).
   bool valid() const;
   // Cancels the event if it has not fired yet. The closure (and anything it
-  // owns, e.g. an in-flight packet) is destroyed immediately; the heap entry
-  // is lazily skipped when popped.
+  // owns, e.g. an in-flight packet) is destroyed immediately; the queue
+  // entry is lazily skipped when popped.
   void Cancel();
 
  private:
@@ -86,7 +88,7 @@ class Simulator {
   void Stop() { stopped_ = true; }
 
   uint64_t events_executed() const { return events_executed_; }
-  size_t pending_events() const { return queue_.size(); }
+  size_t pending_events() const { return size_; }
   // High-water mark of pending_events() over the run (updated at schedule
   // time; a cheap dispatch-pressure metric for the trace layer).
   size_t max_pending_events() const { return max_pending_events_; }
@@ -94,12 +96,12 @@ class Simulator {
   // --- Allocator-pressure counters (DESIGN.md §8) ---------------------------
   // Events disarmed via EventHandle::Cancel().
   uint64_t cancelled_events() const { return cancelled_events_; }
-  // Stale heap entries retired: popped and skipped (lazy deletion catching
+  // Stale queue entries retired: popped and skipped (lazy deletion catching
   // up) or dropped by a tombstone purge.
   uint64_t cancelled_popped() const { return cancelled_popped_; }
   // Event-node slab occupancy: total nodes ever created and how many sit on
   // the free list right now.
-  size_t event_nodes_total() const { return nodes_.size(); }
+  size_t event_nodes_total() const { return node_count_; }
   size_t event_nodes_free() const { return free_count_; }
 
  private:
@@ -107,88 +109,132 @@ class Simulator {
 
   static constexpr uint32_t kNoNode = 0xFFFFFFFFu;
 
-  // One slab slot. Lives in a deque so addresses stay stable while the slab
-  // grows mid-dispatch; recycled through an intrusive free list.
+  // One slab slot, recycled through an intrusive free list.
   struct EventNode {
     EventFn fn;
     uint32_t generation = 0;
     uint32_t next_free = kNoNode;
-    bool armed = false;  // In the heap and not cancelled.
+    bool armed = false;  // In the queue and not cancelled.
   };
 
-  // What the heap orders: a 24-byte POD that names its node. Entries are
+  // The slab is a list of fixed 256-node chunks: a lookup is a shift, a
+  // mask and two loads, and node addresses stay stable while dispatch grows
+  // the slab mid-callback.
+  static constexpr uint32_t kNodeChunkShift = 8;
+  static constexpr uint32_t kNodeChunkMask = (1u << kNodeChunkShift) - 1;
+  EventNode& Node(uint32_t index) {
+    return node_chunks_[index >> kNodeChunkShift][index & kNodeChunkMask];
+  }
+  const EventNode& Node(uint32_t index) const {
+    return node_chunks_[index >> kNodeChunkShift][index & kNodeChunkMask];
+  }
+
+  // What the queue orders: a 16-byte POD that names its node. Entries are
   // never removed early; a generation mismatch at pop time means the event
-  // was cancelled (or the node recycled) and the entry is skipped.
-  //
-  // The sort key is (when, seq): `when` is non-negative, so unsigned order
-  // matches the signed time order, and `seq` is handed out once per schedule
-  // (At and RearmCurrent alike), so events due at the same instant fire in
-  // the order they were scheduled — including events scheduled by separate
-  // RunUntil calls. 64 bits of seq outlast any simulation.
+  // was cancelled (or the node recycled) and the entry is skipped. `when`
+  // is non-negative, so unsigned order matches the signed time order.
   struct QueueEntry {
     uint64_t when_key;  // static_cast<uint64_t>(when)
-    uint64_t seq;
     uint32_t node;
     uint32_t generation;
 
     TimeNs when() const { return static_cast<TimeNs>(when_key); }
   };
-  static_assert(sizeof(QueueEntry) == 24);
+  static_assert(sizeof(QueueEntry) == 16);
 
-  // (when, seq) is a strict total order — seq is unique — so pop order does
-  // not depend on the heap shape and the 4-ary layout below is free to differ
-  // from std::priority_queue's binary one.
-  static bool EntryLess(const QueueEntry& a, const QueueEntry& b) {
-    return a.when_key != b.when_key ? a.when_key < b.when_key : a.seq < b.seq;
-  }
-
-  // 4-ary min-heap: shallower than a binary heap and the four children sit
-  // in adjacent cache lines, which is where RunUntil spends its time.
-  static constexpr size_t kHeapArity = 4;
+  // Monotone radix queue. Every pending time is >= last_, the time of the
+  // last extracted entry. The current bucket holds the entries due exactly
+  // at last_ and pops them FIFO; far bucket d holds the entries whose time
+  // first differs from last_ at bit d (its bit is set in occupied_) and
+  // tracks its minimum as entries arrive. When the current bucket runs dry,
+  // the lowest occupied far bucket's minimum becomes last_ and its entries
+  // move, in order, into lower buckets — all empty at that moment. A bucket
+  // therefore only ever receives entries in scheduling order, so same-time
+  // events fire in the order they were scheduled without any tie-break
+  // compare.
+  //
+  // Buckets are chains of fixed blocks drawn from one pool. Blocks in use
+  // never exceed pending_events() / kBlockEntries + kSpareBlocks (at most
+  // one partial block for each of the 65 buckets, plus the current bucket's
+  // consumed prefix and the block a refill is draining), and the pool is
+  // grown to that size whenever pending_events() sets a new high-water
+  // mark. So no push ever allocates once the pending count has peaked —
+  // whichever buckets a clock crossing a new power of two happens to fill.
+  static constexpr uint32_t kNoBlock = 0xFFFFFFFFu;
+  static constexpr uint32_t kBlockEntries = 32;
+  static constexpr uint32_t kFarBuckets = 64;
+  static constexpr size_t kSpareBlocks = kFarBuckets + 3;
+  struct Block {
+    QueueEntry entries[kBlockEntries];
+    uint32_t next = kNoBlock;  // Next block of the bucket, or of the free list.
+    uint32_t count = 0;        // Entries written.
+  };
+  struct Bucket {
+    uint32_t head = kNoBlock;
+    uint32_t tail = kNoBlock;
+    uint64_t min = ~uint64_t{0};  // Earliest time key queued (far buckets).
+  };
   // Below this size lazy deletion is cheap enough that compaction is not
-  // worth the rebuild (also keeps small unit tests on the documented
+  // worth the pass (also keeps small unit tests on the documented
   // pop-and-skip path).
   static constexpr size_t kPurgeMinEntries = 64;
-  void QueuePush(const QueueEntry& entry);
-  // Removes queue_.front(); the caller reads it first.
-  void QueuePopTop();
-  // Sifts `value` down from slot `i` (the slot is treated as a hole).
-  void SiftDown(size_t i, const QueueEntry& value);
-  // Drops every tombstone and re-heapifies (Floyd, O(n)). Cancellation-heavy
-  // runs otherwise grow the heap several times past its live size, and sift
-  // cost follows the total size, stale or not.
+
+  void QueueInsert(const QueueEntry& entry);
+  void BucketAppend(Bucket& bucket, const QueueEntry& entry);
+  void ReleaseBlock(uint32_t index);
+  // Makes the current bucket non-empty if an entry is due at or before
+  // `until` and returns whether one is. A refill commits last_ only when the
+  // lowest bucket's minimum is due: moving last_ past `until` would strand a
+  // later At(t) with until <= t < minimum below the queue's floor.
+  bool LoadDue(TimeNs until);
+  // Removes the current bucket's front entry; LoadDue() must have succeeded.
+  QueueEntry PopCurrent();
+  // Drops every tombstone, bucket by bucket, keeping survivors in order.
+  // Cancellation-heavy runs otherwise grow the queue several times past its
+  // live size, and refills move stale entries as well as live ones.
   void PurgeStaleEntries();
+  // Filters one bucket whose live entries start at `first` in its head
+  // block; returns the number of tombstones dropped.
+  size_t PurgeBucket(Bucket& bucket, uint32_t first);
 
   uint32_t AcquireNode();
   void ReleaseNode(uint32_t index);
-  // Pushes a heap entry for `index` at `when` and returns its handle.
+  // Queues an entry for `index` at `when` and returns its handle.
   EventHandle Push(TimeNs when, uint32_t index);
+  // Pops and dispatches every entry due at or before `until`.
+  uint64_t Drain(TimeNs until);
   void Dispatch(const QueueEntry& top);
   bool HandleArmed(uint32_t node, uint32_t generation) const {
-    return node < nodes_.size() && nodes_[node].generation == generation &&
-           nodes_[node].armed;
+    if (node >= node_count_) {
+      return false;
+    }
+    const EventNode& n = Node(node);
+    return n.generation == generation && n.armed;
   }
   void CancelEvent(uint32_t node, uint32_t generation);
-  void NoteScheduled() {
-    if (queue_.size() > max_pending_events_) {
-      max_pending_events_ = queue_.size();
-    }
-  }
 
   TimeNs now_ = 0;
-  uint64_t next_seq_ = 0;
   uint64_t events_executed_ = 0;
   uint64_t cancelled_events_ = 0;
   uint64_t cancelled_popped_ = 0;
   size_t max_pending_events_ = 0;
-  size_t stale_entries_ = 0;  // Tombstones currently sitting in the heap.
+  size_t stale_entries_ = 0;  // Tombstones currently sitting in the queue.
   size_t free_count_ = 0;
   uint32_t free_head_ = kNoNode;
+  uint32_t node_count_ = 0;
   uint32_t current_node_ = kNoNode;  // Node being dispatched right now.
   bool current_rearmed_ = false;
   bool stopped_ = false;
-  std::deque<EventNode> nodes_;
-  std::vector<QueueEntry> queue_;  // 4-ary min-heap ordered by EntryLess.
+  std::vector<std::unique_ptr<EventNode[]>> node_chunks_;
+
+  size_t size_ = 0;        // Queued entries, tombstones included.
+  uint64_t last_ = 0;      // Time key of the last extracted entry.
+  uint64_t occupied_ = 0;  // Bit d set: far_[d] is non-empty.
+  uint32_t current_pos_ = 0;  // Next entry to pop in current_'s head block.
+  uint32_t free_block_ = kNoBlock;
+  Bucket current_;
+  std::array<Bucket, kFarBuckets> far_;
+  std::vector<Block> blocks_;
 };
 
 inline bool EventHandle::valid() const {
@@ -202,12 +248,12 @@ inline void EventHandle::Cancel() {
 }
 
 // A one-shot timer whose deadline is cheap to move: re-arming to a later
-// time or cancelling is a field write, not a heap operation. One pooled
+// time or cancelling is a field write, not a queue operation. One pooled
 // event rides in the queue; if it fires before the logical deadline it
 // re-arms itself in place (RearmCurrent), and a cancelled timer's event
 // simply dies out when popped. Built for TCP retransmission timers, which
 // classically move forward on every ACK — the cancel+reschedule pattern
-// would otherwise fill the heap with tombstones.
+// would otherwise fill the queue with tombstones.
 //
 // `fn` runs only when the logical deadline is reached while armed. It must
 // not destroy the timer (defer destruction with After(0, ...) instead).

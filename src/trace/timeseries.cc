@@ -1,20 +1,25 @@
 #include "src/trace/timeseries.h"
 
+#include <algorithm>
+
 #include "src/trace/metric_registry.h"
 #include "src/util/logging.h"
 
 namespace tas {
 
 TimeSeries::TimeSeries(std::string name, size_t max_points)
-    : name_(std::move(name)), max_points_(max_points < 4 ? 4 : max_points) {
-  points_.reserve(max_points_);
-}
+    : name_(std::move(name)), max_points_(max_points < 4 ? 4 : max_points) {}
 
 void TimeSeries::Append(TimeNs t, double v) {
   // Once decimated, accept only every stride_-th append so the series keeps
   // thinning at the same rate it did when it overflowed.
   if (appended_++ % stride_ != 0) {
     return;
+  }
+  // Storage grows with the points actually appended, capped at the point
+  // limit: most series stay short, and a 1<<16-point cap is 1 MiB.
+  if (points_.size() == points_.capacity()) {
+    points_.reserve(std::min(std::max<size_t>(2 * points_.capacity(), 16), max_points_));
   }
   points_.emplace_back(t, v);
   if (points_.size() >= max_points_) {

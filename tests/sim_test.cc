@@ -3,7 +3,11 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -47,6 +51,22 @@ TEST(SimulatorTest, TiesBreakByInsertionOrderAcrossRunUntil) {
   sim.At(1010, [&] { order.push_back('H'); });
   sim.Run();
   EXPECT_EQ(order, (std::vector<char>{'C', 'H'}));
+}
+
+TEST(SimulatorTest, RunUntilShortOfNextEventKeepsLaterSchedulesOrdered) {
+  // RunUntil must look at the next event without committing the queue to
+  // its time: events scheduled afterwards in [until, next) still fire first.
+  Simulator sim;
+  std::vector<TimeNs> fired;
+  auto record = [&] { fired.push_back(sim.Now()); };
+  sim.At(TimeNs{1} << 20, record);
+  sim.RunUntil(TimeNs{1} << 10);
+  sim.At((TimeNs{1} << 10) + 1, record);
+  sim.At(TimeNs{1} << 19, record);
+  sim.At(TimeNs{1} << 10, record);  // Exactly at the boundary, i.e. Now().
+  sim.Run();
+  EXPECT_EQ(fired, (std::vector<TimeNs>{TimeNs{1} << 10, (TimeNs{1} << 10) + 1,
+                                        TimeNs{1} << 19, TimeNs{1} << 20}));
 }
 
 TEST(SimulatorTest, EventsCanScheduleEvents) {
@@ -257,6 +277,35 @@ TEST(SimulatorTest, CancelHeavyChurnStaysOrdered) {
   EXPECT_EQ(sim.cancelled_popped(), 200u);
 }
 
+TEST(SimulatorTest, PurgeMidDispatchKeepsFifoOrder) {
+  // 150 events share one instant and 50 follow later. The first to fire
+  // cancels every odd one, which crosses the purge threshold while the
+  // same-instant run is partly consumed; the survivors keep their order.
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<EventHandle> handles(200);
+  for (int i = 0; i < 200; ++i) {
+    const TimeNs when = i < 150 ? 100 : 1000 + 13 * i;
+    handles[i] = sim.At(when, [&, i] {
+      order.push_back(i);
+      if (i == 0) {
+        for (int j = 1; j < 200; j += 2) {
+          handles[j].Cancel();
+        }
+        EXPECT_EQ(sim.pending_events(), 99u);  // Purged: no tombstone left.
+      }
+    });
+  }
+  sim.Run();
+  std::vector<int> expected;
+  for (int i = 0; i < 200; i += 2) {
+    expected.push_back(i);
+  }
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sim.cancelled_events(), 100u);
+  EXPECT_EQ(sim.cancelled_popped(), 100u);
+}
+
 TEST(SimulatorTest, RearmCurrentReusesNode) {
   Simulator sim;
   int fired = 0;
@@ -336,6 +385,195 @@ TEST(DeadlineTimerTest, EarlierDeadlineWins) {
   sim.Run();
   ASSERT_EQ(fire_times.size(), 1u);
   EXPECT_EQ(fire_times[0], 100);
+}
+
+// --- Queue-order property (DESIGN.md §8) -----------------------------------
+//
+// Random At / After(0) / Cancel / RearmCurrent / DeadlineTimer moves, from
+// the top level and from inside callbacks, with delays from 0 ns to ms,
+// forced same-time ties and random RunUntil boundaries (including just short
+// of the next event). A reference ordered on (when, seq) predicts every
+// tracked event: each must fire at its time and in scheduling order.
+class QueueOrderModel {
+ public:
+  explicit QueueOrderModel(uint64_t seed) : rng_(seed) {
+    for (size_t k = 0; k < kTimers; ++k) {
+      timers_.push_back(std::make_unique<DeadlineTimer>(&sim_, [this, k] { TimerFired(k); }));
+    }
+  }
+
+  void Run(int rounds) {
+    for (int round = 0; round < rounds && ok_; ++round) {
+      for (int moves = static_cast<int>(rng_() % 6); moves > 0; --moves) {
+        RandomMove();
+      }
+      TimeNs until = sim_.Now();
+      switch (rng_() % 4) {
+        case 0:
+          break;
+        case 1:
+          until += static_cast<TimeNs>(rng_() % 20);
+          break;
+        case 2:
+          until += RandomDelay();
+          break;
+        default:
+          // Just short of the next tracked event: a peek that must not commit.
+          if (!expected_.empty() && expected_.begin()->first.first > until) {
+            until = expected_.begin()->first.first - 1;
+          }
+          break;
+      }
+      sim_.RunUntil(until);
+      // Everything due by `until` has fired and the clock sits on it.
+      ASSERT_TRUE(expected_.empty() || expected_.begin()->first.first > until);
+      ASSERT_EQ(sim_.Now(), until);
+    }
+    sim_.Run();
+    EXPECT_TRUE(ok_);
+    EXPECT_TRUE(expected_.empty());
+    for (const auto& timer : timers_) {
+      EXPECT_FALSE(timer->armed());
+    }
+    EXPECT_EQ(sim_.pending_events(), 0u);
+    EXPECT_EQ(sim_.cancelled_popped(), sim_.cancelled_events());  // All retired.
+  }
+
+  size_t fired() const { return fired_; }
+  size_t cancelled() const { return cancelled_; }
+  size_t timer_fires() const { return timer_fires_; }
+
+ private:
+  using Key = std::pair<TimeNs, uint64_t>;  // (when, seq)
+  static constexpr size_t kTimers = 4;
+
+  TimeNs RandomDelay() {
+    switch (rng_() % 6) {
+      case 0:
+        return 0;
+      case 1:
+        return static_cast<TimeNs>(rng_() % 10);
+      case 2:
+        return static_cast<TimeNs>(rng_() % 1000);
+      case 3:
+        return Us(static_cast<int64_t>(rng_() % 100));
+      case 4:
+        return Ms(1 + static_cast<int64_t>(rng_() % 3));
+      default:
+        // A forced tie with a pending event.
+        return expected_.empty() ? 0 : RandomPending()->first.first - sim_.Now();
+    }
+  }
+
+  std::map<Key, int>::iterator RandomPending() {
+    auto it = expected_.begin();
+    std::advance(it, static_cast<long>(rng_() % expected_.size()));
+    return it;
+  }
+
+  void Track(int id, TimeNs when, EventHandle handle) {
+    const Key key{when, next_seq_++};
+    expected_.emplace(key, id);
+    handles_[id] = handle;
+  }
+
+  void Schedule(TimeNs delay, bool use_at) {
+    const int id = static_cast<int>(handles_.size());
+    handles_.emplace_back();
+    auto fn = [this, id] { Fire(id); };
+    Track(id, sim_.Now() + delay,
+          use_at ? sim_.At(sim_.Now() + delay, fn) : sim_.After(delay, fn));
+  }
+
+  void RandomMove() {
+    switch (rng_() % 6) {
+      case 0:
+        Schedule(0, /*use_at=*/false);  // After(0).
+        break;
+      case 1:
+      case 2:
+        Schedule(RandomDelay(), /*use_at=*/rng_() % 2 == 0);
+        break;
+      case 3:
+        if (!expected_.empty()) {
+          const auto it = RandomPending();
+          EventHandle& handle = handles_[it->second];
+          EXPECT_TRUE(handle.valid());
+          handle.Cancel();
+          EXPECT_FALSE(handle.valid());
+          expected_.erase(it);
+          ++cancelled_;
+        }
+        break;
+      default: {
+        const size_t k = rng_() % kTimers;
+        if (rng_() % 4 == 0) {
+          timers_[k]->Cancel();
+        } else {
+          deadlines_[k] = sim_.Now() + RandomDelay();
+          timers_[k]->Schedule(deadlines_[k]);
+        }
+        break;
+      }
+    }
+  }
+
+  void Fire(int id) {
+    if (!ok_) {
+      return;
+    }
+    const auto next = expected_.begin();
+    if (next == expected_.end() || next->second != id || next->first.first != sim_.Now()) {
+      ADD_FAILURE() << "event " << id << " fired at " << sim_.Now() << "; expected "
+                    << (next == expected_.end() ? -1 : next->second) << " at "
+                    << (next == expected_.end() ? -1 : next->first.first);
+      ok_ = false;
+      return;
+    }
+    expected_.erase(next);
+    ++fired_;
+    if (rng_() % 5 == 0) {
+      const TimeNs when = sim_.Now() + RandomDelay();
+      Track(id, when, sim_.RearmCurrent(when));
+    } else if (rng_() % 2 == 0) {
+      RandomMove();
+    }
+  }
+
+  void TimerFired(size_t k) {
+    EXPECT_EQ(sim_.Now(), deadlines_[k]) << "timer " << k;
+    ++timer_fires_;
+  }
+
+  Simulator sim_;
+  std::mt19937_64 rng_;
+  std::map<Key, int> expected_;
+  std::vector<EventHandle> handles_;  // By event id.
+  std::vector<std::unique_ptr<DeadlineTimer>> timers_;
+  std::array<TimeNs, kTimers> deadlines_{};
+  uint64_t next_seq_ = 0;
+  size_t fired_ = 0;
+  size_t cancelled_ = 0;
+  size_t timer_fires_ = 0;
+  bool ok_ = true;
+};
+
+TEST(SimulatorTest, RandomScheduleMatchesReferenceOrder) {
+  size_t fired = 0;
+  size_t cancelled = 0;
+  size_t timer_fires = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    QueueOrderModel model(seed);
+    model.Run(300);
+    fired += model.fired();
+    cancelled += model.cancelled();
+    timer_fires += model.timer_fires();
+  }
+  // The moves actually happened.
+  EXPECT_GT(fired, 2000u);
+  EXPECT_GT(cancelled, 200u);
+  EXPECT_GT(timer_fires, 100u);
 }
 
 }  // namespace

@@ -54,7 +54,9 @@ TEST(FlowBufferTest, WirePositionWrapAround) {
   uint8_t out[200];
   EXPECT_EQ(flow.AppReadRx(out, 200), 200u);
   EXPECT_EQ(std::memcmp(data, out, 200), 0);
-  EXPECT_EQ(flow.fs.rx_tail, base + 200);  // Wrapped past zero.
+  // FlowState is packed: gtest binds references, so copy fields out first.
+  const uint32_t rx_tail = flow.fs.rx_tail;
+  EXPECT_EQ(rx_tail, base + 200);  // Wrapped past zero.
 }
 
 TEST(FlowBufferTest, TxWriteRespectsCapacity) {
@@ -176,10 +178,15 @@ TEST_F(TasServiceFixture, FlowAllocationAndLookup) {
 
   Flow* flow = service_->flow_by_id(id);
   ASSERT_NE(flow, nullptr);
-  EXPECT_EQ(flow->fs.rx_size, service_->config().rx_buffer_bytes);
+  // FlowState is packed: gtest binds references, so copy fields out first.
+  const uint32_t rx_size = flow->fs.rx_size;
+  EXPECT_EQ(rx_size, service_->config().rx_buffer_bytes);
   // Transmit positions anchored at iss+1 with nothing outstanding.
-  EXPECT_EQ(flow->fs.seq, flow->fs.tx_tail);
-  EXPECT_EQ(flow->fs.tx_sent, 0u);
+  const uint32_t seq = flow->fs.seq;
+  const uint32_t tx_tail = flow->fs.tx_tail;
+  const uint32_t tx_sent = flow->fs.tx_sent;
+  EXPECT_EQ(seq, tx_tail);
+  EXPECT_EQ(tx_sent, 0u);
 
   service_->FreeFlow(id);
   EXPECT_EQ(service_->LookupFlowId(key), kInvalidFlow);
@@ -424,7 +431,8 @@ TEST(TasStateTest, BucketHelpersRoundTrip) {
   EXPECT_EQ(PeerWindowBytes(fs), 65536u);
   // Saturation at the 16-bit granule limit.
   SetPeerWindowBytes(fs, 1ull << 40);
-  EXPECT_EQ(fs.window, 0xFFFF);
+  const uint16_t window = fs.window;  // Packed field: copy before EXPECT.
+  EXPECT_EQ(window, 0xFFFF);
 }
 
 }  // namespace

@@ -244,6 +244,20 @@ TEST(TimeSeriesTest, DecimatesDeterministically) {
   EXPECT_EQ(series.points(), again.points());
 }
 
+TEST(TimeSeriesTest, StorageFollowsAppendedPoints) {
+  // A large point cap costs nothing until points arrive, and growth never
+  // passes the cap.
+  TimeSeries series("s", 1 << 16);
+  EXPECT_EQ(series.points().capacity(), 0u);
+  series.Append(0, 1.0);
+  EXPECT_LE(series.points().capacity(), 16u);
+  TimeSeries capped("c", 40);
+  for (int i = 0; i < 1000; ++i) {
+    capped.Append(i, i);
+    ASSERT_LE(capped.points().capacity(), 40u);
+  }
+}
+
 TEST(FlowTracerTest, RingOverwritesOldest) {
   FlowTracer tracer(8);
   tracer.SetGlobal(true);
