@@ -4,9 +4,10 @@
 // TCP (NewReno), DCTCP, and TAS (rate-based DCTCP, tau = 100us).
 //
 // The paper simulates 2560 servers / 112 switches in ns-3; the default here
-// runs a k=4 FatTree with 1:4 oversubscription (32 hosts, 20 switches);
-// TAS_SCALE=full runs k=8 (256 hosts, 80 switches). Shape to reproduce:
-// TAS's FCT distribution tracks DCTCP's closely in both flow classes.
+// runs a k=4 FatTree with 1:4 oversubscription (64 hosts: 2k per edge
+// switch, 20 switches); TAS_SCALE=full runs k=8 (512 hosts, 80 switches).
+// Shape to reproduce: TAS's FCT distribution tracks DCTCP's closely in both
+// flow classes.
 #include "bench/bench_common.h"
 #include "src/harness/flowgen.h"
 

@@ -13,6 +13,15 @@
 // control-loop audit steps a TAS host whose slow path iterates over dirty
 // and pending flows every control interval.
 //
+// The packet-path audit forwards bursts host -> link -> switch -> link -> NIC
+// ring through the Fifo-backed queues, and the libTAS audit runs Send/Recv
+// ping-pong on an established TAS connection; neither may allocate once the
+// queues and payload rings have grown to their working size.
+//
+// FOOTPRINT_AUDIT reports the bytes requested from operator new while one
+// default TAS host is built, before any traffic, and FAILs above a bound: a
+// host's idle state must stay sized to what it uses (DESIGN.md §8).
+//
 // The far-future audit mixes millisecond timers, half of them cancelled,
 // with nanosecond events while the clock crosses powers of two it never
 // reached during warm-up, which routes entries into event-queue buckets the
@@ -37,6 +46,8 @@
 #include "src/harness/experiment.h"
 #include "src/net/packet.h"
 #include "src/net/packet_pool.h"
+#include "src/net/topology.h"
+#include "src/nic/nic.h"
 #include "src/sim/simulator.h"
 #include "src/tas/flow_table.h"
 #include "src/tas/slow_path.h"
@@ -44,12 +55,15 @@
 namespace {
 
 std::atomic<uint64_t> g_alloc_count{0};
+std::atomic<uint64_t> g_alloc_bytes{0};
 std::atomic<uint64_t> g_free_count{0};
 
 uint64_t AllocCount() { return g_alloc_count.load(std::memory_order_relaxed); }
+uint64_t AllocBytes() { return g_alloc_bytes.load(std::memory_order_relaxed); }
 
 void* CountedAlloc(size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   void* ptr = std::malloc(size ? size : 1);
   if (ptr == nullptr) {
     throw std::bad_alloc();
@@ -59,6 +73,7 @@ void* CountedAlloc(size_t size) {
 
 void* CountedAlignedAlloc(size_t size, size_t align) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   void* ptr = std::aligned_alloc(align, (size + align - 1) / align * align);
   if (ptr == nullptr) {
     throw std::bad_alloc();
@@ -79,10 +94,12 @@ void* operator new(size_t size) { return CountedAlloc(size); }
 void* operator new[](size_t size) { return CountedAlloc(size); }
 void* operator new(size_t size, const std::nothrow_t&) noexcept {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size ? size : 1);
 }
 void* operator new[](size_t size, const std::nothrow_t&) noexcept {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size ? size : 1);
 }
 void* operator new(size_t size, std::align_val_t align) {
@@ -369,6 +386,134 @@ bool AuditControlLoop() {
   return ok;
 }
 
+// Bursts of 8 frames from host 0's NIC through its access link, the star's
+// switch and host 1's access link into host 1's RX ring, drained every step.
+// Warm-up grows each queue (link FIFO, wire, pending-serialize, the switch's
+// pending queue, the RX ring) and the pool's free list to their working size;
+// after that, forwarding must not allocate.
+bool AuditPacketPath() {
+  PacketPool pool;
+  PacketPool* previous = PacketPool::Install(&pool);
+  bool ok = false;
+  {
+    Simulator sim;
+    auto net = MakeStar(&sim, {LinkConfig{}, LinkConfig{}});
+    SimNic sender(&sim, &net->host(0), NicConfig{});
+    SimNic receiver(&sim, &net->host(1), NicConfig{});
+    const IpAddr src = net->host(0).ip;
+    const IpAddr dst = net->host(1).ip;
+    std::array<PacketPtr, 8> burst;
+    uint64_t delivered = 0;
+    TimeNs when = 0;
+    auto step = [&](uint16_t i) {
+      for (size_t j = 0; j < burst.size(); ++j) {
+        PacketPtr pkt = pool.Acquire();
+        pkt->ip.src = src;
+        pkt->ip.dst = dst;
+        pkt->tcp.src_port = static_cast<uint16_t>(1000 + j);
+        pkt->tcp.dst_port = i;
+        pkt->payload.resize(64);
+        burst[j] = std::move(pkt);
+      }
+      sender.TransmitBurst(burst.data(), burst.size());
+      when += Us(1);
+      sim.RunUntil(when);
+      PacketPtr out[64];
+      delivered += receiver.PopRxBurst(0, out, 64);
+    };
+    for (uint16_t i = 0; i < 1000; ++i) {
+      step(i);
+    }
+    const uint64_t warm_delivered = delivered;
+    const uint64_t before = AllocCount();
+    for (uint16_t i = 0; i < 20000; ++i) {
+      step(i);
+    }
+    const uint64_t allocs = AllocCount() - before;
+    const uint64_t forwarded = delivered - warm_delivered;
+    ok = allocs == 0 && forwarded >= 20000 * burst.size() - 64;
+    std::printf("ALLOC_AUDIT packet_path allocs=%llu forwarded=%llu %s\n",
+                static_cast<unsigned long long>(allocs),
+                static_cast<unsigned long long>(forwarded), ok ? "PASS" : "FAIL");
+  }
+  PacketPool::Install(previous);
+  return ok;
+}
+
+// Closed-loop 64 B ping-pong on one established TAS connection: every reply
+// is a Recv + Send on each side, so the libTAS command path (AtCoreHorizon,
+// the deferred-push flush, context queues) and the fast path run per message.
+class PingPong : public AppHandler {
+ public:
+  explicit PingPong(Stack* stack) : stack_(stack) {}
+  void OnConnected(ConnId conn, bool success) override {
+    if (success) {
+      Send(conn);
+    }
+  }
+  void OnData(ConnId conn, size_t) override {
+    uint8_t buf[256];
+    while (stack_->Recv(conn, buf, sizeof(buf)) > 0) {
+    }
+    ++messages_;
+    Send(conn);
+  }
+  uint64_t messages() const { return messages_; }
+
+ private:
+  void Send(ConnId conn) {
+    const uint8_t msg[64] = {};
+    stack_->Send(conn, msg, sizeof(msg));
+  }
+
+  Stack* stack_;
+  uint64_t messages_ = 0;
+};
+
+bool AuditLibtasSend() {
+  HostSpec spec;
+  spec.stack = StackKind::kTas;
+  auto exp = Experiment::PointToPoint(spec, spec, LinkConfig{});
+  PingPong server(exp->host(0).stack());
+  PingPong client(exp->host(1).stack());
+  exp->host(0).stack()->SetHandler(&server);
+  exp->host(1).stack()->SetHandler(&client);
+  exp->host(0).stack()->Listen(7);
+  exp->host(1).stack()->Connect(exp->host(0).ip(), 7);
+  exp->sim().RunUntil(Ms(5));  // Handshake, then rings and queues warm up.
+  const uint64_t messages_before = client.messages();
+  const uint64_t before = AllocCount();
+  exp->sim().RunUntil(Ms(25));
+  const uint64_t allocs = AllocCount() - before;
+  const uint64_t messages = client.messages() - messages_before;
+  const bool ok = allocs == 0 && messages > 1000;
+  std::printf("ALLOC_AUDIT libtas_send allocs=%llu messages=%llu %s\n",
+              static_cast<unsigned long long>(allocs),
+              static_cast<unsigned long long>(messages), ok ? "PASS" : "FAIL");
+  return ok;
+}
+
+// Bytes one default TAS host (one app core, one context, tracing off)
+// requests while it is built: 181,922 when the bound was set (GCC 12,
+// libstdc++). Before the context queues, the latency ring and the port table
+// were sized to use, the same host requested 1,200,650.
+constexpr uint64_t kIdleTasHostBoundBytes = 200 * 1024;
+
+bool AuditIdleTasHostFootprint() {
+  Simulator sim;
+  auto net = MakePointToPoint(&sim, LinkConfig{});
+  HostSpec spec;
+  spec.stack = StackKind::kTas;
+  const uint64_t before = AllocBytes();
+  auto host = std::make_unique<SimHost>(&sim, &net->host(0), spec);
+  const uint64_t bytes = AllocBytes() - before;
+  const bool ok = bytes <= kIdleTasHostBoundBytes;
+  std::printf("FOOTPRINT_AUDIT idle_tas_host bytes=%llu bound=%llu %s\n",
+              static_cast<unsigned long long>(bytes),
+              static_cast<unsigned long long>(kIdleTasHostBoundBytes), ok ? "PASS" : "FAIL");
+  return ok;
+}
+
 }  // namespace
 }  // namespace tas
 
@@ -385,6 +530,9 @@ int main(int argc, char** argv) {
   ok &= tas::AuditFlowTable();
   ok &= tas::AuditFlowSlab();
   ok &= tas::AuditControlLoop();
+  ok &= tas::AuditPacketPath();
+  ok &= tas::AuditLibtasSend();
+  ok &= tas::AuditIdleTasHostFootprint();
   std::printf("ALLOC_AUDIT overall %s (news=%llu frees=%llu)\n", ok ? "PASS" : "FAIL",
               static_cast<unsigned long long>(g_alloc_count.load()),
               static_cast<unsigned long long>(g_free_count.load()));

@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the real data structures on the TAS
-// hot paths: SPSC context queues, the circular payload buffer, packet wire
-// serialization/parsing, reassembly, and raw simulator event throughput.
+// hot paths: the circular payload buffer, packet wire serialization/parsing,
+// reassembly, raw simulator event throughput, and flow lookup.
 #include <benchmark/benchmark.h>
 
 #include <unordered_map>
@@ -11,23 +11,9 @@
 #include "src/tcp/reassembly.h"
 #include "src/util/ring_buffer.h"
 #include "src/util/rng.h"
-#include "src/util/spsc_queue.h"
 
 namespace tas {
 namespace {
-
-struct AppEventLike {
-  uint64_t opaque;
-  uint32_t bytes;
-};
-
-void BM_SpscPushPop(benchmark::State& state) {
-  SpscQueue<AppEventLike> queue(1024);
-  for (auto _ : state) {
-    queue.Push(AppEventLike{1, 2});
-    benchmark::DoNotOptimize(queue.Pop());
-  }
-}
 
 void BM_ByteRingWriteRead(benchmark::State& state) {
   const size_t chunk = static_cast<size_t>(state.range(0));
@@ -156,7 +142,6 @@ void BM_FlowTableLookupUnorderedMap(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
-BENCHMARK(BM_SpscPushPop);
 BENCHMARK(BM_ByteRingWriteRead)->Arg(64)->Arg(1448)->Arg(16384);
 BENCHMARK(BM_PacketSerialize)->Arg(64)->Arg(1448);
 BENCHMARK(BM_PacketParse)->Arg(64)->Arg(1448);

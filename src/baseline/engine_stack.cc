@@ -48,18 +48,6 @@ TcpConnection* EngineStack::connection(ConnId conn) {
   return entry == nullptr ? nullptr : entry->tcp.get();
 }
 
-uint16_t EngineStack::AllocatePort() {
-  for (int attempts = 0; attempts < 45000; ++attempts) {
-    const uint16_t port = next_ephemeral_;
-    next_ephemeral_ = next_ephemeral_ >= 65000 ? 20000 : next_ephemeral_ + 1;
-    if (port_use_count_[port] == 0) {
-      return port;
-    }
-  }
-  TAS_LOG(FATAL) << "ephemeral ports exhausted";
-  return 0;
-}
-
 uint64_t EngineStack::CacheExtraPerPacket() const {
   return config_.costs->cache.ExtraCyclesPerPacket(conns_.size());
 }
@@ -67,7 +55,7 @@ uint64_t EngineStack::CacheExtraPerPacket() const {
 void EngineStack::Listen(uint16_t port) { listeners_.insert(port); }
 
 ConnId EngineStack::Connect(IpAddr dst_ip, uint16_t dst_port) {
-  const uint16_t local_port = AllocatePort();
+  const uint16_t local_port = ports_.AllocateEphemeral();
   const ConnId id = next_conn_++;
   const size_t app_core = next_app_core_rr_++ % app_cores_.size();
 
@@ -90,7 +78,7 @@ ConnId EngineStack::Connect(IpAddr dst_ip, uint16_t dst_port) {
 
   TcpConnection* tcp = entry.tcp.get();
   demux_[FlowKey{local_port, dst_ip, dst_port}] = id;
-  port_use_count_[local_port]++;
+  ports_.Acquire(local_port);
   conns_[id] = std::move(entry);
 
   stack_cores_[conns_[id].stack_core]->Charge(CpuModule::kTcp, config_.costs->connection_setup);
@@ -255,7 +243,7 @@ void EngineStack::HandlePacket(int queue, PacketPtr pkt) {
     entry.tcp->opaque = id;
     TcpConnection* tcp = entry.tcp.get();
     demux_[key] = id;
-    port_use_count_[pkt->tcp.dst_port]++;
+    ports_.Acquire(pkt->tcp.dst_port);
     conns_[id] = std::move(entry);
     stack_cores_[static_cast<size_t>(queue)]->Charge(CpuModule::kTcp,
                                                      config_.costs->connection_setup);
@@ -326,7 +314,7 @@ void EngineStack::OnConnectFailed(TcpConnection* conn) {
     return;
   }
   demux_.erase(FlowKey{conn->local_port(), conn->remote_ip(), conn->remote_port()});
-  port_use_count_[conn->local_port()]--;
+  ports_.Release(conn->local_port());
   const size_t app_core = entry->app_core;
   // Defer destruction: this callback can arrive from inside the engine.
   std::shared_ptr<TcpConnection> keep_alive(entry->tcp.release());
@@ -374,7 +362,7 @@ void EngineStack::OnClosed(TcpConnection* conn) {
   }
   demux_.erase(
       FlowKey{conn->local_port(), conn->remote_ip(), conn->remote_port()});
-  port_use_count_[conn->local_port()]--;
+  ports_.Release(conn->local_port());
   const size_t app_core = entry->app_core;
   // Keep the TcpConnection alive until the deferred event dispatch; move it
   // out of the table now so new connections can reuse the 4-tuple.

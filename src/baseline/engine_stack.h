@@ -16,7 +16,6 @@
 #ifndef SRC_BASELINE_ENGINE_STACK_H_
 #define SRC_BASELINE_ENGINE_STACK_H_
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -27,6 +26,8 @@
 #include "src/cpu/cost_model.h"
 #include "src/nic/nic.h"
 #include "src/tcp/engine.h"
+#include "src/util/fifo.h"
+#include "src/util/port_table.h"
 #include "src/util/rng.h"
 
 namespace tas {
@@ -78,6 +79,8 @@ class EngineStack : public Stack, public TcpEngineHost {
   size_t num_stack_cores() const { return stack_cores_.size(); }
   uint64_t backlog_drops() const { return backlog_drops_; }
   TcpConnection* connection(ConnId conn);
+  // Local-port use counts and the ephemeral cursor active opens draw from.
+  PortTable& ports() { return ports_; }
 
  private:
   struct ConnEntry {
@@ -116,7 +119,6 @@ class EngineStack : public Stack, public TcpEngineHost {
   ConnEntry* Entry(ConnId conn);
   const ConnEntry* Entry(ConnId conn) const;
   ConnId IdOf(TcpConnection* conn) const { return conn->opaque; }
-  uint16_t AllocatePort();
   uint64_t CacheExtraPerPacket() const;
 
   Simulator* sim_;
@@ -130,14 +132,13 @@ class EngineStack : public Stack, public TcpEngineHost {
   std::unordered_map<ConnId, ConnEntry> conns_;
   std::unordered_map<FlowKey, ConnId, FlowKeyHash> demux_;
   std::unordered_set<uint16_t> listeners_;
-  std::vector<uint32_t> port_use_count_ = std::vector<uint32_t>(65536, 0);
-  uint16_t next_ephemeral_ = 20000;
+  PortTable ports_;
   ConnId next_conn_ = 1;
   size_t next_app_core_rr_ = 0;
 
   // Per-app-core batched event queues (mTCP mode).
   struct Batch {
-    std::deque<PendingEvent> events;
+    Fifo<PendingEvent> events;
     EventHandle flush_timer;
   };
   std::vector<Batch> batches_;

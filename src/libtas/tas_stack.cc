@@ -33,13 +33,15 @@ const TasStack::Conn* TasStack::GetConn(ConnId id) const {
   return it == conns_.end() ? nullptr : &it->second;
 }
 
-void TasStack::AtCoreHorizon(Core* core, std::function<void()> fn) {
-  if (defer_pushes_) {
-    deferred_pushes_.push_back(std::move(fn));
+void TasStack::AtCoreHorizon(Core* core, size_t ctx_index, const TxCommand& cmd) {
+  if (deferring_ != kNotDeferring) {
+    contexts_[deferring_].deferred.push_back(DeferredPush{ctx_index, cmd});
     return;
   }
   const TimeNs when = std::max(service_->sim()->Now(), core->busy_until());
-  service_->sim()->At(when, std::move(fn));
+  service_->sim()->At(when, [this, ctx_index, cmd] {
+    contexts_[ctx_index].queues->PushCommand(cmd);
+  });
 }
 
 void TasStack::Listen(uint16_t port) {
@@ -72,12 +74,7 @@ size_t TasStack::Send(ConnId conn, const uint8_t* data, size_t len) {
                costs_->tx_api + static_cast<uint64_t>(costs_->copy_cycles_per_byte *
                                                       static_cast<double>(written)));
   if (written > 0) {
-    const FlowId flow_id = c->flow;
-    const size_t ctx_index = c->context;
-    AtCoreHorizon(core, [this, ctx_index, flow_id, written] {
-      contexts_[ctx_index].queues->PushCommand(
-          TxCommand{TxCommandType::kSend, flow_id, written});
-    });
+    AtCoreHorizon(core, c->context, TxCommand{TxCommandType::kSend, c->flow, written});
   }
   return written;
 }
@@ -99,12 +96,7 @@ size_t TasStack::Recv(ConnId conn, uint8_t* data, size_t len) {
                static_cast<uint64_t>(costs_->copy_cycles_per_byte * static_cast<double>(read)));
   c->deliverable -= std::min<size_t>(c->deliverable, read);
   if (was_closed && flow->RxFree() >= mss && flow->FastPathEligible()) {
-    const FlowId flow_id = c->flow;
-    const size_t ctx_index = c->context;
-    AtCoreHorizon(core, [this, ctx_index, flow_id] {
-      contexts_[ctx_index].queues->PushCommand(
-          TxCommand{TxCommandType::kWindowUpdate, flow_id, 0});
-    });
+    AtCoreHorizon(core, c->context, TxCommand{TxCommandType::kWindowUpdate, c->flow, 0});
   }
   return read;
 }
@@ -161,18 +153,10 @@ size_t TasStack::Splice(ConnId from, ConnId to, size_t len) {
                costs_->tx_api + static_cast<uint64_t>(costs_->splice_cycles_per_byte *
                                                       static_cast<double>(n)));
   if (was_closed && fsrc->RxFree() >= mss && fsrc->FastPathEligible()) {
-    const FlowId src_flow = src->flow;
-    const size_t src_ctx = src->context;
-    AtCoreHorizon(core, [this, src_ctx, src_flow] {
-      contexts_[src_ctx].queues->PushCommand(
-          TxCommand{TxCommandType::kWindowUpdate, src_flow, 0});
-    });
+    AtCoreHorizon(core, src->context,
+                  TxCommand{TxCommandType::kWindowUpdate, src->flow, 0});
   }
-  const FlowId dst_flow = dst->flow;
-  const size_t dst_ctx = dst->context;
-  AtCoreHorizon(core, [this, dst_ctx, dst_flow, n] {
-    contexts_[dst_ctx].queues->PushCommand(TxCommand{TxCommandType::kSend, dst_flow, n});
-  });
+  AtCoreHorizon(core, dst->context, TxCommand{TxCommandType::kSend, dst->flow, n});
   return n;
 }
 
@@ -208,15 +192,13 @@ void TasStack::DrainEvents(size_t context_index) {
   const size_t budget =
       static_cast<size_t>(std::max(1, service_->config().app_event_batch));
   ctx.batch.clear();
+  Fifo<AppEvent>& rx = ctx.queues->rx();
   TimeNs done = 0;
-  while (ctx.batch.size() < budget) {
-    auto event = ctx.queues->rx().Pop();
-    if (!event) {
-      break;
-    }
-    const uint64_t cycles = event->type == AppEventType::kRxData ? costs_->rx_api : 60;
+  while (ctx.batch.size() < budget && !rx.empty()) {
+    const AppEvent& event = ctx.batch.emplace_back(rx.front());
+    rx.pop_front();
+    const uint64_t cycles = event.type == AppEventType::kRxData ? costs_->rx_api : 60;
     done = ctx.core->Charge(CpuModule::kSockets, cycles);
-    ctx.batch.push_back(*event);
   }
   if (ctx.batch.empty()) {
     return;
@@ -227,27 +209,33 @@ void TasStack::DrainEvents(size_t context_index) {
     // draining stays set through dispatch: handlers may push commands whose
     // completion notifies this context again, and a nested drain would
     // clobber the batch being iterated.
-    defer_pushes_ = true;
+    TAS_CHECK(c.deferred.empty()) << "deferred pushes outlived their flush";
+    deferring_ = context_index;
     for (const AppEvent& e : c.batch) {
       DispatchEvent(context_index, e);
     }
-    defer_pushes_ = false;
-    if (!deferred_pushes_.empty()) {
+    deferring_ = kNotDeferring;
+    if (!c.deferred.empty()) {
       // All callbacks above charged c.core; their queue pushes ride one
       // aggregated event at the batch's final work horizon instead of one
-      // each (each push would have been at or before this horizon).
+      // each (each push would have been at or before this horizon). The
+      // context's next dispatch charges c.core again, so it completes at or
+      // after this flush and, on a tie, was scheduled after it.
       const TimeNs when =
           std::max(service_->sim()->Now(), c.core->busy_until());
-      service_->sim()->At(when, [fns = std::move(deferred_pushes_)] {
-        for (const auto& fn : fns) {
-          fn();
-        }
-      });
-      deferred_pushes_ = std::vector<std::function<void()>>();
+      service_->sim()->At(when, [this, context_index] { FlushDeferred(context_index); });
     }
     c.draining = false;
     DrainEvents(context_index);
   });
+}
+
+void TasStack::FlushDeferred(size_t context_index) {
+  std::vector<DeferredPush>& pushes = contexts_[context_index].deferred;
+  for (const DeferredPush& p : pushes) {
+    contexts_[p.ctx_index].queues->PushCommand(p.cmd);
+  }
+  pushes.clear();
 }
 
 void TasStack::DispatchEvent(size_t /*context_index*/, const AppEvent& event) {

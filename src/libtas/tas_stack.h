@@ -58,6 +58,12 @@ class TasStack : public Stack {
     bool rx_closed = false;
   };
 
+  // A context-queue push deferred to the end of a batched dispatch.
+  struct DeferredPush {
+    size_t ctx_index = 0;  // Context whose TX queue receives `cmd`.
+    TxCommand cmd;
+  };
+
   struct Context {
     std::unique_ptr<AppContext> queues;
     uint16_t id = 0;       // TAS-side context id.
@@ -66,17 +72,22 @@ class TasStack : public Stack {
     // Events gathered for the current aggregated dispatch; keeps its
     // capacity across drains.
     std::vector<AppEvent> batch;
+    // Pushes the handlers of this context's in-flight dispatch deferred,
+    // flushed by one event at its final horizon; keeps its capacity too.
+    std::vector<DeferredPush> deferred;
   };
 
   void DrainEvents(size_t context_index);
   void DispatchEvent(size_t context_index, const AppEvent& event);
   Conn* GetConn(ConnId id);
   const Conn* GetConn(ConnId id) const;
-  // Schedules `fn` at the app core's current work horizon (post-charge).
-  // During a batched event dispatch the pushes are deferred instead and
-  // flushed as ONE event at the batch's final horizon (the app thread rings
-  // its doorbells once per wakeup, not once per callback).
-  void AtCoreHorizon(Core* core, std::function<void()> fn);
+  // Pushes `cmd` onto context `ctx_index`'s TX queue at the app core's
+  // current work horizon (post-charge). During a batched event dispatch the
+  // push is deferred instead and flushed with the batch's others as ONE event
+  // at its final horizon (the app thread rings its doorbells once per wakeup,
+  // not once per callback).
+  void AtCoreHorizon(Core* core, size_t ctx_index, const TxCommand& cmd);
+  void FlushDeferred(size_t context_index);
 
   TasService* service_;
   const StackCostModel* costs_;
@@ -84,10 +95,10 @@ class TasStack : public Stack {
   std::vector<Context> contexts_;
   std::unordered_map<ConnId, Conn> conns_;  // Keyed by flow id.
   size_t next_context_rr_ = 0;  // Round-robin for accepted/united conns.
-  // AtCoreHorizon deferral state; only set inside a DrainEvents dispatch
-  // continuation (all callbacks there run on one context's core).
-  bool defer_pushes_ = false;
-  std::vector<std::function<void()>> deferred_pushes_;
+  // The context whose dispatch continuation is running (its pushes are
+  // deferred; all callbacks there run on that context's core).
+  static constexpr size_t kNotDeferring = ~size_t{0};
+  size_t deferring_ = kNotDeferring;
   std::vector<uint8_t> splice_buf_;  // Ring-to-ring bounce storage for Splice.
 };
 

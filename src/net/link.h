@@ -7,7 +7,6 @@
 #ifndef SRC_NET_LINK_H_
 #define SRC_NET_LINK_H_
 
-#include <deque>
 #include <memory>
 
 #include "src/fault/impairment.h"
@@ -15,6 +14,7 @@
 #include "src/net/pcap.h"
 #include "src/sim/simulator.h"
 #include "src/trace/metric_registry.h"
+#include "src/util/fifo.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 
@@ -119,8 +119,8 @@ class Link {
   size_t QueueLen(int from_side) const {
     const Direction& d = dir_[from_side];
     size_t unserialized = 0;
-    for (auto it = d.pending_serialize.rbegin();
-         it != d.pending_serialize.rend() && *it > sim_->Now(); ++it) {
+    for (size_t i = d.pending_serialize.size();
+         i > 0 && d.pending_serialize[i - 1] > sim_->Now(); --i) {
       ++unserialized;
     }
     return d.queue.size() + unserialized;
@@ -174,7 +174,7 @@ class Link {
 
  private:
   struct Direction {
-    std::deque<PacketPtr> queue;
+    Fifo<PacketPtr> queue;
     // True while a StartTransmit continuation is scheduled or running. When
     // the queue drains the transmitter goes idle WITHOUT scheduling a
     // serialize-done event; busy_until records when the wire frees up and
@@ -184,11 +184,11 @@ class Link {
     TimeNs busy_until = 0;
     // Frames on the wire, FIFO: each delivery event pops its burst's count
     // off the front. Owned here so sim teardown recycles them via the pool.
-    std::deque<PacketPtr> wire;
+    Fifo<PacketPtr> wire;
     // Wire-start times of admitted-but-not-yet-serialized frames. They still
     // occupy the egress buffer physically, so occupancy-driven decisions
     // (drop-tail, ECN, queue stats) count them; drained lazily at Enqueue.
-    std::deque<TimeNs> pending_serialize;
+    Fifo<TimeNs> pending_serialize;
     int admit_depth = 0;  // >0: hold transmitter start until EndAdmit.
     NetDevice* dst = nullptr;
     LinkStats stats;

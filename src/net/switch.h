@@ -8,7 +8,6 @@
 #ifndef SRC_NET_SWITCH_H_
 #define SRC_NET_SWITCH_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -16,6 +15,7 @@
 
 #include "src/net/link.h"
 #include "src/sim/simulator.h"
+#include "src/util/fifo.h"
 
 namespace tas {
 
@@ -65,7 +65,7 @@ class Switch {
     int port;
     PacketPtr pkt;
   };
-  std::deque<Pending> pending_;
+  Fifo<Pending> pending_;
   size_t pending_hw_ = 0;  // High-water of the forwarding-pipeline queue.
   bool flush_scheduled_ = false;
   std::vector<int> touched_ports_;  // Ports burst-admitted by the running Flush.

@@ -8,7 +8,6 @@
 #ifndef SRC_NIC_NIC_H_
 #define SRC_NIC_NIC_H_
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -17,6 +16,7 @@
 #include "src/net/link.h"
 #include "src/net/topology.h"
 #include "src/trace/metric_registry.h"
+#include "src/util/fifo.h"
 
 namespace tas {
 
@@ -95,7 +95,7 @@ class SimNic : public NetDevice {
 
  private:
   struct Ring {
-    std::deque<PacketPtr> pkts;
+    Fifo<PacketPtr> pkts;
     std::function<void()> notify;
     size_t depth_hw = 0;  // High-water occupancy (latency-anatomy gauge).
   };

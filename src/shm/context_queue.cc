@@ -1,16 +1,28 @@
 #include "src/shm/context_queue.h"
 
-namespace tas {
+#include <algorithm>
+#include <bit>
 
-AppContext::AppContext(size_t queue_entries) : rx_(queue_entries), tx_(queue_entries) {}
+namespace tas {
+namespace {
+
+size_t QueueCapacity(size_t queue_entries) {
+  return std::bit_ceil(std::max<size_t>(queue_entries + 1, 2)) - 1;
+}
+
+}  // namespace
+
+AppContext::AppContext(size_t queue_entries)
+    : rx_(QueueCapacity(queue_entries)), tx_(QueueCapacity(queue_entries)) {}
 
 bool AppContext::PushEvent(const AppEvent& event) {
-  const bool was_empty = rx_.Empty();
-  if (!rx_.Push(event)) {
+  if (rx_.full()) {
     ++dropped_events_;
     return false;
   }
-  rx_hw_ = rx_.SizeApprox() > rx_hw_ ? rx_.SizeApprox() : rx_hw_;
+  const bool was_empty = rx_.empty();
+  rx_.push_back(event);
+  rx_hw_ = std::max(rx_hw_, rx_.size());
   if (defer_depth_ > 0) {
     // Every push after the first in a defer window would have rung its own
     // doorbell in the synchronous-drain world (the app empties the queue on
@@ -39,11 +51,12 @@ void AppContext::EndNotifyDefer() {
 }
 
 bool AppContext::PushCommand(const TxCommand& command) {
-  const bool was_empty = tx_.Empty();
-  if (!tx_.Push(command)) {
+  if (tx_.full()) {
     return false;
   }
-  tx_hw_ = tx_.SizeApprox() > tx_hw_ ? tx_.SizeApprox() : tx_hw_;
+  const bool was_empty = tx_.empty();
+  tx_.push_back(command);
+  tx_hw_ = std::max(tx_hw_, tx_.size());
   if (was_empty && fastpath_notify_) {
     fastpath_notify_();
   }

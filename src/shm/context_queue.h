@@ -4,8 +4,11 @@
 // A context is the unit an application thread polls: it owns one RX queue
 // (fast path -> app: payload-arrival, tx-done, and connection notifications)
 // and one TX queue (app -> fast path: send commands). Connection control
-// commands travel on a separate slow-path queue pair. All queues are
-// fixed-size SPSC rings.
+// commands travel on a separate slow-path queue pair. Both queues are bounded
+// Fifos (src/util/fifo.h): the logical capacity is fixed at construction and
+// a push beyond it is refused, while the backing storage grows only to the
+// deepest occupancy the context reaches. The simulator is single-threaded, so
+// the queues need no producer/consumer synchronisation.
 #ifndef SRC_SHM_CONTEXT_QUEUE_H_
 #define SRC_SHM_CONTEXT_QUEUE_H_
 
@@ -13,7 +16,7 @@
 #include <functional>
 #include <string>
 
-#include "src/util/spsc_queue.h"
+#include "src/util/fifo.h"
 
 namespace tas {
 
@@ -65,10 +68,13 @@ struct TxCommand {
 // hooks (eventfd-like) in both directions.
 class AppContext {
  public:
+  // Each queue holds bit_ceil(queue_entries + 1) - 1 entries (8,191 at the
+  // default): the usable size of a power-of-two shared-memory ring that keeps
+  // one slot free to tell full from empty.
   explicit AppContext(size_t queue_entries = 4096);
 
-  SpscQueue<AppEvent>& rx() { return rx_; }
-  SpscQueue<TxCommand>& tx() { return tx_; }
+  Fifo<AppEvent>& rx() { return rx_; }
+  Fifo<TxCommand>& tx() { return tx_; }
 
   // Invoked when an event is pushed to an empty RX queue (wakes the app).
   void set_app_notify(std::function<void()> fn) { app_notify_ = std::move(fn); }
@@ -97,8 +103,8 @@ class AppContext {
   size_t tx_queue_hw() const { return tx_hw_; }
 
  private:
-  SpscQueue<AppEvent> rx_;
-  SpscQueue<TxCommand> tx_;
+  Fifo<AppEvent> rx_;
+  Fifo<TxCommand> tx_;
   std::function<void()> app_notify_;
   std::function<void()> fastpath_notify_;
   size_t rx_hw_ = 0;

@@ -23,11 +23,11 @@
 #define SRC_TAS_FAST_PATH_H_
 
 #include <array>
-#include <deque>
 #include <vector>
 
 #include "src/tas/flow.h"
 #include "src/tas/service.h"
+#include "src/util/fifo.h"
 
 namespace tas {
 
@@ -102,7 +102,7 @@ class FastPathCore {
   TasService* service_;
   Core* cpu_;
   int index_;
-  std::deque<WorkItem> work_;
+  Fifo<WorkItem> work_;
   bool busy_ = false;
   bool blocked_ = false;
   TimeNs idle_since_ = 0;

@@ -411,22 +411,24 @@ uint16_t TasService::RegisterContext(AppContext* context) {
 }
 
 void TasService::DrainContextCommands(uint16_t context_id) {
-  AppContext* ctx = contexts_[context_id];
-  while (auto cmd = ctx->tx().Pop()) {
-    Flow* flow = flow_by_id(static_cast<FlowId>(cmd->flow_id));
+  Fifo<TxCommand>& queue = contexts_[context_id]->tx();
+  while (!queue.empty()) {
+    const TxCommand cmd = queue.front();
+    queue.pop_front();
+    Flow* flow = flow_by_id(static_cast<FlowId>(cmd.flow_id));
     if (flow == nullptr || flow->cstate == ConnState::kFreed) {
       continue;
     }
-    switch (cmd->type) {
+    switch (cmd.type) {
       case TxCommandType::kSend:
         if (flow->FastPathEligible() && flow->TxAvailable() > 0) {
-          ScheduleFlowTx(static_cast<FlowId>(cmd->flow_id), flow->next_tx_time);
+          ScheduleFlowTx(static_cast<FlowId>(cmd.flow_id), flow->next_tx_time);
         }
         break;
       case TxCommandType::kWindowUpdate:
         if (flow->FastPathEligible()) {
           fastpaths_[static_cast<size_t>(CoreForFlow(*flow))]->EnqueueWindowUpdate(
-              static_cast<FlowId>(cmd->flow_id));
+              static_cast<FlowId>(cmd.flow_id));
         }
         break;
     }
@@ -494,7 +496,7 @@ FlowId TasService::AllocateFlow(const FlowKey& key) {
   flow->fs.tx_sent = 0;
 
   flow_table_.Insert(key, id);
-  ++port_use_count_[key.local_port];
+  ports_.Acquire(key.local_port);
   ++live_flows_;
   return id;
 }
@@ -505,22 +507,12 @@ void TasService::FreeFlow(FlowId id) {
     return;
   }
   flow_table_.Erase(FlowKey{flow->fs.local_port, flow->fs.peer_ip, flow->fs.peer_port});
-  --port_use_count_[flow->fs.local_port];
+  ports_.Release(flow->fs.local_port);
   flows_.Free(id);
   --live_flows_;
 }
 
-uint16_t TasService::AllocateEphemeralPort() {
-  for (int attempts = 0; attempts < 45000; ++attempts) {
-    const uint16_t port = next_ephemeral_;
-    next_ephemeral_ = next_ephemeral_ >= 65000 ? 20000 : next_ephemeral_ + 1;
-    if (port_use_count_[port] == 0) {
-      return port;
-    }
-  }
-  TAS_LOG(FATAL) << "ephemeral ports exhausted";
-  return 0;
-}
+uint16_t TasService::AllocateEphemeralPort() { return ports_.AllocateEphemeral(); }
 
 int TasService::RedirectionEntryForFlow(const Flow& flow) const {
   Packet probe;

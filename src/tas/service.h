@@ -6,7 +6,6 @@
 #ifndef SRC_TAS_SERVICE_H_
 #define SRC_TAS_SERVICE_H_
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -19,6 +18,7 @@
 #include "src/tas/flow_table.h"
 #include "src/trace/flight_recorder.h"
 #include "src/trace/tracer.h"
+#include "src/util/port_table.h"
 #include "src/util/rng.h"
 
 namespace tas {
@@ -220,8 +220,7 @@ class TasService {
   FlowTable flow_table_;
   std::vector<FlowId> dirty_flows_;
   size_t live_flows_ = 0;
-  uint16_t next_ephemeral_ = 20000;
-  std::vector<uint32_t> port_use_count_ = std::vector<uint32_t>(65536, 0);
+  PortTable ports_;
   int active_cores_ = 1;
   // True if this service installed its tracer's LatencyTracer as the global
   // stamp sink (first latency-enabled host); the dtor uninstalls it.

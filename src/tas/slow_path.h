@@ -6,13 +6,13 @@
 #ifndef SRC_TAS_SLOW_PATH_H_
 #define SRC_TAS_SLOW_PATH_H_
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "src/tas/flow.h"
 #include "src/tas/service.h"
+#include "src/util/fifo.h"
 
 namespace tas {
 
@@ -83,7 +83,7 @@ class SlowPath {
 
   TasService* service_;
   Core* cpu_;
-  std::deque<PacketPtr> exceptions_;
+  Fifo<PacketPtr> exceptions_;
   uint64_t exception_depth_hw_ = 0;
   bool busy_ = false;
   std::unordered_map<uint16_t, Listener> listeners_;

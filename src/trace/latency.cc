@@ -54,7 +54,6 @@ LatencyTracer::LatencyTracer(size_t ring_capacity) {
     cap <<= 1;
   }
   mask_ = cap - 1;
-  ring_.resize(cap);
 }
 
 LatencyTracer* LatencyTracer::Install(LatencyTracer* tracer) {
@@ -64,6 +63,9 @@ LatencyTracer* LatencyTracer::Install(LatencyTracer* tracer) {
 }
 
 uint64_t LatencyTracer::Begin(TimeNs start) {
+  if (ring_.empty()) {
+    ring_.resize(mask_ + 1);
+  }
   const uint64_t id = next_id_++;
   Record& r = ring_[id & mask_];
   if (r.id != 0) {
@@ -80,12 +82,11 @@ uint64_t LatencyTracer::Begin(TimeNs start) {
 }
 
 LatencyTracer::Record* LatencyTracer::Slot(uint64_t id) {
-  Record& r = ring_[id & mask_];
-  if (r.id != id) {
+  if (ring_.empty() || ring_[id & mask_].id != id) {
     ++stale_;
     return nullptr;
   }
-  return &r;
+  return &ring_[id & mask_];
 }
 
 void LatencyTracer::Stamp(uint64_t id, LatencyStage stage, TimeNs now) {
@@ -155,17 +156,19 @@ void LatencyTracer::Abandon(uint64_t id) {
   if (id == 0) {
     return;
   }
-  Record& r = ring_[id & mask_];
-  if (r.id != id) {
+  if (ring_.empty() || ring_[id & mask_].id != id) {
     return;  // Already gone; dropping a dead record twice is not an error.
   }
-  r.id = 0;
+  ring_[id & mask_].id = 0;
   ++abandoned_;
 }
 
 void LatencyTracer::Clear() {
-  const size_t capacity = ring_.size();
-  *this = LatencyTracer(capacity);
+  // Keeps the ring's storage (if any) for the next run's records.
+  std::vector<Record> ring = std::move(ring_);
+  std::fill(ring.begin(), ring.end(), Record{});
+  *this = LatencyTracer(mask_ + 1);
+  ring_ = std::move(ring);
 }
 
 namespace {

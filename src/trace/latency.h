@@ -112,7 +112,9 @@ class LatencyTracer {
 
   // Opens a record whose clock starts at `start` (ids are never 0, so a
   // Packet::lat_id of 0 means "untracked"). If the ring slot still holds an
-  // unfinished record, that oldest record is dropped and counted.
+  // unfinished record, that oldest record is dropped and counted. The ring is
+  // allocated by the first Begin: only the installed tracer opens records,
+  // so every other host's tracer stays empty.
   uint64_t Begin(TimeNs start);
   // Charges [last stamp, now) to `stage`. Ignores id 0 and stale ids.
   void Stamp(uint64_t id, LatencyStage stage, TimeNs now);
@@ -140,7 +142,10 @@ class LatencyTracer {
   const RunningStats& e2e_stats() const { return e2e_stats_; }
 
   LatencyReport Report() const;
+  // Resets every record and statistic; the ring keeps its storage.
   void Clear();
+  // Records the ring holds storage for (0 until the first Begin).
+  size_t ring_slots() const { return ring_.size(); }
 
  private:
   struct Record {
@@ -152,7 +157,7 @@ class LatencyTracer {
   };
 
   // The ring slot holding `id`, or null (counted as stale) if the record
-  // was retired or overwritten.
+  // was retired or overwritten, or the ring was never allocated.
   Record* Slot(uint64_t id);
 
   static LatencyTracer* current_;

@@ -114,6 +114,30 @@ INSTANTIATE_TEST_SUITE_P(Stacks, WireFormatTest,
                          ::testing::Values(StackKind::kTas, StackKind::kLinux,
                                            StackKind::kIx, StackKind::kMtcp));
 
+// Active opens walk the ephemeral range 20000..65000, wrap, and skip a port
+// a live connection is still bound to.
+TEST(EphemeralPortTest, EngineStackWrapsAndSkipsBusyPorts) {
+  HostSpec spec;
+  spec.stack = StackKind::kLinux;
+  auto exp = Experiment::PointToPoint(spec, spec, TestLink());
+  exp->host(0).stack()->Listen(5000);
+  EngineStack* client = exp->host(1).engine();
+  const ConnId first = client->Connect(exp->host(0).ip(), 5000);
+  EXPECT_EQ(client->connection(first)->local_port(), 20000);
+  exp->sim().RunUntil(Ms(1));
+  EXPECT_EQ(client->ports().count(20000), 1u);
+
+  uint16_t port = 0;
+  while (port != PortTable::kEphemeralLast) {
+    port = client->ports().AllocateEphemeral();
+  }
+  const ConnId wrapped = client->Connect(exp->host(0).ip(), 5000);
+  EXPECT_EQ(client->connection(wrapped)->local_port(), 20001);
+  exp->sim().RunUntil(Ms(2));
+  // The server counts its accepted connections against the listening port.
+  EXPECT_EQ(exp->host(0).engine()->ports().count(5000), 2u);
+}
+
 TEST(ZeroWindowTest, PausedReceiverStallsThenResumes) {
   HostSpec spec;
   spec.stack = StackKind::kLinux;

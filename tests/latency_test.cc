@@ -67,6 +67,34 @@ TEST(LatencyTracerTest, AbandonRetiresWithoutFolding) {
   EXPECT_EQ(tracer.stale(), 0u);
 }
 
+TEST(LatencyTracerTest, RingAllocatedByFirstBeginAndKeptByClear) {
+  LatencyTracer tracer(8);
+  EXPECT_EQ(tracer.ring_slots(), 0u);
+  // Stamps and drops for ids this tracer never opened touch no storage.
+  tracer.Stamp(5, LatencyStage::kFpTx, 10);
+  tracer.Abandon(5);
+  EXPECT_EQ(tracer.stale(), 1u);
+  EXPECT_EQ(tracer.abandoned(), 0u);
+  EXPECT_EQ(tracer.ring_slots(), 0u);
+
+  const uint64_t before_clear = tracer.Begin(0);
+  tracer.Stamp(before_clear, LatencyStage::kFpTx, 10);
+  EXPECT_EQ(tracer.ring_slots(), 8u);
+  tracer.Clear();
+  EXPECT_EQ(tracer.ring_slots(), 8u);
+  EXPECT_EQ(tracer.stale(), 0u);
+
+  // The cleared ring holds no live record: a fresh one starts clean.
+  const uint64_t id = tracer.Begin(100);
+  tracer.Stamp(id, LatencyStage::kFpTx, 130);
+  tracer.Finish(id, LatencyStage::kFpRx, 150);
+  EXPECT_EQ(tracer.completed(), 1u);
+  EXPECT_EQ(tracer.overwritten(), 0u);
+  EXPECT_EQ(tracer.partition_mismatches(), 0u);
+  EXPECT_EQ(tracer.stage_stats(LatencyStage::kFpTx).max(), 30.0);
+  EXPECT_EQ(tracer.e2e_stats().max(), 50.0);
+}
+
 TEST(LatencyTracerTest, ReportJsonRoundTrips) {
   LatencyTracer tracer(16);
   for (int i = 0; i < 10; ++i) {
@@ -158,6 +186,9 @@ struct LatencyRun {
   uint64_t overwritten = 0;
   LatencyReport report;
   std::string server_flow_events;  // Byte-identity probe.
+  // Ring storage of the installed (host 0) and the other (host 1) tracer.
+  size_t installed_ring_slots = 0;
+  size_t other_ring_slots = 0;
 };
 
 // The batching_test echo workload (two TAS-LowLevel hosts, clean seeded
@@ -204,6 +235,8 @@ LatencyRun RunEcho(int rx_batch, bool latency, bool star = false) {
   out.partition_mismatches = lt.partition_mismatches();
   out.overwritten = lt.overwritten();
   out.report = lt.Report();
+  out.installed_ring_slots = lt.ring_slots();
+  out.other_ring_slots = exp->host(1).tas()->tracer().latency().ring_slots();
   std::ostringstream sf;
   exp->host(0).tas()->tracer().WriteFlowEventsJsonl(sf);
   out.server_flow_events = sf.str();
@@ -234,6 +267,15 @@ TEST(LatencyAnatomyTest, PartitionInvariantHoldsAcrossBatchSizes) {
   const double ratio = e2e_batched->mean_ns / e2e_serial->mean_ns;
   EXPECT_GT(ratio, 0.3);
   EXPECT_LT(ratio, 3.0);
+}
+
+// Every latency-enabled host owns a tracer, but only the installed one opens
+// records; the others never allocate their rings.
+TEST(LatencyAnatomyTest, OnlyTheInstalledTracerAllocatesItsRing) {
+  const LatencyRun run = RunEcho(16, true);
+  ASSERT_GT(run.completed, 0u);
+  EXPECT_EQ(run.installed_ring_slots, size_t{1} << 12);
+  EXPECT_EQ(run.other_ring_slots, 0u);
 }
 
 TEST(LatencyAnatomyTest, StageSumsAreConsistentWithEndToEnd) {

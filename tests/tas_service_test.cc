@@ -128,8 +128,8 @@ TEST(ContextQueueTest, NotifyOnlyOnEmptyToNonEmpty) {
   ctx.PushEvent(AppEvent{AppEventType::kRxData, 1, 10});
   ctx.PushEvent(AppEvent{AppEventType::kRxData, 1, 10});
   EXPECT_EQ(notifications, 1);
-  ctx.rx().Pop();
-  ctx.rx().Pop();
+  ctx.rx().pop_front();
+  ctx.rx().pop_front();
   ctx.PushEvent(AppEvent{AppEventType::kRxData, 1, 10});
   EXPECT_EQ(notifications, 2);
 }
@@ -144,6 +144,30 @@ TEST(ContextQueueTest, FullQueueCountsDrops) {
     }
   }
   EXPECT_GT(ctx.dropped_events(), 0u);
+}
+
+// The default context keeps the logical capacity the echo_pipelined overflow
+// point depends on: 8,191 events accepted, the 8,192nd refused and counted.
+TEST(ContextQueueTest, DefaultContextHolds8191Events) {
+  AppContext ctx;
+  for (uint32_t i = 0; i < 8191; ++i) {
+    ASSERT_TRUE(ctx.PushEvent(AppEvent{AppEventType::kRxData, 1, i}));
+  }
+  EXPECT_EQ(ctx.dropped_events(), 0u);
+  EXPECT_FALSE(ctx.PushEvent(AppEvent{}));
+  EXPECT_EQ(ctx.dropped_events(), 1u);
+  EXPECT_EQ(ctx.rx_queue_hw(), 8191u);
+  for (uint32_t i = 0; i < 8191; ++i) {
+    ASSERT_TRUE(ctx.PushCommand(TxCommand{TxCommandType::kSend, 1, i}));
+  }
+  EXPECT_FALSE(ctx.PushCommand(TxCommand{}));
+  EXPECT_EQ(ctx.rx().front().bytes, 0u);
+}
+
+TEST(ContextQueueTest, IdleContextAllocatesNoQueueStorage) {
+  AppContext ctx;
+  EXPECT_EQ(ctx.rx().capacity(), 0u);
+  EXPECT_EQ(ctx.tx().capacity(), 0u);
 }
 
 TEST(ContextQueueTest, CommandNotifyFiresFastpathHook) {
@@ -192,6 +216,23 @@ TEST_F(TasServiceFixture, FlowAllocationAndLookup) {
   EXPECT_EQ(service_->LookupFlowId(key), kInvalidFlow);
   EXPECT_EQ(service_->num_flows(), 0u);
   EXPECT_EQ(service_->flow_by_id(id), nullptr);
+}
+
+// AllocateEphemeralPort walks 20000..65000, wraps, and skips ports a live
+// flow is bound to.
+TEST_F(TasServiceFixture, EphemeralPortsWrapAndSkipBusyPorts) {
+  const uint16_t first = service_->AllocateEphemeralPort();
+  EXPECT_EQ(first, 20000);
+  service_->AllocateFlow(FlowKey{first, MakeIp(10, 0, 0, 2), 1000});
+  service_->AllocateFlow(FlowKey{20002, MakeIp(10, 0, 0, 2), 1000});
+  EXPECT_EQ(service_->AllocateEphemeralPort(), 20001);
+  EXPECT_EQ(service_->AllocateEphemeralPort(), 20003);
+  uint16_t port = 0;
+  while (port != 65000) {
+    port = service_->AllocateEphemeralPort();
+  }
+  EXPECT_EQ(service_->AllocateEphemeralPort(), 20001);
+  EXPECT_EQ(service_->AllocateEphemeralPort(), 20003);
 }
 
 TEST_F(TasServiceFixture, EphemeralPortsUniqueWhileInUse) {

@@ -1,16 +1,18 @@
 // Unit tests for src/util: RNG and distributions, statistics, the circular
-// byte buffer, the SPSC queue, and the log histogram.
+// byte buffer, the FIFO queue, the port table, and the log histogram.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <deque>
+#include <memory>
 #include <numeric>
-#include <thread>
 #include <vector>
 
+#include "src/util/fifo.h"
 #include "src/util/logging.h"
+#include "src/util/port_table.h"
 #include "src/util/ring_buffer.h"
 #include "src/util/rng.h"
-#include "src/util/spsc_queue.h"
 #include "src/util/stats.h"
 #include "src/util/zipf.h"
 
@@ -469,50 +471,113 @@ TEST(ByteRingTest, LogicalCapacityStaysConfiguredAndStorageCapped) {
   EXPECT_EQ(ring.storage_bytes(), 131072u);  // The ring filled up on the way.
 }
 
-TEST(SpscQueueTest, FifoOrder) {
-  SpscQueue<int> queue(8);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(queue.Push(i));
-  }
-  for (int i = 0; i < 5; ++i) {
-    auto v = queue.Pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(queue.Pop().has_value());
+TEST(FifoTest, HoldsNoStorageUntilFirstPush) {
+  Fifo<int> fifo;
+  EXPECT_TRUE(fifo.empty());
+  EXPECT_EQ(fifo.capacity(), 0u);
+  fifo.push_back(7);
+  EXPECT_EQ(fifo.capacity(), Fifo<int>::kMinCapacity);
+  EXPECT_EQ(fifo.front(), 7);
 }
 
-TEST(SpscQueueTest, FullRejects) {
-  SpscQueue<int> queue(4);
-  size_t pushed = 0;
-  while (queue.Push(1)) {
-    ++pushed;
-  }
-  EXPECT_GE(pushed, 4u);
-  EXPECT_FALSE(queue.Push(2));
-  queue.Pop();
-  EXPECT_TRUE(queue.Push(2));
-}
-
-TEST(SpscQueueTest, TwoThreadsTransferAll) {
-  SpscQueue<uint64_t> queue(1024);
-  constexpr uint64_t kCount = 200000;
-  uint64_t sum = 0;
-  std::thread consumer([&] {
-    uint64_t received = 0;
-    while (received < kCount) {
-      if (auto v = queue.Pop()) {
-        sum += *v;
-        ++received;
+// Randomized push/pop against std::deque. Bursty pushes grow the ring several
+// times while pops keep the head moving, so most growths find the live span
+// wrapped around the end of the array.
+TEST(FifoTest, MatchesDequeAcrossWrappedGrowths) {
+  Fifo<uint64_t> fifo;
+  std::deque<uint64_t> reference;
+  Rng rng(0xF1F0);
+  uint64_t next = 0;
+  size_t growths = 0;
+  size_t wrapped_growths = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const bool push = reference.empty() || rng.NextUint64(100) < (step < 10000 ? 55 : 45);
+    if (push) {
+      const size_t cap = fifo.capacity();
+      const bool wrapped = cap > 0 && fifo.size() == cap && &fifo[cap - 1] < &fifo[0];
+      fifo.push_back(next);
+      reference.push_back(next);
+      ++next;
+      if (fifo.capacity() != cap) {
+        ++growths;
+        wrapped_growths += wrapped ? 1 : 0;
       }
+    } else {
+      ASSERT_EQ(fifo.front(), reference.front());
+      fifo.pop_front();
+      reference.pop_front();
     }
-  });
-  for (uint64_t i = 1; i <= kCount; ++i) {
-    while (!queue.Push(i)) {
+    ASSERT_EQ(fifo.size(), reference.size());
+    if (!reference.empty()) {
+      const size_t i = rng.NextUint64(reference.size());
+      ASSERT_EQ(fifo[i], reference[i]);
+      ASSERT_EQ(fifo[reference.size() - 1], reference.back());
     }
   }
-  consumer.join();
-  EXPECT_EQ(sum, kCount * (kCount + 1) / 2);
+  EXPECT_GE(growths, 4u);
+  EXPECT_GE(wrapped_growths, 2u);
+  while (!reference.empty()) {
+    ASSERT_EQ(fifo.front(), reference.front());
+    fifo.pop_front();
+    reference.pop_front();
+  }
+  EXPECT_TRUE(fifo.empty());
+}
+
+TEST(FifoTest, MoveOnlyElementsSurviveGrowthAndClear) {
+  Fifo<std::unique_ptr<int>> fifo;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 5; ++i) {  // Head advances so growth sees a wrap.
+      fifo.push_back(std::make_unique<int>(-1));
+      fifo.pop_front();
+    }
+    for (int i = 0; i < 40; ++i) {
+      fifo.push_back(std::make_unique<int>(i));
+    }
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_EQ(*fifo[static_cast<size_t>(i)], i);
+    }
+    std::unique_ptr<int> first = std::move(fifo.front());
+    fifo.pop_front();
+    EXPECT_EQ(*first, 0);
+    fifo.clear();
+    EXPECT_TRUE(fifo.empty());
+  }
+  EXPECT_EQ(fifo.capacity(), 64u);  // Never shrinks.
+}
+
+TEST(FifoTest, BoundedFifoKeepsItsLogicalCapacity) {
+  Fifo<int> fifo(8191);
+  for (int i = 0; i < 8191; ++i) {
+    ASSERT_FALSE(fifo.full());
+    fifo.push_back(i);
+  }
+  EXPECT_TRUE(fifo.full());
+  EXPECT_EQ(fifo.capacity(), 8192u);
+  fifo.pop_front();
+  EXPECT_FALSE(fifo.full());
+  EXPECT_EQ(fifo.front(), 1);
+}
+
+TEST(PortTableTest, EphemeralWrapAndBusySkip) {
+  PortTable ports;
+  EXPECT_EQ(ports.chunks_in_use(), 0u);
+  EXPECT_EQ(ports.AllocateEphemeral(), PortTable::kEphemeralFirst);
+  ports.Acquire(PortTable::kEphemeralFirst);
+  ports.Acquire(PortTable::kEphemeralFirst + 2);
+  EXPECT_EQ(ports.AllocateEphemeral(), PortTable::kEphemeralFirst + 1);
+  EXPECT_EQ(ports.AllocateEphemeral(), PortTable::kEphemeralFirst + 3);  // Skips the busy one.
+  uint16_t port = 0;
+  while (port != PortTable::kEphemeralLast) {
+    port = ports.AllocateEphemeral();
+  }
+  // Wraps to the bottom of the range and skips the ports still bound.
+  EXPECT_EQ(ports.AllocateEphemeral(), PortTable::kEphemeralFirst + 1);
+  ports.Release(PortTable::kEphemeralFirst + 2);
+  EXPECT_EQ(ports.AllocateEphemeral(), PortTable::kEphemeralFirst + 2);
+  EXPECT_EQ(ports.count(PortTable::kEphemeralFirst), 1u);
+  EXPECT_EQ(ports.count(80), 0u);
+  EXPECT_EQ(ports.chunks_in_use(), 1u);  // Only the chunk that was written.
 }
 
 TEST(LogHistogramTest, PercentileBuckets) {
