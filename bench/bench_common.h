@@ -137,12 +137,25 @@ struct EchoRunConfig {
   uint32_t buffer_bytes = 8 * 1024;
 };
 
+// tas.contexts.dropped_events: app events the host's full context queues
+// refused over the whole run (0 for a non-TAS host).
+inline uint64_t ContextDroppedEvents(TasService* tas) {
+  uint64_t dropped = 0;
+  if (tas != nullptr) {
+    for (uint16_t id = 0; id < tas->num_contexts(); ++id) {
+      dropped += tas->context(id)->dropped_events();
+    }
+  }
+  return dropped;
+}
+
 struct EchoRunResult {
   double mops = 0;
   double median_us = 0;
   double p99_us = 0;
   uint64_t server_requests = 0;
   uint64_t reconnects = 0;
+  uint64_t server_ctx_dropped_events = 0;  // tas.contexts.dropped_events.
   FlowTableReport server_flow_table;  // valid only for TAS servers.
 };
 
@@ -210,6 +223,7 @@ inline EchoRunResult RunEcho(EchoRunConfig config) {
   result.p99_us = clients[0]->latency().Percentile(99);
   result.server_requests = server.requests_served() - server_before;
   result.server_flow_table = CaptureFlowTableReport(exp->host(0).tas());
+  result.server_ctx_dropped_events = ContextDroppedEvents(exp->host(0).tas());
   if (config.mode == EchoServerConfig::Mode::kRxOnly) {
     // One-directional RX runs are measured at the server.
     result.mops = static_cast<double>(result.server_requests) / ToSec(config.measure) / 1e6;

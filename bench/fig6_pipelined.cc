@@ -12,8 +12,8 @@ namespace tas {
 namespace bench {
 namespace {
 
-double RunPoint(StackKind kind, EchoServerConfig::Mode mode, size_t bytes,
-                uint64_t app_cycles) {
+EchoRunResult RunPoint(StackKind kind, EchoServerConfig::Mode mode, size_t bytes,
+                       uint64_t app_cycles) {
   EchoRunConfig config;
   config.server_stack = kind;
   config.server_app_cores = 1;  // Single-threaded server (paper).
@@ -28,20 +28,24 @@ double RunPoint(StackKind kind, EchoServerConfig::Mode mode, size_t bytes,
   config.buffer_bytes = 64 * 1024;
   config.warmup = Ms(15);
   config.measure = Ms(15);
-  return RunEcho(config).mops;
+  return RunEcho(config);
 }
 
 void RunDirection(EchoServerConfig::Mode mode, const char* label) {
   const size_t sizes[] = {32, 128, 512, 2048};
   for (uint64_t cycles : {uint64_t{250}, uint64_t{1000}}) {
     std::cout << "\n--- " << label << ", " << cycles << " cycles/message ---\n";
-    TablePrinter table({"Size [B]", "TAS mOps", "mTCP mOps", "Linux mOps", "TAS Gbps"});
+    // "TAS ctx drops" is the TAS server's tas.contexts.dropped_events: app
+    // events refused by a full context queue (ROADMAP item 1).
+    TablePrinter table({"Size [B]", "TAS mOps", "mTCP mOps", "Linux mOps", "TAS Gbps",
+                        "TAS ctx drops"});
     for (size_t size : sizes) {
-      const double tas = RunPoint(StackKind::kTas, mode, size, cycles);
-      const double mtcp = RunPoint(StackKind::kMtcp, mode, size, cycles);
-      const double linux = RunPoint(StackKind::kLinux, mode, size, cycles);
-      table.AddRow(size, Fmt(tas, 2), Fmt(mtcp, 2), Fmt(linux, 2),
-                   Fmt(tas * 1e6 * static_cast<double>(size) * 8 / 1e9, 2));
+      const EchoRunResult tas = RunPoint(StackKind::kTas, mode, size, cycles);
+      const double mtcp = RunPoint(StackKind::kMtcp, mode, size, cycles).mops;
+      const double linux = RunPoint(StackKind::kLinux, mode, size, cycles).mops;
+      table.AddRow(size, Fmt(tas.mops, 2), Fmt(mtcp, 2), Fmt(linux, 2),
+                   Fmt(tas.mops * 1e6 * static_cast<double>(size) * 8 / 1e9, 2),
+                   tas.server_ctx_dropped_events);
     }
     table.Print();
   }

@@ -1,9 +1,13 @@
 // google-benchmark microbenchmarks of the real data structures on the TAS
 // hot paths: the circular payload buffer, packet wire serialization/parsing,
-// reassembly, raw simulator event throughput, and flow lookup.
+// reassembly, simulator event throughput (consecutive and hold-model
+// schedules), and flow lookup.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "src/net/packet.h"
 #include "src/sim/simulator.h"
@@ -94,6 +98,50 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 
+// Classic hold model: the queue keeps state.range(0) events pending; each
+// iteration pops one and the popped event pushes one replacement. Delays are
+// drawn up front: 15 in 16 uniform over [0, 4096) ns, one in 16 a far timer
+// uniform over [10 us, 1 ms). Unlike BM_SimulatorEventThroughput (consecutive
+// nanoseconds), pops here keep landing in empty calendar windows, so the
+// far-bucket refill path is exercised.
+struct HoldModel {
+  Simulator sim;
+  std::vector<TimeNs> delays;  // Power-of-two size, cycled.
+  size_t next = 0;
+
+  TimeNs NextDelay() { return delays[next++ & (delays.size() - 1)]; }
+};
+
+struct HoldEvent {
+  HoldModel* model;
+  void operator()() const {
+    model->sim.After(model->NextDelay(), HoldEvent{model});
+    model->sim.Stop();  // One event per Run().
+  }
+};
+
+void BM_SimulatorHoldModel(benchmark::State& state) {
+  // Heap-allocated: the simulator's calendar window makes it ~34 KiB.
+  auto model = std::make_unique<HoldModel>();
+  Rng rng(7);
+  model->delays.resize(1 << 16);
+  for (TimeNs& delay : model->delays) {
+    delay = rng.NextUint64(16) == 0 ? rng.NextInt(Us(10), Ms(1) - 1)
+                                    : static_cast<TimeNs>(rng.NextUint64(4096));
+  }
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    model->sim.After(model->NextDelay(), HoldEvent{model.get()});
+  }
+  for (auto _ : state) {
+    model->sim.Run();
+  }
+  benchmark::DoNotOptimize(model->sim.events_executed());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["refills_per_pop"] =
+      static_cast<double>(model->sim.refills()) /
+      static_cast<double>(std::max<uint64_t>(1, model->sim.events_executed()));
+}
+
 void BM_FlowHash(benchmark::State& state) {
   uint32_t port = 0;
   for (auto _ : state) {
@@ -148,6 +196,7 @@ BENCHMARK(BM_PacketParse)->Arg(64)->Arg(1448);
 BENCHMARK(BM_ReassemblyInOrder);
 BENCHMARK(BM_ReassemblyOutOfOrder);
 BENCHMARK(BM_SimulatorEventThroughput);
+BENCHMARK(BM_SimulatorHoldModel)->Arg(64)->Arg(512)->Arg(4096);
 BENCHMARK(BM_FlowHash);
 BENCHMARK(BM_FlowTableLookup)->Arg(128)->Arg(4096)->Arg(65536);
 BENCHMARK(BM_FlowTableLookupUnorderedMap)->Arg(128)->Arg(4096)->Arg(65536);

@@ -65,6 +65,9 @@ struct SmokeResult {
   uint64_t cancelled_popped = 0;
   size_t max_pending = 0;
   size_t event_nodes = 0;
+  uint64_t queue_refills = 0;  // Whole run, warm-up included.
+  uint64_t queue_moved = 0;
+  uint64_t ctx_dropped_events = 0;  // tas.contexts.dropped_events, server.
   PacketPoolStats pool;
   std::string latency_json;  // Empty unless TAS_LATENCY is set.
   uint64_t watchdog_triggers = 0;  // Armed runs only.
@@ -152,6 +155,9 @@ SmokeResult RunSmoke(bool armed = false) {
   result.cancelled_popped = exp->sim().cancelled_popped();
   result.max_pending = exp->sim().max_pending_events();
   result.event_nodes = exp->sim().event_nodes_total();
+  result.queue_refills = exp->sim().refills();
+  result.queue_moved = exp->sim().entries_moved();
+  result.ctx_dropped_events = ContextDroppedEvents(exp->host(0).tas());
   result.pool = exp->packet_pool().stats();
   if (LatencyEnabled()) {
     result.latency_json = exp->host(0).tas()->tracer().latency().Report().ToJson();
@@ -222,6 +228,9 @@ int Run() {
   table.AddRow("peak RSS MiB", Fmt(static_cast<double>(PeakRssKb()) / 1024.0, 1));
   table.AddRow("max pending events", r.max_pending);
   table.AddRow("event nodes (slab)", r.event_nodes);
+  table.AddRow("queue refills (whole run)", r.queue_refills);
+  table.AddRow("queue entries moved", r.queue_moved);
+  table.AddRow("tas.contexts.dropped_events", r.ctx_dropped_events);
   table.AddRow("pkts allocated", r.pool.allocated);
   table.AddRow("pkts reused", r.pool.reused);
   if (WatchdogBenchEnabled()) {
@@ -256,6 +265,9 @@ int Run() {
             << ",\"cancelled_popped\":" << r.cancelled_popped
             << ",\"max_pending_events\":" << r.max_pending
             << ",\"event_nodes\":" << r.event_nodes
+            << ",\"queue_refills\":" << r.queue_refills
+            << ",\"queue_moved\":" << r.queue_moved
+            << ",\"ctx_dropped_events\":" << r.ctx_dropped_events
             << ",\"pkt_pool_allocated\":" << r.pool.allocated
             << ",\"pkt_pool_reused\":" << r.pool.reused
             << ",\"watchdog_armed\":" << (WatchdogBenchEnabled() ? 1 : 0)

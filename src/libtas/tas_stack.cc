@@ -24,13 +24,53 @@ TasStack::TasStack(TasService* service, std::vector<Core*> app_cores,
 TasStack::~TasStack() = default;
 
 TasStack::Conn* TasStack::GetConn(ConnId id) {
-  auto it = conns_.find(id);
-  return it == conns_.end() ? nullptr : &it->second;
+  return const_cast<Conn*>(static_cast<const TasStack*>(this)->GetConn(id));
 }
 
 const TasStack::Conn* TasStack::GetConn(ConnId id) const {
-  auto it = conns_.find(id);
-  return it == conns_.end() ? nullptr : &it->second;
+  if (id >= kInvalidFlow) {
+    return nullptr;  // Not a flow id.
+  }
+  const size_t slot = FlowSlotOf(static_cast<FlowId>(id));
+  if (slot < conns_.size() && conns_[slot].flow == id) {
+    return &conns_[slot];
+  }
+  for (const Conn& c : displaced_) {
+    if (c.flow == id) {
+      return &c;
+    }
+  }
+  return nullptr;
+}
+
+void TasStack::AddConn(const Conn& conn) {
+  EraseConn(conn.flow);
+  const size_t slot = FlowSlotOf(conn.flow);
+  if (slot >= conns_.size()) {
+    conns_.resize(slot + 1);
+  }
+  if (conns_[slot].flow != kInvalidFlow) {
+    displaced_.push_back(conns_[slot]);
+  }
+  conns_[slot] = conn;
+}
+
+void TasStack::EraseConn(ConnId id) {
+  if (id >= kInvalidFlow) {
+    return;
+  }
+  const size_t slot = FlowSlotOf(static_cast<FlowId>(id));
+  if (slot < conns_.size() && conns_[slot].flow == id) {
+    conns_[slot] = Conn{};
+    return;
+  }
+  for (size_t i = 0; i < displaced_.size(); ++i) {
+    if (displaced_[i].flow == id) {
+      displaced_[i] = displaced_.back();
+      displaced_.pop_back();
+      return;
+    }
+  }
 }
 
 void TasStack::AtCoreHorizon(Core* core, size_t ctx_index, const TxCommand& cmd) {
@@ -55,7 +95,7 @@ ConnId TasStack::Connect(IpAddr dst_ip, uint16_t dst_port) {
   // The flow id doubles as the connection id; the service tags fs.opaque
   // with it so every event identifies the connection directly.
   const FlowId flow = service_->Connect(dst_ip, dst_port, 0, contexts_[ctx_index].id);
-  conns_[flow] = Conn{flow, ctx_index, 0, false, false};
+  AddConn(Conn{flow, ctx_index, 0, false, false});
   return flow;
 }
 
@@ -264,7 +304,7 @@ void TasStack::DispatchEvent(size_t /*context_index*/, const AppEvent& event) {
       if (handler_ != nullptr) {
         handler_->OnConnected(event.opaque, false);
       }
-      conns_.erase(event.opaque);
+      EraseConn(event.opaque);
       return;
     }
     case AppEventType::kConnFin: {
@@ -300,7 +340,7 @@ void TasStack::DispatchEvent(size_t /*context_index*/, const AppEvent& event) {
       if (handler_ != nullptr) {
         handler_->OnClosed(event.opaque);
       }
-      conns_.erase(event.opaque);
+      EraseConn(event.opaque);
       return;
     }
     case AppEventType::kAcceptable: {
@@ -311,7 +351,7 @@ void TasStack::DispatchEvent(size_t /*context_index*/, const AppEvent& event) {
         return;
       }
       const size_t ctx_index = next_context_rr_++ % contexts_.size();
-      conns_[flow_id] = Conn{flow_id, ctx_index, 0, false, false};
+      AddConn(Conn{flow_id, ctx_index, 0, false, false});
       // Route future events to the context (and app core) owning this conn;
       // the event identity (fs.opaque == flow id) never changes.
       flow->fs.context = contexts_[ctx_index].id;

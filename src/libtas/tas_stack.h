@@ -15,7 +15,6 @@
 #define SRC_LIBTAS_TAS_STACK_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/baseline/stack_iface.h"
@@ -81,6 +80,9 @@ class TasStack : public Stack {
   void DispatchEvent(size_t context_index, const AppEvent& event);
   Conn* GetConn(ConnId id);
   const Conn* GetConn(ConnId id) const;
+  // Adds (or replaces) the connection with id `conn.flow`.
+  void AddConn(const Conn& conn);
+  void EraseConn(ConnId id);
   // Pushes `cmd` onto context `ctx_index`'s TX queue at the app core's
   // current work horizon (post-charge). During a batched event dispatch the
   // push is deferred instead and flushed with the batch's others as ONE event
@@ -93,7 +95,14 @@ class TasStack : public Stack {
   const StackCostModel* costs_;
   AppHandler* handler_ = nullptr;
   std::vector<Context> contexts_;
-  std::unordered_map<ConnId, Conn> conns_;  // Keyed by flow id.
+  // Connections by flow-id slot (FlowSlotOf), dense because flow ids are
+  // TasService slab indices; an entry is present when its `flow` equals the
+  // id looked up, so a stale id reads as absent. The service frees a flow's
+  // slot as it queues kConnClosed, and the slot may be reused before this
+  // stack drains that event: the older connection then waits in
+  // `displaced_` until its terminal event erases it.
+  std::vector<Conn> conns_;
+  std::vector<Conn> displaced_;
   size_t next_context_rr_ = 0;  // Round-robin for accepted/united conns.
   // The context whose dispatch continuation is running (its pushes are
   // deferred; all callbacks there run on that context's core).

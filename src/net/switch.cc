@@ -21,7 +21,10 @@ class Switch::Port : public NetDevice {
 };
 
 Switch::Switch(Simulator* sim, std::string name, TimeNs forwarding_latency)
-    : sim_(sim), name_(std::move(name)), forwarding_latency_(forwarding_latency) {}
+    : sim_(sim),
+      name_(std::move(name)),
+      forwarding_latency_(forwarding_latency),
+      routes_(kMinRouteSlots) {}
 
 Switch::~Switch() = default;
 
@@ -35,28 +38,67 @@ LinkEnd Switch::port_end(int port) const {
   return ports_[static_cast<size_t>(port)]->end();
 }
 
+Switch::Route& Switch::RouteSlot(IpAddr dst) {
+  const size_t mask = routes_.size() - 1;
+  uint32_t h = dst * 0x9E3779B1u;
+  h ^= h >> 16;  // Fold the well-mixed high half into the index bits.
+  for (size_t i = h & mask;; i = (i + 1) & mask) {
+    Route& route = routes_[i];
+    if (route.count == 0 || route.dst == dst) {
+      return route;
+    }
+  }
+}
+
 void Switch::AddRoute(IpAddr dst, int port) {
   TAS_CHECK(port >= 0 && static_cast<size_t>(port) < ports_.size());
-  routes_[dst].push_back(port);
+  if ((route_count_ + 1) * 2 > routes_.size()) {
+    std::vector<Route> old = std::move(routes_);
+    routes_.assign(old.size() * 2, Route{});
+    for (const Route& route : old) {
+      if (route.count != 0) {
+        RouteSlot(route.dst) = route;
+      }
+    }
+  }
+  Route& route = RouteSlot(dst);
+  if (route.count == 0) {
+    route = Route{dst, static_cast<uint32_t>(route_ports_.size()), 0};
+    ++route_count_;
+  } else if (route.first + route.count != route_ports_.size()) {
+    // Not the newest set: move it to the end so it can grow in place.
+    const uint32_t first = static_cast<uint32_t>(route_ports_.size());
+    for (uint32_t i = 0; i < route.count; ++i) {
+      route_ports_.push_back(route_ports_[route.first + i]);
+    }
+    route.first = first;
+  }
+  route_ports_.push_back(port);
+  ++route.count;
+}
+
+void Switch::ClearRoutes() {
+  routes_.assign(routes_.size(), Route{});
+  route_ports_.clear();
+  route_count_ = 0;
 }
 
 void Switch::HandlePacket(PacketPtr pkt) {
-  auto it = routes_.find(pkt->ip.dst);
-  if (it == routes_.end() || it->second.empty()) {
+  const Route& route = RouteSlot(pkt->ip.dst);
+  if (route.count == 0) {
     ++no_route_drops_;
     if (LatencyTracer* lt = LatencyTracer::Current()) {
       lt->Abandon(pkt->lat_id);
     }
     return;
   }
-  const std::vector<int>& candidates = it->second;
   int port;
-  if (candidates.size() == 1) {
-    port = candidates[0];
+  if (route.count == 1) {
+    port = route_ports_[route.first];
   } else {
     const uint32_t h =
         FlowHash(pkt->ip.src, pkt->tcp.src_port, pkt->ip.dst, pkt->tcp.dst_port);
-    port = candidates[h % candidates.size()];
+    port = route_ports_[route.first + h % route.count];
   }
   ++forwarded_;
   // Arrivals are FIFO in time, so due times are monotone; the pending queue

@@ -10,7 +10,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/net/link.h"
@@ -36,7 +35,7 @@ class Switch {
   // Declares that `dst` is reachable via `port` (equal cost with any ports
   // already registered for `dst`).
   void AddRoute(IpAddr dst, int port);
-  void ClearRoutes() { routes_.clear(); }
+  void ClearRoutes();
 
   uint64_t forwarded() const { return forwarded_; }
   uint64_t no_route_drops() const { return no_route_drops_; }
@@ -48,14 +47,30 @@ class Switch {
  private:
   class Port;
 
+  // One FIB entry: `dst`'s equal-cost ports are route_ports_[first,
+  // first + count), in AddRoute order. count == 0 marks an empty slot.
+  struct Route {
+    IpAddr dst = 0;
+    uint32_t first = 0;
+    uint32_t count = 0;
+  };
+
   void HandlePacket(PacketPtr pkt);
   void Flush();
+  // The FIB slot holding `dst`, or the empty slot where it would go.
+  Route& RouteSlot(IpAddr dst);
 
   Simulator* sim_;
   std::string name_;
   TimeNs forwarding_latency_;
   std::vector<std::unique_ptr<Port>> ports_;
-  std::unordered_map<IpAddr, std::vector<int>> routes_;
+  // Open-addressed (linear probing, power-of-two size, at most half full)
+  // over a contiguous ECMP port array: a forwarded packet costs one hash,
+  // usually one probe, and one load of its port.
+  static constexpr size_t kMinRouteSlots = 16;
+  std::vector<Route> routes_;
+  std::vector<int> route_ports_;
+  size_t route_count_ = 0;
   // Routed packets awaiting their forwarding-latency expiry, FIFO by due
   // time. One flush event per distinct arrival instant forwards every packet
   // due at that moment — a burst delivered by a link shares one event while

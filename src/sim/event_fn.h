@@ -29,13 +29,7 @@ class EventFn {
             typename = std::enable_if_t<!std::is_same_v<D, EventFn> &&
                                         std::is_invocable_r_v<void, D&>>>
   EventFn(F&& fn) {  // NOLINT: implicit by design, mirrors std::function.
-    if constexpr (kStoredInline<D>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
-      ops_ = &kInlineOps<D>;
-    } else {
-      *reinterpret_cast<D**>(static_cast<void*>(storage_)) = new D(std::forward<F>(fn));
-      ops_ = &kHeapOps<D>;
-    }
+    Construct<D>(std::forward<F>(fn));
   }
 
   EventFn(EventFn&& other) noexcept { MoveFrom(other); }
@@ -50,6 +44,16 @@ class EventFn {
   EventFn& operator=(const EventFn&) = delete;
   ~EventFn() { reset(); }
 
+  // Replaces the stored callable with `fn`, built directly in this object's
+  // storage: no temporary EventFn and no relocation through ops_->move.
+  template <typename F, typename D = std::decay_t<F>>
+  void Emplace(F&& fn) {
+    static_assert(!std::is_same_v<D, EventFn> && std::is_invocable_r_v<void, D&>,
+                  "Emplace takes a void() callable");
+    reset();
+    Construct<D>(std::forward<F>(fn));
+  }
+
   void operator()() { ops_->invoke(storage_); }
   explicit operator bool() const noexcept { return ops_ != nullptr; }
   // True when the capture spilled to the heap instead of the inline buffer.
@@ -59,7 +63,9 @@ class EventFn {
   // packets) and returns to the empty state.
   void reset() noexcept {
     if (ops_ != nullptr) {
-      ops_->destroy(storage_);
+      if (ops_->destroy != nullptr) {
+        ops_->destroy(storage_);
+      }
       ops_ = nullptr;
     }
   }
@@ -68,7 +74,7 @@ class EventFn {
   struct Ops {
     void (*invoke)(void* storage);
     void (*move)(void* dst, void* src) noexcept;
-    void (*destroy)(void* storage) noexcept;
+    void (*destroy)(void* storage) noexcept;  // Null: nothing to destroy.
     bool heap;
   };
 
@@ -80,6 +86,11 @@ class EventFn {
       std::is_nothrow_move_constructible_v<D>;
 
   template <typename D>
+  static void DestroyInline(void* s) noexcept {
+    std::launder(reinterpret_cast<D*>(s))->~D();
+  }
+
+  template <typename D>
   static constexpr Ops kInlineOps = {
       [](void* s) { (*std::launder(reinterpret_cast<D*>(s)))(); },
       [](void* dst, void* src) noexcept {
@@ -87,7 +98,9 @@ class EventFn {
         ::new (dst) D(std::move(*from));
         from->~D();
       },
-      [](void* s) noexcept { std::launder(reinterpret_cast<D*>(s))->~D(); },
+      // Most event closures capture only pointers and indices; skipping
+      // their no-op destructor saves an indirect call per event.
+      std::is_trivially_destructible_v<D> ? nullptr : &DestroyInline<D>,
       false,
   };
 
@@ -100,6 +113,17 @@ class EventFn {
       [](void* s) noexcept { delete *reinterpret_cast<D**>(s); },
       true,
   };
+
+  template <typename D, typename F>
+  void Construct(F&& fn) {
+    if constexpr (kStoredInline<D>) {
+      ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
+      ops_ = &kInlineOps<D>;
+    } else {
+      *reinterpret_cast<D**>(static_cast<void*>(storage_)) = new D(std::forward<F>(fn));
+      ops_ = &kHeapOps<D>;
+    }
+  }
 
   void MoveFrom(EventFn& other) noexcept {
     if (other.ops_ != nullptr) {

@@ -7,141 +7,128 @@
 
 namespace tas {
 
-void Simulator::BucketAppend(Bucket& bucket, const QueueEntry& entry) {
-  if (bucket.tail == kNoBlock || blocks_[bucket.tail].count == kBlockEntries) {
-    const uint32_t index = free_block_;  // Never empty: see kSpareBlocks.
-    Block& block = blocks_[index];
-    free_block_ = block.next;
-    block.next = kNoBlock;
-    block.count = 0;
-    if (bucket.tail == kNoBlock) {
-      bucket.head = index;
-    } else {
-      blocks_[bucket.tail].next = index;
-    }
-    bucket.tail = index;
+void Simulator::Append(Chain& chain, uint32_t cell) {
+  cells_[cell].next = kNoCell;
+  if (chain.tail == kNoCell) {
+    chain.head = cell;
+  } else {
+    cells_[chain.tail].next = cell;
   }
-  Block& tail = blocks_[bucket.tail];
-  tail.entries[tail.count++] = entry;
+  chain.tail = cell;
 }
 
-void Simulator::ReleaseBlock(uint32_t index) {
-  blocks_[index].next = free_block_;
-  free_block_ = index;
-}
-
-void Simulator::QueueInsert(const QueueEntry& entry) {
-  const uint64_t diff = entry.when_key ^ last_;
-  if (diff == 0) {
-    BucketAppend(current_, entry);
+void Simulator::QueueInsert(uint32_t cell) {
+  const uint64_t when = cells_[cell].entry.when_key;
+  const uint64_t diff = when ^ last_;
+  if (diff <= kWindowMask) {
+    const uint32_t slot = static_cast<uint32_t>(when & kWindowMask);
+    Append(slots_[slot], cell);
+    slot_bits_[slot >> 6] |= uint64_t{1} << (slot & 63);
+    slot_summary_ |= uint64_t{1} << (slot >> 6);
     return;
   }
   const int bit = static_cast<int>(std::bit_width(diff)) - 1;
-  Bucket& bucket = far_[bit];
-  BucketAppend(bucket, entry);
-  bucket.min = std::min(bucket.min, entry.when_key);
+  FarBucket& bucket = far_[bit];
+  Append(bucket.chain, cell);
+  bucket.min = std::min(bucket.min, when);
   occupied_ |= uint64_t{1} << bit;
 }
 
+void Simulator::Refill(int bit) {
+  FarBucket& source = far_[bit];
+  last_ = source.min;
+  occupied_ &= ~(uint64_t{1} << bit);
+  uint32_t cell = source.chain.head;
+  source = FarBucket{};
+  ++refills_;
+  // Every entry lands in the window or strictly below `bit`, so the chain
+  // being walked is never appended to.
+  while (cell != kNoCell) {
+    const uint32_t next = cells_[cell].next;
+    QueueInsert(cell);
+    ++entries_moved_;
+    cell = next;
+  }
+}
+
 bool Simulator::LoadDue(TimeNs until) {
-  if (current_.head == kNoBlock) {
+  if (slot_summary_ == 0) {
     if (occupied_ == 0) {
       return false;
     }
     const int bit = std::countr_zero(occupied_);
-    Bucket& source = far_[bit];
-    if (static_cast<TimeNs>(source.min) > until) {
+    if (static_cast<TimeNs>(far_[bit].min) > until) {
       return false;  // Peek only: last_ stays put.
     }
-    last_ = source.min;
-    occupied_ &= ~(uint64_t{1} << bit);
-    const Bucket moving = source;
-    source = Bucket{};
-    if (moving.head == moving.tail && blocks_[moving.head].count == 1) {
-      current_ = moving;  // A lone entry: its block becomes the current bucket.
-      return true;
-    }
-    // Every entry lands strictly below `bit`, so the chain being drained is
-    // never appended to; each drained block goes back to the pool at once.
-    for (uint32_t b = moving.head; b != kNoBlock;) {
-      const Block& block = blocks_[b];
-      for (uint32_t i = 0; i < block.count; ++i) {
-        QueueInsert(block.entries[i]);
-      }
-      const uint32_t next = block.next;
-      ReleaseBlock(b);
-      b = next;
-    }
+    Refill(bit);
   }
-  return static_cast<TimeNs>(last_) <= until;
+  const uint32_t word = static_cast<uint32_t>(std::countr_zero(slot_summary_));
+  due_slot_ = word << 6 | static_cast<uint32_t>(std::countr_zero(slot_bits_[word]));
+  return static_cast<TimeNs>((last_ & ~kWindowMask) | due_slot_) <= until;
 }
 
-Simulator::QueueEntry Simulator::PopCurrent() {
-  Block& block = blocks_[current_.head];
-  const QueueEntry entry = block.entries[current_pos_++];
-  if (current_pos_ == block.count) {
-    // Consumed all that was written: only the tail block can be partial.
-    const uint32_t next = block.next;
-    ReleaseBlock(current_.head);
-    current_.head = next;
-    if (next == kNoBlock) {
-      current_.tail = kNoBlock;
+Simulator::QueueEntry Simulator::PopDue() {
+  Chain& chain = slots_[due_slot_];
+  const uint32_t cell = chain.head;
+  Cell& c = cells_[cell];
+  const QueueEntry entry = c.entry;
+  chain.head = c.next;
+  if (chain.head == kNoCell) {
+    chain.tail = kNoCell;
+    uint64_t& word = slot_bits_[due_slot_ >> 6];
+    word &= ~(uint64_t{1} << (due_slot_ & 63));
+    if (word == 0) {
+      slot_summary_ &= ~(uint64_t{1} << (due_slot_ >> 6));
     }
-    current_pos_ = 0;
   }
+  c.next = free_cell_;
+  free_cell_ = cell;
   --size_;
   return entry;
 }
 
-size_t Simulator::PurgeBucket(Bucket& bucket, uint32_t first) {
-  if (bucket.head == kNoBlock) {
-    return 0;
-  }
-  // Compact in place: the write cursor trails the read cursor.
-  uint32_t write_block = bucket.head;
-  uint32_t write_pos = 0;
-  uint64_t min = ~uint64_t{0};
+size_t Simulator::PurgeChain(Chain& chain, uint64_t& min) {
   size_t dropped = 0;
-  for (uint32_t b = bucket.head, i = first; b != kNoBlock; b = blocks_[b].next, i = 0) {
-    for (; i < blocks_[b].count; ++i) {
-      const QueueEntry e = blocks_[b].entries[i];
-      if (!HandleArmed(e.node, e.generation)) {
-        ++dropped;
-        continue;
-      }
-      if (write_pos == kBlockEntries) {
-        write_block = blocks_[write_block].next;
-        write_pos = 0;
-      }
-      blocks_[write_block].entries[write_pos++] = e;
-      min = std::min(min, e.when_key);
+  uint32_t cell = chain.head;
+  chain = Chain{};
+  while (cell != kNoCell) {
+    const uint32_t next = cells_[cell].next;
+    const QueueEntry& e = cells_[cell].entry;
+    if (HandleArmed(e.node, e.generation)) {
+      const uint64_t when = e.when_key;
+      min = std::min(min, when);
+      Append(chain, cell);
+    } else {
+      cells_[cell].next = free_cell_;
+      free_cell_ = cell;
+      ++dropped;
     }
-  }
-  uint32_t spare;
-  if (write_pos == 0) {  // No survivors.
-    spare = bucket.head;
-    bucket = Bucket{};
-  } else {
-    spare = blocks_[write_block].next;
-    blocks_[write_block].next = kNoBlock;
-    blocks_[write_block].count = write_pos;
-    bucket.tail = write_block;
-    bucket.min = min;
-  }
-  while (spare != kNoBlock) {
-    const uint32_t next = blocks_[spare].next;
-    ReleaseBlock(spare);
-    spare = next;
+    cell = next;
   }
   return dropped;
 }
 
 void Simulator::PurgeStaleEntries() {
-  size_t dropped = PurgeBucket(current_, current_pos_);
-  current_pos_ = 0;
-  for (uint32_t bit = 0; bit < kFarBuckets; ++bit) {
-    dropped += PurgeBucket(far_[bit], 0);
-    if (far_[bit].head == kNoBlock) {
+  size_t dropped = 0;
+  for (uint32_t word = 0; word < kWindowWords; ++word) {
+    for (uint64_t bits = slot_bits_[word]; bits != 0; bits &= bits - 1) {
+      const uint32_t slot = word << 6 | static_cast<uint32_t>(std::countr_zero(bits));
+      uint64_t unused = 0;
+      dropped += PurgeChain(slots_[slot], unused);
+      if (slots_[slot].head == kNoCell) {
+        slot_bits_[word] &= ~(uint64_t{1} << (slot & 63));
+      }
+    }
+    if (slot_bits_[word] == 0) {
+      slot_summary_ &= ~(uint64_t{1} << word);
+    }
+  }
+  for (uint64_t bits = occupied_; bits != 0; bits &= bits - 1) {
+    const int bit = std::countr_zero(bits);
+    FarBucket& bucket = far_[bit];
+    bucket.min = ~uint64_t{0};
+    dropped += PurgeChain(bucket.chain, bucket.min);
+    if (bucket.chain.head == kNoCell) {
       occupied_ &= ~(uint64_t{1} << bit);
     }
   }
@@ -179,27 +166,23 @@ EventHandle Simulator::Push(TimeNs when, uint32_t index) {
   TAS_CHECK(when >= now_);
   if (++size_ > max_pending_events_) {
     max_pending_events_ = size_;
-    const size_t want = size_ / kBlockEntries + kSpareBlocks;
-    if (blocks_.size() < want) {
-      // A new high-water mark: top the block pool up to the bound.
-      const size_t old_size = blocks_.size();
-      blocks_.resize(std::max(want, old_size * 2));
-      for (size_t b = blocks_.size(); b-- > old_size;) {
-        ReleaseBlock(static_cast<uint32_t>(b));
+    if (cells_.size() < size_) {
+      // A new high-water mark: grow the cell pool (every queued entry holds
+      // exactly one cell, so the pool never runs dry below the mark).
+      const size_t old_size = cells_.size();
+      cells_.resize(std::max<size_t>(64, old_size * 2));
+      for (size_t c = cells_.size(); c-- > old_size;) {
+        cells_[c].next = free_cell_;
+        free_cell_ = static_cast<uint32_t>(c);
       }
     }
   }
   const uint32_t generation = Node(index).generation;
-  QueueInsert(QueueEntry{static_cast<uint64_t>(when), index, generation});
+  const uint32_t cell = free_cell_;
+  free_cell_ = cells_[cell].next;
+  cells_[cell].entry = QueueEntry{static_cast<uint64_t>(when), index, generation};
+  QueueInsert(cell);
   return EventHandle(this, index, generation);
-}
-
-EventHandle Simulator::At(TimeNs when, EventFn fn) {
-  const uint32_t index = AcquireNode();
-  EventNode& node = Node(index);
-  node.fn = std::move(fn);
-  node.armed = true;
-  return Push(when, index);
 }
 
 EventHandle Simulator::RearmCurrent(TimeNs when) {
@@ -254,7 +237,7 @@ uint64_t Simulator::Drain(TimeNs until) {
   stopped_ = false;
   uint64_t executed = 0;
   while (!stopped_ && LoadDue(until)) {
-    const QueueEntry top = PopCurrent();
+    const QueueEntry top = PopDue();
     now_ = top.when();
     const EventNode& node = Node(top.node);
     if (node.generation != top.generation || !node.armed) {

@@ -2,8 +2,8 @@
 //
 // The paper evaluates TAS on a physical cluster plus ns-3 simulations; here
 // every experiment runs on this event simulator. Events are (time, callback)
-// entries in a monotone radix queue; same-time ties fire in scheduling order
-// (the queue keeps every bucket in insertion order), so runs are fully
+// entries in a monotone calendar queue; same-time ties fire in scheduling
+// order (the queue keeps every chain in insertion order), so runs are fully
 // deterministic.
 //
 // Hot-path memory discipline (DESIGN.md §8): closures live in a slab of
@@ -53,23 +53,39 @@ class EventHandle {
 
 class Simulator {
  public:
+  // The calendar window covers the aligned 2^kWindowBits ns block holding
+  // the queue's floor; times inside it pop in O(1) (DESIGN.md §8).
+  static constexpr int kWindowBits = 12;
+
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   TimeNs Now() const { return now_; }
 
-  // Schedules `fn` to run at absolute time `when` (>= Now()).
-  EventHandle At(TimeNs when, EventFn fn);
+  // Schedules `fn` to run at absolute time `when` (>= Now()). The closure is
+  // built directly in its pooled event node.
+  template <typename F>
+  EventHandle At(TimeNs when, F&& fn) {
+    const uint32_t index = AcquireNode();
+    EventNode& node = Node(index);
+    node.fn.Emplace(std::forward<F>(fn));
+    node.armed = true;
+    return Push(when, index);
+  }
 
   // Schedules `fn` to run `delay` after Now().
-  EventHandle After(TimeNs delay, EventFn fn) { return At(now_ + delay, std::move(fn)); }
+  template <typename F>
+  EventHandle After(TimeNs delay, F&& fn) {
+    return At(now_ + delay, std::forward<F>(fn));
+  }
 
   // Like At(), but a `when` that already passed runs at Now() instead of
   // failing. Fault schedules installed mid-run rely on this: events whose
   // time predates installation apply immediately, in schedule order.
-  EventHandle AtClamped(TimeNs when, EventFn fn) {
-    return At(when < now_ ? now_ : when, std::move(fn));
+  template <typename F>
+  EventHandle AtClamped(TimeNs when, F&& fn) {
+    return At(when < now_ ? now_ : when, std::forward<F>(fn));
   }
 
   // Re-arms the event currently being dispatched at a new time, reusing its
@@ -104,6 +120,13 @@ class Simulator {
   size_t event_nodes_total() const { return node_count_; }
   size_t event_nodes_free() const { return free_count_; }
 
+  // --- Queue-structure counters (DESIGN.md §8) ------------------------------
+  // Times the calendar window ran dry and the lowest far bucket was
+  // redistributed, and the entries those refills relinked. Pops per refill
+  // (events_executed() / refills()) is the queue's amortization measure.
+  uint64_t refills() const { return refills_; }
+  uint64_t entries_moved() const { return entries_moved_; }
+
  private:
   friend class EventHandle;
 
@@ -133,6 +156,9 @@ class Simulator {
   // never removed early; a generation mismatch at pop time means the event
   // was cancelled (or the node recycled) and the entry is skipped. `when`
   // is non-negative, so unsigned order matches the signed time order.
+  // 4-byte aligned so that a linked queue cell packs into 20 bytes; read
+  // `when_key` by value (it cannot bind to a uint64_t reference).
+#pragma pack(push, 4)
   struct QueueEntry {
     uint64_t when_key;  // static_cast<uint64_t>(when)
     uint32_t node;
@@ -140,62 +166,72 @@ class Simulator {
 
     TimeNs when() const { return static_cast<TimeNs>(when_key); }
   };
+#pragma pack(pop)
   static_assert(sizeof(QueueEntry) == 16);
 
-  // Monotone radix queue. Every pending time is >= last_, the time of the
-  // last extracted entry. The current bucket holds the entries due exactly
-  // at last_ and pops them FIFO; far bucket d holds the entries whose time
-  // first differs from last_ at bit d (its bit is set in occupied_) and
-  // tracks its minimum as entries arrive. When the current bucket runs dry,
-  // the lowest occupied far bucket's minimum becomes last_ and its entries
-  // move, in order, into lower buckets — all empty at that moment. A bucket
+  // Monotone calendar queue. Every pending time is >= last_, the time of
+  // the last refill's minimum (and so <= Now()). Times that share last_'s
+  // bits above kWindowBits sit in the calendar window: one FIFO chain per
+  // nanosecond, found through a 64-word occupancy bitmap and a summary word
+  // over it, so a pop is two ctz's and an unlink. Any later time goes to
+  // far bucket d, the bit at which it first differs from last_ (always
+  // >= kWindowBits); each far bucket tracks its minimum as entries arrive.
+  // Only when the whole window is empty does the lowest far bucket refill:
+  // its minimum becomes last_ and its entries move, in order, into the new
+  // window or into lower far buckets — all empty at that moment. A chain
   // therefore only ever receives entries in scheduling order, so same-time
   // events fire in the order they were scheduled without any tie-break
   // compare.
   //
-  // Buckets are chains of fixed blocks drawn from one pool. Blocks in use
-  // never exceed pending_events() / kBlockEntries + kSpareBlocks (at most
-  // one partial block for each of the 65 buckets, plus the current bucket's
-  // consumed prefix and the block a refill is draining), and the pool is
-  // grown to that size whenever pending_events() sets a new high-water
-  // mark. So no push ever allocates once the pending count has peaked —
-  // whichever buckets a clock crossing a new power of two happens to fill.
-  static constexpr uint32_t kNoBlock = 0xFFFFFFFFu;
-  static constexpr uint32_t kBlockEntries = 32;
+  // Every queued entry, tombstones included, occupies one linked cell from
+  // a single pool, so cells in use equal pending_events(). The pool grows
+  // only when pending_events() sets a new high-water mark: no push ever
+  // allocates once the pending count has peaked, whichever slots or far
+  // buckets a clock crossing a new power of two happens to fill.
+  static constexpr uint32_t kNoCell = 0xFFFFFFFFu;
+  static constexpr uint32_t kWindowSlots = 1u << kWindowBits;
+  static constexpr uint64_t kWindowMask = kWindowSlots - 1;
+  static constexpr uint32_t kWindowWords = kWindowSlots / 64;
   static constexpr uint32_t kFarBuckets = 64;
-  static constexpr size_t kSpareBlocks = kFarBuckets + 3;
-  struct Block {
-    QueueEntry entries[kBlockEntries];
-    uint32_t next = kNoBlock;  // Next block of the bucket, or of the free list.
-    uint32_t count = 0;        // Entries written.
+  static_assert(kWindowWords == 64, "the summary word covers the bitmap");
+  struct Cell {
+    QueueEntry entry;
+    uint32_t next;  // Next cell of the chain, or of the free list.
   };
-  struct Bucket {
-    uint32_t head = kNoBlock;
-    uint32_t tail = kNoBlock;
-    uint64_t min = ~uint64_t{0};  // Earliest time key queued (far buckets).
+  static_assert(sizeof(Cell) == 20);
+  struct Chain {
+    uint32_t head = kNoCell;
+    uint32_t tail = kNoCell;
+  };
+  struct FarBucket {
+    Chain chain;
+    uint64_t min = ~uint64_t{0};  // Earliest time key queued.
   };
   // Below this size lazy deletion is cheap enough that compaction is not
   // worth the pass (also keeps small unit tests on the documented
   // pop-and-skip path).
   static constexpr size_t kPurgeMinEntries = 64;
 
-  void QueueInsert(const QueueEntry& entry);
-  void BucketAppend(Bucket& bucket, const QueueEntry& entry);
-  void ReleaseBlock(uint32_t index);
-  // Makes the current bucket non-empty if an entry is due at or before
+  void Append(Chain& chain, uint32_t cell);
+  // Files `cell` into its window slot or far bucket relative to last_.
+  void QueueInsert(uint32_t cell);
+  // Empties far bucket `bit` (the lowest occupied one, window empty) into
+  // the window and lower far buckets, its minimum becoming last_.
+  void Refill(int bit);
+  // Points due_slot_ at the earliest entry if it is due at or before
   // `until` and returns whether one is. A refill commits last_ only when the
-  // lowest bucket's minimum is due: moving last_ past `until` would strand a
-  // later At(t) with until <= t < minimum below the queue's floor.
+  // lowest far bucket's minimum is due: moving last_ past `until` would
+  // strand a later At(t) with until <= t < minimum below the queue's floor.
   bool LoadDue(TimeNs until);
-  // Removes the current bucket's front entry; LoadDue() must have succeeded.
-  QueueEntry PopCurrent();
-  // Drops every tombstone, bucket by bucket, keeping survivors in order.
+  // Removes due_slot_'s front entry; LoadDue() must have succeeded.
+  QueueEntry PopDue();
+  // Drops every tombstone, chain by chain, keeping survivors in order.
   // Cancellation-heavy runs otherwise grow the queue several times past its
   // live size, and refills move stale entries as well as live ones.
   void PurgeStaleEntries();
-  // Filters one bucket whose live entries start at `first` in its head
-  // block; returns the number of tombstones dropped.
-  size_t PurgeBucket(Bucket& bucket, uint32_t first);
+  // Filters one chain in place; returns the number of tombstones dropped
+  // and lowers `min` to the earliest survivor.
+  size_t PurgeChain(Chain& chain, uint64_t& min);
 
   uint32_t AcquireNode();
   void ReleaseNode(uint32_t index);
@@ -228,13 +264,17 @@ class Simulator {
   std::vector<std::unique_ptr<EventNode[]>> node_chunks_;
 
   size_t size_ = 0;        // Queued entries, tombstones included.
-  uint64_t last_ = 0;      // Time key of the last extracted entry.
-  uint64_t occupied_ = 0;  // Bit d set: far_[d] is non-empty.
-  uint32_t current_pos_ = 0;  // Next entry to pop in current_'s head block.
-  uint32_t free_block_ = kNoBlock;
-  Bucket current_;
-  std::array<Bucket, kFarBuckets> far_;
-  std::vector<Block> blocks_;
+  uint64_t last_ = 0;      // Time key of the last refill's minimum.
+  uint64_t slot_summary_ = 0;  // Bit w set: slot_bits_[w] is non-zero.
+  uint64_t occupied_ = 0;      // Bit d set: far_[d] is non-empty.
+  uint32_t due_slot_ = 0;      // Window slot LoadDue() found due.
+  uint32_t free_cell_ = kNoCell;
+  uint64_t refills_ = 0;
+  uint64_t entries_moved_ = 0;
+  std::array<uint64_t, kWindowWords> slot_bits_{};
+  std::array<Chain, kWindowSlots> slots_;
+  std::array<FarBucket, kFarBuckets> far_;
+  std::vector<Cell> cells_;
 };
 
 inline bool EventHandle::valid() const {

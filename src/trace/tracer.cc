@@ -280,6 +280,9 @@ void RegisterSimulatorMetrics(MetricRegistry* registry, const Simulator* sim,
                      [sim] { return static_cast<double>(sim->pending_events()); });
   registry->AddGauge(prefix + ".max_pending_events",
                      [sim] { return static_cast<double>(sim->max_pending_events()); });
+  // Queue-structure cost: window refills and the entries they relinked.
+  registry->AddCounterFn(prefix + ".queue.refills", [sim] { return sim->refills(); });
+  registry->AddCounterFn(prefix + ".queue.moved", [sim] { return sim->entries_moved(); });
   // Allocator-pressure view (DESIGN.md §8): cancellation traffic and event
   // slab occupancy, so Perfetto traces show hot-path memory discipline.
   registry->AddCounterFn(prefix + ".cancelled_events",

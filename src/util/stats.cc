@@ -123,6 +123,7 @@ std::vector<std::pair<double, double>> LatencyRecorder::Cdf(size_t max_points) c
   }
   const size_t n = samples_.size();
   const size_t step = std::max<size_t>(1, n / max_points);
+  out.reserve((n + step - 1) / step + 1);  // Every sampled point, plus the final 1.0.
   for (size_t i = 0; i < n; i += step) {
     out.emplace_back(samples_[i], static_cast<double>(i + 1) / static_cast<double>(n));
   }

@@ -3,6 +3,9 @@
 // ring overflow, notifications), and topology routing.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "src/net/topology.h"
 #include "src/nic/nic.h"
 
@@ -287,6 +290,135 @@ TEST(FatTreeTest, EcmpKeepsFlowOnOnePath) {
   ASSERT_EQ(devs[dst].packets.size(), 100u);
   for (uint32_t i = 0; i < 100; ++i) {
     EXPECT_EQ(devs[dst].packets[i]->tcp.seq, i);
+  }
+}
+
+// A switch whose port 0 receives from `ingress` and whose ports 1..n send to
+// one CollectingDevice each, for driving the forwarding table directly.
+struct SwitchRig {
+  explicit SwitchRig(size_t egress_ports) : sw(&sim, "sw"), devs(egress_ports) {
+    links.push_back(std::make_unique<Link>(&sim, LinkConfig{}));
+    sw.AddPort(LinkEnd{links[0].get(), 0});
+    for (size_t p = 0; p < egress_ports; ++p) {
+      links.push_back(std::make_unique<Link>(&sim, LinkConfig{}));
+      sw.AddPort(LinkEnd{links.back().get(), 0});
+      links.back()->Attach(1, &devs[p]);
+    }
+  }
+  // Injects a packet into the switch's ingress port.
+  void Inject(PacketPtr pkt) { links[0]->Send(1, std::move(pkt)); }
+
+  Simulator sim;
+  Switch sw;
+  std::vector<std::unique_ptr<Link>> links;
+  std::vector<CollectingDevice> devs;  // devs[p] sits behind port p + 1.
+};
+
+TEST(SwitchTest, EcmpPickIsFlowHashModuloInAddRouteOrder) {
+  SwitchRig rig(4);
+  const IpAddr dst = MakeIp(10, 0, 9, 9);
+  const IpAddr other = MakeIp(10, 0, 9, 10);
+  // dst's set, in AddRoute order, is ports {3, 1, 4}; registrations for
+  // another destination interleave with it.
+  rig.sw.AddRoute(dst, 3);
+  rig.sw.AddRoute(other, 1);
+  rig.sw.AddRoute(dst, 1);
+  rig.sw.AddRoute(other, 2);
+  rig.sw.AddRoute(dst, 4);
+  const std::vector<int> order = {3, 1, 4};
+  std::vector<size_t> want(rig.devs.size(), 0);
+  for (uint16_t sport = 1000; sport < 1064; ++sport) {
+    auto pkt = MakeTcpPacket(MakeIp(10, 0, 0, 1), sport, dst, 80, 0, 0, TcpFlags::kAck, {});
+    const uint32_t h = FlowHash(MakeIp(10, 0, 0, 1), sport, dst, 80);
+    ++want[static_cast<size_t>(order[h % order.size()] - 1)];
+    rig.Inject(std::move(pkt));
+  }
+  auto pkt = MakeTcpPacket(MakeIp(10, 0, 0, 1), 5, other, 80, 0, 0, TcpFlags::kAck, {});
+  const uint32_t h = FlowHash(MakeIp(10, 0, 0, 1), 5, other, 80);
+  ++want[static_cast<size_t>((h % 2 == 0 ? 1 : 2) - 1)];
+  rig.Inject(std::move(pkt));
+  rig.sim.Run();
+  for (size_t p = 0; p < rig.devs.size(); ++p) {
+    EXPECT_EQ(rig.devs[p].packets.size(), want[p]) << "port " << p + 1;
+  }
+  EXPECT_GT(want[0] * want[2] * want[3], 0u);  // Every member of the set got traffic.
+  EXPECT_EQ(rig.sw.forwarded(), 65u);
+  EXPECT_EQ(rig.sw.no_route_drops(), 0u);
+}
+
+TEST(SwitchTest, UnknownDestinationCountsNoRouteDrop) {
+  SwitchRig rig(2);
+  rig.Inject(DataPacket(10, MakeIp(10, 0, 0, 2)));  // No route installed at all.
+  rig.sim.Run();
+  EXPECT_EQ(rig.sw.no_route_drops(), 1u);
+  rig.sw.AddRoute(MakeIp(10, 0, 0, 2), 1);
+  rig.Inject(DataPacket(10, MakeIp(10, 0, 0, 3)));  // Routed table, other dst.
+  rig.Inject(DataPacket(10, MakeIp(10, 0, 0, 2)));
+  rig.sim.Run();
+  EXPECT_EQ(rig.sw.no_route_drops(), 2u);
+  EXPECT_EQ(rig.sw.forwarded(), 1u);
+  EXPECT_EQ(rig.devs[0].packets.size(), 1u);
+  EXPECT_EQ(rig.devs[1].packets.size(), 0u);
+}
+
+TEST(SwitchTest, ClearRoutesThenComputeRoutesRebuildsTheTable) {
+  Simulator sim;
+  std::vector<LinkConfig> links(3);
+  auto net = MakeStar(&sim, links);
+  CollectingDevice devs[3];
+  for (int i = 0; i < 3; ++i) {
+    net->host(i).end.Attach(&devs[i]);
+  }
+  Switch* tor = net->switch_at(0);
+  tor->ClearRoutes();
+  net->host(0).end.Send(DataPacket(100, net->host(2).ip));
+  sim.Run();
+  EXPECT_EQ(tor->no_route_drops(), 1u);
+  EXPECT_EQ(devs[2].packets.size(), 0u);
+
+  net->ComputeRoutes();  // Clears again, then reinstalls every host route.
+  for (int src = 0; src < 3; ++src) {
+    for (int dst = 0; dst < 3; ++dst) {
+      if (src != dst) {
+        net->host(static_cast<size_t>(src)).end.Send(DataPacket(100, net->host(dst).ip));
+      }
+    }
+  }
+  sim.Run();
+  EXPECT_EQ(tor->no_route_drops(), 1u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(devs[i].packets.size(), 2u) << "host " << i;
+  }
+}
+
+TEST(FatTreeTest, AllPairsReachableAtK8) {
+  Simulator sim;
+  FatTreeConfig config;
+  config.k = 8;
+  config.hosts_per_edge = 2;
+  auto net = MakeFatTree(&sim, config);
+  // k=8: 8 pods x 4 edges x 2 hosts; 16 core + 32 agg + 32 edge switches.
+  ASSERT_EQ(net->num_hosts(), 64u);
+  EXPECT_EQ(net->num_switches(), 80u);
+  std::vector<CollectingDevice> devs(net->num_hosts());
+  for (size_t i = 0; i < net->num_hosts(); ++i) {
+    net->host(i).end.Attach(&devs[i]);
+  }
+  for (size_t i = 0; i < net->num_hosts(); ++i) {
+    for (size_t j = 0; j < net->num_hosts(); ++j) {
+      if (i != j) {
+        net->host(i).end.Send(DataPacket(10, net->host(j).ip));
+      }
+    }
+  }
+  sim.Run();
+  uint64_t drops = 0;
+  for (size_t s = 0; s < net->num_switches(); ++s) {
+    drops += net->switch_at(s)->no_route_drops();
+  }
+  EXPECT_EQ(drops, 0u);
+  for (size_t j = 0; j < net->num_hosts(); ++j) {
+    EXPECT_EQ(devs[j].packets.size(), net->num_hosts() - 1) << "host " << j;
   }
 }
 

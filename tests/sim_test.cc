@@ -306,6 +306,83 @@ TEST(SimulatorTest, PurgeMidDispatchKeepsFifoOrder) {
   EXPECT_EQ(sim.cancelled_popped(), 100u);
 }
 
+TEST(SimulatorTest, PurgeFiltersWindowSlotsAndFarBuckets) {
+  // 64 events inside the first calendar window (with ties) and 64 in far
+  // buckets (with ties, some beyond 2^32 ns). Cancelling 65 of them, from
+  // both regions, crosses the purge threshold on the last cancel; the purge
+  // must drop every tombstone and keep the survivors in (time, FIFO) order.
+  Simulator sim;
+  std::vector<std::pair<TimeNs, int>> fired;
+  std::vector<EventHandle> handles;
+  std::vector<TimeNs> times;
+  for (int i = 0; i < 64; ++i) {
+    times.push_back(100 + 60 * (i % 32));  // Window slots, two events each.
+  }
+  for (int i = 0; i < 64; ++i) {
+    const TimeNs base = i % 2 == 0 ? Us(5) : (TimeNs{1} << 32);
+    times.push_back(base + 5000 * (i % 16));  // Far buckets, ties too.
+  }
+  for (int i = 0; i < 128; ++i) {
+    handles.push_back(sim.At(times[i], [&fired, &sim, i] { fired.emplace_back(sim.Now(), i); }));
+  }
+  std::vector<bool> cancelled(128, false);
+  int cancels = 0;
+  for (int i = 0; i < 128 && cancels < 65; i += 2) {
+    handles[i].Cancel();
+    cancelled[i] = true;
+    ++cancels;
+  }
+  for (int i = 1; cancels < 65; i += 4) {
+    handles[i].Cancel();
+    cancelled[i] = true;
+    ++cancels;
+  }
+  EXPECT_EQ(sim.cancelled_popped(), 65u);  // Purged, not popped.
+  EXPECT_EQ(sim.pending_events(), 63u);
+  sim.Run();
+  std::vector<std::pair<TimeNs, int>> expected;
+  for (int i = 0; i < 128; ++i) {
+    if (!cancelled[i]) {
+      expected.emplace_back(times[i], i);
+    }
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(sim.cancelled_popped(), sim.cancelled_events());
+}
+
+TEST(SimulatorTest, WindowBoundariesKeepTimeAndFifoOrder) {
+  // Same-time pairs on both sides of several window boundaries, scheduled
+  // out of time order; RunUntil stops on, before and after each boundary.
+  constexpr TimeNs kWindow = TimeNs{1} << Simulator::kWindowBits;
+  Simulator sim;
+  std::vector<std::pair<TimeNs, int>> fired;
+  std::vector<std::pair<TimeNs, int>> expected;
+  int id = 0;
+  for (TimeNs w : {3, 1, 2}) {
+    for (TimeNs offset : {TimeNs{1}, TimeNs{0}, TimeNs{-1}}) {
+      const TimeNs when = w * kWindow + offset;
+      for (int k = 0; k < 2; ++k, ++id) {
+        sim.At(when, [&fired, &sim, id] { fired.emplace_back(sim.Now(), id); });
+        expected.emplace_back(when, id);
+      }
+    }
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (TimeNs until : {kWindow - 1, kWindow, 2 * kWindow - 2, 2 * kWindow + 1, 3 * kWindow}) {
+    sim.RunUntil(until);
+    EXPECT_EQ(sim.Now(), until);
+    for (const auto& [when, event] : fired) {
+      EXPECT_LE(when, until) << "event " << event;
+    }
+  }
+  sim.Run();
+  EXPECT_EQ(fired, expected);
+  EXPECT_GT(sim.refills(), 0u);
+}
+
 TEST(SimulatorTest, RearmCurrentReusesNode) {
   Simulator sim;
   int fired = 0;
@@ -408,7 +485,7 @@ class QueueOrderModel {
         RandomMove();
       }
       TimeNs until = sim_.Now();
-      switch (rng_() % 4) {
+      switch (rng_() % 6) {
         case 0:
           break;
         case 1:
@@ -416,6 +493,15 @@ class QueueOrderModel {
           break;
         case 2:
           until += RandomDelay();
+          break;
+        case 3:
+          // On, just before or just after the next window boundary.
+          until += ToNextBoundary() + static_cast<TimeNs>(rng_() % 3) - 1;
+          break;
+        case 4:
+          // Inside a later window, several boundaries ahead.
+          until += ToNextBoundary() + kWindow * static_cast<TimeNs>(rng_() % 3) +
+                   static_cast<TimeNs>(rng_() % kWindow);
           break;
         default:
           // Just short of the next tracked event: a peek that must not commit.
@@ -447,7 +533,15 @@ class QueueOrderModel {
   using Key = std::pair<TimeNs, uint64_t>;  // (when, seq)
   static constexpr size_t kTimers = 4;
 
+  static constexpr TimeNs kWindow = TimeNs{1} << Simulator::kWindowBits;
+
+  // The delay that lands on the next aligned calendar-window boundary.
+  TimeNs ToNextBoundary() const { return (sim_.Now() | (kWindow - 1)) + 1 - sim_.Now(); }
+
   TimeNs RandomDelay() {
+    if (rng_() % 4 == 0) {
+      return WindowDelay();
+    }
     switch (rng_() % 6) {
       case 0:
         return 0;
@@ -462,6 +556,24 @@ class QueueOrderModel {
       default:
         // A forced tie with a pending event.
         return expected_.empty() ? 0 : RandomPending()->first.first - sim_.Now();
+    }
+  }
+
+  // Delays that straddle the calendar window: its exact span and one either
+  // side, the next aligned boundary and one either side, and a far timer
+  // beyond 2^32 ns.
+  TimeNs WindowDelay() {
+    switch (rng_() % 5) {
+      case 0:
+        return kWindow;
+      case 1:
+        return kWindow + static_cast<TimeNs>(rng_() % 3) - 1;
+      case 2:
+        return ToNextBoundary() + static_cast<TimeNs>(rng_() % 3) - 1;
+      case 3:
+        return ToNextBoundary() + kWindow * static_cast<TimeNs>(rng_() % 4);
+      default:
+        return (TimeNs{1} << 32) + static_cast<TimeNs>(rng_() % (TimeNs{1} << 20));
     }
   }
 

@@ -245,6 +245,91 @@ TEST(TasTest, ConnectToClosedPortFails) {
   EXPECT_EQ(client.failures_, 1);
 }
 
+// Records what libTAS reports per connection id.
+class ConnLog : public AppHandler {
+ public:
+  void OnConnected(ConnId conn, bool success) override {
+    (success ? connected : failed).push_back(conn);
+  }
+  void OnRemoteClosed(ConnId conn) override { remote_closed.push_back(conn); }
+  void OnClosed(ConnId conn) override { closed.push_back(conn); }
+
+  std::vector<ConnId> connected;
+  std::vector<ConnId> failed;
+  std::vector<ConnId> remote_closed;
+  std::vector<ConnId> closed;
+};
+
+TEST(TasStackTest, FlowIdReusedAfterCloseLeavesStaleIdAbsent) {
+  HostSpec spec;
+  spec.stack = StackKind::kTas;
+  auto exp = Experiment::PointToPoint(spec, spec, TestLink());
+  RecordingServer server(exp->host(0).stack(), 7000);
+  server.Start();
+  Stack* stack = exp->host(1).stack();
+  ConnLog log;
+  stack->SetHandler(&log);
+
+  // A closed port: the connect fails, the service frees the flow and libTAS
+  // drops the connection.
+  const ConnId stale = stack->Connect(exp->host(0).ip(), 4444);
+  exp->sim().RunUntil(Sec(10));
+  ASSERT_EQ(log.failed, std::vector<ConnId>{stale});
+
+  const ConnId fresh = stack->Connect(exp->host(0).ip(), 7000);
+  exp->sim().RunUntil(Sec(10) + Ms(50));
+  ASSERT_EQ(log.connected, std::vector<ConnId>{fresh});
+  // Same slab slot, new generation.
+  EXPECT_EQ(FlowSlotOf(static_cast<FlowId>(fresh)), FlowSlotOf(static_cast<FlowId>(stale)));
+  EXPECT_NE(fresh, stale);
+
+  const uint8_t data[16] = {};
+  EXPECT_GT(stack->SendSpace(fresh), 0u);
+  EXPECT_EQ(stack->SendSpace(stale), 0u);
+  EXPECT_EQ(stack->RecvAvailable(stale), 0u);
+  EXPECT_EQ(stack->Send(stale, data, sizeof(data)), 0u);
+  EXPECT_EQ(stack->Send(fresh, data, sizeof(data)), sizeof(data));
+  EXPECT_EQ(stack->SendSpace(kInvalidConn), 0u);
+  exp->sim().RunUntil(Sec(10) + Ms(100));
+  EXPECT_EQ(server.received_, sizeof(data));
+}
+
+TEST(TasStackTest, ConnDisplacedBySlotReuseStillGetsItsTerminalEvent) {
+  // The service frees a flow's slot as it queues kConnClosed, so a new flow
+  // can take the slot before the app drains that event. Both connections
+  // must stay distinct: the old one still receives its close, the new one
+  // keeps working.
+  HostSpec spec;
+  spec.stack = StackKind::kTas;
+  auto exp = Experiment::PointToPoint(spec, spec, TestLink());
+  RecordingServer server(exp->host(0).stack(), 7000);
+  server.Start();
+  TasService* service = exp->host(1).tas();
+  Stack* stack = exp->host(1).stack();
+  ConnLog log;
+  stack->SetHandler(&log);
+
+  const ConnId old_conn = stack->Connect(exp->host(0).ip(), 7000);
+  exp->sim().RunUntil(Ms(50));
+  ASSERT_EQ(log.connected, std::vector<ConnId>{old_conn});
+  const uint16_t context = service->GetFlow(static_cast<FlowId>(old_conn))->fs.context;
+  service->FreeFlow(static_cast<FlowId>(old_conn));  // Close event not yet delivered.
+
+  const ConnId new_conn = stack->Connect(exp->host(0).ip(), 7000);
+  EXPECT_EQ(FlowSlotOf(static_cast<FlowId>(new_conn)), FlowSlotOf(static_cast<FlowId>(old_conn)));
+  service->context(context)->PushEvent(AppEvent{AppEventType::kConnClosed, old_conn, 0});
+  exp->sim().RunUntil(Ms(100));
+
+  EXPECT_EQ(log.remote_closed, std::vector<ConnId>{old_conn});
+  EXPECT_EQ(log.closed, std::vector<ConnId>{old_conn});
+  EXPECT_EQ(log.connected, (std::vector<ConnId>{old_conn, new_conn}));
+  const uint8_t data[16] = {};
+  EXPECT_EQ(stack->Send(new_conn, data, sizeof(data)), sizeof(data));
+  EXPECT_EQ(stack->SendSpace(old_conn), 0u);
+  exp->sim().RunUntil(Ms(150));
+  EXPECT_EQ(server.received_, sizeof(data));
+}
+
 TEST(TasTest, FlowStateSizeMatchesPaper) {
   EXPECT_EQ(sizeof(FlowState), 103u);  // Paper: 102 B (4-bit dupack packed).
 }
