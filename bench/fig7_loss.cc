@@ -13,7 +13,7 @@ namespace tas {
 namespace bench {
 namespace {
 
-double RunPoint(StackKind kind, double drop_rate, bool go_back_n) {
+double RunPoint(StackKind kind, double loss_rate, bool go_back_n) {
   HostSpec receiver = ServerSpec(kind, 6, 4, 128 * 1024);
   HostSpec sender = ServerSpec(kind, 6, 4, 128 * 1024);
   if (go_back_n) {
@@ -22,8 +22,8 @@ double RunPoint(StackKind kind, double drop_rate, bool go_back_n) {
   }
   LinkConfig link = ClientLink();
   link.ecn_threshold_pkts = 65;
-  if (drop_rate > 0) {
-    link.faults.Add(BernoulliLoss(drop_rate));
+  if (loss_rate > 0) {
+    link.faults.Add(BernoulliLoss(loss_rate));
   }
   auto exp = Experiment::PointToPoint(receiver, sender, link);
 

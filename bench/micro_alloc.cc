@@ -392,51 +392,46 @@ bool AuditControlLoop() {
 // pending queue, the RX ring) and the pool's free list to their working size;
 // after that, forwarding must not allocate.
 bool AuditPacketPath() {
-  PacketPool pool;
-  PacketPool* previous = PacketPool::Install(&pool);
-  bool ok = false;
-  {
-    Simulator sim;
-    auto net = MakeStar(&sim, {LinkConfig{}, LinkConfig{}});
-    SimNic sender(&sim, &net->host(0), NicConfig{});
-    SimNic receiver(&sim, &net->host(1), NicConfig{});
-    const IpAddr src = net->host(0).ip;
-    const IpAddr dst = net->host(1).ip;
-    std::array<PacketPtr, 8> burst;
-    uint64_t delivered = 0;
-    TimeNs when = 0;
-    auto step = [&](uint16_t i) {
-      for (size_t j = 0; j < burst.size(); ++j) {
-        PacketPtr pkt = pool.Acquire();
-        pkt->ip.src = src;
-        pkt->ip.dst = dst;
-        pkt->tcp.src_port = static_cast<uint16_t>(1000 + j);
-        pkt->tcp.dst_port = i;
-        pkt->payload.resize(64);
-        burst[j] = std::move(pkt);
-      }
-      sender.TransmitBurst(burst.data(), burst.size());
-      when += Us(1);
-      sim.RunUntil(when);
-      PacketPtr out[64];
-      delivered += receiver.PopRxBurst(0, out, 64);
-    };
-    for (uint16_t i = 0; i < 1000; ++i) {
-      step(i);
+  Simulator sim;
+  PacketPool& pool = sim.context().pool();
+  auto net = MakeStar(&sim, {LinkConfig{}, LinkConfig{}});
+  SimNic sender(&sim, &net->host(0), NicConfig{});
+  SimNic receiver(&sim, &net->host(1), NicConfig{});
+  const IpAddr src = net->host(0).ip;
+  const IpAddr dst = net->host(1).ip;
+  std::array<PacketPtr, 8> burst;
+  uint64_t delivered = 0;
+  TimeNs when = 0;
+  auto step = [&](uint16_t i) {
+    for (size_t j = 0; j < burst.size(); ++j) {
+      PacketPtr pkt = pool.Acquire();
+      pkt->ip.src = src;
+      pkt->ip.dst = dst;
+      pkt->tcp.src_port = static_cast<uint16_t>(1000 + j);
+      pkt->tcp.dst_port = i;
+      pkt->payload.resize(64);
+      burst[j] = std::move(pkt);
     }
-    const uint64_t warm_delivered = delivered;
-    const uint64_t before = AllocCount();
-    for (uint16_t i = 0; i < 20000; ++i) {
-      step(i);
-    }
-    const uint64_t allocs = AllocCount() - before;
-    const uint64_t forwarded = delivered - warm_delivered;
-    ok = allocs == 0 && forwarded >= 20000 * burst.size() - 64;
-    std::printf("ALLOC_AUDIT packet_path allocs=%llu forwarded=%llu %s\n",
-                static_cast<unsigned long long>(allocs),
-                static_cast<unsigned long long>(forwarded), ok ? "PASS" : "FAIL");
+    sender.TransmitBurst(burst.data(), burst.size());
+    when += Us(1);
+    sim.RunUntil(when);
+    PacketPtr out[64];
+    delivered += receiver.PopRxBurst(0, out, 64);
+  };
+  for (uint16_t i = 0; i < 1000; ++i) {
+    step(i);
   }
-  PacketPool::Install(previous);
+  const uint64_t warm_delivered = delivered;
+  const uint64_t before = AllocCount();
+  for (uint16_t i = 0; i < 20000; ++i) {
+    step(i);
+  }
+  const uint64_t allocs = AllocCount() - before;
+  const uint64_t forwarded = delivered - warm_delivered;
+  const bool ok = allocs == 0 && forwarded >= 20000 * burst.size() - 64;
+  std::printf("ALLOC_AUDIT packet_path allocs=%llu forwarded=%llu %s\n",
+              static_cast<unsigned long long>(allocs),
+              static_cast<unsigned long long>(forwarded), ok ? "PASS" : "FAIL");
   return ok;
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/net/packet.h"
+#include "src/net/packet_pool.h"
 #include "src/sim/simulator.h"
 #include "src/tas/flow_table.h"
 #include "src/tcp/reassembly.h"
@@ -31,7 +32,8 @@ void BM_ByteRingWriteRead(benchmark::State& state) {
 }
 
 void BM_PacketSerialize(benchmark::State& state) {
-  auto pkt = MakeTcpPacket(MakeIp(10, 0, 0, 1), 1000, MakeIp(10, 0, 0, 2), 2000, 1, 2,
+  PacketPool pool;
+  auto pkt = MakeTcpPacket(pool, MakeIp(10, 0, 0, 1), 1000, MakeIp(10, 0, 0, 2), 2000, 1, 2,
                            TcpFlags::kAck | TcpFlags::kPsh,
                            std::vector<uint8_t>(static_cast<size_t>(state.range(0))));
   pkt->tcp.has_timestamps = true;
@@ -42,7 +44,8 @@ void BM_PacketSerialize(benchmark::State& state) {
 }
 
 void BM_PacketParse(benchmark::State& state) {
-  auto pkt = MakeTcpPacket(MakeIp(10, 0, 0, 1), 1000, MakeIp(10, 0, 0, 2), 2000, 1, 2,
+  PacketPool pool;
+  auto pkt = MakeTcpPacket(pool, MakeIp(10, 0, 0, 1), 1000, MakeIp(10, 0, 0, 2), 2000, 1, 2,
                            TcpFlags::kAck,
                            std::vector<uint8_t>(static_cast<size_t>(state.range(0))));
   const auto bytes = Serialize(*pkt);

@@ -301,8 +301,8 @@ SvcResult RunServiceChurn(std::vector<std::string>& failures, bool armed = false
   for (size_t round = 0; round < kRounds; ++round) {
     for (size_t p = 0; p < kPktsPerRound; ++p) {
       const Flow* f = tas->flow_by_id(ids[zipf.Sample(traffic_rng)]);
-      nic->Receive(MakeTcpPacket(f->fs.peer_ip, f->fs.peer_port, tas->local_ip(),
-                                 f->fs.local_port, f->fs.ack, f->fs.tx_tail,
+      nic->Receive(MakeTcpPacket(exp->packet_pool(), f->fs.peer_ip, f->fs.peer_port,
+                                 tas->local_ip(), f->fs.local_port, f->fs.ack, f->fs.tx_tail,
                                  TcpFlags::kAck));
       ++injected;
     }
@@ -339,7 +339,7 @@ SvcResult RunServiceChurn(std::vector<std::string>& failures, bool armed = false
   r.partition_mismatches = tas->tracer().latency().partition_mismatches();
   r.table = CaptureFlowTableReport(tas);
   if (armed) {
-    FlightRecorder* recorder = tas->owned_recorder();
+    FlightRecorder* recorder = tas->context().recorder();
     r.watchdog_triggers = recorder->triggers().size();
     for (int s = 0; s < kNumRecorderStreams; ++s) {
       r.recorder_records += recorder->recorded(static_cast<RecorderStream>(s));

@@ -163,7 +163,7 @@ SmokeResult RunSmoke(bool armed = false) {
     result.latency_json = exp->host(0).tas()->tracer().latency().Report().ToJson();
   }
   if (armed) {
-    FlightRecorder* recorder = exp->host(0).tas()->owned_recorder();
+    FlightRecorder* recorder = exp->sim().context().recorder();
     result.watchdog_triggers = recorder->triggers().size();
     for (int s = 0; s < kNumRecorderStreams; ++s) {
       result.recorder_records += recorder->recorded(static_cast<RecorderStream>(s));

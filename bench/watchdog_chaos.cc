@@ -166,7 +166,7 @@ ChaosResult RunScenario(const std::string& prefix, bool inject_fault) {
   exp->sim().RunUntil(Sec(30));
 
   ChaosResult r;
-  FlightRecorder* recorder = exp->host(1).tas()->owned_recorder();
+  FlightRecorder* recorder = exp->sim().context().recorder();
   r.triggers = recorder->triggers();
   r.bundles_written = recorder->bundles_written();
   r.checks = exp->host(1).tas()->watchdog()->checks();

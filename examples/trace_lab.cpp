@@ -37,8 +37,8 @@ int main() {
   link.gbps = 10.0;
   link.propagation_delay = Us(2);
   link.queue_limit_pkts = 128;
-  link.drop_rate = 0.01;  // The lossy part: 1% uniform loss, both directions.
-  link.rng_seed = 7;      // Byte-identical reruns.
+  link.faults.Add(BernoulliLoss(0.01));  // The lossy part: 1% uniform loss, both directions.
+  link.rng_seed = 7;                     // Byte-identical reruns.
   auto exp = Experiment::PointToPoint(spec, spec, link);
 
   BulkReceiver rx(&exp->sim(), exp->host(0).stack(), BulkReceiverConfig{});

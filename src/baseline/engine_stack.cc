@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/sim/context.h"
 #include "src/trace/latency.h"
 
 namespace tas {
@@ -161,7 +162,7 @@ void EngineStack::DrainRxQueue(int queue) {
     // persistent overload.
     if (core->busy_until() - sim_->Now() > config_.max_backlog) {
       ++backlog_drops_;
-      if (LatencyTracer* lt = LatencyTracer::Current()) {
+      if (LatencyTracer* lt = sim_->context().latency_sink()) {
         lt->Abandon(pkt->lat_id);
       }
       continue;
@@ -215,7 +216,7 @@ void EngineStack::DrainRxQueue(int queue) {
 }
 
 void EngineStack::HandlePacket(int queue, PacketPtr pkt) {
-  if (LatencyTracer* lt = LatencyTracer::Current()) {
+  if (LatencyTracer* lt = sim_->context().latency_sink()) {
     // Journey ends at the stack's protocol processing horizon, whether the
     // segment is consumed, accepts a connection, or is dropped as stale.
     lt->Finish(pkt->lat_id, LatencyStage::kFpRx, sim_->Now());
@@ -269,7 +270,7 @@ void EngineStack::EmitPacket(TcpConnection* conn, PacketPtr pkt) {
   }
   core->Charge(CpuModule::kDriver, costs.tx_driver);
   const TimeNs done = core->Charge(CpuModule::kTcp, cycles - costs.tx_driver);
-  LatencyTracer* lt = LatencyTracer::Current();
+  LatencyTracer* lt = sim_->context().latency_sink();
   if (tx_collect_) {
     // Inside an RX burst continuation: CPU cost is charged above as usual,
     // but the packet joins the burst's single transmit flush instead of
@@ -287,7 +288,7 @@ void EngineStack::EmitPacket(TcpConnection* conn, PacketPtr pkt) {
     pkt->lat_id = lt->Begin(sim_->Now());
   }
   sim_->At(done, [this, pkt = std::move(pkt)]() mutable {
-    if (LatencyTracer* tracer = LatencyTracer::Current()) {
+    if (LatencyTracer* tracer = sim_->context().latency_sink()) {
       // TX-side protocol processing ends when the descriptor hits the NIC.
       tracer->Stamp(pkt->lat_id, LatencyStage::kFpTx, sim_->Now());
     }

@@ -185,13 +185,9 @@ void Experiment::RegisterSwitchMetrics() {
   }
 }
 
-Experiment::Experiment() { pool_scope_.previous = PacketPool::Install(&packet_pool_); }
+Experiment::Experiment() = default;
 
-Experiment::~Experiment() {
-  MaybeWriteTraces();
-  // pool_scope_ restores the previously installed pool once the simulator
-  // (and its in-flight packets) is gone.
-}
+Experiment::~Experiment() { MaybeWriteTraces(); }
 
 size_t Experiment::WriteTraces(const std::string& prefix) {
   size_t written = 0;

@@ -14,8 +14,8 @@
 #include "src/baseline/stack_iface.h"
 #include "src/fault/injector.h"
 #include "src/libtas/tas_stack.h"
-#include "src/net/packet_pool.h"
 #include "src/net/topology.h"
+#include "src/sim/context.h"
 #include "src/tas/service.h"
 
 namespace tas {
@@ -75,16 +75,14 @@ class SimHost {
 // A full experiment: simulator + topology + hosts.
 class Experiment {
  public:
-  // Installs the experiment's packet pool as PacketPool::Current() so all
-  // allocation during the run (and its pool counters) is scoped to this
-  // simulation — two same-seed experiments in one process see identical
-  // pktpool metrics.
+  // The experiment's simulator runs against its own context (packet pool,
+  // tracers, flight recorder), so experiments in one process share no state
+  // and may be built, run and destroyed in any interleaving.
   Experiment();
-  // Auto-dumps traces when TAS_TRACE_OUT is set (see MaybeWriteTraces) and
-  // restores the previously installed packet pool.
+  // Auto-dumps traces when TAS_TRACE_OUT is set (see MaybeWriteTraces).
   ~Experiment();
 
-  PacketPool& packet_pool() { return packet_pool_; }
+  PacketPool& packet_pool() { return sim_.context().pool(); }
   Simulator& sim() { return sim_; }
   Network* net() { return net_.get(); }
   SimHost& host(size_t i) { return *hosts_[i]; }
@@ -137,17 +135,6 @@ class Experiment {
   // names each armed watchdog source after its host index.
   void AddHosts(const std::vector<HostSpec>& specs);
 
-  // Declared before sim_ so the pool is destroyed last: tearing down the
-  // simulator destroys pending event closures, whose captured PacketPtrs
-  // must still have a live pool to return to.
-  PacketPool packet_pool_;
-  // Restores the previously installed pool after sim_ teardown (reverse
-  // member order) and before packet_pool_ dies.
-  struct PoolScope {
-    PacketPool* previous = nullptr;
-    ~PoolScope() { PacketPool::Install(previous); }
-  };
-  PoolScope pool_scope_;
   Simulator sim_;
   std::unique_ptr<Network> net_;
   std::vector<std::unique_ptr<SimHost>> hosts_;

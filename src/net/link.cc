@@ -1,6 +1,6 @@
 #include "src/net/link.h"
 
-#include "src/net/packet_pool.h"
+#include "src/sim/context.h"
 #include "src/trace/latency.h"
 
 namespace tas {
@@ -40,13 +40,7 @@ Link::Link(Simulator* sim, const LinkConfig& config)
   explicit_seed_ = config.rng_seed != 0;
   base_seed_ = explicit_seed_ ? config.rng_seed : 0xC0FFEEull;
   ReseedDirections();
-  for (int side = 0; side < 2; ++side) {
-    Direction& d = dir_[side];
-    // The legacy drop_rate shim goes first so its rng draws match the
-    // pre-impairment implementation packet for packet.
-    if (config_.drop_rate > 0) {
-      d.legacy_bernoulli = d.pipeline.Add(BernoulliLoss(config_.drop_rate));
-    }
+  for (Direction& d : dir_) {
     d.pipeline.AddAll(config_.faults);
   }
 }
@@ -65,19 +59,6 @@ void Link::MixDefaultSeed(uint64_t identity) {
   }
   base_seed_ ^= MixIdentity(identity);
   ReseedDirections();
-}
-
-void Link::set_drop_rate(double rate) {
-  config_.drop_rate = rate;
-  for (Direction& d : dir_) {
-    if (d.legacy_bernoulli != nullptr) {
-      d.pipeline.Remove(d.legacy_bernoulli);
-      d.legacy_bernoulli = nullptr;
-    }
-    if (rate > 0) {
-      d.legacy_bernoulli = d.pipeline.Add(BernoulliLoss(rate));
-    }
-  }
 }
 
 void Link::Attach(int side, NetDevice* device) {
@@ -99,7 +80,7 @@ void Link::Send(int from_side, PacketPtr pkt) {
       } else {
         d.stats.drops_induced++;
       }
-      if (LatencyTracer* lt = LatencyTracer::Current()) {
+      if (LatencyTracer* lt = sim_->context().latency_sink()) {
         lt->Abandon(pkt->lat_id);
       }
       return;
@@ -109,7 +90,7 @@ void Link::Send(int from_side, PacketPtr pkt) {
     }
     if (decision.duplicate) {
       d.stats.duplicated++;
-      Enqueue(from_side, PacketPool::Current().Clone(*pkt));
+      Enqueue(from_side, sim_->context().pool().Clone(*pkt));
     }
     if (decision.extra_delay > 0) {
       // Hold the packet out of the FIFO so later sends overtake it, then
@@ -139,7 +120,7 @@ void Link::Enqueue(int from_side, PacketPtr pkt) {
   d.stats.queue_pkts.Add(static_cast<double>(occupancy));
   if (occupancy >= config_.queue_limit_pkts) {
     d.stats.drops_overflow++;
-    if (LatencyTracer* lt = LatencyTracer::Current()) {
+    if (LatencyTracer* lt = sim_->context().latency_sink()) {
       lt->Abandon(pkt->lat_id);
     }
     return;
@@ -162,7 +143,7 @@ void Link::Enqueue(int from_side, PacketPtr pkt) {
       TAS_CHECK(pkt->corrupt_flips > 0)
           << "packet failed wire round-trip: " << pkt->Describe();
       d.stats.drops_corrupt++;
-      if (LatencyTracer* lt = LatencyTracer::Current()) {
+      if (LatencyTracer* lt = sim_->context().latency_sink()) {
         lt->Abandon(pkt->lat_id);
       }
       return;
@@ -173,7 +154,7 @@ void Link::Enqueue(int from_side, PacketPtr pkt) {
     // in the ones'-complement sum); keep the mark so the NIC model drops it.
     parsed->corrupt_flips = pkt->corrupt_flips;
     parsed->lat_id = pkt->lat_id;  // Sim metadata, not wire bytes.
-    PacketPtr reparsed = PacketPool::Current().Acquire();
+    PacketPtr reparsed = sim_->context().pool().Acquire();
     *reparsed = std::move(*parsed);
     pkt = std::move(reparsed);
   }
@@ -210,7 +191,7 @@ void Link::StartTransmit(int dir_index) {
   // delivery instant of leading frames moves, by less than burst_max_ns.
   const size_t max_burst = std::max<size_t>(1, config_.burst_pkts);
   const TimeNs now = sim_->Now();
-  LatencyTracer* lt = LatencyTracer::Current();
+  LatencyTracer* lt = sim_->context().latency_sink();
   size_t n = 0;
   TimeNs serialize_total = 0;
   while (n < max_burst && !d.queue.empty()) {
@@ -241,7 +222,7 @@ void Link::StartTransmit(int dir_index) {
   d.busy_until = now + serialize_total;
   sim_->After(serialize_total + config_.propagation_delay, [this, dir_index, n] {
     Direction& dd = dir_[dir_index];
-    LatencyTracer* tracer = LatencyTracer::Current();
+    LatencyTracer* tracer = sim_->context().latency_sink();
     for (size_t i = 0; i < n && !dd.wire.empty(); ++i) {
       PacketPtr pkt = std::move(dd.wire.front());
       dd.wire.pop_front();

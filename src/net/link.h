@@ -34,10 +34,6 @@ struct LinkConfig {
   // Mark CE on ECT packets when the queue holds >= this many packets at
   // enqueue. 0 disables marking. The paper's switch marks at 65 packets.
   size_t ecn_threshold_pkts = 0;
-  // Legacy shim for induced uniform loss (Fig 7): instantiated as a
-  // BernoulliLoss impairment in each direction. New code should declare the
-  // loss in `faults` instead.
-  double drop_rate = 0.0;
   // Egress impairments, instantiated per direction (each direction gets its
   // own instances, so burst-loss state and stats stay independent).
   FaultConfig faults;
@@ -70,7 +66,7 @@ struct LinkStats {
   uint64_t tx_packets = 0;
   uint64_t tx_bytes = 0;
   uint64_t drops_overflow = 0;
-  uint64_t drops_induced = 0;  // Dropped by loss impairments (incl. drop_rate).
+  uint64_t drops_induced = 0;  // Dropped by loss impairments.
   uint64_t drops_down = 0;     // Dropped while administratively down.
   uint64_t drops_corrupt = 0;  // Corrupted frames the wire checksum rejected.
   uint64_t corrupt_marked = 0; // Frames a corruption impairment damaged.
@@ -164,10 +160,6 @@ class Link {
     return dir_[0].down_gate != nullptr && dir_[0].down_gate->down();
   }
 
-  // Legacy shim: replaces the per-direction Bernoulli loss installed by
-  // LinkConfig::drop_rate (or installs one).
-  void set_drop_rate(double rate);
-
   // Attaches a trace writer to one direction; every frame put on the wire is
   // recorded at transmit time. Pass nullptr to detach.
   void AttachPcap(int from_side, PcapWriter* pcap) { dir_[from_side].pcap = pcap; }
@@ -194,7 +186,6 @@ class Link {
     LinkStats stats;
     ImpairmentPipeline pipeline;
     LinkDownImpairment* down_gate = nullptr;   // Owned by pipeline.
-    Impairment* legacy_bernoulli = nullptr;    // Owned by pipeline (drop_rate shim).
     PcapWriter* pcap = nullptr;                // Not owned.
     // Per-direction fault/validation RNG, so one direction's traffic never
     // shifts the other's draws.

@@ -100,10 +100,10 @@ std::string Packet::Describe() const {
   return os.str();
 }
 
-PacketPtr MakeTcpPacket(IpAddr src_ip, uint16_t src_port, IpAddr dst_ip, uint16_t dst_port,
-                        uint32_t seq, uint32_t ack, uint8_t flags,
+PacketPtr MakeTcpPacket(PacketPool& pool, IpAddr src_ip, uint16_t src_port, IpAddr dst_ip,
+                        uint16_t dst_port, uint32_t seq, uint32_t ack, uint8_t flags,
                         std::vector<uint8_t> payload) {
-  PacketPtr pkt = PacketPool::Current().Acquire();
+  PacketPtr pkt = pool.Acquire();
   pkt->ip.src = src_ip;
   pkt->ip.dst = dst_ip;
   pkt->tcp.src_port = src_port;

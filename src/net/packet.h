@@ -149,12 +149,13 @@ class PacketDeleter {
 using PacketPtr = std::unique_ptr<Packet, PacketDeleter>;
 
 // Convenience constructor for a TCP packet with common fields filled in.
-// Allocates from the default PacketPool (see src/net/packet_pool.h), so the
-// steady-state cost is a free-list pop, not a heap allocation. Prefer
-// filling `payload` in place on the returned packet (its pooled buffer
-// retains capacity); the by-value parameter replaces the pooled buffer.
-PacketPtr MakeTcpPacket(IpAddr src_ip, uint16_t src_port, IpAddr dst_ip, uint16_t dst_port,
-                        uint32_t seq, uint32_t ack, uint8_t flags,
+// Allocates from `pool` (see src/net/packet_pool.h; devices pass their
+// experiment's, Simulator::context().pool()), so the steady-state cost is a
+// free-list pop, not a heap allocation. Prefer filling `payload` in place on
+// the returned packet (its pooled buffer retains capacity); the by-value
+// parameter replaces the pooled buffer.
+PacketPtr MakeTcpPacket(PacketPool& pool, IpAddr src_ip, uint16_t src_port, IpAddr dst_ip,
+                        uint16_t dst_port, uint32_t seq, uint32_t ack, uint8_t flags,
                         std::vector<uint8_t> payload = {});
 
 // RFC 1071 internet checksum over a byte range.

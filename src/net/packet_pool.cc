@@ -34,8 +34,7 @@ void PacketDeleter::operator()(Packet* pkt) const noexcept {
 
 PacketPool::~PacketPool() {
   // Destroying a pool with packets still out would leave their deleters
-  // dangling; local pools (tests, benchmarks) must drain first. The default
-  // pool is leaked and never gets here.
+  // dangling; every owner (an experiment's context, a test) drains first.
   TAS_CHECK(outstanding() == 0)
       << "PacketPool destroyed with " << outstanding() << " packets outstanding";
   for (Packet* pkt : free_) {
@@ -102,24 +101,6 @@ void PacketPool::RegisterMetrics(MetricRegistry* registry, const std::string& pr
                      [this] { return static_cast<double>(free_.size()); });
   registry->AddGauge(prefix + ".outstanding",
                      [this] { return static_cast<double>(outstanding()); });
-}
-
-namespace {
-PacketPool* g_installed_pool = nullptr;
-}  // namespace
-
-PacketPool& PacketPool::Current() {
-  if (g_installed_pool != nullptr) {
-    return *g_installed_pool;
-  }
-  static PacketPool* fallback = new PacketPool();  // Leaked on purpose; see header.
-  return *fallback;
-}
-
-PacketPool* PacketPool::Install(PacketPool* pool) {
-  PacketPool* previous = g_installed_pool;
-  g_installed_pool = pool;
-  return previous;
 }
 
 bool PacketPool::PoolingEnabled() { return PoolingFlag(); }

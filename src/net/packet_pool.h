@@ -63,20 +63,6 @@ class PacketPool {
   // Registers pool counters/gauges under "<prefix>." (DESIGN.md §7 naming).
   void RegisterMetrics(MetricRegistry* registry, const std::string& prefix) const;
 
-  // The pool MakeTcpPacket and the packet-duplication paths draw from:
-  // the installed pool if any, else a process-wide fallback. The fallback is
-  // intentionally leaked (never destroyed): packets captured in
-  // static-storage objects may be released arbitrarily late at exit, and a
-  // reachable pool is invisible to LeakSanitizer.
-  static PacketPool& Current();
-
-  // Installs `pool` as Current() (nullptr restores the process fallback);
-  // returns the previously installed pool. Experiment scopes a fresh pool
-  // per simulation this way, so pool counters are deterministic per run.
-  // Release always routes through the deleter's own pool, so packets from a
-  // previous install drain correctly regardless.
-  static PacketPool* Install(PacketPool* pool);
-
   // Escape hatch (TAS_NO_POOL=1 env or runtime toggle): future Acquires
   // bypass the free list. Outstanding pooled packets are unaffected.
   static bool PoolingEnabled();

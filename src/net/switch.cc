@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/sim/context.h"
 #include "src/trace/latency.h"
 
 namespace tas {
@@ -87,7 +88,7 @@ void Switch::HandlePacket(PacketPtr pkt) {
   const Route& route = RouteSlot(pkt->ip.dst);
   if (route.count == 0) {
     ++no_route_drops_;
-    if (LatencyTracer* lt = LatencyTracer::Current()) {
+    if (LatencyTracer* lt = sim_->context().latency_sink()) {
       lt->Abandon(pkt->lat_id);
     }
     return;
@@ -116,7 +117,7 @@ void Switch::Flush() {
   // Burst-admit per egress link so a forwarded wave leaves each port as one
   // serialized train (one delivery event) instead of frame-by-frame.
   touched_ports_.clear();
-  LatencyTracer* lt = LatencyTracer::Current();
+  LatencyTracer* lt = sim_->context().latency_sink();
   while (!pending_.empty() && pending_.front().due <= sim_->Now()) {
     Pending p = std::move(pending_.front());
     pending_.pop_front();

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "src/net/packet_pool.h"
+#include "src/sim/context.h"
 #include "src/trace/latency.h"
 
 namespace tas {
@@ -37,7 +37,7 @@ void SimNic::Receive(PacketPtr pkt) {
   // validate_wire_format, flips and rejects the actual wire bits instead).
   if (pkt->corrupt_flips > 0) {
     ++rx_checksum_drops_;
-    if (LatencyTracer* lt = LatencyTracer::Current()) {
+    if (LatencyTracer* lt = sim_->context().latency_sink()) {
       lt->Abandon(pkt->lat_id);
     }
     return;
@@ -46,13 +46,13 @@ void SimNic::Receive(PacketPtr pkt) {
     const ImpairmentDecision decision = rx_pipeline_.Apply(*pkt, rng_);
     if (decision.drop) {
       ++rx_fault_drops_;
-      if (LatencyTracer* lt = LatencyTracer::Current()) {
+      if (LatencyTracer* lt = sim_->context().latency_sink()) {
         lt->Abandon(pkt->lat_id);
       }
       return;
     }
     if (decision.duplicate) {
-      DeliverToRing(PacketPool::Current().Clone(*pkt));
+      DeliverToRing(sim_->context().pool().Clone(*pkt));
     }
     if (decision.extra_delay > 0) {
       sim_->After(decision.extra_delay, [this, pkt = std::move(pkt)]() mutable {
@@ -70,7 +70,7 @@ void SimNic::DeliverToRing(PacketPtr pkt) {
   Ring& ring = *rings_[static_cast<size_t>(redirection_[entry])];
   if (ring.pkts.size() >= config_.ring_entries) {
     ++rx_drops_;
-    if (LatencyTracer* lt = LatencyTracer::Current()) {
+    if (LatencyTracer* lt = sim_->context().latency_sink()) {
       lt->Abandon(pkt->lat_id);
     }
     return;
@@ -95,7 +95,7 @@ PacketPtr SimNic::PopRx(int queue) {
   }
   PacketPtr pkt = std::move(ring.pkts.front());
   ring.pkts.pop_front();
-  if (LatencyTracer* lt = LatencyTracer::Current()) {
+  if (LatencyTracer* lt = sim_->context().latency_sink()) {
     lt->Stamp(pkt->lat_id, LatencyStage::kNicRxRing, sim_->Now());
   }
   return pkt;
@@ -104,7 +104,7 @@ PacketPtr SimNic::PopRx(int queue) {
 size_t SimNic::PopRxBurst(int queue, PacketPtr* out, size_t max) {
   Ring& ring = *rings_[static_cast<size_t>(queue)];
   const size_t n = std::min(max, ring.pkts.size());
-  LatencyTracer* lt = LatencyTracer::Current();
+  LatencyTracer* lt = sim_->context().latency_sink();
   for (size_t i = 0; i < n; ++i) {
     out[i] = std::move(ring.pkts.front());
     ring.pkts.pop_front();

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/proxy/proxy_wire.h"
+#include "src/sim/context.h"
 #include "src/trace/causal.h"
 #include "src/util/logging.h"
 
@@ -43,7 +44,7 @@ void OriginPool::Dispatch(Pending req) {
 
 void OriginPool::Assign(ConnId id, OriginConn& conn, Pending req) {
   if (req.trace != 0) {
-    if (CausalTracer* ct = CausalTracer::Current()) {
+    if (CausalTracer* ct = sim_->context().causal_sink()) {
       // Dispatch -> assigned: zero-width when a conn had headroom, the
       // overflow-queue wait when the request came off `queue_`.
       ct->Mark(req.trace, CausalEdge::kOverflowQueue, sim_->Now());
@@ -78,7 +79,7 @@ void OriginPool::TryWrite(ConnId id, OriginConn& conn) {
     TAS_CHECK(sent == sizeof(buf));
     --conn.unsent;
     if (req.trace != 0) {
-      if (CausalTracer* ct = CausalTracer::Current()) {
+      if (CausalTracer* ct = sim_->context().causal_sink()) {
         // Assigned -> accepted by the origin conn (pipeline backpressure).
         ct->Mark(req.trace, CausalEdge::kOriginQueue, sim_->Now());
       }
@@ -100,7 +101,7 @@ void OriginPool::PopFront(ConnId conn) {
   TAS_CHECK(it != conns_.end() && !it->second.inflight.empty());
   const Pending& front = it->second.inflight.front();
   if (front.trace != 0) {
-    if (CausalTracer* ct = CausalTracer::Current()) {
+    if (CausalTracer* ct = sim_->context().causal_sink()) {
       // The fetch is over once its response has been fully consumed (body
       // buffered, spliced through, or discarded).
       ct->EndSpan(front.trace, front.span, sim_->Now());

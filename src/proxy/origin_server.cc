@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/proxy/proxy_wire.h"
+#include "src/sim/context.h"
 #include "src/trace/causal.h"
 
 namespace tas {
@@ -50,7 +51,7 @@ void OriginServer::OnData(ConnId conn, size_t bytes) {
     stack_->ChargeApp(conn, config_.app_cycles_per_request);
     const uint32_t body_len = BodyBytes(req.object_id);
     if (req.trace_id != 0) {
-      if (CausalTracer* ct = CausalTracer::Current()) {
+      if (CausalTracer* ct = sim_->context().causal_sink()) {
         // Request crossed proxy -> origin; serve span parents under the
         // proxy's origin-fetch span carried on the wire.
         ct->Mark(req.trace_id, CausalEdge::kNetToOrigin, sim_->Now());
@@ -95,7 +96,7 @@ void OriginServer::Flush(ConnId conn, ConnState& state) {
   // close its edge + span (it is "in the network" from here).
   while (!state.out_msgs.empty() && state.outbox_off >= state.out_msgs.front().end_off) {
     const OutMsg& msg = state.out_msgs.front();
-    if (CausalTracer* ct = CausalTracer::Current()) {
+    if (CausalTracer* ct = sim_->context().causal_sink()) {
       ct->Mark(msg.trace, CausalEdge::kOriginServe, sim_->Now());
       ct->EndSpan(msg.trace, msg.span, sim_->Now());
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/proxy/proxy_wire.h"
+#include "src/sim/context.h"
 #include "src/util/logging.h"
 
 namespace tas {
@@ -125,7 +126,7 @@ void ProxyClientGen::MaybeSend(ConnId conn, CState& state) {
     stack_->ChargeApp(conn, config_.app_cycles_per_request);
     uint64_t trace_id = 0;
     uint32_t root_span = 0;
-    if (CausalTracer* ct = CausalTracer::Current()) {
+    if (CausalTracer* ct = sim_->context().causal_sink()) {
       // Mint the trace here — the client is the causal root; everything
       // downstream parents under root_span via the wire context.
       trace_id = ct->BeginTrace(sim_->Now());
@@ -219,7 +220,7 @@ void ProxyClientGen::CompleteResponse(ConnId conn, CState& state) {
     latency_.Add(static_cast<double>(sim_->Now() - req.sent_at));
   }
   if (req.trace_id != 0) {
-    if (CausalTracer* ct = CausalTracer::Current()) {
+    if (CausalTracer* ct = sim_->context().causal_sink()) {
       // Last body byte consumed: the trace is complete end-to-end. Finish
       // appends the final net_response mark and folds the critical path.
       ct->EndSpan(req.trace_id, req.root_span, sim_->Now());
@@ -281,7 +282,7 @@ void ProxyClientGen::OnClosed(ConnId conn) {
 }
 
 void ProxyClientGen::RetryInflight(CState& state) {
-  CausalTracer* ct = CausalTracer::Current();
+  CausalTracer* ct = sim_->context().causal_sink();
   for (const PendingReq& req : state.inflight) {
     ++retries_;
     if (ct != nullptr && req.trace_id != 0) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/proxy/proxy_wire.h"
+#include "src/sim/context.h"
 #include "src/util/logging.h"
 
 namespace tas {
@@ -236,7 +237,7 @@ void ProxyServer::HandleClientData(ConnId conn, Client& client) {
     const ProxyRequest req = DecodeProxyRequest(client.inbuf.data() + off);
     off += kProxyRequestBytes;
     ++requests_;
-    CausalTracer* ct = req.trace_id != 0 ? CausalTracer::Current() : nullptr;
+    CausalTracer* ct = req.trace_id != 0 ? sim_->context().causal_sink() : nullptr;
     Job job;
     job.id = next_job_id_++;
     job.object_id = req.object_id;
@@ -418,7 +419,7 @@ void ProxyServer::HandleOriginData(ConnId conn) {
         // job.bytes and splice_remaining keeps the job open until the body
         // has moved.
         if (job->ctx.trace_id != 0) {
-          if (CausalTracer* ct = CausalTracer::Current()) {
+          if (CausalTracer* ct = sim_->context().causal_sink()) {
             // Header landed; body bytes stream through Splice from here, so
             // origin_serve and proxy_send overlap for this class (the
             // interval-ends-here chain stays exact; see DESIGN.md §12).
@@ -440,7 +441,7 @@ void ProxyServer::HandleOriginData(ConnId conn) {
       job->path = Path::kStore;
       if (rx.remaining == 0) {
         if (job->ctx.trace_id != 0) {
-          if (CausalTracer* ct = CausalTracer::Current()) {
+          if (CausalTracer* ct = sim_->context().causal_sink()) {
             ct->Mark(job->ctx.trace_id, CausalEdge::kNetFromOrigin, sim_->Now());
           }
         }
@@ -484,7 +485,7 @@ void ProxyServer::HandleOriginData(ConnId conn) {
       }
       if (client != nullptr && job != nullptr) {
         if (job->ctx.trace_id != 0) {
-          if (CausalTracer* ct = CausalTracer::Current()) {
+          if (CausalTracer* ct = sim_->context().causal_sink()) {
             ct->Mark(job->ctx.trace_id, CausalEdge::kNetFromOrigin, sim_->Now());
           }
         }
@@ -617,7 +618,7 @@ void ProxyServer::FinishJob(ConnId conn, Client& client, Job& job) {
                    sim_->Now());
   }
   if (job.ctx.trace_id != 0) {
-    if (CausalTracer* ct = CausalTracer::Current()) {
+    if (CausalTracer* ct = sim_->context().causal_sink()) {
       // Last response byte accepted by our stack: the proxy's work on this
       // request is over. Class is decided here, once — how the response was
       // finally produced.
@@ -654,7 +655,7 @@ void ProxyServer::ServeWaiters(uint32_t object_id, uint32_t body_len, const uint
       continue;
     }
     if (job->ctx.trace_id != 0) {
-      if (CausalTracer* ct = CausalTracer::Current()) {
+      if (CausalTracer* ct = sim_->context().causal_sink()) {
         // The waiter's wall time since its last mark was spent parked on the
         // primary's fetch; the cross-trace link draws the fan-out arrow.
         ct->Mark(job->ctx.trace_id, CausalEdge::kCoalesceWait, sim_->Now());
@@ -695,7 +696,7 @@ void ProxyServer::FanOutWaiters(uint32_t object_id) {
     }
     uint32_t fetch_span = 0;
     if (job->ctx.trace_id != 0) {
-      if (CausalTracer* ct = CausalTracer::Current()) {
+      if (CausalTracer* ct = sim_->context().causal_sink()) {
         // Waited on the primary fetch until its header revealed a spliced
         // body; from here the request runs its own fetch, so it is a store/
         // splice class request that merely *started* coalesced.

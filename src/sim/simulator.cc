@@ -5,7 +5,13 @@
 #include <limits>
 #include <utility>
 
+#include "src/sim/context.h"
+
 namespace tas {
+
+Simulator::Simulator() : context_(std::make_unique<ExperimentContext>()) {}
+
+Simulator::~Simulator() = default;
 
 void Simulator::Append(Chain& chain, uint32_t cell) {
   cells_[cell].next = kNoCell;

@@ -25,6 +25,7 @@
 
 namespace tas {
 
+class ExperimentContext;
 class Simulator;
 
 // Handle for cancelling a scheduled event. Names a pooled event node by
@@ -57,11 +58,17 @@ class Simulator {
   // the queue's floor; times inside it pop in O(1) (DESIGN.md §8).
   static constexpr int kWindowBits = 12;
 
-  Simulator() = default;
+  // Every simulator owns its experiment's context (src/sim/context.h): its
+  // own packet pool, tracing off until a host enables it.
+  Simulator();
+  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   TimeNs Now() const { return now_; }
+
+  // The packet pool and tracers every device on this simulator shares.
+  ExperimentContext& context() const { return *context_; }
 
   // Schedules `fn` to run at absolute time `when` (>= Now()). The closure is
   // built directly in its pooled event node.
@@ -249,6 +256,8 @@ class Simulator {
   }
   void CancelEvent(uint32_t node, uint32_t generation);
 
+  // First, so the pool outlives the packets pending closures hold.
+  std::unique_ptr<ExperimentContext> context_;
   TimeNs now_ = 0;
   uint64_t events_executed_ = 0;
   uint64_t cancelled_events_ = 0;

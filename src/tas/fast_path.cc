@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/sim/context.h"
 #include "src/tas/slow_path.h"
 #include "src/tas/steering.h"
 #include "src/tcp/seq.h"
@@ -176,7 +177,7 @@ void FastPathCore::ProcessPacket(PacketPtr pkt) {
   if (flow == nullptr || (pkt->tcp.flags & kExceptionFlags) != 0 ||
       !flow->FastPathEligible()) {
     service_->mutable_stats().exceptions++;
-    if (LatencyTracer* lt = LatencyTracer::Current()) {
+    if (LatencyTracer* lt = service_->context().latency_sink()) {
       // The exception path leaves the measured pipeline (and the packet may
       // come back via InjectPacket); close the record and untrack the packet
       // so later stamps don't count as stale.
@@ -192,7 +193,7 @@ void FastPathCore::ProcessPacket(PacketPtr pkt) {
     service_->mutable_stats().cross_core_packets++;
   }
   FastPathRx(id, *flow, *pkt);
-  if (LatencyTracer* lt = LatencyTracer::Current()) {
+  if (LatencyTracer* lt = service_->context().latency_sink()) {
     // End of the journey: RX processing (and payload delivery to the app
     // context) completes at the batch horizon.
     lt->Finish(pkt->lat_id, LatencyStage::kFpRx, service_->sim()->Now());
@@ -365,8 +366,7 @@ void FastPathCore::SendAck(FlowId flow_id, Flow& flow, bool ecn_echo, TimeNs enq
   if (ecn_echo) {
     flags |= TcpFlags::kEce;
   }
-  auto ack = MakeTcpPacket(service_->local_ip(), fs.local_port, fs.peer_ip, fs.peer_port,
-                           fs.seq, fs.ack, flags);
+  auto ack = service_->FlowSegment(fs, fs.seq, fs.ack, flags);
   ack->tcp.window = static_cast<uint16_t>(
       std::min<uint32_t>(flow.RxFree() >> service_->config().window_scale, 0xFFFF));
   ack->tcp.has_timestamps = true;
@@ -381,7 +381,7 @@ void FastPathCore::SendAck(FlowId flow_id, Flow& flow, bool ecn_echo, TimeNs enq
 }
 
 void FastPathCore::OpenTxLatencyRecord(Packet* pkt, TimeNs enqueued_at) {
-  LatencyTracer* lt = LatencyTracer::Current();
+  LatencyTracer* lt = service_->context().latency_sink();
   if (lt == nullptr) {
     return;
   }
@@ -409,8 +409,7 @@ void FastPathCore::EmitPacket(PacketPtr pkt) {
 
 PacketPtr FastPathCore::BuildDataPacket(Flow& flow, uint32_t wire_seq, uint32_t len) {
   FlowState& fs = flow.fs;
-  auto pkt = MakeTcpPacket(service_->local_ip(), fs.local_port, fs.peer_ip, fs.peer_port,
-                           wire_seq, fs.ack, TcpFlags::kAck | TcpFlags::kPsh);
+  auto pkt = service_->FlowSegment(fs, wire_seq, fs.ack, TcpFlags::kAck | TcpFlags::kPsh);
   // Fill the payload in place: the pooled packet's buffer retains capacity,
   // so this resize allocates nothing in steady state.
   pkt->payload.resize(len);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/cc/dctcp_rate.h"
-#include "src/net/packet_pool.h"
 #include "src/cc/timely.h"
 #include "src/tas/fast_path.h"
 #include "src/tas/slow_path.h"
@@ -28,29 +27,15 @@ std::unique_ptr<RateCc> MakeRateCc(const TasConfig& config) {
 
 TasService::TasService(Simulator* sim, HostPort* port, const TasConfig& config)
     : sim_(sim), config_(config), rng_(config.rng_seed) {
+  // Enables the experiment's latency and causal tracers if this host is the
+  // first to ask for them (see TraceConfig).
   tracer_ = std::make_unique<Tracer>(sim, config.trace);
-  if (config.trace.latency_stages && LatencyTracer::Current() == nullptr) {
-    // First latency-enabled TAS host wins: packet journeys cross hosts, so
-    // every device in the experiment stamps into ONE tracer. Later hosts keep
-    // their (empty) per-host tracer; the installer's report holds the data.
-    LatencyTracer::Install(&tracer_->latency());
-    latency_installed_ = true;
-  }
-  if (config.trace.causal && CausalTracer::Current() == nullptr) {
-    // Same first-host-wins discipline for request-level causal tracing:
-    // requests cross the client/proxy/origin hosts, so one tracer observes
-    // every span and mark of the path.
-    CausalTracer::Install(&tracer_->causal());
-    causal_installed_ = true;
-  }
-  if (config.watchdog.enabled && FlightRecorder::Current() == nullptr) {
-    // First watchdog-enabled host owns the process-wide flight recorder
-    // (events and latency records cross hosts; one recorder retains them
-    // all). Every armed host still runs its own watchdog below.
-    recorder_ = std::make_unique<FlightRecorder>(config.watchdog);
-    FlightRecorder::Install(recorder_.get());
-    recorder_installed_ = true;
-  }
+  // Events and latency records cross hosts, so the experiment has one flight
+  // recorder, configured by the first watchdog-enabled host, which alone
+  // exports its recorder.* metrics. Every armed host still runs its own
+  // watchdog below.
+  FlightRecorder* configured_recorder =
+      config.watchdog.enabled ? context().EnableRecorder(config.watchdog) : nullptr;
   NicConfig nic_config;
   nic_config.num_queues = config.max_fastpath_cores;
   nic_ = std::make_unique<SimNic>(sim, port, nic_config);
@@ -62,7 +47,7 @@ TasService::TasService(Simulator* sim, HostPort* port, const TasConfig& config)
   }
   slow_path_ = std::make_unique<SlowPath>(this, slowpath_core_.get());
   steering_ = std::make_unique<FlowGroupSteering>(this);
-  RegisterTraceInstrumentation();
+  RegisterTraceInstrumentation(configured_recorder);
   // The host's access link exports per-direction queue depth/high-water and
   // egress-fault counters into this host's bundle (switches register via the
   // harness; they belong to the network, not any one host).
@@ -70,10 +55,10 @@ TasService::TasService(Simulator* sim, HostPort* port, const TasConfig& config)
     port->access_link->RegisterMetrics(&tracer_->metrics(), "link");
   }
   slow_path_->Start();
-  if (config.watchdog.enabled && FlightRecorder::Current() != nullptr) {
+  if (config.watchdog.enabled) {
     // All flow events (every flow, every host) feed the recorder's rings.
-    tracer_->flow_events().SetRecorderTap(true);
-    watchdog_ = std::make_unique<SloWatchdog>(this, FlightRecorder::Current());
+    tracer_->flow_events().SetRecorderTap(context().recorder());
+    watchdog_ = std::make_unique<SloWatchdog>(this, context().recorder());
     watchdog_->Start();
   }
 
@@ -86,7 +71,7 @@ TasService::TasService(Simulator* sim, HostPort* port, const TasConfig& config)
   }
 }
 
-void TasService::RegisterTraceInstrumentation() {
+void TasService::RegisterTraceInstrumentation(FlightRecorder* recorder) {
   MetricRegistry& m = tracer_->metrics();
   RegisterSimulatorMetrics(&m, sim_);
   // TasStats stays the storage; the registry holds thin counter views.
@@ -197,7 +182,7 @@ void TasService::RegisterTraceInstrumentation() {
     for (auto& fp : fastpaths_) hw = std::max(hw, fp->work_queue_hw());
     return static_cast<double>(hw);
   });
-  if (config_.trace.latency_stages) {
+  if (tracer_->owns_latency()) {
     const LatencyTracer* lat = &tracer_->latency();
     m.AddCounterFn("latency.completed", [lat] { return lat->completed(); });
     m.AddCounterFn("latency.abandoned", [lat] { return lat->abandoned(); });
@@ -206,7 +191,7 @@ void TasService::RegisterTraceInstrumentation() {
     m.AddCounterFn("latency.partition_mismatches",
                    [lat] { return lat->partition_mismatches(); });
   }
-  if (config_.trace.causal) {
+  if (tracer_->owns_causal()) {
     const CausalTracer* ct = &tracer_->causal();
     m.AddCounterFn("causal.completed", [ct] { return ct->completed(); });
     m.AddCounterFn("causal.abandoned", [ct] { return ct->abandoned(); });
@@ -225,10 +210,7 @@ void TasService::RegisterTraceInstrumentation() {
   // Ring-overflow visibility for every tracing surface: nonzero means the
   // corresponding export files are missing their oldest records.
   m.AddCounterFn("trace.dropped_spans", [this] { return tracer_->spans().dropped(); });
-  m.AddCounterFn("trace.dropped_records", [this] {
-    return tracer_->flow_events().overwritten() + tracer_->latency().overwritten() +
-           tracer_->causal().dropped();
-  });
+  m.AddCounterFn("trace.dropped_records", [this] { return tracer_->lost_records(); });
   // Flow-ring overwrites attributed to the event type that was lost, so a
   // wrapped ring says WHICH stream needs a bigger window. Every type
   // registers; types never overwritten read 0.
@@ -245,21 +227,21 @@ void TasService::RegisterTraceInstrumentation() {
     m.AddCounterFn("watchdog.triggers",
                    [this] { return watchdog_ ? watchdog_->triggers_fired() : 0; });
   }
-  if (recorder_ != nullptr) {
+  if (recorder != nullptr) {
     for (int s = 0; s < kNumRecorderStreams; ++s) {
       const auto stream = static_cast<RecorderStream>(s);
       const std::string prefix = std::string("recorder.") + RecorderStreamName(stream);
       m.AddCounterFn(prefix + ".recorded",
-                     [this, stream] { return recorder_->recorded(stream); });
+                     [recorder, stream] { return recorder->recorded(stream); });
       m.AddCounterFn(prefix + ".overwritten",
-                     [this, stream] { return recorder_->overwritten(stream); });
+                     [recorder, stream] { return recorder->overwritten(stream); });
     }
-    m.AddCounterFn("recorder.bundles", [this] {
-      return static_cast<uint64_t>(recorder_->bundles_written());
+    m.AddCounterFn("recorder.bundles", [recorder] {
+      return static_cast<uint64_t>(recorder->bundles_written());
     });
   }
   nic_->RegisterMetrics(&m, "nic");
-  PacketPool::Current().RegisterMetrics(&m, "pktpool");
+  context().pool().RegisterMetrics(&m, "pktpool");
 
   // Event-driven series behind the Fig 14 proportionality plot. Generous cap:
   // core transitions are rare (one per monitor interval at most).
@@ -328,7 +310,7 @@ void TasService::RegisterTraceInstrumentation() {
       s.Series("tas.steer.group_moves", max_pts)
           .Append(now, static_cast<double>(steering_->group_moves()));
     });
-    if (config_.trace.latency_stages) {
+    if (tracer_->owns_latency()) {
       // Per-stage percentile series -> Perfetto counter tracks. Cumulative
       // percentiles (the histograms are never reset), sampled on the sweep.
       sampler.AddSweepHook([this, max_pts](TimeNs now) {
@@ -385,17 +367,7 @@ void TasService::RegisterTraceInstrumentation() {
   }
 }
 
-TasService::~TasService() {
-  if (latency_installed_ && LatencyTracer::Current() == &tracer_->latency()) {
-    LatencyTracer::Install(nullptr);
-  }
-  if (causal_installed_ && CausalTracer::Current() == &tracer_->causal()) {
-    CausalTracer::Install(nullptr);
-  }
-  if (recorder_installed_ && FlightRecorder::Current() == recorder_.get()) {
-    FlightRecorder::Install(nullptr);
-  }
-}
+TasService::~TasService() = default;
 
 IpAddr TasService::local_ip() const { return nic_->ip(); }
 

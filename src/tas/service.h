@@ -14,6 +14,7 @@
 #include "src/cpu/cost_model.h"
 #include "src/nic/nic.h"
 #include "src/shm/context_queue.h"
+#include "src/sim/context.h"
 #include "src/tas/flow.h"
 #include "src/tas/flow_table.h"
 #include "src/trace/flight_recorder.h"
@@ -93,7 +94,7 @@ struct TasConfig {
   TraceConfig trace;
 
   // Flight recorder + SLO watchdog (DESIGN.md §15). When enabled, the first
-  // such host installs the process-wide FlightRecorder and every armed host
+  // such host configures the experiment's FlightRecorder and every armed host
   // runs an SloWatchdog on the monitor cadence; a sustained breach serializes
   // a diagnostic bundle. Off by default — and costs nothing off.
   WatchdogConfig watchdog;
@@ -142,6 +143,8 @@ class TasService {
 
   // --- Introspection ---------------------------------------------------------
   Simulator* sim() const { return sim_; }
+  // The experiment's shared state: packet pool, tracers, flight recorder.
+  ExperimentContext& context() const { return sim_->context(); }
   SimNic* nic() { return nic_.get(); }
   const TasConfig& config() const { return config_; }
   const TasStats& stats() const { return stats_; }
@@ -154,6 +157,11 @@ class TasService {
   FastPathCore* fastpath(int i);
   size_t num_flows() const { return live_flows_; }
   IpAddr local_ip() const;
+  // A segment of the connection `fs` sends, drawn from the experiment's pool.
+  PacketPtr FlowSegment(const FlowState& fs, uint32_t seq, uint32_t ack, uint8_t flags) {
+    return MakeTcpPacket(context().pool(), local_ip(), fs.local_port, fs.peer_ip, fs.peer_port,
+                         seq, ack, flags);
+  }
   // The host's observability bundle: metric registry, flow-event tracer,
   // time-series sampler, CPU span recorder, exporters (src/trace).
   Tracer& tracer() { return *tracer_; }
@@ -183,10 +191,6 @@ class TasService {
   FlowGroupSteering* steering() { return steering_.get(); }
   // This host's SLO watchdog (null unless config.watchdog.enabled).
   SloWatchdog* watchdog() { return watchdog_.get(); }
-  // The FlightRecorder this host owns and installed (null unless it was the
-  // first watchdog-enabled host; use FlightRecorder::Current() for the
-  // process-wide instance).
-  FlightRecorder* owned_recorder() { return recorder_.get(); }
   // Queues transmit work for a flow on its owning core.
   void ScheduleFlowTx(FlowId id, TimeNs earliest);
   // Marks a flow for the slow path's next congestion-control iteration.
@@ -201,8 +205,9 @@ class TasService {
  private:
   void DrainContextCommands(uint16_t context_id);
   // Wires every subsystem into the tracer: metric registration, CPU span
-  // listeners, per-core / per-flow sampling probes. Runs once from the ctor.
-  void RegisterTraceInstrumentation();
+  // listeners, per-core / per-flow sampling probes. Runs once from the ctor;
+  // `recorder` is the flight recorder this host configured, else null.
+  void RegisterTraceInstrumentation(FlightRecorder* recorder);
 
   Simulator* sim_;
   TasConfig config_;
@@ -222,14 +227,6 @@ class TasService {
   size_t live_flows_ = 0;
   PortTable ports_;
   int active_cores_ = 1;
-  // True if this service installed its tracer's LatencyTracer as the global
-  // stamp sink (first latency-enabled host); the dtor uninstalls it.
-  bool latency_installed_ = false;
-  // Same for the global CausalTracer (request-level causal tracing).
-  bool causal_installed_ = false;
-  // Owned + installed process-wide by the first watchdog-enabled host.
-  std::unique_ptr<FlightRecorder> recorder_;
-  bool recorder_installed_ = false;
   std::unique_ptr<SloWatchdog> watchdog_;
   TimeSeries* core_series_ = nullptr;  // Owned by tracer_->sampler().
   TasStats stats_;

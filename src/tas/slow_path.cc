@@ -365,8 +365,7 @@ void SlowPath::TrySendFin(FlowId flow_id, Flow& flow) {
 }
 
 void SlowPath::SendSyn(Flow& flow) {
-  auto syn = MakeTcpPacket(service_->local_ip(), flow.fs.local_port, flow.fs.peer_ip,
-                           flow.fs.peer_port, flow.fs.seq - 1, 0, TcpFlags::kSyn);
+  auto syn = service_->FlowSegment(flow.fs, flow.fs.seq - 1, 0, TcpFlags::kSyn);
   syn->tcp.has_mss = true;
   syn->tcp.mss = flow.mss;
   syn->tcp.has_wscale = true;
@@ -383,10 +382,8 @@ void SlowPath::SendSyn(Flow& flow) {
 }
 
 void SlowPath::SendSynAck(Flow& flow) {
-  auto synack =
-      MakeTcpPacket(service_->local_ip(), flow.fs.local_port, flow.fs.peer_ip,
-                    flow.fs.peer_port, flow.fs.seq - 1, flow.fs.ack,
-                    TcpFlags::kSyn | TcpFlags::kAck);
+  auto synack = service_->FlowSegment(flow.fs, flow.fs.seq - 1, flow.fs.ack,
+                                      TcpFlags::kSyn | TcpFlags::kAck);
   synack->tcp.has_mss = true;
   synack->tcp.mss = flow.mss;
   synack->tcp.has_wscale = true;
@@ -402,9 +399,8 @@ void SlowPath::SendSynAck(Flow& flow) {
 }
 
 void SlowPath::SendFin(Flow& flow) {
-  auto fin = MakeTcpPacket(service_->local_ip(), flow.fs.local_port, flow.fs.peer_ip,
-                           flow.fs.peer_port, flow.fs.seq, flow.fs.ack,
-                           TcpFlags::kFin | TcpFlags::kAck);
+  auto fin =
+      service_->FlowSegment(flow.fs, flow.fs.seq, flow.fs.ack, TcpFlags::kFin | TcpFlags::kAck);
   fin->tcp.window = static_cast<uint16_t>(
       std::min<uint32_t>(flow.RxFree() >> service_->config().window_scale, 0xFFFF));
   fin->tcp.has_timestamps = true;
@@ -416,9 +412,8 @@ void SlowPath::SendFin(Flow& flow) {
 }
 
 void SlowPath::SendControlAck(Flow& flow) {
-  auto ack = MakeTcpPacket(service_->local_ip(), flow.fs.local_port, flow.fs.peer_ip,
-                           flow.fs.peer_port, flow.fs.seq + (flow.cold().fin_sent ? 1 : 0),
-                           flow.fs.ack, TcpFlags::kAck);
+  auto ack = service_->FlowSegment(flow.fs, flow.fs.seq + (flow.cold().fin_sent ? 1 : 0),
+                                   flow.fs.ack, TcpFlags::kAck);
   ack->tcp.window = static_cast<uint16_t>(
       std::min<uint32_t>(flow.RxFree() >> service_->config().window_scale, 0xFFFF));
   ack->tcp.has_timestamps = true;

@@ -5,6 +5,7 @@
 
 #include "src/cpu/core.h"
 #include "src/net/packet.h"
+#include "src/sim/context.h"
 #include "src/sim/simulator.h"
 #include "src/tas/fast_path.h"
 #include "src/tas/service.h"
@@ -49,7 +50,7 @@ double SloWatchdog::Measure(SloState& state, TimeNs now, TimeNs window_ns,
   *count = 0;
   switch (state.spec.kind) {
     case SloKind::kE2eLatencyP99: {
-      LatencyTracer* tracer = LatencyTracer::Current();
+      LatencyTracer* tracer = service_->context().latency_sink();
       if (tracer == nullptr) {
         return 0;
       }
@@ -203,10 +204,10 @@ std::string SloWatchdog::ContextJson() const {
   }
   os << "]}";
 
-  if (LatencyTracer* latency = LatencyTracer::Current()) {
+  if (LatencyTracer* latency = service_->context().latency_sink()) {
     os << ",\"latency\":" << latency->Report().ToJson();
   }
-  if (CausalTracer* causal = CausalTracer::Current()) {
+  if (CausalTracer* causal = service_->context().causal_sink()) {
     os << ",\"critical_path\":" << causal->Report().ToJson();
   }
   os << '}';

@@ -25,8 +25,7 @@ class TasService;
 
 class SloWatchdog {
  public:
-  // `recorder` is the process-wide FlightRecorder the service installed (or
-  // found installed); the watchdog never owns it.
+  // `recorder` is the experiment's FlightRecorder (its context owns it).
   SloWatchdog(TasService* service, FlightRecorder* recorder);
   ~SloWatchdog();
 
@@ -53,8 +52,8 @@ class SloWatchdog {
 
   // The bundle "context" object for this host at the current sim time:
   // metrics snapshot, steering drain state, flow-table occupancy, slow-path
-  // queue state, and the latency / critical-path reports when those tracers
-  // are installed.
+  // queue state, and the latency / critical-path reports when the
+  // experiment's tracers are on.
   std::string ContextJson() const;
 
  private:

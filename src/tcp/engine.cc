@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/cc/newreno.h"
+#include "src/sim/context.h"
 #include "src/tcp/seq.h"
 #include "src/util/logging.h"
 
@@ -107,8 +108,9 @@ uint16_t TcpConnection::AdvertisedWindowField() const {
 
 PacketPtr TcpConnection::BuildPacket(uint8_t flags, uint64_t seq_data_offset,
                                      std::vector<uint8_t> payload) {
-  auto pkt = MakeTcpPacket(local_ip_, local_port_, remote_ip_, remote_port_,
-                           TxWireSeq(seq_data_offset), 0, flags, std::move(payload));
+  auto pkt = MakeTcpPacket(sim_->context().pool(), local_ip_, local_port_, remote_ip_,
+                           remote_port_, TxWireSeq(seq_data_offset), 0, flags,
+                           std::move(payload));
   if ((flags & TcpFlags::kAck) != 0) {
     pkt->tcp.ack = CurrentAckField();
   }
@@ -125,8 +127,8 @@ PacketPtr TcpConnection::BuildPacket(uint8_t flags, uint64_t seq_data_offset,
 void TcpConnection::Connect() {
   TAS_CHECK(state_ == State::kClosed);
   state_ = State::kSynSent;
-  auto syn = MakeTcpPacket(local_ip_, local_port_, remote_ip_, remote_port_, iss_, 0,
-                           TcpFlags::kSyn);
+  auto syn = MakeTcpPacket(sim_->context().pool(), local_ip_, local_port_, remote_ip_,
+                           remote_port_, iss_, 0, TcpFlags::kSyn);
   syn->tcp.has_mss = true;
   syn->tcp.mss = static_cast<uint16_t>(config_.mss);
   syn->tcp.has_wscale = true;
@@ -155,8 +157,8 @@ void TcpConnection::AcceptSyn(const Packet& syn) {
   }
   state_ = State::kSynRcvd;
 
-  auto synack = MakeTcpPacket(local_ip_, local_port_, remote_ip_, remote_port_, iss_,
-                              irs_ + 1, TcpFlags::kSyn | TcpFlags::kAck);
+  auto synack = MakeTcpPacket(sim_->context().pool(), local_ip_, local_port_, remote_ip_,
+                              remote_port_, iss_, irs_ + 1, TcpFlags::kSyn | TcpFlags::kAck);
   synack->tcp.has_mss = true;
   synack->tcp.mss = static_cast<uint16_t>(config_.mss);
   synack->tcp.has_wscale = true;
@@ -667,8 +669,8 @@ void TcpConnection::OnRtoExpired() {
         return;
       }
       rtt_.Backoff();
-      auto syn = MakeTcpPacket(local_ip_, local_port_, remote_ip_, remote_port_, iss_, 0,
-                               TcpFlags::kSyn);
+      auto syn = MakeTcpPacket(sim_->context().pool(), local_ip_, local_port_, remote_ip_,
+                               remote_port_, iss_, 0, TcpFlags::kSyn);
       syn->tcp.has_mss = true;
       syn->tcp.mss = static_cast<uint16_t>(config_.mss);
       syn->tcp.has_wscale = true;
@@ -688,8 +690,9 @@ void TcpConnection::OnRtoExpired() {
         return;
       }
       rtt_.Backoff();
-      auto synack = MakeTcpPacket(local_ip_, local_port_, remote_ip_, remote_port_, iss_,
-                                  irs_ + 1, TcpFlags::kSyn | TcpFlags::kAck);
+      auto synack = MakeTcpPacket(sim_->context().pool(), local_ip_, local_port_, remote_ip_,
+                                  remote_port_, iss_, irs_ + 1,
+                                  TcpFlags::kSyn | TcpFlags::kAck);
       synack->tcp.has_mss = true;
       synack->tcp.mss = static_cast<uint16_t>(config_.mss);
       synack->tcp.has_wscale = true;

@@ -10,8 +10,6 @@
 
 namespace tas {
 
-CausalTracer* CausalTracer::current_ = nullptr;
-
 const char* CausalEdgeName(CausalEdge edge) {
   switch (edge) {
     case CausalEdge::kNetRequest:
@@ -169,12 +167,6 @@ CausalTracer::CausalTracer(size_t trace_capacity, size_t exemplars_per_class)
   mask_ = cap - 1;
 }
 
-CausalTracer* CausalTracer::Install(CausalTracer* tracer) {
-  CausalTracer* previous = current_;
-  current_ = tracer;
-  return previous;
-}
-
 uint64_t CausalTracer::BeginTrace(TimeNs start) {
   if (ring_.empty()) {
     ring_.resize(mask_ + 1);
@@ -313,8 +305,8 @@ void CausalTracer::Finish(uint64_t trace, TimeNs end) {
   e2e_stats_[ci].Add(static_cast<double>(e2e));
   ++completed_;
   MaybeRetainExemplar(*r, end);
-  if (FlightRecorder* recorder = FlightRecorder::Current()) {
-    recorder->RecordCausal(end, r->id, static_cast<uint8_t>(r->cls), e2e);
+  if (recorder_ != nullptr) {
+    recorder_->RecordCausal(end, r->id, static_cast<uint8_t>(r->cls), e2e);
   }
   r->id = 0;
 }

@@ -14,12 +14,12 @@
 // end-to-end time (`critical_path_mismatches` counts violations, mirroring
 // PR 5's partition invariant).
 //
-// Records live in a ring keyed by `trace_id & mask` with stale-id rejection,
-// reached through the process-wide Install/Current pattern (first
-// causal-enabled TAS host installs its tracer; requests cross hosts, so one
-// tracer observes the whole path). A null Current() costs each
-// instrumentation site one load + branch, and trace ids on the wire are 0 —
-// tracing off changes no message size and no behavior.
+// Records live in a ring keyed by `trace_id & mask` with stale-id rejection.
+// Requests cross hosts, so one tracer per experiment observes the whole
+// path; tiers reach it through ExperimentContext::causal_sink()
+// (src/sim/context.h). A null sink costs each instrumentation site one
+// load + branch, and trace ids on the wire are 0 — tracing off changes no
+// message size and no behavior.
 #ifndef SRC_TRACE_CAUSAL_H_
 #define SRC_TRACE_CAUSAL_H_
 
@@ -32,6 +32,8 @@
 #include "src/util/time.h"
 
 namespace tas {
+
+class FlightRecorder;
 
 // Carried on wire messages: which trace this request belongs to and which
 // span the receiving tier should parent its own span under. trace_id 0 means
@@ -217,10 +219,8 @@ class CausalTracer {
  public:
   explicit CausalTracer(size_t trace_capacity = 1u << 13, size_t exemplars_per_class = 3);
 
-  // Process-wide active tracer (LatencyTracer pattern). Returns the
-  // previously installed tracer.
-  static CausalTracer* Install(CausalTracer* tracer);
-  static CausalTracer* Current() { return current_; }
+  // Every finished trace is also handed to `recorder` (null: none).
+  void set_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
 
   // Opens a trace whose clock starts at `start`; ids are never 0. If the
   // ring slot still holds a live trace, that oldest trace is dropped.
@@ -308,8 +308,7 @@ class CausalTracer {
   TraceRec* Slot(uint64_t id);
   void MaybeRetainExemplar(const TraceRec& rec, TimeNs end);
 
-  static CausalTracer* current_;
-
+  FlightRecorder* recorder_ = nullptr;
   size_t mask_;
   size_t exemplars_per_class_;
   std::vector<TraceRec> ring_;  // Allocated by the first BeginTrace.

@@ -49,8 +49,6 @@ size_t RingCapacity(const WatchdogConfig& config, RecorderStream stream) {
 
 }  // namespace
 
-FlightRecorder* FlightRecorder::current_ = nullptr;
-
 const char* SloKindName(SloKind kind) {
   switch (kind) {
     case SloKind::kE2eLatencyP99:
@@ -104,12 +102,6 @@ FlightRecorder::FlightRecorder(const WatchdogConfig& config) : config_(config) {
     const size_t cap = RingCapacity(config_, static_cast<RecorderStream>(s));
     streams_[static_cast<size_t>(s)].ring.resize(cap > 0 ? cap : 1);
   }
-}
-
-FlightRecorder* FlightRecorder::Install(FlightRecorder* recorder) {
-  FlightRecorder* previous = current_;
-  current_ = recorder;
-  return previous;
 }
 
 void FlightRecorder::Append(RecorderStream stream, RecorderRecord rec) {

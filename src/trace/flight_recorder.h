@@ -20,9 +20,9 @@
 // bundles are serialized at the breach point, so same-seed runs produce
 // byte-identical bundles.
 //
-// Reached through the process-wide Install/Current pattern (LatencyTracer
-// precedent): the first watchdog-enabled TAS host installs the recorder;
-// every tap site in every host then feeds it.
+// One recorder per experiment, owned by its ExperimentContext
+// (src/sim/context.h): the first watchdog-enabled TAS host configures it, and
+// every tap site in every host of the experiment then feeds it.
 #ifndef SRC_TRACE_FLIGHT_RECORDER_H_
 #define SRC_TRACE_FLIGHT_RECORDER_H_
 
@@ -141,10 +141,6 @@ class FlightRecorder {
  public:
   explicit FlightRecorder(const WatchdogConfig& config);
 
-  // Process-wide active recorder (LatencyTracer::Install pattern).
-  static FlightRecorder* Install(FlightRecorder* recorder);
-  static FlightRecorder* Current() { return current_; }
-
   const WatchdogConfig& config() const { return config_; }
 
   // --- Taps (ring write only) ------------------------------------------------
@@ -186,8 +182,6 @@ class FlightRecorder {
   void WriteBundlePerfetto(const SloTrigger& trigger,
                            const std::vector<RecorderRecord>& records,
                            std::ostream& os) const;
-
-  static FlightRecorder* current_;
 
   WatchdogConfig config_;
   std::array<StreamRing, kNumRecorderStreams> streams_;

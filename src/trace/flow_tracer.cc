@@ -57,10 +57,8 @@ FlowTracer::FlowTracer(size_t capacity) : capacity_(capacity > 0 ? capacity : 1)
 
 void FlowTracer::RecordSlow(TimeNs t, uint64_t flow, FlowEventType type, uint64_t a,
                             uint64_t b, uint64_t c) {
-  if (recorder_tap_) {
-    if (FlightRecorder* recorder = FlightRecorder::Current()) {
-      recorder->RecordFlowEvent(FlowEvent{t, flow, type, a, b, c});
-    }
+  if (recorder_ != nullptr) {
+    recorder_->RecordFlowEvent(FlowEvent{t, flow, type, a, b, c});
   }
   if (!enabled(flow)) {
     return;

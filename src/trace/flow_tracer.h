@@ -21,6 +21,8 @@
 
 namespace tas {
 
+class FlightRecorder;
+
 inline constexpr int kNumFlowEventTypes = 20;
 
 enum class FlowEventType : uint8_t {
@@ -73,22 +75,21 @@ class FlowTracer {
   void EnableFlow(uint64_t flow) { per_flow_.insert(flow); }
   void DisableFlow(uint64_t flow) { per_flow_.erase(flow); }
 
-  // Forward every event to the process-wide FlightRecorder (flight_recorder.h)
-  // in addition to (and independent of) this tracer's own ring. The recorder
+  // Forward every event to `recorder` (flight_recorder.h; null detaches) in
+  // addition to (and independent of) this tracer's own ring. The recorder
   // tap sees all flows even when neither global nor per-flow tracing is on.
-  void SetRecorderTap(bool enabled) { recorder_tap_ = enabled; }
-  bool recorder_tap() const { return recorder_tap_; }
+  void SetRecorderTap(FlightRecorder* recorder) { recorder_ = recorder; }
 
   // True if any Record call could store something — call sites may use this
   // to skip argument marshalling, but Record itself is safe to call always.
-  bool active() const { return global_ || recorder_tap_ || !per_flow_.empty(); }
+  bool active() const { return global_ || recorder_ != nullptr || !per_flow_.empty(); }
   bool enabled(uint64_t flow) const {
     return global_ || (!per_flow_.empty() && per_flow_.count(flow) != 0);
   }
 
   void Record(TimeNs t, uint64_t flow, FlowEventType type, uint64_t a = 0, uint64_t b = 0,
               uint64_t c = 0) {
-    if (!global_ && !recorder_tap_ && per_flow_.empty()) {
+    if (!global_ && recorder_ == nullptr && per_flow_.empty()) {
       return;
     }
     RecordSlow(t, flow, type, a, b, c);
@@ -118,7 +119,7 @@ class FlowTracer {
                   uint64_t c);
 
   bool global_ = false;
-  bool recorder_tap_ = false;
+  FlightRecorder* recorder_ = nullptr;
   std::unordered_set<uint64_t> per_flow_;
   size_t capacity_;
   std::vector<FlowEvent> ring_;  // Empty until the first stored record.

@@ -11,8 +11,6 @@
 
 namespace tas {
 
-LatencyTracer* LatencyTracer::current_ = nullptr;
-
 const char* LatencyStageName(LatencyStage stage) {
   switch (stage) {
     case LatencyStage::kCtxQueue:
@@ -54,12 +52,6 @@ LatencyTracer::LatencyTracer(size_t ring_capacity) {
     cap <<= 1;
   }
   mask_ = cap - 1;
-}
-
-LatencyTracer* LatencyTracer::Install(LatencyTracer* tracer) {
-  LatencyTracer* previous = current_;
-  current_ = tracer;
-  return previous;
 }
 
 uint64_t LatencyTracer::Begin(TimeNs start) {
@@ -147,8 +139,8 @@ void LatencyTracer::Finish(uint64_t id, LatencyStage stage, TimeNs now) {
   ++completed_;
   r->id = 0;
 
-  if (FlightRecorder* recorder = FlightRecorder::Current()) {
-    recorder->RecordLatency(now, e2e, queue_ns, service_ns);
+  if (recorder_ != nullptr) {
+    recorder_->RecordLatency(now, e2e, queue_ns, service_ns);
   }
 }
 

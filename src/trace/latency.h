@@ -8,9 +8,10 @@
 // overflowing ring overwrites the oldest record without corrupting newer
 // ones (the id check rejects stale stamps). Stamp sites take the current
 // simulation time explicitly, so this module depends only on src/util and
-// sits below src/net in the link order; devices reach the active tracer via
-// the process-wide Install/Current pattern PacketPool established. When no
-// tracer is installed every instrumentation site costs one load + branch.
+// sits below src/net in the link order; devices reach their experiment's
+// tracer through ExperimentContext::latency_sink() (src/sim/context.h).
+// While latency tracing is off every instrumentation site costs one load +
+// branch.
 //
 // Stage accounting is interval-ends-here: each Stamp(stage, now) charges
 // [last_stamp, now) to `stage` and advances the cursor, so a packet crossing
@@ -29,6 +30,8 @@
 #include "src/util/time.h"
 
 namespace tas {
+
+class FlightRecorder;
 
 // Lifecycle stages, in the order a data packet traverses them. Queue stages
 // measure time spent waiting in a buffer; service stages measure active
@@ -103,18 +106,14 @@ class LatencyTracer {
  public:
   explicit LatencyTracer(size_t ring_capacity = 1u << 12);
 
-  // Process-wide active tracer (PacketPool::Install pattern). The TAS host
-  // whose TraceConfig enables latency_stages installs its tracer; every
-  // stamp site in every device then feeds it, so a record follows the packet
-  // across hosts. Returns the previously installed tracer.
-  static LatencyTracer* Install(LatencyTracer* tracer);
-  static LatencyTracer* Current() { return current_; }
+  // Every finished record is also handed to `recorder` (null: none).
+  void set_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
 
   // Opens a record whose clock starts at `start` (ids are never 0, so a
   // Packet::lat_id of 0 means "untracked"). If the ring slot still holds an
   // unfinished record, that oldest record is dropped and counted. The ring is
-  // allocated by the first Begin: only the installed tracer opens records,
-  // so every other host's tracer stays empty.
+  // allocated by the first Begin, so a tracer that never opens a record
+  // holds none.
   uint64_t Begin(TimeNs start);
   // Charges [last stamp, now) to `stage`. Ignores id 0 and stale ids.
   void Stamp(uint64_t id, LatencyStage stage, TimeNs now);
@@ -160,8 +159,7 @@ class LatencyTracer {
   // was retired or overwritten, or the ring was never allocated.
   Record* Slot(uint64_t id);
 
-  static LatencyTracer* current_;
-
+  FlightRecorder* recorder_ = nullptr;
   size_t mask_;
   std::vector<Record> ring_;
   uint64_t next_id_ = 1;

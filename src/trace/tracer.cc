@@ -28,8 +28,10 @@ Tracer::Tracer(Simulator* sim, const TraceConfig& config)
       flow_events_(config.flow_event_capacity),
       sampler_(sim),
       spans_(config.span_capacity),
-      latency_(config.latency_ring_capacity),
-      causal_(config.causal_trace_capacity, config.causal_exemplars) {
+      context_(&sim->context()) {
+  owns_latency_ = config.latency_stages && context_->EnableLatency(config.latency_ring_capacity);
+  owns_causal_ = config.causal && context_->EnableCausal(config.causal_trace_capacity,
+                                                         config.causal_exemplars);
   flow_events_.SetGlobal(config.flow_events);
   spans_.SetEnabled(config.cpu_spans);
   if (config.causal) {
@@ -154,10 +156,10 @@ void Tracer::WritePerfettoJson(std::ostream& os) const {
   // Exemplar trace trees (slowest requests per class) as nested "X" slices
   // on their pre-registered tracks, with cross-trace coalescing links drawn
   // as flow arrows when both endpoints were exported.
-  if (config_.causal && !exemplar_tracks_.empty()) {
+  if (owns_causal_ && !exemplar_tracks_.empty()) {
     std::map<uint64_t, size_t> exported;  // trace id -> exemplar track index.
     for (int cls = 0; cls < kNumRequestClasses; ++cls) {
-      const auto& exs = causal_.exemplars(static_cast<RequestClass>(cls));
+      const auto& exs = causal().exemplars(static_cast<RequestClass>(cls));
       for (size_t i = 0; i < exs.size() && i < config_.causal_exemplars; ++i) {
         const size_t slot = static_cast<size_t>(cls) * config_.causal_exemplars + i;
         exported.emplace(exs[i].trace_id, slot);
@@ -186,7 +188,7 @@ void Tracer::WritePerfettoJson(std::ostream& os) const {
     uint64_t link_id = 1u << 20;  // Distinct id space from the retx arrows.
     for (const auto& [trace_id, slot] : exported) {
       const auto& exs =
-          causal_.exemplars(static_cast<RequestClass>(slot / config_.causal_exemplars));
+          causal().exemplars(static_cast<RequestClass>(slot / config_.causal_exemplars));
       const TraceExemplar& ex = exs[slot % config_.causal_exemplars];
       for (const CausalLink& link : ex.links) {
         auto from = exported.find(link.from_trace);
@@ -247,30 +249,34 @@ bool Tracer::WriteAll(const std::string& prefix) const {
     }
     (this->*out.write)(os);
   }
-  if (config_.latency_stages) {
+  if (owns_latency_) {
     std::ofstream os(prefix + ".latency.json");
     if (!os) {
       return false;
     }
-    os << latency_.Report().ToJson() << "\n";
+    os << latency().Report().ToJson() << "\n";
   }
-  if (config_.causal) {
+  if (owns_causal_) {
     std::ofstream os(prefix + ".critical_path.json");
     if (!os) {
       return false;
     }
-    os << causal_.Report().ToJson() << "\n";
+    os << causal().Report().ToJson() << "\n";
   }
   // A wrapped ring means the files above silently miss the oldest records —
   // say so once per export instead of letting a reader chase ghosts.
-  const uint64_t lost_records =
-      flow_events_.overwritten() + latency_.overwritten() + causal_.dropped();
-  if (spans_.dropped() > 0 || lost_records > 0) {
+  const uint64_t lost = lost_records();
+  if (spans_.dropped() > 0 || lost > 0) {
     TAS_LOG_WARN << "trace export truncated: " << spans_.dropped() << " spans dropped, "
-                 << lost_records
+                 << lost
                  << " records overwritten (raise the trace ring capacities to keep them)";
   }
   return true;
+}
+
+uint64_t Tracer::lost_records() const {
+  return flow_events_.overwritten() + (owns_latency_ ? latency().overwritten() : 0) +
+         (owns_causal_ ? causal().dropped() : 0);
 }
 
 void RegisterSimulatorMetrics(MetricRegistry* registry, const Simulator* sim,

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/context.h"
 #include "src/sim/simulator.h"
 #include "src/trace/causal.h"
 #include "src/trace/flow_tracer.h"
@@ -43,14 +44,13 @@ struct TraceConfig {
   bool sample_flows = false;
   size_t series_max_points = 4096;
   // Per-packet latency anatomy (src/trace/latency): stage stamps in a side
-  // ring, folded into per-stage histograms. The first TasService constructed
-  // with this on installs its host's LatencyTracer as the global stamp sink
-  // (packet journeys cross hosts, so one tracer observes the whole path).
+  // ring, folded into per-stage histograms. Packet journeys cross hosts, so
+  // the experiment has one LatencyTracer (src/sim/context.h); the first
+  // Tracer built with this on enables and sizes it, and reports it.
   bool latency_stages = false;
   size_t latency_ring_capacity = 1u << 12;
-  // Request-level causal tracing (src/trace/causal, DESIGN.md §12). Install
-  // discipline mirrors latency_stages: the first causal-enabled TasService
-  // installs its CausalTracer process-wide.
+  // Request-level causal tracing (src/trace/causal, DESIGN.md §12), one
+  // CausalTracer per experiment, enabled and reported the same way.
   bool causal = false;
   size_t causal_trace_capacity = 1u << 13;
   size_t causal_exemplars = 3;  // Slowest trace trees kept per request class.
@@ -148,10 +148,16 @@ class Tracer {
   const TimeSeriesSampler& sampler() const { return sampler_; }
   SpanRecorder& spans() { return spans_; }
   const SpanRecorder& spans() const { return spans_; }
-  LatencyTracer& latency() { return latency_; }
-  const LatencyTracer& latency() const { return latency_; }
-  CausalTracer& causal() { return causal_; }
-  const CausalTracer& causal() const { return causal_; }
+  // The experiment's tracers, shared by every host; only the host that
+  // enabled one first reports it (metrics, exports).
+  LatencyTracer& latency() { return context_->latency(); }
+  const LatencyTracer& latency() const { return context_->latency(); }
+  CausalTracer& causal() { return context_->causal(); }
+  const CausalTracer& causal() const { return context_->causal(); }
+  bool owns_latency() const { return owns_latency_; }
+  bool owns_causal() const { return owns_causal_; }
+  // Records this host's exports lost to a wrapped ring.
+  uint64_t lost_records() const;
 
   // --- Exporters ------------------------------------------------------------
   void WriteMetricsJsonl(std::ostream& os) const { metrics_.WriteJsonl(os); }
@@ -163,8 +169,8 @@ class Tracer {
 
   // Writes <prefix>.metrics.jsonl, <prefix>.flow_events.jsonl,
   // <prefix>.timeseries.jsonl and <prefix>.perfetto.json — plus
-  // <prefix>.latency.json when latency_stages is on and
-  // <prefix>.critical_path.json when causal is on. Warns (TAS_LOG) when any
+  // <prefix>.latency.json / <prefix>.critical_path.json when this host
+  // owns the latency / causal tracer. Warns (TAS_LOG) when any
   // ring overflowed and the export is therefore truncated. Returns false if
   // any file could not be opened.
   bool WriteAll(const std::string& prefix) const;
@@ -175,8 +181,9 @@ class Tracer {
   FlowTracer flow_events_;
   TimeSeriesSampler sampler_;
   SpanRecorder spans_;
-  LatencyTracer latency_;
-  CausalTracer causal_;
+  ExperimentContext* context_;
+  bool owns_latency_ = false;
+  bool owns_causal_ = false;
   // Track ids for exemplar trace trees, indexed cls * causal_exemplars + i.
   std::vector<int> exemplar_tracks_;
 };

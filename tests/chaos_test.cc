@@ -548,8 +548,8 @@ TEST(ChaosTest, EachFaultEventIsOneSimulatorEvent) {
   EXPECT_EQ(sim.Run(), 1u);
   ASSERT_EQ(injector.log().size(), 1u);
   for (int side = 0; side < 2; ++side) {
-    link.Send(side, MakeTcpPacket(MakeIp(10, 0, 0, 1), 1, MakeIp(10, 0, 0, 2), 2, 0, 0,
-                                  TcpFlags::kAck));
+    link.Send(side, MakeTcpPacket(sim.context().pool(), MakeIp(10, 0, 0, 1), 1,
+                                  MakeIp(10, 0, 0, 2), 2, 0, 0, TcpFlags::kAck));
     EXPECT_EQ(link.stats(side).drops_down, 1u) << "side " << side;
   }
 }
@@ -567,8 +567,8 @@ TEST(ChaosTest, LinkDownGateAttributesDropsAndReopens) {
   link.SetDown(true);
   EXPECT_TRUE(link.down());
   for (int i = 0; i < 5; ++i) {
-    link.Send(0, MakeTcpPacket(MakeIp(10, 0, 0, 1), 1, MakeIp(10, 0, 0, 2), 2, 0, 0,
-                               TcpFlags::kAck));
+    link.Send(0, MakeTcpPacket(sim.context().pool(), MakeIp(10, 0, 0, 1), 1,
+                               MakeIp(10, 0, 0, 2), 2, 0, 0, TcpFlags::kAck));
   }
   sim.Run();
   EXPECT_TRUE(dev.pkts.empty());
@@ -577,8 +577,8 @@ TEST(ChaosTest, LinkDownGateAttributesDropsAndReopens) {
 
   link.SetDown(false);
   EXPECT_FALSE(link.down());
-  link.Send(0, MakeTcpPacket(MakeIp(10, 0, 0, 1), 1, MakeIp(10, 0, 0, 2), 2, 0, 0,
-                             TcpFlags::kAck));
+  link.Send(0, MakeTcpPacket(sim.context().pool(), MakeIp(10, 0, 0, 1), 1,
+                             MakeIp(10, 0, 0, 2), 2, 0, 0, TcpFlags::kAck));
   sim.Run();
   EXPECT_EQ(dev.pkts.size(), 1u);
 }

@@ -242,7 +242,8 @@ TEST(PcapTest, WritesParseableCapture) {
   {
     PcapWriter pcap(path);
     ASSERT_TRUE(pcap.ok());
-    auto pkt = MakeTcpPacket(MakeIp(10, 0, 0, 1), 1000, MakeIp(10, 0, 0, 2), 2000, 7, 9,
+    PacketPool pool;
+    auto pkt = MakeTcpPacket(pool, MakeIp(10, 0, 0, 1), 1000, MakeIp(10, 0, 0, 2), 2000, 7, 9,
                              TcpFlags::kAck | TcpFlags::kPsh, {1, 2, 3});
     pcap.Record(Us(123), *pkt);
     pcap.Record(Us(456), *pkt);

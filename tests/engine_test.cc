@@ -10,13 +10,13 @@
 namespace tas {
 namespace {
 
-LinkConfig TestLink(double drop_rate = 0.0) {
+LinkConfig TestLink(double loss_rate = 0.0) {
   LinkConfig link;
   link.gbps = 10.0;
   link.propagation_delay = Us(2);
   link.queue_limit_pkts = 256;
-  if (drop_rate > 0) {
-    link.faults.Add(BernoulliLoss(drop_rate));
+  if (loss_rate > 0) {
+    link.faults.Add(BernoulliLoss(loss_rate));
   }
   return link;
 }
@@ -140,10 +140,10 @@ class EngineLossTest : public ::testing::TestWithParam<int> {};
 TEST_P(EngineLossTest, RecoversUnderRandomLoss) {
   // Property: regardless of loss rate, the byte stream is delivered intact,
   // in order, exactly once.
-  const double drop_rate = GetParam() / 100.0;
+  const double loss_rate = GetParam() / 100.0;
   HostSpec spec;
   spec.stack = StackKind::kLinux;
-  auto exp = Experiment::PointToPoint(spec, spec, TestLink(drop_rate));
+  auto exp = Experiment::PointToPoint(spec, spec, TestLink(loss_rate));
 
   RecordingServer server(exp->host(0).stack(), 7000);
   constexpr size_t kTotal = 100000;

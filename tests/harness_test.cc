@@ -1,10 +1,14 @@
-// Tests for the experiment harness: cluster builders, the flow generator
-// used by the congestion-control figures, cycle accounting helpers, and the
-// table printer.
+// Tests for the experiment harness: cluster builders, independence of
+// experiments alive at once, the flow generator used by the
+// congestion-control figures, cycle accounting helpers, and the table
+// printer.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <string>
 
+#include "src/app/rpc_echo.h"
 #include "src/harness/experiment.h"
 #include "src/harness/flowgen.h"
 #include "src/harness/table.h"
@@ -61,6 +65,86 @@ TEST(ExperimentTest, TotalCyclesAggregatesAppAndStack) {
   EXPECT_EQ(exp->host(0).TotalCycles(CpuModule::kApp), 1000u);
   EXPECT_GE(exp->host(0).TotalCycles(CpuModule::kTcp), 500u);
   EXPECT_GE(exp->host(0).TotalCycles(), 1500u);
+}
+
+// A latency-traced TAS echo pair: host 0 serves, host 1 runs 8 pipelined
+// connections. The apps are declared after the experiment, so they go first.
+struct TracedEcho {
+  TracedEcho() {
+    HostSpec spec;
+    spec.stack = StackKind::kTasLowLevel;
+    spec.tas.trace.latency_stages = true;
+    spec.tas_overridden = true;
+    LinkConfig link;
+    link.rng_seed = 23;
+    exp = Experiment::PointToPoint(spec, spec, link);
+    server = std::make_unique<EchoServer>(&exp->sim(), exp->host(0).stack(),
+                                          EchoServerConfig{});
+    server->Start();
+    EchoClientConfig cc;
+    cc.server_ip = exp->host(0).ip();
+    cc.num_connections = 8;
+    cc.pipeline_depth = 8;
+    client = std::make_unique<EchoClient>(&exp->sim(), exp->host(1).stack(), cc);
+    client->Start();
+  }
+
+  std::unique_ptr<Experiment> exp;
+  std::unique_ptr<EchoServer> server;
+  std::unique_ptr<EchoClient> client;
+};
+
+struct EchoSnapshot {
+  uint64_t ops = 0;
+  uint64_t completed = 0;
+  std::string report;
+  uint64_t allocated = 0;
+  size_t outstanding = 0;
+};
+
+EchoSnapshot Snapshot(TracedEcho& rig) {
+  const LatencyTracer& lt = rig.exp->host(0).tas()->tracer().latency();
+  const PacketPoolStats pool = rig.exp->packet_pool().stats();
+  return {rig.client->completed(), lt.completed(), lt.Report().ToJson(), pool.allocated,
+          pool.outstanding};
+}
+
+// Two experiments alive at once share no packet pool and no tracer: advanced
+// alternately in 1 ms slices, each matches a solo run exactly, and either
+// may be destroyed first with packets still in flight.
+TEST(ExperimentTest, InterleavedExperimentsMatchSoloRuns) {
+  constexpr TimeNs kEnd = Ms(20);
+  EchoSnapshot solo;
+  {
+    TracedEcho rig;
+    rig.exp->sim().RunUntil(kEnd);
+    solo = Snapshot(rig);
+  }
+  ASSERT_GT(solo.ops, 0u);
+  ASSERT_GT(solo.completed, 0u);
+  ASSERT_GT(solo.outstanding, 0u);  // Packets in flight at teardown.
+
+  for (bool a_dies_first : {true, false}) {
+    auto a = std::make_unique<TracedEcho>();
+    auto b = std::make_unique<TracedEcho>();
+    for (TimeNs t = Ms(1); t <= kEnd; t += Ms(1)) {
+      a->exp->sim().RunUntil(t);
+      b->exp->sim().RunUntil(t);
+    }
+    for (TracedEcho* rig : {a.get(), b.get()}) {
+      const EchoSnapshot got = Snapshot(*rig);
+      EXPECT_EQ(got.ops, solo.ops);
+      EXPECT_EQ(got.completed, solo.completed);
+      EXPECT_EQ(got.report, solo.report);
+      EXPECT_EQ(got.allocated, solo.allocated);
+      EXPECT_EQ(got.outstanding, solo.outstanding);
+    }
+    if (a_dies_first) {
+      a.reset();
+    } else {
+      b.reset();
+    }
+  }
 }
 
 TEST(FlowGenTest, FlowsCompleteAndFctsRecorded) {

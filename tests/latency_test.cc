@@ -186,16 +186,19 @@ struct LatencyRun {
   uint64_t overwritten = 0;
   LatencyReport report;
   std::string server_flow_events;  // Byte-identity probe.
-  // Ring storage of the installed (host 0) and the other (host 1) tracer.
-  size_t installed_ring_slots = 0;
-  size_t other_ring_slots = 0;
+  // Ring storage of the experiment's tracer, whether both hosts see that one
+  // tracer, and which hosts report it.
+  size_t ring_slots = 0;
+  bool one_tracer = false;
+  bool server_owns = false;
+  bool client_owns = false;
 };
 
 // The batching_test echo workload (two TAS-LowLevel hosts, clean seeded
 // link) with per-packet stage stamping toggled per run. Host 0 is built
-// first, so its tracer is the installed global stamp sink. `star` routes the
-// pair through a switch (exercising the switch_queue stage and a second
-// link hop) instead of a direct point-to-point link.
+// first, so it enables, sizes and reports the experiment's tracer. `star`
+// routes the pair through a switch (exercising the switch_queue stage and a
+// second link hop) instead of a direct point-to-point link.
 LatencyRun RunEcho(int rx_batch, bool latency, bool star = false) {
   TasConfig tas_config;
   tas_config.trace.flow_events = true;
@@ -235,8 +238,10 @@ LatencyRun RunEcho(int rx_batch, bool latency, bool star = false) {
   out.partition_mismatches = lt.partition_mismatches();
   out.overwritten = lt.overwritten();
   out.report = lt.Report();
-  out.installed_ring_slots = lt.ring_slots();
-  out.other_ring_slots = exp->host(1).tas()->tracer().latency().ring_slots();
+  out.ring_slots = lt.ring_slots();
+  out.one_tracer = &lt == &exp->host(1).tas()->tracer().latency();
+  out.server_owns = exp->host(0).tas()->tracer().owns_latency();
+  out.client_owns = exp->host(1).tas()->tracer().owns_latency();
   std::ostringstream sf;
   exp->host(0).tas()->tracer().WriteFlowEventsJsonl(sf);
   out.server_flow_events = sf.str();
@@ -269,13 +274,15 @@ TEST(LatencyAnatomyTest, PartitionInvariantHoldsAcrossBatchSizes) {
   EXPECT_LT(ratio, 3.0);
 }
 
-// Every latency-enabled host owns a tracer, but only the installed one opens
-// records; the others never allocate their rings.
-TEST(LatencyAnatomyTest, OnlyTheInstalledTracerAllocatesItsRing) {
+// Both hosts enable latency stamping, but the experiment holds one tracer
+// and so one ring: the first host built sized it and reports it.
+TEST(LatencyAnatomyTest, AnExperimentAllocatesExactlyOneLatencyRing) {
   const LatencyRun run = RunEcho(16, true);
   ASSERT_GT(run.completed, 0u);
-  EXPECT_EQ(run.installed_ring_slots, size_t{1} << 12);
-  EXPECT_EQ(run.other_ring_slots, 0u);
+  EXPECT_TRUE(run.one_tracer);
+  EXPECT_EQ(run.ring_slots, size_t{1} << 12);
+  EXPECT_TRUE(run.server_owns);
+  EXPECT_FALSE(run.client_owns);
 }
 
 TEST(LatencyAnatomyTest, StageSumsAreConsistentWithEndToEnd) {
@@ -326,7 +333,7 @@ TEST(LatencyAnatomyTest, StampingIsPassiveAndOffRunsAreByteIdentical) {
   const LatencyRun off_b = RunEcho(16, false);
   EXPECT_EQ(off_a.server_flow_events, off_b.server_flow_events);
   EXPECT_EQ(off_a.ops, off_b.ops);
-  EXPECT_EQ(off_a.completed, 0u);  // No tracer installed: nothing recorded.
+  EXPECT_EQ(off_a.completed, 0u);  // Tracing off: nothing recorded.
 
   // Tracing on observes the run without perturbing it: the simulated
   // trajectory (flow events, workload progress) is byte-identical to the

@@ -8,6 +8,7 @@
 
 #include "src/net/topology.h"
 #include "src/nic/nic.h"
+#include "src/sim/context.h"
 
 namespace tas {
 namespace {
@@ -23,9 +24,10 @@ class CollectingDevice : public NetDevice {
   std::vector<TimeNs> arrival_times;
 };
 
-PacketPtr DataPacket(size_t payload = 1000, IpAddr dst = MakeIp(10, 0, 0, 2)) {
-  auto pkt = MakeTcpPacket(MakeIp(10, 0, 0, 1), 1000, dst, 2000, 0, 0, TcpFlags::kAck,
-                           std::vector<uint8_t>(payload));
+PacketPtr DataPacket(Simulator& sim, size_t payload = 1000,
+                     IpAddr dst = MakeIp(10, 0, 0, 2)) {
+  auto pkt = MakeTcpPacket(sim.context().pool(), MakeIp(10, 0, 0, 1), 1000, dst, 2000, 0, 0,
+                           TcpFlags::kAck, std::vector<uint8_t>(payload));
   pkt->ip.ecn = Ecn::kEct0;
   return pkt;
 }
@@ -40,7 +42,7 @@ TEST(LinkTest, DeliveryTiming) {
   dev.last_time_fn = [&sim] { return sim.Now(); };
   link.Attach(1, &dev);
 
-  auto pkt = DataPacket(1000);
+  auto pkt = DataPacket(sim, 1000);
   const TimeNs serialize = TransmitTimeNs(pkt->WireBytes(), 10.0);
   link.Send(0, std::move(pkt));
   sim.Run();
@@ -55,7 +57,7 @@ TEST(LinkTest, FifoOrderPreserved) {
   CollectingDevice dev;
   link.Attach(1, &dev);
   for (uint32_t i = 0; i < 50; ++i) {
-    auto pkt = DataPacket(100);
+    auto pkt = DataPacket(sim, 100);
     pkt->tcp.seq = i;
     link.Send(0, std::move(pkt));
   }
@@ -76,9 +78,9 @@ TEST(LinkTest, BackToBackPipelining) {
   CollectingDevice dev;
   dev.last_time_fn = [&sim] { return sim.Now(); };
   link.Attach(1, &dev);
-  const TimeNs ser = TransmitTimeNs(DataPacket(1000)->WireBytes(), 1.0);
-  link.Send(0, DataPacket(1000));
-  link.Send(0, DataPacket(1000));
+  const TimeNs ser = TransmitTimeNs(DataPacket(sim, 1000)->WireBytes(), 1.0);
+  link.Send(0, DataPacket(sim, 1000));
+  link.Send(0, DataPacket(sim, 1000));
   sim.Run();
   ASSERT_EQ(dev.packets.size(), 2u);
   EXPECT_EQ(dev.arrival_times[1] - dev.arrival_times[0], ser);
@@ -92,7 +94,7 @@ TEST(LinkTest, OverflowDropsTail) {
   CollectingDevice dev;
   link.Attach(1, &dev);
   for (int i = 0; i < 20; ++i) {
-    link.Send(0, DataPacket(1000));
+    link.Send(0, DataPacket(sim, 1000));
   }
   sim.Run();
   // 1 in flight + 4 queued accepted at burst time; rest dropped.
@@ -109,7 +111,7 @@ TEST(LinkTest, EcnMarkedAboveThreshold) {
   CollectingDevice dev;
   link.Attach(1, &dev);
   for (int i = 0; i < 10; ++i) {
-    link.Send(0, DataPacket(1000));
+    link.Send(0, DataPacket(sim, 1000));
   }
   sim.Run();
   ASSERT_EQ(dev.packets.size(), 10u);
@@ -133,7 +135,7 @@ TEST(LinkTest, NotEctNeverMarked) {
   CollectingDevice dev;
   link.Attach(1, &dev);
   for (int i = 0; i < 5; ++i) {
-    auto pkt = DataPacket(1000);
+    auto pkt = DataPacket(sim, 1000);
     pkt->ip.ecn = Ecn::kNotEct;
     link.Send(0, std::move(pkt));
   }
@@ -153,7 +155,7 @@ TEST(LinkTest, InducedLossRate) {
   link.Attach(1, &dev);
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
-    link.Send(0, DataPacket(10));
+    link.Send(0, DataPacket(sim, 10));
   }
   sim.Run();
   const double loss =
@@ -165,27 +167,29 @@ TEST(LinkTest, InducedLossRate) {
   EXPECT_EQ(link.pipeline(0).at(0)->stats().processed, static_cast<uint64_t>(n));
 }
 
-TEST(LinkTest, LegacyDropRateShimStillInducesLoss) {
+TEST(LinkTest, LossImpairmentRemovedMidRunStopsDrops) {
   Simulator sim;
   LinkConfig config;
-  config.drop_rate = 0.5;
+  config.faults.Add(BernoulliLoss(0.5));
   config.queue_limit_pkts = 100000;
   Link link(&sim, config);
   CollectingDevice dev;
   link.Attach(1, &dev);
   const int n = 10000;
   for (int i = 0; i < n; ++i) {
-    link.Send(0, DataPacket(10));
+    link.Send(0, DataPacket(sim, 10));
   }
   sim.Run();
   const double loss =
       static_cast<double>(link.stats(0).drops_induced) / static_cast<double>(n);
   EXPECT_NEAR(loss, 0.5, 0.03);
-  // The shim can be retargeted at runtime.
-  link.set_drop_rate(0.0);
+  // The loss can be lifted at runtime, per direction.
+  for (int side = 0; side < 2; ++side) {
+    ASSERT_TRUE(link.RemoveImpairment(side, link.pipeline(side).at(0)));
+  }
   const uint64_t drops_before = link.stats(0).drops_induced;
   for (int i = 0; i < 1000; ++i) {
-    link.Send(0, DataPacket(10));
+    link.Send(0, DataPacket(sim, 10));
   }
   sim.Run();
   EXPECT_EQ(link.stats(0).drops_induced, drops_before);
@@ -199,8 +203,8 @@ TEST(LinkTest, DirectionsIndependent) {
   CollectingDevice dev1;
   link.Attach(0, &dev0);
   link.Attach(1, &dev1);
-  link.Send(0, DataPacket());
-  link.Send(1, DataPacket());
+  link.Send(0, DataPacket(sim));
+  link.Send(1, DataPacket(sim));
   sim.Run();
   EXPECT_EQ(dev0.packets.size(), 1u);
   EXPECT_EQ(dev1.packets.size(), 1u);
@@ -216,7 +220,7 @@ TEST(StarTopologyTest, HostsCanReachEachOther) {
     net->host(i).end.Attach(&devs[i]);
   }
   // Host 0 -> host 2.
-  net->host(0).end.Send(DataPacket(100, net->host(2).ip));
+  net->host(0).end.Send(DataPacket(sim, 100, net->host(2).ip));
   sim.Run();
   EXPECT_EQ(devs[2].packets.size(), 1u);
   EXPECT_EQ(devs[0].packets.size(), 0u);
@@ -234,8 +238,8 @@ TEST(DumbbellTest, CrossTrafficTraversesBottleneck) {
   for (int i = 0; i < 4; ++i) {
     net->host(i).end.Attach(&devs[i]);
   }
-  net->host(0).end.Send(DataPacket(100, net->host(2).ip));
-  net->host(3).end.Send(DataPacket(100, net->host(1).ip));
+  net->host(0).end.Send(DataPacket(sim, 100, net->host(2).ip));
+  net->host(3).end.Send(DataPacket(sim, 100, net->host(1).ip));
   sim.Run();
   EXPECT_EQ(devs[2].packets.size(), 1u);
   EXPECT_EQ(devs[1].packets.size(), 1u);
@@ -258,7 +262,7 @@ TEST(FatTreeTest, AllPairsReachable) {
   for (size_t i = 0; i < net->num_hosts(); ++i) {
     for (size_t j = 0; j < net->num_hosts(); ++j) {
       if (i != j) {
-        net->host(i).end.Send(DataPacket(10, net->host(j).ip));
+        net->host(i).end.Send(DataPacket(sim, 10, net->host(j).ip));
       }
     }
   }
@@ -282,7 +286,7 @@ TEST(FatTreeTest, EcmpKeepsFlowOnOnePath) {
   }
   const size_t dst = net->num_hosts() - 1;  // A different pod than host 0.
   for (uint32_t i = 0; i < 100; ++i) {
-    auto pkt = DataPacket(100, net->host(dst).ip);
+    auto pkt = DataPacket(sim, 100, net->host(dst).ip);
     pkt->tcp.seq = i;
     net->host(0).end.Send(std::move(pkt));
   }
@@ -328,12 +332,14 @@ TEST(SwitchTest, EcmpPickIsFlowHashModuloInAddRouteOrder) {
   const std::vector<int> order = {3, 1, 4};
   std::vector<size_t> want(rig.devs.size(), 0);
   for (uint16_t sport = 1000; sport < 1064; ++sport) {
-    auto pkt = MakeTcpPacket(MakeIp(10, 0, 0, 1), sport, dst, 80, 0, 0, TcpFlags::kAck, {});
+    auto pkt = MakeTcpPacket(rig.sim.context().pool(), MakeIp(10, 0, 0, 1), sport, dst, 80, 0,
+                             0, TcpFlags::kAck, {});
     const uint32_t h = FlowHash(MakeIp(10, 0, 0, 1), sport, dst, 80);
     ++want[static_cast<size_t>(order[h % order.size()] - 1)];
     rig.Inject(std::move(pkt));
   }
-  auto pkt = MakeTcpPacket(MakeIp(10, 0, 0, 1), 5, other, 80, 0, 0, TcpFlags::kAck, {});
+  auto pkt = MakeTcpPacket(rig.sim.context().pool(), MakeIp(10, 0, 0, 1), 5, other, 80, 0, 0,
+                           TcpFlags::kAck, {});
   const uint32_t h = FlowHash(MakeIp(10, 0, 0, 1), 5, other, 80);
   ++want[static_cast<size_t>((h % 2 == 0 ? 1 : 2) - 1)];
   rig.Inject(std::move(pkt));
@@ -348,12 +354,12 @@ TEST(SwitchTest, EcmpPickIsFlowHashModuloInAddRouteOrder) {
 
 TEST(SwitchTest, UnknownDestinationCountsNoRouteDrop) {
   SwitchRig rig(2);
-  rig.Inject(DataPacket(10, MakeIp(10, 0, 0, 2)));  // No route installed at all.
+  rig.Inject(DataPacket(rig.sim, 10, MakeIp(10, 0, 0, 2)));  // No route installed at all.
   rig.sim.Run();
   EXPECT_EQ(rig.sw.no_route_drops(), 1u);
   rig.sw.AddRoute(MakeIp(10, 0, 0, 2), 1);
-  rig.Inject(DataPacket(10, MakeIp(10, 0, 0, 3)));  // Routed table, other dst.
-  rig.Inject(DataPacket(10, MakeIp(10, 0, 0, 2)));
+  rig.Inject(DataPacket(rig.sim, 10, MakeIp(10, 0, 0, 3)));  // Routed table, other dst.
+  rig.Inject(DataPacket(rig.sim, 10, MakeIp(10, 0, 0, 2)));
   rig.sim.Run();
   EXPECT_EQ(rig.sw.no_route_drops(), 2u);
   EXPECT_EQ(rig.sw.forwarded(), 1u);
@@ -371,7 +377,7 @@ TEST(SwitchTest, ClearRoutesThenComputeRoutesRebuildsTheTable) {
   }
   Switch* tor = net->switch_at(0);
   tor->ClearRoutes();
-  net->host(0).end.Send(DataPacket(100, net->host(2).ip));
+  net->host(0).end.Send(DataPacket(sim, 100, net->host(2).ip));
   sim.Run();
   EXPECT_EQ(tor->no_route_drops(), 1u);
   EXPECT_EQ(devs[2].packets.size(), 0u);
@@ -380,7 +386,7 @@ TEST(SwitchTest, ClearRoutesThenComputeRoutesRebuildsTheTable) {
   for (int src = 0; src < 3; ++src) {
     for (int dst = 0; dst < 3; ++dst) {
       if (src != dst) {
-        net->host(static_cast<size_t>(src)).end.Send(DataPacket(100, net->host(dst).ip));
+        net->host(static_cast<size_t>(src)).end.Send(DataPacket(sim, 100, net->host(dst).ip));
       }
     }
   }
@@ -407,7 +413,7 @@ TEST(FatTreeTest, AllPairsReachableAtK8) {
   for (size_t i = 0; i < net->num_hosts(); ++i) {
     for (size_t j = 0; j < net->num_hosts(); ++j) {
       if (i != j) {
-        net->host(i).end.Send(DataPacket(10, net->host(j).ip));
+        net->host(i).end.Send(DataPacket(sim, 10, net->host(j).ip));
       }
     }
   }
@@ -431,11 +437,11 @@ TEST(NicTest, RssSteersFlowsConsistently) {
   SimNic nic(&sim, &net->host(0), nic_config);
 
   // All packets of one flow land on one queue; both directions match.
-  auto pkt = DataPacket(100, net->host(0).ip);
+  auto pkt = DataPacket(sim, 100, net->host(0).ip);
   const int entry = nic.RedirectionEntryFor(*pkt);
   const int queue = nic.RedirectionEntryQueue(entry);
   for (int i = 0; i < 10; ++i) {
-    net->host(1).end.Send(DataPacket(100, net->host(0).ip));
+    net->host(1).end.Send(DataPacket(sim, 100, net->host(0).ip));
   }
   sim.Run();
   EXPECT_EQ(nic.RxQueueLen(queue), 10u);
@@ -454,8 +460,8 @@ TEST(NicTest, ManyFlowsSpreadOverQueues) {
   nic_config.num_queues = 4;
   SimNic nic(&sim, &net->host(0), nic_config);
   for (uint16_t port = 1000; port < 1256; ++port) {
-    auto pkt = MakeTcpPacket(net->host(1).ip, port, net->host(0).ip, 80, 0, 0,
-                             TcpFlags::kAck, std::vector<uint8_t>(10));
+    auto pkt = MakeTcpPacket(sim.context().pool(), net->host(1).ip, port, net->host(0).ip, 80,
+                             0, 0, TcpFlags::kAck, std::vector<uint8_t>(10));
     net->host(1).end.Send(std::move(pkt));
   }
   sim.Run();
@@ -473,8 +479,8 @@ TEST(NicTest, SetActiveQueuesRestrictsSteering) {
   SimNic nic(&sim, &net->host(0), nic_config);
   nic.SetActiveQueues(1);
   for (uint16_t port = 1000; port < 1100; ++port) {
-    auto pkt = MakeTcpPacket(net->host(1).ip, port, net->host(0).ip, 80, 0, 0,
-                             TcpFlags::kAck, std::vector<uint8_t>(10));
+    auto pkt = MakeTcpPacket(sim.context().pool(), net->host(1).ip, port, net->host(0).ip, 80,
+                             0, 0, TcpFlags::kAck, std::vector<uint8_t>(10));
     net->host(1).end.Send(std::move(pkt));
   }
   sim.Run();
@@ -492,7 +498,7 @@ TEST(NicTest, RingOverflowDrops) {
   nic_config.ring_entries = 8;
   SimNic nic(&sim, &net->host(0), nic_config);
   for (int i = 0; i < 20; ++i) {
-    net->host(1).end.Send(DataPacket(100, net->host(0).ip));
+    net->host(1).end.Send(DataPacket(sim, 100, net->host(0).ip));
   }
   sim.Run();
   EXPECT_EQ(nic.RxQueueLen(0), 8u);
@@ -509,13 +515,13 @@ TEST(NicTest, NotifyFiresOnEmptyToNonEmpty) {
   int notifications = 0;
   nic.SetRxNotify(0, [&] { ++notifications; });
   for (int i = 0; i < 5; ++i) {
-    net->host(1).end.Send(DataPacket(100, net->host(0).ip));
+    net->host(1).end.Send(DataPacket(sim, 100, net->host(0).ip));
   }
   sim.Run();
   EXPECT_EQ(notifications, 1);  // Only the empty->non-empty transition.
   while (nic.PopRx(0)) {
   }
-  net->host(1).end.Send(DataPacket(100, net->host(0).ip));
+  net->host(1).end.Send(DataPacket(sim, 100, net->host(0).ip));
   sim.Run();
   EXPECT_EQ(notifications, 2);
 }

@@ -2,14 +2,15 @@
 #include <gtest/gtest.h>
 
 #include "src/net/packet.h"
+#include "src/net/packet_pool.h"
 #include "src/util/rng.h"
 
 namespace tas {
 namespace {
 
-PacketPtr SamplePacket() {
-  auto pkt = MakeTcpPacket(MakeIp(10, 0, 0, 1), 12345, MakeIp(10, 0, 0, 2), 80, 1000, 2000,
-                           TcpFlags::kAck | TcpFlags::kPsh, {1, 2, 3, 4, 5});
+PacketPtr SamplePacket(PacketPool& pool) {
+  auto pkt = MakeTcpPacket(pool, MakeIp(10, 0, 0, 1), 12345, MakeIp(10, 0, 0, 2), 80, 1000,
+                           2000, TcpFlags::kAck | TcpFlags::kPsh, {1, 2, 3, 4, 5});
   pkt->tcp.window = 4096;
   pkt->ip.ecn = Ecn::kEct0;
   return pkt;
@@ -21,7 +22,8 @@ TEST(PacketTest, IpToString) {
 }
 
 TEST(PacketTest, WireBytesAccounting) {
-  auto pkt = SamplePacket();
+  PacketPool pool;
+  auto pkt = SamplePacket(pool);
   // 14 eth + 20 ip + 20 tcp + 5 payload, no options.
   EXPECT_EQ(pkt->WireBytes(), 59u);
   pkt->tcp.has_timestamps = true;
@@ -30,7 +32,8 @@ TEST(PacketTest, WireBytesAccounting) {
 }
 
 TEST(PacketTest, SerializeParseRoundTrip) {
-  auto pkt = SamplePacket();
+  PacketPool pool;
+  auto pkt = SamplePacket(pool);
   pkt->tcp.has_timestamps = true;
   pkt->tcp.ts_val = 111;
   pkt->tcp.ts_ecr = 222;
@@ -54,7 +57,8 @@ TEST(PacketTest, SerializeParseRoundTrip) {
 }
 
 TEST(PacketTest, SynOptionsRoundTrip) {
-  auto pkt = MakeTcpPacket(MakeIp(10, 0, 0, 1), 1, MakeIp(10, 0, 0, 2), 2, 42, 0,
+  PacketPool pool;
+  auto pkt = MakeTcpPacket(pool, MakeIp(10, 0, 0, 1), 1, MakeIp(10, 0, 0, 2), 2, 42, 0,
                            TcpFlags::kSyn);
   pkt->tcp.has_mss = true;
   pkt->tcp.mss = 1448;
@@ -70,7 +74,8 @@ TEST(PacketTest, SynOptionsRoundTrip) {
 }
 
 TEST(PacketTest, SackBlocksRoundTrip) {
-  auto pkt = MakeTcpPacket(MakeIp(1, 1, 1, 1), 5, MakeIp(2, 2, 2, 2), 6, 0, 77,
+  PacketPool pool;
+  auto pkt = MakeTcpPacket(pool, MakeIp(1, 1, 1, 1), 5, MakeIp(2, 2, 2, 2), 6, 0, 77,
                            TcpFlags::kAck);
   pkt->tcp.num_sack = 2;
   pkt->tcp.sack[0] = {100, 200};
@@ -85,20 +90,23 @@ TEST(PacketTest, SackBlocksRoundTrip) {
 }
 
 TEST(PacketTest, CorruptionDetected) {
-  auto bytes = Serialize(*SamplePacket());
+  PacketPool pool;
+  auto bytes = Serialize(*SamplePacket(pool));
   // Flip a payload bit: TCP checksum must fail.
   bytes[bytes.size() - 1] ^= 0x01;
   EXPECT_FALSE(Parse(bytes).has_value());
 }
 
 TEST(PacketTest, IpHeaderCorruptionDetected) {
-  auto bytes = Serialize(*SamplePacket());
+  PacketPool pool;
+  auto bytes = Serialize(*SamplePacket(pool));
   bytes[14 + 8] ^= 0xFF;  // TTL byte inside the IP header.
   EXPECT_FALSE(Parse(bytes).has_value());
 }
 
 TEST(PacketTest, TruncatedRejected) {
-  auto bytes = Serialize(*SamplePacket());
+  PacketPool pool;
+  auto bytes = Serialize(*SamplePacket(pool));
   bytes.resize(30);
   EXPECT_FALSE(Parse(bytes).has_value());
 }
@@ -111,9 +119,10 @@ TEST(PacketTest, ChecksumKnownVector) {
 }
 
 TEST(PacketTest, RandomRoundTripProperty) {
+  PacketPool pool;
   Rng rng(55);
   for (int i = 0; i < 200; ++i) {
-    auto pkt = MakeTcpPacket(static_cast<IpAddr>(rng.Next()),
+    auto pkt = MakeTcpPacket(pool, static_cast<IpAddr>(rng.Next()),
                              static_cast<uint16_t>(rng.Next()),
                              static_cast<IpAddr>(rng.Next()),
                              static_cast<uint16_t>(rng.Next()),
@@ -156,7 +165,8 @@ TEST(FlowHashTest, DirectionalHashSpreads) {
 }
 
 TEST(PacketTest, DescribeContainsEndpoints) {
-  auto pkt = SamplePacket();
+  PacketPool pool;
+  auto pkt = SamplePacket(pool);
   const std::string desc = pkt->Describe();
   EXPECT_NE(desc.find("10.0.0.1:12345"), std::string::npos);
   EXPECT_NE(desc.find("10.0.0.2:80"), std::string::npos);

@@ -1,8 +1,9 @@
 // Tests for the packet pool (src/net/packet_pool): free-list recycling with
-// retained payload capacity, deleter routing, teardown with packets captured
-// in pending event closures, the TAS_NO_POOL escape hatch, and — the key
-// invariant — that pooling never changes simulation behavior: same-seed runs
-// emit byte-identical flow-event traces with the pool on or off.
+// retained payload capacity, deleter routing between experiment contexts,
+// teardown with packets captured in pending event closures, the TAS_NO_POOL
+// escape hatch, and — the key invariant — that pooling never changes
+// simulation behavior: same-seed runs emit byte-identical flow-event traces
+// with the pool on or off.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -13,6 +14,7 @@
 #include "src/app/bulk.h"
 #include "src/harness/experiment.h"
 #include "src/net/packet_pool.h"
+#include "src/sim/context.h"
 #include "src/sim/simulator.h"
 #include "src/trace/tracer.h"
 
@@ -86,17 +88,15 @@ TEST(PacketPoolTest, CloneCopiesEverything) {
   EXPECT_NE(copy.get(), src.get());
 }
 
-TEST(PacketPoolTest, MakeTcpPacketDrawsFromInstalledPool) {
+TEST(PacketPoolTest, MakeTcpPacketDrawsFromTheGivenPool) {
   PacketPool pool;
-  PacketPool* prev = PacketPool::Install(&pool);
   {
-    auto pkt = MakeTcpPacket(MakeIp(10, 0, 0, 1), 1, MakeIp(10, 0, 0, 2), 2, 0, 0,
+    auto pkt = MakeTcpPacket(pool, MakeIp(10, 0, 0, 1), 1, MakeIp(10, 0, 0, 2), 2, 0, 0,
                              TcpFlags::kSyn);
     EXPECT_EQ(pool.stats().outstanding, 1u);
   }
   EXPECT_EQ(pool.stats().outstanding, 0u);
   EXPECT_EQ(pool.free_size(), 1u);
-  PacketPool::Install(prev);
 }
 
 TEST(PacketPoolTest, TeardownWithPendingEventsReturnsPackets) {
@@ -115,19 +115,21 @@ TEST(PacketPoolTest, TeardownWithPendingEventsReturnsPackets) {
   EXPECT_EQ(pool.free_size(), 1u);
 }
 
-TEST(PacketPoolTest, DeleterRoutesToOwningPoolAcrossInstalls) {
-  // A packet acquired under one installed pool must drain back to THAT pool
-  // even if another pool is installed by the time it dies.
-  PacketPool a;
-  PacketPool b;
-  PacketPool* prev = PacketPool::Install(&a);
-  PacketPtr pkt = a.Acquire();
-  PacketPool::Install(&b);
-  pkt.reset();
-  EXPECT_EQ(a.stats().outstanding, 0u);
-  EXPECT_EQ(a.free_size(), 1u);
-  EXPECT_EQ(b.free_size(), 0u);
-  PacketPool::Install(prev);
+TEST(PacketPoolTest, PacketReturnsToItsOwnContextWhileAnotherIsAlive) {
+  // Two simulators, each with its own context. A packet drawn from one
+  // context's pool and dropped on the other's link must drain back to the
+  // pool it came from, leaving the other pool untouched.
+  Simulator a;
+  Simulator b;
+  Link link(&b, LinkConfig{});
+  link.SetDown(true);
+  link.Send(0, MakeTcpPacket(a.context().pool(), MakeIp(10, 0, 0, 1), 1, MakeIp(10, 0, 0, 2),
+                             2, 0, 0, TcpFlags::kAck));
+  EXPECT_EQ(link.stats(0).drops_down, 1u);
+  EXPECT_EQ(a.context().pool().stats().outstanding, 0u);
+  EXPECT_EQ(a.context().pool().free_size(), 1u);
+  EXPECT_EQ(b.context().pool().stats().allocated, 0u);
+  EXPECT_EQ(b.context().pool().free_size(), 0u);
 }
 
 TEST(PacketPoolTest, DisabledPoolingBypassesFreeList) {
@@ -177,7 +179,7 @@ std::string RunLossyTransfer() {
   link.gbps = 10.0;
   link.propagation_delay = Us(2);
   link.queue_limit_pkts = 128;
-  link.drop_rate = 0.02;
+  link.faults.Add(BernoulliLoss(0.02));
   link.rng_seed = 11;  // Fixed seed: byte-identical reruns.
   auto exp = Experiment::PointToPoint(spec, spec, link);
 

@@ -38,14 +38,14 @@ class ConnTracker : public AppHandler {
   ConnId last_ = kInvalidConn;
 };
 
-std::unique_ptr<Experiment> TasPair(double drop_rate = 0.0) {
+std::unique_ptr<Experiment> TasPair(double loss_rate = 0.0) {
   HostSpec spec;
   spec.stack = StackKind::kTas;
   LinkConfig link;
   link.gbps = 10.0;
   link.propagation_delay = Us(2);
-  if (drop_rate > 0) {
-    link.faults.Add(BernoulliLoss(drop_rate));
+  if (loss_rate > 0) {
+    link.faults.Add(BernoulliLoss(loss_rate));
   }
   return Experiment::PointToPoint(spec, spec, link);
 }

@@ -40,9 +40,10 @@ class SteeringFixture : public ::testing::Test {
   // flow's RSS ring; the fast path takes the established no-op path).
   void InjectAck(FlowId id) {
     const Flow* f = service_->flow_by_id(id);
-    service_->nic()->Receive(MakeTcpPacket(f->fs.peer_ip, f->fs.peer_port,
-                                           service_->local_ip(), f->fs.local_port, f->fs.ack,
-                                           f->fs.tx_tail, TcpFlags::kAck));
+    service_->nic()->Receive(MakeTcpPacket(service_->context().pool(), f->fs.peer_ip,
+                                           f->fs.peer_port, service_->local_ip(),
+                                           f->fs.local_port, f->fs.ack, f->fs.tx_tail,
+                                           TcpFlags::kAck));
   }
 
   std::unique_ptr<Experiment> exp_;
@@ -148,9 +149,9 @@ TEST(SteeringDeterminismTest, SameSeedRerunsAreByteIdentical) {
     for (int round = 0; round < 24; ++round) {
       for (int p = 0; p < 64; ++p) {
         const Flow* f = tas->flow_by_id(ids[zipf.Sample(rng)]);
-        tas->nic()->Receive(MakeTcpPacket(f->fs.peer_ip, f->fs.peer_port, tas->local_ip(),
-                                          f->fs.local_port, f->fs.ack, f->fs.tx_tail,
-                                          TcpFlags::kAck));
+        tas->nic()->Receive(MakeTcpPacket(exp->packet_pool(), f->fs.peer_ip, f->fs.peer_port,
+                                          tas->local_ip(), f->fs.local_port, f->fs.ack,
+                                          f->fs.tx_tail, TcpFlags::kAck));
       }
       exp->sim().RunUntil(exp->sim().Now() + Us(200));
       // Churn: freed ids must go stale before the slot is reused.

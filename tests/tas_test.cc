@@ -9,13 +9,13 @@
 namespace tas {
 namespace {
 
-LinkConfig TestLink(double drop_rate = 0.0) {
+LinkConfig TestLink(double loss_rate = 0.0) {
   LinkConfig link;
   link.gbps = 10.0;
   link.propagation_delay = Us(2);
   link.queue_limit_pkts = 256;
-  if (drop_rate > 0) {
-    link.faults.Add(BernoulliLoss(drop_rate));
+  if (loss_rate > 0) {
+    link.faults.Add(BernoulliLoss(loss_rate));
   }
   return link;
 }
@@ -166,10 +166,10 @@ class TasLossTest : public ::testing::TestWithParam<int> {};
 // TAS's simplified recovery (one OOO interval + dupack fast recovery +
 // slow-path timeouts) must still deliver the stream intact under loss.
 TEST_P(TasLossTest, RecoversUnderRandomLoss) {
-  const double drop_rate = GetParam() / 100.0;
+  const double loss_rate = GetParam() / 100.0;
   HostSpec spec;
   spec.stack = StackKind::kTas;
-  auto exp = Experiment::PointToPoint(spec, spec, TestLink(drop_rate));
+  auto exp = Experiment::PointToPoint(spec, spec, TestLink(loss_rate));
 
   RecordingServer server(exp->host(0).stack(), 7000);
   constexpr size_t kTotal = 80000;

@@ -385,7 +385,7 @@ TraceRun RunLossyTransfer() {
   link.gbps = 10.0;
   link.propagation_delay = Us(2);
   link.queue_limit_pkts = 128;
-  link.drop_rate = 0.02;
+  link.faults.Add(BernoulliLoss(0.02));
   link.rng_seed = 11;  // Fixed seed: byte-identical reruns.
   auto exp = Experiment::PointToPoint(spec, spec, link);
 

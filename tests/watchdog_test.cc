@@ -193,9 +193,8 @@ ChaosRun RunArmedChaos(const std::string& prefix, bool inject_fault = true) {
   exp->sim().RunUntil(Sec(30));
 
   ChaosRun run;
-  FlightRecorder* recorder = exp->host(1).tas()->owned_recorder();
+  FlightRecorder* recorder = exp->sim().context().recorder();
   EXPECT_NE(recorder, nullptr);
-  EXPECT_EQ(FlightRecorder::Current(), recorder);
   run.triggers = recorder->triggers();
   run.bundles_written = recorder->bundles_written();
   run.fingerprint = WorkloadFingerprint(*exp, server.received_);
@@ -294,7 +293,7 @@ TEST(WatchdogTest, ArmedUntriggeredRunIsWorkloadIdenticalToRecorderOff) {
     exp->sim().RunUntil(Sec(10));
 
     if (armed) {
-      FlightRecorder* recorder = exp->host(1).tas()->owned_recorder();
+      FlightRecorder* recorder = exp->sim().context().recorder();
       EXPECT_NE(recorder, nullptr);
       // Armed, watching, recording — and silent.
       EXPECT_GT(recorder->recorded(RecorderStream::kFlow), 0u);
@@ -304,7 +303,7 @@ TEST(WatchdogTest, ArmedUntriggeredRunIsWorkloadIdenticalToRecorderOff) {
       EXPECT_GT(exp->host(1).tas()->watchdog()->checks(), 0u);
       EXPECT_EQ(exp->host(1).tas()->watchdog()->triggers_fired(), 0u);
     } else {
-      EXPECT_EQ(exp->host(1).tas()->owned_recorder(), nullptr);
+      EXPECT_EQ(exp->sim().context().recorder(), nullptr);
     }
     return WorkloadFingerprint(*exp, server.received_);
   };
@@ -320,7 +319,6 @@ TEST(WatchdogTest, RecorderRingOverwritesOldestAndCapturesSortedWindow) {
   config.flow_ring_capacity = 4;
   config.latency_ring_capacity = 4;
   FlightRecorder recorder(config);
-  ASSERT_EQ(FlightRecorder::Install(&recorder), nullptr);
 
   for (uint64_t i = 0; i < 6; ++i) {
     FlowEvent e;
@@ -354,14 +352,11 @@ TEST(WatchdogTest, RecorderRingOverwritesOldestAndCapturesSortedWindow) {
   ASSERT_EQ(lat.size(), 1u);
   EXPECT_EQ(lat[0].stream, RecorderStream::kLatency);
   EXPECT_EQ(lat[0].a, 1000u);
-
-  FlightRecorder::Install(nullptr);
 }
 
 TEST(WatchdogTest, TriggerWithoutPrefixIsRecordedButNotSerialized) {
   WatchdogConfig config;  // bundle_prefix empty.
   FlightRecorder recorder(config);
-  ASSERT_EQ(FlightRecorder::Install(&recorder), nullptr);
 
   SloTrigger trigger;
   trigger.slo = "test";
@@ -377,8 +372,6 @@ TEST(WatchdogTest, TriggerWithoutPrefixIsRecordedButNotSerialized) {
   ASSERT_EQ(recorder.triggers().size(), 1u);
   EXPECT_EQ(recorder.bundles_written(), 0);
   EXPECT_EQ(recorder.triggers()[0].bundle, -1);
-
-  FlightRecorder::Install(nullptr);
 }
 
 // --- Satellite: per-type drop attribution ------------------------------------
