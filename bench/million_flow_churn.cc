@@ -12,17 +12,15 @@
 //
 // Self-gating: exits nonzero when an invariant fails (forced rehash
 // finishes, relocation stride over one epoch, lost keys, fingerprint
-// divergence, latency partition mismatches) or when probe-length p99 /
-// events-per-packet regress past the optional baseline JSON (argv[1], the
-// archived MILLION_FLOW_JSON of a good run). CI runs the reduced scale and
-// archives the JSON next to perf_smoke's; see EXPERIMENTS.md.
+// divergence, latency partition mismatches). CI runs the reduced scale,
+// archives the MILLION_FLOW_JSON line next to perf_smoke's, and compares its
+// probe-length p99 and events per packet with the checked-in baseline through
+// bench_gate; see EXPERIMENTS.md.
 #include <sys/resource.h>
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -393,41 +391,7 @@ SvcResult RunServiceChurn(std::vector<std::string>& failures, bool armed = false
   return r;
 }
 
-// --- Baseline comparison -----------------------------------------------------
-
-// Pulls "key":<number> out of an archived MILLION_FLOW_JSON line.
-double JsonNumber(const std::string& text, const std::string& key, double fallback) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t pos = text.find(needle);
-  if (pos == std::string::npos) {
-    return fallback;
-  }
-  return std::strtod(text.c_str() + pos + needle.size(), nullptr);
-}
-
-void GateAgainstBaseline(const std::string& path, const TableResult& t, const SvcResult& s,
-                         std::vector<std::string>& failures) {
-  std::ifstream in(path);
-  if (!in) {
-    Fail(failures, "baseline: cannot open " + path);
-    return;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  const double base_p99 = JsonNumber(text, "probe_p99", 0);
-  const double base_epp = JsonNumber(text, "events_per_packet", 0);
-  // probe_p99 is a log-bucket bound: a regression shows up as a bucket jump,
-  // so allow 1.5x before failing. events-per-packet is continuous; 30%.
-  if (base_p99 > 0 && static_cast<double>(t.probe_p99) > base_p99 * 1.5 + 1e-9) {
-    Fail(failures, "baseline: probe p99 regressed vs " + path);
-  }
-  if (base_epp > 0 && s.events_per_packet > base_epp * 1.30) {
-    Fail(failures, "baseline: events/packet regressed vs " + path);
-  }
-}
-
-int Run(int argc, char** argv) {
+int Run() {
   PrintHeader("million_flow_churn: flow-table + steering at 1M-flow scale",
               "paper §3.1 capacity / §3.4 scaling, ROADMAP million-flow item");
   std::vector<std::string> failures;
@@ -532,9 +496,6 @@ int Run(int argc, char** argv) {
             << ",\"recorder_overhead_wall\":" << recorder_overhead
             << ",\"peak_rss_kb\":" << PeakRssKb() << "}" << std::endl;
 
-  if (argc > 1) {
-    GateAgainstBaseline(argv[1], t, a, failures);
-  }
   if (failures.empty()) {
     std::cout << "MILLION_FLOW_GATES PASS\n";
     return 0;
@@ -550,4 +511,4 @@ int Run(int argc, char** argv) {
 }  // namespace bench
 }  // namespace tas
 
-int main(int argc, char** argv) { return tas::bench::Run(argc, argv); }
+int main() { return tas::bench::Run(); }

@@ -174,7 +174,7 @@ class ProxyServer : public AppHandler {
   std::vector<uint8_t> scratch_;
   FlowTracer* tracer_ = nullptr;
   SpanRecorder* spans_ = nullptr;
-  int span_track_ = -1;  // Allocated from the SpanRecorder's TrackRegistry.
+  int span_track_ = -1;  // Registered with the SpanRecorder.
   uint64_t next_job_id_ = 1;
 
   uint64_t requests_ = 0;

@@ -1,7 +1,6 @@
 #include "src/trace/causal.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iomanip>
 #include <sstream>
 
@@ -159,49 +158,36 @@ bool ExtractCriticalPath(TimeNs start, TimeNs end, const std::vector<CausalMark>
 }
 
 CausalTracer::CausalTracer(size_t trace_capacity, size_t exemplars_per_class)
-    : exemplars_per_class_(exemplars_per_class) {
-  size_t cap = 1;
-  while (cap < trace_capacity) {
-    cap <<= 1;
-  }
-  mask_ = cap - 1;
-}
+    : exemplars_per_class_(exemplars_per_class), ring_(trace_capacity) {}
 
 uint64_t CausalTracer::BeginTrace(TimeNs start) {
-  if (ring_.empty()) {
-    ring_.resize(mask_ + 1);
-  }
-  const uint64_t id = next_trace_id_++;
-  TraceRec& r = ring_[id & mask_];
-  if (r.id != 0) {
-    // Ring wrapped onto a live trace: the oldest in-flight trace is dropped;
-    // its late stamps fail the id check (stale).
-    ++dropped_;
-  }
-  r.id = id;
+  // A full ring overwrites the oldest trace; if that one was still in
+  // flight, the ring counts it dropped, and its late stamps fail the id
+  // check (stale). The slot's vectors keep their storage.
+  TraceRec& r = ring_.Append();
   r.start = start;
   r.has_class = false;
   r.truncated = false;
   r.spans.clear();
   r.marks.clear();
   r.links.clear();
-  return id;
+  return ring_.last_id();
 }
 
-CausalTracer::TraceRec* CausalTracer::Slot(uint64_t id) {
+CausalTracer::TraceRec* CausalTracer::Live(uint64_t id) {
   if (id == 0) {
     return nullptr;
   }
-  if (ring_.empty() || ring_[id & mask_].id != id) {
+  TraceRec* r = ring_.Find(id);
+  if (r == nullptr) {
     ++stale_;
-    return nullptr;
   }
-  return &ring_[id & mask_];
+  return r;
 }
 
 uint32_t CausalTracer::StartSpan(uint64_t trace, uint32_t parent, CausalSpanKind kind,
                                  TimeNs start, uint32_t object_id, uint32_t request_id) {
-  TraceRec* r = Slot(trace);
+  TraceRec* r = Live(trace);
   if (r == nullptr) {
     return 0;
   }
@@ -226,7 +212,7 @@ void CausalTracer::EndSpan(uint64_t trace, uint32_t span, TimeNs end) {
   if (span == 0) {
     return;
   }
-  TraceRec* r = Slot(trace);
+  TraceRec* r = Live(trace);
   if (r == nullptr) {
     return;
   }
@@ -239,7 +225,7 @@ void CausalTracer::EndSpan(uint64_t trace, uint32_t span, TimeNs end) {
 }
 
 void CausalTracer::Mark(uint64_t trace, CausalEdge edge, TimeNs now) {
-  TraceRec* r = Slot(trace);
+  TraceRec* r = Live(trace);
   if (r == nullptr) {
     return;
   }
@@ -252,7 +238,7 @@ void CausalTracer::Mark(uint64_t trace, CausalEdge edge, TimeNs now) {
 }
 
 void CausalTracer::SetClass(uint64_t trace, RequestClass cls) {
-  TraceRec* r = Slot(trace);
+  TraceRec* r = Live(trace);
   if (r == nullptr) {
     return;
   }
@@ -262,7 +248,7 @@ void CausalTracer::SetClass(uint64_t trace, RequestClass cls) {
 
 void CausalTracer::Link(uint64_t from_trace, uint32_t from_span, uint64_t to_trace,
                         uint32_t to_span) {
-  TraceRec* r = Slot(to_trace);
+  TraceRec* r = Live(to_trace);
   if (r == nullptr) {
     return;
   }
@@ -275,13 +261,13 @@ void CausalTracer::Link(uint64_t from_trace, uint32_t from_span, uint64_t to_tra
 }
 
 void CausalTracer::Finish(uint64_t trace, TimeNs end) {
-  TraceRec* r = Slot(trace);
+  TraceRec* r = Live(trace);
   if (r == nullptr) {
     return;
   }
   if (r->truncated) {
     ++truncated_;
-    r->id = 0;
+    ring_.Retire(trace);
     return;
   }
   // The client completing the response IS the final edge.
@@ -291,7 +277,7 @@ void CausalTracer::Finish(uint64_t trace, TimeNs end) {
   const bool ok = r->has_class && ExtractCriticalPath(r->start, end, r->marks, &path);
   if (!ok) {
     ++critical_path_mismatches_;
-    r->id = 0;
+    ring_.Retire(trace);
     return;
   }
   const size_t ci = static_cast<size_t>(r->cls);
@@ -304,14 +290,14 @@ void CausalTracer::Finish(uint64_t trace, TimeNs end) {
   e2e_hist_[ci].Add(e2e);
   e2e_stats_[ci].Add(static_cast<double>(e2e));
   ++completed_;
-  MaybeRetainExemplar(*r, end);
+  MaybeRetainExemplar(trace, *r, end);
   if (recorder_ != nullptr) {
-    recorder_->RecordCausal(end, r->id, static_cast<uint8_t>(r->cls), e2e);
+    recorder_->RecordCausal(end, trace, static_cast<uint8_t>(r->cls), e2e);
   }
-  r->id = 0;
+  ring_.Retire(trace);
 }
 
-void CausalTracer::MaybeRetainExemplar(const TraceRec& rec, TimeNs end) {
+void CausalTracer::MaybeRetainExemplar(uint64_t id, const TraceRec& rec, TimeNs end) {
   if (exemplars_per_class_ == 0) {
     return;
   }
@@ -321,7 +307,7 @@ void CausalTracer::MaybeRetainExemplar(const TraceRec& rec, TimeNs end) {
     return;
   }
   TraceExemplar ex;
-  ex.trace_id = rec.id;
+  ex.trace_id = id;
   ex.cls = rec.cls;
   ex.start = rec.start;
   ex.end = end;
@@ -340,42 +326,19 @@ void CausalTracer::MaybeRetainExemplar(const TraceRec& rec, TimeNs end) {
 }
 
 void CausalTracer::Abandon(uint64_t trace) {
-  if (trace == 0) {
-    return;
+  // Double-abandon is not an error.
+  if (ring_.Retire(trace)) {
+    ++abandoned_;
   }
-  if (ring_.empty() || ring_[trace & mask_].id != trace) {
-    return;  // Already gone; double-abandon is not an error.
-  }
-  ring_[trace & mask_].id = 0;
-  ++abandoned_;
 }
 
 void CausalTracer::Clear() {
-  const size_t capacity = mask_ + 1;
-  *this = CausalTracer(capacity, exemplars_per_class_);
+  // Keeps the ring's storage (if any) for the next run's traces.
+  RecordRing<TraceRec> ring = std::move(ring_);
+  ring.Clear();
+  *this = CausalTracer(ring.capacity(), exemplars_per_class_);
+  ring_ = std::move(ring);
 }
-
-namespace {
-
-CriticalPathEdgeSummary SummarizeEdge(const std::string& name, const std::string& cls,
-                                      const LogHistogram& hist, const RunningStats& stats,
-                                      double e2e_sum) {
-  CriticalPathEdgeSummary s;
-  s.edge = name;
-  s.cls = cls;
-  s.count = stats.count();
-  s.mean_ns = stats.mean();
-  s.max_ns = stats.max();
-  s.p50_ns = hist.ApproxPercentile(50);
-  s.p90_ns = hist.ApproxPercentile(90);
-  s.p99_ns = hist.ApproxPercentile(99);
-  s.p999_ns = hist.ApproxPercentile(99.9);
-  const double sum = stats.mean() * static_cast<double>(stats.count());
-  s.share = e2e_sum > 0 ? sum / e2e_sum : 0;
-  return s;
-}
-
-}  // namespace
 
 CriticalPathReport CausalTracer::Report() const {
   CriticalPathReport report;
@@ -395,28 +358,23 @@ CriticalPathReport CausalTracer::Report() const {
     cs.request_class = RequestClassName(cls);
     cs.count = e2e.count();
     const double e2e_sum = e2e.mean() * static_cast<double>(e2e.count());
-    cs.edges.push_back(SummarizeEdge("e2e", "total", e2e_hist(cls), e2e, e2e_sum));
+    const auto add = [&](ReportRow row) {
+      const double sum = row.mean_ns * static_cast<double>(row.count);
+      row.share = e2e_sum > 0 ? sum / e2e_sum : 0;
+      cs.edges.push_back(std::move(row));
+    };
+    add(SummarizeRow("e2e", "total", e2e_hist(cls), e2e));
     for (int e = 0; e < kNumCausalEdges; ++e) {
       const CausalEdge edge = static_cast<CausalEdge>(e);
       const RunningStats es = edge_stats(cls, edge);
       if (es.count() == 0) {
         continue;
       }
-      cs.edges.push_back(SummarizeEdge(CausalEdgeName(edge), CausalEdgeClass(edge),
-                                       edge_hist(cls, edge), es, e2e_sum));
+      add(SummarizeRow(CausalEdgeName(edge), CausalEdgeClass(edge), edge_hist(cls, edge), es));
     }
     report.classes.push_back(std::move(cs));
   }
   return report;
-}
-
-const CriticalPathEdgeSummary* CriticalPathClassSummary::Find(const std::string& edge) const {
-  for (const CriticalPathEdgeSummary& e : edges) {
-    if (e.edge == edge) {
-      return &e;
-    }
-  }
-  return nullptr;
 }
 
 const CriticalPathClassSummary* CriticalPathReport::Find(
@@ -444,16 +402,10 @@ std::string CriticalPathReport::ToJson() const {
     os << "{\"request_class\":\"" << cs.request_class << "\",\"count\":" << cs.count
        << ",\"edges\":[";
     for (size_t i = 0; i < cs.edges.size(); ++i) {
-      const CriticalPathEdgeSummary& e = cs.edges[i];
       if (i > 0) {
         os << ",";
       }
-      os << "{\"edge\":\"" << e.edge << "\",\"class\":\"" << e.cls << "\""
-         << ",\"count\":" << e.count << ",\"mean_ns\":" << e.mean_ns
-         << ",\"max_ns\":" << e.max_ns << ",\"p50_ns\":" << e.p50_ns
-         << ",\"p90_ns\":" << e.p90_ns << ",\"p99_ns\":" << e.p99_ns
-         << ",\"p999_ns\":" << e.p999_ns << ",\"share\":" << std::setprecision(4) << e.share
-         << std::setprecision(1) << "}";
+      WriteRowJson(os, cs.edges[i], "edge", /*with_share=*/true);
     }
     os << "]}";
   }
@@ -475,7 +427,7 @@ std::string CriticalPathReport::ToTable() const {
     os << std::string(84, '-') << "\n";
     os << std::fixed;
     for (const CriticalPathEdgeSummary& e : cs.edges) {
-      os << std::left << std::setw(16) << e.edge << std::setw(9) << e.cls << std::right
+      os << std::left << std::setw(16) << e.name << std::setw(9) << e.cls << std::right
          << std::setw(9) << e.count << std::setw(11) << std::setprecision(2)
          << e.mean_ns / 1000.0 << std::setw(10)
          << static_cast<double>(e.p50_ns) / 1000.0 << std::setw(10)
@@ -485,47 +437,6 @@ std::string CriticalPathReport::ToTable() const {
   }
   return os.str();
 }
-
-namespace {
-
-// Minimal scanner for the exact shape ToJson emits (latency.cc idiom, with
-// one nesting level: class objects contain flat edge objects).
-size_t FindValue(const std::string& text, size_t from, size_t to, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t pos = text.find(needle, from);
-  if (pos == std::string::npos || pos >= to) {
-    return std::string::npos;
-  }
-  return pos + needle.size();
-}
-
-double NumberAt(const std::string& text, size_t from, size_t to, const std::string& key,
-                bool* ok) {
-  const size_t pos = FindValue(text, from, to, key);
-  if (pos == std::string::npos) {
-    *ok = false;
-    return 0;
-  }
-  return std::strtod(text.c_str() + pos, nullptr);
-}
-
-std::string StringAt(const std::string& text, size_t from, size_t to,
-                     const std::string& key, bool* ok) {
-  size_t pos = FindValue(text, from, to, key);
-  if (pos == std::string::npos || pos >= text.size() || text[pos] != '"') {
-    *ok = false;
-    return "";
-  }
-  ++pos;
-  const size_t end = text.find('"', pos);
-  if (end == std::string::npos || end > to) {
-    *ok = false;
-    return "";
-  }
-  return text.substr(pos, end - pos);
-}
-
-}  // namespace
 
 CriticalPathReport ParseCriticalPathReportJson(const std::string& json, bool* ok) {
   bool good = true;
@@ -537,16 +448,12 @@ CriticalPathReport ParseCriticalPathReportJson(const std::string& json, bool* ok
     }
     return CriticalPathReport{};
   }
-  report.completed =
-      static_cast<uint64_t>(NumberAt(json, 0, classes_pos, "completed", &good));
-  report.abandoned =
-      static_cast<uint64_t>(NumberAt(json, 0, classes_pos, "abandoned", &good));
-  report.dropped = static_cast<uint64_t>(NumberAt(json, 0, classes_pos, "dropped", &good));
-  report.stale = static_cast<uint64_t>(NumberAt(json, 0, classes_pos, "stale", &good));
-  report.truncated =
-      static_cast<uint64_t>(NumberAt(json, 0, classes_pos, "truncated", &good));
-  report.mismatches =
-      static_cast<uint64_t>(NumberAt(json, 0, classes_pos, "mismatches", &good));
+  report.completed = JsonCountAt(json, 0, classes_pos, "completed", &good);
+  report.abandoned = JsonCountAt(json, 0, classes_pos, "abandoned", &good);
+  report.dropped = JsonCountAt(json, 0, classes_pos, "dropped", &good);
+  report.stale = JsonCountAt(json, 0, classes_pos, "stale", &good);
+  report.truncated = JsonCountAt(json, 0, classes_pos, "truncated", &good);
+  report.mismatches = JsonCountAt(json, 0, classes_pos, "mismatches", &good);
 
   // Class blocks are delimited by their "request_class" keys; edge objects
   // inside each block are flat.
@@ -555,40 +462,14 @@ CriticalPathReport ParseCriticalPathReportJson(const std::string& json, bool* ok
     const size_t next_class = json.find("\"request_class\":", class_pos + 1);
     const size_t block_end = next_class != std::string::npos ? next_class : json.size();
     CriticalPathClassSummary cs;
-    cs.request_class = StringAt(json, class_pos, block_end, "request_class", &good);
-    cs.count = static_cast<uint64_t>(NumberAt(json, class_pos, block_end, "count", &good));
-    const size_t edges_pos = FindValue(json, class_pos, block_end, "edges");
+    cs.request_class = JsonStringAt(json, class_pos, block_end, "request_class", &good);
+    cs.count = JsonCountAt(json, class_pos, block_end, "count", &good);
+    const size_t edges_pos = JsonValueAt(json, class_pos, block_end, "edges");
     if (edges_pos == std::string::npos) {
       good = false;
       break;
     }
-    size_t pos = edges_pos;
-    while (good) {
-      const size_t open = json.find('{', pos);
-      const size_t close = json.find('}', open);
-      if (open == std::string::npos || close == std::string::npos || open >= block_end) {
-        break;
-      }
-      const size_t bracket = json.find(']', pos);
-      if (bracket != std::string::npos && bracket < open) {
-        break;  // End of this class's edges array.
-      }
-      CriticalPathEdgeSummary e;
-      e.edge = StringAt(json, open, close, "edge", &good);
-      e.cls = StringAt(json, open, close, "class", &good);
-      e.count = static_cast<uint64_t>(NumberAt(json, open, close, "count", &good));
-      e.mean_ns = NumberAt(json, open, close, "mean_ns", &good);
-      e.max_ns = NumberAt(json, open, close, "max_ns", &good);
-      e.p50_ns = static_cast<uint64_t>(NumberAt(json, open, close, "p50_ns", &good));
-      e.p90_ns = static_cast<uint64_t>(NumberAt(json, open, close, "p90_ns", &good));
-      e.p99_ns = static_cast<uint64_t>(NumberAt(json, open, close, "p99_ns", &good));
-      e.p999_ns = static_cast<uint64_t>(NumberAt(json, open, close, "p999_ns", &good));
-      e.share = NumberAt(json, open, close, "share", &good);
-      if (good) {
-        cs.edges.push_back(std::move(e));
-      }
-      pos = close + 1;
-    }
+    ParseRowsJson(json, edges_pos, block_end, "edge", /*with_share=*/true, &cs.edges, &good);
     if (good && !cs.edges.empty()) {
       report.classes.push_back(std::move(cs));
     } else if (good) {
@@ -605,42 +486,22 @@ CriticalPathReport ParseCriticalPathReportJson(const std::string& json, bool* ok
   return good ? report : CriticalPathReport{};
 }
 
-std::vector<CriticalPathRegression> CompareCriticalPathReports(
-    const CriticalPathReport& baseline, const CriticalPathReport& current, double tolerance,
-    uint64_t min_count) {
-  std::vector<CriticalPathRegression> violations;
+std::vector<ReportRegression> CompareCriticalPathReports(const CriticalPathReport& baseline,
+                                                         const CriticalPathReport& current,
+                                                         double tolerance, uint64_t min_count) {
+  std::vector<ReportRegression> violations;
   for (const CriticalPathClassSummary& base_cls : baseline.classes) {
     if (base_cls.count < min_count) {
       continue;  // Too few samples to gate on.
     }
     const CriticalPathClassSummary* cur_cls = current.Find(base_cls.request_class);
     if (cur_cls == nullptr) {
-      violations.push_back(CriticalPathRegression{base_cls.request_class, "e2e", "count",
-                                                  static_cast<double>(base_cls.count), 0, 0});
+      violations.push_back(ReportRegression{base_cls.request_class, "e2e", "count",
+                                            static_cast<double>(base_cls.count), 0, 0});
       continue;
     }
-    const auto check = [&](const CriticalPathEdgeSummary& base, const char* metric,
-                           double base_v, double cur_v) {
-      if (base_v <= 0) {
-        return;
-      }
-      if (cur_v > base_v * (1.0 + tolerance)) {
-        violations.push_back(CriticalPathRegression{base_cls.request_class, base.edge, metric,
-                                                    base_v, cur_v, cur_v / base_v});
-      }
-    };
-    for (const CriticalPathEdgeSummary& base : base_cls.edges) {
-      if (base.count < min_count) {
-        continue;
-      }
-      const CriticalPathEdgeSummary* cur = cur_cls->Find(base.edge);
-      if (cur == nullptr) {
-        continue;  // Edge vanished from the path — strictly an improvement.
-      }
-      check(base, "mean_ns", base.mean_ns, cur->mean_ns);
-      check(base, "p99_ns", static_cast<double>(base.p99_ns),
-            static_cast<double>(cur->p99_ns));
-    }
+    CheckRows(base_cls.request_class, base_cls.edges, cur_cls->edges, tolerance, min_count,
+              &violations);
   }
   return violations;
 }

@@ -14,8 +14,8 @@
 // end-to-end time (`critical_path_mismatches` counts violations, mirroring
 // PR 5's partition invariant).
 //
-// Records live in a ring keyed by `trace_id & mask` with stale-id rejection.
-// Requests cross hosts, so one tracer per experiment observes the whole
+// In-flight traces live in a RecordRing (record_ring.h) keyed by trace id,
+// with stale-id rejection. Requests cross hosts, so one tracer per experiment observes the whole
 // path; tiers reach it through ExperimentContext::causal_sink()
 // (src/sim/context.h). A null sink costs each instrumentation site one
 // load + branch, and trace ids on the wire are 0 — tracing off changes no
@@ -28,6 +28,8 @@
 #include <string>
 #include <vector>
 
+#include "src/trace/record_ring.h"
+#include "src/trace/report.h"
 #include "src/util/stats.h"
 #include "src/util/time.h"
 
@@ -150,27 +152,20 @@ bool ExtractCriticalPath(TimeNs start, TimeNs end, const std::vector<CausalMark>
 
 // --- Report -----------------------------------------------------------------
 
-// One row: an edge of one request class, or the synthetic "e2e" row.
-struct CriticalPathEdgeSummary {
-  std::string edge;
-  std::string cls;  // "network", "wait", "service", or "total" for e2e.
-  uint64_t count = 0;  // Traces of this class whose path touched the edge.
-  double mean_ns = 0;
-  double max_ns = 0;
-  uint64_t p50_ns = 0;
-  uint64_t p90_ns = 0;
-  uint64_t p99_ns = 0;
-  uint64_t p999_ns = 0;
-  // This edge's share of the class's summed end-to-end time (0..1).
-  double share = 0;
-};
+// One row: an edge of one request class, or the synthetic "e2e" row. The
+// row's name is the edge name; cls is "network", "wait", "service", or
+// "total" for e2e; count is the traces of the class whose path touched the
+// edge; share is the edge's share of the class's summed end-to-end time.
+using CriticalPathEdgeSummary = ReportRow;
 
 struct CriticalPathClassSummary {
   std::string request_class;
   uint64_t count = 0;  // Completed traces of this class.
   std::vector<CriticalPathEdgeSummary> edges;  // "e2e" row first.
 
-  const CriticalPathEdgeSummary* Find(const std::string& edge) const;
+  const CriticalPathEdgeSummary* Find(const std::string& edge) const {
+    return FindRow(edges, edge);
+  }
 };
 
 struct CriticalPathReport {
@@ -194,24 +189,16 @@ struct CriticalPathReport {
 // *ok to false (and returns an empty report) on malformed input.
 CriticalPathReport ParseCriticalPathReportJson(const std::string& json, bool* ok = nullptr);
 
-// One comparator violation: `metric` of (`request_class`, `edge`) regressed.
-struct CriticalPathRegression {
-  std::string request_class;
-  std::string edge;
-  std::string metric;  // "mean_ns" or "p99_ns".
-  double baseline = 0;
-  double current = 0;
-  double ratio = 0;  // current / baseline.
-};
-
 // CI gate: flags (class, edge) rows — including "e2e" — whose mean or p99
 // grew beyond baseline * (1 + tolerance). Rows with fewer than `min_count`
 // baseline samples are skipped; improvements always pass. A class present in
 // the baseline but absent from `current` is itself a violation (the workload
-// lost a whole request class).
-std::vector<CriticalPathRegression> CompareCriticalPathReports(
-    const CriticalPathReport& baseline, const CriticalPathReport& current, double tolerance,
-    uint64_t min_count = 50);
+// lost a whole request class). Violations name the request class as their
+// group and the edge as their row.
+std::vector<ReportRegression> CompareCriticalPathReports(const CriticalPathReport& baseline,
+                                                         const CriticalPathReport& current,
+                                                         double tolerance,
+                                                         uint64_t min_count = 50);
 
 // --- Tracer -----------------------------------------------------------------
 
@@ -247,7 +234,7 @@ class CausalTracer {
 
   uint64_t completed() const { return completed_; }
   uint64_t abandoned() const { return abandoned_; }
-  uint64_t dropped() const { return dropped_; }
+  uint64_t dropped() const { return ring_.evicted(); }
   uint64_t stale() const { return stale_; }
   uint64_t truncated() const { return truncated_; }
   // Truncation attributed to the cap that was hit — which stream overflowed
@@ -291,7 +278,6 @@ class CausalTracer {
   static constexpr size_t kMaxLinks = 8;
 
   struct TraceRec {
-    uint64_t id = 0;  // 0 = slot free.
     TimeNs start = 0;
     RequestClass cls = RequestClass::kHit;
     bool has_class = false;
@@ -305,14 +291,13 @@ class CausalTracer {
     return static_cast<size_t>(cls) * kNumCausalEdges + static_cast<size_t>(edge);
   }
 
-  TraceRec* Slot(uint64_t id);
-  void MaybeRetainExemplar(const TraceRec& rec, TimeNs end);
+  // The live trace `id`, or null (counted as stale unless id is 0).
+  TraceRec* Live(uint64_t id);
+  void MaybeRetainExemplar(uint64_t id, const TraceRec& rec, TimeNs end);
 
   FlightRecorder* recorder_ = nullptr;
-  size_t mask_;
   size_t exemplars_per_class_;
-  std::vector<TraceRec> ring_;  // Allocated by the first BeginTrace.
-  uint64_t next_trace_id_ = 1;
+  RecordRing<TraceRec> ring_;  // Allocated by the first BeginTrace.
   uint32_t next_span_id_ = 1;
 
   std::array<LogHistogram, kNumRequestClasses * kNumCausalEdges> edge_hist_;
@@ -323,7 +308,6 @@ class CausalTracer {
 
   uint64_t completed_ = 0;
   uint64_t abandoned_ = 0;
-  uint64_t dropped_ = 0;
   uint64_t stale_ = 0;
   uint64_t truncated_ = 0;
   uint64_t truncated_spans_ = 0;

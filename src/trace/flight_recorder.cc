@@ -33,20 +33,6 @@ uint64_t StreamTrack(RecorderStream stream) {
   return kRecorderTrackBase + static_cast<uint64_t>(stream);
 }
 
-size_t RingCapacity(const WatchdogConfig& config, RecorderStream stream) {
-  switch (stream) {
-    case RecorderStream::kFlow:
-      return config.flow_ring_capacity;
-    case RecorderStream::kLatency:
-      return config.latency_ring_capacity;
-    case RecorderStream::kCausal:
-      return config.causal_ring_capacity;
-    case RecorderStream::kSlo:
-      return config.slo_ring_capacity;
-  }
-  return 1;
-}
-
 }  // namespace
 
 const char* SloKindName(SloKind kind) {
@@ -98,22 +84,17 @@ std::vector<SloSpec> DefaultSlos() {
 }
 
 FlightRecorder::FlightRecorder(const WatchdogConfig& config) : config_(config) {
-  for (int s = 0; s < kNumRecorderStreams; ++s) {
-    const size_t cap = RingCapacity(config_, static_cast<RecorderStream>(s));
-    streams_[static_cast<size_t>(s)].ring.resize(cap > 0 ? cap : 1);
+  // In RecorderStream order.
+  for (size_t capacity : {config.flow_ring_capacity, config.latency_ring_capacity,
+                          config.causal_ring_capacity, config.slo_ring_capacity}) {
+    streams_.emplace_back(capacity);
   }
 }
 
 void FlightRecorder::Append(RecorderStream stream, RecorderRecord rec) {
-  StreamRing& r = streams_[static_cast<size_t>(stream)];
   rec.seq = next_seq_++;
   rec.stream = stream;
-  r.ring[r.head] = rec;
-  r.head = r.head + 1 == r.ring.size() ? 0 : r.head + 1;
-  if (r.size < r.ring.size()) {
-    ++r.size;
-  }
-  ++r.recorded;
+  streams_[static_cast<size_t>(stream)].Append() = rec;
 }
 
 void FlightRecorder::RecordFlowEvent(const FlowEvent& e) {
@@ -158,14 +139,12 @@ void FlightRecorder::RecordSlo(TimeNs t, SloKind kind, double measured, bool bre
 
 std::vector<RecorderRecord> FlightRecorder::CaptureWindow(TimeNs from, TimeNs to) const {
   std::vector<RecorderRecord> out;
-  for (const StreamRing& r : streams_) {
-    const size_t start = r.size == r.ring.size() ? r.head : 0;
-    for (size_t i = 0; i < r.size; ++i) {
-      const RecorderRecord& rec = r.ring[(start + i) % r.ring.size()];
+  for (const RecordRing<RecorderRecord>& ring : streams_) {
+    ring.ForEach([&](const RecorderRecord& rec) {
       if (rec.t >= from && rec.t <= to) {
         out.push_back(rec);
       }
-    }
+    });
   }
   std::sort(out.begin(), out.end(), [](const RecorderRecord& x, const RecorderRecord& y) {
     return x.t != y.t ? x.t < y.t : x.seq < y.seq;
@@ -174,12 +153,11 @@ std::vector<RecorderRecord> FlightRecorder::CaptureWindow(TimeNs from, TimeNs to
 }
 
 uint64_t FlightRecorder::recorded(RecorderStream stream) const {
-  return streams_[static_cast<size_t>(stream)].recorded;
+  return streams_[static_cast<size_t>(stream)].last_id();
 }
 
 uint64_t FlightRecorder::overwritten(RecorderStream stream) const {
-  const StreamRing& r = streams_[static_cast<size_t>(stream)];
-  return r.recorded - r.size;
+  return streams_[static_cast<size_t>(stream)].evicted();
 }
 
 void FlightRecorder::Trigger(SloTrigger trigger, std::function<std::string()> context_json) {

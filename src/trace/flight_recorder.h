@@ -5,12 +5,12 @@
 // re-running with full tracing on. The FlightRecorder continuously retains
 // the last W ms of four record streams — flow events, latency-anatomy
 // completions, causal-trace completions, and the watchdog's per-check SLO
-// measurements — in bounded rings using the PR 5/7 discipline:
+// measurements — in one RecordRing (record_ring.h) per stream:
 // fixed-capacity rings of POD records, overwrite-oldest, per-stream drop
-// counters. Every tap is a plain array write; the armed-but-untriggered cost
-// is a null/flag check per site plus that write, and nothing on the
-// simulation side changes (no CPU charges, no RNG draws, no packets) — armed
-// runs are timing-passive.
+// counters, no storage until a stream's first record. Every tap is a plain
+// array write; the armed-but-untriggered cost is a null/flag check per site
+// plus that write, and nothing on the simulation side changes (no CPU
+// charges, no RNG draws, no packets) — armed runs are timing-passive.
 //
 // On a watchdog breach (src/tas/watchdog) the recorder serializes a
 // *diagnostic bundle*: the window's merged records (JSONL + Perfetto), a full
@@ -26,13 +26,13 @@
 #ifndef SRC_TRACE_FLIGHT_RECORDER_H_
 #define SRC_TRACE_FLIGHT_RECORDER_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "src/trace/flow_tracer.h"
+#include "src/trace/record_ring.h"
 #include "src/util/time.h"
 
 namespace tas {
@@ -73,7 +73,7 @@ struct WatchdogConfig {
   TimeNs check_interval = 0;
   // Evidence window: a trigger captures [breach - recorder_window, breach].
   TimeNs recorder_window = Ms(50);
-  // Ring capacities, one ring per stream.
+  // Ring capacities, one ring per stream (rounded up to a power of two).
   size_t flow_ring_capacity = 1u << 14;
   size_t latency_ring_capacity = 1u << 14;
   size_t causal_ring_capacity = 1u << 13;
@@ -170,13 +170,6 @@ class FlightRecorder {
   int bundles_written() const { return bundles_written_; }
 
  private:
-  struct StreamRing {
-    std::vector<RecorderRecord> ring;
-    size_t head = 0;  // Next write slot.
-    size_t size = 0;  // Valid records (<= capacity).
-    uint64_t recorded = 0;
-  };
-
   void Append(RecorderStream stream, RecorderRecord rec);
   void WriteBundleJsonl(const std::vector<RecorderRecord>& records, std::ostream& os) const;
   void WriteBundlePerfetto(const SloTrigger& trigger,
@@ -184,7 +177,7 @@ class FlightRecorder {
                            std::ostream& os) const;
 
   WatchdogConfig config_;
-  std::array<StreamRing, kNumRecorderStreams> streams_;
+  std::vector<RecordRing<RecorderRecord>> streams_;  // Indexed by RecorderStream.
   uint64_t next_seq_ = 0;
 
   std::vector<SloTrigger> triggers_;

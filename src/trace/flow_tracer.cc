@@ -53,8 +53,6 @@ void FlowEventArgNames(FlowEventType type, const char** a, const char** b, const
   *c = info.c;
 }
 
-FlowTracer::FlowTracer(size_t capacity) : capacity_(capacity > 0 ? capacity : 1) {}
-
 void FlowTracer::RecordSlow(TimeNs t, uint64_t flow, FlowEventType type, uint64_t a,
                             uint64_t b, uint64_t c) {
   if (recorder_ != nullptr) {
@@ -63,41 +61,19 @@ void FlowTracer::RecordSlow(TimeNs t, uint64_t flow, FlowEventType type, uint64_
   if (!enabled(flow)) {
     return;
   }
-  if (ring_.empty()) {
-    ring_.resize(capacity_);
-  }
-  if (size_ == capacity_) {
-    // Ring full: this write evicts the oldest record — charge ITS type.
-    ++overwritten_by_type_[static_cast<size_t>(ring_[head_].type)];
-  }
-  ring_[head_] = FlowEvent{t, flow, type, a, b, c};
-  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
-  if (size_ < capacity_) {
-    ++size_;
-  }
-  ++recorded_;
-}
-
-std::vector<FlowEvent> FlowTracer::Events() const {
-  std::vector<FlowEvent> out;
-  out.reserve(size_);
-  // Oldest record: head_ when the ring wrapped, slot 0 otherwise.
-  const size_t start = size_ == capacity_ ? head_ : 0;
-  for (size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(start + i) % capacity_]);
-  }
-  return out;
+  // A full ring evicts the oldest record: charge ITS type.
+  ring_.Append([this](const FlowEvent& lost) {
+    ++overwritten_by_type_[static_cast<size_t>(lost.type)];
+  }) = FlowEvent{t, flow, type, a, b, c};
 }
 
 void FlowTracer::Clear() {
-  head_ = 0;
-  size_ = 0;
-  recorded_ = 0;
+  ring_.Clear();
   overwritten_by_type_.fill(0);
 }
 
 void FlowTracer::WriteJsonl(std::ostream& os) const {
-  for (const FlowEvent& e : Events()) {
+  ring_.ForEach([&os](const FlowEvent& e) {
     const TypeInfo& info = InfoFor(e.type);
     os << "{\"t\":" << e.t << ",\"flow\":" << e.flow << ",\"type\":\"" << info.name << '"';
     if (info.a[0] != '\0') {
@@ -110,7 +86,7 @@ void FlowTracer::WriteJsonl(std::ostream& os) const {
       os << ",\"" << info.c << "\":" << e.c;
     }
     os << "}\n";
-  }
+  });
 }
 
 }  // namespace tas

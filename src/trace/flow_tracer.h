@@ -2,9 +2,10 @@
 // simulator time and flow id. The fast and slow paths emit one record per
 // interesting protocol event (handshake transitions, data/ACK tx+rx,
 // dupacks, retransmits, out-of-order handling, congestion-control updates);
-// the ring overwrites its oldest records when full, so a long run keeps the
-// most recent window at fixed memory cost. The ring is allocated on the
-// first stored record: a host whose tracing stays off holds none.
+// the records live in a RecordRing (record_ring.h), which overwrites its
+// oldest records when full, so a long run keeps the most recent window at
+// fixed memory cost. The ring is allocated on the first stored record: a
+// host whose tracing stays off holds none.
 //
 // Tracing is off by default. It can be enabled for every flow (global) or
 // per flow id; the disabled-path cost is one inline branch per call site.
@@ -17,6 +18,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/trace/record_ring.h"
 #include "src/util/time.h"
 
 namespace tas {
@@ -66,7 +68,8 @@ struct FlowEvent {
 
 class FlowTracer {
  public:
-  explicit FlowTracer(size_t capacity = 1u << 16);
+  // `capacity` is rounded up to a power of two.
+  explicit FlowTracer(size_t capacity = 1u << 16) : ring_(capacity) {}
 
   // Global switch: record events for every flow.
   void SetGlobal(bool enabled) { global_ = enabled; }
@@ -96,12 +99,12 @@ class FlowTracer {
   }
 
   // Records currently retained, oldest first (ring order).
-  std::vector<FlowEvent> Events() const;
-  size_t size() const { return size_; }
-  size_t capacity() const { return capacity_; }
-  uint64_t recorded() const { return recorded_; }
+  std::vector<FlowEvent> Events() const { return ring_.Snapshot(); }
+  size_t size() const { return ring_.size(); }
+  size_t capacity() const { return ring_.capacity(); }
+  uint64_t recorded() const { return ring_.last_id(); }
   // Records overwritten because the ring wrapped.
-  uint64_t overwritten() const { return recorded_ - size_; }
+  uint64_t overwritten() const { return ring_.evicted(); }
   // Overwrites attributed to the event type that was LOST (the overwritten
   // record's type, not the incoming one) — tells ring-sizing which stream
   // actually overflowed.
@@ -121,11 +124,7 @@ class FlowTracer {
   bool global_ = false;
   FlightRecorder* recorder_ = nullptr;
   std::unordered_set<uint64_t> per_flow_;
-  size_t capacity_;
-  std::vector<FlowEvent> ring_;  // Empty until the first stored record.
-  size_t head_ = 0;  // Next write slot.
-  size_t size_ = 0;  // Valid records (<= capacity).
-  uint64_t recorded_ = 0;
+  RecordRing<FlowEvent> ring_;
   std::array<uint64_t, kNumFlowEventTypes> overwritten_by_type_ = {};
 };
 

@@ -3,12 +3,12 @@
 // context-queue wait, fast-path TX service, egress-buffer wait, wire time,
 // switch queueing, NIC RX ring wait, and receive-side processing.
 //
-// Records live in a side ring keyed by a generation id the packet carries
-// (Packet::lat_id), NOT in Packet itself: pooled packets stay small, and an
-// overflowing ring overwrites the oldest record without corrupting newer
-// ones (the id check rejects stale stamps). Stamp sites take the current
-// simulation time explicitly, so this module depends only on src/util and
-// sits below src/net in the link order; devices reach their experiment's
+// Records live in a side RecordRing (record_ring.h) keyed by the generation
+// id the packet carries (Packet::lat_id), NOT in Packet itself: pooled
+// packets stay small, and an overflowing ring overwrites the oldest record
+// without corrupting newer ones (the id check rejects stale stamps). Stamp
+// sites take the current simulation time explicitly, so this module depends
+// only on src/util and sits below src/net in the link order; devices reach their experiment's
 // tracer through ExperimentContext::latency_sink() (src/sim/context.h).
 // While latency tracing is off every instrumentation site costs one load +
 // branch.
@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "src/trace/record_ring.h"
+#include "src/trace/report.h"
 #include "src/util/stats.h"
 #include "src/util/time.h"
 
@@ -53,18 +55,8 @@ bool LatencyStageIsQueue(LatencyStage stage);
 
 // Summary row of a LatencyReport: one stage, or one of the synthetic rows
 // ("e2e" per-record totals, "queue_wait"/"service" per-record class totals).
-struct LatencyStageSummary {
-  std::string stage;
-  std::string cls;  // "queue", "service", or "total".
-  uint64_t count = 0;
-  double mean_ns = 0;
-  double max_ns = 0;
-  // Log-bucketed (power-of-two upper bound) percentiles.
-  uint64_t p50_ns = 0;
-  uint64_t p90_ns = 0;
-  uint64_t p99_ns = 0;
-  uint64_t p999_ns = 0;
-};
+// The row's name is the stage name; cls is "queue", "service", or "total".
+using LatencyStageSummary = ReportRow;
 
 struct LatencyReport {
   uint64_t completed = 0;
@@ -73,7 +65,9 @@ struct LatencyReport {
   uint64_t stale = 0;        // Stamps that arrived after overwrite/finish.
   std::vector<LatencyStageSummary> stages;
 
-  const LatencyStageSummary* Find(const std::string& stage) const;
+  const LatencyStageSummary* Find(const std::string& stage) const {
+    return FindRow(stages, stage);
+  }
   // Single-line JSON object (the PERF_LATENCY_JSON payload and the
   // <prefix>.latency.json file format).
   std::string ToJson() const;
@@ -85,22 +79,13 @@ struct LatencyReport {
 // false (and returns an empty report) on malformed input.
 LatencyReport ParseLatencyReportJson(const std::string& json, bool* ok = nullptr);
 
-// One comparator violation: `metric` of `stage` regressed past tolerance.
-struct LatencyRegression {
-  std::string stage;
-  std::string metric;  // "mean_ns" or "p99_ns".
-  double baseline = 0;
-  double current = 0;
-  double ratio = 0;  // current / baseline.
-};
-
 // CI regression gate: flags stages whose mean or p99 grew beyond
-// baseline * (1 + tolerance). Stages with fewer than `min_count` baseline
-// samples are skipped (too noisy to gate on); improvements always pass.
-std::vector<LatencyRegression> CompareLatencyReports(const LatencyReport& baseline,
-                                                     const LatencyReport& current,
-                                                     double tolerance,
-                                                     uint64_t min_count = 50);
+// baseline * (1 + tolerance) (CheckRows, report.h). Stages with fewer than
+// `min_count` baseline samples are skipped (too noisy to gate on);
+// improvements always pass.
+std::vector<ReportRegression> CompareLatencyReports(const LatencyReport& baseline,
+                                                    const LatencyReport& current,
+                                                    double tolerance, uint64_t min_count = 50);
 
 class LatencyTracer {
  public:
@@ -125,7 +110,7 @@ class LatencyTracer {
 
   uint64_t completed() const { return completed_; }
   uint64_t abandoned() const { return abandoned_; }
-  uint64_t overwritten() const { return overwritten_; }
+  uint64_t overwritten() const { return ring_.evicted(); }
   uint64_t stale() const { return stale_; }
   // Records whose folded stage intervals failed to sum to their end-to-end
   // time — always 0 unless a stamp site regresses (latency_test asserts it).
@@ -144,25 +129,22 @@ class LatencyTracer {
   // Resets every record and statistic; the ring keeps its storage.
   void Clear();
   // Records the ring holds storage for (0 until the first Begin).
-  size_t ring_slots() const { return ring_.size(); }
+  size_t ring_slots() const { return ring_.slots(); }
 
  private:
   struct Record {
-    uint64_t id = 0;  // 0 = slot free.
     TimeNs start = 0;
     TimeNs last = 0;
     uint32_t touched = 0;  // Bitmask of stamped stages.
     std::array<uint64_t, kNumLatencyStages> stage_ns{};
   };
 
-  // The ring slot holding `id`, or null (counted as stale) if the record
-  // was retired or overwritten, or the ring was never allocated.
-  Record* Slot(uint64_t id);
+  // The live record `id`, or null (counted as stale) if it was retired or
+  // overwritten, or the ring was never allocated.
+  Record* Live(uint64_t id);
 
   FlightRecorder* recorder_ = nullptr;
-  size_t mask_;
-  std::vector<Record> ring_;
-  uint64_t next_id_ = 1;
+  RecordRing<Record> ring_;
 
   std::array<LogHistogram, kNumLatencyStages> stage_hist_;
   std::array<RunningStats, kNumLatencyStages> stage_stats_;
@@ -176,7 +158,6 @@ class LatencyTracer {
 
   uint64_t completed_ = 0;
   uint64_t abandoned_ = 0;
-  uint64_t overwritten_ = 0;
   uint64_t stale_ = 0;
   uint64_t partition_mismatches_ = 0;
 };

@@ -22,13 +22,15 @@
 #include "src/trace/flow_tracer.h"
 #include "src/trace/latency.h"
 #include "src/trace/metric_registry.h"
+#include "src/trace/record_ring.h"
 #include "src/trace/timeseries.h"
 
 namespace tas {
 
 // Knobs carried by TasConfig::trace (and usable standalone). Everything is
 // off by default; a default-constructed Tracer costs one branch per
-// instrumentation site.
+// instrumentation site. Ring capacities are rounded up to a power of two, and
+// full rings keep their newest records (record_ring.h).
 struct TraceConfig {
   // Per-flow protocol events for ALL flows (FlowTracer::EnableFlow opts in
   // individual flows when this is false).
@@ -65,31 +67,19 @@ struct TraceSpan {
   TimeNs end = 0;
 };
 
-// Allocates synthetic track ids for logical tracks (request spans, exemplar
-// trace trees, ...). Simulated core ids and the slow-path control track are
-// assigned statically below kFirstTrack, so registered tracks never collide
-// with them; every registered track gets thread-name metadata in the
-// Perfetto export.
-class TrackRegistry {
- public:
-  static constexpr int kFirstTrack = 2000;
-
-  int Register(std::string name) {
-    const int track = next_track_++;
-    names_.emplace(track, std::move(name));
-    return track;
-  }
-
-  const std::map<int, std::string>& names() const { return names_; }
-
- private:
-  int next_track_ = kFirstTrack;
-  std::map<int, std::string> names_;  // Ordered for deterministic export.
-};
-
+// CPU busy spans in a RecordRing (record_ring.h): a full recorder
+// overwrites its oldest span, so it keeps the newest window, like every other
+// trace ring, and a Perfetto export shows spans and flow events from the same
+// stretch of time. dropped() counts the overwritten spans.
 class SpanRecorder {
  public:
-  explicit SpanRecorder(size_t capacity = 1u << 16) : capacity_(capacity) {}
+  // Synthetic tracks (request spans, exemplar trace trees, ...) are numbered
+  // from here; simulated core ids and the slow-path control track sit below,
+  // so registered tracks never collide with them.
+  static constexpr int kFirstTrack = 2000;
+
+  // `capacity` is rounded up to a power of two.
+  explicit SpanRecorder(size_t capacity = 1u << 16) : ring_(capacity) {}
 
   void SetEnabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
@@ -98,11 +88,7 @@ class SpanRecorder {
     if (!enabled_) {
       return;
     }
-    if (spans_.size() >= capacity_) {
-      ++dropped_;
-      return;
-    }
-    spans_.push_back(TraceSpan{track, name, start, end});
+    ring_.Append() = TraceSpan{track, name, start, end};
   }
 
   // Human-readable track label for the Perfetto thread-name metadata (static
@@ -112,27 +98,24 @@ class SpanRecorder {
   // Allocates a fresh synthetic track and names it. Use instead of a
   // hardcoded track constant so logical tracks cannot collide.
   int RegisterTrack(std::string name) {
-    const int track = registry_.Register(name);
+    const int track = next_track_++;
     track_names_[track] = std::move(name);
     return track;
   }
 
-  const TrackRegistry& registry() const { return registry_; }
-  const std::vector<TraceSpan>& spans() const { return spans_; }
+  // Retained spans, oldest first.
+  std::vector<TraceSpan> spans() const { return ring_.Snapshot(); }
+  // Every track name; registered tracks get thread-name metadata in the
+  // Perfetto export.
   const std::map<int, std::string>& track_names() const { return track_names_; }
-  uint64_t dropped() const { return dropped_; }
-  void Clear() {
-    spans_.clear();
-    dropped_ = 0;
-  }
+  uint64_t dropped() const { return ring_.evicted(); }
+  void Clear() { ring_.Clear(); }
 
  private:
   bool enabled_ = false;
-  size_t capacity_;
-  TrackRegistry registry_;
-  std::vector<TraceSpan> spans_;
+  RecordRing<TraceSpan> ring_;
+  int next_track_ = kFirstTrack;
   std::map<int, std::string> track_names_;  // Ordered for deterministic export.
-  uint64_t dropped_ = 0;
 };
 
 class Tracer {

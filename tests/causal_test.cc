@@ -229,7 +229,7 @@ TEST(CriticalPathReportTest, JsonRoundTripPreservesRows) {
     EXPECT_EQ(parsed.classes[c].count, report.classes[c].count);
     ASSERT_EQ(parsed.classes[c].edges.size(), report.classes[c].edges.size());
     for (size_t e = 0; e < report.classes[c].edges.size(); ++e) {
-      EXPECT_EQ(parsed.classes[c].edges[e].edge, report.classes[c].edges[e].edge);
+      EXPECT_EQ(parsed.classes[c].edges[e].name, report.classes[c].edges[e].name);
       EXPECT_EQ(parsed.classes[c].edges[e].count, report.classes[c].edges[e].count);
       EXPECT_EQ(parsed.classes[c].edges[e].p99_ns, report.classes[c].edges[e].p99_ns);
       EXPECT_NEAR(parsed.classes[c].edges[e].mean_ns, report.classes[c].edges[e].mean_ns, 0.5);
@@ -248,7 +248,7 @@ TEST(CriticalPathGateTest, IdenticalReportsPassPerturbedOriginQueueFails) {
   CriticalPathReport perturbed = baseline;
   for (CriticalPathClassSummary& cls : perturbed.classes) {
     for (CriticalPathEdgeSummary& edge : cls.edges) {
-      if (edge.edge == "origin_queue") {
+      if (edge.name == "origin_queue") {
         edge.mean_ns *= 1.20;
         edge.p99_ns = static_cast<uint64_t>(static_cast<double>(edge.p99_ns) * 1.20);
       }
@@ -256,8 +256,8 @@ TEST(CriticalPathGateTest, IdenticalReportsPassPerturbedOriginQueueFails) {
   }
   const auto regressions = CompareCriticalPathReports(baseline, perturbed, 0.15, 10);
   ASSERT_FALSE(regressions.empty());
-  for (const CriticalPathRegression& r : regressions) {
-    EXPECT_EQ(r.edge, "origin_queue");
+  for (const ReportRegression& r : regressions) {
+    EXPECT_EQ(r.row, "origin_queue");
     EXPECT_GT(r.ratio, 1.15);
   }
   // Improvements pass: compare the perturbed baseline against the original.
@@ -270,7 +270,7 @@ TEST(CriticalPathGateTest, VanishedClassIsAViolation) {
   current.classes.erase(current.classes.begin());  // Drop "hit".
   const auto regressions = CompareCriticalPathReports(baseline, current, 0.15, 10);
   ASSERT_EQ(regressions.size(), 1u);
-  EXPECT_EQ(regressions[0].request_class, "hit");
+  EXPECT_EQ(regressions[0].group, "hit");
 }
 
 // ---------------------------------------------------------------------------
@@ -369,7 +369,7 @@ TEST(CausalE2eTest, TracesPartitionAndSpanHosts) {
   // over edges (verified inside Finish; here check the report shape).
   for (const CriticalPathClassSummary& cls : report.classes) {
     ASSERT_FALSE(cls.edges.empty());
-    EXPECT_EQ(cls.edges[0].edge, "e2e");
+    EXPECT_EQ(cls.edges[0].name, "e2e");
     double share_sum = 0;
     for (size_t e = 1; e < cls.edges.size(); ++e) {
       share_sum += cls.edges[e].share;

@@ -111,7 +111,7 @@ TEST(LatencyTracerTest, ReportJsonRoundTrips) {
   EXPECT_EQ(parsed.abandoned, report.abandoned);
   ASSERT_EQ(parsed.stages.size(), report.stages.size());
   for (size_t i = 0; i < report.stages.size(); ++i) {
-    EXPECT_EQ(parsed.stages[i].stage, report.stages[i].stage);
+    EXPECT_EQ(parsed.stages[i].name, report.stages[i].name);
     EXPECT_EQ(parsed.stages[i].cls, report.stages[i].cls);
     EXPECT_EQ(parsed.stages[i].count, report.stages[i].count);
     EXPECT_EQ(parsed.stages[i].p50_ns, report.stages[i].p50_ns);
@@ -159,13 +159,13 @@ TEST(LatencyComparatorTest, TwentyPercentPerturbationFailsIdenticalPasses) {
   // A tail-only regression (p99 doubled, means untouched) is caught too.
   LatencyReport tail = baseline;
   for (auto& s : tail.stages) {
-    if (s.stage == "fp_rx") {
+    if (s.name == "fp_rx") {
       s.p99_ns *= 2;
     }
   }
   const auto tail_violations = CompareLatencyReports(baseline, tail, 0.5);
   ASSERT_EQ(tail_violations.size(), 1u);
-  EXPECT_EQ(tail_violations[0].stage, "fp_rx");
+  EXPECT_EQ(tail_violations[0].row, "fp_rx");
   EXPECT_EQ(tail_violations[0].metric, "p99_ns");
 
   // Improvements always pass.
@@ -323,7 +323,7 @@ TEST(LatencyAnatomyTest, StageSumsAreConsistentWithEndToEnd) {
   for (int i = 0; i < kNumLatencyStages; ++i) {
     const LatencyStageSummary* s =
         run.report.Find(LatencyStageName(static_cast<LatencyStage>(i)));
-    EXPECT_GT(s->count, 0u) << s->stage;
+    EXPECT_GT(s->count, 0u) << s->name;
   }
 }
 

@@ -1,6 +1,10 @@
 // Tests for packet headers, wire serialization, checksums and flow hashing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "src/net/packet.h"
 #include "src/net/packet_pool.h"
 #include "src/util/rng.h"
@@ -144,6 +148,89 @@ TEST(PacketTest, RandomRoundTripProperty) {
     EXPECT_EQ(parsed->tcp.seq, pkt->tcp.seq);
     EXPECT_EQ(parsed->payload, pkt->payload);
   }
+}
+
+// Recomputes the IP header and TCP checksums of a (possibly mutated) frame
+// whose lengths still fit, so mutations reach the option parser instead of
+// stopping at the checksum check.
+void Reseal(std::vector<uint8_t>& bytes) {
+  constexpr size_t kIp = 14;
+  if (bytes.size() < kIp + 40) {
+    return;
+  }
+  uint8_t* ip = bytes.data() + kIp;
+  ip[10] = ip[11] = 0;
+  const uint16_t ip_sum = InternetChecksum(ip, 20);
+  ip[10] = static_cast<uint8_t>(ip_sum >> 8);
+  ip[11] = static_cast<uint8_t>(ip_sum);
+  const size_t total_len = (static_cast<size_t>(ip[2]) << 8) | ip[3];
+  if (total_len < 40 || kIp + total_len > bytes.size()) {
+    return;
+  }
+  uint8_t* tcp = ip + 20;
+  const size_t tcp_len = total_len - 20;
+  tcp[16] = tcp[17] = 0;
+  std::vector<uint8_t> pseudo(ip + 12, ip + 20);
+  pseudo.push_back(0);
+  pseudo.push_back(ip[9]);
+  pseudo.push_back(static_cast<uint8_t>(tcp_len >> 8));
+  pseudo.push_back(static_cast<uint8_t>(tcp_len));
+  pseudo.insert(pseudo.end(), tcp, tcp + tcp_len);
+  const uint16_t tcp_sum = InternetChecksum(pseudo.data(), pseudo.size());
+  tcp[16] = static_cast<uint8_t>(tcp_sum >> 8);
+  tcp[17] = static_cast<uint8_t>(tcp_sum);
+}
+
+// Random bytes, truncations and byte flips of valid frames: every call
+// either parses or reports malformed input, and none reads out of bounds
+// (run under the asan preset to check the latter).
+TEST(PacketTest, MalformedFramesParseOrReject) {
+  PacketPool pool;
+  Rng rng(404);
+  int parsed_count = 0;
+  int rejected = 0;
+  for (int i = 0; i < 3000; ++i) {
+    auto pkt = MakeTcpPacket(pool, MakeIp(10, 0, 0, 1), 7, MakeIp(10, 0, 0, 2), 9,
+                             static_cast<uint32_t>(rng.Next()), 0, TcpFlags::kSyn);
+    pkt->tcp.has_mss = true;
+    pkt->tcp.mss = 1448;
+    pkt->tcp.has_wscale = rng.NextBool(0.5);
+    pkt->tcp.has_timestamps = rng.NextBool(0.5);
+    pkt->payload.resize(rng.NextUint64(64));
+    std::vector<uint8_t> bytes = Serialize(*pkt);
+    switch (rng.NextUint64(4)) {
+      case 0:  // Truncation.
+        bytes.resize(rng.NextUint64(bytes.size() + 1));
+        break;
+      case 1:  // Byte flips anywhere; checksums catch most.
+        for (uint64_t f = 1 + rng.NextUint64(4); f > 0; --f) {
+          bytes[rng.NextUint64(bytes.size())] = static_cast<uint8_t>(rng.Next());
+        }
+        break;
+      case 2:  // Header and option flips behind valid checksums.
+        for (uint64_t f = 1 + rng.NextUint64(4); f > 0; --f) {
+          bytes[14 + rng.NextUint64(std::min<size_t>(bytes.size() - 14, 60))] =
+              static_cast<uint8_t>(rng.Next());
+        }
+        Reseal(bytes);
+        break;
+      default:  // Pure noise.
+        bytes.resize(rng.NextUint64(128));
+        for (uint8_t& b : bytes) {
+          b = static_cast<uint8_t>(rng.Next());
+        }
+        break;
+    }
+    const std::optional<Packet> parsed = Parse(bytes);
+    if (parsed.has_value()) {
+      ++parsed_count;
+      EXPECT_LE(parsed->payload.size(), bytes.size());
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(parsed_count, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(FlowHashTest, SymmetricHashMatchesBothDirections) {

@@ -6,6 +6,7 @@
 // two same-seed runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 #include <string>
@@ -287,13 +288,16 @@ TEST(FlowTracerTest, PerFlowEnableFilters) {
   EXPECT_EQ(tracer.Events()[0].flow, 7u);
 }
 
-TEST(SpanRecorderTest, DropsNewestAtCapacity) {
+TEST(SpanRecorderTest, KeepsNewestAtCapacity) {
   SpanRecorder spans(2);
   spans.SetEnabled(true);
   spans.Record(0, "a", 0, 10);
   spans.Record(0, "b", 10, 20);
   spans.Record(0, "c", 20, 30);
-  EXPECT_EQ(spans.spans().size(), 2u);
+  const std::vector<TraceSpan> kept = spans.spans();
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_STREQ(kept[0].name, "b");  // The oldest span made room.
+  EXPECT_STREQ(kept[1].name, "c");
   EXPECT_EQ(spans.dropped(), 1u);
 }
 
@@ -365,13 +369,18 @@ struct TraceRun {
   std::string timeseries;
   std::string perfetto;
   std::vector<FlowEvent> events;  // Sender-side, ring order.
+  std::vector<TraceSpan> spans;   // Sender-side, ring order.
+  uint64_t overwritten_events = 0;
+  uint64_t dropped_spans = 0;
   uint64_t retransmits = 0;
 };
 
-TraceRun RunLossyTransfer() {
+TraceRun RunLossyTransfer(size_t ring_capacity = 1u << 16) {
   TasConfig tas_config;
   tas_config.trace.flow_events = true;
+  tas_config.trace.flow_event_capacity = ring_capacity;
   tas_config.trace.cpu_spans = true;
+  tas_config.trace.span_capacity = ring_capacity;
   tas_config.trace.sample_period = Us(100);
   tas_config.trace.sample_flows = true;
 
@@ -410,6 +419,9 @@ TraceRun RunLossyTransfer() {
   out.timeseries = t.str();
   out.perfetto = p.str();
   out.events = tracer.flow_events().Events();
+  out.spans = tracer.spans().spans();
+  out.overwritten_events = tracer.flow_events().overwritten();
+  out.dropped_spans = tracer.spans().dropped();
   const TasStats& stats = exp->host(1).tas()->stats();
   out.retransmits = stats.fast_retransmits + stats.timeout_retransmits;
   return out;
@@ -513,6 +525,29 @@ TEST_F(LossyTraceTest, SameSeedRunsAreByteIdentical) {
   EXPECT_EQ(Run().flow_events, second.flow_events);
   EXPECT_EQ(Run().timeseries, second.timeseries);
   EXPECT_EQ(Run().perfetto, second.perfetto);
+}
+
+// Both rings overflow: each keeps its newest records, so the retained CPU
+// spans and flow events cover the same (final) stretch of the run and a
+// Perfetto export shows them side by side.
+TEST(TraceRingsTest, OverflowingSpanAndFlowRingsKeepOverlappingWindows) {
+  const TraceRun run = RunLossyTransfer(/*ring_capacity=*/256);
+  ASSERT_GT(run.dropped_spans, 0u);
+  ASSERT_GT(run.overwritten_events, 0u);
+  ASSERT_FALSE(run.spans.empty());
+  ASSERT_FALSE(run.events.empty());
+  TimeNs span_from = run.spans.front().start;
+  TimeNs span_to = run.spans.front().end;
+  for (const TraceSpan& span : run.spans) {
+    span_from = std::min(span_from, span.start);
+    span_to = std::max(span_to, span.end);
+  }
+  const TimeNs flow_from = run.events.front().t;
+  const TimeNs flow_to = run.events.back().t;
+  EXPECT_LE(span_from, flow_to) << "spans [" << span_from << ", " << span_to
+                                << "] vs flow events [" << flow_from << ", " << flow_to << "]";
+  EXPECT_LE(flow_from, span_to) << "spans [" << span_from << ", " << span_to
+                                << "] vs flow events [" << flow_from << ", " << flow_to << "]";
 }
 
 }  // namespace
