@@ -19,8 +19,9 @@
 // queues and payload rings have grown to their working size.
 //
 // FOOTPRINT_AUDIT reports the bytes requested from operator new while one
-// default TAS host is built, before any traffic, and FAILs above a bound: a
-// host's idle state must stay sized to what it uses (DESIGN.md §8).
+// default TAS host is built, before any traffic, and while it opens its
+// first connection, and FAILs above a bound: a host's state must stay sized
+// to what it uses (DESIGN.md §8).
 //
 // The far-future audit mixes millisecond timers, half of them cancelled,
 // with nanosecond events while the clock crosses powers of two it never
@@ -509,6 +510,31 @@ bool AuditIdleTasHostFootprint() {
   return ok;
 }
 
+// Bytes one default TAS host requests for its first connection (Connect to
+// a peer that never answers: flow slot, CC instance, slow-path lists, the
+// SYN). The flow slab grows its first chunk here, so the bound separates a
+// 64-slot chunk (~19 KB) from the 512-slot chunk it replaced (~147 KB):
+// 23,292 bytes when the bound was set (GCC 12, libstdc++), 154,708 with
+// 512-slot chunks.
+constexpr uint64_t kFirstFlowTasHostBoundBytes = 64 * 1024;
+
+bool AuditFirstFlowTasHostFootprint() {
+  Simulator sim;
+  auto net = MakePointToPoint(&sim, LinkConfig{});
+  HostSpec spec;
+  spec.stack = StackKind::kTas;
+  auto host = std::make_unique<SimHost>(&sim, &net->host(0), spec);
+  const uint64_t before = AllocBytes();
+  host->tas()->Connect(net->host(1).ip, 9, 0, 0);
+  const uint64_t bytes = AllocBytes() - before;
+  const bool ok = bytes <= kFirstFlowTasHostBoundBytes;
+  std::printf("FOOTPRINT_AUDIT first_flow_tas_host bytes=%llu bound=%llu %s\n",
+              static_cast<unsigned long long>(bytes),
+              static_cast<unsigned long long>(kFirstFlowTasHostBoundBytes),
+              ok ? "PASS" : "FAIL");
+  return ok;
+}
+
 }  // namespace
 }  // namespace tas
 
@@ -528,6 +554,7 @@ int main(int argc, char** argv) {
   ok &= tas::AuditPacketPath();
   ok &= tas::AuditLibtasSend();
   ok &= tas::AuditIdleTasHostFootprint();
+  ok &= tas::AuditFirstFlowTasHostFootprint();
   std::printf("ALLOC_AUDIT overall %s (news=%llu frees=%llu)\n", ok ? "PASS" : "FAIL",
               static_cast<unsigned long long>(g_alloc_count.load()),
               static_cast<unsigned long long>(g_free_count.load()));

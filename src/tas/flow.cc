@@ -102,7 +102,22 @@ uint32_t Flow::AppReadRx(uint8_t* dst, uint32_t len) {
   }
   cold().rx_mem.Read(fs.rx_tail, dst, n);
   fs.rx_tail += n;
+  if (RxUsed() == 0 && cold().fin_received) {
+    ReleaseFinishedRings();
+  }
   return n;
+}
+
+void Flow::ReleaseFinishedRings() {
+  FlowCold& c = cold();
+  if (c.fin_acked) {
+    c.tx_mem.Release();
+    fs.tx_base = nullptr;
+  }
+  if (c.fin_received && RxUsed() == 0) {
+    c.rx_mem.Release();
+    fs.rx_base = nullptr;
+  }
 }
 
 }  // namespace tas

@@ -61,9 +61,10 @@ struct FlowCold {
   TimeNs timewait_start = 0;
   TimeNs established_at = 0;
 
-  // Returns to freshly-constructed state. The payload storage is released,
-  // so a freed flow holds no buffer memory; nothing here allocates, so slab
-  // slot recycling stays allocation-free.
+  // Returns to freshly-constructed state. The payload storage is released
+  // (if the stream's end has not released it already), so a freed flow holds
+  // no buffer memory; nothing here allocates, so slab slot recycling stays
+  // allocation-free.
   void Reset();
 };
 
@@ -128,9 +129,18 @@ struct Flow {
   // demand and refresh fs.rx_base/tx_base.
   void CopyIntoRx(uint32_t wire_pos, const uint8_t* src, uint32_t len);
   void CopyFromTx(uint32_t wire_pos, uint8_t* dst, uint32_t len) const;
-  // libTAS side: append payload at tx_head / read payload at rx_tail.
+  // libTAS side: append payload at tx_head / read payload at rx_tail. A read
+  // that drains the ring after the peer's FIN releases it.
   uint32_t AppWriteTx(const uint8_t* src, uint32_t len);
   uint32_t AppReadRx(uint8_t* dst, uint32_t len);
+
+  // Storage lifetime is stream lifetime: frees each payload ring no byte can
+  // reach again and nulls its fs.*_base. TX goes once our FIN is acked (every
+  // written byte was acked before it was sent); RX once the peer's FIN is
+  // consumed and the app has read every byte. Called where either stream
+  // ends (FIN acked, FIN consumed, RX drained); a later write would regrow
+  // the ring from nothing.
+  void ReleaseFinishedRings();
 
  private:
   FlowCold& EnsureCold();

@@ -253,11 +253,7 @@ void FlowTable::FinishRehash() {
   }
 }
 
-FlowSlab::Chunk::Chunk()
-    : flows(kChunkSlots),
-      cold(kChunkSlots),
-      generation(kChunkSlots, 0),
-      live(kChunkSlots, 0) {
+FlowSlab::Chunk::Chunk() {
   for (size_t i = 0; i < kChunkSlots; ++i) {
     flows[i].BindCold(&cold[i]);
   }
@@ -270,14 +266,18 @@ FlowId FlowSlab::Allocate() {
     free_slots_.pop_back();
   } else {
     if (slot_count_ == capacity_slots()) {
+      // Slot 0xFFFFF is reserved (its top generation would encode
+      // kInvalidFlow) and 0x100000 would alias slot 0. Checked in every
+      // build, once per chunk rather than per allocation.
+      TAS_CHECK(slot_count_ + kChunkSlots <= kFlowSlotMask)
+          << "flow slab exhausted at " << slot_count_ << " slots";
       chunks_.push_back(std::make_unique<Chunk>());
     }
     slot = static_cast<uint32_t>(slot_count_++);
-    TAS_DCHECK(slot < kFlowSlotMask);  // Slot 0xFFFFF reserved: id != kInvalidFlow.
   }
   Chunk& c = ChunkOf(slot);
   const size_t i = slot % kChunkSlots;
-  c.live[i] = 1;
+  c.live |= uint64_t{1} << i;
   ++live_;
   return MakeFlowId(slot, c.generation[i]);
 }
@@ -289,13 +289,13 @@ void FlowSlab::Free(FlowId id) {
   if (slot < slot_count_) {
     Chunk& cand = ChunkOf(slot);
     i = slot % kChunkSlots;
-    if (cand.live[i] && cand.generation[i] == FlowGenOf(id)) c = &cand;
+    if (cand.Live(i) && cand.generation[i] == FlowGenOf(id)) c = &cand;
   }
   TAS_DCHECK(c != nullptr);
   if (c == nullptr) return;
   c->flows[i].Reset();
   c->generation[i] = (c->generation[i] + 1) & kFlowGenMask;
-  c->live[i] = 0;
+  c->live &= ~(uint64_t{1} << i);
   --live_;
   free_slots_.push_back(slot);
 }

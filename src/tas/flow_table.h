@@ -30,12 +30,13 @@
 //   drift rebuilds reuse them instead of allocating.
 //
 // FlowSlab
-//   Fixed 512-slot chunks so Flow addresses are stable across growth (the
-//   fast path holds `Flow&` across calls). Each chunk stores the compact hot
-//   Flow records in one contiguous array and their cold side records
-//   (FlowCold: payload ring storage, CC instances, teardown FSM bookkeeping)
-//   in a parallel array, so the per-packet header path's working set per
-//   flow is the hot struct only.
+//   Fixed 64-slot chunks so Flow addresses are stable across growth (the
+//   fast path holds `Flow&` across calls). Each chunk is one allocation: the
+//   compact hot Flow records in one contiguous array, their cold side
+//   records (FlowCold: payload ring storage, CC instances, teardown FSM
+//   bookkeeping) in a parallel array, the slot generations and a 64-bit
+//   live mask. The per-packet header path's working set per flow is the hot
+//   struct only, and a host with a few dozen flows holds one ~19 KB chunk.
 //   Slots are recycled through a free list; each slot carries a generation
 //   that is bumped on Free, and FlowIds encode (generation << 20 | slot), so
 //   a stale id held by the slow path's pending scan or an app resolves to
@@ -56,7 +57,8 @@ namespace tas {
 
 // FlowId bit layout. 20 bits of slot index (1M concurrent flows, the ROADMAP
 // scale target) and 12 bits of generation. All valid ids differ from
-// kInvalidFlow (~0) because the slab never reaches slot 0xFFFFF.
+// kInvalidFlow (~0) because the slab never reaches slot 0xFFFFF: growth past
+// that is a fatal error in every build, not an id that silently aliases.
 inline constexpr int kFlowSlotBits = 20;
 inline constexpr uint32_t kFlowSlotMask = (1u << kFlowSlotBits) - 1;
 inline constexpr uint32_t kFlowGenMask = (1u << (32 - kFlowSlotBits)) - 1;
@@ -168,7 +170,7 @@ class FlowTable {
 // parallel per-chunk array so hot Flow records stay contiguous.
 class FlowSlab {
  public:
-  static constexpr size_t kChunkSlots = 512;
+  static constexpr size_t kChunkSlots = 64;  // One bit each in Chunk::live.
 
   // Takes a slot from the free list (or appends one) and returns its current
   // id. The Flow in the slot is in freshly Reset() state.
@@ -183,7 +185,7 @@ class FlowSlab {
     if (slot >= slot_count_) return nullptr;
     Chunk& c = ChunkOf(slot);
     const size_t i = slot % kChunkSlots;
-    if (!c.live[i] || c.generation[i] != FlowGenOf(id)) return nullptr;
+    if (!c.Live(i) || c.generation[i] != FlowGenOf(id)) return nullptr;
     return &c.flows[i];
   }
   const Flow* Get(FlowId id) const { return const_cast<FlowSlab*>(this)->Get(id); }
@@ -191,7 +193,7 @@ class FlowSlab {
   // Iteration support for samplers / debug dumps.
   size_t slot_count() const { return slot_count_; }
   bool SlotLive(uint32_t slot) const {
-    return slot < slot_count_ && ChunkOf(slot).live[slot % kChunkSlots] != 0;
+    return slot < slot_count_ && ChunkOf(slot).Live(slot % kChunkSlots);
   }
   Flow& SlotFlow(uint32_t slot) { return ChunkOf(slot).flows[slot % kChunkSlots]; }
   FlowId SlotId(uint32_t slot) const {
@@ -204,15 +206,17 @@ class FlowSlab {
  private:
   // Hot Flow records and cold side records live in parallel arrays: the fast
   // path walks `flows` without pulling payload storage / CC state / teardown
-  // bookkeeping into cache. Both arrays are sized once at chunk creation and
-  // never move, so slot recycling stays allocation-free and Flow&/FlowCold&
-  // stay stable for the lifetime of the slab.
+  // bookkeeping into cache. A chunk is allocated whole and never moves, so
+  // slot recycling stays allocation-free and Flow&/FlowCold& stay stable for
+  // the lifetime of the slab.
   struct Chunk {
     Chunk();
-    std::vector<Flow> flows;
-    std::vector<FlowCold> cold;
-    std::vector<uint32_t> generation;
-    std::vector<uint8_t> live;
+    bool Live(size_t i) const { return (live >> i) & 1; }
+
+    Flow flows[kChunkSlots];
+    FlowCold cold[kChunkSlots];
+    uint32_t generation[kChunkSlots] = {};
+    uint64_t live = 0;  // Bit i set: slot i holds a flow.
   };
 
   Chunk& ChunkOf(uint32_t slot) { return *chunks_[slot / kChunkSlots]; }

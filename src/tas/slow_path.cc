@@ -207,6 +207,7 @@ bool SlowPath::HandleFlowPacket(FlowId flow_id, Flow& flow, const Packet& pkt) {
     case ConnState::kFinWait1: {
       if (pkt.tcp.ack_flag() && pkt.tcp.ack == flow.fs.seq + 1) {
         flow.cold().fin_acked = true;
+        flow.ReleaseFinishedRings();
       }
       if (pkt.tcp.fin()) {
         HandleFin(flow_id, flow, pkt);
@@ -291,6 +292,7 @@ void SlowPath::HandleFin(FlowId flow_id, Flow& flow, const Packet& pkt) {
   }
   flow.fs.ack += 1;  // Consume the FIN.
   flow.cold().fin_received = true;
+  flow.ReleaseFinishedRings();
   SendControlAck(flow);
 
   NotifyRemoteClosed(flow);

@@ -5,11 +5,17 @@
 // the FIN'd side keeps consuming data in kFinWait1/2. libTAS surfaces the
 // peer's FIN as OnRemoteClosed and full termination as OnClosed, in that
 // order.
+//
+// Payload storage follows the stream: each flow frees its TX ring once its
+// FIN is acked and its RX ring once the peer's FIN is consumed and the app
+// has read every byte, while the flow itself lives on through FIN_WAIT_2,
+// CLOSE_WAIT and TIME_WAIT.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "src/fault/impairment.h"
 #include "src/harness/experiment.h"
 
 namespace tas {
@@ -226,6 +232,243 @@ TEST(HalfCloseTest, CloseWithDataPendingFlushesFirst) {
   EXPECT_EQ(server.remote_closed_, 1);
   EXPECT_EQ(server.fully_closed_, 1);
   EXPECT_EQ(client.fully_closed_, 1);
+}
+
+// --- Payload storage follows the stream --------------------------------------
+
+uint8_t RequestByte(size_t i) { return static_cast<uint8_t>((i * 7 + 3) % 251); }
+uint8_t ResponseByte(size_t i) { return static_cast<uint8_t>(i % 253); }
+
+// Sends `total` bytes of fill(i) on `conn` as send space allows; closes the
+// connection once the last byte is queued.
+class PatternWriter {
+ public:
+  PatternWriter(Stack* stack, uint8_t (*fill)(size_t)) : stack_(stack), fill_(fill) {}
+
+  void Start(ConnId conn, size_t total) {
+    conn_ = conn;
+    total_ = total;
+    Pump();
+  }
+  void Pump() {
+    if (conn_ == kInvalidConn) {
+      return;  // Not started.
+    }
+    uint8_t chunk[4096];
+    while (sent_ < total_) {
+      const size_t want = std::min(sizeof(chunk), total_ - sent_);
+      for (size_t i = 0; i < want; ++i) {
+        chunk[i] = fill_(sent_ + i);
+      }
+      const size_t n = stack_->Send(conn_, chunk, want);
+      sent_ += n;
+      if (n < want) {
+        return;
+      }
+    }
+    if (!closed_) {
+      closed_ = true;
+      stack_->Close(conn_);
+    }
+  }
+  size_t sent() const { return sent_; }
+
+ private:
+  Stack* stack_;
+  uint8_t (*fill_)(size_t);
+  ConnId conn_ = kInvalidConn;
+  size_t total_ = 0;
+  size_t sent_ = 0;
+  bool closed_ = false;
+};
+
+// Reads everything available on `conn` into `out`.
+void DrainInto(Stack* stack, ConnId conn, std::vector<uint8_t>* out) {
+  uint8_t buf[4096];
+  size_t n;
+  while ((n = stack->Recv(conn, buf, sizeof(buf))) > 0) {
+    out->insert(out->end(), buf, buf + n);
+  }
+}
+
+// Client: streams a request, closes its direction behind it, and reads the
+// response on the half-open connection.
+class RequestThenReadClient : public AppHandler {
+ public:
+  RequestThenReadClient(Stack* stack, size_t request_bytes)
+      : stack_(stack), writer_(stack, RequestByte), request_bytes_(request_bytes) {}
+
+  void Start(IpAddr server, uint16_t port) {
+    stack_->SetHandler(this);
+    stack_->Connect(server, port);
+  }
+  void OnConnected(ConnId conn, bool success) override {
+    ASSERT_TRUE(success);
+    writer_.Start(conn, request_bytes_);
+  }
+  void OnSendSpace(ConnId, size_t) override { writer_.Pump(); }
+  void OnData(ConnId conn, size_t) override { DrainInto(stack_, conn, &received_); }
+  void OnRemoteClosed(ConnId) override { ++remote_closed_; }
+  void OnClosed(ConnId) override { ++closed_; }
+
+  Stack* stack_;
+  PatternWriter writer_;
+  size_t request_bytes_;
+  std::vector<uint8_t> received_;
+  int remote_closed_ = 0;
+  int closed_ = 0;
+};
+
+// Server: reads only when Drain() is called (the whole request is in by the
+// time the client's FIN is consumed), and answers only when Respond() is
+// called, closing once the response is queued.
+class HoldThenRespondServer : public AppHandler {
+ public:
+  explicit HoldThenRespondServer(Stack* stack) : stack_(stack), writer_(stack, ResponseByte) {}
+
+  void Start(uint16_t port) {
+    stack_->SetHandler(this);
+    stack_->Listen(port);
+  }
+  void Drain() { DrainInto(stack_, conn_, &received_); }
+  void Respond(size_t bytes) { writer_.Start(conn_, bytes); }
+
+  void OnAccepted(ConnId conn, uint16_t) override { conn_ = conn; }
+  void OnSendSpace(ConnId, size_t) override { writer_.Pump(); }
+  void OnRemoteClosed(ConnId) override { ++remote_closed_; }
+  void OnClosed(ConnId) override { ++closed_; }
+
+  Stack* stack_;
+  PatternWriter writer_;
+  ConnId conn_ = kInvalidConn;
+  std::vector<uint8_t> received_;
+  int remote_closed_ = 0;
+  int closed_ = 0;
+};
+
+// Steps the simulation in 20 us slices until `done` holds or `limit` passes.
+template <typename Pred>
+bool RunUntilTrue(Experiment* exp, Pred done, TimeNs limit) {
+  while (!done()) {
+    if (exp->sim().Now() >= limit) {
+      return false;
+    }
+    exp->sim().RunUntil(exp->sim().Now() + Us(20));
+  }
+  return true;
+}
+
+bool MatchesPattern(const std::vector<uint8_t>& data, size_t len, uint8_t (*fill)(size_t)) {
+  if (data.size() != len) {
+    return false;
+  }
+  for (size_t i = 0; i < len; ++i) {
+    if (data[i] != fill(i)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// One request/response exchange with the client closing first. Checks each
+// ring's storage at the transition that ends its stream, then that every
+// byte crossed each direction exactly once.
+void RunStorageFollowsStream(Experiment* exp) {
+  constexpr uint16_t kPort = 7100;
+  constexpr size_t kRequest = 40'000;    // Fits the server's 64 KiB RX ring unread.
+  constexpr size_t kResponse = 200'000;  // Three TX rings' worth.
+  HoldThenRespondServer server(exp->host(0).stack());
+  RequestThenReadClient client(exp->host(1).stack(), kRequest);
+  server.Start(kPort);
+  client.Start(exp->host(0).ip(), kPort);
+  TasService* client_tas = exp->host(1).tas();
+  TasService* server_tas = exp->host(0).tas();
+  // The client's connection took the first ephemeral port.
+  const FlowKey client_key{20000, exp->host(0).ip(), kPort};
+  const FlowKey server_key{kPort, exp->host(1).ip(), 20000};
+
+  // 1. The client's FIN is acked: its TX ring is gone while the flow waits
+  // in FIN_WAIT_2. The server consumed that FIN but holds the request
+  // unread, so its RX ring stays.
+  ASSERT_TRUE(RunUntilTrue(exp, [&] {
+    const Flow* f = client_tas->LookupFlow(client_key);
+    return f != nullptr && f->cstate == ConnState::kFinWait2;
+  }, Sec(1)));
+  const Flow* closer = client_tas->LookupFlow(client_key);
+  EXPECT_EQ(closer->cold().tx_mem.bytes(), 0u);
+  const uint8_t* closer_tx_base = closer->fs.tx_base;
+  EXPECT_EQ(closer_tx_base, nullptr);
+  const Flow* reader = server_tas->LookupFlow(server_key);
+  ASSERT_NE(reader, nullptr);
+  EXPECT_EQ(reader->cstate, ConnState::kCloseWait);
+  EXPECT_TRUE(reader->cold().fin_received);
+  EXPECT_EQ(reader->RxUsed(), kRequest);
+  EXPECT_GT(reader->cold().rx_mem.bytes(), 0u);
+  const uint8_t* reader_rx_base = reader->fs.rx_base;
+  EXPECT_NE(reader_rx_base, nullptr);
+
+  // 2. The half-closed reader drains: the read that empties the ring frees it.
+  server.Drain();
+  EXPECT_TRUE(MatchesPattern(server.received_, kRequest, RequestByte));
+  EXPECT_EQ(reader->cold().rx_mem.bytes(), 0u);
+  reader_rx_base = reader->fs.rx_base;
+  EXPECT_EQ(reader_rx_base, nullptr);
+
+  // 3. The CLOSE_WAIT side streams its response from the TX ring with no RX
+  // storage behind it.
+  server.Respond(kResponse);
+  ASSERT_TRUE(RunUntilTrue(exp, [&] { return client.received_.size() >= 64 * 1024; },
+                           Sec(2)));
+  ASSERT_LT(server.writer_.sent(), kResponse);
+  EXPECT_EQ(reader->cstate, ConnState::kCloseWait);
+  EXPECT_EQ(reader->cold().rx_mem.bytes(), 0u);
+  EXPECT_GT(reader->cold().tx_mem.bytes(), 0u);
+  // The half-closed client receives into RX storage it still needs.
+  EXPECT_GT(closer->cold().rx_mem.bytes(), 0u);
+
+  // 4. The server's FIN ends the exchange: its flow is freed from LAST_ACK,
+  // and the client's TIME_WAIT flow holds no payload storage at all.
+  ASSERT_TRUE(RunUntilTrue(exp, [&] {
+    return server.closed_ == 1 && client.remote_closed_ == 1 &&
+           client.received_.size() == kResponse;
+  }, Sec(3)));
+  EXPECT_EQ(server_tas->LookupFlow(server_key), nullptr);
+  closer = client_tas->LookupFlow(client_key);
+  ASSERT_NE(closer, nullptr);
+  EXPECT_EQ(closer->cstate, ConnState::kTimeWait);
+  EXPECT_EQ(closer->cold().rx_mem.bytes(), 0u);
+  EXPECT_EQ(closer->cold().tx_mem.bytes(), 0u);
+
+  exp->sim().RunUntil(exp->sim().Now() + Ms(5));  // Past TIME_WAIT.
+  EXPECT_EQ(client_tas->LookupFlow(client_key), nullptr);
+  EXPECT_EQ(client.closed_, 1);
+  EXPECT_EQ(server.remote_closed_, 1);
+  // Every byte crossed each direction exactly once.
+  EXPECT_TRUE(MatchesPattern(server.received_, kRequest, RequestByte));
+  EXPECT_TRUE(MatchesPattern(client.received_, kResponse, ResponseByte));
+}
+
+TEST(StreamStorageTest, RingsFreedWhenTheirStreamEnds) {
+  auto exp = Experiment::PointToPoint(TasSpec(), TasSpec(), TestLink());
+  RunStorageFollowsStream(exp.get());
+}
+
+// The same exchange with duplicated and reordered segments in both
+// directions through teardown (registered as its own ctest, label chaos).
+TEST(StreamStorageChaosTest, DuplicationAndReorderingThroughTeardown) {
+  LinkConfig link = TestLink();
+  link.faults.Add(Duplication(0.05));
+  link.faults.Add(Reordering(0.05, Us(20), Us(80)));
+  auto exp = Experiment::PointToPoint(TasSpec(), TasSpec(), link);
+  RunStorageFollowsStream(exp.get());
+  uint64_t duplicated = 0;
+  uint64_t reordered = 0;
+  for (int dir = 0; dir < 2; ++dir) {
+    duplicated += exp->host_link(0)->stats(dir).duplicated;
+    reordered += exp->host_link(0)->stats(dir).reordered;
+  }
+  EXPECT_GT(duplicated, 0u);
+  EXPECT_GT(reordered, 0u);
 }
 
 }  // namespace

@@ -471,6 +471,37 @@ TEST(ByteRingTest, LogicalCapacityStaysConfiguredAndStorageCapped) {
   EXPECT_EQ(ring.storage_bytes(), 131072u);  // The ring filled up on the way.
 }
 
+// A released ring (a flow whose stream ended, a freed slot) holds nothing;
+// a later write regrows it from the floor with the live span intact.
+TEST(RingStorageTest, WriteAfterReleaseRegrowsFromMinimum) {
+  constexpr size_t kLimit = 64 * 1024;
+  RingStorage<uint32_t> mem;
+  const std::vector<uint8_t> a = StreamBytes(0, 5000);
+  mem.Write(0, 0, a.data(), a.size(), kLimit);
+  ASSERT_EQ(mem.bytes(), 8192u);
+
+  mem.Release();
+  EXPECT_EQ(mem.bytes(), 0u);
+  EXPECT_EQ(mem.data(), nullptr);
+  mem.Read(5000, nullptr, 0);  // A zero-length read touches nothing.
+
+  // The stream resumes past everything the released array held.
+  const std::vector<uint8_t> b = StreamBytes(5000, 100);
+  mem.Write(5000, 5000, b.data(), b.size(), kLimit);
+  EXPECT_EQ(mem.bytes(), RingStorage<uint32_t>::kMinBytes);
+  std::vector<uint8_t> out(b.size());
+  mem.Read(5000, out.data(), out.size());
+  EXPECT_EQ(out, b);
+
+  // Growth from the regrown array re-places the live span as before.
+  const std::vector<uint8_t> c = StreamBytes(5100, 3000);
+  mem.Write(5000, 5100, c.data(), c.size(), kLimit);
+  EXPECT_EQ(mem.bytes(), 4096u);
+  out.resize(3100);
+  mem.Read(5000, out.data(), out.size());
+  EXPECT_EQ(out, StreamBytes(5000, 3100));
+}
+
 TEST(FifoTest, HoldsNoStorageUntilFirstPush) {
   Fifo<int> fifo;
   EXPECT_TRUE(fifo.empty());
