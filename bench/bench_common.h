@@ -287,7 +287,7 @@ inline KvRunResult RunKv(KvRunConfig config) {
   server_config.contended = config.contended;
   std::unique_ptr<Core> lock_core;
   if (config.contended) {
-    lock_core = std::make_unique<Core>(&exp->sim(), 9000, 2.1);
+    lock_core = std::make_unique<Core>(&exp->sim(), 9000, kCoreGhz);
     server_config.lock_core = lock_core.get();
   }
   KvServer server(&exp->sim(), exp->host(0).stack(), server_config);

@@ -1,6 +1,12 @@
 #include "src/app/bulk.h"
 
 namespace tas {
+namespace {
+
+// Connections open evenly over this span, not as one SYN burst.
+constexpr TimeNs kConnectSpread = Ms(1);
+
+}  // namespace
 
 BulkSender::BulkSender(Simulator* sim, Stack* stack, const BulkSenderConfig& config)
     : sim_(sim), stack_(stack), config_(config), chunk_(config.chunk_bytes, 0x55) {}
@@ -8,10 +14,8 @@ BulkSender::BulkSender(Simulator* sim, Stack* stack, const BulkSenderConfig& con
 void BulkSender::Start() {
   stack_->SetHandler(this);
   for (size_t i = 0; i < config_.num_flows; ++i) {
-    const TimeNs jitter = config_.connect_spread > 0
-                              ? static_cast<TimeNs>(i) * config_.connect_spread /
-                                    static_cast<TimeNs>(config_.num_flows)
-                              : 0;
+    const TimeNs jitter =
+        static_cast<TimeNs>(i) * kConnectSpread / static_cast<TimeNs>(config_.num_flows);
     sim_->After(jitter,
                 [this] { stack_->Connect(config_.server_ip, config_.server_port); });
   }

@@ -19,7 +19,6 @@ struct BulkSenderConfig {
   uint16_t server_port = 9000;
   size_t num_flows = 100;
   size_t chunk_bytes = 16 * 1024;  // Per Send() call.
-  TimeNs connect_spread = Ms(1);
 };
 
 class BulkSender : public AppHandler {

@@ -6,6 +6,19 @@
 #include "src/util/logging.h"
 
 namespace tas {
+namespace {
+
+constexpr size_t kTupleBytes = 128;
+// Per-tuple stage costs in cycles.
+constexpr uint64_t kDemuxCycles = 150;
+constexpr uint64_t kWorkerCycles = 760;  // ~0.36 us at 2.1 GHz (Table 8 Processing).
+constexpr uint64_t kMuxCycles = 200;
+// Bound on tuples queued toward the multiplexer (drop-on-overflow keeps the
+// pipeline in steady state under overload).
+constexpr size_t kMuxQueueLimit = 20000;
+constexpr int kHopsPerTuple = 3;
+
+}  // namespace
 
 FlexStormNode::FlexStormNode(Simulator* sim, Stack* stack, std::vector<Core*> cores,
                              const FlexStormConfig& config)
@@ -61,8 +74,8 @@ void FlexStormNode::SpoutTick() {
     tuple.created = sim_->Now();
     tuple.hops = 0;
     tuple.worker_done = sim_->Now();
-    if (out_connected_ && out_queue_.size() < config_.mux_queue_limit / 2 &&
-        mux_queue_.size() < config_.mux_queue_limit / 2) {
+    if (out_connected_ && out_queue_.size() < kMuxQueueLimit / 2 &&
+        mux_queue_.size() < kMuxQueueLimit / 2) {
       EnqueueMux(tuple);
     } else {
       ++spout_drops_;  // Backpressure: the topology is saturated.
@@ -84,11 +97,11 @@ void FlexStormNode::OnData(ConnId conn, size_t bytes) {
 
   const TimeNs arrival = sim_->Now();
   size_t offset = 0;
-  while (buf.size() - offset >= config_.tuple_bytes) {
+  while (buf.size() - offset >= kTupleBytes) {
     Tuple tuple;
     std::memcpy(&tuple.created, buf.data() + offset, sizeof(tuple.created));
     std::memcpy(&tuple.hops, buf.data() + offset + 8, sizeof(tuple.hops));
-    offset += config_.tuple_bytes;
+    offset += kTupleBytes;
     HandleTuple(tuple, arrival);
   }
   if (offset > 0) {
@@ -98,11 +111,11 @@ void FlexStormNode::OnData(ConnId conn, size_t bytes) {
 
 void FlexStormNode::HandleTuple(Tuple tuple, TimeNs arrival) {
   // Demultiplexer: route the tuple to a worker.
-  const TimeNs demux_done = demux_core_->Charge(CpuModule::kApp, config_.demux_cycles);
+  const TimeNs demux_done = demux_core_->Charge(CpuModule::kApp, kDemuxCycles);
   Core* worker = worker_cores_[next_worker_++ % worker_cores_.size()];
   sim_->At(demux_done, [this, tuple, arrival, worker]() mutable {
     const TimeNs start = std::max(sim_->Now(), worker->busy_until());
-    const TimeNs done = worker->Charge(CpuModule::kApp, config_.worker_cycles);
+    const TimeNs done = worker->Charge(CpuModule::kApp, kWorkerCycles);
     if (measuring_) {
       input_wait_us_.Add(ToUs(start - arrival));
       processing_us_.Add(ToUs(done - start));
@@ -111,7 +124,7 @@ void FlexStormNode::HandleTuple(Tuple tuple, TimeNs arrival) {
     sim_->At(done, [this, tuple] {
       Tuple t = tuple;
       t.hops += 1;
-      if (t.hops >= config_.hops_per_tuple) {
+      if (t.hops >= kHopsPerTuple) {
         CompleteTuple(t);
       } else {
         EnqueueMux(t);
@@ -121,7 +134,7 @@ void FlexStormNode::HandleTuple(Tuple tuple, TimeNs arrival) {
 }
 
 void FlexStormNode::EnqueueMux(Tuple tuple) {
-  if (mux_queue_.size() >= config_.mux_queue_limit) {
+  if (mux_queue_.size() >= kMuxQueueLimit) {
     ++overflow_drops_;
     return;
   }
@@ -138,7 +151,7 @@ void FlexStormNode::FlushMux() {
   while (!mux_queue_.empty()) {
     Tuple tuple = mux_queue_.front();
     mux_queue_.pop_front();
-    const TimeNs done = mux_core_->Charge(CpuModule::kApp, config_.mux_cycles);
+    const TimeNs done = mux_core_->Charge(CpuModule::kApp, kMuxCycles);
     sim_->At(done, [this, tuple] { EmitTuple(tuple); });
   }
 }
@@ -150,10 +163,10 @@ void FlexStormNode::EmitTuple(const Tuple& tuple) {
   if (measuring_) {
     output_wait_us_.Add(ToUs(sim_->Now() - tuple.worker_done));
   }
-  std::vector<uint8_t> buf(config_.tuple_bytes, 0);
+  std::vector<uint8_t> buf(kTupleBytes, 0);
   std::memcpy(buf.data(), &tuple.created, sizeof(tuple.created));
   std::memcpy(buf.data() + 8, &tuple.hops, sizeof(tuple.hops));
-  if (out_queue_.size() >= config_.mux_queue_limit) {
+  if (out_queue_.size() >= kMuxQueueLimit) {
     ++overflow_drops_;
     return;
   }

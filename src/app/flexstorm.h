@@ -4,7 +4,7 @@
 // worker threads, and a multiplexer thread that batches outgoing tuples
 // before emission (up to 10 ms in the Linux/mTCP configurations — the source
 // of the paper's multi-millisecond output queueing; TAS needs no batching).
-// Tuples hop node -> node -> node over TCP; after `hops_per_tuple` hops the
+// Tuples hop node -> node -> node over TCP; after three hops the
 // tuple completes and its end-to-end latency is recorded. Per-stage times
 // (input queueing, processing, output queueing) reproduce Table 8.
 #ifndef SRC_APP_FLEXSTORM_H_
@@ -23,21 +23,13 @@
 namespace tas {
 
 struct FlexStormConfig {
-  size_t tuple_bytes = 128;
-  uint64_t demux_cycles = 150;
-  uint64_t worker_cycles = 760;  // ~0.36 us at 2.1 GHz (Table 8 Processing).
-  uint64_t mux_cycles = 200;
   size_t num_workers = 2;
   // Output batching: flush when this many tuples accumulated or the timeout
   // expires. timeout=0 disables batching (the TAS configuration).
   size_t mux_batch_tuples = 10000;
   TimeNs mux_batch_timeout = Ms(10);
-  // Bound on tuples queued toward the multiplexer (drop-on-overflow keeps
-  // the pipeline in steady state under overload).
-  size_t mux_queue_limit = 20000;
   // Spout: offered load generated at this node (tuples/sec); 0 = no spout.
   double spout_rate_tps = 0;
-  int hops_per_tuple = 3;
   uint16_t port = 8800;
   uint64_t rng_seed = 7;
 };

@@ -8,6 +8,12 @@
 namespace tas {
 namespace {
 
+// Client workload, as in the paper: zipf-distributed keys with s = 0.9 and
+// 90% GET / 10% SET; plus the client-side request build/parse cost.
+constexpr double kZipfSkew = 0.9;
+constexpr double kGetFraction = 0.9;
+constexpr uint64_t kClientAppCycles = 300;
+
 void Put32At(std::vector<uint8_t>& buf, size_t at, uint32_t v) {
   std::memcpy(buf.data() + at, &v, 4);
 }
@@ -88,7 +94,7 @@ void KvServer::ProcessRequests(ConnId conn, ConnBuf& state) {
       const TimeNs unlocked = config_.lock_core->Charge(CpuModule::kApp,
                                                         config_.lock_hold_cycles);
       if (unlocked > now) {
-        stack_->ChargeApp(conn, NsToCycles(unlocked - now, 2.1));
+        stack_->ChargeApp(conn, NsToCycles(unlocked - now, kCoreGhz));
       }
     }
 
@@ -125,7 +131,7 @@ KvClient::KvClient(Simulator* sim, Stack* stack, const KvClientConfig& config)
       stack_(stack),
       config_(config),
       rng_(config.rng_seed),
-      zipf_(config.num_keys, config.zipf_skew) {}
+      zipf_(config.num_keys, kZipfSkew) {}
 
 KvClient::~KvClient() { tick_.Cancel(); }
 
@@ -190,7 +196,7 @@ void KvClient::SendRequest(ConnId conn) {
   if (it == conns_.end() || it->second.in_flight) {
     return;
   }
-  const bool is_set = !rng_.NextBool(config_.get_fraction);
+  const bool is_set = !rng_.NextBool(kGetFraction);
   const uint32_t key_id = static_cast<uint32_t>(zipf_.Sample(rng_));
 
   std::vector<uint8_t> req(RequestBytes(is_set), 0);
@@ -198,9 +204,7 @@ void KvClient::SendRequest(ConnId conn) {
   Put32At(req, 4, key_id);
   Put16At(req, 8, is_set ? static_cast<uint16_t>(config_.value_bytes) : 0);
 
-  if (config_.app_cycles_per_op > 0) {
-    stack_->ChargeApp(conn, config_.app_cycles_per_op);
-  }
+  stack_->ChargeApp(conn, kClientAppCycles);
   ConnState& state = it->second;
   state.in_flight = true;
   state.sent_at = sim_->Now();
@@ -243,9 +247,7 @@ void KvClient::OnData(ConnId conn, size_t bytes) {
   if (measuring_) {
     latency_.Add(ToUs(sim_->Now() - state.sent_at));
   }
-  if (config_.app_cycles_per_op > 0) {
-    stack_->ChargeApp(conn, config_.app_cycles_per_op);
-  }
+  stack_->ChargeApp(conn, kClientAppCycles);
   if (config_.target_ops_per_sec > 0) {
     ready_conns_.push_back(conn);
   } else {

@@ -76,12 +76,9 @@ struct KvClientConfig {
   size_t num_keys = 100000;
   size_t key_bytes = 32;
   size_t value_bytes = 64;
-  double zipf_skew = 0.9;     // Paper: zipf, s = 0.9.
-  double get_fraction = 0.9;  // Paper: 90% GET / 10% SET.
   // 0 = closed loop at max rate (one request in flight per connection);
   // >0 = open loop at this many total operations/sec (latency experiments).
   double target_ops_per_sec = 0;
-  uint64_t app_cycles_per_op = 300;  // Client-side request build/parse.
   uint64_t rng_seed = 42;
   TimeNs connect_spread = Ms(1);
   // Hold traffic until this absolute sim time (0 = start immediately).

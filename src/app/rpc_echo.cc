@@ -161,9 +161,6 @@ void EchoClient::OnData(ConnId conn, size_t bytes) {
     stack_->Recv(conn, buf.data(), message);
     ++completed_;
     ++state.messages_done;
-    if (config_.app_cycles > 0) {
-      stack_->ChargeApp(conn, config_.app_cycles);
-    }
     if (!state.send_times.empty()) {
       const TimeNs sent_at = state.send_times.front();
       state.send_times.pop_front();

@@ -62,7 +62,6 @@ struct EchoClientConfig {
   size_t request_bytes = 64;
   size_t response_bytes = 64;
   size_t pipeline_depth = 1;  // Requests in flight per connection.
-  uint64_t app_cycles = 0;    // Client-side compute per response.
   // Short-lived connections (Fig 5): close and reconnect after this many
   // request/response exchanges. 0 = connections live forever.
   size_t messages_per_connection = 0;

@@ -6,14 +6,26 @@
 #include "src/trace/latency.h"
 
 namespace tas {
+namespace {
+
+// Drop incoming packets when a stack core's backlog exceeds this (models
+// bounded softirq/backlog queues).
+constexpr TimeNs kMaxBacklog = Ms(2);
+// Packets drained from a NIC queue per aggregated processing event (the NAPI
+// poll budget / DPDK rx_burst analogue).
+constexpr size_t kRxBurst = 16;
+// Seed of the stream connection ISNs are drawn from.
+constexpr uint64_t kRngSeed = 0xBA5E;
+
+}  // namespace
 
 EngineStack::EngineStack(Simulator* sim, HostPort* port, std::vector<Core*> app_cores,
                          const EngineStackConfig& config)
-    : sim_(sim), config_(config), app_cores_(std::move(app_cores)), rng_(config.rng_seed) {
+    : sim_(sim), config_(config), app_cores_(std::move(app_cores)), rng_(kRngSeed) {
   TAS_CHECK(!app_cores_.empty());
   if (config_.stack_cores > 0) {
     for (int i = 0; i < config_.stack_cores; ++i) {
-      owned_stack_cores_.push_back(std::make_unique<Core>(sim, 100 + i, config_.ghz));
+      owned_stack_cores_.push_back(std::make_unique<Core>(sim, 100 + i, kCoreGhz));
       stack_cores_.push_back(owned_stack_cores_.back().get());
     }
   } else {
@@ -150,17 +162,16 @@ void EngineStack::DrainRxQueue(int queue) {
   }
   Core* core = stack_cores_[static_cast<size_t>(queue)];
   const StackCostModel& costs = *config_.costs;
-  const size_t burst = std::max<size_t>(1, config_.rx_burst);
   rq.batch.clear();
   TimeNs done = 0;
-  while (rq.batch.size() < burst) {
+  while (rq.batch.size() < kRxBurst) {
     PacketPtr pkt = nic_->PopRx(queue);
     if (!pkt) {
       break;
     }
     // Bounded backlog: a real stack's softirq queue overflows under
     // persistent overload.
-    if (core->busy_until() - sim_->Now() > config_.max_backlog) {
+    if (core->busy_until() - sim_->Now() > kMaxBacklog) {
       ++backlog_drops_;
       if (LatencyTracer* lt = sim_->context().latency_sink()) {
         lt->Abandon(pkt->lat_id);
@@ -469,7 +480,6 @@ EngineStackConfig LinuxStackConfig() {
   EngineStackConfig config;
   config.stack_cores = 0;  // In-kernel: shares application cores.
   config.costs = &LinuxCostModel();
-  config.tcp.use_sack = true;
   config.tcp.cc = CcAlgorithm::kDctcpWindow;
   config.wakeup_latency = Us(3);  // Softirq + scheduler wakeup.
   return config;
@@ -479,7 +489,6 @@ EngineStackConfig IxStackConfig() {
   EngineStackConfig config;
   config.stack_cores = 0;  // Run-to-completion on app cores.
   config.costs = &IxCostModel();
-  config.tcp.use_sack = true;
   config.tcp.cc = CcAlgorithm::kDctcpWindow;
   config.wakeup_latency = 0;
   return config;
@@ -489,7 +498,6 @@ EngineStackConfig MtcpStackConfig(int stack_cores) {
   EngineStackConfig config;
   config.stack_cores = stack_cores;  // Dedicated user-level stack cores.
   config.costs = &MtcpCostModel();
-  config.tcp.use_sack = true;
   config.tcp.cc = CcAlgorithm::kDctcpWindow;
   config.wakeup_latency = 0;
   config.event_batch = 32;       // Collects packets into large batches

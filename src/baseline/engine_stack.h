@@ -36,7 +36,6 @@ struct EngineStackConfig {
   // Cores the stack charges protocol work on. 0 = share the app cores
   // (Linux, IX); >0 = dedicated stack cores (mTCP).
   int stack_cores = 0;
-  double ghz = 2.1;
   const StackCostModel* costs = &LinuxCostModel();
   TcpConfig tcp;
   // Scheduler/softirq wakeup cost added before app callbacks (Linux).
@@ -45,13 +44,6 @@ struct EngineStackConfig {
   // accumulated or `batch_timeout` elapsed.
   size_t event_batch = 1;
   TimeNs batch_timeout = 0;
-  // Drop incoming packets when a stack core's backlog exceeds this (models
-  // bounded softirq/backlog queues).
-  TimeNs max_backlog = Ms(2);
-  // Packets drained from a NIC queue per aggregated processing event (the
-  // NAPI poll budget / DPDK rx_burst analogue). 1 = packet-serial dispatch.
-  size_t rx_burst = 16;
-  uint64_t rng_seed = 0xBA5E;
 };
 
 class EngineStack : public Stack, public TcpEngineHost {

@@ -3,6 +3,12 @@
 #include <algorithm>
 
 namespace tas {
+namespace {
+
+constexpr double kEwmaGain = 1.0 / 16.0;  // DCTCP g.
+constexpr double kRateCapHeadroom = 1.2;  // "no more than 20% higher than send rate".
+
+}  // namespace
 
 DctcpRateCc::DctcpRateCc(const DctcpRateConfig& config)
     : config_(config), rate_bps_(config.initial_bps) {}
@@ -21,8 +27,7 @@ double DctcpRateCc::Update(const CcFeedback& feedback) {
   // per-interval MSS quantization would pin it); not during slow start; and
   // never below the cap floor, so request/response flows burst promptly.
   if (feedback.actual_tx_bps > 0 && feedback.app_limited && !slow_start_) {
-    const double cap = std::max(feedback.actual_tx_bps * config_.rate_cap_headroom,
-                                config_.rate_cap_floor_bps);
+    const double cap = std::max(feedback.actual_tx_bps * kRateCapHeadroom, kRateCapFloorBps);
     rate_bps_ = std::min(rate_bps_, cap);
     rate_bps_ = std::max(rate_bps_, config_.min_bps);
   }
@@ -32,7 +37,7 @@ double DctcpRateCc::Update(const CcFeedback& feedback) {
       have_acks ? static_cast<double>(feedback.ecn_bytes) /
                       static_cast<double>(feedback.acked_bytes)
                 : 0.0;
-  alpha_ = (1 - config_.ewma_gain) * alpha_ + config_.ewma_gain * fraction;
+  alpha_ = (1 - kEwmaGain) * alpha_ + kEwmaGain * fraction;
 
   const bool congested = fraction > 0 || feedback.retransmits > 0;
   if (slow_start_) {

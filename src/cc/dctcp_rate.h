@@ -20,15 +20,14 @@ struct DctcpRateConfig {
   double min_bps = 1e6;
   double max_bps = 100e9;
   double additive_step_bps = 10e6;  // Paper: 10 mbps by default.
-  double ewma_gain = 1.0 / 16.0;    // DCTCP g.
-  double rate_cap_headroom = 1.2;   // "no more than 20% higher than send rate".
-  // The app-limited clamp never pushes the rate below this: request-response
-  // flows with tiny average throughput must still burst a response promptly.
-  double rate_cap_floor_bps = 100e6;
 };
 
 class DctcpRateCc : public RateCc {
  public:
+  // The app-limited clamp never pushes the rate below this: request-response
+  // flows with tiny average throughput must still burst a response promptly.
+  static constexpr double kRateCapFloorBps = 100e6;
+
   explicit DctcpRateCc(const DctcpRateConfig& config = {});
 
   double Update(const CcFeedback& feedback) override;

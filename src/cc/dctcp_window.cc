@@ -3,11 +3,14 @@
 #include <algorithm>
 
 namespace tas {
+namespace {
+
+constexpr double kDctcpGain = 1.0 / 16.0;  // DCTCP g.
+
+}  // namespace
 
 DctcpWindowCc::DctcpWindowCc(const WindowCcConfig& config)
-    : config_(config),
-      cwnd_(config.mss * config.initial_cwnd_segments),
-      ssthresh_(config.max_cwnd_bytes) {
+    : config_(config), cwnd_(config.mss * kInitialCwndSegments), ssthresh_(kMaxCwndBytes) {
   window_target_ = cwnd_;
 }
 
@@ -16,11 +19,11 @@ void DctcpWindowCc::EndObservationWindow() {
       window_acked_ == 0
           ? 0.0
           : static_cast<double>(window_marked_) / static_cast<double>(window_acked_);
-  alpha_ = (1 - config_.dctcp_gain) * alpha_ + config_.dctcp_gain * fraction;
+  alpha_ = (1 - kDctcpGain) * alpha_ + kDctcpGain * fraction;
   if (window_marked_ > 0) {
     // One multiplicative decrease per window.
     cwnd_ = static_cast<uint64_t>(static_cast<double>(cwnd_) * (1 - alpha_ / 2));
-    cwnd_ = std::max(cwnd_, config_.mss * config_.min_cwnd_segments);
+    cwnd_ = std::max(cwnd_, config_.mss * kMinCwndSegments);
     ssthresh_ = cwnd_;
   }
   window_acked_ = 0;
@@ -41,7 +44,7 @@ void DctcpWindowCc::OnAck(uint64_t acked_bytes, bool ecn_echo, TimeNs rtt) {
     // Additive increase: one MSS per cwnd of acked data.
     cwnd_ += std::max<uint64_t>(1, config_.mss * acked_bytes / std::max<uint64_t>(cwnd_, 1));
   }
-  cwnd_ = std::min(cwnd_, config_.max_cwnd_bytes);
+  cwnd_ = std::min(cwnd_, kMaxCwndBytes);
 
   if (window_acked_ >= window_target_) {
     EndObservationWindow();
@@ -49,7 +52,7 @@ void DctcpWindowCc::OnAck(uint64_t acked_bytes, bool ecn_echo, TimeNs rtt) {
 }
 
 void DctcpWindowCc::OnFastRetransmit() {
-  ssthresh_ = std::max(cwnd_ / 2, config_.mss * config_.min_cwnd_segments);
+  ssthresh_ = std::max(cwnd_ / 2, config_.mss * kMinCwndSegments);
   cwnd_ = ssthresh_;
   window_acked_ = 0;
   window_marked_ = 0;
@@ -57,8 +60,8 @@ void DctcpWindowCc::OnFastRetransmit() {
 }
 
 void DctcpWindowCc::OnTimeout() {
-  ssthresh_ = std::max(cwnd_ / 2, config_.mss * config_.min_cwnd_segments);
-  cwnd_ = config_.mss * config_.min_cwnd_segments;
+  ssthresh_ = std::max(cwnd_ / 2, config_.mss * kMinCwndSegments);
+  cwnd_ = config_.mss * kMinCwndSegments;
   window_acked_ = 0;
   window_marked_ = 0;
   window_target_ = cwnd_;

@@ -11,11 +11,12 @@ namespace tas {
 
 struct WindowCcConfig {
   uint64_t mss = 1448;
-  uint64_t initial_cwnd_segments = 10;
-  uint64_t min_cwnd_segments = 2;
-  uint64_t max_cwnd_bytes = 1ull << 30;
-  double dctcp_gain = 1.0 / 16.0;
 };
+
+// Window bounds shared by DCTCP and NewReno, in segments of `mss` and bytes.
+inline constexpr uint64_t kInitialCwndSegments = 10;
+inline constexpr uint64_t kMinCwndSegments = 2;
+inline constexpr uint64_t kMaxCwndBytes = 1ull << 30;
 
 class DctcpWindowCc : public WindowCc {
  public:

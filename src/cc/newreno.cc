@@ -5,9 +5,7 @@
 namespace tas {
 
 NewRenoCc::NewRenoCc(const WindowCcConfig& config)
-    : config_(config),
-      cwnd_(config.mss * config.initial_cwnd_segments),
-      ssthresh_(config.max_cwnd_bytes) {}
+    : config_(config), cwnd_(config.mss * kInitialCwndSegments), ssthresh_(kMaxCwndBytes) {}
 
 void NewRenoCc::OnAck(uint64_t acked_bytes, bool ecn_echo, TimeNs rtt) {
   (void)rtt;
@@ -17,16 +15,16 @@ void NewRenoCc::OnAck(uint64_t acked_bytes, bool ecn_echo, TimeNs rtt) {
   } else {
     cwnd_ += std::max<uint64_t>(1, config_.mss * acked_bytes / std::max<uint64_t>(cwnd_, 1));
   }
-  cwnd_ = std::min(cwnd_, config_.max_cwnd_bytes);
+  cwnd_ = std::min(cwnd_, kMaxCwndBytes);
 }
 
 void NewRenoCc::OnFastRetransmit() {
-  ssthresh_ = std::max(cwnd_ / 2, config_.mss * config_.min_cwnd_segments);
+  ssthresh_ = std::max(cwnd_ / 2, config_.mss * kMinCwndSegments);
   cwnd_ = ssthresh_;
 }
 
 void NewRenoCc::OnTimeout() {
-  ssthresh_ = std::max(cwnd_ / 2, config_.mss * config_.min_cwnd_segments);
+  ssthresh_ = std::max(cwnd_ / 2, config_.mss * kMinCwndSegments);
   cwnd_ = config_.mss;
 }
 

@@ -3,6 +3,18 @@
 #include <algorithm>
 
 namespace tas {
+namespace {
+
+constexpr double kMinBps = 1e6;
+constexpr double kMaxBps = 100e9;
+constexpr double kBeta = 0.8;       // Multiplicative decrease factor weight.
+constexpr double kEwmaAlpha = 0.3;  // RTT-difference EWMA gain.
+constexpr TimeNs kTLow = Us(50);
+constexpr TimeNs kTHigh = Us(500);
+constexpr TimeNs kMinRtt = Us(20);
+constexpr int kHaiThreshold = 5;  // Completions before hyper-active increase.
+
+}  // namespace
 
 TimelyCc::TimelyCc(const TimelyConfig& config)
     : config_(config), rate_bps_(config.initial_bps) {}
@@ -18,7 +30,7 @@ void TimelyCc::Reset(double initial_bps) {
 double TimelyCc::Update(const CcFeedback& feedback) {
   if (feedback.actual_tx_bps > 0) {
     rate_bps_ = std::min(rate_bps_, feedback.actual_tx_bps * 1.2);
-    rate_bps_ = std::max(rate_bps_, config_.min_bps);
+    rate_bps_ = std::max(rate_bps_, kMinBps);
   }
   const TimeNs rtt = feedback.rtt;
   if (rtt <= 0) {
@@ -26,11 +38,11 @@ double TimelyCc::Update(const CcFeedback& feedback) {
   }
 
   if (slow_start_) {
-    if (rtt < config_.t_high && feedback.retransmits == 0) {
+    if (rtt < kTHigh && feedback.retransmits == 0) {
       if (feedback.acked_bytes > 0) {
         rate_bps_ *= 2;
       }
-      rate_bps_ = std::clamp(rate_bps_, config_.min_bps, config_.max_bps);
+      rate_bps_ = std::clamp(rate_bps_, kMinBps, kMaxBps);
       prev_rtt_ = rtt;
       return rate_bps_;
     }
@@ -39,29 +51,27 @@ double TimelyCc::Update(const CcFeedback& feedback) {
 
   const TimeNs new_rtt_diff = prev_rtt_ == 0 ? 0 : rtt - prev_rtt_;
   prev_rtt_ = rtt;
-  rtt_diff_ = (1 - config_.ewma_alpha) * rtt_diff_ +
-              config_.ewma_alpha * static_cast<double>(new_rtt_diff);
-  const double gradient = rtt_diff_ / static_cast<double>(config_.min_rtt);
+  rtt_diff_ = (1 - kEwmaAlpha) * rtt_diff_ + kEwmaAlpha * static_cast<double>(new_rtt_diff);
+  const double gradient = rtt_diff_ / static_cast<double>(kMinRtt);
 
   if (feedback.retransmits > 0) {
     rate_bps_ /= 2;
-  } else if (rtt < config_.t_low) {
+  } else if (rtt < kTLow) {
     rate_bps_ += config_.additive_step_bps;
     negative_gradient_count_ = 0;
-  } else if (rtt > config_.t_high) {
-    rate_bps_ *= 1 - config_.beta * (1 - static_cast<double>(config_.t_high) /
-                                             static_cast<double>(rtt));
+  } else if (rtt > kTHigh) {
+    rate_bps_ *= 1 - kBeta * (1 - static_cast<double>(kTHigh) / static_cast<double>(rtt));
     negative_gradient_count_ = 0;
   } else if (gradient <= 0) {
     ++negative_gradient_count_;
-    const int n = negative_gradient_count_ >= config_.hai_threshold ? 5 : 1;
+    const int n = negative_gradient_count_ >= kHaiThreshold ? 5 : 1;
     rate_bps_ += n * config_.additive_step_bps;
   } else {
     negative_gradient_count_ = 0;
-    rate_bps_ *= 1 - config_.beta * std::min(gradient, 1.0);
+    rate_bps_ *= 1 - kBeta * std::min(gradient, 1.0);
   }
 
-  rate_bps_ = std::clamp(rate_bps_, config_.min_bps, config_.max_bps);
+  rate_bps_ = std::clamp(rate_bps_, kMinBps, kMaxBps);
   return rate_bps_;
 }
 

@@ -15,15 +15,7 @@ namespace tas {
 
 struct TimelyConfig {
   double initial_bps = 10e6;
-  double min_bps = 1e6;
-  double max_bps = 100e9;
   double additive_step_bps = 10e6;
-  double beta = 0.8;              // Multiplicative decrease factor weight.
-  double ewma_alpha = 0.3;        // RTT-difference EWMA gain.
-  TimeNs t_low = Us(50);
-  TimeNs t_high = Us(500);
-  TimeNs min_rtt = Us(20);
-  int hai_threshold = 5;          // Completions before hyper-active increase.
 };
 
 class TimelyCc : public RateCc {

@@ -31,6 +31,10 @@ inline constexpr int kNumCpuModules = 6;
 
 const char* CpuModuleName(CpuModule m);
 
+// Clock of every host core, stack and application alike: the paper's
+// testbed servers run at 2.1 GHz.
+inline constexpr double kCoreGhz = 2.1;
+
 class Core {
  public:
   Core(Simulator* sim, int id, double ghz);

@@ -29,14 +29,12 @@ ImpairmentSpec BernoulliLoss(double rate) {
   return spec;
 }
 
-ImpairmentSpec GilbertElliottLoss(double enter_bad, double exit_bad, double loss_bad,
-                                  double loss_good) {
+ImpairmentSpec GilbertElliottLoss(double enter_bad, double exit_bad, double loss_bad) {
   ImpairmentSpec spec;
   spec.kind = ImpairmentKind::kGilbertElliott;
   spec.ge_enter_bad = enter_bad;
   spec.ge_exit_bad = exit_bad;
   spec.ge_loss_bad = loss_bad;
-  spec.ge_loss_good = loss_good;
   return spec;
 }
 
@@ -99,7 +97,7 @@ class BernoulliLossImpairment : public Impairment {
 };
 
 // Gilbert-Elliott burst loss: a two-state Markov chain stepped per packet.
-// The good state is (near) lossless; the bad state drops most packets, so
+// The good state is lossless; the bad state drops most packets, so
 // loss arrives in bursts whose mean length is 1/exit_bad packets.
 class GilbertElliottImpairment : public Impairment {
  public:
@@ -107,7 +105,6 @@ class GilbertElliottImpairment : public Impairment {
       : Impairment(ImpairmentKind::kGilbertElliott),
         enter_bad_(spec.ge_enter_bad),
         exit_bad_(spec.ge_exit_bad),
-        loss_good_(spec.ge_loss_good),
         loss_bad_(spec.ge_loss_bad) {}
 
   void Apply(Packet& pkt, Rng& rng, ImpairmentDecision& decision) override {
@@ -119,7 +116,7 @@ class GilbertElliottImpairment : public Impairment {
     if (transition) {
       bad_ = !bad_;
     }
-    if (rng.NextBool(bad_ ? loss_bad_ : loss_good_)) {
+    if (rng.NextBool(bad_ ? loss_bad_ : 0.0)) {
       ++stats_.dropped;
       decision.drop = true;
       decision.dropped_by = this;
@@ -131,7 +128,6 @@ class GilbertElliottImpairment : public Impairment {
  private:
   double enter_bad_;
   double exit_bad_;
-  double loss_good_;
   double loss_bad_;
   bool bad_ = false;
 };
@@ -222,7 +218,7 @@ std::unique_ptr<Impairment> MakeImpairment(const ImpairmentSpec& spec) {
     case ImpairmentKind::kDuplicate:
       return std::make_unique<DuplicateImpairment>(spec.rate);
     case ImpairmentKind::kLinkDown:
-      return std::make_unique<LinkDownImpairment>(spec.initially_down);
+      return std::make_unique<LinkDownImpairment>();  // Starts down.
   }
   TAS_CHECK(false) << "unknown impairment kind";
   return nullptr;

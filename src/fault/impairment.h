@@ -33,7 +33,7 @@ enum class ImpairmentKind {
 const char* ImpairmentKindName(ImpairmentKind kind);
 
 // Declarative description of one impairment; what harness scenario configs
-// carry (LinkConfig::faults, NicConfig::rx_faults) and what the FaultInjector
+// carry (LinkConfig::faults) and what the FaultInjector
 // instantiates for timed fault windows.
 struct ImpairmentSpec {
   ImpairmentKind kind = ImpairmentKind::kBernoulliLoss;
@@ -44,7 +44,6 @@ struct ImpairmentSpec {
   // Gilbert-Elliott parameters (per-packet transition probabilities).
   double ge_enter_bad = 0.0;  // P(good -> bad).
   double ge_exit_bad = 0.0;   // P(bad -> good).
-  double ge_loss_good = 0.0;  // Loss probability while in the good state.
   double ge_loss_bad = 1.0;   // Loss probability while in the bad state.
 
   // kCorrupt: wire bits flipped per corrupted packet.
@@ -53,15 +52,11 @@ struct ImpairmentSpec {
   // kReorder: extra delay drawn uniformly from [min, max].
   TimeNs reorder_delay_min = Us(50);
   TimeNs reorder_delay_max = Us(200);
-
-  // kLinkDown: initial gate state.
-  bool initially_down = true;
 };
 
 // Spec builders, so call sites read like the fault they inject.
 ImpairmentSpec BernoulliLoss(double rate);
-ImpairmentSpec GilbertElliottLoss(double enter_bad, double exit_bad, double loss_bad,
-                                  double loss_good = 0.0);
+ImpairmentSpec GilbertElliottLoss(double enter_bad, double exit_bad, double loss_bad);
 ImpairmentSpec Corruption(double rate, uint32_t bits = 1);
 ImpairmentSpec Reordering(double rate, TimeNs delay_min, TimeNs delay_max);
 ImpairmentSpec Duplication(double rate);

@@ -25,7 +25,7 @@ const char* StackKindName(StackKind kind) {
 SimHost::SimHost(Simulator* sim, HostPort* port, const HostSpec& spec)
     : spec_(spec), ip_(port->ip) {
   for (int i = 0; i < spec.app_cores; ++i) {
-    app_cores_.push_back(std::make_unique<Core>(sim, 2000 + i, spec.ghz));
+    app_cores_.push_back(std::make_unique<Core>(sim, 2000 + i, kCoreGhz));
   }
 
   switch (spec.stack) {
@@ -34,7 +34,6 @@ SimHost::SimHost(Simulator* sim, HostPort* port, const HostSpec& spec)
       TasConfig config = spec.tas_overridden ? spec.tas : TasConfig{};
       if (!spec.tas_overridden) {
         config.max_fastpath_cores = spec.stack_cores;
-        config.core_ghz = spec.ghz;
       }
       if (TraceOutPrefix() != nullptr) {
         // The env knob turns on everything; the per-host bundles are dumped
@@ -77,7 +76,6 @@ SimHost::SimHost(Simulator* sim, HostPort* port, const HostSpec& spec)
       } else {
         config = MtcpStackConfig(spec.stack_cores);
       }
-      config.ghz = spec.ghz;
       auto engine = std::make_unique<EngineStack>(sim, port, AppCorePtrs(), config);
       engine_ = engine.get();
       stack_ = std::move(engine);
@@ -142,14 +140,13 @@ void Experiment::AddHosts(const std::vector<HostSpec>& specs) {
 }
 
 std::unique_ptr<Experiment> Experiment::Star(const std::vector<HostSpec>& specs,
-                                             const std::vector<LinkConfig>& links,
-                                             TimeNs switch_latency) {
+                                             const std::vector<LinkConfig>& links) {
   auto exp = std::make_unique<Experiment>();
   std::vector<LinkConfig> host_links;
   for (size_t i = 0; i < specs.size(); ++i) {
     host_links.push_back(links.size() == 1 ? links[0] : links[i]);
   }
-  exp->net_ = MakeStar(&exp->sim_, host_links, switch_latency);
+  exp->net_ = MakeStar(&exp->sim_, host_links);
   exp->AddHosts(specs);
   return exp;
 }

@@ -36,7 +36,6 @@ struct HostSpec {
   // TAS: maximum fast-path cores. mTCP: dedicated stack cores. Ignored by
   // Linux/IX (stack shares app cores).
   int stack_cores = 2;
-  double ghz = 2.1;
   // Optional overrides; when unset the kind's calibrated defaults are used.
   TasConfig tas;
   bool tas_overridden = false;
@@ -112,8 +111,7 @@ class Experiment {
   // Hosts around one switch. specs[i] uses links[i] (or links[0] if only one
   // link config is given).
   static std::unique_ptr<Experiment> Star(const std::vector<HostSpec>& specs,
-                                          const std::vector<LinkConfig>& links,
-                                          TimeNs switch_latency = 500);
+                                          const std::vector<LinkConfig>& links);
 
   // Two hosts, one link.
   static std::unique_ptr<Experiment> PointToPoint(const HostSpec& a, const HostSpec& b,

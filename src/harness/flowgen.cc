@@ -3,6 +3,11 @@
 #include <algorithm>
 
 namespace tas {
+namespace {
+
+constexpr size_t kMaxConcurrent = 512;  // Safety valve on open flows.
+
+}  // namespace
 
 FlowSource::FlowSource(Simulator* sim, Stack* stack, const FlowGenConfig& config)
     : sim_(sim),
@@ -42,7 +47,7 @@ void FlowSource::ArrivalTick() {
   sim_->After(static_cast<TimeNs>(
                   rng_.NextExp(static_cast<double>(config_.mean_interarrival))),
               [this] {
-                if (flows_.size() < config_.max_concurrent) {
+                if (flows_.size() < kMaxConcurrent) {
                   StartFlow();
                 }
                 ArrivalTick();

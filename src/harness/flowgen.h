@@ -27,7 +27,6 @@ struct FlowGenConfig {
   double pareto_max_bytes = 2e6;
   double pareto_alpha = 1.05;
   uint64_t rng_seed = 99;
-  size_t max_concurrent = 512;  // Safety valve on open flows.
 };
 
 // Drives flows out of one host. Sender-side FCT: Connect() to final byte

@@ -184,19 +184,18 @@ void Link::StartTransmit(int dir_index) {
     d.transmitting = false;
     return;
   }
-  // Serialize up to burst_pkts frames back to back (time-bounded so large
+  // Serialize up to kBurstPkts frames back to back (time-bounded so large
   // frames don't defer delivery far) and deliver them with ONE event when
   // the last frame lands. Per-frame wire time, FIFO order, and the
   // transmitter-busy window are identical to per-frame dispatch; only the
-  // delivery instant of leading frames moves, by less than burst_max_ns.
-  const size_t max_burst = std::max<size_t>(1, config_.burst_pkts);
+  // delivery instant of leading frames moves, by less than kBurstMaxNs.
   const TimeNs now = sim_->Now();
   LatencyTracer* lt = sim_->context().latency_sink();
   size_t n = 0;
   TimeNs serialize_total = 0;
-  while (n < max_burst && !d.queue.empty()) {
+  while (n < kBurstPkts && !d.queue.empty()) {
     const TimeNs serialize = TransmitTimeNs(d.queue.front()->WireBytes(), config_.gbps);
-    if (n > 0 && serialize_total + serialize > config_.burst_max_ns) {
+    if (n > 0 && serialize_total + serialize > kBurstMaxNs) {
       break;
     }
     PacketPtr pkt = std::move(d.queue.front());

@@ -49,17 +49,6 @@ struct LinkConfig {
   // parsed copy. Slow; catches any header field the stacks forget to set,
   // and is where corruption impairments flip real wire bits.
   bool validate_wire_format = false;
-  // Frames serialized back-to-back per transmit continuation and delivered
-  // by ONE event at the last frame's arrival (the receive-side completion
-  // batching real NICs do). 1 = per-frame delivery events (pre-batching
-  // behavior). Per-frame serialization cost and FIFO order are unchanged;
-  // only the delivery instant of leading frames moves, by at most the
-  // burst's wire time (bounded below).
-  size_t burst_pkts = 16;
-  // Upper bound on one burst's total serialization time, so large frames
-  // don't defer delivery far (a 64B RPC burst spans ~1.5us at 10G; bulk
-  // 1448B frames cut over to 1-2 per burst).
-  TimeNs burst_max_ns = Us(2);
 };
 
 struct LinkStats {
@@ -111,7 +100,7 @@ class Link {
   }
 
   // Egress buffer occupancy: waiting frames plus burst-admitted frames whose
-  // wire serialization has not started yet (at most burst_pkts - 1).
+  // wire serialization has not started yet (at most kBurstPkts - 1).
   size_t QueueLen(int from_side) const {
     const Direction& d = dir_[from_side];
     size_t unserialized = 0;
@@ -165,6 +154,17 @@ class Link {
   void AttachPcap(int from_side, PcapWriter* pcap) { dir_[from_side].pcap = pcap; }
 
  private:
+  // Frames serialized back-to-back per transmit continuation and delivered
+  // by ONE event at the last frame's arrival (the receive-side completion
+  // batching real NICs do). Per-frame serialization cost and FIFO order are
+  // those of per-frame delivery; only the delivery instant of leading frames
+  // moves, by at most the burst's wire time.
+  static constexpr size_t kBurstPkts = 16;
+  // Upper bound on one burst's total serialization time, so large frames
+  // don't defer delivery far (a 64B RPC burst spans ~1.5us at 10G; bulk
+  // 1448B frames cut over to 1-2 per burst).
+  static constexpr TimeNs kBurstMaxNs = Us(2);
+
   struct Direction {
     Fifo<PacketPtr> queue;
     // True while a StartTransmit continuation is scheduled or running. When

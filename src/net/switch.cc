@@ -21,11 +21,8 @@ class Switch::Port : public NetDevice {
   LinkEnd end_;
 };
 
-Switch::Switch(Simulator* sim, std::string name, TimeNs forwarding_latency)
-    : sim_(sim),
-      name_(std::move(name)),
-      forwarding_latency_(forwarding_latency),
-      routes_(kMinRouteSlots) {}
+Switch::Switch(Simulator* sim, std::string name)
+    : sim_(sim), name_(std::move(name)), routes_(kMinRouteSlots) {}
 
 Switch::~Switch() = default;
 
@@ -104,11 +101,11 @@ void Switch::HandlePacket(PacketPtr pkt) {
   ++forwarded_;
   // Arrivals are FIFO in time, so due times are monotone; the pending queue
   // owns the packets (sim teardown recycles them via the pool).
-  pending_.push_back(Pending{sim_->Now() + forwarding_latency_, port, std::move(pkt)});
+  pending_.push_back(Pending{sim_->Now() + kForwardingLatency, port, std::move(pkt)});
   pending_hw_ = std::max(pending_hw_, pending_.size());
   if (!flush_scheduled_) {
     flush_scheduled_ = true;
-    sim_->After(forwarding_latency_, [this] { Flush(); });
+    sim_->After(kForwardingLatency, [this] { Flush(); });
   }
 }
 

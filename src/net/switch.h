@@ -20,7 +20,11 @@ namespace tas {
 
 class Switch {
  public:
-  Switch(Simulator* sim, std::string name, TimeNs forwarding_latency = 500);
+  // Forwarding latency of every switch (port-to-port, before the egress
+  // link's queue).
+  static constexpr TimeNs kForwardingLatency = 500;
+
+  Switch(Simulator* sim, std::string name);
   ~Switch();  // Out of line: Port is an implementation detail.
 
   const std::string& name() const { return name_; }
@@ -62,7 +66,6 @@ class Switch {
 
   Simulator* sim_;
   std::string name_;
-  TimeNs forwarding_latency_;
   std::vector<std::unique_ptr<Port>> ports_;
   // Open-addressed (linear probing, power-of-two size, at most half full)
   // over a contiguous ECMP port array: a forwarded packet costs one hash,

@@ -10,8 +10,8 @@ Link* Network::AddLink(const LinkConfig& config) {
   return links_.back().get();
 }
 
-Switch* Network::AddSwitch(const std::string& name, TimeNs forwarding_latency) {
-  switches_.push_back(std::make_unique<Switch>(sim_, name, forwarding_latency));
+Switch* Network::AddSwitch(const std::string& name) {
+  switches_.push_back(std::make_unique<Switch>(sim_, name));
   return switches_.back().get();
 }
 
@@ -140,10 +140,9 @@ std::unique_ptr<Network> MakePointToPoint(Simulator* sim, const LinkConfig& conf
   return net;
 }
 
-std::unique_ptr<Network> MakeStar(Simulator* sim, const std::vector<LinkConfig>& host_links,
-                                  TimeNs switch_latency) {
+std::unique_ptr<Network> MakeStar(Simulator* sim, const std::vector<LinkConfig>& host_links) {
   auto net = std::make_unique<Network>(sim);
-  Switch* sw = net->AddSwitch("tor", switch_latency);
+  Switch* sw = net->AddSwitch("tor");
   for (size_t i = 0; i < host_links.size(); ++i) {
     net->AttachHost(MakeIp(10, 0, 0, static_cast<uint8_t>(i + 1)), sw, host_links[i]);
   }
@@ -176,7 +175,7 @@ std::unique_ptr<Network> MakeFatTree(Simulator* sim, const FatTreeConfig& config
   // Core switches: half*half of them.
   std::vector<Switch*> core;
   for (int i = 0; i < half * half; ++i) {
-    core.push_back(net->AddSwitch("core" + std::to_string(i), config.switch_latency));
+    core.push_back(net->AddSwitch("core" + std::to_string(i)));
   }
 
   int host_counter = 0;
@@ -184,10 +183,8 @@ std::unique_ptr<Network> MakeFatTree(Simulator* sim, const FatTreeConfig& config
     std::vector<Switch*> edge;
     std::vector<Switch*> agg;
     for (int i = 0; i < half; ++i) {
-      edge.push_back(net->AddSwitch("p" + std::to_string(pod) + "e" + std::to_string(i),
-                                    config.switch_latency));
-      agg.push_back(net->AddSwitch("p" + std::to_string(pod) + "a" + std::to_string(i),
-                                   config.switch_latency));
+      edge.push_back(net->AddSwitch("p" + std::to_string(pod) + "e" + std::to_string(i)));
+      agg.push_back(net->AddSwitch("p" + std::to_string(pod) + "a" + std::to_string(i)));
     }
     // Edge <-> agg full mesh within the pod.
     for (int e = 0; e < half; ++e) {

@@ -32,7 +32,7 @@ class Network {
   Simulator* sim() const { return sim_; }
 
   Link* AddLink(const LinkConfig& config);
-  Switch* AddSwitch(const std::string& name, TimeNs forwarding_latency = 500);
+  Switch* AddSwitch(const std::string& name);
 
   // Creates a host with a dedicated access link to `sw`. Returns host index.
   int AttachHost(IpAddr ip, Switch* sw, const LinkConfig& config);
@@ -87,8 +87,7 @@ std::unique_ptr<Network> MakePointToPoint(Simulator* sim, const LinkConfig& conf
 
 // N hosts around a single switch; per-host link configs allow mixing the
 // paper's 40G server with 10G clients. Host i gets IP 10.0.0.(i+1).
-std::unique_ptr<Network> MakeStar(Simulator* sim, const std::vector<LinkConfig>& host_links,
-                                  TimeNs switch_latency = 500);
+std::unique_ptr<Network> MakeStar(Simulator* sim, const std::vector<LinkConfig>& host_links);
 
 // n_left + n_right hosts on two switches joined by a bottleneck link.
 std::unique_ptr<Network> MakeDumbbell(Simulator* sim, size_t n_left, size_t n_right,
@@ -104,7 +103,6 @@ struct FatTreeConfig {
   int hosts_per_edge = 2;
   LinkConfig host_link;
   LinkConfig fabric_link;  // Edge<->agg and agg<->core links.
-  TimeNs switch_latency = 500;
 };
 
 std::unique_ptr<Network> MakeFatTree(Simulator* sim, const FatTreeConfig& config);

@@ -9,24 +9,21 @@ namespace tas {
 
 SimNic::SimNic(Simulator* sim, HostPort* port, const NicConfig& config)
     : sim_(sim), tx_end_(port->end), ip_(port->ip), mac_(port->mac), config_(config),
-      rng_(config.rng_seed) {
+      rng_(kRngSeed) {
   TAS_CHECK(config.num_queues >= 1);
-  TAS_CHECK(config.rss_table_entries >= 1);
   for (int i = 0; i < config.num_queues; ++i) {
     rings_.emplace_back(std::make_unique<Ring>());
   }
-  redirection_.resize(config.rss_table_entries);
-  entry_hits_.assign(config.rss_table_entries, 0);
+  redirection_.resize(kRssTableEntries);
+  entry_hits_.assign(kRssTableEntries, 0);
   SetActiveQueues(config.num_queues);
-  rx_pipeline_.AddAll(config.rx_faults);
   port->end.Attach(this);
 }
 
 int SimNic::RedirectionEntryFor(const Packet& pkt) const {
+  // The symmetric hash sends both directions of a flow to one queue.
   const uint32_t hash =
-      config_.symmetric_rss
-          ? SymmetricFlowHash(pkt.ip.src, pkt.tcp.src_port, pkt.ip.dst, pkt.tcp.dst_port)
-          : FlowHash(pkt.ip.src, pkt.tcp.src_port, pkt.ip.dst, pkt.tcp.dst_port);
+      SymmetricFlowHash(pkt.ip.src, pkt.tcp.src_port, pkt.ip.dst, pkt.tcp.dst_port);
   return static_cast<int>(hash % redirection_.size());
 }
 

@@ -23,15 +23,6 @@ namespace tas {
 struct NicConfig {
   int num_queues = 1;
   size_t ring_entries = 1024;  // Per-RX-queue capacity.
-  // RSS redirection table size (XL710 uses 512, 82599 uses 128).
-  size_t rss_table_entries = 128;
-  // Use the symmetric hash so both directions of a flow hit one queue.
-  bool symmetric_rss = true;
-  // Device-level RX faults (stalls, PCIe drops): applied to each received
-  // frame after the checksum check, before RSS ring placement.
-  FaultConfig rx_faults;
-  // Seed for the NIC's fault RNG (all NICs share the default deterministically).
-  uint64_t rng_seed = 0x71C0;
 };
 
 class SimNic : public NetDevice {
@@ -49,7 +40,9 @@ class SimNic : public NetDevice {
   void Transmit(PacketPtr pkt);
 
   // --- Fault-injection hooks -------------------------------------------------
-  // RX-side impairment pipeline (device stalls/drops); mutable mid-run.
+  // RX-side impairment pipeline (device stalls, PCIe drops), applied to
+  // each received frame after the checksum check, before RSS ring
+  // placement; mutable mid-run.
   Impairment* AddRxImpairment(const ImpairmentSpec& spec) { return rx_pipeline_.Add(spec); }
   bool RemoveRxImpairment(const Impairment* impairment) {
     return rx_pipeline_.Remove(impairment);
@@ -94,6 +87,11 @@ class SimNic : public NetDevice {
   void RegisterMetrics(MetricRegistry* registry, const std::string& prefix);
 
  private:
+  // RSS redirection table size (XL710 uses 512, 82599 uses 128).
+  static constexpr size_t kRssTableEntries = 128;
+  // Seed of the RX fault RNG; every NIC starts from the same stream.
+  static constexpr uint64_t kRngSeed = 0x71C0;
+
   struct Ring {
     Fifo<PacketPtr> pkts;
     std::function<void()> notify;

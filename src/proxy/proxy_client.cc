@@ -7,6 +7,11 @@
 #include "src/util/logging.h"
 
 namespace tas {
+namespace {
+
+constexpr uint64_t kAppCyclesPerRequest = 200;  // Client-side request build/parse.
+
+}  // namespace
 
 ProxyClientGen::ProxyClientGen(Simulator* sim, Stack* stack, const ProxyClientConfig& config)
     : sim_(sim),
@@ -123,7 +128,7 @@ void ProxyClientGen::MaybeSend(ConnId conn, CState& state) {
       ++issued_;
     }
     const uint32_t request_id = next_request_id_++;
-    stack_->ChargeApp(conn, config_.app_cycles_per_request);
+    stack_->ChargeApp(conn, kAppCyclesPerRequest);
     uint64_t trace_id = 0;
     uint32_t root_span = 0;
     if (CausalTracer* ct = sim_->context().causal_sink()) {

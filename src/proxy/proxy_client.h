@@ -51,7 +51,6 @@ struct ProxyClientConfig {
   // Must match the origin's body parameters for verification.
   uint32_t min_body_bytes = 64;
   uint32_t body_spread = 8 * 1024;
-  uint64_t app_cycles_per_request = 200;
   uint64_t rng_seed = 42;
   TimeNs connect_spread = Ms(1);
   TimeNs first_request_at = 0;  // Hold traffic until this absolute time.

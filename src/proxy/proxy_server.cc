@@ -7,6 +7,12 @@
 #include "src/util/logging.h"
 
 namespace tas {
+namespace {
+
+constexpr uint64_t kHitAppCycles = 350;   // Parse + lookup + response build.
+constexpr uint64_t kMissAppCycles = 800;  // Parse + lookup + origin dispatch + match.
+
+}  // namespace
 
 std::vector<SloSpec> ProxySloSpecs(double queued_threshold, double abort_threshold) {
   std::vector<SloSpec> slos;
@@ -257,7 +263,7 @@ void ProxyServer::HandleClientData(ConnId conn, Client& client) {
       // origin. Ride it instead of consulting the cache (which would count a
       // second cold miss) or issuing a duplicate fetch.
       ++coalesced_requests_;
-      stack_->ChargeApp(conn, config_.miss_app_cycles);
+      stack_->ChargeApp(conn, kMissAppCycles);
       if (tracer_ != nullptr) {
         tracer_->Record(sim_->Now(), conn, FlowEventType::kProxyRequest, req.object_id,
                         req.request_id, 0);
@@ -275,7 +281,7 @@ void ProxyServer::HandleClientData(ConnId conn, Client& client) {
                       req.request_id, hit ? 1 : 0);
     }
     if (hit) {
-      stack_->ChargeApp(conn, config_.hit_app_cycles);
+      stack_->ChargeApp(conn, kHitAppCycles);
       if (ct != nullptr) {
         // Zero-width at handler granularity: the charged lookup cycles defer
         // downstream events and surface in the proxy_send edge instead.
@@ -290,7 +296,7 @@ void ProxyServer::HandleClientData(ConnId conn, Client& client) {
           ProxyResponseHeader{kProxyStatusOk, req.request_id, body_len, req.trace_id});
       client.jobs.push_back(std::move(job));
     } else {
-      stack_->ChargeApp(conn, config_.miss_app_cycles);
+      stack_->ChargeApp(conn, kMissAppCycles);
       uint32_t fetch_span = 0;
       if (ct != nullptr) {
         fetch_span = ct->StartSpan(req.trace_id, job.span, CausalSpanKind::kOriginFetch,

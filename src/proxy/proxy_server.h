@@ -44,8 +44,6 @@ struct ProxyServerConfig {
   // bypass the cache; smaller bodies are copied through, cached, and served
   // from memory next time. 0 splices everything; SIZE_MAX splices nothing.
   uint32_t splice_min_body = 16 * 1024;
-  uint64_t hit_app_cycles = 350;   // Parse + lookup + response build.
-  uint64_t miss_app_cycles = 800;  // Parse + lookup + origin dispatch + match.
 };
 
 // Proxy-tier SLO specs for the watchdog (flight_recorder.h): kMetricValue

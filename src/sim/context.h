@@ -33,20 +33,20 @@ class ExperimentContext {
 
   // Turn a stream on. The first caller sizes it and gets true (the
   // recorder: itself); later callers get false (null).
-  bool EnableLatency(size_t ring_capacity) {
+  bool EnableLatency() {
     if (latency_sink_ != nullptr) {
       return false;
     }
-    latency_ = LatencyTracer(ring_capacity);
+    latency_ = LatencyTracer();
     latency_.set_recorder(recorder());
     latency_sink_ = &latency_;
     return true;
   }
-  bool EnableCausal(size_t trace_capacity, size_t exemplars_per_class) {
+  bool EnableCausal(size_t trace_capacity) {
     if (causal_sink_ != nullptr) {
       return false;
     }
-    causal_ = CausalTracer(trace_capacity, exemplars_per_class);
+    causal_ = CausalTracer(trace_capacity);
     causal_.set_recorder(recorder());
     causal_sink_ = &causal_;
     return true;

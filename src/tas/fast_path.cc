@@ -11,6 +11,12 @@
 namespace tas {
 namespace {
 
+// Workload proportionality (paper §3.4): a core that polled idle this long
+// blocks, and a blocked core pays the eventfd wake + reschedule cost before
+// its next batch.
+constexpr TimeNs kBlockTimeout = Ms(10);
+constexpr TimeNs kWakeLatency = Us(5);
+
 uint32_t NowUs(Simulator* sim) { return static_cast<uint32_t>(sim->Now() / kNsPerUs); }
 
 }  // namespace
@@ -46,7 +52,7 @@ void FastPathCore::MaybeRun() {
     // wake latency before the polling loop resumes (paper §3.4).
     blocked_ = false;
     busy_ = true;
-    service_->sim()->After(service_->config().wake_latency, [this] {
+    service_->sim()->After(kWakeLatency, [this] {
       busy_ = false;
       MaybeRun();
     });
@@ -106,7 +112,7 @@ void FastPathCore::RunOne() {
     idle_since_ = sim->Now();
     if (service_->config().dynamic_cores) {
       block_timer_.Cancel();
-      block_timer_ = sim->After(service_->config().block_timeout, [this] {
+      block_timer_ = sim->After(kBlockTimeout, [this] {
         if (!busy_ && !HasWork()) {
           blocked_ = true;
         }
@@ -367,8 +373,7 @@ void FastPathCore::SendAck(FlowId flow_id, Flow& flow, bool ecn_echo, TimeNs enq
     flags |= TcpFlags::kEce;
   }
   auto ack = service_->FlowSegment(fs, fs.seq, fs.ack, flags);
-  ack->tcp.window = static_cast<uint16_t>(
-      std::min<uint32_t>(flow.RxFree() >> service_->config().window_scale, 0xFFFF));
+  ack->tcp.window = flow.WindowField();
   ack->tcp.has_timestamps = true;
   ack->tcp.ts_val = NowUs(service_->sim());
   ack->tcp.ts_ecr = flow.ts_echo;
@@ -415,8 +420,7 @@ PacketPtr FastPathCore::BuildDataPacket(Flow& flow, uint32_t wire_seq, uint32_t 
   pkt->payload.resize(len);
   flow.CopyFromTx(wire_seq, pkt->payload.data(), len);
   pkt->ip.ecn = Ecn::kEct0;
-  pkt->tcp.window = static_cast<uint16_t>(
-      std::min<uint32_t>(flow.RxFree() >> service_->config().window_scale, 0xFFFF));
+  pkt->tcp.window = flow.WindowField();
   pkt->tcp.has_timestamps = true;
   pkt->tcp.ts_val = NowUs(service_->sim());
   pkt->tcp.ts_ecr = flow.ts_echo;

@@ -121,6 +121,12 @@ struct Flow {
   // buffer has been materialised.
   uint32_t RxUsed() const { return fs.rx_head - fs.rx_tail; }
   uint32_t RxFree() const { return fs.rx_size - RxUsed(); }
+  // Window field of an outgoing non-SYN segment: RxFree() scaled down by the
+  // window scale every TAS SYN / SYN-ACK advertises.
+  static constexpr uint8_t kWindowScale = 7;
+  uint16_t WindowField() const {
+    return static_cast<uint16_t>(std::min<uint32_t>(RxFree() >> kWindowScale, 0xFFFF));
+  }
   uint32_t TxQueued() const { return fs.tx_head - fs.tx_tail; }
   // Bytes written by the app but not yet sent.
   uint32_t TxAvailable() const { return fs.tx_head - (fs.tx_tail + fs.tx_sent); }

@@ -12,6 +12,9 @@
 namespace tas {
 namespace {
 
+// Seed of the stream flow ISNs are drawn from.
+constexpr uint64_t kRngSeed = 0x7A5;
+
 std::unique_ptr<RateCc> MakeRateCc(const TasConfig& config) {
   switch (config.cc_algorithm) {
     case CcAlgorithm::kDctcpRate:
@@ -26,7 +29,7 @@ std::unique_ptr<RateCc> MakeRateCc(const TasConfig& config) {
 }  // namespace
 
 TasService::TasService(Simulator* sim, HostPort* port, const TasConfig& config)
-    : sim_(sim), config_(config), rng_(config.rng_seed) {
+    : sim_(sim), config_(config), rng_(kRngSeed) {
   // Enables the experiment's latency and causal tracers if this host is the
   // first to ask for them (see TraceConfig).
   tracer_ = std::make_unique<Tracer>(sim, config.trace);
@@ -40,9 +43,9 @@ TasService::TasService(Simulator* sim, HostPort* port, const TasConfig& config)
   nic_config.num_queues = config.max_fastpath_cores;
   nic_ = std::make_unique<SimNic>(sim, port, nic_config);
 
-  slowpath_core_ = std::make_unique<Core>(sim, 1000, config.core_ghz);
+  slowpath_core_ = std::make_unique<Core>(sim, 1000, kCoreGhz);
   for (int i = 0; i < config.max_fastpath_cores; ++i) {
-    fastpath_cores_.push_back(std::make_unique<Core>(sim, i, config.core_ghz));
+    fastpath_cores_.push_back(std::make_unique<Core>(sim, i, kCoreGhz));
     fastpaths_.push_back(std::make_unique<FastPathCore>(this, fastpath_cores_.back().get(), i));
   }
   slow_path_ = std::make_unique<SlowPath>(this, slowpath_core_.get());
@@ -265,7 +268,6 @@ void TasService::RegisterTraceInstrumentation(FlightRecorder* recorder) {
 
   if (config_.trace.sample_period > 0) {
     TimeSeriesSampler& sampler = tracer_->sampler();
-    const size_t max_pts = config_.trace.series_max_points;
     // Per-core utilization over each sample window (fraction busy since the
     // previous sweep). The window state lives in the hook's closure.
     struct UtilWindow {
@@ -274,7 +276,7 @@ void TasService::RegisterTraceInstrumentation(FlightRecorder* recorder) {
     };
     auto win = std::make_shared<UtilWindow>();
     win->busy.resize(fastpath_cores_.size() + 1, 0);
-    sampler.AddSweepHook([this, win, max_pts](TimeNs now) {
+    sampler.AddSweepHook([this, win](TimeNs now) {
       TimeSeriesSampler& s = tracer_->sampler();
       const TimeNs window = now - win->last;
       const auto util = [window](TimeNs busy_delta) {
@@ -285,35 +287,35 @@ void TasService::RegisterTraceInstrumentation(FlightRecorder* recorder) {
       };
       for (size_t i = 0; i < fastpath_cores_.size(); ++i) {
         const TimeNs busy = fastpath_cores_[i]->busy_ns();
-        s.Series("tas.core." + std::to_string(i) + ".util", max_pts)
+        s.Series("tas.core." + std::to_string(i) + ".util")
             .Append(now, util(busy - win->busy[i]));
         win->busy[i] = busy;
       }
       const TimeNs sp_busy = slowpath_core_->busy_ns();
-      s.Series("tas.core.slow.util", max_pts).Append(now, util(sp_busy - win->busy.back()));
+      s.Series("tas.core.slow.util").Append(now, util(sp_busy - win->busy.back()));
       win->busy.back() = sp_busy;
       win->last = now;
     });
     // Flow-table probe percentiles + steering activity as sweep series: the
     // scale-out observability the §3.4 controller and the churn bench read.
-    sampler.AddSweepHook([this, max_pts](TimeNs now) {
+    sampler.AddSweepHook([this](TimeNs now) {
       TimeSeriesSampler& s = tracer_->sampler();
       const LogHistogram& h = flow_table_.probe_hist();
       if (h.count() > 0) {
-        s.Series("tas.flow_table.probe_p50", max_pts)
+        s.Series("tas.flow_table.probe_p50")
             .Append(now, static_cast<double>(h.ApproxPercentile(50)));
-        s.Series("tas.flow_table.probe_p99", max_pts)
+        s.Series("tas.flow_table.probe_p99")
             .Append(now, static_cast<double>(h.ApproxPercentile(99)));
       }
-      s.Series("tas.steer.migrations", max_pts)
+      s.Series("tas.steer.migrations")
           .Append(now, static_cast<double>(steering_->migrations()));
-      s.Series("tas.steer.group_moves", max_pts)
+      s.Series("tas.steer.group_moves")
           .Append(now, static_cast<double>(steering_->group_moves()));
     });
     if (tracer_->owns_latency()) {
       // Per-stage percentile series -> Perfetto counter tracks. Cumulative
       // percentiles (the histograms are never reset), sampled on the sweep.
-      sampler.AddSweepHook([this, max_pts](TimeNs now) {
+      sampler.AddSweepHook([this](TimeNs now) {
         TimeSeriesSampler& s = tracer_->sampler();
         const LatencyTracer& lat = tracer_->latency();
         for (int i = 0; i < kNumLatencyStages; ++i) {
@@ -323,21 +325,21 @@ void TasService::RegisterTraceInstrumentation(FlightRecorder* recorder) {
             continue;
           }
           const std::string p = std::string("latency.") + LatencyStageName(stage) + ".";
-          s.Series(p + "p50_us", max_pts)
+          s.Series(p + "p50_us")
               .Append(now, static_cast<double>(h.ApproxPercentile(50)) / 1000.0);
-          s.Series(p + "p99_us", max_pts)
+          s.Series(p + "p99_us")
               .Append(now, static_cast<double>(h.ApproxPercentile(99)) / 1000.0);
         }
         if (lat.e2e_hist().count() > 0) {
-          s.Series("latency.e2e.p50_us", max_pts)
+          s.Series("latency.e2e.p50_us")
               .Append(now, static_cast<double>(lat.e2e_hist().ApproxPercentile(50)) / 1000.0);
-          s.Series("latency.e2e.p99_us", max_pts)
+          s.Series("latency.e2e.p99_us")
               .Append(now, static_cast<double>(lat.e2e_hist().ApproxPercentile(99)) / 1000.0);
         }
       });
     }
     if (config_.trace.sample_flows) {
-      sampler.AddSweepHook([this, max_pts](TimeNs now) {
+      sampler.AddSweepHook([this](TimeNs now) {
         TimeSeriesSampler& s = tracer_->sampler();
         for (uint32_t i = 0; i < flows_.slot_count(); ++i) {
           if (!flows_.SlotLive(i)) {
@@ -349,17 +351,17 @@ void TasService::RegisterTraceInstrumentation(FlightRecorder* recorder) {
           }
           const std::string p = "flow." + std::to_string(i) + ".";
           if (f->cc_window > 0) {
-            s.Series(p + "cwnd_bytes", max_pts)
+            s.Series(p + "cwnd_bytes")
                 .Append(now, static_cast<double>(f->cc_window));
           } else {
-            s.Series(p + "rate_mbps", max_pts).Append(now, f->rate_bps / 1e6);
+            s.Series(p + "rate_mbps").Append(now, f->rate_bps / 1e6);
           }
-          s.Series(p + "inflight_bytes", max_pts)
+          s.Series(p + "inflight_bytes")
               .Append(now, static_cast<double>(f->fs.tx_sent));
-          s.Series(p + "rx_buf_used", max_pts).Append(now, static_cast<double>(f->RxUsed()));
-          s.Series(p + "tx_buf_used", max_pts)
+          s.Series(p + "rx_buf_used").Append(now, static_cast<double>(f->RxUsed()));
+          s.Series(p + "tx_buf_used")
               .Append(now, static_cast<double>(f->TxQueued()));
-          s.Series(p + "rtt_us", max_pts).Append(now, static_cast<double>(f->fs.rtt_est));
+          s.Series(p + "rtt_us").Append(now, static_cast<double>(f->fs.rtt_est));
         }
       });
     }

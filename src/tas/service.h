@@ -37,14 +37,9 @@ enum class OooMode {
 
 struct TasConfig {
   int max_fastpath_cores = 4;
-  double core_ghz = 2.1;
   // Workload proportionality (paper §3.4). When false, all cores stay active.
   bool dynamic_cores = false;
   TimeNs monitor_interval = Ms(1);
-  double idle_remove_threshold = 1.25;  // Aggregate idle cores to drop one.
-  double idle_add_threshold = 0.2;      // Aggregate idle cores to add one.
-  TimeNs block_timeout = Ms(10);        // Poll idle time before blocking.
-  TimeNs wake_latency = Us(5);          // eventfd wake + reschedule cost.
   // Load-aware flow-group migration (§3.4 at million-flow scale): each
   // monitor interval the controller may move the hottest RSS flow group from
   // the busiest active core to the least busy one, when the interval packet
@@ -59,21 +54,13 @@ struct TasConfig {
   CcAlgorithm cc_algorithm = CcAlgorithm::kDctcpRate;
   DctcpRateConfig dctcp;
   TimeNs control_interval = Us(50);     // tau; paper default 2 RTTs.
-  int rto_stall_intervals = 2;          // Intervals without progress -> rexmit.
-  // Floor on the data-path retransmission timeout (RFC 6298 clamps RTO from
-  // below; datacenter stacks use low-millisecond floors). Guards flows whose
-  // RTT estimate is missing or stale-low against spurious resets when
-  // queueing or batched delivery delays an ACK past a few control intervals.
-  TimeNs min_rto = Ms(1);
 
   // Connection parameters.
   uint16_t mss = 1448;
-  uint8_t window_scale = 7;
   uint32_t rx_buffer_bytes = 64 * 1024;
   uint32_t tx_buffer_bytes = 64 * 1024;
   TimeNs handshake_rto = Ms(20);  // SYN/FIN retransmission (doubles per retry).
   int max_handshake_retries = 8;
-  TimeNs time_wait = Ms(1);
   OooMode ooo_mode = OooMode::kSingleInterval;
 
   // Fast-path batching (paper §3.1: DPDK-style bursts). Each RunOne()
@@ -98,8 +85,6 @@ struct TasConfig {
   // runs an SloWatchdog on the monitor cadence; a sustained breach serializes
   // a diagnostic bundle. Off by default — and costs nothing off.
   WatchdogConfig watchdog;
-
-  uint64_t rng_seed = 0x7A5;
 };
 
 struct TasStats {

@@ -21,6 +21,22 @@ constexpr uint64_t kCcIterationCycles = 120;
 // slow-path core's Charge track so iteration boundaries stay visible).
 constexpr int kControlLoopTrack = 1001;
 
+// Retransmission timeout (paper §3.2): control intervals without ACK
+// progress before the fast path is told to go back, and a floor on that wait
+// (RFC 6298 clamps RTO from below; datacenter stacks use low-millisecond
+// floors). The floor guards flows whose RTT estimate is missing or
+// stale-low against spurious resets when queueing or batched delivery
+// delays an ACK past a few control intervals.
+constexpr int kRtoStallIntervals = 2;
+constexpr TimeNs kMinRto = Ms(1);
+
+constexpr TimeNs kTimeWait = Ms(1);
+
+// Workload proportionality (paper §3.4): aggregate idle fast-path cores
+// above which one is removed, and below which one is added.
+constexpr double kIdleRemoveThreshold = 1.25;
+constexpr double kIdleAddThreshold = 0.2;
+
 uint32_t NowUs(Simulator* sim) { return static_cast<uint32_t>(sim->Now() / kNsPerUs); }
 
 }  // namespace
@@ -371,7 +387,7 @@ void SlowPath::SendSyn(Flow& flow) {
   syn->tcp.has_mss = true;
   syn->tcp.mss = flow.mss;
   syn->tcp.has_wscale = true;
-  syn->tcp.wscale = service_->config().window_scale;
+  syn->tcp.wscale = Flow::kWindowScale;
   // Copy out first: fs is packed, and std::min would bind a reference to the
   // misaligned field.
   const uint32_t rx_size = flow.fs.rx_size;
@@ -389,7 +405,7 @@ void SlowPath::SendSynAck(Flow& flow) {
   synack->tcp.has_mss = true;
   synack->tcp.mss = flow.mss;
   synack->tcp.has_wscale = true;
-  synack->tcp.wscale = service_->config().window_scale;
+  synack->tcp.wscale = Flow::kWindowScale;
   const uint32_t rx_size = flow.fs.rx_size;  // Packed field; see SendSyn.
   synack->tcp.window = static_cast<uint16_t>(std::min<uint32_t>(rx_size, 0xFFFF));
   synack->tcp.has_timestamps = true;
@@ -403,8 +419,7 @@ void SlowPath::SendSynAck(Flow& flow) {
 void SlowPath::SendFin(Flow& flow) {
   auto fin =
       service_->FlowSegment(flow.fs, flow.fs.seq, flow.fs.ack, TcpFlags::kFin | TcpFlags::kAck);
-  fin->tcp.window = static_cast<uint16_t>(
-      std::min<uint32_t>(flow.RxFree() >> service_->config().window_scale, 0xFFFF));
+  fin->tcp.window = flow.WindowField();
   fin->tcp.has_timestamps = true;
   fin->tcp.ts_val = NowUs(service_->sim());
   fin->tcp.ts_ecr = flow.ts_echo;
@@ -416,8 +431,7 @@ void SlowPath::SendFin(Flow& flow) {
 void SlowPath::SendControlAck(Flow& flow) {
   auto ack = service_->FlowSegment(flow.fs, flow.fs.seq + (flow.cold().fin_sent ? 1 : 0),
                                    flow.fs.ack, TcpFlags::kAck);
-  ack->tcp.window = static_cast<uint16_t>(
-      std::min<uint32_t>(flow.RxFree() >> service_->config().window_scale, 0xFFFF));
+  ack->tcp.window = flow.WindowField();
   ack->tcp.has_timestamps = true;
   ack->tcp.ts_val = NowUs(service_->sim());
   ack->tcp.ts_ecr = flow.ts_echo;
@@ -541,8 +555,7 @@ void SlowPath::RunCongestionControl(FlowId flow_id, Flow& flow) {
       (flow.fs.rtt_est > 0 || flow.fs.seq == flow.cold().last_seq_sampled)) {
     const TimeNs rtt = static_cast<TimeNs>(flow.fs.rtt_est) * kNsPerUs;
     const TimeNs stall_ns =
-        std::max(service_->config().min_rto,
-                 static_cast<TimeNs>(service_->config().rto_stall_intervals) * interval);
+        std::max(kMinRto, static_cast<TimeNs>(kRtoStallIntervals) * interval);
     const int required = std::max<int>(
         static_cast<int>(stall_ns / std::max<TimeNs>(interval, 1)),
         static_cast<int>(4 * rtt / std::max<TimeNs>(interval, 1)) + 1);
@@ -562,7 +575,7 @@ void SlowPath::RunCongestionControl(FlowId flow_id, Flow& flow) {
     flow.fs.tx_sent = 0;
     service_->flow_trace().Record(service_->sim()->Now(), flow_id,
                                   FlowEventType::kTimeoutRetransmit, flow.fs.tx_tail,
-                                  static_cast<uint64_t>(service_->config().rto_stall_intervals));
+                                  static_cast<uint64_t>(kRtoStallIntervals));
     service_->ScheduleFlowTx(flow_id, 0);
   }
 
@@ -664,7 +677,7 @@ void SlowPath::ScanPending() {
       case ConnState::kFinWait2:
         break;  // Waiting for the peer's FIN; no retransmission needed.
       case ConnState::kTimeWait: {
-        if (now - flow.cold().timewait_start >= config.time_wait) {
+        if (now - flow.cold().timewait_start >= kTimeWait) {
           ReleaseFlow(id, flow);
           still_pending = false;
         }
@@ -709,11 +722,10 @@ void SlowPath::MonitorCores() {
     busy_snapshot_[i] = service_->fastpath_cpu(i)->busy_ns();
   }
 
-  if (service_->config().dynamic_cores && idle_total > service_->config().idle_remove_threshold &&
-      active > 1) {
+  if (service_->config().dynamic_cores && idle_total > kIdleRemoveThreshold && active > 1) {
     service_->SetActiveCores(active - 1);
-  } else if (service_->config().dynamic_cores &&
-             idle_total < service_->config().idle_add_threshold && active < max_cores) {
+  } else if (service_->config().dynamic_cores && idle_total < kIdleAddThreshold &&
+             active < max_cores) {
     service_->SetActiveCores(active + 1);
   } else if (service_->config().group_migration && active > 1) {
     // Stable core count this interval: spend it on load balancing instead.

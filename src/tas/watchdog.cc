@@ -45,8 +45,7 @@ void SloWatchdog::Start() {
   task_->Start();
 }
 
-double SloWatchdog::Measure(SloState& state, TimeNs now, TimeNs window_ns,
-                            uint64_t* count) {
+double SloWatchdog::Measure(SloState& state, TimeNs window_ns, uint64_t* count) {
   *count = 0;
   switch (state.spec.kind) {
     case SloKind::kE2eLatencyP99: {
@@ -122,7 +121,7 @@ void SloWatchdog::Check() {
   const WatchdogConfig& config = recorder_->config();
   for (SloState& state : states_) {
     uint64_t count = 0;
-    const double measured = Measure(state, now, window_ns, &count);
+    const double measured = Measure(state, window_ns, &count);
     const bool breached = count >= state.spec.min_count && measured > state.spec.threshold;
     recorder_->RecordSlo(now, state.spec.kind, measured, breached);
     if (!breached) {

@@ -71,7 +71,7 @@ class SloWatchdog {
   // Measures one spec over the window since its last check. Returns the
   // value compared against the threshold; *count is the evaluation-floor
   // quantity (samples / busy ns) checked against SloSpec::min_count.
-  double Measure(SloState& state, TimeNs now, TimeNs window_ns, uint64_t* count);
+  double Measure(SloState& state, TimeNs window_ns, uint64_t* count);
 
   TasService* service_;
   FlightRecorder* recorder_;

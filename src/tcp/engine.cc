@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/cc/dctcp_window.h"
 #include "src/cc/newreno.h"
 #include "src/sim/context.h"
 #include "src/tcp/seq.h"
@@ -10,12 +11,22 @@
 namespace tas {
 namespace {
 
-std::unique_ptr<WindowCc> MakeWindowCc(CcAlgorithm algorithm, const WindowCcConfig& config) {
+// Window scale we advertise in SYN / SYN-ACK and apply to our window field.
+constexpr uint8_t kWindowScale = 7;
+constexpr TimeNs kTimeWait = Ms(5);
+// Delayed ACKs (RFC 1122): pure ACKs wait up to this long (or two MSS of
+// unacked data) hoping to piggyback on reverse data. Dupacks, ECN echoes and
+// FIN handling always ACK immediately.
+constexpr TimeNs kDelayedAck = Us(100);
+constexpr int kMaxSynRetries = 5;
+constexpr int kMaxDataRetries = 15;
+
+std::unique_ptr<WindowCc> MakeWindowCc(CcAlgorithm algorithm) {
   switch (algorithm) {
     case CcAlgorithm::kDctcpWindow:
-      return std::make_unique<DctcpWindowCc>(config);
+      return std::make_unique<DctcpWindowCc>();
     case CcAlgorithm::kNewReno:
-      return std::make_unique<NewRenoCc>(config);
+      return std::make_unique<NewRenoCc>();
     default:
       TAS_LOG(FATAL) << "TcpConnection requires a window-based CC algorithm";
       return nullptr;
@@ -73,7 +84,7 @@ TcpConnection::TcpConnection(Simulator* sim, TcpEngineHost* host, const TcpConfi
           SendPureAck(false);
         }
       }) {
-  cc_ = MakeWindowCc(config.cc, config.window_cc);
+  cc_ = MakeWindowCc(config.cc);
 }
 
 TcpConnection::~TcpConnection() {
@@ -102,7 +113,7 @@ uint32_t TcpConnection::CurrentAckField() const {
 uint64_t TcpConnection::AdvertisedWindowBytes() const { return rx_ring_.free_space(); }
 
 uint16_t TcpConnection::AdvertisedWindowField() const {
-  const uint64_t window = AdvertisedWindowBytes() >> config_.window_scale;
+  const uint64_t window = AdvertisedWindowBytes() >> kWindowScale;
   return static_cast<uint16_t>(std::min<uint64_t>(window, 0xFFFF));
 }
 
@@ -115,32 +126,42 @@ PacketPtr TcpConnection::BuildPacket(uint8_t flags, uint64_t seq_data_offset,
     pkt->tcp.ack = CurrentAckField();
   }
   pkt->tcp.window = AdvertisedWindowField();
-  if (config_.use_timestamps) {
-    pkt->tcp.has_timestamps = true;
-    pkt->tcp.ts_val = TsNow(sim_);
-    pkt->tcp.ts_ecr = ts_echo_;
-  }
+  pkt->tcp.has_timestamps = true;
+  pkt->tcp.ts_val = TsNow(sim_);
+  pkt->tcp.ts_ecr = ts_echo_;
   pkt->enqueued_at = sim_->Now();
   return pkt;
+}
+
+void TcpConnection::SendSyn(bool retransmit) {
+  const bool synack = state_ == State::kSynRcvd;
+  auto syn = MakeTcpPacket(sim_->context().pool(), local_ip_, local_port_, remote_ip_,
+                           remote_port_, iss_, synack ? irs_ + 1 : 0,
+                           synack ? TcpFlags::kSyn | TcpFlags::kAck : TcpFlags::kSyn);
+  syn->tcp.has_mss = true;
+  syn->tcp.mss = static_cast<uint16_t>(config_.mss);
+  syn->tcp.has_wscale = true;
+  syn->tcp.wscale = kWindowScale;
+  if (!retransmit) {
+    // SYN windows are unscaled. A retransmission leaves the field 0, which
+    // the peer takes as a closed window until our next segment (see
+    // ROADMAP: setting it moves Fig 13's Linux medians).
+    syn->tcp.window = static_cast<uint16_t>(std::min<uint64_t>(AdvertisedWindowBytes(), 0xFFFF));
+  }
+  syn->tcp.has_timestamps = true;
+  syn->tcp.ts_val = TsNow(sim_);
+  if (synack) {
+    syn->tcp.ts_ecr = ts_echo_;
+  }
+  syn->enqueued_at = sim_->Now();
+  host_->EmitPacket(this, std::move(syn));
+  ArmRtoTimer();
 }
 
 void TcpConnection::Connect() {
   TAS_CHECK(state_ == State::kClosed);
   state_ = State::kSynSent;
-  auto syn = MakeTcpPacket(sim_->context().pool(), local_ip_, local_port_, remote_ip_,
-                           remote_port_, iss_, 0, TcpFlags::kSyn);
-  syn->tcp.has_mss = true;
-  syn->tcp.mss = static_cast<uint16_t>(config_.mss);
-  syn->tcp.has_wscale = true;
-  syn->tcp.wscale = config_.window_scale;
-  syn->tcp.window = static_cast<uint16_t>(std::min<uint64_t>(AdvertisedWindowBytes(), 0xFFFF));
-  if (config_.use_timestamps) {
-    syn->tcp.has_timestamps = true;
-    syn->tcp.ts_val = TsNow(sim_);
-  }
-  syn->enqueued_at = sim_->Now();
-  host_->EmitPacket(this, std::move(syn));
-  ArmRtoTimer();
+  SendSyn(/*retransmit=*/false);
 }
 
 void TcpConnection::AcceptSyn(const Packet& syn) {
@@ -156,22 +177,7 @@ void TcpConnection::AcceptSyn(const Packet& syn) {
     ts_echo_ = syn.tcp.ts_val;
   }
   state_ = State::kSynRcvd;
-
-  auto synack = MakeTcpPacket(sim_->context().pool(), local_ip_, local_port_, remote_ip_,
-                              remote_port_, iss_, irs_ + 1, TcpFlags::kSyn | TcpFlags::kAck);
-  synack->tcp.has_mss = true;
-  synack->tcp.mss = static_cast<uint16_t>(config_.mss);
-  synack->tcp.has_wscale = true;
-  synack->tcp.wscale = config_.window_scale;
-  synack->tcp.window = static_cast<uint16_t>(std::min<uint64_t>(AdvertisedWindowBytes(), 0xFFFF));
-  if (config_.use_timestamps) {
-    synack->tcp.has_timestamps = true;
-    synack->tcp.ts_val = TsNow(sim_);
-    synack->tcp.ts_ecr = ts_echo_;
-  }
-  synack->enqueued_at = sim_->Now();
-  host_->EmitPacket(this, std::move(synack));
-  ArmRtoTimer();
+  SendSyn(/*retransmit=*/false);
 }
 
 void TcpConnection::Close() {
@@ -346,8 +352,7 @@ void TcpConnection::HandlePacket(const Packet& pkt) {
     // acknowledgement, and every-2-MSS acks go out immediately; otherwise
     // delay briefly hoping to piggyback on a response segment.
     const bool must_ack_now = pending_dupack_sack_ || this_packet_ce_ ||
-                              pkt.tcp.fin() || config_.delayed_ack == 0 ||
-                              unacked_rx_bytes_ >= 2 * config_.mss;
+                              pkt.tcp.fin() || unacked_rx_bytes_ >= 2 * config_.mss;
     if (must_ack_now) {
       SendPureAck(pending_dupack_sack_);
     } else {
@@ -377,7 +382,7 @@ void TcpConnection::ProcessAck(const Packet& pkt) {
   }
 
   // Sender-side SACK scoreboard.
-  if (config_.use_sack && pkt.tcp.num_sack > 0) {
+  if (pkt.tcp.num_sack > 0) {
     for (uint8_t i = 0; i < pkt.tcp.num_sack; ++i) {
       const uint64_t start = UnwrapSeq(iss_ + 1, pkt.tcp.sack[i].start, snd_una_data_);
       const uint64_t end = UnwrapSeq(iss_ + 1, pkt.tcp.sack[i].end, snd_una_data_);
@@ -395,7 +400,7 @@ void TcpConnection::ProcessAck(const Packet& pkt) {
     retries_ = 0;
     rtt_.ResetBackoff();
 
-    if (config_.use_timestamps && pkt.tcp.has_timestamps && pkt.tcp.ts_ecr != 0) {
+    if (pkt.tcp.has_timestamps && pkt.tcp.ts_ecr != 0) {
       const TimeNs sample =
           (static_cast<TimeNs>(TsNow(sim_) - pkt.tcp.ts_ecr)) * kNsPerUs;
       if (sample >= 0 && sample < Sec(10)) {
@@ -403,7 +408,7 @@ void TcpConnection::ProcessAck(const Packet& pkt) {
       }
     }
     cc_->OnAck(freed, pkt.tcp.ece(), rtt_.srtt());
-    if (pkt.tcp.ece() && config_.ecn_enabled) {
+    if (pkt.tcp.ece()) {
       send_cwr_ = true;
     }
     if (in_recovery_ && snd_una_data_ >= recovery_point_) {
@@ -496,10 +501,6 @@ void TcpConnection::ProcessData(const Packet& pkt, uint64_t payload_data_offset)
     TAS_CHECK(rx_ring_.WriteAt(start, data, clipped_len));
     const auto result = reassembly_.Insert(rcv_nxt_data_, start, clipped_len);
     rcv_nxt_data_ += result.advanced;
-    const uint64_t merged = single_interval_.empty()
-                                ? rcv_nxt_data_
-                                : single_interval_.MergeAt(rcv_nxt_data_);
-    rcv_nxt_data_ = merged;
     rx_ring_.AdvanceHead(rcv_nxt_data_);
     const size_t newly = static_cast<size_t>(rcv_nxt_data_ - rx_ring_.tail()) - deliverable_;
     deliverable_ += newly;
@@ -507,18 +508,10 @@ void TcpConnection::ProcessData(const Packet& pkt, uint64_t payload_data_offset)
       host_->OnDataAvailable(this, newly);
     }
   } else {
-    // Out of order.
-    if (config_.use_sack) {
-      TAS_CHECK(rx_ring_.WriteAt(start, data, clipped_len));
-      reassembly_.Insert(rcv_nxt_data_, start, clipped_len);
-      pending_dupack_sack_ = true;
-    } else {
-      if (single_interval_.Add(start, clipped_len, rcv_nxt_data_,
-                               window_end - rcv_nxt_data_)) {
-        TAS_CHECK(rx_ring_.WriteAt(start, data, clipped_len));
-      }
-      // Either way, duplicate-ACK to trigger fast retransmit at the sender.
-    }
+    // Out of order: keep it and answer with a SACK-carrying dupack.
+    TAS_CHECK(rx_ring_.WriteAt(start, data, clipped_len));
+    reassembly_.Insert(rcv_nxt_data_, start, clipped_len);
+    pending_dupack_sack_ = true;
   }
 }
 
@@ -553,11 +546,11 @@ void TcpConnection::RetransmitHole() {
 void TcpConnection::SendSegment(uint64_t data_offset, uint64_t len, bool is_retransmit) {
   TAS_CHECK(len > 0);
   uint8_t flags = TcpFlags::kAck | TcpFlags::kPsh;
-  if (send_cwr_ && config_.ecn_enabled) {
+  if (send_cwr_) {
     flags |= TcpFlags::kCwr;
     send_cwr_ = false;
   }
-  if (this_packet_ce_ && config_.ecn_enabled && pending_ack_) {
+  if (this_packet_ce_ && pending_ack_) {
     flags |= TcpFlags::kEce;  // ACK piggybacked on data echoes the CE mark.
   }
   // Fill the payload in place: the pooled packet's buffer retains capacity,
@@ -566,9 +559,7 @@ void TcpConnection::SendSegment(uint64_t data_offset, uint64_t len, bool is_retr
   pkt->payload.resize(len);
   const size_t got = tx_ring_.Peek(data_offset, pkt->payload.data(), len);
   TAS_CHECK(got == len) << "tx ring underrun at offset " << data_offset;
-  if (config_.ecn_enabled) {
-    pkt->ip.ecn = Ecn::kEct0;
-  }
+  pkt->ip.ecn = Ecn::kEct0;
   delayed_ack_timer_.Cancel();  // The segment carries the current ACK.
   unacked_rx_bytes_ = 0;
   host_->EmitPacket(this, std::move(pkt));
@@ -584,18 +575,18 @@ void TcpConnection::ArmDelayedAck() {
   if (delayed_ack_timer_.armed()) {
     return;
   }
-  delayed_ack_timer_.Schedule(sim_->Now() + config_.delayed_ack);
+  delayed_ack_timer_.Schedule(sim_->Now() + kDelayedAck);
 }
 
 void TcpConnection::SendPureAck(bool dupack_with_sack) {
   delayed_ack_timer_.Cancel();
   unacked_rx_bytes_ = 0;
   uint8_t flags = TcpFlags::kAck;
-  if (this_packet_ce_ && config_.ecn_enabled) {
+  if (this_packet_ce_) {
     flags |= TcpFlags::kEce;  // Per-packet DCTCP-style echo.
   }
   auto pkt = BuildPacket(flags, snd_nxt_data_, {});
-  if (dupack_with_sack && config_.use_sack) {
+  if (dupack_with_sack) {
     const auto blocks = reassembly_.SackBlocks(3);
     pkt->tcp.num_sack = static_cast<uint8_t>(blocks.size());
     for (size_t i = 0; i < blocks.size(); ++i) {
@@ -662,56 +653,25 @@ void TcpConnection::CancelRtoTimer() { rto_timer_.Cancel(); }
 void TcpConnection::OnRtoExpired() {
   ++retries_;
   switch (state_) {
-    case State::kSynSent: {
-      if (retries_ > config_.max_syn_retries) {
-        state_ = State::kClosed;
-        host_->OnConnectFailed(this);
+    case State::kSynSent:
+    case State::kSynRcvd:
+      if (retries_ > kMaxSynRetries) {
+        if (state_ == State::kSynSent) {
+          state_ = State::kClosed;
+          host_->OnConnectFailed(this);
+        } else {
+          FinalizeClose();
+        }
         return;
       }
       rtt_.Backoff();
-      auto syn = MakeTcpPacket(sim_->context().pool(), local_ip_, local_port_, remote_ip_,
-                               remote_port_, iss_, 0, TcpFlags::kSyn);
-      syn->tcp.has_mss = true;
-      syn->tcp.mss = static_cast<uint16_t>(config_.mss);
-      syn->tcp.has_wscale = true;
-      syn->tcp.wscale = config_.window_scale;
-      if (config_.use_timestamps) {
-        syn->tcp.has_timestamps = true;
-        syn->tcp.ts_val = TsNow(sim_);
-      }
-      syn->enqueued_at = sim_->Now();
-      host_->EmitPacket(this, std::move(syn));
-      ArmRtoTimer();
+      SendSyn(/*retransmit=*/true);
       return;
-    }
-    case State::kSynRcvd: {
-      if (retries_ > config_.max_syn_retries) {
-        FinalizeClose();
-        return;
-      }
-      rtt_.Backoff();
-      auto synack = MakeTcpPacket(sim_->context().pool(), local_ip_, local_port_, remote_ip_,
-                                  remote_port_, iss_, irs_ + 1,
-                                  TcpFlags::kSyn | TcpFlags::kAck);
-      synack->tcp.has_mss = true;
-      synack->tcp.mss = static_cast<uint16_t>(config_.mss);
-      synack->tcp.has_wscale = true;
-      synack->tcp.wscale = config_.window_scale;
-      if (config_.use_timestamps) {
-        synack->tcp.has_timestamps = true;
-        synack->tcp.ts_val = TsNow(sim_);
-        synack->tcp.ts_ecr = ts_echo_;
-      }
-      synack->enqueued_at = sim_->Now();
-      host_->EmitPacket(this, std::move(synack));
-      ArmRtoTimer();
-      return;
-    }
     default:
       break;
   }
 
-  if (retries_ > config_.max_data_retries) {
+  if (retries_ > kMaxDataRetries) {
     Abort();
     return;
   }
@@ -736,7 +696,7 @@ void TcpConnection::OnRtoExpired() {
 
 void TcpConnection::EnterTimeWait() {
   CancelRtoTimer();
-  time_wait_timer_.Schedule(sim_->Now() + config_.time_wait);
+  time_wait_timer_.Schedule(sim_->Now() + kTimeWait);
 }
 
 void TcpConnection::FinalizeClose() {

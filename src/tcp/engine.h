@@ -19,7 +19,6 @@
 #include <memory>
 
 #include "src/cc/cc.h"
-#include "src/cc/dctcp_window.h"
 #include "src/net/packet.h"
 #include "src/sim/simulator.h"
 #include "src/tcp/reassembly.h"
@@ -55,20 +54,7 @@ struct TcpConfig {
   uint64_t mss = 1448;
   size_t tx_buffer_bytes = 128 * 1024;
   size_t rx_buffer_bytes = 128 * 1024;
-  uint8_t window_scale = 7;
-  bool use_sack = true;        // Full reassembly + SACK (Linux-class).
-  bool ecn_enabled = true;     // ECT(0) on data, ECE echo.
-  bool use_timestamps = true;
   CcAlgorithm cc = CcAlgorithm::kDctcpWindow;
-  WindowCcConfig window_cc;
-  TimeNs min_rto = Ms(1);      // Datacenter-tuned.
-  TimeNs time_wait = Ms(5);
-  // Delayed ACKs (RFC 1122): pure ACKs wait up to this long (or two MSS of
-  // unacked data) hoping to piggyback on reverse data. Dupacks, ECN echoes
-  // and FIN handling always ACK immediately. 0 = ack every packet.
-  TimeNs delayed_ack = Us(100);
-  int max_syn_retries = 5;
-  int max_data_retries = 15;
 };
 
 class TcpConnection {
@@ -140,6 +126,9 @@ class TcpConnection {
   uint64_t AdvertisedWindowBytes() const;
 
   PacketPtr BuildPacket(uint8_t flags, uint64_t seq_data_offset, std::vector<uint8_t> payload);
+  // Emits our SYN (SYN_SENT) or SYN-ACK (SYN_RCVD) and arms the RTO. First
+  // transmissions and retransmissions carry the same options.
+  void SendSyn(bool retransmit);
   void SendSegment(uint64_t data_offset, uint64_t len, bool is_retransmit);
   void SendPureAck(bool dupack_with_sack);
   void ArmDelayedAck();
@@ -188,8 +177,7 @@ class TcpConnection {
   ByteRing rx_ring_;
   uint64_t rcv_nxt_data_ = 0;
   size_t deliverable_ = 0;          // In-order bytes not yet Recv()'d.
-  ReassemblyBuffer reassembly_;     // Out-of-order bookkeeping (SACK mode).
-  SingleIntervalTracker single_interval_;  // Used when use_sack == false.
+  ReassemblyBuffer reassembly_;     // Out-of-order bookkeeping for SACK.
   bool rcv_fin_seen_ = false;
   uint64_t rcv_fin_offset_ = 0;
   bool pending_ack_ = false;        // Data arrived; ACK owed this event.

@@ -108,43 +108,4 @@ void ReassemblyBuffer::Clear() {
   recency_.clear();
 }
 
-bool SingleIntervalTracker::Add(uint64_t offset, uint64_t len, uint64_t next,
-                                uint64_t window) {
-  if (len == 0 || offset <= next) {
-    return false;
-  }
-  if (offset + len > next + window) {
-    return false;  // Beyond the receive buffer.
-  }
-  if (len_ == 0) {
-    start_ = offset;
-    len_ = len;
-    return true;
-  }
-  // Same-interval rule: accept only if it overlaps or abuts [start, start+len).
-  const uint64_t cur_end = start_ + len_;
-  if (offset > cur_end || offset + len < start_) {
-    return false;
-  }
-  const uint64_t new_start = std::min(start_, offset);
-  const uint64_t new_end = std::max(cur_end, offset + len);
-  start_ = new_start;
-  len_ = new_end - new_start;
-  return true;
-}
-
-uint64_t SingleIntervalTracker::MergeAt(uint64_t next) {
-  if (len_ == 0 || start_ > next) {
-    return next;
-  }
-  const uint64_t end = start_ + len_;
-  Reset();
-  return std::max(next, end);
-}
-
-void SingleIntervalTracker::Reset() {
-  start_ = 0;
-  len_ = 0;
-}
-
 }  // namespace tas

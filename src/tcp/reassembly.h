@@ -1,15 +1,10 @@
-// Out-of-order segment tracking, in unwrapped stream-offset space.
+// Out-of-order segment tracking, in unwrapped stream-offset space: full
+// multi-interval reassembly with SACK block generation, as a Linux-class
+// stack keeps (paper §5.2: "Linux keeps all received out-of-order segments
+// and also issues selective acknowledgements"). The TAS fast path's
+// single-interval variant (paper §3.1) lives in FastPathCore::HandlePayload.
 //
-// Two policies, matching DESIGN.md's ablation:
-//  * ReassemblyBuffer  — full multi-interval reassembly with SACK block
-//    generation, as a Linux-class stack keeps (paper §5.2: "Linux keeps all
-//    received out-of-order segments and also issues selective
-//    acknowledgements").
-//  * SingleIntervalTracker — the TAS fast path's minimal variant (paper
-//    §3.1, Exceptions): track exactly one out-of-order interval, accept only
-//    segments that extend it, drop everything else.
-//
-// Both classes track *bookkeeping only*; payload bytes are placed into the
+// The buffer tracks *bookkeeping only*; payload bytes are placed into the
 // flow's receive ByteRing by the caller (ByteRing::WriteAt).
 #ifndef SRC_TCP_REASSEMBLY_H_
 #define SRC_TCP_REASSEMBLY_H_
@@ -55,30 +50,6 @@ class ReassemblyBuffer {
 
   void TouchRecency(uint64_t start);
   void DropRecency(uint64_t start);
-};
-
-class SingleIntervalTracker {
- public:
-  // Attempts to record out-of-order segment [offset, offset+len), where
-  // offset > next (strictly out of order) and the segment ends within
-  // next + window. Accepted iff no interval is tracked yet, or the segment
-  // overlaps/abuts the tracked interval (same-interval rule). Returns true
-  // if accepted (payload should be placed into the RX ring).
-  bool Add(uint64_t offset, uint64_t len, uint64_t next, uint64_t window);
-
-  // Called after in-order data advanced the expected offset to `next`. If
-  // the tracked interval is now reachable, returns the new expected offset
-  // (>= next) and resets; otherwise returns `next` unchanged.
-  uint64_t MergeAt(uint64_t next);
-
-  bool empty() const { return len_ == 0; }
-  uint64_t start() const { return start_; }
-  uint64_t length() const { return len_; }
-  void Reset();
-
- private:
-  uint64_t start_ = 0;
-  uint64_t len_ = 0;  // 0 = no interval tracked (ooo_start|len of Table 3).
 };
 
 }  // namespace tas

@@ -157,8 +157,7 @@ bool ExtractCriticalPath(TimeNs start, TimeNs end, const std::vector<CausalMark>
   return true;
 }
 
-CausalTracer::CausalTracer(size_t trace_capacity, size_t exemplars_per_class)
-    : exemplars_per_class_(exemplars_per_class), ring_(trace_capacity) {}
+CausalTracer::CausalTracer(size_t trace_capacity) : ring_(trace_capacity) {}
 
 uint64_t CausalTracer::BeginTrace(TimeNs start) {
   // A full ring overwrites the oldest trace; if that one was still in
@@ -298,12 +297,9 @@ void CausalTracer::Finish(uint64_t trace, TimeNs end) {
 }
 
 void CausalTracer::MaybeRetainExemplar(uint64_t id, const TraceRec& rec, TimeNs end) {
-  if (exemplars_per_class_ == 0) {
-    return;
-  }
   std::vector<TraceExemplar>& pool = exemplars_[static_cast<size_t>(rec.cls)];
   const TimeNs e2e = end - rec.start;
-  if (pool.size() >= exemplars_per_class_ && e2e <= pool.back().end - pool.back().start) {
+  if (pool.size() >= kExemplarsPerClass && e2e <= pool.back().end - pool.back().start) {
     return;
   }
   TraceExemplar ex;
@@ -320,7 +316,7 @@ void CausalTracer::MaybeRetainExemplar(uint64_t id, const TraceRec& rec, TimeNs 
     ++it;
   }
   pool.insert(it, std::move(ex));
-  if (pool.size() > exemplars_per_class_) {
+  if (pool.size() > kExemplarsPerClass) {
     pool.pop_back();
   }
 }
@@ -336,7 +332,7 @@ void CausalTracer::Clear() {
   // Keeps the ring's storage (if any) for the next run's traces.
   RecordRing<TraceRec> ring = std::move(ring_);
   ring.Clear();
-  *this = CausalTracer(ring.capacity(), exemplars_per_class_);
+  *this = CausalTracer(ring.capacity());
   ring_ = std::move(ring);
 }
 

@@ -204,7 +204,10 @@ std::vector<ReportRegression> CompareCriticalPathReports(const CriticalPathRepor
 
 class CausalTracer {
  public:
-  explicit CausalTracer(size_t trace_capacity = 1u << 13, size_t exemplars_per_class = 3);
+  // Slowest trace trees kept per request class.
+  static constexpr size_t kExemplarsPerClass = 3;
+
+  explicit CausalTracer(size_t trace_capacity = 1u << 13);
 
   // Every finished trace is also handed to `recorder` (null: none).
   void set_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
@@ -296,7 +299,6 @@ class CausalTracer {
   void MaybeRetainExemplar(uint64_t id, const TraceRec& rec, TimeNs end);
 
   FlightRecorder* recorder_ = nullptr;
-  size_t exemplars_per_class_;
   RecordRing<TraceRec> ring_;  // Allocated by the first BeginTrace.
   uint32_t next_span_id_ = 1;
 

@@ -86,7 +86,7 @@ std::vector<SloSpec> DefaultSlos() {
 FlightRecorder::FlightRecorder(const WatchdogConfig& config) : config_(config) {
   // In RecorderStream order.
   for (size_t capacity : {config.flow_ring_capacity, config.latency_ring_capacity,
-                          config.causal_ring_capacity, config.slo_ring_capacity}) {
+                          kCausalRingCapacity, kSloRingCapacity}) {
     streams_.emplace_back(capacity);
   }
 }
@@ -161,7 +161,7 @@ uint64_t FlightRecorder::overwritten(RecorderStream stream) const {
 }
 
 void FlightRecorder::Trigger(SloTrigger trigger, std::function<std::string()> context_json) {
-  const bool write = !config_.bundle_prefix.empty() && bundles_written_ < config_.max_bundles;
+  const bool write = !config_.bundle_prefix.empty() && bundles_written_ < kMaxBundles;
   trigger.bundle = write ? bundles_written_ : -1;
   if (write) {
     const std::vector<RecorderRecord> records =

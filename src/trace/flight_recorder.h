@@ -73,18 +73,16 @@ struct WatchdogConfig {
   TimeNs check_interval = 0;
   // Evidence window: a trigger captures [breach - recorder_window, breach].
   TimeNs recorder_window = Ms(50);
-  // Ring capacities, one ring per stream (rounded up to a power of two).
+  // Ring capacities of the flow and latency streams (rounded up to a power
+  // of two); the causal and SLO rings are FlightRecorder constants.
   size_t flow_ring_capacity = 1u << 14;
   size_t latency_ring_capacity = 1u << 14;
-  size_t causal_ring_capacity = 1u << 13;
-  size_t slo_ring_capacity = 1u << 12;
   // Empty = DefaultSlos() (conservative thresholds that never fire on a
   // healthy run; see flight_recorder.cc).
   std::vector<SloSpec> slos;
   // Bundle file prefix; files are "<prefix>.bundle<k>.{json,jsonl,
   // perfetto.json}". Empty = armed in-memory only (triggers still recorded).
   std::string bundle_prefix;
-  int max_bundles = 4;         // Further triggers are recorded, not serialized.
   TimeNs cooldown = Ms(20);    // Per-SLO quiet period after a trigger.
 };
 
@@ -132,13 +130,18 @@ struct SloTrigger {
   TimeNs window_to = 0;   //   [t - recorder_window, t].
   std::string source;     // Breaching host, e.g. "h1".
   int bundle = -1;        // Bundle index, or -1 if not serialized (no prefix
-                          // or max_bundles exhausted).
+                          // or kMaxBundles exhausted).
 };
 
 // --- FlightRecorder ----------------------------------------------------------
 
 class FlightRecorder {
  public:
+  static constexpr size_t kCausalRingCapacity = 1u << 13;
+  static constexpr size_t kSloRingCapacity = 1u << 12;
+  // Bundles serialized per recorder; later triggers are recorded only.
+  static constexpr int kMaxBundles = 4;
+
   explicit FlightRecorder(const WatchdogConfig& config);
 
   const WatchdogConfig& config() const { return config_; }

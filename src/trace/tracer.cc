@@ -29,17 +29,16 @@ Tracer::Tracer(Simulator* sim, const TraceConfig& config)
       sampler_(sim),
       spans_(config.span_capacity),
       context_(&sim->context()) {
-  owns_latency_ = config.latency_stages && context_->EnableLatency(config.latency_ring_capacity);
-  owns_causal_ = config.causal && context_->EnableCausal(config.causal_trace_capacity,
-                                                         config.causal_exemplars);
+  owns_latency_ = config.latency_stages && context_->EnableLatency();
+  owns_causal_ = config.causal && context_->EnableCausal(config.causal_trace_capacity);
   flow_events_.SetGlobal(config.flow_events);
   spans_.SetEnabled(config.cpu_spans);
   if (config.causal) {
     // Pre-register one track per retained exemplar slot so the slowest trace
     // trees land on stable, named Perfetto tracks.
-    exemplar_tracks_.reserve(kNumRequestClasses * config.causal_exemplars);
+    exemplar_tracks_.reserve(kNumRequestClasses * CausalTracer::kExemplarsPerClass);
     for (int cls = 0; cls < kNumRequestClasses; ++cls) {
-      for (size_t i = 0; i < config.causal_exemplars; ++i) {
+      for (size_t i = 0; i < CausalTracer::kExemplarsPerClass; ++i) {
         exemplar_tracks_.push_back(spans_.RegisterTrack(
             "critpath-" + std::string(RequestClassName(static_cast<RequestClass>(cls))) + "-" +
             std::to_string(i)));
@@ -160,8 +159,8 @@ void Tracer::WritePerfettoJson(std::ostream& os) const {
     std::map<uint64_t, size_t> exported;  // trace id -> exemplar track index.
     for (int cls = 0; cls < kNumRequestClasses; ++cls) {
       const auto& exs = causal().exemplars(static_cast<RequestClass>(cls));
-      for (size_t i = 0; i < exs.size() && i < config_.causal_exemplars; ++i) {
-        const size_t slot = static_cast<size_t>(cls) * config_.causal_exemplars + i;
+      for (size_t i = 0; i < exs.size(); ++i) {
+        const size_t slot = static_cast<size_t>(cls) * CausalTracer::kExemplarsPerClass + i;
         exported.emplace(exs[i].trace_id, slot);
         const int track = exemplar_tracks_[slot];
         for (const CausalSpan& span : exs[i].spans) {
@@ -188,8 +187,8 @@ void Tracer::WritePerfettoJson(std::ostream& os) const {
     uint64_t link_id = 1u << 20;  // Distinct id space from the retx arrows.
     for (const auto& [trace_id, slot] : exported) {
       const auto& exs =
-          causal().exemplars(static_cast<RequestClass>(slot / config_.causal_exemplars));
-      const TraceExemplar& ex = exs[slot % config_.causal_exemplars];
+          causal().exemplars(static_cast<RequestClass>(slot / CausalTracer::kExemplarsPerClass));
+      const TraceExemplar& ex = exs[slot % CausalTracer::kExemplarsPerClass];
       for (const CausalLink& link : ex.links) {
         auto from = exported.find(link.from_trace);
         if (from == exported.end()) {

@@ -44,18 +44,15 @@ struct TraceConfig {
   // Also sample per-flow cc rate/window, bytes in flight, and buffer
   // occupancy into one series per live flow (needs sample_period > 0).
   bool sample_flows = false;
-  size_t series_max_points = 4096;
   // Per-packet latency anatomy (src/trace/latency): stage stamps in a side
   // ring, folded into per-stage histograms. Packet journeys cross hosts, so
   // the experiment has one LatencyTracer (src/sim/context.h); the first
-  // Tracer built with this on enables and sizes it, and reports it.
+  // Tracer built with this on enables it and reports it.
   bool latency_stages = false;
-  size_t latency_ring_capacity = 1u << 12;
   // Request-level causal tracing (src/trace/causal, DESIGN.md §12), one
   // CausalTracer per experiment, enabled and reported the same way.
   bool causal = false;
   size_t causal_trace_capacity = 1u << 13;
-  size_t causal_exemplars = 3;  // Slowest trace trees kept per request class.
 };
 
 // One contiguous busy interval on a track (track = simulated core id, or a
@@ -167,7 +164,7 @@ class Tracer {
   ExperimentContext* context_;
   bool owns_latency_ = false;
   bool owns_causal_ = false;
-  // Track ids for exemplar trace trees, indexed cls * causal_exemplars + i.
+  // Track ids for exemplar trace trees, indexed cls * kExemplarsPerClass + i.
   std::vector<int> exemplar_tracks_;
 };
 

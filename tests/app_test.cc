@@ -148,7 +148,7 @@ TEST(KvTest, ContendedModeSerializesOnLock) {
   spec.app_cores = 4;
   spec.stack_cores = 4;
   auto exp = Experiment::PointToPoint(spec, spec, FastLink());
-  Core lock_core(&exp->sim(), 999, 2.1);
+  Core lock_core(&exp->sim(), 999, kCoreGhz);
   KvServerConfig sc;
   sc.contended = true;
   sc.lock_core = &lock_core;

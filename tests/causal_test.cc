@@ -289,10 +289,9 @@ HostSpec TasSpec(bool causal) {
   HostSpec spec;
   spec.stack = StackKind::kTas;
   // Pin the TAS config explicitly (tas_overridden skips the harness's
-  // stack_cores/ghz defaults) so the causal on/off runs differ ONLY in the
+  // stack_cores default) so the causal on/off runs differ ONLY in the
   // tracing flag — the timing-passivity test depends on it.
   spec.tas.max_fastpath_cores = 2;
-  spec.tas.core_ghz = spec.ghz;
   spec.tas.trace.causal = causal;
   spec.tas_overridden = true;
   return spec;

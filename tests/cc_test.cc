@@ -105,7 +105,7 @@ TEST(DctcpRateTest, AppLimitedClampNeverBelowFloor) {
   for (int i = 0; i < 5; ++i) {
     cc.Update(CleanAck(100, 1e6, /*app_limited=*/true));
   }
-  EXPECT_GE(cc.rate_bps(), config.rate_cap_floor_bps);
+  EXPECT_GE(cc.rate_bps(), DctcpRateCc::kRateCapFloorBps);
 }
 
 TEST(DctcpRateTest, RetransmitHalvesRate) {
@@ -164,7 +164,7 @@ TEST(DctcpWindowTest, TimeoutCollapsesToMinimum) {
     cc.OnAck(1448, false, Us(50));
   }
   cc.OnTimeout();
-  EXPECT_EQ(cc.cwnd(), config.mss * config.min_cwnd_segments);
+  EXPECT_EQ(cc.cwnd(), config.mss * kMinCwndSegments);
 }
 
 TEST(NewRenoTest, FastRetransmitHalves) {

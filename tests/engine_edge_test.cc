@@ -1,7 +1,8 @@
 // Edge-case tests for the TCP engine and the stacks built on it: wire-format
 // honesty (every packet round-trips through the byte encoder), zero-window
 // stalls and updates, FIN-with-payload, RST teardown, window-mode TAS,
-// delayed-ack behavior, dupack/window-update distinction, and PCAP output.
+// delayed-ack behavior, dupack/window-update distinction, PCAP output, and
+// TcpConnection-level handshake retransmission and RTO floor checks.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -336,6 +337,148 @@ TEST(MtuTest, OversizedWritesAreSegmented) {
   const double avg_bytes = static_cast<double>(wire->stats(1).tx_bytes) /
                            static_cast<double>(wire->stats(1).tx_packets);
   EXPECT_LE(avg_bytes, 1448 + 66 + 12);  // MSS + headers + options.
+}
+
+// Drives TcpConnections without a stack: records every emitted segment with
+// its send time and, unless the wire is cut, delivers it to `peer` after
+// `one_way` (a SYN reaching a closed peer is accepted as a passive open).
+class WireHost : public TcpEngineHost {
+ public:
+  struct Sent {
+    TimeNs at;
+    TcpHeader tcp;
+  };
+
+  explicit WireHost(Simulator* sim) : sim_(sim) {}
+
+  void EmitPacket(TcpConnection*, PacketPtr pkt) override {
+    sent.push_back({sim_->Now(), pkt->tcp});
+    if (cut || peer == nullptr) {
+      return;
+    }
+    sim_->After(one_way, [this, p = std::move(pkt)] {
+      if (peer->state() == TcpConnection::State::kClosed && p->tcp.syn()) {
+        peer->AcceptSyn(*p);
+      } else {
+        peer->HandlePacket(*p);
+      }
+    });
+  }
+  void OnConnected(TcpConnection*) override {}
+  void OnConnectFailed(TcpConnection*) override {}
+  void OnDataAvailable(TcpConnection* conn, size_t bytes) override {
+    std::vector<uint8_t> buf(bytes);
+    conn->Recv(buf.data(), bytes);
+  }
+  void OnSendSpace(TcpConnection*, size_t) override {}
+  void OnRemoteClose(TcpConnection*) override {}
+  void OnClosed(TcpConnection*) override {}
+
+  std::vector<Sent> sent;
+  TcpConnection* peer = nullptr;
+  TimeNs one_way = Us(5);
+  bool cut = false;
+
+ private:
+  Simulator* sim_;
+};
+
+void ExpectSameHandshakeOptions(const TcpHeader& first, const TcpHeader& retx) {
+  EXPECT_EQ(retx.flags, first.flags);
+  EXPECT_EQ(retx.seq, first.seq);
+  EXPECT_EQ(retx.ack, first.ack);
+  EXPECT_TRUE(first.has_mss);
+  EXPECT_EQ(retx.has_mss, first.has_mss);
+  EXPECT_EQ(retx.mss, first.mss);
+  EXPECT_TRUE(first.has_wscale);
+  EXPECT_EQ(retx.has_wscale, first.has_wscale);
+  EXPECT_EQ(retx.wscale, first.wscale);
+  EXPECT_TRUE(first.has_timestamps);
+  EXPECT_EQ(retx.has_timestamps, first.has_timestamps);
+  EXPECT_EQ(retx.ts_ecr, first.ts_ecr);
+  EXPECT_GT(retx.ts_val, first.ts_val);  // Stamped when retransmitted.
+}
+
+TEST(HandshakeRetransmitTest, SynAndSynAckKeepTheirOptions) {
+  Simulator sim;
+  const TcpConfig config;
+  const IpAddr client_ip = MakeIp(10, 0, 0, 1);
+  const IpAddr server_ip = MakeIp(10, 0, 0, 2);
+
+  WireHost client_host(&sim);
+  client_host.cut = true;
+  TcpConnection client(&sim, &client_host, config, client_ip, 40000, server_ip, 80, 7);
+  client.Connect();
+
+  WireHost server_host(&sim);
+  server_host.cut = true;
+  TcpConnection server(&sim, &server_host, config, server_ip, 80, client_ip, 40000, 9000);
+  auto syn = MakeTcpPacket(sim.context().pool(), client_ip, 40000, server_ip, 80, 7, 0,
+                           TcpFlags::kSyn);
+  syn->tcp.has_mss = true;
+  syn->tcp.mss = 1448;
+  syn->tcp.has_wscale = true;
+  syn->tcp.wscale = 7;
+  syn->tcp.has_timestamps = true;
+  syn->tcp.ts_val = 1234;
+  server.AcceptSyn(*syn);
+
+  // No RTT sample yet: the first RTO is 200 ms, then it doubles.
+  sim.RunUntil(Ms(700));
+  ASSERT_GE(client_host.sent.size(), 3u);
+  ASSERT_GE(server_host.sent.size(), 3u);
+  EXPECT_EQ(client_host.sent[0].tcp.flags, TcpFlags::kSyn);
+  EXPECT_EQ(server_host.sent[0].tcp.flags, TcpFlags::kSyn | TcpFlags::kAck);
+  EXPECT_EQ(server_host.sent[0].tcp.ts_ecr, 1234u);
+  for (size_t i = 1; i < 3; ++i) {
+    ExpectSameHandshakeOptions(client_host.sent[0].tcp, client_host.sent[i].tcp);
+    ExpectSameHandshakeOptions(server_host.sent[0].tcp, server_host.sent[i].tcp);
+  }
+}
+
+TEST(RtoFloorTest, SubMillisecondRttNeverTimesOutBeforeOneMs) {
+  Simulator sim;
+  const TcpConfig config;
+  const IpAddr client_ip = MakeIp(10, 0, 0, 1);
+  const IpAddr server_ip = MakeIp(10, 0, 0, 2);
+  WireHost client_host(&sim);
+  WireHost server_host(&sim);
+  TcpConnection client(&sim, &client_host, config, client_ip, 40000, server_ip, 80, 7);
+  TcpConnection server(&sim, &server_host, config, server_ip, 80, client_ip, 40000, 9000);
+  client_host.peer = &server;
+  server_host.peer = &client;
+
+  client.Connect();
+  sim.RunUntil(Us(100));
+  ASSERT_TRUE(client.established());
+
+  // Round trips of ~10 us plus delayed ACKs: every RTT sample is well
+  // under a millisecond, so srtt + 4 * rttvar is too.
+  const std::vector<uint8_t> chunk(4000, 0x5A);
+  for (int i = 0; i < 20; ++i) {
+    client.Send(chunk.data(), chunk.size());
+    sim.RunUntil(sim.Now() + Us(500));
+  }
+  ASSERT_EQ(client.bytes_acked(), 20 * chunk.size());
+  ASSERT_TRUE(client.rtt().HasSample());
+  EXPECT_LT(client.rtt().srtt() + 4 * client.rtt().rttvar(), Us(500));
+  EXPECT_EQ(client.rtt().Rto(), Ms(1));
+
+  // Black-hole the wire: the segment's first retransmission waits out the
+  // 1 ms floor, not the sub-millisecond estimate.
+  client_host.cut = true;
+  const size_t before = client_host.sent.size();
+  const TimeNs sent_at = sim.Now();
+  client.Send(chunk.data(), 1000);
+  ASSERT_EQ(client_host.sent.size(), before + 1);
+  EXPECT_EQ(client_host.sent[before].at, sent_at);
+  sim.RunUntil(sent_at + Ms(1) - 1);
+  EXPECT_EQ(client_host.sent.size(), before + 1);
+  EXPECT_EQ(client.timeout_retransmits(), 0u);
+  sim.RunUntil(sent_at + Ms(1) + Us(1));
+  ASSERT_EQ(client_host.sent.size(), before + 2);
+  EXPECT_EQ(client.timeout_retransmits(), 1u);
+  EXPECT_EQ(client_host.sent[before + 1].at, sent_at + Ms(1));
 }
 
 }  // namespace

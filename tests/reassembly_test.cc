@@ -1,5 +1,6 @@
 // Tests for out-of-order segment tracking: the Linux-class multi-interval
-// reassembly buffer (with SACK blocks) and the TAS single-interval tracker.
+// reassembly buffer (with SACK blocks). The TAS fast path's single-interval
+// rule is tested in tas_test.
 #include <gtest/gtest.h>
 
 #include "src/tcp/reassembly.h"
@@ -150,59 +151,6 @@ TEST(ReassemblyTest, RandomizedReconstructionProperty) {
     EXPECT_EQ(next, total);
     EXPECT_TRUE(buf.Empty());
   }
-}
-
-TEST(SingleIntervalTest, TracksOneInterval) {
-  SingleIntervalTracker tracker;
-  EXPECT_TRUE(tracker.Add(200, 50, 100, 1000));
-  EXPECT_EQ(tracker.start(), 200u);
-  EXPECT_EQ(tracker.length(), 50u);
-}
-
-TEST(SingleIntervalTest, RejectsInOrderAndZero) {
-  SingleIntervalTracker tracker;
-  EXPECT_FALSE(tracker.Add(100, 50, 100, 1000));  // Not strictly OOO.
-  EXPECT_FALSE(tracker.Add(200, 0, 100, 1000));   // Empty.
-}
-
-TEST(SingleIntervalTest, RejectsBeyondWindow) {
-  SingleIntervalTracker tracker;
-  EXPECT_FALSE(tracker.Add(900, 200, 100, 900));  // Ends at 1100 > 100+900.
-  EXPECT_TRUE(tracker.Add(900, 200, 100, 1000));  // Exactly fits.
-}
-
-TEST(SingleIntervalTest, SameIntervalRuleExtends) {
-  SingleIntervalTracker tracker;
-  EXPECT_TRUE(tracker.Add(200, 50, 100, 10000));
-  EXPECT_TRUE(tracker.Add(250, 50, 100, 10000));  // Abuts the end.
-  EXPECT_EQ(tracker.length(), 100u);
-  EXPECT_TRUE(tracker.Add(150, 50, 100, 10000));  // Abuts the start.
-  EXPECT_EQ(tracker.start(), 150u);
-  EXPECT_EQ(tracker.length(), 150u);
-}
-
-TEST(SingleIntervalTest, SecondIntervalDropped) {
-  SingleIntervalTracker tracker;
-  EXPECT_TRUE(tracker.Add(200, 50, 100, 10000));
-  EXPECT_FALSE(tracker.Add(500, 50, 100, 10000));  // Disjoint: dropped.
-  EXPECT_EQ(tracker.start(), 200u);
-}
-
-TEST(SingleIntervalTest, MergeConsumesWhenReached) {
-  SingleIntervalTracker tracker;
-  tracker.Add(200, 100, 100, 10000);
-  EXPECT_EQ(tracker.MergeAt(150), 150u);  // Gap remains.
-  EXPECT_FALSE(tracker.empty());
-  EXPECT_EQ(tracker.MergeAt(200), 300u);  // Gap filled: consume.
-  EXPECT_TRUE(tracker.empty());
-}
-
-TEST(SingleIntervalTest, MergePastInterval) {
-  SingleIntervalTracker tracker;
-  tracker.Add(200, 100, 100, 10000);
-  // In-order data overshot the interval (retransmit covered it all).
-  EXPECT_EQ(tracker.MergeAt(350), 350u);
-  EXPECT_TRUE(tracker.empty());
 }
 
 }  // namespace

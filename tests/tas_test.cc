@@ -369,5 +369,70 @@ TEST(TasTest, SlowPathHandlesExceptionsOnly) {
   EXPECT_GT(stats.fastpath_rx_packets, 100u);
 }
 
+// The fast path's single-interval rule (paper §3.1, Exceptions), driven by
+// crafted segments on an established flow: one out-of-order interval is
+// tracked, segments that overlap or abut it extend it, a segment that would
+// open a second interval is dropped, and filling the gap folds the interval
+// into fs.ack.
+TEST(TasOooTest, SingleIntervalRule) {
+  HostSpec tas_spec;
+  tas_spec.stack = StackKind::kTas;
+  HostSpec peer_spec;
+  peer_spec.stack = StackKind::kLinux;
+  auto exp = Experiment::PointToPoint(tas_spec, peer_spec, TestLink());
+  RecordingServer server(exp->host(0).stack(), 7000);
+  server.Start();
+  ConnLog log;
+  exp->host(1).stack()->SetHandler(&log);
+  const ConnId conn = exp->host(1).stack()->Connect(exp->host(0).ip(), 7000);
+  exp->sim().RunUntil(Ms(1));
+  ASSERT_EQ(log.connected.size(), 1u);
+
+  const IpAddr peer_ip = exp->host(1).ip();
+  const uint16_t peer_port = exp->host(1).engine()->connection(conn)->local_port();
+  TasService* tas = exp->host(0).tas();
+  Flow* flow = tas->LookupFlow(FlowKey{7000, peer_ip, peer_port});
+  ASSERT_NE(flow, nullptr);
+  // FlowState is packed: copy its fields out rather than bind references.
+  const uint32_t base = flow->fs.ack;
+  ASSERT_EQ(uint32_t{flow->fs.ooo_len}, 0u);
+
+  // Stream bytes [from, to) carry the offset pattern ExpectPattern checks.
+  const auto inject = [&](uint32_t from, uint32_t to) {
+    std::vector<uint8_t> payload;
+    for (uint32_t i = from; i < to; ++i) {
+      payload.push_back(static_cast<uint8_t>(i % 251));
+    }
+    tas->nic()->Receive(MakeTcpPacket(exp->packet_pool(), peer_ip, peer_port, tas->local_ip(),
+                                      7000, base + from, 0, 0, std::move(payload)));
+    exp->sim().RunUntil(exp->sim().Now() + Us(50));
+  };
+  const uint64_t accepted = tas->stats().ooo_accepted;
+  const uint64_t dropped = tas->stats().ooo_dropped;
+
+  inject(200, 300);  // Opens the interval.
+  EXPECT_EQ(uint32_t{flow->fs.ooo_start}, base + 200);
+  EXPECT_EQ(uint32_t{flow->fs.ooo_len}, 100u);
+  inject(250, 400);  // Overlaps and extends it.
+  EXPECT_EQ(uint32_t{flow->fs.ooo_start}, base + 200);
+  EXPECT_EQ(uint32_t{flow->fs.ooo_len}, 200u);
+  inject(400, 500);  // Abuts its end.
+  EXPECT_EQ(uint32_t{flow->fs.ooo_len}, 300u);
+  EXPECT_EQ(tas->stats().ooo_accepted, accepted + 3);
+
+  inject(600, 700);  // Would open a second, disjoint interval.
+  EXPECT_EQ(tas->stats().ooo_dropped, dropped + 1);
+  EXPECT_EQ(uint32_t{flow->fs.ooo_start}, base + 200);
+  EXPECT_EQ(uint32_t{flow->fs.ooo_len}, 300u);
+  EXPECT_EQ(uint32_t{flow->fs.ack}, base);
+  EXPECT_TRUE(server.per_conn_.empty());
+
+  inject(0, 200);  // Fills the gap: the interval merges into fs.ack.
+  EXPECT_EQ(uint32_t{flow->fs.ack}, base + 500);
+  EXPECT_EQ(uint32_t{flow->fs.ooo_len}, 0u);
+  ASSERT_EQ(server.per_conn_.size(), 1u);
+  ExpectPattern(server.per_conn_.begin()->second, 500);
+}
+
 }  // namespace
 }  // namespace tas
