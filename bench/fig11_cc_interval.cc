@@ -79,7 +79,8 @@ CcResult RunPoint(StackKind kind, CcAlgorithm algorithm, TimeNs tau) {
   exp->sim().RunUntil(warmup + measure);
 
   CcResult result;
-  result.avg_fct_ms = source.fct_ms_all().Mean();
+  const RunningStats& fct = source.fct_ms_all();
+  result.avg_fct_ms = fct.count() == 0 ? 0 : fct.sum() / static_cast<double>(fct.count());
   result.avg_queue_pkts = wire->stats(1).queue_pkts.mean();
   return result;
 }

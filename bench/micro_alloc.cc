@@ -9,9 +9,10 @@
 //
 // The steady-state audits additionally cover the flat flow table and flow
 // slab (src/tas/flow_table): connection churn at stable capacity recycles
-// tombstones and free-list slots without touching the allocator, and the
-// control-loop audit steps a TAS host whose slow path iterates over dirty
-// and pending flows every control interval.
+// tombstones and free-list slots without touching the allocator, the port
+// table recycles a released port chunk for the next one the ephemeral
+// cursor reaches, and the control-loop audit steps a TAS host whose slow
+// path iterates over dirty and pending flows every control interval.
 //
 // The packet-path audit forwards bursts host -> link -> switch -> link -> NIC
 // ring through the Fifo-backed queues, and the libTAS audit runs Send/Recv
@@ -19,9 +20,9 @@
 // queues and payload rings have grown to their working size.
 //
 // FOOTPRINT_AUDIT reports the bytes requested from operator new while one
-// default TAS host is built, before any traffic, and while it opens its
-// first connection, and FAILs above a bound: a host's state must stay sized
-// to what it uses (DESIGN.md §8).
+// default TAS host is built, before any traffic, while it opens its first
+// connection, and while a 64-host FatTree is built, and FAILs above a bound:
+// a host's state must stay sized to what it uses (DESIGN.md §8).
 //
 // The far-future audit mixes millisecond timers, half of them cancelled,
 // with nanosecond events while the clock crosses powers of two it never
@@ -52,6 +53,7 @@
 #include "src/sim/simulator.h"
 #include "src/tas/flow_table.h"
 #include "src/tas/slow_path.h"
+#include "src/util/port_table.h"
 
 namespace {
 
@@ -401,6 +403,7 @@ bool AuditPacketPath() {
   const IpAddr src = net->host(0).ip;
   const IpAddr dst = net->host(1).ip;
   std::array<PacketPtr, 8> burst;
+  std::vector<PacketPtr> out;
   uint64_t delivered = 0;
   TimeNs when = 0;
   auto step = [&](uint16_t i) {
@@ -416,8 +419,8 @@ bool AuditPacketPath() {
     sender.TransmitBurst(burst.data(), burst.size());
     when += Us(1);
     sim.RunUntil(when);
-    PacketPtr out[64];
-    delivered += receiver.PopRxBurst(0, out, 64);
+    delivered += receiver.PopRxBurst(0, 64, &out);
+    out.clear();
   };
   for (uint16_t i = 0; i < 1000; ++i) {
     step(i);
@@ -433,6 +436,38 @@ bool AuditPacketPath() {
   std::printf("ALLOC_AUDIT packet_path allocs=%llu forwarded=%llu %s\n",
               static_cast<unsigned long long>(allocs),
               static_cast<unsigned long long>(forwarded), ok ? "PASS" : "FAIL");
+  return ok;
+}
+
+// Connect/close churn through a host's port table: eight connections open
+// at a time, each new one on the next ephemeral port, the oldest closing.
+// The cursor walks the whole ephemeral range (twice), so chunks are taken
+// and released as it crosses them; a released chunk is reused by the next.
+bool AuditPortTable() {
+  PortTable ports;
+  ports.Acquire(80);  // A listener keeps its chunk throughout.
+  std::array<uint16_t, 8> open{};
+  size_t next = 0;
+  auto churn = [&] {
+    if (open[next] != 0) {
+      ports.Release(open[next]);
+    }
+    open[next] = ports.AllocateEphemeral();
+    ports.Acquire(open[next]);
+    next = (next + 1) % open.size();
+  };
+  for (int i = 0; i < 4096; ++i) {
+    churn();
+  }
+  const uint64_t before = AllocCount();
+  for (int i = 0; i < 100000; ++i) {
+    churn();
+  }
+  const uint64_t allocs = AllocCount() - before;
+  const bool ok = allocs == 0 && ports.chunks_in_use() <= 3;
+  std::printf("ALLOC_AUDIT port_table allocs=%llu chunks=%zu %s\n",
+              static_cast<unsigned long long>(allocs), ports.chunks_in_use(),
+              ok ? "PASS" : "FAIL");
   return ok;
 }
 
@@ -490,10 +525,12 @@ bool AuditLibtasSend() {
 }
 
 // Bytes one default TAS host (one app core, one context, tracing off)
-// requests while it is built: 181,922 when the bound was set (GCC 12,
-// libstdc++). Before the context queues, the latency ring and the port table
-// were sized to use, the same host requested 1,200,650.
-constexpr uint64_t kIdleTasHostBoundBytes = 200 * 1024;
+// requests while it is built: 81,769 when the bound was set (GCC 12,
+// libstdc++). Before the flow table, the metric registry's entries and the
+// flow-group steering state were sized to use, the same host requested
+// 116,769; before the context queues, the latency ring and the port table
+// were, 1,200,650.
+constexpr uint64_t kIdleTasHostBoundBytes = 84 * 1024;
 
 bool AuditIdleTasHostFootprint() {
   Simulator sim;
@@ -507,6 +544,34 @@ bool AuditIdleTasHostFootprint() {
   std::printf("FOOTPRINT_AUDIT idle_tas_host bytes=%llu bound=%llu %s\n",
               static_cast<unsigned long long>(bytes),
               static_cast<unsigned long long>(kIdleTasHostBoundBytes), ok ? "PASS" : "FAIL");
+  return ok;
+}
+
+// Bytes a k=4 FatTree with 1:4 oversubscription (64 TAS hosts with two
+// fast-path cores and two app cores each, 20 switches) requests while it is
+// built, before any traffic: every per-host structure paid 64 times.
+// 4,313,644 when the bound was set (GCC 12, libstdc++), against 6,528,388
+// before the flow table, the metric registry's entries and the flow-group
+// steering state were sized to use.
+constexpr uint64_t kFatTreeBuildBoundBytes = 4400 * 1024;
+
+bool AuditFatTreeBuildFootprint() {
+  FatTreeConfig topo;
+  topo.k = 4;
+  topo.hosts_per_edge = 2 * topo.k;
+  HostSpec spec;
+  spec.stack = StackKind::kTas;
+  spec.app_cores = 2;
+  spec.tas_overridden = true;
+  spec.tas.max_fastpath_cores = 2;
+  const uint64_t before = AllocBytes();
+  auto exp = Experiment::Custom([&topo](Simulator* sim) { return MakeFatTree(sim, topo); },
+                                {spec});
+  const uint64_t bytes = AllocBytes() - before;
+  const bool ok = exp->num_hosts() == 64 && bytes <= kFatTreeBuildBoundBytes;
+  std::printf("FOOTPRINT_AUDIT fattree_build bytes=%llu bound=%llu %s\n",
+              static_cast<unsigned long long>(bytes),
+              static_cast<unsigned long long>(kFatTreeBuildBoundBytes), ok ? "PASS" : "FAIL");
   return ok;
 }
 
@@ -550,11 +615,13 @@ int main(int argc, char** argv) {
   ok &= tas::AuditPacketPool();
   ok &= tas::AuditFlowTable();
   ok &= tas::AuditFlowSlab();
+  ok &= tas::AuditPortTable();
   ok &= tas::AuditControlLoop();
   ok &= tas::AuditPacketPath();
   ok &= tas::AuditLibtasSend();
   ok &= tas::AuditIdleTasHostFootprint();
   ok &= tas::AuditFirstFlowTasHostFootprint();
+  ok &= tas::AuditFatTreeBuildFootprint();
   std::printf("ALLOC_AUDIT overall %s (news=%llu frees=%llu)\n", ok ? "PASS" : "FAIL",
               static_cast<unsigned long long>(g_alloc_count.load()),
               static_cast<unsigned long long>(g_free_count.load()));

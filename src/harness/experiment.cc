@@ -178,6 +178,7 @@ void Experiment::RegisterSwitchMetrics() {
       Switch* sw = net_->switch_at(s);
       sw->RegisterMetrics(&tas->tracer().metrics(), "switch." + sw->name());
     }
+    tas->tracer().metrics().ShrinkToFit();
     return;
   }
 }

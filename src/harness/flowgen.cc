@@ -1,11 +1,24 @@
 #include "src/harness/flowgen.h"
 
 #include <algorithm>
+#include <array>
 
 namespace tas {
 namespace {
 
 constexpr size_t kMaxConcurrent = 512;  // Safety valve on open flows.
+
+// Bytes per Send (and per sink-side Recv) call.
+constexpr size_t kChunkBytes = 8192;
+
+constexpr std::array<uint8_t, kChunkBytes> MakeFiller() {
+  std::array<uint8_t, kChunkBytes> bytes{};
+  bytes.fill(0x42);
+  return bytes;
+}
+
+// The payload every source sends: one read-only buffer for all of them.
+constexpr std::array<uint8_t, kChunkBytes> kFiller = MakeFiller();
 
 }  // namespace
 
@@ -14,8 +27,7 @@ FlowSource::FlowSource(Simulator* sim, Stack* stack, const FlowGenConfig& config
       stack_(stack),
       config_(config),
       rng_(config.rng_seed),
-      sizes_(config.pareto_min_bytes, config.pareto_max_bytes, config.pareto_alpha),
-      chunk_(8192, 0x42) {}
+      sizes_(config.pareto_min_bytes, config.pareto_max_bytes, config.pareto_alpha) {}
 
 void FlowSource::Start() {
   stack_->SetHandler(this);
@@ -26,9 +38,10 @@ void FlowSource::AlsoSink(uint16_t port) { stack_->Listen(port); }
 
 void FlowSource::OnData(ConnId conn, size_t bytes) {
   // Sink role: drain payload of accepted flows.
+  uint8_t scratch[kChunkBytes];
   size_t remaining = bytes;
   while (remaining > 0) {
-    const size_t n = stack_->Recv(conn, chunk_.data(), std::min(remaining, chunk_.size()));
+    const size_t n = stack_->Recv(conn, scratch, std::min(remaining, kChunkBytes));
     if (n == 0) {
       break;
     }
@@ -38,7 +51,7 @@ void FlowSource::OnData(ConnId conn, size_t bytes) {
 
 void FlowSource::BeginMeasurement() {
   measuring_ = true;
-  fct_all_.Clear();
+  fct_all_ = RunningStats{};
   fct_short_.Clear();
   fct_long_.Clear();
 }
@@ -79,8 +92,8 @@ void FlowSource::OnConnected(ConnId conn, bool success) {
 
 void FlowSource::PumpFlow(ConnId conn, FlowRec& rec) {
   while (rec.queued < rec.size) {
-    const size_t want = std::min(chunk_.size(), rec.size - rec.queued);
-    const size_t sent = stack_->Send(conn, chunk_.data(), want);
+    const size_t want = std::min(kChunkBytes, rec.size - rec.queued);
+    const size_t sent = stack_->Send(conn, kFiller.data(), want);
     rec.queued += sent;
     if (sent < want) {
       break;  // Send buffer full; OnSendSpace resumes.

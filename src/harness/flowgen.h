@@ -43,7 +43,9 @@ class FlowSource : public AppHandler {
 
   uint64_t flows_completed() const { return completed_; }
   uint64_t flows_started() const { return started_; }
-  const LatencyRecorder& fct_ms_all() const { return fct_all_; }
+  // Every flow's FCT, counted and summed; only the short/long recorders keep
+  // the samples themselves.
+  const RunningStats& fct_ms_all() const { return fct_all_; }
   const LatencyRecorder& fct_ms_short() const { return fct_short_; }  // <= 50 pkts
   const LatencyRecorder& fct_ms_long() const { return fct_long_; }    // > 50 pkts
 
@@ -72,11 +74,10 @@ class FlowSource : public AppHandler {
   Rng rng_;
   BoundedPareto sizes_;
   std::unordered_map<ConnId, FlowRec> flows_;
-  std::vector<uint8_t> chunk_;
   uint64_t started_ = 0;
   uint64_t completed_ = 0;
   bool measuring_ = false;
-  LatencyRecorder fct_all_;
+  RunningStats fct_all_;
   LatencyRecorder fct_short_;
   LatencyRecorder fct_long_;
 };

@@ -194,14 +194,15 @@ void Link::StartTransmit(int dir_index) {
   size_t n = 0;
   TimeNs serialize_total = 0;
   while (n < kBurstPkts && !d.queue.empty()) {
-    const TimeNs serialize = TransmitTimeNs(d.queue.front()->WireBytes(), config_.gbps);
+    const size_t wire_bytes = d.queue.front()->WireBytes();
+    const TimeNs serialize = TransmitTimeNs(wire_bytes, config_.gbps);
     if (n > 0 && serialize_total + serialize > kBurstMaxNs) {
       break;
     }
     PacketPtr pkt = std::move(d.queue.front());
     d.queue.pop_front();
     d.stats.tx_packets++;
-    d.stats.tx_bytes += pkt->WireBytes();
+    d.stats.tx_bytes += wire_bytes;
     if (d.pcap != nullptr) {
       // Stamp each frame at its own wire-start time, as before.
       d.pcap->Record(now + serialize_total, *pkt);

@@ -16,6 +16,8 @@ class Switch::Port : public NetDevice {
   void Send(PacketPtr pkt) { end_.Send(std::move(pkt)); }
   LinkEnd end() const { return end_; }
 
+  bool admitting = false;  // Burst-admitted by the running Flush.
+
  private:
   Switch* parent_;
   LinkEnd end_;
@@ -119,8 +121,8 @@ void Switch::Flush() {
     Pending p = std::move(pending_.front());
     pending_.pop_front();
     Port* port = ports_[static_cast<size_t>(p.port)].get();
-    if (std::find(touched_ports_.begin(), touched_ports_.end(), p.port) ==
-        touched_ports_.end()) {
+    if (!port->admitting) {
+      port->admitting = true;
       touched_ports_.push_back(p.port);
       port->end().BeginAdmit();
     }
@@ -131,8 +133,10 @@ void Switch::Flush() {
     }
     port->Send(std::move(p.pkt));
   }
-  for (const int port : touched_ports_) {
-    ports_[static_cast<size_t>(port)]->end().EndAdmit();
+  for (const int index : touched_ports_) {
+    Port* port = ports_[static_cast<size_t>(index)].get();
+    port->admitting = false;
+    port->end().EndAdmit();
   }
   if (!pending_.empty()) {
     flush_scheduled_ = true;

@@ -98,17 +98,17 @@ PacketPtr SimNic::PopRx(int queue) {
   return pkt;
 }
 
-size_t SimNic::PopRxBurst(int queue, PacketPtr* out, size_t max) {
+size_t SimNic::PopRxBurst(int queue, size_t max, std::vector<PacketPtr>* out) {
   Ring& ring = *rings_[static_cast<size_t>(queue)];
   const size_t n = std::min(max, ring.pkts.size());
   LatencyTracer* lt = sim_->context().latency_sink();
   for (size_t i = 0; i < n; ++i) {
-    out[i] = std::move(ring.pkts.front());
+    out->push_back(std::move(ring.pkts.front()));
     ring.pkts.pop_front();
     if (lt != nullptr) {
       // Each burst member's ring wait ends at this gather instant; later
       // stamps charge the batch processing separately (kFpRx).
-      lt->Stamp(out[i]->lat_id, LatencyStage::kNicRxRing, sim_->Now());
+      lt->Stamp(out->back()->lat_id, LatencyStage::kNicRxRing, sim_->Now());
     }
   }
   return n;

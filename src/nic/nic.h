@@ -51,9 +51,9 @@ class SimNic : public NetDevice {
 
   // --- Host side -----------------------------------------------------------
   PacketPtr PopRx(int queue);
-  // DPDK rte_eth_rx_burst-style descriptor-array receive: moves up to `max`
-  // packets from the ring into `out` and returns how many were taken.
-  size_t PopRxBurst(int queue, PacketPtr* out, size_t max);
+  // DPDK rte_eth_rx_burst-style burst receive: moves up to `max` packets
+  // from the ring onto the end of `out` and returns how many were taken.
+  size_t PopRxBurst(int queue, size_t max, std::vector<PacketPtr>* out);
   // Transmit a descriptor array; entries are consumed (left null).
   void TransmitBurst(PacketPtr* pkts, size_t count);
   size_t RxQueueLen(int queue) const { return rings_[queue]->pkts.size(); }

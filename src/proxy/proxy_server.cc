@@ -14,27 +14,6 @@ constexpr uint64_t kMissAppCycles = 800;  // Parse + lookup + origin dispatch + 
 
 }  // namespace
 
-std::vector<SloSpec> ProxySloSpecs(double queued_threshold, double abort_threshold) {
-  std::vector<SloSpec> slos;
-  SloSpec queued;
-  queued.name = "proxy_origin_queue";
-  queued.kind = SloKind::kMetricValue;
-  queued.threshold = queued_threshold;
-  queued.burn_windows = 3;
-  queued.min_count = 0;
-  queued.metric = "proxy.pool.queued";
-  slos.push_back(queued);
-  SloSpec aborts;
-  aborts.name = "proxy_client_aborts";
-  aborts.kind = SloKind::kMetricValue;
-  aborts.threshold = abort_threshold;
-  aborts.burn_windows = 1;  // Cumulative counter: one breached check suffices.
-  aborts.min_count = 0;
-  aborts.metric = "proxy.aborted_clients";
-  slos.push_back(aborts);
-  return slos;
-}
-
 ProxyServer::ProxyServer(Simulator* sim, Stack* stack, const ProxyServerConfig& config)
     : sim_(sim),
       stack_(stack),

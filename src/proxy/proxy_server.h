@@ -29,7 +29,6 @@
 #include "src/proxy/origin_pool.h"
 #include "src/sim/simulator.h"
 #include "src/trace/causal.h"
-#include "src/trace/flight_recorder.h"
 #include "src/trace/flow_tracer.h"
 #include "src/trace/metric_registry.h"
 #include "src/trace/tracer.h"
@@ -45,15 +44,6 @@ struct ProxyServerConfig {
   // from memory next time. 0 splices everything; SIZE_MAX splices nothing.
   uint32_t splice_min_body = 16 * 1024;
 };
-
-// Proxy-tier SLO specs for the watchdog (flight_recorder.h): kMetricValue
-// reads of the proxy.* gauges the proxy registers into the fronting TAS
-// host's registry. `queued_threshold` bounds the origin-pool overflow queue
-// (the injected-stall signature EXPERIMENTS.md's postmortem recipe hunts);
-// `abort_threshold` bounds cumulative client aborts. Append to
-// WatchdogConfig::slos on the host whose registry carries proxy metrics.
-std::vector<SloSpec> ProxySloSpecs(double queued_threshold = 64,
-                                   double abort_threshold = 0);
 
 class ProxyServer : public AppHandler {
  public:

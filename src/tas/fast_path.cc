@@ -72,9 +72,8 @@ void FastPathCore::RunOne() {
   // serializes charges, so per-item completion times match serial dispatch
   // exactly — but the whole batch retires with ONE aggregated simulator
   // event instead of one per item (paper §3.1: DPDK-style batching).
-  batch_rx_.resize(budget);
-  const size_t nrx = service_->nic()->PopRxBurst(index_, batch_rx_.data(), budget);
-  batch_rx_.resize(nrx);
+  TAS_DCHECK(batch_rx_.empty());
+  const size_t nrx = service_->nic()->PopRxBurst(index_, budget, &batch_rx_);
   batch_dispatch_ = sim->Now();
   TimeNs done = 0;
   for (const PacketPtr& pkt : batch_rx_) {
@@ -415,10 +414,9 @@ void FastPathCore::EmitPacket(PacketPtr pkt) {
 PacketPtr FastPathCore::BuildDataPacket(Flow& flow, uint32_t wire_seq, uint32_t len) {
   FlowState& fs = flow.fs;
   auto pkt = service_->FlowSegment(fs, wire_seq, fs.ack, TcpFlags::kAck | TcpFlags::kPsh);
-  // Fill the payload in place: the pooled packet's buffer retains capacity,
-  // so this resize allocates nothing in steady state.
-  pkt->payload.resize(len);
-  flow.CopyFromTx(wire_seq, pkt->payload.data(), len);
+  // Append the payload in place: the pooled packet's buffer retains
+  // capacity, so this allocates nothing in steady state.
+  flow.AppendFromTx(wire_seq, len, &pkt->payload);
   pkt->ip.ecn = Ecn::kEct0;
   pkt->tcp.window = flow.WindowField();
   pkt->tcp.has_timestamps = true;

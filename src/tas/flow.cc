@@ -78,8 +78,8 @@ void Flow::CopyIntoRx(uint32_t wire_pos, const uint8_t* src, uint32_t len) {
   fs.rx_base = mem.data();
 }
 
-void Flow::CopyFromTx(uint32_t wire_pos, uint8_t* dst, uint32_t len) const {
-  cold().tx_mem.Read(wire_pos, dst, len);
+void Flow::AppendFromTx(uint32_t wire_pos, uint32_t len, std::vector<uint8_t>* out) const {
+  cold().tx_mem.AppendTo(wire_pos, len, out);
 }
 
 uint32_t Flow::AppWriteTx(const uint8_t* src, uint32_t len) {

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "src/cc/cc.h"
 #include "src/cc/dctcp_window.h"
@@ -134,7 +135,7 @@ struct Flow {
   // Payload copies through the cold record's ring storage; writes grow it on
   // demand and refresh fs.rx_base/tx_base.
   void CopyIntoRx(uint32_t wire_pos, const uint8_t* src, uint32_t len);
-  void CopyFromTx(uint32_t wire_pos, uint8_t* dst, uint32_t len) const;
+  void AppendFromTx(uint32_t wire_pos, uint32_t len, std::vector<uint8_t>* out) const;
   // libTAS side: append payload at tx_head / read payload at rx_tail. A read
   // that drains the ring after the peer's FIN releases it.
   uint32_t AppWriteTx(const uint8_t* src, uint32_t len);

@@ -9,11 +9,12 @@
 // handful of 64-bit SWAR ops before any Entry is touched.
 //
 // FlowTable
-//   Power-of-two capacity in 16-slot groups. Each ctrl byte is either
-//   kEmptyByte (0x80), kDeletedByte (0xFE), or a 7-bit H2 fingerprint of the
-//   key's hash (high bit clear). Lookups triangular-probe across groups —
-//   match H2 within the group, confirm on the full key, stop at the first
-//   group containing an empty byte.
+//   Power-of-two capacity in 16-slot groups, starting at one group so a
+//   host pays for the flows it holds, not for a table sized in advance.
+//   Each ctrl byte is either kEmptyByte (0x80), kDeletedByte (0xFE), or a
+//   7-bit H2 fingerprint of the key's hash (high bit clear). Lookups
+//   triangular-probe across groups — match H2 within the group, confirm on
+//   the full key, stop at the first group containing an empty byte.
 //
 //   Resizes are INCREMENTAL: a rehash allocates the new arrays and then
 //   relocates a bounded number of old-table slots per Insert/Erase
@@ -91,7 +92,7 @@ class FlowTable {
   // next one (capacity/kStride steps available vs >= capacity*7/16 ops).
   static constexpr size_t kRehashStrideSlots = 64;
 
-  explicit FlowTable(size_t initial_capacity = 1024);
+  explicit FlowTable(size_t initial_capacity = kGroupSize);
 
   // Returns the stored id, or kInvalidFlow. Records probe-length stats.
   FlowId Find(const FlowKey& key) const;

@@ -57,6 +57,7 @@ TasService::TasService(Simulator* sim, HostPort* port, const TasConfig& config)
   if (port->access_link != nullptr) {
     port->access_link->RegisterMetrics(&tracer_->metrics(), "link");
   }
+  tracer_->metrics().ShrinkToFit();
   slow_path_->Start();
   if (config.watchdog.enabled) {
     // All flow events (every flow, every host) feed the recorder's rings.

@@ -20,9 +20,12 @@
 //
 // All decisions read deterministic simulator state (per-entry NIC packet
 // counts, per-core retired counters), so same-seed runs migrate identically.
+// Only groups with a drain in flight carry state here; the redirection
+// table itself is the NIC's.
 #ifndef SRC_TAS_STEERING_H_
 #define SRC_TAS_STEERING_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -40,10 +43,12 @@ class FlowGroupSteering {
   FlowGroupSteering(const FlowGroupSteering&) = delete;
   FlowGroupSteering& operator=(const FlowGroupSteering&) = delete;
 
-  size_t num_groups() const { return groups_.size(); }
   // Current owning core of a group == its NIC redirection entry's queue.
   int CoreOf(int entry) const;
-  bool Draining(int entry) const { return groups_[static_cast<size_t>(entry)].draining; }
+  bool Draining(int entry) const {
+    return std::any_of(drains_.begin(), drains_.end(),
+                       [entry](const Drain& d) { return d.entry == entry; });
+  }
 
   // Parks a flow's TX enqueue while its group drains; re-enqueued on the
   // target core when the entry flips. The flow keeps tx_pending set.
@@ -77,7 +82,7 @@ class FlowGroupSteering {
   // --- Instantaneous drain state (gauges + diagnostic bundles) ---------------
   // Flows currently parked across all draining groups.
   size_t DeferredDepth() const;
-  int DrainingGroups() const { return draining_count_; }
+  int DrainingGroups() const { return static_cast<int>(drains_.size()); }
   // Age of the oldest in-flight drain, 0 when none — a large value means a
   // stuck migration (the source core stopped retiring items).
   TimeNs MaxDrainAge(TimeNs now) const;
@@ -94,21 +99,28 @@ class FlowGroupSteering {
   std::vector<DrainingGroup> DrainingState() const;
 
  private:
-  struct GroupState {
-    bool draining = false;
+  // One group's in-flight quiesce.
+  struct Drain {
+    int entry = -1;
     int source_core = -1;
     int target_core = -1;
     uint64_t drain_target = 0;  // Source core's items_processed() threshold.
-    TimeNs drain_started = 0;   // Sim time the quiesce was requested.
+    TimeNs started = 0;         // Sim time the quiesce was requested.
     std::vector<FlowId> deferred;
   };
 
-  void Flip(size_t entry, GroupState& g);
+  Drain* FindDrain(int entry);
+  // Points the entry at `target` (one redirection-entry write).
+  void Flip(int entry, int target);
 
   TasService* service_;
-  std::vector<GroupState> groups_;
+  // Draining groups in entry order, so flips and snapshots walk them as the
+  // redirection table does.
+  std::vector<Drain> drains_;
+  // A finished drain's deferred buffer, kept for the next drain (steady-state
+  // migrations allocate only when a drain parks more work than any before).
+  std::vector<FlowId> spare_deferred_;
   std::vector<uint64_t> hits_snapshot_;  // Per-entry NIC counts, last interval.
-  int draining_count_ = 0;
   uint64_t migrations_ = 0;
   uint64_t group_moves_ = 0;
   uint64_t deferred_items_ = 0;

@@ -13,37 +13,20 @@ const char* MetricKindName(MetricKind kind) {
   return kind == MetricKind::kCounter ? "counter" : "gauge";
 }
 
-void MetricRegistry::Add(Entry entry) {
-  TAS_CHECK(!entry.name.empty());
-  TAS_CHECK(!Has(entry.name)) << "duplicate metric " << entry.name;
-  entries_.push_back(std::move(entry));
+void MetricRegistry::Add(std::string name, MetricKind kind, std::function<double()> read) {
+  TAS_CHECK(!name.empty());
+  TAS_CHECK(!Has(name)) << "duplicate metric " << name;
+  entries_.push_back(Entry{std::move(name), std::move(read), kind});
 }
 
 void MetricRegistry::AddCounter(std::string name, const uint64_t* value) {
   TAS_CHECK(value != nullptr);
-  Entry e;
-  e.name = std::move(name);
-  e.kind = MetricKind::kCounter;
-  e.counter = value;
-  Add(std::move(e));
-}
-
-void MetricRegistry::AddCounterFn(std::string name, std::function<uint64_t()> fn) {
-  TAS_CHECK(fn != nullptr);
-  Entry e;
-  e.name = std::move(name);
-  e.kind = MetricKind::kCounter;
-  e.counter_fn = std::move(fn);
-  Add(std::move(e));
+  Add(std::move(name), MetricKind::kCounter, [value] { return static_cast<double>(*value); });
 }
 
 void MetricRegistry::AddGauge(std::string name, std::function<double()> fn) {
   TAS_CHECK(fn != nullptr);
-  Entry e;
-  e.name = std::move(name);
-  e.kind = MetricKind::kGauge;
-  e.gauge_fn = std::move(fn);
-  Add(std::move(e));
+  Add(std::move(name), MetricKind::kGauge, std::move(fn));
 }
 
 bool MetricRegistry::Has(const std::string& name) const {
@@ -60,11 +43,7 @@ bool MetricRegistry::ReadValue(const std::string& name, double* out) const {
     if (e.name != name) {
       continue;
     }
-    if (e.kind == MetricKind::kCounter) {
-      *out = static_cast<double>(e.counter != nullptr ? *e.counter : e.counter_fn());
-    } else {
-      *out = e.gauge_fn();
-    }
+    *out = e.read();
     return true;
   }
   return false;
@@ -74,13 +53,7 @@ MetricSnapshot MetricRegistry::Snapshot() const {
   MetricSnapshot out;
   out.reserve(entries_.size());
   for (const Entry& e : entries_) {
-    double value = 0;
-    if (e.kind == MetricKind::kCounter) {
-      value = static_cast<double>(e.counter != nullptr ? *e.counter : e.counter_fn());
-    } else {
-      value = e.gauge_fn();
-    }
-    out.push_back(MetricSample{e.name, e.kind, value});
+    out.push_back(MetricSample{e.name, e.kind, e.read()});
   }
   std::sort(out.begin(), out.end(),
             [](const MetricSample& a, const MetricSample& b) { return a.name < b.name; });

@@ -48,9 +48,20 @@ class MetricRegistry {
   // practice: the service or the experiment).
   void AddCounter(std::string name, const uint64_t* value);
   // Counter whose value is computed on demand (e.g. Simulator accessors).
-  void AddCounterFn(std::string name, std::function<uint64_t()> fn);
+  // `fn` is a lambda whose result is read as a uint64_t; it is stored inside
+  // the entry's one reader, so pass the lambda itself, not a std::function
+  // around it.
+  template <typename Fn>
+  void AddCounterFn(std::string name, Fn fn) {
+    Add(std::move(name), MetricKind::kCounter, [fn = std::move(fn)] {
+      return static_cast<double>(static_cast<uint64_t>(fn()));
+    });
+  }
   // Gauge sampled via callback at snapshot time.
   void AddGauge(std::string name, std::function<double()> fn);
+  // Releases the entry vector's growth slack. Owners call it once their
+  // registrations are done, so a built host keeps exactly its entries.
+  void ShrinkToFit() { entries_.shrink_to_fit(); }
 
   bool Has(const std::string& name) const;
   size_t size() const { return entries_.size(); }
@@ -70,15 +81,15 @@ class MetricRegistry {
   void WriteJsonl(std::ostream& os) const { WriteJsonl(Snapshot(), os); }
 
  private:
+  // One reader per entry: pointer-backed counters become a callable that
+  // loads the pointer, so every entry is a name, a kind and one callable.
   struct Entry {
     std::string name;
+    std::function<double()> read;
     MetricKind kind;
-    const uint64_t* counter = nullptr;      // kCounter, pointer-backed.
-    std::function<uint64_t()> counter_fn;   // kCounter, computed.
-    std::function<double()> gauge_fn;       // kGauge.
   };
 
-  void Add(Entry entry);
+  void Add(std::string name, MetricKind kind, std::function<double()> read);
 
   std::vector<Entry> entries_;
 };

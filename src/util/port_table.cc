@@ -5,17 +5,26 @@
 namespace tas {
 
 void PortTable::Acquire(uint16_t port) {
-  std::unique_ptr<uint32_t[]>& chunk = chunks_[port >> kChunkBits];
+  std::unique_ptr<Chunk>& chunk = chunks_[port >> kChunkBits];
   if (chunk == nullptr) {
-    chunk = std::make_unique<uint32_t[]>(size_t{1} << kChunkBits);  // Zeroed.
+    chunk = spare_ != nullptr ? std::move(spare_) : std::make_unique<Chunk>();
   }
-  ++chunk[port & kChunkMask];
+  ++chunk->counts[port & kChunkMask];
+  ++chunk->bindings;
 }
 
 void PortTable::Release(uint16_t port) {
-  uint32_t* chunk = chunks_[port >> kChunkBits].get();
-  TAS_CHECK(chunk != nullptr && chunk[port & kChunkMask] > 0) << "port " << port;
-  --chunk[port & kChunkMask];
+  std::unique_ptr<Chunk>& chunk = chunks_[port >> kChunkBits];
+  TAS_CHECK(chunk != nullptr && chunk->counts[port & kChunkMask] > 0) << "port " << port;
+  --chunk->counts[port & kChunkMask];
+  if (--chunk->bindings == 0) {
+    // Every count is zero again, so the chunk can serve any range next.
+    if (spare_ == nullptr) {
+      spare_ = std::move(chunk);
+    } else {
+      chunk.reset();
+    }
+  }
 }
 
 uint16_t PortTable::AllocateEphemeral() {

@@ -3,9 +3,13 @@
 //
 // A host counts the connections bound to each of its 65,536 local ports; an
 // active open takes the next ephemeral port whose count is zero. The counts
-// live in 1,024-port chunks materialised on first write, so a host carries
-// memory for the port ranges its connections actually use (a few KiB) rather
-// than a zero-filled 256 KiB table.
+// live in 1,024-port chunks materialised on first bind and released when
+// their last binding goes, so a host carries memory for the port ranges its
+// live connections use (a few KiB) rather than a zero-filled 256 KiB table,
+// and the ephemeral cursor's walk across the range leaves nothing behind.
+// One released chunk is kept as a spare for the next chunk the host needs:
+// connect/close churn, which walks the cursor from chunk to chunk, recycles
+// it instead of allocating.
 #ifndef SRC_UTIL_PORT_TABLE_H_
 #define SRC_UTIL_PORT_TABLE_H_
 
@@ -21,10 +25,10 @@ class PortTable {
   static constexpr uint16_t kEphemeralFirst = 20000;
   static constexpr uint16_t kEphemeralLast = 65000;
 
-  // Connections bound to `port` (0 for a port never used).
+  // Connections bound to `port` (0 for a port with no binding).
   uint32_t count(uint16_t port) const {
-    const uint32_t* chunk = chunks_[port >> kChunkBits].get();
-    return chunk == nullptr ? 0 : chunk[port & kChunkMask];
+    const Chunk* chunk = chunks_[port >> kChunkBits].get();
+    return chunk == nullptr ? 0 : chunk->counts[port & kChunkMask];
   }
   void Acquire(uint16_t port);
   void Release(uint16_t port);
@@ -35,7 +39,7 @@ class PortTable {
   // ephemeral port is busy.
   uint16_t AllocateEphemeral();
 
-  // Chunks materialised so far (footprint tests).
+  // Chunks holding at least one binding (footprint tests).
   size_t chunks_in_use() const;
 
  private:
@@ -43,7 +47,13 @@ class PortTable {
   static constexpr uint32_t kChunkMask = (1u << kChunkBits) - 1;
   static constexpr size_t kChunks = 65536 >> kChunkBits;
 
-  std::array<std::unique_ptr<uint32_t[]>, kChunks> chunks_;
+  struct Chunk {
+    uint32_t bindings = 0;  // Sum of `counts`: the chunk is released at 0.
+    uint32_t counts[size_t{1} << kChunkBits] = {};
+  };
+
+  std::array<std::unique_ptr<Chunk>, kChunks> chunks_;
+  std::unique_ptr<Chunk> spare_;  // A released chunk, all counts zero.
   uint16_t next_ephemeral_ = kEphemeralFirst;
 };
 

@@ -18,13 +18,16 @@
 #include <cstring>
 #include <memory>
 #include <type_traits>
+#include <vector>
 
 #include "src/util/logging.h"
 
 namespace tas {
 
 // Backing array of a byte ring addressed by free-running positions of type
-// Pos. It holds nothing until the first write, then grows by doubling:
+// Pos. It holds nothing until the first write, which allocates the power of
+// two covering that write (64 B for a 64-B message, 2 KiB for a full-MSS
+// segment), then grows by doubling:
 //
 //  * The physical size is a power of two, so `pos & (size - 1)` places a
 //    byte at the same slot whatever the position width — including across
@@ -33,8 +36,7 @@ namespace tas {
 //  * A write that reaches past the array grows it to the next power of two
 //    covering the live span: from `tail` (the oldest live position) to the
 //    highest byte written so far, out-of-order placements included. The
-//    floor is kMinBytes; the ceiling is the power of two covering the
-//    ring's logical capacity.
+//    ceiling is the power of two covering the ring's logical capacity.
 //  * Growth lays out only the live span again. The array is never
 //    value-initialised: every byte a reader can reach was written first.
 //
@@ -45,9 +47,6 @@ class RingStorage {
   static_assert(std::is_unsigned_v<Pos>, "ring positions are modular");
 
  public:
-  // First allocation: one MSS-sized segment plus headroom.
-  static constexpr size_t kMinBytes = 2048;
-
   // Physical bytes backing the ring (0 before the first write).
   size_t bytes() const { return size_; }
   uint8_t* data() { return data_.get(); }
@@ -84,7 +83,21 @@ class RingStorage {
     }
   }
 
-  // Frees the backing array; the next write starts from kMinBytes again.
+  // Appends `len` written bytes starting at `pos` to `out` (a packet's
+  // payload: no zero-fill ahead of the copy).
+  void AppendTo(Pos pos, size_t len, std::vector<uint8_t>* out) const {
+    if (len == 0) {
+      return;
+    }
+    TAS_CHECK(size_ > 0);
+    const uint8_t* base = data_.get();
+    const size_t at = static_cast<size_t>(pos) & (size_ - 1);
+    const size_t first = std::min(len, size_ - at);
+    out->insert(out->end(), base + at, base + at + first);
+    out->insert(out->end(), base, base + (len - first));
+  }
+
+  // Frees the backing array; the next write allocates afresh.
   void Release() {
     data_.reset();
     size_ = 0;
@@ -103,10 +116,7 @@ class RingStorage {
   void Grow(Pos tail, size_t span, size_t limit) {
     const size_t ceiling = std::bit_ceil(limit);
     TAS_CHECK(span <= ceiling) << "ring write beyond its logical capacity";
-    size_t size = size_ > 0 ? size_ : std::min(kMinBytes, ceiling);
-    while (size < span) {
-      size <<= 1;
-    }
+    const size_t size = std::max(size_, std::bit_ceil(span));
     std::unique_ptr<uint8_t[]> fresh(new uint8_t[size]);
     if (size_ > 0) {
       // Re-place the live span [tail, hi_) under the new mask.

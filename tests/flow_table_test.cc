@@ -50,6 +50,40 @@ TEST(FlowTableTest, TombstoneReusedOnReinsert) {
   EXPECT_EQ(table.Find(key), MakeFlowId(1, 1));
 }
 
+// A host's table is sized to its flows: a default table holds one group and
+// the incremental rehash grows it. Every key inserted so far stays findable
+// while a rehash is half-drained (lookups probe the new table, then the old).
+TEST(FlowTableTest, DefaultTableStartsAtOneGroupAndGrowsIncrementally) {
+  FlowTable table;
+  EXPECT_EQ(table.capacity(), FlowTable::kGroupSize);
+  EXPECT_EQ(table.size(), 0u);
+  constexpr uint32_t kFlows = 70'000;
+  uint64_t seen_rehashes = 0;
+  int mid_rehash_checks = 0;
+  for (uint32_t i = 0; i < kFlows; ++i) {
+    table.Insert(KeyOf(i), MakeFlowId(i & kFlowSlotMask, 0));
+    if (table.rehash_in_progress() && table.stats().rehashes != seen_rehashes) {
+      seen_rehashes = table.stats().rehashes;
+      ++mid_rehash_checks;
+      for (uint32_t j = 0; j <= i; ++j) {
+        ASSERT_EQ(table.Find(KeyOf(j)), MakeFlowId(j & kFlowSlotMask, 0))
+            << "key " << j << " lost mid-rehash at size " << table.size();
+      }
+    }
+  }
+  EXPECT_EQ(table.size(), kFlows);
+  EXPECT_GE(table.capacity(), size_t{64 * 1024});
+  // Growth from 16 to 128K slots is 13 doublings; every one from a 128-slot
+  // table up outlasts its first relocation stride and was checked above.
+  EXPECT_EQ(table.stats().rehashes, 13u);
+  EXPECT_GE(mid_rehash_checks, 10);
+  EXPECT_EQ(table.stats().forced_finishes, 0u);
+  EXPECT_LE(table.stats().max_reloc_slots, FlowTable::kRehashStrideSlots);
+  for (uint32_t i = 0; i < kFlows; ++i) {
+    ASSERT_EQ(table.Find(KeyOf(i)), MakeFlowId(i & kFlowSlotMask, 0));
+  }
+}
+
 TEST(FlowTableTest, ChurnThousandsOfFlowsMatchesReferenceMap) {
   // Mirror every operation into unordered_map and compare continuously:
   // rehashes and tombstone recycling must never lose or corrupt a mapping.

@@ -174,6 +174,9 @@ TEST(FlowGenTest, FlowsCompleteAndFctsRecorded) {
   EXPECT_GT(source.flows_completed() + 20, source.flows_started());
   EXPECT_GT(sink.bytes_received(), 100000u);
   EXPECT_GT(source.fct_ms_all().count(), 50u);
+  // Every completed flow is counted once overall and once in its size class.
+  EXPECT_EQ(source.fct_ms_all().count(),
+            source.fct_ms_short().count() + source.fct_ms_long().count());
   // Short flows finish faster than long ones on average.
   if (source.fct_ms_short().count() > 10 && source.fct_ms_long().count() > 10) {
     EXPECT_LT(source.fct_ms_short().Mean(), source.fct_ms_long().Mean());

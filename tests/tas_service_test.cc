@@ -33,9 +33,10 @@ TEST(FlowBufferTest, AppWriteReadRoundTrip) {
   const uint8_t* tx_base = flow.fs.tx_base;
   EXPECT_EQ(tx_base, flow.cold().tx_mem.data());
 
-  uint8_t out[300];
-  flow.CopyFromTx(flow.fs.tx_tail, out, 300);
-  EXPECT_EQ(std::memcmp(data, out, 300), 0);
+  std::vector<uint8_t> out;
+  flow.AppendFromTx(flow.fs.tx_tail, 300, &out);
+  ASSERT_EQ(out.size(), 300u);
+  EXPECT_EQ(std::memcmp(data, out.data(), 300), 0);
 }
 
 TEST(FlowBufferTest, WirePositionWrapAround) {
@@ -92,10 +93,10 @@ TEST(FlowBufferTest, NonPowerOfTwoBuffersRoundTripAcrossWireWrap) {
 
   // TX: the app writes the payload in one piece; the fast path segments it.
   ASSERT_EQ(flow.AppWriteTx(data.data(), kLen), kLen);
-  std::vector<uint8_t> sent(kLen);
+  std::vector<uint8_t> sent;
   for (uint32_t off = 0; off < kLen; off += kSegment) {
     const uint32_t len = std::min(kSegment, kLen - off);
-    flow.CopyFromTx(base + off, sent.data() + off, len);
+    flow.AppendFromTx(base + off, len, &sent);
   }
   EXPECT_EQ(sent, data);
 

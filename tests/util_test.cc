@@ -397,12 +397,24 @@ std::vector<uint8_t> StreamBytes(uint64_t from, size_t len) {
   return out;
 }
 
+// The first write allocates the power of two covering it: a ring of 64-B
+// messages holds 64 B, a full-MSS segment gets 2 KiB.
 TEST(ByteRingTest, StorageStartsEmptyAndWriteGrowsIt) {
+  ByteRing message_ring(128 * 1024);
+  EXPECT_EQ(message_ring.storage_bytes(), 0u);
+  const std::vector<uint8_t> message = StreamBytes(0, 64);
+  ASSERT_EQ(message_ring.Write(message.data(), message.size()), message.size());
+  EXPECT_EQ(message_ring.storage_bytes(), 64u);
+
+  ByteRing segment_ring(128 * 1024);
+  const std::vector<uint8_t> segment = StreamBytes(0, 1448);
+  ASSERT_EQ(segment_ring.Write(segment.data(), segment.size()), segment.size());
+  EXPECT_EQ(segment_ring.storage_bytes(), 2048u);
+
   ByteRing ring(128 * 1024);
-  EXPECT_EQ(ring.storage_bytes(), 0u);
   const std::vector<uint8_t> a = StreamBytes(0, 100);
   ASSERT_EQ(ring.Write(a.data(), a.size()), a.size());
-  EXPECT_EQ(ring.storage_bytes(), RingStorage<uint64_t>::kMinBytes);
+  EXPECT_EQ(ring.storage_bytes(), 128u);
   const std::vector<uint8_t> b = StreamBytes(100, 5000);
   ASSERT_EQ(ring.Write(b.data(), b.size()), b.size());
   EXPECT_EQ(ring.storage_bytes(), 8192u);  // Smallest power of two over 5,100 live bytes.
@@ -415,8 +427,8 @@ TEST(ByteRingTest, OutOfOrderWriteBeyondStorageGrowsIt) {
   ByteRing ring(64 * 1024);
   const std::vector<uint8_t> first = StreamBytes(0, 10);
   ASSERT_EQ(ring.Write(first.data(), first.size()), first.size());
-  ASSERT_EQ(ring.storage_bytes(), RingStorage<uint64_t>::kMinBytes);
-  // A segment placed past a hole, far beyond the 2 KiB array.
+  ASSERT_EQ(ring.storage_bytes(), 16u);
+  // A segment placed past a hole, far beyond the 16-B array.
   const std::vector<uint8_t> ooo = StreamBytes(10000, 100);
   ASSERT_TRUE(ring.WriteAt(10000, ooo.data(), ooo.size()));
   EXPECT_EQ(ring.storage_bytes(), 16384u);
@@ -472,8 +484,9 @@ TEST(ByteRingTest, LogicalCapacityStaysConfiguredAndStorageCapped) {
 }
 
 // A released ring (a flow whose stream ended, a freed slot) holds nothing;
-// a later write regrows it from the floor with the live span intact.
-TEST(RingStorageTest, WriteAfterReleaseRegrowsFromMinimum) {
+// a later write regrows it to the size that write needs, with the live span
+// intact.
+TEST(RingStorageTest, WriteAfterReleaseRegrowsToFirstWrite) {
   constexpr size_t kLimit = 64 * 1024;
   RingStorage<uint32_t> mem;
   const std::vector<uint8_t> a = StreamBytes(0, 5000);
@@ -488,7 +501,7 @@ TEST(RingStorageTest, WriteAfterReleaseRegrowsFromMinimum) {
   // The stream resumes past everything the released array held.
   const std::vector<uint8_t> b = StreamBytes(5000, 100);
   mem.Write(5000, 5000, b.data(), b.size(), kLimit);
-  EXPECT_EQ(mem.bytes(), RingStorage<uint32_t>::kMinBytes);
+  EXPECT_EQ(mem.bytes(), 128u);
   std::vector<uint8_t> out(b.size());
   mem.Read(5000, out.data(), out.size());
   EXPECT_EQ(out, b);
@@ -609,6 +622,42 @@ TEST(PortTableTest, EphemeralWrapAndBusySkip) {
   EXPECT_EQ(ports.count(PortTable::kEphemeralFirst), 1u);
   EXPECT_EQ(ports.count(80), 0u);
   EXPECT_EQ(ports.chunks_in_use(), 1u);  // Only the chunk that was written.
+}
+
+// A chunk goes when its last binding does, and a chunk that comes back (for
+// the same range or another) starts with every count at zero.
+TEST(PortTableTest, ChunkReleasedWithItsLastPortAndReacquired) {
+  PortTable ports;
+  ports.Acquire(80);
+  ports.Acquire(5000);
+  ports.Acquire(5000);
+  ports.Acquire(5001);
+  EXPECT_EQ(ports.chunks_in_use(), 2u);
+  ports.Release(5000);
+  EXPECT_EQ(ports.chunks_in_use(), 2u);  // 5000 and 5001 are still bound.
+  EXPECT_EQ(ports.count(5000), 1u);
+  ports.Release(5000);
+  ports.Release(5001);
+  EXPECT_EQ(ports.chunks_in_use(), 1u);
+  EXPECT_EQ(ports.count(5000), 0u);
+  EXPECT_EQ(ports.count(5001), 0u);
+  EXPECT_EQ(ports.count(80), 1u);
+
+  ports.Acquire(30000);  // Another range takes the released chunk.
+  EXPECT_EQ(ports.chunks_in_use(), 2u);
+  EXPECT_EQ(ports.count(30000), 1u);
+  EXPECT_EQ(ports.count(30001), 0u);
+  EXPECT_EQ(ports.count(5000), 0u);
+  ports.Acquire(5001);  // The first range comes back empty.
+  EXPECT_EQ(ports.chunks_in_use(), 3u);
+  EXPECT_EQ(ports.count(5000), 0u);
+  EXPECT_EQ(ports.count(5001), 1u);
+
+  ports.Release(5001);
+  ports.Release(30000);
+  ports.Release(80);
+  EXPECT_EQ(ports.chunks_in_use(), 0u);
+  EXPECT_EQ(ports.count(80), 0u);
 }
 
 TEST(LogHistogramTest, PercentileBuckets) {
