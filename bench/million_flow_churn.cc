@@ -12,12 +12,9 @@
 //
 // Self-gating: exits nonzero when an invariant fails (forced rehash
 // finishes, relocation stride over one epoch, lost keys, fingerprint
-// divergence, latency partition mismatches). CI runs the reduced scale,
-// archives the MILLION_FLOW_JSON line next to perf_smoke's, and compares its
-// probe-length p99 and events per packet with the checked-in baseline through
+// divergence, latency partition mismatches). CI runs the reduced scale and
+// gates the BENCH_JSON record's det against the checked-in baseline through
 // bench_gate; see EXPERIMENTS.md.
-#include <sys/resource.h>
-
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -25,6 +22,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/bench_record.h"
 #include "src/tas/fast_path.h"
 #include "src/tas/steering.h"
 #include "src/trace/flight_recorder.h"
@@ -39,12 +37,6 @@ using Clock = std::chrono::steady_clock;
 
 double Seconds(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
-}
-
-long PeakRssKb() {
-  struct rusage usage {};
-  getrusage(RUSAGE_SELF, &usage);
-  return usage.ru_maxrss;
 }
 
 // Deterministic 4-tuple for table-key index i (unique for i < 15M).
@@ -455,48 +447,46 @@ int Run() {
   table.AddRow("peak RSS MiB", Fmt(static_cast<double>(PeakRssKb()) / 1024.0, 1));
   table.Print();
 
-  std::cout << "MILLION_FLOW_JSON {"
-            << "\"benchmark\":\"million_flow_churn\""
-            << ",\"scale\":\"" << (FullScale() ? "full" : "reduced") << "\""
-            << ",\"table_flows\":" << t.flows
-            << ",\"zipf_lookups\":" << t.zipf_lookups
-            << ",\"churn_ops\":" << t.churn_ops
-            << ",\"capacity\":" << t.capacity
-            << ",\"load_factor\":" << t.load_factor
-            << ",\"avg_probe\":" << t.avg_probe
-            << ",\"probe_p50\":" << t.probe_p50
-            << ",\"probe_p99\":" << t.probe_p99
-            << ",\"max_probe\":" << t.stats.max_probe
-            << ",\"rehashes\":" << t.stats.rehashes
-            << ",\"drift_rebuilds\":" << t.stats.drift_rebuilds
-            << ",\"relocated\":" << t.stats.relocated
-            << ",\"max_reloc_slots\":" << t.stats.max_reloc_slots
-            << ",\"forced_finishes\":" << t.stats.forced_finishes
-            << ",\"tombstones_reused\":" << t.stats.tombstones_reused
-            << ",\"drift_rebuilds_small\":" << drift
-            << ",\"table_wall_sec\":" << t.wall_sec
-            << ",\"svc_flows\":" << a.flows
-            << ",\"svc_packets\":" << a.packets
-            << ",\"svc_events\":" << a.events
-            << ",\"events_per_packet\":" << a.events_per_packet
-            << ",\"svc_fastpath_rx\":" << a.fastpath_rx
-            << ",\"svc_exceptions\":" << a.exceptions
-            << ",\"group_moves\":" << a.group_moves
-            << ",\"migrations\":" << a.migrations
-            << ",\"rebalances\":" << a.rebalances
-            << ",\"deferred_items\":" << a.deferred_items
-            << ",\"partition_mismatches\":" << a.partition_mismatches
-            << ",\"svc_churned\":" << a.churned
-            << ",\"svc_stale_rejected\":" << a.stale_rejected
-            << ",\"svc_probe_p99\":" << a.table.probe_p99
-            << ",\"svc_load_factor\":" << a.table.load_factor
-            << ",\"deterministic\":" << (deterministic ? 1 : 0)
-            << ",\"fingerprint\":" << a.fingerprint
-            << ",\"svc_wall_sec\":" << a.wall_sec
-            << ",\"watchdog_triggers\":" << b.watchdog_triggers
-            << ",\"recorder_records\":" << b.recorder_records
-            << ",\"recorder_overhead_wall\":" << recorder_overhead
-            << ",\"peak_rss_kb\":" << PeakRssKb() << "}" << std::endl;
+  BenchRecord record("million_flow_churn");
+  record.Det("table_flows", t.flows);
+  record.Det("zipf_lookups", t.zipf_lookups);
+  record.Det("churn_ops", t.churn_ops);
+  record.Det("capacity", t.capacity);
+  record.Det("load_factor", t.load_factor);
+  record.Det("avg_probe", t.avg_probe);
+  record.Det("probe_p50", t.probe_p50);
+  record.Det("probe_p99", t.probe_p99);
+  record.Det("max_probe", t.stats.max_probe);
+  record.Det("rehashes", t.stats.rehashes);
+  record.Det("drift_rebuilds", t.stats.drift_rebuilds);
+  record.Det("relocated", t.stats.relocated);
+  record.Det("max_reloc_slots", t.stats.max_reloc_slots);
+  record.Det("forced_finishes", t.stats.forced_finishes);
+  record.Det("tombstones_reused", t.stats.tombstones_reused);
+  record.Det("drift_rebuilds_small", drift);
+  record.Det("svc_flows", a.flows);
+  record.Det("svc_packets", a.packets);
+  record.Det("svc_events", a.events);
+  record.Det("events_per_packet", a.events_per_packet);
+  record.Det("svc_fastpath_rx", a.fastpath_rx);
+  record.Det("svc_exceptions", a.exceptions);
+  record.Det("group_moves", a.group_moves);
+  record.Det("migrations", a.migrations);
+  record.Det("rebalances", a.rebalances);
+  record.Det("deferred_items", a.deferred_items);
+  record.Det("partition_mismatches", a.partition_mismatches);
+  record.Det("svc_churned", a.churned);
+  record.Det("svc_stale_rejected", a.stale_rejected);
+  record.Det("svc_probe_p99", a.table.probe_p99);
+  record.Det("svc_load_factor", a.table.load_factor);
+  record.Det("deterministic", deterministic ? 1 : 0);
+  record.Det("fingerprint", a.fingerprint);
+  record.Det("watchdog_triggers", b.watchdog_triggers);
+  record.Det("recorder_records", b.recorder_records);
+  record.Wall("table_wall_sec", t.wall_sec);
+  record.Wall("svc_wall_sec", a.wall_sec);
+  record.Wall("recorder_overhead_wall", recorder_overhead);
+  record.Print();
 
   if (failures.empty()) {
     std::cout << "MILLION_FLOW_GATES PASS\n";

@@ -3,12 +3,9 @@
 // Drives a fig6-style pipelined RPC run (single-threaded TAS server, ideal
 // clients, pipeline depth 16) and reports how fast the simulator core chews
 // through events: events/sec, wall ns/event, events per delivered packet,
-// ops/sec of the workload, and peak RSS. Emits one machine-readable JSON
-// line (prefixed PERF_SMOKE_JSON) so CI can archive the trajectory across
-// PRs; see EXPERIMENTS.md.
-#include <sys/resource.h>
-#include <sys/time.h>
-
+// ops/sec of the workload, and peak RSS. Emits one BENCH_JSON record
+// (bench/bench_record.h) so CI can gate its det values and archive its wall
+// values across PRs; see EXPERIMENTS.md.
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -16,6 +13,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/bench_record.h"
 #include "src/trace/flight_recorder.h"
 #include "src/trace/latency.h"
 
@@ -23,11 +21,11 @@ namespace tas {
 namespace bench {
 namespace {
 
-// TAS_LATENCY=1 enables per-packet stage stamping on the TAS server and
-// emits a second machine-readable line (PERF_LATENCY_JSON) with the
-// per-stage percentile report; bench/latency_gate.cc compares it against
-// bench/baselines/perf_smoke_latency.json in CI. All values are sim-time
-// derived, so the report is deterministic for a given seed and scale.
+// TAS_LATENCY=1 enables per-packet stage stamping on the TAS server, prints
+// the per-stage percentile table and puts the report under det.latency; CI
+// gates it against bench/baselines/perf_smoke_latency.json. All values are
+// sim-time derived, so the report is deterministic for a given seed and
+// scale.
 bool LatencyEnabled() {
   const char* env = std::getenv("TAS_LATENCY");
   return env != nullptr && *env != '\0' && std::string(env) != "0";
@@ -69,7 +67,7 @@ struct SmokeResult {
   uint64_t queue_moved = 0;
   uint64_t ctx_dropped_events = 0;  // tas.contexts.dropped_events, server.
   PacketPoolStats pool;
-  std::string latency_json;  // Empty unless TAS_LATENCY is set.
+  LatencyReport latency;  // Empty unless TAS_LATENCY is set.
   uint64_t watchdog_triggers = 0;  // Armed runs only.
   uint64_t recorder_records = 0;   // Records retained across all streams.
 };
@@ -160,7 +158,7 @@ SmokeResult RunSmoke(bool armed = false) {
   result.ctx_dropped_events = ContextDroppedEvents(exp->host(0).tas());
   result.pool = exp->packet_pool().stats();
   if (LatencyEnabled()) {
-    result.latency_json = exp->host(0).tas()->tracer().latency().Report().ToJson();
+    result.latency = exp->host(0).tas()->tracer().latency().Report();
   }
   if (armed) {
     FlightRecorder* recorder = exp->sim().context().recorder();
@@ -170,12 +168,6 @@ SmokeResult RunSmoke(bool armed = false) {
     }
   }
   return result;
-}
-
-long PeakRssKb() {
-  struct rusage usage {};
-  getrusage(RUSAGE_SELF, &usage);
-  return usage.ru_maxrss;
 }
 
 int Run() {
@@ -241,45 +233,45 @@ int Run() {
   }
   table.Print();
 
-  // One line, machine readable; CI greps for the prefix.
-  std::cout << "PERF_SMOKE_JSON {"
-            << "\"benchmark\":\"perf_smoke\""
-            << ",\"workload\":\"fig6_pipelined_64b_d16\""
-            << ",\"events\":" << r.events
-            << ",\"wall_sec\":" << r.wall_sec
-            << ",\"wall_ns\":" << static_cast<uint64_t>(r.wall_sec * 1e9)
-            << ",\"events_per_sec\":" << events_per_sec
-            << ",\"wall_ns_per_event\":" << ns_per_event
-            << ",\"server_packets\":" << r.packets
-            << ",\"events_per_packet\":" << events_per_packet
-            << ",\"workload_ops_per_sec\":" << r.ops
-            << ",\"ops_completed\":" << r.ops_count
-            << ",\"bytes_delivered\":" << r.bytes_delivered
-            << ",\"retransmits\":" << r.retransmits
-            << ",\"retransmits_fast\":" << r.retransmits_fast
-            << ",\"retransmits_timeout\":" << r.retransmits_timeout
-            << ",\"retransmits_handshake\":" << r.retransmits_handshake
-            << ",\"server_rx_drops\":" << r.server_rx_drops
-            << ",\"peak_rss_kb\":" << PeakRssKb()
-            << ",\"cancelled_events\":" << r.cancelled
-            << ",\"cancelled_popped\":" << r.cancelled_popped
-            << ",\"max_pending_events\":" << r.max_pending
-            << ",\"event_nodes\":" << r.event_nodes
-            << ",\"queue_refills\":" << r.queue_refills
-            << ",\"queue_moved\":" << r.queue_moved
-            << ",\"ctx_dropped_events\":" << r.ctx_dropped_events
-            << ",\"pkt_pool_allocated\":" << r.pool.allocated
-            << ",\"pkt_pool_reused\":" << r.pool.reused
-            << ",\"watchdog_armed\":" << (WatchdogBenchEnabled() ? 1 : 0)
-            << ",\"watchdog_triggers\":" << armed.watchdog_triggers
-            << ",\"recorder_records\":" << armed.recorder_records
-            << ",\"recorder_overhead_wall\":" << recorder_overhead
-            << ",\"armed_wall_sec\":" << armed.wall_sec << "}" << std::endl;
+  BenchRecord record("perf_smoke");
+  record.Config("latency", LatencyEnabled());
+  record.Config("watchdog_bench", WatchdogBenchEnabled());
+  record.Det("workload", "fig6_pipelined_64b_d16");
+  record.Det("events", r.events);
+  record.Det("server_packets", r.packets);
+  record.Det("events_per_packet", events_per_packet);
+  record.Det("workload_ops_per_sec", r.ops);
+  record.Det("ops_completed", r.ops_count);
+  record.Det("bytes_delivered", r.bytes_delivered);
+  record.Det("retransmits", r.retransmits);
+  record.Det("retransmits_fast", r.retransmits_fast);
+  record.Det("retransmits_timeout", r.retransmits_timeout);
+  record.Det("retransmits_handshake", r.retransmits_handshake);
+  record.Det("server_rx_drops", r.server_rx_drops);
+  record.Det("cancelled_events", r.cancelled);
+  record.Det("cancelled_popped", r.cancelled_popped);
+  record.Det("max_pending_events", r.max_pending);
+  record.Det("event_nodes", r.event_nodes);
+  record.Det("queue_refills", r.queue_refills);
+  record.Det("queue_moved", r.queue_moved);
+  record.Det("ctx_dropped_events", r.ctx_dropped_events);
+  record.Det("pkt_pool_allocated", r.pool.allocated);
+  record.Det("pkt_pool_reused", r.pool.reused);
+  record.Det("watchdog_triggers", armed.watchdog_triggers);
+  record.Det("recorder_records", armed.recorder_records);
+  if (LatencyEnabled()) {
+    record.DetJson("latency", r.latency.ToJson());
+  }
+  record.Wall("wall_sec", r.wall_sec);
+  record.Wall("wall_ns", static_cast<uint64_t>(r.wall_sec * 1e9));
+  record.Wall("events_per_sec", events_per_sec);
+  record.Wall("wall_ns_per_event", ns_per_event);
+  record.Wall("recorder_overhead_wall", recorder_overhead);
+  record.Wall("armed_wall_sec", armed.wall_sec);
+  record.Print();
 
-  if (!r.latency_json.empty()) {
-    const LatencyReport report = ParseLatencyReportJson(r.latency_json);
-    std::cout << "\n" << report.ToTable();
-    std::cout << "PERF_LATENCY_JSON " << r.latency_json << std::endl;
+  if (LatencyEnabled()) {
+    std::cout << "\n" << r.latency.ToTable();
   }
   if (!gate_failures.empty()) {
     for (const std::string& f : gate_failures) {

@@ -18,8 +18,9 @@
 //     respected) and the latency partition invariant
 //     (partition_mismatches == 0 while stage stamping is on).
 //
-// Emits one machine-readable line (PROXY_CYCLES_JSON) so CI can archive the
-// trajectory next to PERF_SMOKE_JSON; see EXPERIMENTS.md.
+// Emits one BENCH_JSON record (bench/bench_record.h) whose det holds the
+// path costs, the churn sweep and the alpha=0.9 critical-path report, which
+// CI gates against bench/baselines/proxy_cycles.json; see EXPERIMENTS.md.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/bench_record.h"
 #include "src/proxy/origin_server.h"
 #include "src/proxy/proxy_client.h"
 #include "src/proxy/proxy_server.h"
@@ -354,7 +356,7 @@ int Run() {
   churn_table.Print();
 
   // Per-class critical-path anatomy of the middle (alpha=0.9) run — the
-  // breakdown the PROXY_CRITPATH_JSON gate baseline is recorded from.
+  // breakdown the record's det.critical_path holds.
   std::cout << "\nCritical-path breakdown (alpha=0.9 churn):\n"
             << churn[1].critpath_table;
 
@@ -422,22 +424,15 @@ int Run() {
     }
   }
 
-  // One line, machine readable; CI greps for the prefix and archives it.
-  std::ostringstream json;
-  uint64_t total_wall_ns = 0;
-  for (const ChurnResult& c : churn) {
-    total_wall_ns += c.wall_ns;
-  }
-  json << "PROXY_CYCLES_JSON {"
-       << "\"benchmark\":\"proxy_cycles\""
-       << ",\"wall_ns\":" << total_wall_ns
-       << ",\"body_min\":" << kMinBody << ",\"body_spread\":" << kBodySpread
-       << ",\"deterministic\":" << (deterministic ? "true" : "false");
+  BenchRecord record("proxy_cycles");
+  record.Det("body_min", kMinBody);
+  record.Det("body_spread", kBodySpread);
+  record.Det("deterministic", deterministic);
   const PathResult* paths[] = {&hit, &store, &splice};
   const char* names[] = {"hit", "store", "splice"};
   for (int p = 0; p < 3; ++p) {
-    json << ",\"" << names[p] << "\":{"
-         << "\"cycles_per_request\":" << paths[p]->total
+    std::ostringstream json;
+    json << "{\"cycles_per_request\":" << paths[p]->total
          << ",\"responses\":" << paths[p]->responses
          << ",\"median_us\":" << paths[p]->median_us << ",\"modules\":{";
     for (int m = 0; m < kNumCpuModules; ++m) {
@@ -445,29 +440,34 @@ int Run() {
            << "\":" << paths[p]->per_module[m];
     }
     json << "}}";
+    record.DetJson(names[p], json.str());
   }
-  json << ",\"churn\":[";
+  std::ostringstream det_churn;
+  std::ostringstream wall_churn;
+  uint64_t total_wall_ns = 0;
   for (size_t i = 0; i < churn.size(); ++i) {
     const ChurnResult& c = churn[i];
-    json << (i == 0 ? "" : ",") << "{\"alpha\":" << c.alpha << ",\"target\":" << c.target
-         << ",\"completed\":" << c.completed << ",\"duplicates\":" << c.duplicates
-         << ",\"mismatches\":" << c.mismatches << ",\"bad_bodies\":" << c.bad_bodies
-         << ",\"retries\":" << c.retries << ",\"cache_hit_rate\":" << c.hit_rate
-         << ",\"pool_opened\":" << c.pool_opened << ",\"pool_conns_hw\":" << c.pool_conns_hw
-         << ",\"spliced_bytes\":" << c.spliced_bytes << ",\"p50_us\":" << c.p50_us
-         << ",\"p99_us\":" << c.p99_us << ",\"latency_records\":" << c.latency_records
-         << ",\"partition_mismatches\":" << c.partition_mismatches
-         << ",\"causal_completed\":" << c.causal_completed
-         << ",\"causal_mismatches\":" << c.causal_mismatches
-         << ",\"wall_ns\":" << c.wall_ns
-         << ",\"sim_ms\":" << c.finished_at / 1000000 << "}";
+    det_churn << (i == 0 ? "[" : ",") << "{\"alpha\":" << c.alpha << ",\"target\":" << c.target
+              << ",\"completed\":" << c.completed << ",\"duplicates\":" << c.duplicates
+              << ",\"mismatches\":" << c.mismatches << ",\"bad_bodies\":" << c.bad_bodies
+              << ",\"retries\":" << c.retries << ",\"cache_hit_rate\":" << c.hit_rate
+              << ",\"pool_opened\":" << c.pool_opened
+              << ",\"pool_conns_hw\":" << c.pool_conns_hw
+              << ",\"spliced_bytes\":" << c.spliced_bytes << ",\"p50_us\":" << c.p50_us
+              << ",\"p99_us\":" << c.p99_us << ",\"latency_records\":" << c.latency_records
+              << ",\"partition_mismatches\":" << c.partition_mismatches
+              << ",\"causal_completed\":" << c.causal_completed
+              << ",\"causal_mismatches\":" << c.causal_mismatches
+              << ",\"sim_ms\":" << c.finished_at / 1000000 << "}";
+    wall_churn << (i == 0 ? "[" : ",") << "{\"wall_ns\":" << c.wall_ns << "}";
+    total_wall_ns += c.wall_ns;
   }
-  json << "],\"gates_failed\":" << failures.size() << "}";
-  std::cout << json.str() << std::endl;
-
-  // The alpha=0.9 per-class critical-path report on its own line: CI archives
-  // it and critical_path_gate compares it against the checked-in baseline.
-  std::cout << "PROXY_CRITPATH_JSON " << churn[1].critpath_json << std::endl;
+  record.DetJson("churn", det_churn.str() + "]");
+  record.Det("gates_failed", failures.size());
+  record.DetJson("critical_path", churn[1].critpath_json);
+  record.Wall("wall_ns", total_wall_ns);
+  record.WallJson("churn", wall_churn.str() + "]");
+  record.Print();
 
   if (!failures.empty()) {
     for (const std::string& f : failures) {

@@ -16,7 +16,8 @@
 //   - determinism: a same-seed rerun of the faulted run must produce
 //     byte-identical bundle files (.json/.jsonl/.perfetto.json).
 //
-// Emits one WATCHDOG_CHAOS_JSON line; CI archives the bundle files written
+// Emits one BENCH_JSON record (bench/bench_record.h), which CI gates against
+// bench/baselines/watchdog_chaos.json, and archives the bundle files written
 // under argv[1] (default "watchdog_chaos") as artifacts.
 #include <algorithm>
 #include <cstdlib>
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/bench_record.h"
 #include "src/fault/injector.h"
 #include "src/tas/watchdog.h"
 #include "src/trace/flight_recorder.h"
@@ -291,25 +293,24 @@ int Run(int argc, char** argv) {
                faulted.bundle_json == rerun.bundle_json ? "yes" : "NO");
   table.Print();
 
-  std::cout << "WATCHDOG_CHAOS_JSON {"
-            << "\"benchmark\":\"watchdog_chaos\""
-            << ",\"fault_from_ns\":" << kFaultFrom << ",\"fault_to_ns\":" << kFaultTo
-            << ",\"triggers\":" << faulted.triggers.size()
-            << ",\"bundles_written\":" << faulted.bundles_written
-            << ",\"checks\":" << faulted.checks
-            << ",\"timeout_retransmits\":" << faulted.timeout_retransmits
-            << ",\"recorded_flow\":" << faulted.recorded_flow
-            << ",\"recorded_slo\":" << faulted.recorded_slo
-            << ",\"clean_triggers\":" << clean.triggers.size()
-            << ",\"deterministic\":"
-            << (faulted.bundle_json == rerun.bundle_json &&
-                        faulted.bundle_jsonl == rerun.bundle_jsonl
-                    ? 1
-                    : 0);
+  BenchRecord record("watchdog_chaos");
+  record.Det("fault_from_ns", kFaultFrom);
+  record.Det("fault_to_ns", kFaultTo);
+  record.Det("triggers", faulted.triggers.size());
+  record.Det("bundles_written", faulted.bundles_written);
+  record.Det("checks", faulted.checks);
+  record.Det("timeout_retransmits", faulted.timeout_retransmits);
+  record.Det("recorded_flow", faulted.recorded_flow);
+  record.Det("recorded_slo", faulted.recorded_slo);
+  record.Det("clean_triggers", clean.triggers.size());
+  record.Det("deterministic", faulted.bundle_json == rerun.bundle_json &&
+                                      faulted.bundle_jsonl == rerun.bundle_jsonl
+                                  ? 1
+                                  : 0);
   if (!faulted.triggers.empty()) {
-    std::cout << ",\"trigger\":" << SloTriggerToJson(faulted.triggers[0]);
+    record.DetJson("trigger", SloTriggerToJson(faulted.triggers[0]));
   }
-  std::cout << "}" << std::endl;
+  record.Print();
 
   if (failures.empty()) {
     std::cout << "WATCHDOG_CHAOS_GATES PASS\n";

@@ -434,72 +434,4 @@ std::string CriticalPathReport::ToTable() const {
   return os.str();
 }
 
-CriticalPathReport ParseCriticalPathReportJson(const std::string& json, bool* ok) {
-  bool good = true;
-  CriticalPathReport report;
-  const size_t classes_pos = json.find("\"classes\":[");
-  if (classes_pos == std::string::npos) {
-    if (ok != nullptr) {
-      *ok = false;
-    }
-    return CriticalPathReport{};
-  }
-  report.completed = JsonCountAt(json, 0, classes_pos, "completed", &good);
-  report.abandoned = JsonCountAt(json, 0, classes_pos, "abandoned", &good);
-  report.dropped = JsonCountAt(json, 0, classes_pos, "dropped", &good);
-  report.stale = JsonCountAt(json, 0, classes_pos, "stale", &good);
-  report.truncated = JsonCountAt(json, 0, classes_pos, "truncated", &good);
-  report.mismatches = JsonCountAt(json, 0, classes_pos, "mismatches", &good);
-
-  // Class blocks are delimited by their "request_class" keys; edge objects
-  // inside each block are flat.
-  size_t class_pos = json.find("\"request_class\":", classes_pos);
-  while (good && class_pos != std::string::npos) {
-    const size_t next_class = json.find("\"request_class\":", class_pos + 1);
-    const size_t block_end = next_class != std::string::npos ? next_class : json.size();
-    CriticalPathClassSummary cs;
-    cs.request_class = JsonStringAt(json, class_pos, block_end, "request_class", &good);
-    cs.count = JsonCountAt(json, class_pos, block_end, "count", &good);
-    const size_t edges_pos = JsonValueAt(json, class_pos, block_end, "edges");
-    if (edges_pos == std::string::npos) {
-      good = false;
-      break;
-    }
-    ParseRowsJson(json, edges_pos, block_end, "edge", /*with_share=*/true, &cs.edges, &good);
-    if (good && !cs.edges.empty()) {
-      report.classes.push_back(std::move(cs));
-    } else if (good) {
-      good = false;
-    }
-    class_pos = next_class;
-  }
-  if (report.classes.empty()) {
-    good = false;
-  }
-  if (ok != nullptr) {
-    *ok = good;
-  }
-  return good ? report : CriticalPathReport{};
-}
-
-std::vector<ReportRegression> CompareCriticalPathReports(const CriticalPathReport& baseline,
-                                                         const CriticalPathReport& current,
-                                                         double tolerance, uint64_t min_count) {
-  std::vector<ReportRegression> violations;
-  for (const CriticalPathClassSummary& base_cls : baseline.classes) {
-    if (base_cls.count < min_count) {
-      continue;  // Too few samples to gate on.
-    }
-    const CriticalPathClassSummary* cur_cls = current.Find(base_cls.request_class);
-    if (cur_cls == nullptr) {
-      violations.push_back(ReportRegression{base_cls.request_class, "e2e", "count",
-                                            static_cast<double>(base_cls.count), 0, 0});
-      continue;
-    }
-    CheckRows(base_cls.request_class, base_cls.edges, cur_cls->edges, tolerance, min_count,
-              &violations);
-  }
-  return violations;
-}
-
 }  // namespace tas

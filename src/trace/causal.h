@@ -178,27 +178,12 @@ struct CriticalPathReport {
   std::vector<CriticalPathClassSummary> classes;  // Only classes with traffic.
 
   const CriticalPathClassSummary* Find(const std::string& request_class) const;
-  // Single-line JSON (the PROXY_CRITPATH_JSON payload and the
+  // Single-line JSON (proxy_cycles' det.critical_path and the
   // <prefix>.critical_path.json file format).
   std::string ToJson() const;
   // Fixed-width text table for terminal output.
   std::string ToTable() const;
 };
-
-// Parses a report previously produced by CriticalPathReport::ToJson. Sets
-// *ok to false (and returns an empty report) on malformed input.
-CriticalPathReport ParseCriticalPathReportJson(const std::string& json, bool* ok = nullptr);
-
-// CI gate: flags (class, edge) rows — including "e2e" — whose mean or p99
-// grew beyond baseline * (1 + tolerance). Rows with fewer than `min_count`
-// baseline samples are skipped; improvements always pass. A class present in
-// the baseline but absent from `current` is itself a violation (the workload
-// lost a whole request class). Violations name the request class as their
-// group and the edge as their row.
-std::vector<ReportRegression> CompareCriticalPathReports(const CriticalPathReport& baseline,
-                                                         const CriticalPathReport& current,
-                                                         double tolerance,
-                                                         uint64_t min_count = 50);
 
 // --- Tracer -----------------------------------------------------------------
 

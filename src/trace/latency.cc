@@ -194,37 +194,4 @@ std::string LatencyReport::ToTable() const {
   return os.str();
 }
 
-LatencyReport ParseLatencyReportJson(const std::string& json, bool* ok) {
-  bool good = true;
-  LatencyReport report;
-  const size_t stages_pos = json.find("\"stages\":[");
-  if (stages_pos == std::string::npos) {
-    if (ok != nullptr) {
-      *ok = false;
-    }
-    return LatencyReport{};
-  }
-  report.completed = JsonCountAt(json, 0, stages_pos, "completed", &good);
-  report.abandoned = JsonCountAt(json, 0, stages_pos, "abandoned", &good);
-  report.overwritten = JsonCountAt(json, 0, stages_pos, "overwritten", &good);
-  report.stale = JsonCountAt(json, 0, stages_pos, "stale", &good);
-  ParseRowsJson(json, stages_pos + 10, json.size(), "stage", /*with_share=*/false,
-                &report.stages, &good);
-  if (report.stages.empty()) {
-    good = false;
-  }
-  if (ok != nullptr) {
-    *ok = good;
-  }
-  return good ? report : LatencyReport{};
-}
-
-std::vector<ReportRegression> CompareLatencyReports(const LatencyReport& baseline,
-                                                    const LatencyReport& current,
-                                                    double tolerance, uint64_t min_count) {
-  std::vector<ReportRegression> violations;
-  CheckRows("", baseline.stages, current.stages, tolerance, min_count, &violations);
-  return violations;
-}
-
 }  // namespace tas

@@ -68,24 +68,12 @@ struct LatencyReport {
   const LatencyStageSummary* Find(const std::string& stage) const {
     return FindRow(stages, stage);
   }
-  // Single-line JSON object (the PERF_LATENCY_JSON payload and the
+  // Single-line JSON object (perf_smoke's det.latency and the
   // <prefix>.latency.json file format).
   std::string ToJson() const;
   // Fixed-width text table for terminal output.
   std::string ToTable() const;
 };
-
-// Parses a report previously produced by LatencyReport::ToJson. Sets *ok to
-// false (and returns an empty report) on malformed input.
-LatencyReport ParseLatencyReportJson(const std::string& json, bool* ok = nullptr);
-
-// CI regression gate: flags stages whose mean or p99 grew beyond
-// baseline * (1 + tolerance) (CheckRows, report.h). Stages with fewer than
-// `min_count` baseline samples are skipped (too noisy to gate on);
-// improvements always pass.
-std::vector<ReportRegression> CompareLatencyReports(const LatencyReport& baseline,
-                                                    const LatencyReport& current,
-                                                    double tolerance, uint64_t min_count = 50);
 
 class LatencyTracer {
  public:

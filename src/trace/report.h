@@ -1,7 +1,6 @@
 // Shared pieces of the latency-anatomy and critical-path reports (DESIGN.md
 // §10, §12): one summary row type, the function that fills it from a
-// histogram, the flat-JSON scanner both report parsers use, and the mean/p99
-// row check both regression comparators apply.
+// histogram, and its JSON form.
 #ifndef SRC_TRACE_REPORT_H_
 #define SRC_TRACE_REPORT_H_
 
@@ -43,47 +42,6 @@ const ReportRow* FindRow(const std::vector<ReportRow>& rows, const std::string& 
 // `with_share`.
 void WriteRowJson(std::ostream& os, const ReportRow& row, const char* name_key,
                   bool with_share);
-
-// --- Flat-JSON scanner --------------------------------------------------------
-// For the exact shapes the reports and bench records emit, not general JSON.
-// Each lookup searches text[from, to) for `"key":`; a missing key, a value
-// that does not parse, or a string that runs past `to` clears *ok.
-
-// Index just past the colon of `"key":` in text[from, to), or npos.
-size_t JsonValueAt(const std::string& text, size_t from, size_t to, const std::string& key);
-double JsonNumberAt(const std::string& text, size_t from, size_t to, const std::string& key,
-                    bool* ok);
-// A count: a number in [0, 2^64). Anything else (negative, out of range,
-// nan) clears *ok.
-uint64_t JsonCountAt(const std::string& text, size_t from, size_t to, const std::string& key,
-                     bool* ok);
-std::string JsonStringAt(const std::string& text, size_t from, size_t to,
-                         const std::string& key, bool* ok);
-
-// Parses the flat row objects of the array whose contents start at `pos`,
-// up to its closing bracket or `to`, appending them to *rows.
-void ParseRowsJson(const std::string& text, size_t pos, size_t to, const char* name_key,
-                   bool with_share, std::vector<ReportRow>* rows, bool* ok);
-
-// --- Regression check -----------------------------------------------------------
-
-// One comparator violation: `metric` of row `row` (within `group`, e.g. a
-// request class; empty for latency stages) regressed past tolerance.
-struct ReportRegression {
-  std::string group;
-  std::string row;
-  std::string metric;  // "mean_ns" or "p99_ns" (or a bench record's key).
-  double baseline = 0;
-  double current = 0;
-  double ratio = 0;  // current / baseline.
-};
-
-// Flags every baseline row with at least `min_count` samples whose mean or
-// p99 in `current` grew beyond baseline * (1 + tolerance). Rows missing from
-// `current` and improvements pass.
-void CheckRows(const std::string& group, const std::vector<ReportRow>& baseline,
-               const std::vector<ReportRow>& current, double tolerance, uint64_t min_count,
-               std::vector<ReportRegression>* out);
 
 }  // namespace tas
 

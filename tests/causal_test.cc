@@ -203,77 +203,6 @@ TEST(CausalTracerTest, RingOverwriteDropsOldestLiveTrace) {
 }
 
 // ---------------------------------------------------------------------------
-// Report JSON round-trip and the regression comparator.
-
-CriticalPathReport TwoClassReport() {
-  CausalTracer tracer(1u << 4);
-  for (int i = 0; i < 60; ++i) {
-    const uint64_t t = tracer.BeginTrace(i * 1000);
-    tracer.Mark(t, CausalEdge::kNetRequest, i * 1000 + 100);
-    tracer.Mark(t, CausalEdge::kOriginQueue, i * 1000 + 300 + i);
-    tracer.Mark(t, CausalEdge::kProxySend, i * 1000 + 400 + i);
-    tracer.SetClass(t, i % 2 == 0 ? RequestClass::kHit : RequestClass::kStore);
-    tracer.Finish(t, i * 1000 + 500 + i);
-  }
-  return tracer.Report();
-}
-
-TEST(CriticalPathReportTest, JsonRoundTripPreservesRows) {
-  const CriticalPathReport report = TwoClassReport();
-  bool ok = false;
-  const CriticalPathReport parsed = ParseCriticalPathReportJson(report.ToJson(), &ok);
-  ASSERT_TRUE(ok);
-  ASSERT_EQ(parsed.classes.size(), report.classes.size());
-  for (size_t c = 0; c < report.classes.size(); ++c) {
-    EXPECT_EQ(parsed.classes[c].request_class, report.classes[c].request_class);
-    EXPECT_EQ(parsed.classes[c].count, report.classes[c].count);
-    ASSERT_EQ(parsed.classes[c].edges.size(), report.classes[c].edges.size());
-    for (size_t e = 0; e < report.classes[c].edges.size(); ++e) {
-      EXPECT_EQ(parsed.classes[c].edges[e].name, report.classes[c].edges[e].name);
-      EXPECT_EQ(parsed.classes[c].edges[e].count, report.classes[c].edges[e].count);
-      EXPECT_EQ(parsed.classes[c].edges[e].p99_ns, report.classes[c].edges[e].p99_ns);
-      EXPECT_NEAR(parsed.classes[c].edges[e].mean_ns, report.classes[c].edges[e].mean_ns, 0.5);
-    }
-  }
-  bool bad_ok = true;
-  ParseCriticalPathReportJson("not json", &bad_ok);
-  EXPECT_FALSE(bad_ok);
-}
-
-TEST(CriticalPathGateTest, IdenticalReportsPassPerturbedOriginQueueFails) {
-  const CriticalPathReport baseline = TwoClassReport();
-  EXPECT_TRUE(CompareCriticalPathReports(baseline, baseline, 0.15, 10).empty());
-
-  // Inject a +20% origin-queue perturbation: the gate must trip on it.
-  CriticalPathReport perturbed = baseline;
-  for (CriticalPathClassSummary& cls : perturbed.classes) {
-    for (CriticalPathEdgeSummary& edge : cls.edges) {
-      if (edge.name == "origin_queue") {
-        edge.mean_ns *= 1.20;
-        edge.p99_ns = static_cast<uint64_t>(static_cast<double>(edge.p99_ns) * 1.20);
-      }
-    }
-  }
-  const auto regressions = CompareCriticalPathReports(baseline, perturbed, 0.15, 10);
-  ASSERT_FALSE(regressions.empty());
-  for (const ReportRegression& r : regressions) {
-    EXPECT_EQ(r.row, "origin_queue");
-    EXPECT_GT(r.ratio, 1.15);
-  }
-  // Improvements pass: compare the perturbed baseline against the original.
-  EXPECT_TRUE(CompareCriticalPathReports(perturbed, baseline, 0.15, 10).empty());
-}
-
-TEST(CriticalPathGateTest, VanishedClassIsAViolation) {
-  const CriticalPathReport baseline = TwoClassReport();
-  CriticalPathReport current = baseline;
-  current.classes.erase(current.classes.begin());  // Drop "hit".
-  const auto regressions = CompareCriticalPathReports(baseline, current, 0.15, 10);
-  ASSERT_EQ(regressions.size(), 1u);
-  EXPECT_EQ(regressions[0].group, "hit");
-}
-
-// ---------------------------------------------------------------------------
 // End-to-end: the proxy rig with causal tracing across three hosts.
 
 LinkConfig TestLink() {

@@ -95,90 +95,6 @@ TEST(LatencyTracerTest, RingAllocatedByFirstBeginAndKeptByClear) {
   EXPECT_EQ(tracer.e2e_stats().max(), 50.0);
 }
 
-TEST(LatencyTracerTest, ReportJsonRoundTrips) {
-  LatencyTracer tracer(16);
-  for (int i = 0; i < 10; ++i) {
-    const uint64_t id = tracer.Begin(i * 1000);
-    tracer.Stamp(id, LatencyStage::kCtxQueue, i * 1000 + 200);
-    tracer.Stamp(id, LatencyStage::kFpTx, i * 1000 + 500);
-    tracer.Finish(id, LatencyStage::kFpRx, i * 1000 + 900 + i);
-  }
-  const LatencyReport report = tracer.Report();
-  bool ok = false;
-  const LatencyReport parsed = ParseLatencyReportJson(report.ToJson(), &ok);
-  ASSERT_TRUE(ok);
-  EXPECT_EQ(parsed.completed, report.completed);
-  EXPECT_EQ(parsed.abandoned, report.abandoned);
-  ASSERT_EQ(parsed.stages.size(), report.stages.size());
-  for (size_t i = 0; i < report.stages.size(); ++i) {
-    EXPECT_EQ(parsed.stages[i].name, report.stages[i].name);
-    EXPECT_EQ(parsed.stages[i].cls, report.stages[i].cls);
-    EXPECT_EQ(parsed.stages[i].count, report.stages[i].count);
-    EXPECT_EQ(parsed.stages[i].p50_ns, report.stages[i].p50_ns);
-    EXPECT_EQ(parsed.stages[i].p99_ns, report.stages[i].p99_ns);
-    // mean_ns is serialized with one decimal.
-    EXPECT_NEAR(parsed.stages[i].mean_ns, report.stages[i].mean_ns, 0.05);
-  }
-  EXPECT_FALSE(ParseLatencyReportJson("not a report", &ok).completed);
-  EXPECT_FALSE(ok);
-}
-
-// Builds a report with enough samples per stage for the comparator to gate.
-// The stamp intervals are chosen so a 1.2x scale stays inside each value's
-// power-of-two histogram bucket: the bucketed p99s are then identical across
-// scales and only the (exact) means move, keeping the pass/fail boundary of
-// the tolerance gate deterministic.
-LatencyReport SyntheticReport(double scale) {
-  LatencyTracer tracer(256);
-  for (int i = 0; i < 100; ++i) {
-    const TimeNs base = i * 10000;
-    const uint64_t id = tracer.Begin(base);
-    tracer.Stamp(id, LatencyStage::kCtxQueue, base + static_cast<TimeNs>(300 * scale));
-    tracer.Stamp(id, LatencyStage::kFpTx, base + static_cast<TimeNs>(1050 * scale));
-    tracer.Finish(id, LatencyStage::kFpRx, base + static_cast<TimeNs>(2500 * scale) + i);
-  }
-  return tracer.Report();
-}
-
-TEST(LatencyComparatorTest, TwentyPercentPerturbationFailsIdenticalPasses) {
-  const LatencyReport baseline = SyntheticReport(1.0);
-  // Identical run: no violations even at zero tolerance.
-  EXPECT_TRUE(CompareLatencyReports(baseline, baseline, 0.0).empty());
-
-  // A +20% per-stage cost perturbation must trip a 10% gate...
-  const LatencyReport slower = SyntheticReport(1.2);
-  const auto violations = CompareLatencyReports(baseline, slower, 0.10);
-  ASSERT_FALSE(violations.empty());
-  for (const auto& v : violations) {
-    EXPECT_GT(v.ratio, 1.10);
-    EXPECT_GT(v.current, v.baseline);
-  }
-  // ...and pass a 30% gate.
-  EXPECT_TRUE(CompareLatencyReports(baseline, slower, 0.30).empty());
-
-  // A tail-only regression (p99 doubled, means untouched) is caught too.
-  LatencyReport tail = baseline;
-  for (auto& s : tail.stages) {
-    if (s.name == "fp_rx") {
-      s.p99_ns *= 2;
-    }
-  }
-  const auto tail_violations = CompareLatencyReports(baseline, tail, 0.5);
-  ASSERT_EQ(tail_violations.size(), 1u);
-  EXPECT_EQ(tail_violations[0].row, "fp_rx");
-  EXPECT_EQ(tail_violations[0].metric, "p99_ns");
-
-  // Improvements always pass.
-  const LatencyReport faster = SyntheticReport(0.8);
-  EXPECT_TRUE(CompareLatencyReports(baseline, faster, 0.0).empty());
-
-  // Stages under the sample floor are skipped: a tiny baseline gates nothing.
-  LatencyTracer small(16);
-  const uint64_t id = small.Begin(0);
-  small.Finish(id, LatencyStage::kFpRx, 100);
-  EXPECT_TRUE(CompareLatencyReports(small.Report(), slower, 0.0).empty());
-}
-
 struct LatencyRun {
   uint64_t ops = 0;
   uint64_t completed = 0;
