@@ -21,6 +21,9 @@
 // Emits one BENCH_JSON record (bench/bench_record.h) whose det holds the
 // path costs, the churn sweep and the alpha=0.9 critical-path report, which
 // CI gates against bench/baselines/proxy_cycles.json; see EXPERIMENTS.md.
+// Each churn row also holds the proxy and client hosts' slow-path
+// exceptions per ConnState and their timeout retransmissions, so a change
+// that moves closing-flow data back to the slow path names the moved state.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -218,6 +221,10 @@ struct ChurnResult {
   uint64_t causal_dropped = 0;
   uint64_t causal_truncated = 0;
   uint64_t trace_mismatches = 0;  // Responses whose trace id did not echo.
+  // Slow-path exceptions per ConnState and RTO retransmissions on the proxy
+  // (host 0) and client (host 2) hosts: where closing flows' segments go.
+  TasStats proxy_stats;
+  TasStats client_stats;
   std::string critpath_json;      // CriticalPathReport::ToJson().
   std::string critpath_table;     // CriticalPathReport::ToTable().
   std::vector<std::string> classes_seen;
@@ -294,6 +301,8 @@ ChurnResult RunChurn(double alpha) {
   result.causal_dropped = ct.dropped();
   result.causal_truncated = ct.truncated();
   result.trace_mismatches = rig.clients->trace_mismatches();
+  result.proxy_stats = rig.exp->host(0).tas()->stats();
+  result.client_stats = rig.exp->host(2).tas()->stats();
   const CriticalPathReport report = ct.Report();
   result.critpath_json = report.ToJson();
   result.critpath_table = report.ToTable();
@@ -310,6 +319,24 @@ std::string Fingerprint(const PathResult& r) {
   for (int m = 0; m < kNumCpuModules; ++m) {
     os << '|' << r.per_module[m];
   }
+  return os.str();
+}
+
+// {"proxy":{...},"client":{...}} with `field` of each host's stats.
+template <typename Field>
+std::string PerHostJson(const ChurnResult& c, Field field) {
+  std::ostringstream os;
+  os << "{\"proxy\":" << field(c.proxy_stats) << ",\"client\":" << field(c.client_stats) << "}";
+  return os.str();
+}
+
+std::string ExceptionsByStateJson(const TasStats& stats) {
+  std::ostringstream os;
+  for (size_t i = 0; i < kNumConnStates; ++i) {
+    os << (i == 0 ? "{" : ",") << "\"" << ConnStateKey(static_cast<ConnState>(i))
+       << "\":" << stats.exceptions_by_state[i];
+  }
+  os << "}";
   return os.str();
 }
 
@@ -458,6 +485,9 @@ int Run() {
               << ",\"partition_mismatches\":" << c.partition_mismatches
               << ",\"causal_completed\":" << c.causal_completed
               << ",\"causal_mismatches\":" << c.causal_mismatches
+              << ",\"exceptions\":" << PerHostJson(c, ExceptionsByStateJson)
+              << ",\"timeout_retransmits\":"
+              << PerHostJson(c, [](const TasStats& s) { return s.timeout_retransmits; })
               << ",\"sim_ms\":" << c.finished_at / 1000000 << "}";
     wall_churn << (i == 0 ? "[" : ",") << "{\"wall_ns\":" << c.wall_ns << "}";
     total_wall_ns += c.wall_ns;

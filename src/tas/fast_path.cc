@@ -178,10 +178,16 @@ void FastPathCore::ProcessPacket(PacketPtr pkt) {
   const FlowId id = service_->LookupFlowId(key);
   Flow* flow = id == kInvalidFlow ? nullptr : service_->flow_by_id(id);
 
+  // Common case per direction: any segment without SYN/FIN/RST while our
+  // direction is open, and payload while only the peer's is (FIN_WAIT_1/2).
   constexpr uint8_t kExceptionFlags = TcpFlags::kSyn | TcpFlags::kFin | TcpFlags::kRst;
   if (flow == nullptr || (pkt->tcp.flags & kExceptionFlags) != 0 ||
-      !flow->FastPathEligible()) {
-    service_->mutable_stats().exceptions++;
+      !(flow->FastPathEligible() || (!pkt->payload.empty() && flow->RxFastPathEligible()))) {
+    TasStats& stats = service_->mutable_stats();
+    stats.exceptions++;
+    // No flow (a SYN for a listener, a segment for a freed flow) counts as kFreed.
+    stats.exceptions_by_state[static_cast<size_t>(flow == nullptr ? ConnState::kFreed
+                                                                  : flow->cstate)]++;
     if (LatencyTracer* lt = service_->context().latency_sink()) {
       // The exception path leaves the measured pipeline (and the packet may
       // come back via InjectPacket); close the record and untrack the packet
@@ -215,6 +221,9 @@ void FastPathCore::FastPathRx(FlowId flow_id, Flow& flow, const Packet& pkt) {
   }
   if (pkt.tcp.ack_flag()) {
     HandleAck(flow_id, flow, pkt);
+    if (flow.cstate == ConnState::kFinWait1 && pkt.tcp.ack == flow.AckSeq()) {
+      service_->slow_path()->FinAcked(flow_id, flow);  // Data acking our FIN.
+    }
   }
   if (had_payload) {
     // Fast path ACKs every received data packet (paper §3.1: important for
@@ -371,7 +380,7 @@ void FastPathCore::SendAck(FlowId flow_id, Flow& flow, bool ecn_echo, TimeNs enq
   if (ecn_echo) {
     flags |= TcpFlags::kEce;
   }
-  auto ack = service_->FlowSegment(fs, fs.seq, fs.ack, flags);
+  auto ack = service_->FlowSegment(fs, flow.AckSeq(), fs.ack, flags);
   ack->tcp.window = flow.WindowField();
   ack->tcp.has_timestamps = true;
   ack->tcp.ts_val = NowUs(service_->sim());

@@ -17,8 +17,12 @@
 //  * transmit: segment payload from the TX buffer at the slow-path-set rate
 //    (token-less pacing: one segment per rate-spaced slot), reclaim the
 //    buffer on ACKs, and hand flow statistics to the slow path;
-//  * forward everything else (SYN/FIN/RST, unknown flows, non-established
-//    flows) to the slow path as exceptions.
+//  * keep a closing flow's data here: payload into a FIN_WAIT_1/2 flow (the
+//    peer's direction is still open) takes the same RX path, its ACKs carry
+//    seq = FIN + 1, and one that acks our FIN applies FIN_WAIT_1 -> 2;
+//  * forward everything else (SYN/FIN/RST, unknown flows, payload-less
+//    segments of closing flows, flows in handshake or LAST_ACK/TIME_WAIT) to
+//    the slow path as exceptions.
 #ifndef SRC_TAS_FAST_PATH_H_
 #define SRC_TAS_FAST_PATH_H_
 

@@ -1,6 +1,7 @@
 #include "src/tas/flow.h"
 
 #include <algorithm>
+#include <cctype>
 
 namespace tas {
 
@@ -28,6 +29,13 @@ const char* ConnStateName(ConnState state) {
   return "?";
 }
 
+std::string ConnStateKey(ConnState state) {
+  std::string key = ConnStateName(state);
+  std::transform(key.begin(), key.end(), key.begin(),
+                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+  return key;
+}
+
 void FlowCold::Reset() {
   rx_mem.Release();
   tx_mem.Release();
@@ -36,7 +44,6 @@ void FlowCold::Reset() {
   last_seq_sampled = 0;
   stalled_intervals = 0;
   fin_received = false;
-  fin_sent = false;
   fin_acked = false;
   app_closed = false;
   fin_event_sent = false;

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/cc/cc.h"
@@ -21,8 +22,9 @@
 
 namespace tas {
 
-// Slow-path connection FSM (the fast path only touches kEstablished flows;
-// packets for flows in any other state are exceptions, paper §3.1).
+// Slow-path connection FSM. The fast path handles a flow's common case in
+// each direction it still carries (Flow::FastPathEligible and
+// RxFastPathEligible); everything else is an exception (paper §3.1).
 enum class ConnState : uint8_t {
   kSynSent,
   kSynRcvd,
@@ -34,6 +36,7 @@ enum class ConnState : uint8_t {
   kTimeWait,
   kFreed,
 };
+constexpr size_t kNumConnStates = static_cast<size_t>(ConnState::kFreed) + 1;
 
 // Cold side record. The per-packet header path never reads it; keeping it
 // out of Flow keeps the hot array dense. Payload copies reach the ring
@@ -51,7 +54,6 @@ struct FlowCold {
   uint32_t last_seq_sampled = 0;  // RTO detection: seq unchanged across
   int stalled_intervals = 0;      // control intervals with data outstanding.
   bool fin_received = false;      // Peer FIN consumed (ack covers it).
-  bool fin_sent = false;
   bool fin_acked = false;
   bool app_closed = false;        // App requested close.
   bool fin_event_sent = false;    // kConnFin (half-close) pushed to the app.
@@ -105,11 +107,31 @@ struct Flow {
   const FlowCold& cold() const { return const_cast<Flow*>(this)->cold(); }
   void BindCold(FlowCold* cold_record) { cold_ptr_ = cold_record; }
 
-  // kCloseWait is fast-path eligible too: after the peer's FIN the local
-  // direction stays open (half-close), and the remaining transmit stream is
-  // exactly the established-flow common case (data out, ACKs in).
+  // The two per-direction predicates. Transmit: our direction is open, so
+  // the fast path sends data and window updates and takes every segment
+  // without SYN/FIN/RST, payload or not. kCloseWait is one: after the peer's
+  // FIN the local direction stays open (half-close), and the remaining
+  // transmit stream is exactly the established-flow common case (data out,
+  // ACKs in).
   bool FastPathEligible() const {
     return cstate == ConnState::kEstablished || cstate == ConnState::kCloseWait;
+  }
+  // Receive: the peer's direction is still open, so its payload segments
+  // (no SYN/FIN/RST) take the fast path's RX path. kFinWait1/2 add to the
+  // transmit set: after our FIN a half-closed peer may keep streaming (a
+  // proxy's response). Their payload-less segments and all SYN/FIN/RST stay
+  // slow-path exceptions: closing-flow data on the fast path, teardown
+  // control on the slow path.
+  bool RxFastPathEligible() const {
+    return FastPathEligible() || cstate == ConnState::kFinWait1 ||
+           cstate == ConnState::kFinWait2;
+  }
+  // Sequence number of a pure ACK. Once our FIN is out (the states below),
+  // it holds fs.seq and ACKs carry FIN + 1.
+  uint32_t AckSeq() const {
+    const bool fin_sent = cstate == ConnState::kFinWait1 || cstate == ConnState::kFinWait2 ||
+                          cstate == ConnState::kLastAck || cstate == ConnState::kTimeWait;
+    return fs.seq + (fin_sent ? 1 : 0);
   }
 
   // Returns the record (hot fields and the bound cold record) to
@@ -157,6 +179,8 @@ struct Flow {
 };
 
 const char* ConnStateName(ConnState state);
+// Lower-case name for metric and record keys ("fin_wait_2").
+std::string ConnStateKey(ConnState state);
 
 }  // namespace tas
 

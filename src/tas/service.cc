@@ -89,6 +89,10 @@ void TasService::RegisterTraceInstrumentation(FlightRecorder* recorder) {
   m.AddCounter("tas.fastpath.exceptions", &stats_.exceptions);
   m.AddCounter("tas.fastpath.cross_core_packets", &stats_.cross_core_packets);
   m.AddCounter("tas.slowpath.packets", &stats_.slowpath_packets);
+  for (size_t i = 0; i < kNumConnStates; ++i) {
+    m.AddCounter("tas.slowpath.exceptions." + ConnStateKey(static_cast<ConnState>(i)),
+                 &stats_.exceptions_by_state[i]);
+  }
   m.AddCounter("tas.slowpath.timeout_retransmits", &stats_.timeout_retransmits);
   m.AddCounter("tas.slowpath.handshake_retransmits", &stats_.handshake_retransmits);
   m.AddCounter("tas.slowpath.connections_established", &stats_.connections_established);

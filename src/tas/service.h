@@ -6,6 +6,7 @@
 #ifndef SRC_TAS_SERVICE_H_
 #define SRC_TAS_SERVICE_H_
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -98,6 +99,10 @@ struct TasStats {
   uint64_t timeout_retransmits = 0;
   uint64_t handshake_retransmits = 0;  // SYN/SYN-ACK resends by the slow path.
   uint64_t exceptions = 0;
+  // The same exceptions by the flow's ConnState when forwarded; segments
+  // with no flow count under kFreed. Exported as
+  // tas.slowpath.exceptions.<state>.
+  std::array<uint64_t, kNumConnStates> exceptions_by_state{};
   uint64_t cross_core_packets = 0;
   uint64_t slowpath_packets = 0;
   uint64_t connections_established = 0;

@@ -110,9 +110,9 @@ void SlowPath::HandleException(PacketPtr pkt) {
     return;
   }
   if (HandleFlowPacket(id, *flow, *pkt)) {
-    // The packet raced connection establishment (e.g. payload piggybacked on
-    // the handshake-completing ACK): hand it to the fast path now that the
-    // flow is eligible. The exception charge already covered the CPU work.
+    // The packet raced a state change (e.g. payload piggybacked on the
+    // handshake-completing ACK): hand it to the fast path now that the flow
+    // is eligible. The exception charge already covered the CPU work.
     service_->fastpath(service_->CoreForFlow(*flow))->InjectPacket(std::move(pkt));
   }
 }
@@ -221,36 +221,33 @@ bool SlowPath::HandleFlowPacket(FlowId flow_id, Flow& flow, const Packet& pkt) {
       return true;
     }
     case ConnState::kFinWait1: {
-      if (pkt.tcp.ack_flag() && pkt.tcp.ack == flow.fs.seq + 1) {
-        flow.cold().fin_acked = true;
-        flow.ReleaseFinishedRings();
+      if (payload_for_fastpath) {
+        // The peer's direction is still open, and its data (with the ack of
+        // our FIN it may carry) belongs to the fast path: this segment raced
+        // a state change on its way here. Bounce it back.
+        return true;
       }
+      const bool acks_fin = pkt.tcp.ack_flag() && pkt.tcp.ack == flow.AckSeq();
       if (pkt.tcp.fin()) {
-        HandleFin(flow_id, flow, pkt);
-        return false;
-      }
-      // The peer's direction is still open: a half-closed peer (e.g. a proxy
-      // flushing a response after our FIN) may keep streaming payload.
-      DeliverPayload(flow_id, flow, pkt);
-      if (flow.cold().fin_acked) {
-        flow.cstate = flow.cold().fin_received ? ConnState::kTimeWait : ConnState::kFinWait2;
-        if (flow.cstate == ConnState::kTimeWait) {
-          flow.cold().timewait_start = service_->sim()->Now();
+        if (acks_fin) {
+          flow.cold().fin_acked = true;
+          flow.ReleaseFinishedRings();
         }
-        TraceState(flow_id, flow);
+        HandleFin(flow_id, flow, pkt);  // Moves on to TIME_WAIT if acked.
+      } else if (acks_fin) {
+        FinAcked(flow_id, flow);
       }
       return false;
     }
     case ConnState::kFinWait2: {
       if (pkt.tcp.fin()) {
         HandleFin(flow_id, flow, pkt);
-      } else {
-        DeliverPayload(flow_id, flow, pkt);
+        return false;
       }
-      return false;
+      return payload_for_fastpath;  // As in kFinWait1.
     }
     case ConnState::kLastAck: {
-      if (pkt.tcp.ack_flag() && pkt.tcp.ack == flow.fs.seq + 1) {
+      if (pkt.tcp.ack_flag() && pkt.tcp.ack == flow.AckSeq()) {
         ReleaseFlow(flow_id, flow);
       }
       return false;
@@ -267,23 +264,16 @@ bool SlowPath::HandleFlowPacket(FlowId flow_id, Flow& flow, const Packet& pkt) {
   return false;
 }
 
-void SlowPath::DeliverPayload(FlowId flow_id, Flow& flow, const Packet& pkt) {
-  if (pkt.payload.empty()) {
-    return;
+void SlowPath::FinAcked(FlowId flow_id, Flow& flow) {
+  flow.cold().fin_acked = true;
+  flow.ReleaseFinishedRings();
+  if (flow.cold().fin_received) {
+    flow.cstate = ConnState::kTimeWait;
+    flow.cold().timewait_start = service_->sim()->Now();
+  } else {
+    flow.cstate = ConnState::kFinWait2;
   }
-  const uint32_t len = static_cast<uint32_t>(pkt.payload.size());
-  if (pkt.tcp.seq == flow.fs.ack && len <= flow.RxFree()) {
-    flow.CopyIntoRx(pkt.tcp.seq, pkt.payload.data(), len);
-    flow.fs.ack += len;
-    flow.fs.rx_head += len;
-    service_->flow_trace().Record(service_->sim()->Now(), flow_id, FlowEventType::kDataRx,
-                                  pkt.tcp.seq, len, len);
-    service_->context(flow.fs.context)
-        ->PushEvent(AppEvent{AppEventType::kRxData, flow.fs.opaque, len});
-  }
-  // In-order: ack advanced past the segment. Out-of-order or overflow: the
-  // duplicate ACK below makes the peer retransmit.
-  SendControlAck(flow);
+  TraceState(flow_id, flow);
 }
 
 void SlowPath::HandleFin(FlowId flow_id, Flow& flow, const Packet& pkt) {
@@ -362,18 +352,14 @@ void SlowPath::CmdClose(FlowId flow_id) {
 }
 
 void SlowPath::TrySendFin(FlowId flow_id, Flow& flow) {
-  if (flow.cold().fin_sent || !flow.cold().app_closed) {
-    return;
-  }
-  if (flow.cstate != ConnState::kEstablished && flow.cstate != ConnState::kCloseWait) {
-    return;
+  if (!flow.cold().app_closed || !flow.FastPathEligible()) {
+    return;  // Not closing, still in handshake, or the FIN is already out.
   }
   // Wait until all queued payload is sent and acknowledged.
   if (flow.TxQueued() > 0) {
     AddPending(flow_id, flow);
     return;
   }
-  flow.cold().fin_sent = true;
   flow.cstate =
       flow.cstate == ConnState::kEstablished ? ConnState::kFinWait1 : ConnState::kLastAck;
   TraceState(flow_id, flow);
@@ -429,8 +415,7 @@ void SlowPath::SendFin(Flow& flow) {
 }
 
 void SlowPath::SendControlAck(Flow& flow) {
-  auto ack = service_->FlowSegment(flow.fs, flow.fs.seq + (flow.cold().fin_sent ? 1 : 0),
-                                   flow.fs.ack, TcpFlags::kAck);
+  auto ack = service_->FlowSegment(flow.fs, flow.AckSeq(), flow.fs.ack, TcpFlags::kAck);
   ack->tcp.window = flow.WindowField();
   ack->tcp.has_timestamps = true;
   ack->tcp.ts_val = NowUs(service_->sim());
@@ -653,9 +638,9 @@ void SlowPath::ScanPending() {
       }
       case ConnState::kEstablished:
       case ConnState::kCloseWait: {
-        if (flow.cold().app_closed && !flow.cold().fin_sent) {
+        if (flow.cold().app_closed) {
           TrySendFin(id, flow);
-        } else if (!flow.cold().app_closed) {
+        } else {
           still_pending = false;
         }
         break;

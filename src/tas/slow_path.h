@@ -42,6 +42,12 @@ class SlowPath {
 
   uint64_t control_iterations() const { return control_iterations_; }
 
+  // FIN_WAIT_1 -> FIN_WAIT_2 (or TIME_WAIT once the peer's FIN is consumed)
+  // on a segment without FIN that acks our FIN: frees the TX ring and
+  // records the kConnState event. The fast path calls it for a payload
+  // segment carrying the ack, the slow path for a payload-less one.
+  void FinAcked(FlowId flow_id, Flow& flow);
+
  private:
   struct Listener {
     uint64_t opaque = 0;
@@ -51,8 +57,9 @@ class SlowPath {
   void MaybeProcess();
   void HandleException(PacketPtr pkt);
   void HandleSyn(const Packet& pkt);
-  // Returns true if the packet should be re-injected into the fast path
-  // (it carried payload and the flow is now established).
+  // Returns true if the packet should be re-injected into the fast path: it
+  // is a common-case segment for a direction the fast path now carries
+  // (payload that completed a handshake, or raced a state change).
   bool HandleFlowPacket(FlowId flow_id, Flow& flow, const Packet& pkt);
   void HandleFin(FlowId flow_id, Flow& flow, const Packet& pkt);
 
@@ -66,9 +73,6 @@ class SlowPath {
   // NotifyClosed when the flow is released.
   void NotifyRemoteClosed(Flow& flow);
   void NotifyClosed(Flow& flow);
-  // Delivers in-order payload that reached the slow path after our FIN
-  // (kFinWait1/kFinWait2: the peer half-closed side may still stream data).
-  void DeliverPayload(FlowId flow_id, Flow& flow, const Packet& pkt);
   void ReleaseFlow(FlowId flow_id, Flow& flow);
   void AddPending(FlowId flow_id, Flow& flow);
   void TrySendFin(FlowId flow_id, Flow& flow);

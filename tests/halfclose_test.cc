@@ -10,6 +10,12 @@
 // FIN is acked and its RX ring once the peer's FIN is consumed and the app
 // has read every byte, while the flow itself lives on through FIN_WAIT_2,
 // CLOSE_WAIT and TIME_WAIT.
+//
+// Closing-flow data on the fast path, teardown control on the slow path:
+// payload into a FIN_WAIT_1/2 flow takes the fast path's normal RX path (its
+// ACKs carry seq = FIN + 1, and one that acks our FIN applies FIN_WAIT_1 ->
+// FIN_WAIT_2 there), while payload-less segments of closing flows and every
+// SYN/FIN/RST stay slow-path exceptions. Crafted segments pin both sides.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +23,7 @@
 
 #include "src/fault/impairment.h"
 #include "src/harness/experiment.h"
+#include "src/tas/service.h"
 
 namespace tas {
 namespace {
@@ -469,6 +476,203 @@ TEST(StreamStorageChaosTest, DuplicationAndReorderingThroughTeardown) {
   }
   EXPECT_GT(duplicated, 0u);
   EXPECT_GT(reordered, 0u);
+}
+
+// --- Closing-flow data on the fast path ----------------------------------------
+
+// Egress tap on the TAS host's side of the link: records the TCP header of
+// every segment the host sends and drops the segment, so the peer never
+// answers and every segment the TAS flow sees afterwards is crafted.
+class SegmentTap : public Impairment {
+ public:
+  SegmentTap() : Impairment(ImpairmentKind::kLinkDown) {}
+  void Apply(Packet& pkt, Rng& /*rng*/, ImpairmentDecision& decision) override {
+    sent.push_back(pkt.tcp);
+    decision.drop = true;
+    decision.dropped_by = this;
+  }
+  std::vector<TcpHeader> sent;
+};
+
+// TAS client: sends a 12-byte request when connected and reads whatever
+// arrives, also after the test closes its direction.
+class RequestClient : public AppHandler {
+ public:
+  explicit RequestClient(Stack* stack) : stack_(stack) {}
+  void OnConnected(ConnId conn, bool success) override {
+    ASSERT_TRUE(success);
+    conn_ = conn;
+    const uint8_t req[12] = {1};
+    ASSERT_EQ(stack_->Send(conn, req, sizeof(req)), sizeof(req));
+  }
+  void OnData(ConnId conn, size_t) override { DrainInto(stack_, conn, &received_); }
+
+  Stack* stack_;
+  ConnId conn_ = kInvalidConn;
+  std::vector<uint8_t> received_;
+};
+
+// A TAS client flow against a Linux peer that never closes its direction.
+// The client's request is acked before each test starts; the tests then
+// craft the peer's segments into the TAS NIC.
+class ClosingFlowTest : public ::testing::Test {
+ protected:
+  static constexpr uint16_t kPort = 7200;
+
+  void SetUp() override {
+    HostSpec tas_spec = TasSpec();
+    tas_spec.tas.trace.flow_events = true;
+    tas_spec.tas_overridden = true;
+    HostSpec peer_spec;
+    peer_spec.stack = StackKind::kLinux;
+    exp_ = Experiment::PointToPoint(tas_spec, peer_spec, TestLink());
+    exp_->host(1).stack()->SetHandler(&peer_);
+    exp_->host(1).stack()->Listen(kPort);
+    client_ = std::make_unique<RequestClient>(exp_->host(0).stack());
+    exp_->host(0).stack()->SetHandler(client_.get());
+    exp_->host(0).stack()->Connect(exp_->host(1).ip(), kPort);
+    tas_ = exp_->host(0).tas();
+    // The client's connection took the first ephemeral port.
+    key_ = FlowKey{20000, exp_->host(1).ip(), kPort};
+    ASSERT_TRUE(RunUntilTrue(exp_.get(), [&] {
+      const Flow* f = tas_->LookupFlow(key_);
+      return f != nullptr && f->cstate == ConnState::kEstablished && f->TxQueued() == 0;
+    }, Ms(5)));
+    flow_ = tas_->LookupFlow(key_);
+    base_ = flow_->fs.ack;  // The peer's next sequence number.
+  }
+
+  // Crafts a peer segment carrying stream bytes [from, to) of ResponseByte,
+  // acking `ack`, and lets the TAS host process it.
+  void Inject(uint32_t from, uint32_t to, uint32_t ack) {
+    std::vector<uint8_t> payload;
+    for (uint32_t i = from; i < to; ++i) {
+      payload.push_back(ResponseByte(i));
+    }
+    tas_->nic()->Receive(MakeTcpPacket(exp_->packet_pool(), exp_->host(1).ip(), kPort,
+                                       tas_->local_ip(), key_.local_port, base_ + from, ack,
+                                       TcpFlags::kAck, std::move(payload)));
+    exp_->sim().RunUntil(exp_->sim().Now() + Us(50));
+  }
+
+  SegmentTap* AttachTap() {
+    return static_cast<SegmentTap*>(
+        exp_->host_link(0)->AddImpairment(0, std::make_unique<SegmentTap>()));
+  }
+
+  // Closes the client's direction behind a tap, so the FIN never reaches the
+  // peer and the flow stays in FIN_WAIT_1. Returns our FIN's sequence number.
+  uint32_t CloseIntoFinWait1(SegmentTap* tap) {
+    exp_->host(0).stack()->Close(client_->conn_);
+    exp_->sim().RunUntil(exp_->sim().Now() + Us(50));
+    EXPECT_EQ(flow_->cstate, ConnState::kFinWait1);
+    EXPECT_EQ(tap->sent.size(), 1u);
+    EXPECT_TRUE(!tap->sent.empty() && tap->sent.back().fin());
+    return tap->sent.empty() ? 0 : tap->sent.back().seq;
+  }
+
+  // The last kConnState event recorded for the client's flow.
+  uint64_t LastTracedState() {
+    const FlowId id = tas_->LookupFlowId(key_);
+    uint64_t state = ~0ull;
+    for (const FlowEvent& e : tas_->flow_trace().Events()) {
+      if (e.flow == id && e.type == FlowEventType::kConnState) {
+        state = e.a;
+      }
+    }
+    return state;
+  }
+
+  uint64_t Exceptions(ConnState state) const {
+    return tas_->stats().exceptions_by_state[static_cast<size_t>(state)];
+  }
+
+  AppHandler peer_;
+  std::unique_ptr<Experiment> exp_;
+  std::unique_ptr<RequestClient> client_;
+  TasService* tas_ = nullptr;
+  FlowKey key_{};
+  Flow* flow_ = nullptr;
+  uint32_t base_ = 0;
+};
+
+// In-order, out-of-order and duplicate payload into a FIN_WAIT_2 flow: the
+// fast path delivers every byte exactly once, sends each ACK with seq =
+// FIN + 1, and the slow path sees none of it.
+TEST_F(ClosingFlowTest, FinWait2DataTakesTheFastPath) {
+  exp_->host(0).stack()->Close(client_->conn_);
+  ASSERT_TRUE(RunUntilTrue(exp_.get(), [&] { return flow_->cstate == ConnState::kFinWait2; },
+                           Ms(5)));
+  SegmentTap* tap = AttachTap();
+  const uint32_t fin_next = flow_->fs.seq + 1;  // Our FIN holds fs.seq.
+  const uint64_t exceptions = tas_->stats().exceptions;
+  const uint64_t fin_wait_2 = Exceptions(ConnState::kFinWait2);
+  const uint64_t fast_rx = tas_->stats().fastpath_rx_packets;
+
+  Inject(0, 100, fin_next);  // In order.
+  EXPECT_EQ(uint32_t{flow_->fs.ack}, base_ + 100);
+  EXPECT_EQ(client_->received_.size(), 100u);
+  Inject(200, 300, fin_next);  // Out of order: opens the interval.
+  EXPECT_EQ(uint32_t{flow_->fs.ooo_len}, 100u);
+  EXPECT_EQ(client_->received_.size(), 100u);
+  Inject(100, 200, fin_next);  // Fills the gap.
+  EXPECT_EQ(uint32_t{flow_->fs.ack}, base_ + 300);
+  Inject(0, 100, fin_next);  // Duplicate: re-acked, not re-delivered.
+
+  EXPECT_TRUE(MatchesPattern(client_->received_, 300, ResponseByte));
+  EXPECT_EQ(flow_->cstate, ConnState::kFinWait2);
+  EXPECT_EQ(tas_->stats().exceptions, exceptions);
+  EXPECT_EQ(Exceptions(ConnState::kFinWait2), fin_wait_2);
+  EXPECT_EQ(tas_->stats().fastpath_rx_packets, fast_rx + 4);
+  const uint32_t acks[] = {100, 100, 300, 300};
+  ASSERT_EQ(tap->sent.size(), 4u);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(tap->sent[i].seq, fin_next) << "ACK " << i;
+    EXPECT_EQ(tap->sent[i].ack, base_ + acks[i]) << "ACK " << i;
+    EXPECT_EQ(tap->sent[i].flags, TcpFlags::kAck) << "ACK " << i;
+  }
+}
+
+// A payload segment that also acks our FIN moves FIN_WAIT_1 -> FIN_WAIT_2 on
+// the fast path: the TX ring is released and the transition is traced.
+TEST_F(ClosingFlowTest, DataAckingOurFinLeavesFinWait1OnTheFastPath) {
+  EXPECT_GT(flow_->cold().tx_mem.bytes(), 0u);  // The request's ring.
+  SegmentTap* tap = AttachTap();
+  const uint32_t fin_seq = CloseIntoFinWait1(tap);
+  const uint64_t exceptions = tas_->stats().exceptions;
+
+  Inject(0, 100, fin_seq + 1);
+
+  EXPECT_EQ(flow_->cstate, ConnState::kFinWait2);
+  EXPECT_TRUE(flow_->cold().fin_acked);
+  EXPECT_EQ(flow_->cold().tx_mem.bytes(), 0u);
+  const uint8_t* tx_base = flow_->fs.tx_base;
+  EXPECT_EQ(tx_base, nullptr);
+  EXPECT_EQ(LastTracedState(), static_cast<uint64_t>(ConnState::kFinWait2));
+  EXPECT_EQ(tas_->stats().exceptions, exceptions);
+  EXPECT_TRUE(MatchesPattern(client_->received_, 100, ResponseByte));
+  ASSERT_EQ(tap->sent.size(), 2u);  // The FIN, then the data's ACK.
+  EXPECT_EQ(tap->sent[1].seq, fin_seq + 1);
+  EXPECT_EQ(tap->sent[1].ack, base_ + 100);
+}
+
+// The boundary that keeps the paper figures unchanged: a payload-less ack of
+// our FIN is still one slow-path exception, counted under FIN_WAIT_1.
+TEST_F(ClosingFlowTest, PayloadlessFinAckStaysASlowPathException) {
+  SegmentTap* tap = AttachTap();
+  const uint32_t fin_seq = CloseIntoFinWait1(tap);
+  const uint64_t exceptions = tas_->stats().exceptions;
+  const uint64_t fin_wait_1 = Exceptions(ConnState::kFinWait1);
+  const uint64_t fast_rx = tas_->stats().fastpath_rx_packets;
+
+  Inject(0, 0, fin_seq + 1);
+
+  EXPECT_EQ(tas_->stats().exceptions, exceptions + 1);
+  EXPECT_EQ(Exceptions(ConnState::kFinWait1), fin_wait_1 + 1);
+  EXPECT_EQ(tas_->stats().fastpath_rx_packets, fast_rx);
+  EXPECT_EQ(flow_->cstate, ConnState::kFinWait2);
+  EXPECT_EQ(flow_->cold().tx_mem.bytes(), 0u);
+  EXPECT_EQ(LastTracedState(), static_cast<uint64_t>(ConnState::kFinWait2));
 }
 
 }  // namespace
