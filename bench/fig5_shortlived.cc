@@ -6,7 +6,14 @@
 // heavyweight slow-path connection setup involves the slow path and the
 // application several times), then wins increasingly as the fast path
 // amortizes the setup.
+//
+// Emits one BENCH_JSON record (bench/bench_record.h) whose det holds TAS
+// mOps, Linux mOps and TAS/Linux per messages-per-connection point; CI and
+// bench_gate_test gate it against bench/baselines/fig5_shortlived.json.
+#include <sstream>
+
 #include "bench/bench_common.h"
+#include "bench/bench_record.h"
 
 namespace tas {
 namespace bench {
@@ -36,15 +43,22 @@ void Run() {
     messages = {1, 2, 4, 16, 64, 256, 1024, 4096};
   }
   TablePrinter table({"Messages/conn", "TAS mOps", "Linux mOps", "TAS/Linux"});
+  std::ostringstream points;
   for (size_t m : messages) {
     const double tas = RunPoint(StackKind::kTas, m);
     const double linux = RunPoint(StackKind::kLinux, m);
     table.AddRow(m, Fmt(tas, 3), Fmt(linux, 3),
                  linux > 0 ? Fmt(tas / linux, 2) : std::string("-"));
+    points << (m == messages.front() ? "[" : ",") << "{\"msgs_per_conn\":" << m
+           << ",\"tas_mops\":" << tas << ",\"linux_mops\":" << linux
+           << ",\"tas_over_linux\":" << (linux > 0 ? tas / linux : 0) << "}";
   }
   table.Print();
   std::cout << "\nPaper: TAS overtakes Linux at >= 4 RPCs per connection and reaches 95%\n"
                "bandwidth utilization at 256 RPCs per connection.\n";
+  BenchRecord record("fig5_shortlived");
+  record.DetJson("points", points.str() + "]");
+  record.Print();
 }
 
 }  // namespace

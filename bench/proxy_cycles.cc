@@ -22,8 +22,10 @@
 // path costs, the churn sweep and the alpha=0.9 critical-path report, which
 // CI gates against bench/baselines/proxy_cycles.json; see EXPERIMENTS.md.
 // Each churn row also holds the proxy and client hosts' slow-path
-// exceptions per ConnState and their timeout retransmissions, so a change
-// that moves closing-flow data back to the slow path names the moved state.
+// exceptions per ConnState, each exception class's mean queue wait and
+// their timeout retransmissions, so a change that moves closing-flow data
+// back to the slow path names the moved state, and one that puts flow
+// segments back behind connection set-up names the moved wait.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -340,6 +342,20 @@ std::string ExceptionsByStateJson(const TasStats& stats) {
   return os.str();
 }
 
+// {"flow":<ns>,"syn":<ns>}: each exception class's mean wait, from enqueue
+// to the end of its exception charge.
+std::string ExceptionWaitJson(const TasStats& stats) {
+  std::ostringstream os;
+  for (const ExceptionClass c : {ExceptionClass::kFlow, ExceptionClass::kSyn}) {
+    const size_t i = static_cast<size_t>(c);
+    const uint64_t count = stats.exception_count[i];
+    os << (c == ExceptionClass::kFlow ? "{\"flow\":" : ",\"syn\":")
+       << (count == 0 ? 0 : stats.exception_wait_ns[i] / count);
+  }
+  os << "}";
+  return os.str();
+}
+
 bool Distinct(double a, double b) {
   const double hi = std::max(a, b);
   return hi > 0 && std::abs(a - b) / hi > 0.02;  // >2% apart.
@@ -486,6 +502,7 @@ int Run() {
               << ",\"causal_completed\":" << c.causal_completed
               << ",\"causal_mismatches\":" << c.causal_mismatches
               << ",\"exceptions\":" << PerHostJson(c, ExceptionsByStateJson)
+              << ",\"exception_wait_mean_ns\":" << PerHostJson(c, ExceptionWaitJson)
               << ",\"timeout_retransmits\":"
               << PerHostJson(c, [](const TasStats& s) { return s.timeout_retransmits; })
               << ",\"sim_ms\":" << c.finished_at / 1000000 << "}";

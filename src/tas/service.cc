@@ -93,6 +93,12 @@ void TasService::RegisterTraceInstrumentation(FlightRecorder* recorder) {
     m.AddCounter("tas.slowpath.exceptions." + ConnStateKey(static_cast<ConnState>(i)),
                  &stats_.exceptions_by_state[i]);
   }
+  for (const ExceptionClass c : {ExceptionClass::kFlow, ExceptionClass::kSyn}) {
+    const size_t i = static_cast<size_t>(c);
+    const std::string name = c == ExceptionClass::kFlow ? "flow" : "syn";
+    m.AddCounter("tas.slowpath.exception_count." + name, &stats_.exception_count[i]);
+    m.AddCounter("tas.slowpath.exception_wait_ns." + name, &stats_.exception_wait_ns[i]);
+  }
   m.AddCounter("tas.slowpath.timeout_retransmits", &stats_.timeout_retransmits);
   m.AddCounter("tas.slowpath.handshake_retransmits", &stats_.handshake_retransmits);
   m.AddCounter("tas.slowpath.connections_established", &stats_.connections_established);

@@ -88,6 +88,12 @@ struct TasConfig {
   WatchdogConfig watchdog;
 };
 
+// Slow-path exception classes, served flow class first: a segment with SYN
+// set and ACK clear opens a new connection (kSyn); every other exception
+// belongs to a connection the slow path already tracks (kFlow).
+enum class ExceptionClass : uint8_t { kFlow, kSyn };
+constexpr size_t kNumExceptionClasses = 2;
+
 struct TasStats {
   uint64_t fastpath_rx_packets = 0;
   uint64_t fastpath_tx_packets = 0;
@@ -103,6 +109,12 @@ struct TasStats {
   // with no flow count under kFreed. Exported as
   // tas.slowpath.exceptions.<state>.
   std::array<uint64_t, kNumConnStates> exceptions_by_state{};
+  // The slow path's two exception classes (SlowPath::EnqueueException),
+  // indexed by ExceptionClass: exceptions served, and their summed wait
+  // from enqueue to the end of the exception charge. Exported as
+  // tas.slowpath.exception_count.<class> and .exception_wait_ns.<class>.
+  std::array<uint64_t, kNumExceptionClasses> exception_count{};
+  std::array<uint64_t, kNumExceptionClasses> exception_wait_ns{};
   uint64_t cross_core_packets = 0;
   uint64_t slowpath_packets = 0;
   uint64_t connections_established = 0;

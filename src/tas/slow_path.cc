@@ -62,22 +62,37 @@ void SlowPath::Start() {
 }
 
 void SlowPath::EnqueueException(PacketPtr pkt) {
-  exceptions_.push_back(std::move(pkt));
-  if (exceptions_.size() > exception_depth_hw_) {
-    exception_depth_hw_ = exceptions_.size();
-  }
+  const ExceptionClass cls = pkt->tcp.syn() && !pkt->tcp.ack_flag() ? ExceptionClass::kSyn
+                                                                      : ExceptionClass::kFlow;
+  exceptions_[static_cast<size_t>(cls)].push_back(
+      QueuedException{std::move(pkt), service_->sim()->Now()});
+  exception_depth_hw_ = std::max<uint64_t>(exception_depth_hw_, exception_depth());
   MaybeProcess();
 }
 
 void SlowPath::MaybeProcess() {
-  if (busy_ || exceptions_.empty()) {
+  if (busy_) {
     return;
   }
-  PacketPtr pkt = std::move(exceptions_.front());
-  exceptions_.pop_front();
+  // Flow class first: each of its segments costs one exception charge and
+  // comes from a connection that already exists, while each SYN books a
+  // connection set-up on this core. SYNs wait only while flow segments are
+  // queued.
+  size_t cls = static_cast<size_t>(ExceptionClass::kFlow);
+  if (exceptions_[cls].empty()) {
+    cls = static_cast<size_t>(ExceptionClass::kSyn);
+    if (exceptions_[cls].empty()) {
+      return;
+    }
+  }
+  QueuedException next = std::move(exceptions_[cls].front());
+  exceptions_[cls].pop_front();
   const TimeNs done = cpu_->Charge(CpuModule::kTcp, kExceptionCycles);
+  TasStats& stats = service_->mutable_stats();
+  stats.exception_count[cls]++;
+  stats.exception_wait_ns[cls] += done - next.enqueued;
   busy_ = true;
-  service_->sim()->At(done, [this, pkt = std::move(pkt)]() mutable {
+  service_->sim()->At(done, [this, pkt = std::move(next.pkt)]() mutable {
     busy_ = false;
     HandleException(std::move(pkt));
     MaybeProcess();

@@ -6,6 +6,7 @@
 #ifndef SRC_TAS_SLOW_PATH_H_
 #define SRC_TAS_SLOW_PATH_H_
 
+#include <array>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -27,12 +28,15 @@ class SlowPath {
   Core* cpu() { return cpu_; }
 
   // --- Fast path hand-off ----------------------------------------------------
+  // Queues the segment in its ExceptionClass. MaybeProcess serves the flow
+  // class first and each class in arrival order, so a segment of a tracked
+  // connection never waits behind queued SYNs' connection set-up.
   void EnqueueException(PacketPtr pkt);
 
-  // Exception-queue depth right now, and the deepest it has ever been. The
-  // watchdog's slow-path overload SLO reads the depth each check; the
-  // high-water mark lands in diagnostic bundles.
-  size_t exception_depth() const { return exceptions_.size(); }
+  // Exception-queue depth right now (both classes), and the deepest it has
+  // ever been. The watchdog's slow-path overload SLO reads the depth each
+  // check; the high-water mark lands in diagnostic bundles.
+  size_t exception_depth() const { return exceptions_[0].size() + exceptions_[1].size(); }
   uint64_t exception_depth_hw() const { return exception_depth_hw_; }
 
   // --- Commands from libTAS (via TasService) ---------------------------------
@@ -52,6 +56,10 @@ class SlowPath {
   struct Listener {
     uint64_t opaque = 0;
     uint16_t context = 0;
+  };
+  struct QueuedException {
+    PacketPtr pkt;
+    TimeNs enqueued = 0;
   };
 
   void MaybeProcess();
@@ -87,7 +95,7 @@ class SlowPath {
 
   TasService* service_;
   Core* cpu_;
-  Fifo<PacketPtr> exceptions_;
+  std::array<Fifo<QueuedException>, kNumExceptionClasses> exceptions_;  // By ExceptionClass.
   uint64_t exception_depth_hw_ = 0;
   bool busy_ = false;
   std::unordered_map<uint16_t, Listener> listeners_;

@@ -23,7 +23,7 @@ namespace {
 
 const char* const kBaselines[] = {
     "perf_smoke.json",         "perf_smoke_latency.json", "proxy_cycles.json",
-    "million_flow_churn.json", "watchdog_chaos.json",
+    "million_flow_churn.json", "watchdog_chaos.json",     "fig5_shortlived.json",
 };
 
 std::string BaselinePath(const std::string& name) {
@@ -83,6 +83,8 @@ TEST(BenchRecordGateTest, ProxyCycles) { GateBench("proxy_cycles.json", "", "");
 
 TEST(BenchRecordGateTest, MillionFlowChurn) { GateBench("million_flow_churn.json", "", ""); }
 
+TEST(BenchRecordGateTest, Fig5ShortLived) { GateBench("fig5_shortlived.json", "", ""); }
+
 TEST(BenchRecordGateTest, WatchdogChaos) {
   const std::string prefix = ::testing::TempDir() + "bench_gate_test.watchdog";
   GateBench("watchdog_chaos.json", "", "'" + prefix + "'");
@@ -128,6 +130,7 @@ TEST(BenchGateTest, OneDetLeafMovedByOneStepFailsAndIsNamed) {
        "det.critical_path.classes[hit].edges[net_request].p99_ns"},
       {"million_flow_churn.json", "\"det\":{", "events_per_packet", "det.events_per_packet"},
       {"watchdog_chaos.json", "\"det\":{", "timeout_retransmits", "det.timeout_retransmits"},
+      {"fig5_shortlived.json", "\"det\":{", "tas_mops", "det.points[0].tas_mops"},
   };
   for (const Case& c : cases) {
     const std::string base = ReadText(BaselinePath(c.baseline));
@@ -157,7 +160,11 @@ TEST(BenchGateTest, MissingRequestClassFails) {
                     WriteTemp("no_store.json", base.substr(0, from) + base.substr(to)), &out),
             1)
       << out;
-  EXPECT_NE(out.find("det.critical_path.classes[store].count: baseline 2938, current (absent)"),
+  // The class's request count, as the baseline records it.
+  const size_t count_at = base.find("\"count\":", from) + 8;
+  const std::string count = base.substr(count_at, base.find(',', count_at) - count_at);
+  EXPECT_NE(out.find("det.critical_path.classes[store].count: baseline " + count +
+                     ", current (absent)"),
             std::string::npos)
       << out;
 }

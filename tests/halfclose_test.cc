@@ -16,6 +16,11 @@
 // ACKs carry seq = FIN + 1, and one that acks our FIN applies FIN_WAIT_1 ->
 // FIN_WAIT_2 there), while payload-less segments of closing flows and every
 // SYN/FIN/RST stay slow-path exceptions. Crafted segments pin both sides.
+//
+// The slow path serves the exceptions of connections it already tracks
+// before queued SYNs, each class in arrival order: a handshake-completing
+// ACK (with the request it carries) no longer waits behind other clients'
+// connection set-up, and the SYN-ACKs still leave in SYN order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -673,6 +678,179 @@ TEST_F(ClosingFlowTest, PayloadlessFinAckStaysASlowPathException) {
   EXPECT_EQ(flow_->cstate, ConnState::kFinWait2);
   EXPECT_EQ(flow_->cold().tx_mem.bytes(), 0u);
   EXPECT_EQ(LastTracedState(), static_cast<uint64_t>(ConnState::kFinWait2));
+}
+
+// --- Slow-path exception classes ----------------------------------------------
+
+// Records when the TAS listener's app sees each notification.
+class TimedServer : public AppHandler {
+ public:
+  explicit TimedServer(Simulator* sim) : sim_(sim) {}
+  void OnAccepted(ConnId, uint16_t) override { accepted_at_.push_back(sim_->Now()); }
+  void OnData(ConnId, size_t bytes) override {
+    data_at_ = sim_->Now();
+    data_bytes_ += bytes;
+  }
+  void OnRemoteClosed(ConnId) override { remote_closed_at_ = sim_->Now(); }
+
+  Simulator* sim_;
+  std::vector<TimeNs> accepted_at_;
+  TimeNs data_at_ = 0;
+  size_t data_bytes_ = 0;
+  TimeNs remote_closed_at_ = 0;
+};
+
+// A TAS listener fed crafted client segments, its replies caught by an egress
+// tap. Each SYN costs the slow path an exception charge plus half a
+// connection set-up (45,600 cycles, ~21.7 us); a segment of a connection the
+// slow path already tracks costs one exception charge (600 cycles). The
+// tests queue kSyns SYNs and then segments of one SYN_RCVD flow behind them.
+class ExceptionClassTest : public ::testing::Test {
+ protected:
+  static constexpr uint16_t kPort = 7300;
+  static constexpr uint16_t kFlowPort = 30000;  // The flow the tests complete.
+  static constexpr uint32_t kPeerIsn = 1000;
+  static constexpr int kSyns = 16;
+
+  void SetUp() override {
+    // One fast-path core: segments reach the slow path in NIC arrival order.
+    HostSpec tas_spec = TasSpec();
+    tas_spec.stack_cores = 1;
+    HostSpec peer_spec;
+    peer_spec.stack = StackKind::kLinux;
+    exp_ = Experiment::PointToPoint(tas_spec, peer_spec, TestLink());
+    server_ = std::make_unique<TimedServer>(&exp_->sim());
+    exp_->host(0).stack()->SetHandler(server_.get());
+    exp_->host(0).stack()->Listen(kPort);
+    tas_ = exp_->host(0).tas();
+    tap_ = static_cast<SegmentTap*>(
+        exp_->host_link(0)->AddImpairment(0, std::make_unique<SegmentTap>()));
+    exp_->sim().RunUntil(Us(50));  // The listen command reaches the slow path.
+  }
+
+  void Inject(uint16_t peer_port, uint8_t flags, uint32_t seq, uint32_t ack,
+              size_t payload_len = 0) {
+    tas_->nic()->Receive(MakeTcpPacket(exp_->packet_pool(), exp_->host(1).ip(), peer_port,
+                                       tas_->local_ip(), kPort, seq, ack, flags,
+                                       std::vector<uint8_t>(payload_len, 0x5a)));
+  }
+
+  std::vector<TcpHeader> SynAcks() const {
+    std::vector<TcpHeader> out;
+    for (const TcpHeader& h : tap_->sent) {
+      if (h.syn() && h.ack_flag()) {
+        out.push_back(h);
+      }
+    }
+    return out;
+  }
+
+  // Takes kFlowPort's connection to SYN_RCVD on an idle slow path and
+  // returns our ISS.
+  uint32_t OpenToSynRcvd() {
+    Inject(kFlowPort, TcpFlags::kSyn, kPeerIsn, 0);
+    EXPECT_TRUE(RunUntilTrue(exp_.get(), [&] { return SynAcks().size() == 1; },
+                             exp_->sim().Now() + Ms(1)));
+    const std::vector<TcpHeader> syn_acks = SynAcks();
+    tap_->sent.clear();
+    return syn_acks.empty() ? 0 : syn_acks[0].seq;
+  }
+
+  // Queues SYNs for kSyns new connections, from ports kFlowPort + 1...
+  void QueueSyns() {
+    for (int i = 1; i <= kSyns; ++i) {
+      Inject(static_cast<uint16_t>(kFlowPort + i), TcpFlags::kSyn, kPeerIsn, 0);
+    }
+  }
+
+  // Runs until every queued SYN has its SYN-ACK, then 100 us more so what
+  // was queued behind the last SYN is served too.
+  void RunUntilSynsServed() {
+    ASSERT_TRUE(RunUntilTrue(exp_.get(), [&] { return SynAcks().size() == kSyns; },
+                             exp_->sim().Now() + Ms(5)));
+    exp_->sim().RunUntil(exp_->sim().Now() + Us(100));
+  }
+
+  TimeNs SlowPathCycles(uint64_t cycles) const {
+    return tas_->slowpath_cpu()->CyclesToTime(cycles);
+  }
+  uint64_t Count(ExceptionClass c) const {
+    return tas_->stats().exception_count[static_cast<size_t>(c)];
+  }
+  uint64_t WaitNs(ExceptionClass c) const {
+    return tas_->stats().exception_wait_ns[static_cast<size_t>(c)];
+  }
+
+  std::unique_ptr<Experiment> exp_;
+  std::unique_ptr<TimedServer> server_;
+  TasService* tas_ = nullptr;
+  SegmentTap* tap_ = nullptr;
+};
+
+// A handshake-completing ACK carrying a request, queued behind kSyns SYNs:
+// the app sees the connection and its data after at most the set-up the
+// slow-path core is already committed to (the SYN being set up, and the one
+// whose exception charge is running) plus the ACK's own exception charge,
+// not kSyns set-ups later; the SYN-ACKs still leave in SYN arrival order.
+TEST_F(ExceptionClassTest, HandshakeAckWithDataOvertakesQueuedSyns) {
+  const uint32_t iss = OpenToSynRcvd();
+  const uint64_t flow_count = Count(ExceptionClass::kFlow);
+  const uint64_t flow_wait = WaitNs(ExceptionClass::kFlow);
+  const uint64_t syn_count = Count(ExceptionClass::kSyn);
+  const uint64_t syn_wait = WaitNs(ExceptionClass::kSyn);
+  QueueSyns();
+  const TimeNs arrival = exp_->sim().Now();
+  Inject(kFlowPort, TcpFlags::kAck, kPeerIsn + 1, iss + 1, 100);
+  ASSERT_NO_FATAL_FAILURE(RunUntilSynsServed());
+
+  const TimeNs exception = SlowPathCycles(600);
+  const TimeNs set_up = SlowPathCycles(600 + tas_->config().costs->connection_setup / 2);
+  // Fast-path RX, the context queue and the app's poll, on either side.
+  const TimeNs delivery = Us(10);
+  const TimeNs bound = 2 * set_up + exception + delivery;
+  ASSERT_EQ(server_->accepted_at_.size(), 1u);
+  EXPECT_LE(server_->accepted_at_[0] - arrival, bound);
+  EXPECT_EQ(server_->data_bytes_, 100u);
+  EXPECT_LE(server_->data_at_ - arrival, bound);
+
+  // SYN-ACKs in SYN arrival order; the request's ACK leaves among the first.
+  const std::vector<TcpHeader> syn_acks = SynAcks();
+  for (int i = 0; i < kSyns; ++i) {
+    EXPECT_EQ(syn_acks[i].dst_port, kFlowPort + 1 + i) << "SYN-ACK " << i;
+  }
+  const auto data_ack = std::find_if(tap_->sent.begin(), tap_->sent.end(),
+                                     [](const TcpHeader& h) { return h.dst_port == kFlowPort; });
+  ASSERT_NE(data_ack, tap_->sent.end());
+  EXPECT_EQ(data_ack->ack, kPeerIsn + 1 + 100);
+  EXPECT_LE(data_ack - tap_->sent.begin(), 2);  // SYN-ACKs sent before it.
+
+  // The per-class counters hold the same story: one flow-class segment
+  // that waited no longer than the bound, kSyns SYNs that waited longer.
+  EXPECT_EQ(Count(ExceptionClass::kFlow) - flow_count, 1u);
+  EXPECT_EQ(Count(ExceptionClass::kSyn) - syn_count, static_cast<uint64_t>(kSyns));
+  EXPECT_GT(WaitNs(ExceptionClass::kFlow) - flow_wait, 0u);
+  EXPECT_LE(WaitNs(ExceptionClass::kFlow) - flow_wait, 2 * set_up + exception);
+  EXPECT_GT((WaitNs(ExceptionClass::kSyn) - syn_wait) / kSyns, 2 * set_up + exception);
+}
+
+// Two segments of one flow queued behind the SYNs keep their order: the
+// handshake ACK establishes the flow before its FIN is consumed, so the
+// flow ends in CLOSE_WAIT. Reversed, the FIN's ack would establish the
+// flow and its FIN would be lost.
+TEST_F(ExceptionClassTest, SegmentsOfOneFlowKeepArrivalOrder) {
+  const uint32_t iss = OpenToSynRcvd();
+  QueueSyns();
+  Inject(kFlowPort, TcpFlags::kAck, kPeerIsn + 1, iss + 1);
+  Inject(kFlowPort, TcpFlags::kFin | TcpFlags::kAck, kPeerIsn + 1, iss + 1);
+  ASSERT_NO_FATAL_FAILURE(RunUntilSynsServed());
+
+  const Flow* flow = tas_->LookupFlow(FlowKey{kPort, exp_->host(1).ip(), kFlowPort});
+  ASSERT_NE(flow, nullptr);
+  EXPECT_EQ(flow->cstate, ConnState::kCloseWait);
+  ASSERT_EQ(server_->accepted_at_.size(), 1u);
+  EXPECT_GT(server_->remote_closed_at_, 0);
+  EXPECT_GE(server_->remote_closed_at_, server_->accepted_at_[0]);
+  EXPECT_EQ(Count(ExceptionClass::kFlow), 2u);
 }
 
 }  // namespace
