@@ -40,6 +40,7 @@
 #include "src/proxy/origin_server.h"
 #include "src/proxy/proxy_client.h"
 #include "src/proxy/proxy_server.h"
+#include "src/tas/slow_path.h"
 
 namespace tas {
 namespace bench {
@@ -227,6 +228,10 @@ struct ChurnResult {
   // (host 0) and client (host 2) hosts: where closing flows' segments go.
   TasStats proxy_stats;
   TasStats client_stats;
+  // Each of those hosts' slow-path executor over the churn: how far its
+  // core's booked work ran ahead of the clock, its busy fraction, and the
+  // work items still queued when the last response arrived.
+  std::string slowpath_json;
   std::string critpath_json;      // CriticalPathReport::ToJson().
   std::string critpath_table;     // CriticalPathReport::ToTable().
   std::vector<std::string> classes_seen;
@@ -268,6 +273,9 @@ ChurnResult RunChurn(double alpha) {
   result.alpha = alpha;
   result.target = cc.total_connections * cc.requests_per_connection;
   const TimeNs deadline = Sec(300);
+  const TimeNs churn_start = rig.exp->sim().Now();
+  const TimeNs proxy_busy_start = rig.exp->host(0).tas()->slowpath_cpu()->busy_ns();
+  const TimeNs client_busy_start = rig.exp->host(2).tas()->slowpath_cpu()->busy_ns();
   const auto wall_start = std::chrono::steady_clock::now();
   while (rig.exp->sim().Now() < deadline && rig.clients->completed() < result.target) {
     rig.exp->sim().RunUntil(rig.exp->sim().Now() + Ms(10));
@@ -305,6 +313,17 @@ ChurnResult RunChurn(double alpha) {
   result.trace_mismatches = rig.clients->trace_mismatches();
   result.proxy_stats = rig.exp->host(0).tas()->stats();
   result.client_stats = rig.exp->host(2).tas()->stats();
+  std::ostringstream sp;
+  for (const int host : {0, 2}) {
+    TasService* tas = rig.exp->host(host).tas();
+    const Core* core = tas->slowpath_cpu();
+    sp << (host == 0 ? "{\"proxy\":" : ",\"client\":")
+       << "{\"max_ahead_ns\":" << core->max_ahead_ns() << ",\"busy_frac\":"
+       << core->Utilization(host == 0 ? proxy_busy_start : client_busy_start, churn_start,
+                            result.finished_at)
+       << ",\"queued\":" << tas->slow_path()->exception_depth() << "}";
+  }
+  result.slowpath_json = sp.str() + "}";
   const CriticalPathReport report = ct.Report();
   result.critpath_json = report.ToJson();
   result.critpath_table = report.ToTable();
@@ -342,14 +361,14 @@ std::string ExceptionsByStateJson(const TasStats& stats) {
   return os.str();
 }
 
-// {"flow":<ns>,"syn":<ns>}: each exception class's mean wait, from enqueue
-// to the end of its exception charge.
+// {"flow":<ns>,"setup":<ns>}: each slow-path work class's mean wait, from
+// enqueue to the end of the item's charge.
 std::string ExceptionWaitJson(const TasStats& stats) {
   std::ostringstream os;
-  for (const ExceptionClass c : {ExceptionClass::kFlow, ExceptionClass::kSyn}) {
+  for (const ExceptionClass c : {ExceptionClass::kFlow, ExceptionClass::kSetup}) {
     const size_t i = static_cast<size_t>(c);
     const uint64_t count = stats.exception_count[i];
-    os << (c == ExceptionClass::kFlow ? "{\"flow\":" : ",\"syn\":")
+    os << (c == ExceptionClass::kFlow ? "{\"flow\":" : ",\"setup\":")
        << (count == 0 ? 0 : stats.exception_wait_ns[i] / count);
   }
   os << "}";
@@ -503,6 +522,7 @@ int Run() {
               << ",\"causal_mismatches\":" << c.causal_mismatches
               << ",\"exceptions\":" << PerHostJson(c, ExceptionsByStateJson)
               << ",\"exception_wait_mean_ns\":" << PerHostJson(c, ExceptionWaitJson)
+              << ",\"slowpath\":" << c.slowpath_json
               << ",\"timeout_retransmits\":"
               << PerHostJson(c, [](const TasStats& s) { return s.timeout_retransmits; })
               << ",\"sim_ms\":" << c.finished_at / 1000000 << "}";

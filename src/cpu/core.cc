@@ -31,6 +31,7 @@ TimeNs Core::Charge(CpuModule module, uint64_t cycles) {
   const TimeNs duration = CyclesToTime(cycles);
   busy_until_ = start + duration;
   busy_ns_ += duration;
+  max_ahead_ns_ = std::max(max_ahead_ns_, busy_until_ - sim_->Now());
   cycles_[static_cast<size_t>(module)] += cycles;
   if (span_listener_) {
     span_listener_(module, start, busy_until_);
@@ -62,6 +63,7 @@ uint64_t Core::total_cycles() const {
 void Core::ResetAccounting() {
   cycles_.fill(0);
   busy_ns_ = 0;
+  max_ahead_ns_ = 0;
 }
 
 }  // namespace tas

@@ -61,6 +61,10 @@ class Core {
   // Cumulative busy nanoseconds (sum of charged durations).
   TimeNs busy_ns() const { return busy_ns_; }
 
+  // The most busy_until() has stood ahead of simulated time right after a
+  // charge: how far this core's booked work ever ran ahead of the clock.
+  TimeNs max_ahead_ns() const { return max_ahead_ns_; }
+
   // Busy fraction over (window_start, now], using the caller's snapshot of
   // busy_ns() at window_start.
   double Utilization(TimeNs busy_ns_at_start, TimeNs window_start, TimeNs now) const;
@@ -82,6 +86,7 @@ class Core {
   double ghz_;
   TimeNs busy_until_ = 0;
   TimeNs busy_ns_ = 0;
+  TimeNs max_ahead_ns_ = 0;
   std::array<uint64_t, kNumCpuModules> cycles_ = {};
   SpanListener span_listener_;
 };

@@ -93,9 +93,9 @@ void TasService::RegisterTraceInstrumentation(FlightRecorder* recorder) {
     m.AddCounter("tas.slowpath.exceptions." + ConnStateKey(static_cast<ConnState>(i)),
                  &stats_.exceptions_by_state[i]);
   }
-  for (const ExceptionClass c : {ExceptionClass::kFlow, ExceptionClass::kSyn}) {
+  for (const ExceptionClass c : {ExceptionClass::kFlow, ExceptionClass::kSetup}) {
     const size_t i = static_cast<size_t>(c);
-    const std::string name = c == ExceptionClass::kFlow ? "flow" : "syn";
+    const std::string name = c == ExceptionClass::kFlow ? "flow" : "setup";
     m.AddCounter("tas.slowpath.exception_count." + name, &stats_.exception_count[i]);
     m.AddCounter("tas.slowpath.exception_wait_ns." + name, &stats_.exception_wait_ns[i]);
   }
@@ -103,6 +103,8 @@ void TasService::RegisterTraceInstrumentation(FlightRecorder* recorder) {
   m.AddCounter("tas.slowpath.handshake_retransmits", &stats_.handshake_retransmits);
   m.AddCounter("tas.slowpath.connections_established", &stats_.connections_established);
   m.AddCounter("tas.slowpath.connections_closed", &stats_.connections_closed);
+  m.AddGauge("tas.slowpath.max_ahead_ns",
+             [this] { return static_cast<double>(slowpath_core_->max_ahead_ns()); });
   m.AddCounterFn("tas.slowpath.control_iterations",
                  [this] { return slow_path_->control_iterations(); });
   m.AddGauge("tas.active_cores", [this] { return static_cast<double>(active_cores_); });

@@ -88,10 +88,11 @@ struct TasConfig {
   WatchdogConfig watchdog;
 };
 
-// Slow-path exception classes, served flow class first: a segment with SYN
-// set and ACK clear opens a new connection (kSyn); every other exception
-// belongs to a connection the slow path already tracks (kFlow).
-enum class ExceptionClass : uint8_t { kFlow, kSyn };
+// Classes of the slow path's work items, served flow class first: kFlow
+// holds segments of connections the slow path already tracks; kSetup holds
+// segments with SYN set and ACK clear (new connections) and the apps'
+// connect and close commands.
+enum class ExceptionClass : uint8_t { kFlow, kSetup };
 constexpr size_t kNumExceptionClasses = 2;
 
 struct TasStats {
@@ -109,9 +110,9 @@ struct TasStats {
   // with no flow count under kFreed. Exported as
   // tas.slowpath.exceptions.<state>.
   std::array<uint64_t, kNumConnStates> exceptions_by_state{};
-  // The slow path's two exception classes (SlowPath::EnqueueException),
-  // indexed by ExceptionClass: exceptions served, and their summed wait
-  // from enqueue to the end of the exception charge. Exported as
+  // The slow path's two work classes (SlowPath's executor), indexed by
+  // ExceptionClass: work items served, and their summed wait from enqueue
+  // to the end of the item's charge. Exported as
   // tas.slowpath.exception_count.<class> and .exception_wait_ns.<class>.
   std::array<uint64_t, kNumExceptionClasses> exception_count{};
   std::array<uint64_t, kNumExceptionClasses> exception_wait_ns{};

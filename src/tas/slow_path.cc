@@ -62,10 +62,14 @@ void SlowPath::Start() {
 }
 
 void SlowPath::EnqueueException(PacketPtr pkt) {
-  const ExceptionClass cls = pkt->tcp.syn() && !pkt->tcp.ack_flag() ? ExceptionClass::kSyn
+  const ExceptionClass cls = pkt->tcp.syn() && !pkt->tcp.ack_flag() ? ExceptionClass::kSetup
                                                                       : ExceptionClass::kFlow;
-  exceptions_[static_cast<size_t>(cls)].push_back(
-      QueuedException{std::move(pkt), service_->sim()->Now()});
+  Enqueue(cls, WorkItem{WorkKind::kSegment, kInvalidFlow, std::move(pkt)});
+}
+
+void SlowPath::Enqueue(ExceptionClass cls, WorkItem item) {
+  item.enqueued = service_->sim()->Now();
+  work_[static_cast<size_t>(cls)].push_back(std::move(item));
   exception_depth_hw_ = std::max<uint64_t>(exception_depth_hw_, exception_depth());
   MaybeProcess();
 }
@@ -75,28 +79,78 @@ void SlowPath::MaybeProcess() {
     return;
   }
   // Flow class first: each of its segments costs one exception charge and
-  // comes from a connection that already exists, while each SYN books a
-  // connection set-up on this core. SYNs wait only while flow segments are
-  // queued.
+  // comes from a connection that already exists, while each set-up item
+  // books a connection set-up or teardown on this core. Set-up items wait
+  // only while flow segments are queued.
   size_t cls = static_cast<size_t>(ExceptionClass::kFlow);
-  if (exceptions_[cls].empty()) {
-    cls = static_cast<size_t>(ExceptionClass::kSyn);
-    if (exceptions_[cls].empty()) {
+  if (work_[cls].empty()) {
+    cls = static_cast<size_t>(ExceptionClass::kSetup);
+    if (work_[cls].empty()) {
       return;
     }
   }
-  QueuedException next = std::move(exceptions_[cls].front());
-  exceptions_[cls].pop_front();
-  const TimeNs done = cpu_->Charge(CpuModule::kTcp, kExceptionCycles);
+  busy_ = true;
+  Simulator* sim = service_->sim();
+  if (!cpu_->IdleAt(sim->Now())) {
+    // The control loop's charges hold the core: start when they end.
+    sim->At(cpu_->busy_until(), [this] {
+      busy_ = false;
+      MaybeProcess();
+    });
+    return;
+  }
+  WorkItem next = std::move(work_[cls].front());
+  work_[cls].pop_front();
+  const TimeNs done = cpu_->Charge(CpuModule::kTcp, ItemCycles(next));
   TasStats& stats = service_->mutable_stats();
   stats.exception_count[cls]++;
   stats.exception_wait_ns[cls] += done - next.enqueued;
-  busy_ = true;
-  service_->sim()->At(done, [this, pkt = std::move(next.pkt)]() mutable {
+  sim->At(done, [this, item = std::move(next)]() mutable {
     busy_ = false;
-    HandleException(std::move(pkt));
+    RunItem(std::move(item));
     MaybeProcess();
   });
+}
+
+uint64_t SlowPath::ItemCycles(const WorkItem& item) const {
+  const StackCostModel& costs = *service_->config().costs;
+  switch (item.kind) {
+    case WorkKind::kConnect:
+      return costs.connection_setup / 2;
+    case WorkKind::kClose:
+      return costs.connection_teardown / 2;
+    case WorkKind::kSegment:
+      break;
+  }
+  const TcpHeader& tcp = item.pkt->tcp;
+  // A SYN that opens a flow also pays the heavier, passive half of
+  // connection set-up; a retransmitted one costs the exception alone.
+  const bool opens_flow =
+      tcp.syn() && !tcp.ack_flag() && listeners_.count(tcp.dst_port) != 0 &&
+      service_->LookupFlowId(FlowKey{tcp.dst_port, item.pkt->ip.src, tcp.src_port}) ==
+          kInvalidFlow;
+  return kExceptionCycles + (opens_flow ? costs.connection_setup / 2 : 0);
+}
+
+void SlowPath::RunItem(WorkItem item) {
+  if (item.kind == WorkKind::kSegment) {
+    HandleException(std::move(item.pkt));
+    return;
+  }
+  // The flow may have been released while the command waited.
+  Flow* flow = service_->flow_by_id(item.flow);
+  if (flow == nullptr || flow->cstate == ConnState::kFreed) {
+    return;
+  }
+  if (item.kind == WorkKind::kConnect) {
+    TraceState(item.flow, *flow);  // kSynSent (TasService::Connect set it).
+    SendSyn(*flow);
+    service_->flow_trace().Record(service_->sim()->Now(), item.flow, FlowEventType::kSynTx, 0);
+  } else {
+    flow->cold().app_closed = true;
+    TrySendFin(item.flow, *flow);
+  }
+  AddPending(item.flow, *flow);
 }
 
 void SlowPath::HandleException(PacketPtr pkt) {
@@ -167,8 +221,6 @@ void SlowPath::HandleSyn(const Packet& pkt) {
   flow.cstate = ConnState::kSynRcvd;
   service_->flow_trace().Record(service_->sim()->Now(), id, FlowEventType::kSynRx, irs);
   TraceState(id, flow);
-  // Charge the heavier half of connection setup on the passive side.
-  cpu_->Charge(CpuModule::kTcp, service_->config().costs->connection_setup / 2);
   SendSynAck(flow);
   service_->flow_trace().Record(service_->sim()->Now(), id, FlowEventType::kSynTx, 1);
   AddPending(id, flow);
@@ -346,24 +398,16 @@ void SlowPath::CmdListen(uint16_t port, uint64_t opaque, uint16_t context) {
 }
 
 void SlowPath::CmdConnect(FlowId flow_id) {
-  Flow* flow = service_->flow_by_id(flow_id);
-  TAS_CHECK(flow != nullptr);
-  TraceState(flow_id, *flow);  // kSynSent (TasService::Connect set it).
-  cpu_->Charge(CpuModule::kTcp, service_->config().costs->connection_setup / 2);
-  SendSyn(*flow);
-  service_->flow_trace().Record(service_->sim()->Now(), flow_id, FlowEventType::kSynTx, 0);
-  AddPending(flow_id, *flow);
+  TAS_CHECK(service_->flow_by_id(flow_id) != nullptr);
+  Enqueue(ExceptionClass::kSetup, WorkItem{WorkKind::kConnect, flow_id, nullptr});
 }
 
 void SlowPath::CmdClose(FlowId flow_id) {
-  Flow* flow = service_->flow_by_id(flow_id);
+  const Flow* flow = service_->flow_by_id(flow_id);
   if (flow == nullptr || flow->cstate == ConnState::kFreed) {
     return;
   }
-  flow->cold().app_closed = true;
-  cpu_->Charge(CpuModule::kTcp, service_->config().costs->connection_teardown / 2);
-  TrySendFin(flow_id, *flow);
-  AddPending(flow_id, *flow);
+  Enqueue(ExceptionClass::kSetup, WorkItem{WorkKind::kClose, flow_id, nullptr});
 }
 
 void SlowPath::TrySendFin(FlowId flow_id, Flow& flow) {

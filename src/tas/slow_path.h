@@ -27,20 +27,25 @@ class SlowPath {
 
   Core* cpu() { return cpu_; }
 
-  // --- Fast path hand-off ----------------------------------------------------
-  // Queues the segment in its ExceptionClass. MaybeProcess serves the flow
-  // class first and each class in arrival order, so a segment of a tracked
-  // connection never waits behind queued SYNs' connection set-up.
+  // --- The executor ----------------------------------------------------------
+  // The slow-path core runs one work item at a time, never preempted: a
+  // segment the fast path forwarded, or an app's connect or close command.
+  // Each item is queued in its ExceptionClass; MaybeProcess serves the flow
+  // class first and each class in arrival order, starts an item only when
+  // the core is free, books the item's whole cost as one charge and applies
+  // its effects when that charge ends.
   void EnqueueException(PacketPtr pkt);
 
-  // Exception-queue depth right now (both classes), and the deepest it has
-  // ever been. The watchdog's slow-path overload SLO reads the depth each
-  // check; the high-water mark lands in diagnostic bundles.
-  size_t exception_depth() const { return exceptions_[0].size() + exceptions_[1].size(); }
+  // Work items queued right now (both classes), and the deepest the queue
+  // has ever been. The watchdog's slow-path overload SLO reads the depth
+  // each check; the high-water mark lands in diagnostic bundles.
+  size_t exception_depth() const { return work_[0].size() + work_[1].size(); }
   uint64_t exception_depth_hw() const { return exception_depth_hw_; }
 
   // --- Commands from libTAS (via TasService) ---------------------------------
   void CmdListen(uint16_t port, uint64_t opaque, uint16_t context);
+  // Queued in the set-up class; the SYN or FIN leaves when the item's
+  // connection set-up or teardown charge ends.
   void CmdConnect(FlowId flow_id);
   void CmdClose(FlowId flow_id);
 
@@ -57,12 +62,22 @@ class SlowPath {
     uint64_t opaque = 0;
     uint16_t context = 0;
   };
-  struct QueuedException {
+  enum class WorkKind : uint8_t { kSegment, kConnect, kClose };
+  // One job of the slow-path core: a forwarded segment (`pkt`), or a
+  // command on `flow`.
+  struct WorkItem {
+    WorkKind kind = WorkKind::kSegment;
+    FlowId flow = kInvalidFlow;
     PacketPtr pkt;
     TimeNs enqueued = 0;
   };
 
+  void Enqueue(ExceptionClass cls, WorkItem item);
   void MaybeProcess();
+  // The item's whole cost in cycles, decided when it is dequeued.
+  uint64_t ItemCycles(const WorkItem& item) const;
+  // Applies the item's effects; runs when its charge ends.
+  void RunItem(WorkItem item);
   void HandleException(PacketPtr pkt);
   void HandleSyn(const Packet& pkt);
   // Returns true if the packet should be re-injected into the fast path: it
@@ -95,8 +110,9 @@ class SlowPath {
 
   TasService* service_;
   Core* cpu_;
-  std::array<Fifo<QueuedException>, kNumExceptionClasses> exceptions_;  // By ExceptionClass.
+  std::array<Fifo<WorkItem>, kNumExceptionClasses> work_;  // By ExceptionClass.
   uint64_t exception_depth_hw_ = 0;
+  // An item is in service, or the executor waits for the core to come free.
   bool busy_ = false;
   std::unordered_map<uint16_t, Listener> listeners_;
   std::vector<FlowId> pending_;  // Flows in handshake or teardown.

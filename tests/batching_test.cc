@@ -64,6 +64,10 @@ BatchRun RunEcho(int rx_batch, int app_event_batch) {
   cc.server_ip = exp->host(0).ip();
   cc.num_connections = 8;
   cc.pipeline_depth = 8;
+  // Every pipeline starts at once, after all eight handshakes: the
+  // bursts that fill multi-item batches then do not depend on how far apart
+  // the slow path's connection set-ups spaced the handshakes.
+  cc.first_request_at = Ms(1);
   EchoClient client(&exp->sim(), exp->host(1).stack(), cc);
   client.Start();
   exp->sim().RunUntil(Ms(20));

@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -89,6 +90,32 @@ TEST(BenchRecordGateTest, WatchdogChaos) {
   const std::string prefix = ::testing::TempDir() + "bench_gate_test.watchdog";
   GateBench("watchdog_chaos.json", "", "'" + prefix + "'");
   Shell("rm -f '" + prefix + "'*", "/dev/null");
+}
+
+// The paper's Fig 5 claim on the gated record (which Fig5ShortLived holds
+// the bench to): at 1 and 2 messages per connection, connection set-up
+// dominates and TAS trails Linux; from 4 on, TAS leads.
+TEST(BenchRecordGateTest, Fig5RecordHoldsThePapersCrossover) {
+  JsonNode record;
+  std::string error;
+  ASSERT_TRUE(ReadBenchRecord(ReadText(BaselinePath("fig5_shortlived.json")), &record, &error))
+      << error;
+  const JsonNode* points = record.Find("det")->Find("points");
+  ASSERT_NE(points, nullptr);
+  std::map<int, double> tas_over_linux;
+  for (const JsonNode& point : points->members) {
+    const JsonNode* msgs = point.Find("msgs_per_conn");
+    const JsonNode* ratio = point.Find("tas_over_linux");
+    ASSERT_TRUE(msgs != nullptr && ratio != nullptr) << point.text;
+    tas_over_linux[std::stoi(msgs->text)] = std::stod(ratio->text);
+  }
+  for (const int msgs : {1, 2, 4, 16}) {
+    ASSERT_EQ(tas_over_linux.count(msgs), 1u) << msgs << " msgs/conn";
+  }
+  EXPECT_LT(tas_over_linux[1], 1.0);
+  EXPECT_LT(tas_over_linux[2], 1.0);
+  EXPECT_GE(tas_over_linux[4], 1.0);
+  EXPECT_GE(tas_over_linux[16], 1.0);
 }
 
 // --- The gate's rule ----------------------------------------------------------

@@ -68,6 +68,26 @@ TEST(CoreTest, ResetAccountingClears) {
   core.ResetAccounting();
   EXPECT_EQ(core.total_cycles(), 0u);
   EXPECT_EQ(core.busy_ns(), 0);
+  EXPECT_EQ(core.max_ahead_ns(), 0);
+}
+
+// max_ahead_ns is the high-water of booked work ahead of the clock, read
+// right after each charge.
+TEST(CoreTest, MaxAheadIsTheHighWaterOfBookedWork) {
+  Simulator sim;
+  Core core(&sim, 0, 1.0);
+  core.Charge(CpuModule::kTcp, 100);
+  core.Charge(CpuModule::kTcp, 100);
+  EXPECT_EQ(core.max_ahead_ns(), 200);
+  sim.At(1000, [&] { core.Charge(CpuModule::kTcp, 50); });
+  sim.Run();
+  EXPECT_EQ(core.max_ahead_ns(), 200);
+  sim.At(2000, [&] {
+    core.Charge(CpuModule::kTcp, 300);
+    core.Charge(CpuModule::kTcp, 10);
+  });
+  sim.Run();
+  EXPECT_EQ(core.max_ahead_ns(), 310);
 }
 
 TEST(CostModelTest, Table1TotalsMatchPaperBallpark) {

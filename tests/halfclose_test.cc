@@ -17,18 +17,24 @@
 // FIN_WAIT_2 there), while payload-less segments of closing flows and every
 // SYN/FIN/RST stay slow-path exceptions. Crafted segments pin both sides.
 //
-// The slow path serves the exceptions of connections it already tracks
-// before queued SYNs, each class in arrival order: a handshake-completing
-// ACK (with the request it carries) no longer waits behind other clients'
-// connection set-up, and the SYN-ACKs still leave in SYN order.
+// The slow path is one non-preemptive executor: every job (a forwarded
+// segment, a SYN's connection set-up, an app's connect or close) is a queued
+// work item whose effects land when its charge ends. Segments of connections
+// it already tracks are served before queued set-up work, each class in
+// arrival order: a handshake-completing ACK (with the request it carries)
+// waits for at most the one item in service, the SYN-ACKs still leave in SYN
+// order, and a connect's SYN or a close's FIN leaves only once its charge is
+// served.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "src/app/rpc_echo.h"
 #include "src/fault/impairment.h"
 #include "src/harness/experiment.h"
 #include "src/tas/service.h"
+#include "src/tas/slow_path.h"
 
 namespace tas {
 namespace {
@@ -490,13 +496,22 @@ TEST(StreamStorageChaosTest, DuplicationAndReorderingThroughTeardown) {
 // answers and every segment the TAS flow sees afterwards is crafted.
 class SegmentTap : public Impairment {
  public:
-  SegmentTap() : Impairment(ImpairmentKind::kLinkDown) {}
+  // With `sim`, sent_at[i] is when sent[i] reached the link.
+  explicit SegmentTap(const Simulator* sim = nullptr)
+      : Impairment(ImpairmentKind::kLinkDown), sim_(sim) {}
   void Apply(Packet& pkt, Rng& /*rng*/, ImpairmentDecision& decision) override {
     sent.push_back(pkt.tcp);
+    if (sim_ != nullptr) {
+      sent_at.push_back(sim_->Now());
+    }
     decision.drop = true;
     decision.dropped_by = this;
   }
   std::vector<TcpHeader> sent;
+  std::vector<TimeNs> sent_at;
+
+ private:
+  const Simulator* sim_;
 };
 
 // TAS client: sends a 12-byte request when connected and reads whatever
@@ -686,7 +701,10 @@ TEST_F(ClosingFlowTest, PayloadlessFinAckStaysASlowPathException) {
 class TimedServer : public AppHandler {
  public:
   explicit TimedServer(Simulator* sim) : sim_(sim) {}
-  void OnAccepted(ConnId, uint16_t) override { accepted_at_.push_back(sim_->Now()); }
+  void OnAccepted(ConnId conn, uint16_t) override {
+    accepted_.push_back(conn);
+    accepted_at_.push_back(sim_->Now());
+  }
   void OnData(ConnId, size_t bytes) override {
     data_at_ = sim_->Now();
     data_bytes_ += bytes;
@@ -694,6 +712,7 @@ class TimedServer : public AppHandler {
   void OnRemoteClosed(ConnId) override { remote_closed_at_ = sim_->Now(); }
 
   Simulator* sim_;
+  std::vector<ConnId> accepted_;
   std::vector<TimeNs> accepted_at_;
   TimeNs data_at_ = 0;
   size_t data_bytes_ = 0;
@@ -703,8 +722,10 @@ class TimedServer : public AppHandler {
 // A TAS listener fed crafted client segments, its replies caught by an egress
 // tap. Each SYN costs the slow path an exception charge plus half a
 // connection set-up (45,600 cycles, ~21.7 us); a segment of a connection the
-// slow path already tracks costs one exception charge (600 cycles). The
-// tests queue kSyns SYNs and then segments of one SYN_RCVD flow behind them.
+// slow path already tracks costs one exception charge (600 cycles); an app's
+// close costs half a connection teardown (30,000 cycles, ~14.3 us). The
+// tests queue set-up work (SYNs, closes) and then segments of one SYN_RCVD
+// flow behind it.
 class ExceptionClassTest : public ::testing::Test {
  protected:
   static constexpr uint16_t kPort = 7300;
@@ -723,8 +744,8 @@ class ExceptionClassTest : public ::testing::Test {
     exp_->host(0).stack()->SetHandler(server_.get());
     exp_->host(0).stack()->Listen(kPort);
     tas_ = exp_->host(0).tas();
-    tap_ = static_cast<SegmentTap*>(
-        exp_->host_link(0)->AddImpairment(0, std::make_unique<SegmentTap>()));
+    tap_ = static_cast<SegmentTap*>(exp_->host_link(0)->AddImpairment(
+        0, std::make_unique<SegmentTap>(&exp_->sim())));
     exp_->sim().RunUntil(Us(50));  // The listen command reaches the slow path.
   }
 
@@ -745,6 +766,11 @@ class ExceptionClassTest : public ::testing::Test {
     return out;
   }
 
+  void ClearTap() {
+    tap_->sent.clear();
+    tap_->sent_at.clear();
+  }
+
   // Takes kFlowPort's connection to SYN_RCVD on an idle slow path and
   // returns our ISS.
   uint32_t OpenToSynRcvd() {
@@ -752,7 +778,7 @@ class ExceptionClassTest : public ::testing::Test {
     EXPECT_TRUE(RunUntilTrue(exp_.get(), [&] { return SynAcks().size() == 1; },
                              exp_->sim().Now() + Ms(1)));
     const std::vector<TcpHeader> syn_acks = SynAcks();
-    tap_->sent.clear();
+    ClearTap();
     return syn_acks.empty() ? 0 : syn_acks[0].seq;
   }
 
@@ -788,16 +814,16 @@ class ExceptionClassTest : public ::testing::Test {
 };
 
 // A handshake-completing ACK carrying a request, queued behind kSyns SYNs:
-// the app sees the connection and its data after at most the set-up the
-// slow-path core is already committed to (the SYN being set up, and the one
-// whose exception charge is running) plus the ACK's own exception charge,
-// not kSyns set-ups later; the SYN-ACKs still leave in SYN arrival order.
+// the app sees the connection and its data after at most the one set-up the
+// non-preemptive slow-path core is running when the ACK arrives plus the
+// ACK's own exception charge, not kSyns set-ups later; the SYN-ACKs still
+// leave in SYN arrival order.
 TEST_F(ExceptionClassTest, HandshakeAckWithDataOvertakesQueuedSyns) {
   const uint32_t iss = OpenToSynRcvd();
   const uint64_t flow_count = Count(ExceptionClass::kFlow);
   const uint64_t flow_wait = WaitNs(ExceptionClass::kFlow);
-  const uint64_t syn_count = Count(ExceptionClass::kSyn);
-  const uint64_t syn_wait = WaitNs(ExceptionClass::kSyn);
+  const uint64_t setup_count = Count(ExceptionClass::kSetup);
+  const uint64_t setup_wait = WaitNs(ExceptionClass::kSetup);
   QueueSyns();
   const TimeNs arrival = exp_->sim().Now();
   Inject(kFlowPort, TcpFlags::kAck, kPeerIsn + 1, iss + 1, 100);
@@ -807,7 +833,7 @@ TEST_F(ExceptionClassTest, HandshakeAckWithDataOvertakesQueuedSyns) {
   const TimeNs set_up = SlowPathCycles(600 + tas_->config().costs->connection_setup / 2);
   // Fast-path RX, the context queue and the app's poll, on either side.
   const TimeNs delivery = Us(10);
-  const TimeNs bound = 2 * set_up + exception + delivery;
+  const TimeNs bound = set_up + exception + delivery;
   ASSERT_EQ(server_->accepted_at_.size(), 1u);
   EXPECT_LE(server_->accepted_at_[0] - arrival, bound);
   EXPECT_EQ(server_->data_bytes_, 100u);
@@ -822,15 +848,15 @@ TEST_F(ExceptionClassTest, HandshakeAckWithDataOvertakesQueuedSyns) {
                                      [](const TcpHeader& h) { return h.dst_port == kFlowPort; });
   ASSERT_NE(data_ack, tap_->sent.end());
   EXPECT_EQ(data_ack->ack, kPeerIsn + 1 + 100);
-  EXPECT_LE(data_ack - tap_->sent.begin(), 2);  // SYN-ACKs sent before it.
+  EXPECT_LE(data_ack - tap_->sent.begin(), 1);  // SYN-ACKs sent before it.
 
   // The per-class counters hold the same story: one flow-class segment
   // that waited no longer than the bound, kSyns SYNs that waited longer.
   EXPECT_EQ(Count(ExceptionClass::kFlow) - flow_count, 1u);
-  EXPECT_EQ(Count(ExceptionClass::kSyn) - syn_count, static_cast<uint64_t>(kSyns));
+  EXPECT_EQ(Count(ExceptionClass::kSetup) - setup_count, static_cast<uint64_t>(kSyns));
   EXPECT_GT(WaitNs(ExceptionClass::kFlow) - flow_wait, 0u);
-  EXPECT_LE(WaitNs(ExceptionClass::kFlow) - flow_wait, 2 * set_up + exception);
-  EXPECT_GT((WaitNs(ExceptionClass::kSyn) - syn_wait) / kSyns, 2 * set_up + exception);
+  EXPECT_LE(WaitNs(ExceptionClass::kFlow) - flow_wait, set_up + exception);
+  EXPECT_GT((WaitNs(ExceptionClass::kSetup) - setup_wait) / kSyns, set_up + exception);
 }
 
 // Two segments of one flow queued behind the SYNs keep their order: the
@@ -851,6 +877,140 @@ TEST_F(ExceptionClassTest, SegmentsOfOneFlowKeepArrivalOrder) {
   EXPECT_GT(server_->remote_closed_at_, 0);
   EXPECT_GE(server_->remote_closed_at_, server_->accepted_at_[0]);
   EXPECT_EQ(Count(ExceptionClass::kFlow), 2u);
+}
+
+// --- The slow-path executor ---------------------------------------------------
+
+// The ExceptionClassTest listener, whose app also opens and closes
+// connections of its own.
+class SlowPathExecutorTest : public ExceptionClassTest {
+ protected:
+  // Takes the connection from `peer_port` to ESTABLISHED; returns the app's
+  // ConnId for it.
+  ConnId OpenToEstablished(uint16_t peer_port) {
+    const size_t accepted = server_->accepted_.size();
+    const size_t sent = tap_->sent.size();
+    Inject(peer_port, TcpFlags::kSyn, kPeerIsn, 0);
+    EXPECT_TRUE(RunUntilTrue(exp_.get(), [&] { return tap_->sent.size() > sent; },
+                             exp_->sim().Now() + Ms(1)));
+    const uint32_t iss = tap_->sent.back().seq;
+    Inject(peer_port, TcpFlags::kAck, kPeerIsn + 1, iss + 1);
+    EXPECT_TRUE(RunUntilTrue(exp_.get(), [&] { return server_->accepted_.size() > accepted; },
+                             exp_->sim().Now() + Ms(1)));
+    return server_->accepted_.empty() ? kInvalidConn : server_->accepted_.back();
+  }
+
+  // When the first segment with exactly `flags` reached the link.
+  TimeNs FirstSentAt(uint8_t flags) const {
+    for (size_t i = 0; i < tap_->sent.size(); ++i) {
+      if (tap_->sent[i].flags == flags) {
+        return tap_->sent_at[i];
+      }
+    }
+    return -1;
+  }
+
+  Stack* stack() { return exp_->host(0).stack(); }
+};
+
+// A connect's SYN leaves when its connection set-up charge ends, not when
+// the command reaches the slow path.
+TEST_F(SlowPathExecutorTest, ConnectSynLeavesAfterItsCharge) {
+  const TimeNs issued = exp_->sim().Now();
+  stack()->Connect(exp_->host(1).ip(), 9000);
+  ASSERT_TRUE(RunUntilTrue(exp_.get(), [&] { return FirstSentAt(TcpFlags::kSyn) >= 0; },
+                           issued + Ms(1)));
+  EXPECT_GE(FirstSentAt(TcpFlags::kSyn) - issued,
+            SlowPathCycles(tas_->config().costs->connection_setup / 2));
+}
+
+// A close's FIN leaves when its teardown charge ends.
+TEST_F(SlowPathExecutorTest, CloseFinLeavesAfterItsCharge) {
+  const ConnId conn = OpenToEstablished(kFlowPort);
+  const TimeNs issued = exp_->sim().Now();
+  stack()->Close(conn);
+  constexpr uint8_t kFinAck = TcpFlags::kFin | TcpFlags::kAck;
+  ASSERT_TRUE(RunUntilTrue(exp_.get(), [&] { return FirstSentAt(kFinAck) >= 0; },
+                           issued + Ms(1)));
+  EXPECT_GE(FirstSentAt(kFinAck) - issued,
+            SlowPathCycles(tas_->config().costs->connection_teardown / 2));
+}
+
+// A handshake ACK carrying a request, arriving behind eight queued closes:
+// it is served after the close in service, before the other seven, and at
+// most one FIN leaves before the request's ACK.
+TEST_F(SlowPathExecutorTest, HandshakeAckOvertakesQueuedCloses) {
+  constexpr int kCloses = 8;
+  std::vector<ConnId> conns;
+  for (int i = 1; i <= kCloses; ++i) {
+    conns.push_back(OpenToEstablished(static_cast<uint16_t>(kFlowPort + i)));
+  }
+  ClearTap();
+  const uint32_t iss = OpenToSynRcvd();
+  for (ConnId conn : conns) {
+    stack()->Close(conn);
+  }
+  // The commands cross the context queue to the slow path: one close is in
+  // service, seven are queued.
+  exp_->sim().RunUntil(exp_->sim().Now() + Us(5));
+  EXPECT_EQ(tas_->slow_path()->exception_depth(), static_cast<size_t>(kCloses - 1));
+  const TimeNs arrival = exp_->sim().Now();
+  Inject(kFlowPort, TcpFlags::kAck, kPeerIsn + 1, iss + 1, 100);
+  constexpr uint8_t kFinAck = TcpFlags::kFin | TcpFlags::kAck;
+  ASSERT_TRUE(RunUntilTrue(exp_.get(), [&] {
+    return server_->data_bytes_ > 0 &&
+           std::count_if(tap_->sent.begin(), tap_->sent.end(),
+                         [](const TcpHeader& h) { return h.flags == kFinAck; }) == kCloses;
+  }, arrival + Ms(1)));
+
+  const TimeNs teardown = SlowPathCycles(tas_->config().costs->connection_teardown / 2);
+  const TimeNs bound = teardown + SlowPathCycles(600) + Us(10);
+  ASSERT_EQ(server_->accepted_at_.size(), static_cast<size_t>(kCloses + 1));
+  EXPECT_LE(server_->accepted_at_.back() - arrival, bound);
+  EXPECT_EQ(server_->data_bytes_, 100u);
+  EXPECT_LE(server_->data_at_ - arrival, bound);
+  const auto data_ack = std::find_if(tap_->sent.begin(), tap_->sent.end(),
+                                     [](const TcpHeader& h) { return h.dst_port == kFlowPort; });
+  ASSERT_NE(data_ack, tap_->sent.end());
+  EXPECT_EQ(data_ack->ack, kPeerIsn + 1 + 100);
+  EXPECT_LE(data_ack - tap_->sent.begin(), 1);  // FINs sent before it.
+}
+
+// Reduced churn between two TAS hosts (one request per connection, then
+// close and reconnect): neither slow-path core ever books work further
+// ahead of the clock than one work item (a SYN's exception plus set-up, the
+// largest) and one control-loop iteration (120 cycles per flow it visits,
+// at most every flow the host holds).
+TEST(SlowPathExecutorChurnTest, MaxAheadWithinOneItemAndOneControlIteration) {
+  HostSpec spec = TasSpec();
+  auto exp = Experiment::PointToPoint(spec, spec, TestLink());
+  EchoServerConfig sc;
+  EchoServer server(&exp->sim(), exp->host(0).stack(), sc);
+  server.Start();
+  EchoClientConfig cc;
+  cc.server_ip = exp->host(0).ip();
+  cc.num_connections = 32;
+  cc.pipeline_depth = 1;
+  cc.messages_per_connection = 1;
+  EchoClient client(&exp->sim(), exp->host(1).stack(), cc);
+  client.Start();
+
+  uint64_t flows_hw = 0;
+  for (TimeNs t = Us(50); t <= Ms(20); t += Us(50)) {
+    exp->sim().RunUntil(t);
+    for (int host = 0; host < 2; ++host) {
+      flows_hw = std::max<uint64_t>(flows_hw, exp->host(host).tas()->num_flows());
+    }
+  }
+  EXPECT_GT(client.reconnects(), 100u);
+  for (int host = 0; host < 2; ++host) {
+    TasService* tas = exp->host(host).tas();
+    const Core* core = tas->slowpath_cpu();
+    const TimeNs item = core->CyclesToTime(600 + tas->config().costs->connection_setup / 2);
+    const TimeNs iteration = core->CyclesToTime(120 * flows_hw);
+    EXPECT_GT(core->max_ahead_ns(), 0) << "host " << host;
+    EXPECT_LE(core->max_ahead_ns(), item + iteration) << "host " << host;
+  }
 }
 
 }  // namespace
