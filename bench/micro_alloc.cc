@@ -12,7 +12,11 @@
 // tombstones and free-list slots without touching the allocator, the port
 // table recycles a released port chunk for the next one the ephemeral
 // cursor reaches, and the control-loop audit steps a TAS host whose slow
-// path iterates over dirty and pending flows every control interval.
+// path iterates over dirty and pending flows every control interval. The
+// pacing re-arm audit raises paced flows' rates every iteration, so a raise
+// that brings a segment forward cancels its flow's armed pacing timer and
+// arms an earlier one. Both warm up until the slow paths are idle and the
+// control loop's lists stopped growing, not for a fixed time.
 //
 // The packet-path audit forwards bursts host -> link -> switch -> link -> NIC
 // ring through the Fifo-backed queues, and the libTAS audit runs Send/Recv
@@ -350,6 +354,55 @@ bool AuditFlowSlab() {
   return allocs == 0;
 }
 
+// Steps a TAS pair one control interval at a time until neither slow path
+// has work queued, no packet is in flight, and host 0's control-loop lists
+// kept their capacity over the interval: their working size, however long
+// the queued connects take. Returns false if that never happens.
+bool WarmUpControlLoop(Experiment* exp) {
+  Simulator& sim = exp->sim();
+  TasService* tas = exp->host(0).tas();
+  const TimeNs limit = sim.Now() + Ms(200);
+  size_t capacity = tas->slow_path()->control_list_capacity();
+  while (sim.Now() < limit) {
+    sim.RunUntil(sim.Now() + tas->config().control_interval);
+    const size_t grown = tas->slow_path()->control_list_capacity();
+    if (tas->slow_path()->exception_depth() == 0 &&
+        exp->host(1).tas()->slow_path()->exception_depth() == 0 &&
+        exp->packet_pool().stats().outstanding == 0 && grown == capacity) {
+      return true;
+    }
+    capacity = grown;
+  }
+  return false;
+}
+
+// Opens `n` connections from host 0 of a TAS pair to a port nothing listens
+// on (the peer drops the SYNs) and lets the slow path serve every connect.
+std::vector<FlowId> OpenUnansweredFlows(Experiment* exp, int n) {
+  TasService* tas = exp->host(0).tas();
+  std::vector<FlowId> ids;
+  for (int i = 0; i < n; ++i) {
+    ids.push_back(tas->Connect(exp->host(1).ip(), 9, 0, 0));
+  }
+  while (tas->slow_path()->exception_depth() > 0) {
+    exp->sim().RunUntil(exp->sim().Now() + Us(100));
+  }
+  return ids;
+}
+
+// Allocations and control-loop iterations over `window` of TAS host 0.
+struct ControlWindow {
+  uint64_t allocs = 0;
+  uint64_t iterations = 0;
+};
+ControlWindow MeasureControlWindow(Experiment* exp, TimeNs window) {
+  SlowPath* slow = exp->host(0).tas()->slow_path();
+  const uint64_t iterations_before = slow->control_iterations();
+  const uint64_t before = AllocCount();
+  exp->sim().RunUntil(exp->sim().Now() + window);
+  return {AllocCount() - before, slow->control_iterations() - iterations_before};
+}
+
 // The slow path's control loop over a steady population of dirty and pending
 // flows. Each iteration swaps the service's dirty list with the slow path's
 // spare and rebuilds the pending scan list into its spare, so neither list
@@ -360,14 +413,8 @@ bool AuditControlLoop() {
   spec.tas_overridden = true;
   auto exp = Experiment::PointToPoint(spec, spec, LinkConfig{});
   TasService* tas = exp->host(0).tas();
-  std::vector<FlowId> ids;
-  for (int i = 0; i < 256; ++i) {
-    // Nothing listens on the port: the peer drops the SYN.
-    ids.push_back(tas->Connect(exp->host(1).ip(), 9, 0, 0));
-  }
-  exp->sim().RunUntil(Ms(1));
   const uint8_t payload[64] = {};
-  for (FlowId id : ids) {
+  for (FlowId id : OpenUnansweredFlows(exp.get(), 256)) {
     // FIN_WAIT_2 keeps the flow on the pending list without retransmitting;
     // queued, unsent payload re-marks it dirty every iteration without ever
     // arming the retransmission timeout.
@@ -376,16 +423,65 @@ bool AuditControlLoop() {
     flow->AppWriteTx(payload, sizeof(payload));
     tas->MarkFlowDirty(id);
   }
-  exp->sim().RunUntil(Ms(2));  // Both lists reach their working size.
-  const uint64_t iterations_before = tas->slow_path()->control_iterations();
-  const uint64_t before = AllocCount();
-  exp->sim().RunUntil(Ms(12));
-  const uint64_t allocs = AllocCount() - before;
-  const uint64_t iterations = tas->slow_path()->control_iterations() - iterations_before;
-  const bool ok = allocs == 0 && iterations > 0;
-  std::printf("ALLOC_AUDIT control_loop allocs=%llu iterations=%llu %s\n",
-              static_cast<unsigned long long>(allocs),
-              static_cast<unsigned long long>(iterations), ok ? "PASS" : "FAIL");
+  const bool warm = WarmUpControlLoop(exp.get());
+  const ControlWindow w = MeasureControlWindow(exp.get(), Ms(10));
+  const bool ok = warm && w.allocs == 0 && w.iterations > 0;
+  std::printf("ALLOC_AUDIT control_loop allocs=%llu iterations=%llu%s %s\n",
+              static_cast<unsigned long long>(w.allocs),
+              static_cast<unsigned long long>(w.iterations), warm ? "" : " never_warm",
+              ok ? "PASS" : "FAIL");
+  return ok;
+}
+
+// A rate policy that raises the rate by 0.1% every control-loop iteration,
+// whatever the feedback.
+class RisingRateCc : public RateCc {
+ public:
+  double Update(const CcFeedback&) override { return rate_bps_ *= 1.001; }
+  double rate_bps() const override { return rate_bps_; }
+  void Reset(double initial_bps) override { rate_bps_ = initial_bps; }
+
+ private:
+  double rate_bps_ = 1e6;
+};
+
+// Paced flows whose rate the slow path raises every iteration: at ~1 Mbps
+// each flow waits on its pacing timer nearly all the time, and a raise that
+// brings the segment's time forward cancels the timer and arms an earlier
+// one. That path must not allocate either.
+bool AuditPacingRearm() {
+  HostSpec spec;
+  spec.stack = StackKind::kTas;
+  auto exp = Experiment::PointToPoint(spec, spec, LinkConfig{});
+  TasService* tas = exp->host(0).tas();
+  const uint8_t payload[4096] = {};
+  for (FlowId id : OpenUnansweredFlows(exp.get(), 64)) {
+    // Established by fiat: the peer drops the segments, so nothing is ever
+    // acked and the queued payload keeps the flow paced and dirty. A full
+    // bucket sends the first two segments during warm-up, so the packet
+    // path has its working size before the measured window; the third
+    // waits ~10 ms on its pacing timer.
+    Flow* flow = tas->flow_by_id(id);
+    flow->cstate = ConnState::kEstablished;
+    SetPeerWindowBytes(flow->fs, 64 * 1024);
+    flow->cold().cc = std::make_unique<RisingRateCc>();
+    flow->rate_bps = flow->cold().cc->rate_bps();
+    flow->tx_tokens = flow->BurstBytes();
+    flow->tokens_updated = exp->sim().Now();
+    flow->AppWriteTx(payload, sizeof(payload));
+    tas->ScheduleFlowTx(id, 0);
+    tas->MarkFlowDirty(id);
+  }
+  const bool warm = WarmUpControlLoop(exp.get());
+  const uint64_t rearms_before = tas->stats().pacing_rearms;
+  const ControlWindow w = MeasureControlWindow(exp.get(), Ms(10));
+  const uint64_t rearms = tas->stats().pacing_rearms - rearms_before;
+  const bool ok = warm && w.allocs == 0 && w.iterations > 0 && rearms > 0;
+  std::printf("ALLOC_AUDIT pacing_rearm allocs=%llu iterations=%llu rearms=%llu%s %s\n",
+              static_cast<unsigned long long>(w.allocs),
+              static_cast<unsigned long long>(w.iterations),
+              static_cast<unsigned long long>(rearms), warm ? "" : " never_warm",
+              ok ? "PASS" : "FAIL");
   return ok;
 }
 
@@ -617,6 +713,7 @@ int main(int argc, char** argv) {
   ok &= tas::AuditFlowSlab();
   ok &= tas::AuditPortTable();
   ok &= tas::AuditControlLoop();
+  ok &= tas::AuditPacingRearm();
   ok &= tas::AuditPacketPath();
   ok &= tas::AuditLibtasSend();
   ok &= tas::AuditIdleTasHostFootprint();

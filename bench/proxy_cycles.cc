@@ -22,10 +22,12 @@
 // path costs, the churn sweep and the alpha=0.9 critical-path report, which
 // CI gates against bench/baselines/proxy_cycles.json; see EXPERIMENTS.md.
 // Each churn row also holds the proxy and client hosts' slow-path
-// exceptions per ConnState, each exception class's mean queue wait and
-// their timeout retransmissions, so a change that moves closing-flow data
-// back to the slow path names the moved state, and one that puts flow
-// segments back behind connection set-up names the moved wait.
+// exceptions per ConnState, each exception class's mean queue wait, their
+// timeout retransmissions and the pacing timers a raised rate moved earlier
+// (count and summed ns), so a change that moves closing-flow data back to
+// the slow path names the moved state, one that puts flow segments back
+// behind connection set-up names the moved wait, and one that leaves flows
+// waiting on stale pacing gaps names the lost re-arms.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -525,6 +527,10 @@ int Run() {
               << ",\"slowpath\":" << c.slowpath_json
               << ",\"timeout_retransmits\":"
               << PerHostJson(c, [](const TasStats& s) { return s.timeout_retransmits; })
+              << ",\"pacing_rearms\":"
+              << PerHostJson(c, [](const TasStats& s) { return s.pacing_rearms; })
+              << ",\"pacing_rearm_saved_ns\":"
+              << PerHostJson(c, [](const TasStats& s) { return s.pacing_rearm_saved_ns; })
               << ",\"sim_ms\":" << c.finished_at / 1000000 << "}";
     wall_churn << (i == 0 ? "[" : ",") << "{\"wall_ns\":" << c.wall_ns << "}";
     total_wall_ns += c.wall_ns;

@@ -135,7 +135,7 @@ size_t TasStack::Recv(ConnId conn, uint8_t* data, size_t len) {
   core->Charge(CpuModule::kSockets,
                static_cast<uint64_t>(costs_->copy_cycles_per_byte * static_cast<double>(read)));
   c->deliverable -= std::min<size_t>(c->deliverable, read);
-  if (was_closed && flow->RxFree() >= mss && flow->FastPathEligible()) {
+  if (was_closed && flow->RxFree() >= mss && flow->RxFastPathEligible()) {
     AtCoreHorizon(core, c->context, TxCommand{TxCommandType::kWindowUpdate, c->flow, 0});
   }
   return read;
@@ -192,7 +192,7 @@ size_t TasStack::Splice(ConnId from, ConnId to, size_t len) {
   core->Charge(CpuModule::kSockets,
                costs_->tx_api + static_cast<uint64_t>(costs_->splice_cycles_per_byte *
                                                       static_cast<double>(n)));
-  if (was_closed && fsrc->RxFree() >= mss && fsrc->FastPathEligible()) {
+  if (was_closed && fsrc->RxFree() >= mss && fsrc->RxFastPathEligible()) {
     AtCoreHorizon(core, src->context,
                   TxCommand{TxCommandType::kWindowUpdate, src->flow, 0});
   }

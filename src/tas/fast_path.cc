@@ -320,6 +320,7 @@ void FastPathCore::HandleAck(FlowId flow_id, Flow& flow, const Packet& pkt) {
   FlowState& fs = flow.fs;
   FlowTracer& trace = service_->flow_trace();
   const TimeNs now = service_->sim()->Now();
+  const uint64_t old_window = PeerWindowBytes(fs);
   SetPeerWindowBytes(fs, static_cast<uint64_t>(pkt.tcp.window) << flow.peer_wscale);
 
   // Valid cumulative ACKs fall within the app-written region (tx_tail,
@@ -371,6 +372,10 @@ void FastPathCore::HandleAck(FlowId flow_id, Flow& flow, const Packet& pkt) {
       service_->MarkFlowDirty(flow_id);
       service_->ScheduleFlowTx(flow_id, 0);
     }
+  }
+  if (acked == 0 && PeerWindowBytes(fs) > old_window && flow.TxAvailable() > 0) {
+    // A window update: the sender may have stopped on the closed window.
+    service_->ScheduleFlowTx(flow_id, flow.next_tx_time);
   }
 }
 
@@ -445,34 +450,18 @@ void FastPathCore::ProcessFlowTx(FlowId flow_id, TimeNs enqueued_at) {
     return;
   }
   FlowState& fs = flow->fs;
-  const uint32_t avail = flow->TxAvailable();
-  if (avail == 0) {
-    return;
-  }
-  const uint64_t peer_window = PeerWindowBytes(fs);
-  uint64_t allow = peer_window > fs.tx_sent ? peer_window - fs.tx_sent : 0;
-  if (flow->cc_window > 0) {
-    // Window-mode enforcement: in-flight bytes bounded by the slow path's
-    // congestion window.
-    const uint64_t cc_allow =
-        flow->cc_window > fs.tx_sent ? flow->cc_window - fs.tx_sent : 0;
-    allow = std::min(allow, cc_allow);
-  }
-  const uint32_t len =
-      static_cast<uint32_t>(std::min<uint64_t>({avail, flow->mss, allow}));
+  const uint32_t len = flow->NextSegmentLen();
   if (len == 0) {
-    return;  // Window full; the next ACK re-schedules us.
+    // Nothing unsent (the app's next write re-schedules us) or the window is
+    // full (the next ACK does).
+    return;
   }
 
   // Rate enforcement: the per-flow bucket must hold credit for the segment.
   const TimeNs now = service_->sim()->Now();
-  const double burst = 2.0 * flow->mss;
-  const double tokens = flow->RefillTokens(now, std::max<double>(burst, len));
-  if (tokens < len) {
+  if (flow->RefillTokens(now, flow->BurstBytes()) < len) {
     // Not enough credit: retry when the bucket refills.
-    const TimeNs wait =
-        static_cast<TimeNs>((static_cast<double>(len) - tokens) * 8e9 / flow->rate_bps) + 1;
-    flow->next_tx_time = now + wait;
+    flow->next_tx_time = now + flow->CreditWait(len);
     service_->ScheduleFlowTx(flow_id, flow->next_tx_time);
     return;
   }
@@ -496,7 +485,7 @@ void FastPathCore::ProcessFlowTx(FlowId flow_id, TimeNs enqueued_at) {
 
 void FastPathCore::SendWindowUpdate(FlowId flow_id, TimeNs enqueued_at) {
   Flow* flow = service_->flow_by_id(flow_id);
-  if (flow == nullptr || !flow->FastPathEligible()) {
+  if (flow == nullptr || !flow->RxFastPathEligible()) {
     return;
   }
   SendAck(flow_id, *flow, false, enqueued_at);

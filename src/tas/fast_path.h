@@ -15,8 +15,9 @@
 //  * count duplicate ACKs and trigger fast recovery after three by rewinding
 //    tx_sent (go-back-N resend), bumping cnt_frexmits for the slow path;
 //  * transmit: segment payload from the TX buffer at the slow-path-set rate
-//    (token-less pacing: one segment per rate-spaced slot), reclaim the
-//    buffer on ACKs, and hand flow statistics to the slow path;
+//    (the per-flow bucket; a segment short of credit waits on the flow's
+//    pacing timer), reclaim the buffer on ACKs, resume on an ACK that only
+//    widens the peer's window, and hand flow statistics to the slow path;
 //  * keep a closing flow's data here: payload into a FIN_WAIT_1/2 flow (the
 //    peer's direction is still open) takes the same RX path, its ACKs carry
 //    seq = FIN + 1, and one that acks our FIN applies FIN_WAIT_1 -> 2;

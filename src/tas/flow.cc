@@ -49,6 +49,8 @@ void FlowCold::Reset() {
   fin_event_sent = false;
   closed_event_sent = false;
   in_pending = false;
+  pacing_timer.Cancel();
+  pacing_timer = EventHandle{};
   ctrl_retries = 0;
   last_ctrl_send = 0;
   timewait_start = 0;
@@ -77,6 +79,15 @@ void Flow::Reset() {
   if (cold_ptr_ != nullptr) {
     cold_ptr_->Reset();
   }
+}
+
+uint32_t Flow::NextSegmentLen() const {
+  const uint64_t peer_window = PeerWindowBytes(fs);
+  uint64_t allow = peer_window > fs.tx_sent ? peer_window - fs.tx_sent : 0;
+  if (cc_window > 0) {
+    allow = std::min<uint64_t>(allow, cc_window > fs.tx_sent ? cc_window - fs.tx_sent : 0);
+  }
+  return static_cast<uint32_t>(std::min<uint64_t>({TxAvailable(), mss, allow}));
 }
 
 void Flow::CopyIntoRx(uint32_t wire_pos, const uint8_t* src, uint32_t len) {

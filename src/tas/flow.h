@@ -16,6 +16,7 @@
 
 #include "src/cc/cc.h"
 #include "src/cc/dctcp_window.h"
+#include "src/sim/simulator.h"
 #include "src/tas/flow_state.h"
 #include "src/util/ring_buffer.h"
 #include "src/util/time.h"
@@ -59,14 +60,19 @@ struct FlowCold {
   bool fin_event_sent = false;    // kConnFin (half-close) pushed to the app.
   bool closed_event_sent = false;
   bool in_pending = false;        // On the handshake/teardown scan list.
+  // The flow's one pacing event: armed by TasService::ScheduleFlowTx while
+  // the bucket lacks credit for the next segment, moved earlier when the
+  // slow path raises the rate (TasService::PublishRate).
+  EventHandle pacing_timer;
   int ctrl_retries = 0;           // Handshake / FIN retransmission count.
   TimeNs last_ctrl_send = 0;
   TimeNs timewait_start = 0;
   TimeNs established_at = 0;
 
   // Returns to freshly-constructed state. The payload storage is released
-  // (if the stream's end has not released it already), so a freed flow holds
-  // no buffer memory; nothing here allocates, so slab slot recycling stays
+  // (if the stream's end has not released it already) and a pacing timer
+  // still armed is cancelled, so a freed flow holds no buffer memory and no
+  // event; nothing here allocates, so slab slot recycling stays
   // allocation-free.
   void Reset();
 };
@@ -82,8 +88,10 @@ struct Flow {
   // --- Fast-path transmit scheduling ---------------------------------------
   // Rate enforcement via the per-flow bucket (paper §3.1): credit accrues at
   // rate_bps while the flow is idle, capped at a small burst, so an RPC
-  // response is never delayed behind a stale pacing gap.
-  double rate_bps = 10e6;       // Enforced rate (slow path sets).
+  // response is never delayed behind a stale pacing gap. A rate the slow
+  // path publishes applies from that instant: a raised rate moves an armed
+  // pacing timer to when the bucket allows at the new rate.
+  double rate_bps = 10e6;       // Enforced rate (TasService::PublishRate sets).
   uint64_t cc_window = 0;       // Window-mode limit; 0 = rate mode.
   double tx_tokens = 0;         // Bucket fill, in bytes.
   TimeNs tokens_updated = 0;
@@ -98,6 +106,14 @@ struct Flow {
     tx_tokens = std::min(burst_bytes, tx_tokens + rate_bps / 8e9 * delta);
     tokens_updated = now;
     return tx_tokens;
+  }
+  // The bucket's cap: two full segments.
+  double BurstBytes() const { return 2.0 * mss; }
+  // Time from tokens_updated until the bucket holds `len` bytes of credit
+  // at rate_bps; 0 when it already does.
+  TimeNs CreditWait(uint32_t len) const {
+    const double need = static_cast<double>(len) - tx_tokens;
+    return need <= 0 ? 0 : static_cast<TimeNs>(need * 8e9 / rate_bps) + 1;
   }
 
   // --- Cold side record -----------------------------------------------------
@@ -153,6 +169,9 @@ struct Flow {
   uint32_t TxQueued() const { return fs.tx_head - fs.tx_tail; }
   // Bytes written by the app but not yet sent.
   uint32_t TxAvailable() const { return fs.tx_head - (fs.tx_tail + fs.tx_sent); }
+  // Length of the next data segment: unsent bytes, capped by the MSS, the
+  // peer's window and, in window mode, the congestion window.
+  uint32_t NextSegmentLen() const;
 
   // Payload copies through the cold record's ring storage; writes grow it on
   // demand and refresh fs.rx_base/tx_base.

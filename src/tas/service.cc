@@ -86,6 +86,8 @@ void TasService::RegisterTraceInstrumentation(FlightRecorder* recorder) {
   m.AddCounter("tas.fastpath.ooo_accepted", &stats_.ooo_accepted);
   m.AddCounter("tas.fastpath.ooo_dropped", &stats_.ooo_dropped);
   m.AddCounter("tas.fastpath.fast_retransmits", &stats_.fast_retransmits);
+  m.AddCounter("tas.fastpath.pacing_rearms", &stats_.pacing_rearms);
+  m.AddCounter("tas.fastpath.pacing_rearm_saved_ns", &stats_.pacing_rearm_saved_ns);
   m.AddCounter("tas.fastpath.exceptions", &stats_.exceptions);
   m.AddCounter("tas.fastpath.cross_core_packets", &stats_.cross_core_packets);
   m.AddCounter("tas.slowpath.packets", &stats_.slowpath_packets);
@@ -413,7 +415,8 @@ void TasService::DrainContextCommands(uint16_t context_id) {
         }
         break;
       case TxCommandType::kWindowUpdate:
-        if (flow->FastPathEligible()) {
+        // The receive direction is what a window update reopens.
+        if (flow->RxFastPathEligible()) {
           fastpaths_[static_cast<size_t>(CoreForFlow(*flow))]->EnqueueWindowUpdate(
               static_cast<FlowId>(cmd.flow_id));
         }
@@ -522,28 +525,53 @@ void TasService::ScheduleFlowTx(FlowId id, TimeNs earliest) {
   }
   flow->tx_pending = true;
   if (earliest <= sim_->Now()) {
-    const int entry = RedirectionEntryForFlow(*flow);
-    if (steering_->Draining(entry)) {
-      // The flow's group is mid-migration: park the work on the group; the
-      // flip re-enqueues it on the target core. tx_pending stays set.
-      steering_->DeferFlowTx(entry, id);
-      return;
-    }
-    fastpaths_[static_cast<size_t>(nic_->RedirectionEntryQueue(entry))]->EnqueueFlowTx(id);
+    DispatchFlowTx(id, *flow);
+  } else {
+    ArmPacingTimer(id, *flow, earliest);
+  }
+}
+
+void TasService::ArmPacingTimer(FlowId id, Flow& flow, TimeNs when) {
+  EventHandle& timer = flow.cold().pacing_timer;
+  TAS_DCHECK(!timer.valid());
+  // Freeing the flow cancels the timer (FlowCold::Reset), so it fires only
+  // for a live flow.
+  timer = sim_->At(when, [this, id] { DispatchFlowTx(id, *flow_by_id(id)); });
+}
+
+void TasService::DispatchFlowTx(FlowId id, const Flow& flow) {
+  const int entry = RedirectionEntryForFlow(flow);
+  if (steering_->Draining(entry)) {
+    // The flow's group is mid-migration: park the work on the group; the
+    // flip re-enqueues it on the target core. tx_pending stays set.
+    steering_->DeferFlowTx(entry, id);
     return;
   }
-  sim_->At(earliest, [this, id] {
-    Flow* f = flow_by_id(id);
-    if (f == nullptr || f->cstate == ConnState::kFreed) {
-      return;
-    }
-    const int entry = RedirectionEntryForFlow(*f);
-    if (steering_->Draining(entry)) {
-      steering_->DeferFlowTx(entry, id);
-      return;
-    }
-    fastpaths_[static_cast<size_t>(nic_->RedirectionEntryQueue(entry))]->EnqueueFlowTx(id);
-  });
+  fastpaths_[static_cast<size_t>(nic_->RedirectionEntryQueue(entry))]->EnqueueFlowTx(id);
+}
+
+void TasService::PublishRate(FlowId id, Flow& flow, double rate_bps) {
+  EventHandle& timer = flow.cold().pacing_timer;
+  if (rate_bps <= flow.rate_bps || !timer.valid()) {
+    // A lowered rate needs nothing: the bucket check when the timer fires
+    // re-arms the flow.
+    flow.rate_bps = rate_bps;
+    return;
+  }
+  flow.rate_bps = rate_bps;
+  // The bucket refills lazily, at the rate in force at the refill, over the
+  // whole time since the last one: this is the first instant at which the
+  // fire-time bucket check passes at the new rate.
+  const TimeNs ready = std::max(
+      sim_->Now(), flow.tokens_updated + flow.CreditWait(flow.NextSegmentLen()));
+  if (ready >= flow.next_tx_time) {
+    return;
+  }
+  timer.Cancel();
+  stats_.pacing_rearms++;
+  stats_.pacing_rearm_saved_ns += static_cast<uint64_t>(flow.next_tx_time - ready);
+  flow.next_tx_time = ready;
+  ArmPacingTimer(id, flow, ready);
 }
 
 void TasService::MarkFlowDirty(FlowId id) {

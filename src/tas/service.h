@@ -103,6 +103,10 @@ struct TasStats {
   uint64_t ooo_accepted = 0;
   uint64_t ooo_dropped = 0;
   uint64_t fast_retransmits = 0;
+  // Pacing timers the slow path moved earlier by raising the flow's rate,
+  // and the summed time by which they moved.
+  uint64_t pacing_rearms = 0;
+  uint64_t pacing_rearm_saved_ns = 0;
   uint64_t timeout_retransmits = 0;
   uint64_t handshake_retransmits = 0;  // SYN/SYN-ACK resends by the slow path.
   uint64_t exceptions = 0;
@@ -194,8 +198,13 @@ class TasService {
   FlowGroupSteering* steering() { return steering_.get(); }
   // This host's SLO watchdog (null unless config.watchdog.enabled).
   SloWatchdog* watchdog() { return watchdog_.get(); }
-  // Queues transmit work for a flow on its owning core.
+  // Queues transmit work for a flow on its owning core, at once or, when
+  // `earliest` lies ahead, from the flow's pacing timer. A flow already
+  // holding queued work or an armed timer is left alone.
   void ScheduleFlowTx(FlowId id, TimeNs earliest);
+  // Publishes the slow path's new rate for the flow. A raised rate moves an
+  // armed pacing timer to when the bucket allows at the new rate.
+  void PublishRate(FlowId id, Flow& flow, double rate_bps);
   // Marks a flow for the slow path's next congestion-control iteration.
   void MarkFlowDirty(FlowId id);
   void SetActiveCores(int count);
@@ -207,6 +216,11 @@ class TasService {
 
  private:
   void DrainContextCommands(uint16_t context_id);
+  // Arms the flow's pacing timer; none may be armed.
+  void ArmPacingTimer(FlowId id, Flow& flow, TimeNs when);
+  // Hands the flow's transmit work to its core, or parks it on its flow
+  // group while the group migrates.
+  void DispatchFlowTx(FlowId id, const Flow& flow);
   // Wires every subsystem into the tracer: metric registration, CPU span
   // listeners, per-core / per-flow sampling probes. Runs once from the ctor;
   // `recorder` is the flight recorder this host configured, else null.

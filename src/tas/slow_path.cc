@@ -635,7 +635,7 @@ void SlowPath::RunCongestionControl(FlowId flow_id, Flow& flow) {
     }
     flow.cc_window = flow.cold().wcc->cwnd();
   } else {
-    flow.rate_bps = flow.cold().cc->Update(feedback);
+    service_->PublishRate(flow_id, flow, flow.cold().cc->Update(feedback));
   }
   if (service_->flow_trace().enabled(flow_id)) {
     // ECN fraction of acked bytes in parts per million (fits the integer slot).

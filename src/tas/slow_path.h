@@ -50,6 +50,13 @@ class SlowPath {
   void CmdClose(FlowId flow_id);
 
   uint64_t control_iterations() const { return control_iterations_; }
+  // Summed capacity of the control loop's lists: both halves of the pending
+  // list and of the dirty list (the service holds one). It stops growing
+  // once the flow population does.
+  size_t control_list_capacity() const {
+    return pending_.capacity() + pending_next_.capacity() + dirty_scratch_.capacity() +
+           service_->dirty_flows().capacity();
+  }
 
   // FIN_WAIT_1 -> FIN_WAIT_2 (or TIME_WAIT once the peer's FIN is consumed)
   // on a segment without FIN that acks our FIN: frees the TX ring and

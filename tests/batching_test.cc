@@ -37,6 +37,11 @@ BatchRun RunEcho(int rx_batch, int app_event_batch) {
   tas_config.trace.flow_events = true;
   tas_config.rx_batch_size = rx_batch;
   tas_config.app_event_batch = app_event_batch;
+  // One fast-path core: every connection's packets share its RX ring, so
+  // arrivals queue behind the batch in service and multi-packet batches
+  // form. Spread over four cores, each sees two connections and a batch
+  // only rarely finds a second packet waiting.
+  tas_config.max_fastpath_cores = 1;
 
   HostSpec spec;
   // Low-level API pricing keeps the app faster than the fast path, so it

@@ -471,6 +471,65 @@ TEST(StreamStorageTest, RingsFreedWhenTheirStreamEnds) {
   RunStorageFollowsStream(exp.get());
 }
 
+// A RequestThenReadClient that reads nothing until StartReading().
+class HoldingReaderClient : public RequestThenReadClient {
+ public:
+  using RequestThenReadClient::RequestThenReadClient;
+
+  void OnConnected(ConnId conn, bool success) override {
+    conn_ = conn;
+    RequestThenReadClient::OnConnected(conn, success);
+  }
+  void OnData(ConnId conn, size_t bytes) override {
+    if (reading_) {
+      RequestThenReadClient::OnData(conn, bytes);
+    }
+  }
+  void StartReading() {
+    reading_ = true;
+    DrainInto(stack_, conn_, &received_);
+  }
+
+  ConnId conn_ = kInvalidConn;
+  bool reading_ = false;
+};
+
+// A closing flow's receive window reopens. The FIN_WAIT_2 client lets its
+// 64 KiB ring fill, so the CLOSE_WAIT sender stops on a closed window; the
+// drain's window update leaves from the fast path, and the sender resumes on
+// that ACK although it acks nothing new.
+TEST(HalfCloseTest, FinWait2ReaderWindowReopensAfterDrain) {
+  constexpr uint16_t kPort = 7200;
+  constexpr size_t kResponse = 200'000;
+  auto exp = Experiment::PointToPoint(TasSpec(), TasSpec(), TestLink());
+  HoldThenRespondServer server(exp->host(0).stack());
+  HoldingReaderClient client(exp->host(1).stack(), 100);
+  server.Start(kPort);
+  client.Start(exp->host(0).ip(), kPort);
+  TasService* client_tas = exp->host(1).tas();
+  const FlowKey client_key{20000, exp->host(0).ip(), kPort};
+  ASSERT_TRUE(RunUntilTrue(exp.get(), [&] {
+    const Flow* f = client_tas->LookupFlow(client_key);
+    return f != nullptr && f->cstate == ConnState::kFinWait2;
+  }, Sec(1)));
+  const Flow* reader = client_tas->LookupFlow(client_key);
+
+  server.Drain();
+  server.Respond(kResponse);
+  ASSERT_TRUE(RunUntilTrue(exp.get(), [&] { return reader->RxFree() < reader->mss; }, Sec(1)));
+  exp->sim().RunUntil(exp->sim().Now() + Ms(5));
+  EXPECT_EQ(reader->cstate, ConnState::kFinWait2);
+  EXPECT_LT(reader->RxFree(), reader->mss);  // Nothing arrives while the ring is full.
+
+  client.StartReading();
+  ASSERT_TRUE(RunUntilTrue(exp.get(), [&] { return client.received_.size() >= kResponse; },
+                           Sec(2)))
+      << "received " << client.received_.size() << " of " << kResponse << " bytes";
+  EXPECT_TRUE(MatchesPattern(client.received_, kResponse, ResponseByte));
+  ASSERT_TRUE(RunUntilTrue(exp.get(), [&] { return client.remote_closed_ == 1; }, Sec(3)));
+  EXPECT_EQ(server.writer_.sent(), kResponse);
+}
+
 // The same exchange with duplicated and reordered segments in both
 // directions through teardown (registered as its own ctest, label chaos).
 TEST(StreamStorageChaosTest, DuplicationAndReorderingThroughTeardown) {

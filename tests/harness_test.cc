@@ -4,6 +4,7 @@
 // printer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -113,11 +114,17 @@ EchoSnapshot Snapshot(TracedEcho& rig) {
 // alternately in 1 ms slices, each matches a solo run exactly, and either
 // may be destroyed first with packets still in flight.
 TEST(ExperimentTest, InterleavedExperimentsMatchSoloRuns) {
-  constexpr TimeNs kEnd = Ms(20);
+  // The runs end at the first microsecond from 20 ms on at which the solo
+  // run has packets in flight, so teardown always finds some.
+  TimeNs end = Ms(20);
   EchoSnapshot solo;
   {
     TracedEcho rig;
-    rig.exp->sim().RunUntil(kEnd);
+    rig.exp->sim().RunUntil(end);
+    while (rig.exp->packet_pool().stats().outstanding == 0 && end < Ms(21)) {
+      end += Us(1);
+      rig.exp->sim().RunUntil(end);
+    }
     solo = Snapshot(rig);
   }
   ASSERT_GT(solo.ops, 0u);
@@ -127,9 +134,9 @@ TEST(ExperimentTest, InterleavedExperimentsMatchSoloRuns) {
   for (bool a_dies_first : {true, false}) {
     auto a = std::make_unique<TracedEcho>();
     auto b = std::make_unique<TracedEcho>();
-    for (TimeNs t = Ms(1); t <= kEnd; t += Ms(1)) {
-      a->exp->sim().RunUntil(t);
-      b->exp->sim().RunUntil(t);
+    for (TimeNs t = Ms(1); t < end + Ms(1); t += Ms(1)) {
+      a->exp->sim().RunUntil(std::min(t, end));
+      b->exp->sim().RunUntil(std::min(t, end));
     }
     for (TracedEcho* rig : {a.get(), b.get()}) {
       const EchoSnapshot got = Snapshot(*rig);

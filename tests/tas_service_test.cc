@@ -465,6 +465,81 @@ TEST(TasBufferTest, MegabyteThroughLazyBuffersIsByteExact) {
   EXPECT_EQ(first_bad, kTotal) << "first corrupted byte";
 }
 
+// A raised rate takes effect at once (paper §3.1-3.2: the slow path sets
+// the rate, the fast path's bucket enforces it). A flow opened once its
+// bucket has filled sends what the burst allows, and its next segment waits
+// on a pacing timer armed at the 10 Mbps initial rate. The control loop
+// doubles the rate once the first ACKs land, and the segment leaves when
+// the new rate allows, not at the stale gap, from the flow's one live
+// pacing event.
+TEST(TasRateTest, RaisedRateMovesArmedPacingTimer) {
+  HostSpec spec;
+  spec.stack = StackKind::kTas;
+  auto exp = Experiment::PointToPoint(spec, spec, LinkConfig{});
+  ByteSink sink(exp->host(0).stack());
+  exp->host(0).stack()->SetHandler(&sink);
+  exp->host(0).stack()->Listen(7000);
+  PatternSource source(exp->host(1).stack(), 200'000);
+  exp->host(1).stack()->SetHandler(&source);
+  Simulator& sim = exp->sim();
+  sim.At(Ms(2), [&] { exp->host(1).stack()->Connect(exp->host(0).ip(), 7000); });
+  TasService* tas = exp->host(1).tas();
+  const FlowKey key{20000, exp->host(0).ip(), 7000};  // The first ephemeral port.
+  const auto step_until = [&sim](auto done) {
+    while (!done() && sim.Now() < Ms(10)) {
+      sim.RunUntil(sim.Now() + Us(1));
+    }
+    return done();
+  };
+
+  Flow* flow = nullptr;
+  ASSERT_TRUE(step_until([&] {
+    flow = tas->LookupFlow(key);
+    return flow != nullptr && flow->cold().pacing_timer.valid();
+  }));
+  const FlowId id = tas->LookupFlowId(key);
+  const TimeNs stale = flow->next_tx_time;
+  const uint64_t sent = tas->stats().fastpath_tx_packets;
+  const uint64_t cancelled = sim.cancelled_events();
+  // The bucket as the timer was armed: `credit` bytes at `armed_at`, short
+  // of the `len`-byte segment.
+  const TimeNs armed_at = flow->tokens_updated;
+  const double credit = flow->tx_tokens;
+  const uint32_t len = flow->NextSegmentLen();
+  EXPECT_GT(sent, 0u);
+  EXPECT_DOUBLE_EQ(flow->rate_bps, 10e6);
+  ASSERT_EQ(tas->stats().pacing_rearms, 0u);
+
+  ASSERT_TRUE(step_until([&] { return tas->stats().pacing_rearms == 1; }));
+  EXPECT_DOUBLE_EQ(flow->rate_bps, 20e6);
+  // The bucket refills at the rate in force when it refills, so the segment
+  // may leave once `len - credit` bytes accrue at 20 Mbps from `armed_at`.
+  const TimeNs rearmed = flow->next_tx_time;
+  EXPECT_NEAR(static_cast<double>(rearmed),
+              static_cast<double>(armed_at) + (len - credit) * 8e9 / 20e6, 2.0);
+  EXPECT_LT(rearmed, stale);
+  EXPECT_EQ(tas->stats().pacing_rearm_saved_ns, static_cast<uint64_t>(stale - rearmed));
+  // One live pacing event: the stale one was cancelled, not left to fire.
+  EXPECT_TRUE(flow->cold().pacing_timer.valid());
+  EXPECT_EQ(sim.cancelled_events(), cancelled + 1);
+  EXPECT_EQ(tas->stats().fastpath_tx_packets, sent);
+
+  sim.RunUntil(rearmed - 1);
+  EXPECT_EQ(tas->stats().fastpath_tx_packets, sent);
+  sim.RunUntil(rearmed + Us(1));
+  EXPECT_EQ(tas->stats().fastpath_tx_packets, sent + 1);
+
+  // A lowered rate leaves the armed timer alone: the bucket check when it
+  // fires re-arms the flow.
+  ASSERT_TRUE(step_until([&] { return flow->cold().pacing_timer.valid(); }));
+  const TimeNs deadline = flow->next_tx_time;
+  const uint64_t cancelled_before_cut = sim.cancelled_events();
+  tas->PublishRate(id, *flow, flow->rate_bps / 2);
+  EXPECT_EQ(flow->next_tx_time, deadline);
+  EXPECT_TRUE(flow->cold().pacing_timer.valid());
+  EXPECT_EQ(sim.cancelled_events(), cancelled_before_cut);
+}
+
 TEST(TasStateTest, BucketHelpersRoundTrip) {
   FlowState fs;
   SetBucket(fs, 0x123456);
