@@ -91,9 +91,6 @@ struct FlowTableReport {
   uint64_t max_probe = 0;
   uint64_t rehashes = 0;
   uint64_t drift_rebuilds = 0;
-  uint64_t relocated = 0;
-  uint64_t max_reloc_slots = 0;
-  uint64_t forced_finishes = 0;
 };
 
 inline FlowTableReport CaptureFlowTableReport(TasService* tas) {
@@ -112,9 +109,6 @@ inline FlowTableReport CaptureFlowTableReport(TasService* tas) {
   r.max_probe = t.stats().max_probe;
   r.rehashes = t.stats().rehashes;
   r.drift_rebuilds = t.stats().drift_rebuilds;
-  r.relocated = t.stats().relocated;
-  r.max_reloc_slots = t.stats().max_reloc_slots;
-  r.forced_finishes = t.stats().forced_finishes;
   return r;
 }
 

@@ -327,6 +327,49 @@ bool AuditFlowTable() {
   return allocs == 0;
 }
 
+// Churn that accretes tombstones: a fixed live set, each step erasing the
+// oldest key and inserting a never-seen one. An insert reuses a tombstone
+// whenever its group holds one, so occupancy creeps up to the 7/8 trip only
+// when the groups are crowded; a live set just under the drift bound (7/16
+// of 4,096 slots = 1,792) gets there every ~45K steps, and each trip is a
+// same-capacity drift rebuild, which must reuse the arrays the previous
+// rebuild replaced. Warm-up runs through the first drift rebuild (it has no
+// spares yet); the audited phase spans two more.
+bool AuditFlowTableDrift() {
+  constexpr uint32_t kLive = 1700;
+  auto key_of = [](uint32_t i) {
+    FlowKey key;
+    key.local_port = static_cast<uint16_t>(1000 + (i % 50000));
+    key.peer_ip = 0x0B000000u + i;
+    key.peer_port = static_cast<uint16_t>(2000 + (i % 60000));
+    return key;
+  };
+  FlowTable table(4096);
+  uint32_t next = 0;
+  for (; next < kLive; ++next) {
+    table.Insert(key_of(next), MakeFlowId(next & kFlowSlotMask, 0));
+  }
+  auto churn_until = [&](uint64_t drift_rebuilds) {
+    for (int step = 0; step < 1'000'000 && table.stats().drift_rebuilds < drift_rebuilds;
+         ++step, ++next) {
+      table.Erase(key_of(next - kLive));
+      table.Insert(key_of(next), MakeFlowId(next & kFlowSlotMask, 0));
+    }
+  };
+  churn_until(1);
+  const uint64_t warm_rebuilds = table.stats().drift_rebuilds;
+  const uint64_t before = AllocCount();
+  churn_until(warm_rebuilds + 2);
+  const uint64_t allocs = AllocCount() - before;
+  const uint64_t rebuilds = table.stats().drift_rebuilds - warm_rebuilds;
+  const bool ok = allocs == 0 && rebuilds >= 2 && table.size() == kLive;
+  std::printf("ALLOC_AUDIT flow_table_drift allocs=%llu drift_rebuilds=%llu capacity=%zu %s\n",
+              static_cast<unsigned long long>(allocs),
+              static_cast<unsigned long long>(rebuilds), table.capacity(),
+              ok ? "PASS" : "FAIL");
+  return ok;
+}
+
 // Flow slot recycling through the slab free list: Free resets the flow in
 // place and Allocate pops the free list, so steady-state connection turnover
 // is allocation-free (payload storage belongs to the connection and is grown
@@ -439,7 +482,6 @@ class RisingRateCc : public RateCc {
  public:
   double Update(const CcFeedback&) override { return rate_bps_ *= 1.001; }
   double rate_bps() const override { return rate_bps_; }
-  void Reset(double initial_bps) override { rate_bps_ = initial_bps; }
 
  private:
   double rate_bps_ = 1e6;
@@ -710,6 +752,7 @@ int main(int argc, char** argv) {
   ok &= tas::AuditFarFutureMix();
   ok &= tas::AuditPacketPool();
   ok &= tas::AuditFlowTable();
+  ok &= tas::AuditFlowTableDrift();
   ok &= tas::AuditFlowSlab();
   ok &= tas::AuditPortTable();
   ok &= tas::AuditControlLoop();

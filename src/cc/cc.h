@@ -1,10 +1,11 @@
 // Congestion-control interfaces.
 //
 // TAS separates congestion-control *policy* (slow path, per control
-// interval) from *enforcement* (fast path rate buckets / windows). The slow
-// path drives a RateCc per flow from fast-path feedback counters (paper
-// §3.2, Table 3: cnt_ackb, cnt_ecnb, cnt_frexmits, rtt_est). The baseline
-// stacks (Linux/IX/mTCP) run a WindowCc per ACK inside the TCP engine.
+// interval) from *enforcement* (fast path rate buckets). The slow path
+// drives a RateCc per flow from fast-path feedback counters (paper §3.2,
+// Table 3: cnt_ackb, cnt_ecnb, cnt_frexmits, rtt_est); a window policy runs
+// behind WindowRateCc. The baseline stacks (Linux/IX/mTCP) run a WindowCc
+// per ACK inside the TCP engine.
 #ifndef SRC_CC_CC_H_
 #define SRC_CC_CC_H_
 
@@ -20,6 +21,7 @@ struct CcFeedback {
   uint64_t acked_bytes = 0;    // Bytes newly acknowledged this interval.
   uint64_t ecn_bytes = 0;      // Of those, bytes that were ECN marked.
   uint32_t retransmits = 0;    // Fast retransmits + timeouts this interval.
+  bool timed_out = false;      // One of the retransmits was a timeout.
   TimeNs rtt = 0;              // Current RTT estimate.
   double actual_tx_bps = 0;    // Measured send rate over the interval.
   // True if the application had no queued payload at sampling time: the
@@ -36,7 +38,6 @@ class RateCc {
   virtual double Update(const CcFeedback& feedback) = 0;
 
   virtual double rate_bps() const = 0;
-  virtual void Reset(double initial_bps) = 0;
 };
 
 // Window-based congestion control, evaluated per ACK by the TCP engine.

@@ -13,12 +13,6 @@ constexpr double kRateCapHeadroom = 1.2;  // "no more than 20% higher than send 
 DctcpRateCc::DctcpRateCc(const DctcpRateConfig& config)
     : config_(config), rate_bps_(config.initial_bps) {}
 
-void DctcpRateCc::Reset(double initial_bps) {
-  rate_bps_ = initial_bps;
-  alpha_ = 0;
-  slow_start_ = true;
-}
-
 double DctcpRateCc::Update(const CcFeedback& feedback) {
   // Clamp to 20% above the measured send rate first (paper: "we ensure at
   // the beginning of the control loop that the rate is no more than 20%

@@ -32,7 +32,6 @@ class DctcpRateCc : public RateCc {
 
   double Update(const CcFeedback& feedback) override;
   double rate_bps() const override { return rate_bps_; }
-  void Reset(double initial_bps) override;
 
   double alpha() const { return alpha_; }
   bool in_slow_start() const { return slow_start_; }

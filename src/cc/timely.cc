@@ -19,14 +19,6 @@ constexpr int kHaiThreshold = 5;  // Completions before hyper-active increase.
 TimelyCc::TimelyCc(const TimelyConfig& config)
     : config_(config), rate_bps_(config.initial_bps) {}
 
-void TimelyCc::Reset(double initial_bps) {
-  rate_bps_ = initial_bps;
-  prev_rtt_ = 0;
-  rtt_diff_ = 0;
-  negative_gradient_count_ = 0;
-  slow_start_ = true;
-}
-
 double TimelyCc::Update(const CcFeedback& feedback) {
   if (feedback.actual_tx_bps > 0) {
     rate_bps_ = std::min(rate_bps_, feedback.actual_tx_bps * 1.2);

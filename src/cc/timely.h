@@ -24,7 +24,6 @@ class TimelyCc : public RateCc {
 
   double Update(const CcFeedback& feedback) override;
   double rate_bps() const override { return rate_bps_; }
-  void Reset(double initial_bps) override;
 
   bool in_slow_start() const { return slow_start_; }
 

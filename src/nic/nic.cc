@@ -15,7 +15,6 @@ SimNic::SimNic(Simulator* sim, HostPort* port, const NicConfig& config)
     rings_.emplace_back(std::make_unique<Ring>());
   }
   redirection_.resize(kRssTableEntries);
-  entry_hits_.assign(kRssTableEntries, 0);
   SetActiveQueues(config.num_queues);
   port->end.Attach(this);
 }
@@ -63,7 +62,6 @@ void SimNic::Receive(PacketPtr pkt) {
 
 void SimNic::DeliverToRing(PacketPtr pkt) {
   const size_t entry = static_cast<size_t>(RedirectionEntryFor(*pkt));
-  ++entry_hits_[entry];
   Ring& ring = *rings_[static_cast<size_t>(redirection_[entry])];
   if (ring.pkts.size() >= config_.ring_entries) {
     ++rx_drops_;

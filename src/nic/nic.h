@@ -70,9 +70,6 @@ class SimNic : public NetDevice {
   int RedirectionEntryFor(const Packet& pkt) const;
   int RedirectionEntryQueue(int entry) const { return redirection_[static_cast<size_t>(entry)]; }
   size_t rss_entries() const { return redirection_.size(); }
-  // Per-redirection-entry RX packet counts (the flow-group load signal the
-  // §3.4 scaling controller's migration policy consumes).
-  const std::vector<uint64_t>& entry_hits() const { return entry_hits_; }
 
   uint64_t rx_drops() const { return rx_drops_; }
   uint64_t rx_packets() const { return rx_packets_; }
@@ -106,8 +103,7 @@ class SimNic : public NetDevice {
   MacAddr mac_;
   NicConfig config_;
   std::vector<std::unique_ptr<Ring>> rings_;
-  std::vector<int> redirection_;      // Entry -> queue.
-  std::vector<uint64_t> entry_hits_;  // Entry -> RX packets delivered.
+  std::vector<int> redirection_;  // Entry -> queue.
   ImpairmentPipeline rx_pipeline_;
   Rng rng_;
   uint64_t rx_drops_ = 0;

@@ -52,18 +52,7 @@ void ProxyClientGen::OpenConnection(TimeNs delay) {
 
 void ProxyClientGen::BeginMeasurement() {
   measuring_ = true;
-  measure_start_ = sim_->Now();
-  completed_at_measure_start_ = completed_;
   latency_.Clear();
-}
-
-double ProxyClientGen::Throughput() const {
-  const TimeNs elapsed = sim_->Now() - measure_start_;
-  if (elapsed == 0) {
-    return 0;
-  }
-  return static_cast<double>(completed_ - completed_at_measure_start_) * 1e9 /
-         static_cast<double>(elapsed);
 }
 
 uint32_t ProxyClientGen::ExpectedBody(uint32_t object_id) const {

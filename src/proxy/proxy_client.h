@@ -76,7 +76,6 @@ class ProxyClientGen : public AppHandler {
   // Response carried a trace id that does not echo the request's (0 when
   // tracing is off — untraced requests expect an untraced echo too).
   uint64_t trace_mismatches() const { return trace_mismatches_; }
-  double Throughput() const;  // Responses/sec since BeginMeasurement().
   const LatencyRecorder& latency() const { return latency_; }
 
   // AppHandler:
@@ -139,8 +138,6 @@ class ProxyClientGen : public AppHandler {
   uint64_t bad_bodies_ = 0;
   uint64_t trace_mismatches_ = 0;
   bool measuring_ = false;
-  TimeNs measure_start_ = 0;
-  uint64_t completed_at_measure_start_ = 0;
   LatencyRecorder latency_;
 };
 

@@ -40,7 +40,6 @@ void FlowCold::Reset() {
   rx_mem.Release();
   tx_mem.Release();
   cc.reset();
-  wcc.reset();
   last_seq_sampled = 0;
   stalled_intervals = 0;
   fin_received = false;
@@ -69,7 +68,6 @@ void Flow::Reset() {
   peer_wscale = 0;
   ts_echo = 0;
   rate_bps = 10e6;
-  cc_window = 0;
   tx_tokens = 0;
   tokens_updated = 0;
   next_tx_time = 0;
@@ -83,10 +81,7 @@ void Flow::Reset() {
 
 uint32_t Flow::NextSegmentLen() const {
   const uint64_t peer_window = PeerWindowBytes(fs);
-  uint64_t allow = peer_window > fs.tx_sent ? peer_window - fs.tx_sent : 0;
-  if (cc_window > 0) {
-    allow = std::min<uint64_t>(allow, cc_window > fs.tx_sent ? cc_window - fs.tx_sent : 0);
-  }
+  const uint64_t allow = peer_window > fs.tx_sent ? peer_window - fs.tx_sent : 0;
   return static_cast<uint32_t>(std::min<uint64_t>({TxAvailable(), mss, allow}));
 }
 

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "src/cc/cc.h"
-#include "src/cc/dctcp_window.h"
 #include "src/sim/simulator.h"
 #include "src/tas/flow_state.h"
 #include "src/util/ring_buffer.h"
@@ -50,8 +49,7 @@ struct FlowCold {
   RingStorage<uint32_t> rx_mem;
   RingStorage<uint32_t> tx_mem;
 
-  std::unique_ptr<RateCc> cc;     // Rate mode policy...
-  std::unique_ptr<WindowCc> wcc;  // ...or window mode policy.
+  std::unique_ptr<RateCc> cc;     // Congestion-control policy.
   uint32_t last_seq_sampled = 0;  // RTO detection: seq unchanged across
   int stalled_intervals = 0;      // control intervals with data outstanding.
   bool fin_received = false;      // Peer FIN consumed (ack covers it).
@@ -92,7 +90,6 @@ struct Flow {
   // path publishes applies from that instant: a raised rate moves an armed
   // pacing timer to when the bucket allows at the new rate.
   double rate_bps = 10e6;       // Enforced rate (TasService::PublishRate sets).
-  uint64_t cc_window = 0;       // Window-mode limit; 0 = rate mode.
   double tx_tokens = 0;         // Bucket fill, in bytes.
   TimeNs tokens_updated = 0;
   TimeNs next_tx_time = 0;      // Earliest next segment (bucket refill time).
@@ -169,8 +166,8 @@ struct Flow {
   uint32_t TxQueued() const { return fs.tx_head - fs.tx_tail; }
   // Bytes written by the app but not yet sent.
   uint32_t TxAvailable() const { return fs.tx_head - (fs.tx_tail + fs.tx_sent); }
-  // Length of the next data segment: unsent bytes, capped by the MSS, the
-  // peer's window and, in window mode, the congestion window.
+  // Length of the next data segment: unsent bytes, capped by the MSS and the
+  // peer's window.
   uint32_t NextSegmentLen() const;
 
   // Payload copies through the cold record's ring storage; writes grow it on

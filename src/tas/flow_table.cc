@@ -56,31 +56,26 @@ FlowTable::FlowTable(size_t initial_capacity) {
   entries_.resize(cap);
 }
 
-// Shared probe loop: returns the slot index of `key` in one table, or kNpos.
-// Triangular probing over groups (cumulative offsets 1, 3, 6, ... visit every
-// group exactly once while the group count is a power of two); terminates at
-// the first group containing an empty byte.
-namespace {
-
-template <typename Entry>
-size_t FindSlotIn(const std::vector<uint8_t>& ctrl, const std::vector<Entry>& entries,
-                  const FlowKey& key, uint64_t hash, uint64_t* probe) {
+// Triangular probing over groups (cumulative offsets 1, 3, 6, ... visit
+// every group exactly once while the group count is a power of two);
+// terminates at the first group containing an empty byte.
+size_t FlowTable::FindSlot(const FlowKey& key, uint64_t hash, uint64_t* probe) const {
   const uint8_t h2 = static_cast<uint8_t>(hash & 0x7F);
-  const size_t ngroups = ctrl.size() / FlowTable::kGroupSize;
+  const size_t ngroups = ctrl_.size() / kGroupSize;
   const size_t gmask = ngroups - 1;
   size_t g = (hash >> 7) & gmask;
   for (size_t step = 1; step <= ngroups; ++step) {
     ++*probe;
-    const uint8_t* gp = ctrl.data() + g * FlowTable::kGroupSize;
+    const uint8_t* gp = ctrl_.data() + g * kGroupSize;
     const uint64_t lo = Load64(gp);
     const uint64_t hi = Load64(gp + 8);
     for (uint64_t m = MatchByteMask(lo, h2); m != 0; m &= m - 1) {
-      const size_t idx = g * FlowTable::kGroupSize + ByteIndex(m);
-      if (entries[idx].key == key) return idx;
+      const size_t idx = g * kGroupSize + ByteIndex(m);
+      if (entries_[idx].key == key) return idx;
     }
     for (uint64_t m = MatchByteMask(hi, h2); m != 0; m &= m - 1) {
-      const size_t idx = g * FlowTable::kGroupSize + 8 + ByteIndex(m);
-      if (entries[idx].key == key) return idx;
+      const size_t idx = g * kGroupSize + 8 + ByteIndex(m);
+      if (entries_[idx].key == key) return idx;
     }
     if ((MaskEmpty(lo) | MaskEmpty(hi)) != 0) return kNpos;
     g = (g + step) & gmask;
@@ -88,43 +83,28 @@ size_t FindSlotIn(const std::vector<uint8_t>& ctrl, const std::vector<Entry>& en
   return kNpos;
 }
 
-}  // namespace
-
-FlowId FlowTable::FindIn(const std::vector<uint8_t>& ctrl, const std::vector<Entry>& entries,
-                         const FlowKey& key, uint64_t hash, uint64_t* probe) const {
-  const size_t idx = FindSlotIn(ctrl, entries, key, hash, probe);
-  return idx == kNpos ? kInvalidFlow : entries[idx].id;
-}
-
 FlowId FlowTable::Find(const FlowKey& key) const {
   ++stats_.lookups;
-  const uint64_t hash = HashKey(key);
   uint64_t probe = 0;
-  FlowId id = FindIn(ctrl_, entries_, key, hash, &probe);
-  if (id == kInvalidFlow && !old_ctrl_.empty()) {
-    id = FindIn(old_ctrl_, old_entries_, key, hash, &probe);
-  }
+  const size_t idx = FindSlot(key, HashKey(key), &probe);
   stats_.probes += probe;
   if (probe > stats_.max_probe) stats_.max_probe = probe;
   probe_hist_.Add(probe);
-  return id;
+  return idx == kNpos ? kInvalidFlow : entries_[idx].id;
 }
 
-size_t FlowTable::PlaceInActive(const FlowKey& key, FlowId id, uint64_t hash,
-                                bool reuse_tombstones) {
+void FlowTable::Place(const FlowKey& key, FlowId id, uint64_t hash) {
   const uint8_t h2 = static_cast<uint8_t>(hash & 0x7F);
   const size_t ngroups = ctrl_.size() / kGroupSize;
   const size_t gmask = ngroups - 1;
   size_t g = (hash >> 7) & gmask;
   for (size_t step = 1; step <= ngroups; ++step) {
     const uint8_t* gp = ctrl_.data() + g * kGroupSize;
-    const uint64_t lo = Load64(gp);
-    const uint64_t hi = Load64(gp + 8);
     // The first reusable byte in probe order: a tombstone earlier on the
     // chain is taken before a trailing empty slot, which is what keeps
     // steady-state erase+insert churn from growing occupancy.
-    const uint64_t m_lo = reuse_tombstones ? MaskEmptyOrDeleted(lo) : MaskEmpty(lo);
-    const uint64_t m_hi = reuse_tombstones ? MaskEmptyOrDeleted(hi) : MaskEmpty(hi);
+    const uint64_t m_lo = MaskEmptyOrDeleted(Load64(gp));
+    const uint64_t m_hi = MaskEmptyOrDeleted(Load64(gp + 8));
     if ((m_lo | m_hi) != 0) {
       const size_t byte = m_lo != 0 ? ByteIndex(m_lo) : 8 + ByteIndex(m_hi);
       const size_t idx = g * kGroupSize + byte;
@@ -135,121 +115,61 @@ size_t FlowTable::PlaceInActive(const FlowKey& key, FlowId id, uint64_t hash,
       ctrl_[idx] = h2;
       entries_[idx].key = key;
       entries_[idx].id = id;
-      return idx;
+      return;
     }
     g = (g + step) & gmask;
   }
   TAS_LOG(FATAL) << "flow table full (occupancy bound violated)";
-  return kNpos;
 }
 
 void FlowTable::Insert(const FlowKey& key, FlowId id) {
-  StepRehash(kRehashStrideSlots);
-  // Keep live + tombstone occupancy of the active table under 7/8 so probe
-  // chains stay short and the empty-group termination is always reachable.
-  if ((active_size_ + tombstones_ + 1) * 8 > ctrl_.size() * 7) {
-    if (rehash_in_progress()) {
-      // Should not happen (see kRehashStrideSlots sizing); finish the drain
-      // so the new rehash starts from a single-table state, and count it.
-      ++stats_.forced_finishes;
-      FinishRehash();
-    }
+  // Keep live + tombstone occupancy under 7/8 so probe chains stay short and
+  // the empty-group termination is always reachable.
+  if ((size_ + tombstones_ + 1) * 8 > ctrl_.size() * 7) {
     // If occupancy is mostly tombstones, rebuilding at the same capacity is
     // enough (tombstone drift); only grow when live entries need the room.
-    const bool drift = size() * 8 <= ctrl_.size() * 7 / 2;
+    const bool drift = size_ * 8 <= ctrl_.size() * 7 / 2;
     if (drift) ++stats_.drift_rebuilds;
-    StartRehash(drift ? ctrl_.size() : ctrl_.size() * 2);
+    Rebuild(drift ? ctrl_.size() : ctrl_.size() * 2);
   }
-  PlaceInActive(key, id, HashKey(key), /*reuse_tombstones=*/true);
-  ++active_size_;
+  Place(key, id, HashKey(key));
+  ++size_;
 }
 
 bool FlowTable::Erase(const FlowKey& key) {
-  StepRehash(kRehashStrideSlots);
-  const uint64_t hash = HashKey(key);
   uint64_t probe = 0;
-  size_t idx = FindSlotIn(ctrl_, entries_, key, hash, &probe);
-  if (idx != kNpos) {
-    ctrl_[idx] = kDeletedByte;
-    ++tombstones_;
-    --active_size_;
-    return true;
+  const size_t idx = FindSlot(key, HashKey(key), &probe);
+  if (idx == kNpos) {
+    return false;
   }
-  if (!old_ctrl_.empty()) {
-    idx = FindSlotIn(old_ctrl_, old_entries_, key, hash, &probe);
-    if (idx != kNpos) {
-      // Old-table erases just mark the slot; the drain scan skips it. No
-      // tombstone accounting: the old table never takes inserts.
-      old_ctrl_[idx] = kDeletedByte;
-      --old_live_;
-      return true;
-    }
-  }
-  return false;
+  ctrl_[idx] = kDeletedByte;
+  ++tombstones_;
+  --size_;
+  return true;
 }
 
-void FlowTable::StartRehash(size_t new_capacity) {
-  TAS_DCHECK(old_ctrl_.empty());
+void FlowTable::Rebuild(size_t new_capacity) {
   ++stats_.rehashes;
-  old_ctrl_ = std::move(ctrl_);
-  old_entries_ = std::move(entries_);
-  old_live_ = active_size_;
-  active_size_ = 0;
-  tombstones_ = 0;
-  rehash_pos_ = 0;
-  if (spare_ctrl_.size() == new_capacity) {
-    // Same-capacity rebuild: reuse the retired buffers — no allocation, so
-    // steady-state churn with periodic drift rebuilds stays alloc-free.
-    ctrl_ = std::move(spare_ctrl_);
-    entries_ = std::move(spare_entries_);
-    spare_ctrl_.clear();
-    spare_entries_.clear();
+  ctrl_.swap(spare_ctrl_);
+  entries_.swap(spare_entries_);
+  if (ctrl_.size() == new_capacity) {
+    // The arrays the last rebuild replaced fit: reuse them, so steady-state
+    // churn with periodic drift rebuilds stays allocation-free.
     std::fill(ctrl_.begin(), ctrl_.end(), kEmptyByte);
   } else {
+    // Release the spares before allocating, so a growth holds two tables at
+    // its peak, not three.
+    std::vector<uint8_t>().swap(ctrl_);
+    std::vector<Entry>().swap(entries_);
     ctrl_.assign(new_capacity, kEmptyByte);
-    entries_.assign(new_capacity, Entry{});
+    entries_.resize(new_capacity);
   }
-  // First stride up front: a table that sees no further Insert/Erase traffic
-  // still makes progress on the next mutating call, and short drains finish
-  // immediately.
-  StepRehash(kRehashStrideSlots);
-}
-
-void FlowTable::StepRehash(size_t max_slots) {
-  if (old_ctrl_.empty()) return;
-  const size_t end = old_ctrl_.size();
-  size_t scanned = 0;
-  while (rehash_pos_ < end && scanned < max_slots) {
-    if (IsFull(old_ctrl_[rehash_pos_])) {
-      const Entry& e = old_entries_[rehash_pos_];
-      // Migration can't overflow the new table: growth sizes it for all old
-      // entries plus the inserts that can occur before the drain completes.
-      PlaceInActive(e.key, e.id, HashKey(e.key), /*reuse_tombstones=*/true);
-      ++active_size_;
-      --old_live_;
-      ++stats_.relocated;
-      old_ctrl_[rehash_pos_] = kDeletedByte;  // Keeps old-table probes valid.
+  tombstones_ = 0;
+  for (size_t i = 0; i < spare_ctrl_.size(); ++i) {
+    if (IsFull(spare_ctrl_[i])) {
+      const Entry& e = spare_entries_[i];
+      Place(e.key, e.id, HashKey(e.key));
     }
-    ++rehash_pos_;
-    ++scanned;
-  }
-  if (scanned > stats_.max_reloc_slots) stats_.max_reloc_slots = scanned;
-  if (rehash_pos_ == end) {
-    TAS_DCHECK(old_live_ == 0);
-    // Retire the drained buffers as spares for the next same-capacity
-    // rebuild (moved-from vectors are cleared explicitly: their state is
-    // only guaranteed "valid", and empty old_ctrl_ means "no rehash").
-    spare_ctrl_ = std::move(old_ctrl_);
-    spare_entries_ = std::move(old_entries_);
-    old_ctrl_.clear();
-    old_entries_.clear();
-    rehash_pos_ = 0;
-  }
-}
-
-void FlowTable::FinishRehash() {
-  while (!old_ctrl_.empty()) {
-    StepRehash(old_ctrl_.size());
   }
 }
 

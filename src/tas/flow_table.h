@@ -16,19 +16,15 @@
 //   triangular-probe across groups — match H2 within the group, confirm on
 //   the full key, stop at the first group containing an empty byte.
 //
-//   Resizes are INCREMENTAL: a rehash allocates the new arrays and then
-//   relocates a bounded number of old-table slots per Insert/Erase
-//   (kRehashStrideSlots), so a 1M-entry resize never stalls the fast path
-//   behind a multi-millisecond table rebuild. While a rehash is draining,
-//   Find probes the new table first and falls back to the old one; migrated
-//   old slots become deleted so old-table probe chains stay terminated.
-//   Erase tombstones its slot; Insert reuses the first tombstone on its
-//   probe path. When tombstones (not live entries) drive occupancy over the
-//   7/8 bound, the rebuild keeps the same capacity (tombstone drift, counted
-//   in stats().drift_rebuilds). Steady state — capacity stable, no rehash in
-//   flight — performs zero allocations; bench/micro_alloc audits this, and
-//   completed rehashes park their old arrays as spares so same-capacity
-//   drift rebuilds reuse them instead of allocating.
+//   When live + tombstone occupancy would pass 7/8, Insert rebuilds the
+//   table in one step: every live entry is placed again into fresh arrays,
+//   at double the capacity, or at the same capacity when tombstones (not
+//   live entries) drove occupancy over the bound (tombstone drift, counted
+//   in stats().drift_rebuilds). Erase tombstones its slot; Insert reuses
+//   the first tombstone on its probe path. The arrays a rebuild replaces
+//   are kept as spares, so a drift rebuild at the capacity of the previous
+//   rebuild reuses them: steady-state churn, drift rebuilds included,
+//   performs zero allocations (bench/micro_alloc audits both).
 //
 // FlowSlab
 //   Fixed 64-slot chunks so Flow addresses are stable across growth (the
@@ -76,36 +72,27 @@ struct FlowTableStats {
   uint64_t lookups = 0;           // Find calls (hit or miss).
   uint64_t probes = 0;            // Total group-probe steps across lookups.
   uint64_t max_probe = 0;         // Longest single lookup, in groups.
-  uint64_t rehashes = 0;          // Rebuilds started (growth + drift).
+  uint64_t rehashes = 0;          // Rebuilds (growth + drift).
   uint64_t drift_rebuilds = 0;    // Same-capacity rebuilds (tombstone drift).
   uint64_t tombstones_reused = 0;
-  uint64_t relocated = 0;         // Entries moved old table -> new table.
-  uint64_t max_reloc_slots = 0;   // Largest single relocation step (slots).
-  uint64_t forced_finishes = 0;   // Rehashes force-completed (should be 0).
 };
 
 class FlowTable {
  public:
   static constexpr size_t kGroupSize = 16;
-  // Old-table slots scanned per Insert/Erase while a rehash is draining.
-  // Sized so any rehash completes long before occupancy can trigger the
-  // next one (capacity/kStride steps available vs >= capacity*7/16 ops).
-  static constexpr size_t kRehashStrideSlots = 64;
 
   explicit FlowTable(size_t initial_capacity = kGroupSize);
 
   // Returns the stored id, or kInvalidFlow. Records probe-length stats.
   FlowId Find(const FlowKey& key) const;
   // Inserts a new key (must not be present); reuses the first tombstone on
-  // the probe path. Advances any in-flight rehash by one bounded step; may
-  // start a rehash (the only allocating operation).
+  // the probe path. May rebuild the table first (growth allocates; a drift
+  // rebuild reuses the spare arrays when their capacity matches).
   void Insert(const FlowKey& key, FlowId id);
-  // Marks the key's slot as a tombstone. Returns false if absent. Advances
-  // any in-flight rehash by one bounded step.
+  // Marks the key's slot as a tombstone. Returns false if absent.
   bool Erase(const FlowKey& key);
 
-  // Live entries across both tables while a rehash drains.
-  size_t size() const { return active_size_ + old_live_; }
+  size_t size() const { return size_; }
   size_t capacity() const { return ctrl_.size(); }
   size_t tombstones() const { return tombstones_; }
   double LoadFactor() const {
@@ -119,11 +106,6 @@ class FlowTable {
   }
   // Probe-length distribution (groups per Find); exported as p50/p99 gauges.
   const LogHistogram& probe_hist() const { return probe_hist_; }
-
-  bool rehash_in_progress() const { return !old_ctrl_.empty(); }
-  size_t rehash_remaining_slots() const {
-    return old_ctrl_.empty() ? 0 : old_ctrl_.size() - rehash_pos_;
-  }
 
  private:
   // Ctrl byte encoding (absl-style): full slots hold the 7-bit H2
@@ -139,29 +121,22 @@ class FlowTable {
 
   static bool IsFull(uint8_t c) { return (c & 0x80) == 0; }
 
-  FlowId FindIn(const std::vector<uint8_t>& ctrl, const std::vector<Entry>& entries,
-                const FlowKey& key, uint64_t hash, uint64_t* probe) const;
-  // Places the key in the active table (no growth check; capacity is chosen
-  // so relocation can never overflow it). Returns the slot index used.
-  size_t PlaceInActive(const FlowKey& key, FlowId id, uint64_t hash, bool reuse_tombstones);
-  // Begins an incremental rehash: active arrays become the draining old
-  // table; fresh (or spare) arrays of `new_capacity` become active.
-  void StartRehash(size_t new_capacity);
-  // Scans up to `max_slots` old-table slots, migrating live entries into the
-  // active table; retires the old table when the scan completes.
-  void StepRehash(size_t max_slots);
-  void FinishRehash();
+  // Slot index of `key`, or ~0 when absent; adds the groups examined to
+  // *probe.
+  size_t FindSlot(const FlowKey& key, uint64_t hash, uint64_t* probe) const;
+  // Writes the key into the first empty or deleted slot on its probe path
+  // (no occupancy check; Insert rebuilds first when needed).
+  void Place(const FlowKey& key, FlowId id, uint64_t hash);
+  // Places every live entry again into arrays of `new_capacity`; the
+  // replaced arrays become the spares.
+  void Rebuild(size_t new_capacity);
 
-  std::vector<uint8_t> ctrl_;        // Active table: ctrl bytes ...
+  std::vector<uint8_t> ctrl_;        // Ctrl bytes ...
   std::vector<Entry> entries_;       // ... and key/id slots.
-  std::vector<uint8_t> old_ctrl_;    // Draining table (empty = no rehash).
-  std::vector<Entry> old_entries_;
-  std::vector<uint8_t> spare_ctrl_;  // Retired buffers kept for reuse.
+  std::vector<uint8_t> spare_ctrl_;  // Arrays the last rebuild replaced.
   std::vector<Entry> spare_entries_;
-  size_t rehash_pos_ = 0;            // Next old-table slot to scan.
-  size_t active_size_ = 0;           // Live entries in the active table.
-  size_t old_live_ = 0;              // Live entries still in the old table.
-  size_t tombstones_ = 0;            // Deleted slots in the active table.
+  size_t size_ = 0;                  // Live entries.
+  size_t tombstones_ = 0;            // Deleted slots.
   mutable FlowTableStats stats_;
   mutable LogHistogram probe_hist_;
 };

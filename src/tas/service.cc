@@ -3,7 +3,9 @@
 #include <algorithm>
 
 #include "src/cc/dctcp_rate.h"
+#include "src/cc/dctcp_window.h"
 #include "src/cc/timely.h"
+#include "src/cc/window_rate.h"
 #include "src/tas/fast_path.h"
 #include "src/tas/slow_path.h"
 #include "src/tas/steering.h"
@@ -21,8 +23,15 @@ std::unique_ptr<RateCc> MakeRateCc(const TasConfig& config) {
       return std::make_unique<DctcpRateCc>(config.dctcp);
     case CcAlgorithm::kTimely:
       return std::make_unique<TimelyCc>();
+    case CcAlgorithm::kDctcpWindow: {
+      WindowCcConfig window;
+      window.mss = config.mss;
+      return std::make_unique<WindowRateCc>(std::make_unique<DctcpWindowCc>(window),
+                                            config.dctcp.initial_bps);
+    }
     default:
-      return nullptr;  // Window mode: the flow gets a WindowCc instead.
+      TAS_LOG(FATAL) << "TAS runs kDctcpRate, kTimely or kDctcpWindow";
+      return nullptr;
   }
 }
 
@@ -134,13 +143,9 @@ void TasService::RegisterTraceInstrumentation(FlightRecorder* recorder) {
   });
   m.AddCounterFn("tas.flow_table.drift_rebuilds",
                  [this] { return flow_table_.stats().drift_rebuilds; });
-  m.AddCounterFn("tas.flow_table.relocated", [this] { return flow_table_.stats().relocated; });
-  m.AddCounterFn("tas.flow_table.forced_finishes",
-                 [this] { return flow_table_.stats().forced_finishes; });
   m.AddCounterFn("tas.steer.migrations", [this] { return steering_->migrations(); });
   m.AddCounterFn("tas.steer.group_moves", [this] { return steering_->group_moves(); });
   m.AddCounterFn("tas.steer.deferred_items", [this] { return steering_->deferred_items(); });
-  m.AddCounterFn("tas.steer.rebalances", [this] { return steering_->rebalances(); });
   // Instantaneous migration state (the cumulative counters above can't show a
   // STUCK drain): parked TX items, groups mid-quiesce, and the oldest drain's
   // age — the watchdog's and an operator's view of wedged migrations.
@@ -365,12 +370,7 @@ void TasService::RegisterTraceInstrumentation(FlightRecorder* recorder) {
             continue;
           }
           const std::string p = "flow." + std::to_string(i) + ".";
-          if (f->cc_window > 0) {
-            s.Series(p + "cwnd_bytes")
-                .Append(now, static_cast<double>(f->cc_window));
-          } else {
-            s.Series(p + "rate_mbps").Append(now, f->rate_bps / 1e6);
-          }
+          s.Series(p + "rate_mbps").Append(now, f->rate_bps / 1e6);
           s.Series(p + "inflight_bytes")
               .Append(now, static_cast<double>(f->fs.tx_sent));
           s.Series(p + "rx_buf_used").Append(now, static_cast<double>(f->RxUsed()));
@@ -467,16 +467,8 @@ FlowId TasService::AllocateFlow(const FlowKey& key) {
   flow->fs.peer_ip = key.peer_ip;
   flow->fs.peer_port = key.peer_port;
   flow->mss = config_.mss;
-  if (config_.cc_algorithm == CcAlgorithm::kDctcpWindow) {
-    WindowCcConfig wc;
-    wc.mss = config_.mss;
-    flow->cold().wcc = std::make_unique<DctcpWindowCc>(wc);
-    flow->cc_window = flow->cold().wcc->cwnd();
-    flow->rate_bps = 100e9;  // Window is the limiter; do not pace.
-  } else {
-    flow->cold().cc = MakeRateCc(config_);
-    flow->rate_bps = flow->cold().cc->rate_bps();
-  }
+  flow->cold().cc = MakeRateCc(config_);
+  flow->rate_bps = flow->cold().cc->rate_bps();
 
   // Our ISN anchors the transmit positions: the first payload byte is iss+1.
   const uint32_t iss = static_cast<uint32_t>(rng_.Next());

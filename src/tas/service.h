@@ -41,17 +41,11 @@ struct TasConfig {
   // Workload proportionality (paper §3.4). When false, all cores stay active.
   bool dynamic_cores = false;
   TimeNs monitor_interval = Ms(1);
-  // Load-aware flow-group migration (§3.4 at million-flow scale): each
-  // monitor interval the controller may move the hottest RSS flow group from
-  // the busiest active core to the least busy one, when the interval packet
-  // loads diverge past migrate_imbalance. Off by default: the round-robin
-  // group layout is the baseline and migration perturbs steering history.
-  bool group_migration = false;
-  double migrate_imbalance = 2.0;
 
-  // Congestion control (slow path policy). Rate-based algorithms pace via
-  // per-flow buckets; kDctcpWindow makes the fast path enforce a window
-  // (tx_sent <= cc window) instead — paper §3.2 supports both.
+  // Congestion control (slow path policy), enforced by the fast path's
+  // per-flow rate bucket. A window algorithm (kDctcpWindow) runs as the rate
+  // that sends one window per RTT (WindowRateCc, as TAS's cc.c does),
+  // starting at dctcp.initial_bps until the flow's first RTT sample.
   CcAlgorithm cc_algorithm = CcAlgorithm::kDctcpRate;
   DctcpRateConfig dctcp;
   TimeNs control_interval = Us(50);     // tau; paper default 2 RTTs.

@@ -5,7 +5,6 @@
 #include "src/cc/dctcp_rate.h"
 #include "src/cc/timely.h"
 #include "src/tas/fast_path.h"
-#include "src/tas/steering.h"
 #include "src/tcp/seq.h"
 
 namespace tas {
@@ -52,9 +51,7 @@ void SlowPath::Start() {
   cc_task_ = std::make_unique<PeriodicTask>(service_->sim(), service_->config().control_interval,
                                             [this] { ControlLoop(); });
   cc_task_->Start();
-  if (service_->config().dynamic_cores || service_->config().group_migration) {
-    // group_migration needs the monitor interval even with a fixed core
-    // count: MonitorCores is where load-aware group rebalancing runs.
+  if (service_->config().dynamic_cores) {
     monitor_task_ = std::make_unique<PeriodicTask>(
         service_->sim(), service_->config().monitor_interval, [this] { MonitorCores(); });
     monitor_task_->Start();
@@ -614,6 +611,7 @@ void SlowPath::RunCongestionControl(FlowId flow_id, Flow& flow) {
   if (timed_out) {
     service_->mutable_stats().timeout_retransmits++;
     feedback.retransmits += 1;
+    feedback.timed_out = true;
     // Instruct the fast path to reset and retransmit.
     flow.fs.seq = flow.fs.tx_tail;
     flow.fs.tx_sent = 0;
@@ -623,31 +621,16 @@ void SlowPath::RunCongestionControl(FlowId flow_id, Flow& flow) {
     service_->ScheduleFlowTx(flow_id, 0);
   }
 
-  if (flow.cold().wcc != nullptr) {
-    // Window mode: feed the window controller and publish the new window.
-    if (feedback.acked_bytes > 0) {
-      flow.cold().wcc->OnAck(feedback.acked_bytes, feedback.ecn_bytes > 0, feedback.rtt);
-    }
-    if (timed_out) {
-      flow.cold().wcc->OnTimeout();
-    } else if (flow.fs.cnt_frexmits > 0) {
-      flow.cold().wcc->OnFastRetransmit();
-    }
-    flow.cc_window = flow.cold().wcc->cwnd();
-  } else {
-    service_->PublishRate(flow_id, flow, flow.cold().cc->Update(feedback));
-  }
+  service_->PublishRate(flow_id, flow, flow.cold().cc->Update(feedback));
   if (service_->flow_trace().enabled(flow_id)) {
     // ECN fraction of acked bytes in parts per million (fits the integer slot).
     const uint64_t ecn_ppm =
         feedback.acked_bytes > 0
             ? feedback.ecn_bytes * 1'000'000u / feedback.acked_bytes
             : 0;
-    const uint64_t limit = flow.cold().wcc != nullptr
-                               ? flow.cc_window
-                               : static_cast<uint64_t>(flow.rate_bps);
     service_->flow_trace().Record(service_->sim()->Now(), flow_id,
-                                  FlowEventType::kCcUpdate, limit, ecn_ppm,
+                                  FlowEventType::kCcUpdate,
+                                  static_cast<uint64_t>(flow.rate_bps), ecn_ppm,
                                   static_cast<uint64_t>(flow.fs.rtt_est));
   }
   flow.fs.cnt_ackb = 0;
@@ -766,15 +749,10 @@ void SlowPath::MonitorCores() {
     busy_snapshot_[i] = service_->fastpath_cpu(i)->busy_ns();
   }
 
-  if (service_->config().dynamic_cores && idle_total > kIdleRemoveThreshold && active > 1) {
+  if (idle_total > kIdleRemoveThreshold && active > 1) {
     service_->SetActiveCores(active - 1);
-  } else if (service_->config().dynamic_cores && idle_total < kIdleAddThreshold &&
-             active < max_cores) {
+  } else if (idle_total < kIdleAddThreshold && active < max_cores) {
     service_->SetActiveCores(active + 1);
-  } else if (service_->config().group_migration && active > 1) {
-    // Stable core count this interval: spend it on load balancing instead.
-    // One flow-group migration per interval keeps the controller stable.
-    service_->steering()->MaybeRebalance(active, service_->config().migrate_imbalance);
   }
 }
 

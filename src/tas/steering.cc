@@ -10,7 +10,7 @@
 namespace tas {
 
 FlowGroupSteering::FlowGroupSteering(TasService* service)
-    : service_(service), hits_snapshot_(service->nic()->rss_entries(), 0) {}
+    : service_(service) {}
 
 int FlowGroupSteering::CoreOf(int entry) const {
   return service_->nic()->RedirectionEntryQueue(entry);
@@ -71,7 +71,7 @@ bool FlowGroupSteering::MigrateGroup(int entry, int target_core) {
 
 void FlowGroupSteering::SetActiveCores(int active) {
   TAS_DCHECK(active >= 1);
-  for (size_t e = 0; e < hits_snapshot_.size(); ++e) {
+  for (size_t e = 0; e < service_->nic()->rss_entries(); ++e) {
     MigrateGroup(static_cast<int>(e), static_cast<int>(e % static_cast<size_t>(active)));
   }
 }
@@ -112,52 +112,6 @@ void FlowGroupSteering::OnCoreProgress(int core) {
 void FlowGroupSteering::Flip(int entry, int target) {
   service_->nic()->SetRedirectionEntry(entry, target);
   ++group_moves_;
-}
-
-int FlowGroupSteering::MaybeRebalance(int active_cores, double imbalance_factor) {
-  const std::vector<uint64_t>& hits = service_->nic()->entry_hits();
-  // Interval load per core: sum of this interval's per-entry deltas over the
-  // entries each core currently owns.
-  std::vector<uint64_t> core_load(static_cast<size_t>(service_->max_cores()), 0);
-  std::vector<uint64_t> delta(hits_snapshot_.size(), 0);
-  for (size_t e = 0; e < hits_snapshot_.size(); ++e) {
-    delta[e] = hits[e] - hits_snapshot_[e];
-    hits_snapshot_[e] = hits[e];
-    core_load[static_cast<size_t>(CoreOf(static_cast<int>(e)))] += delta[e];
-  }
-  int busiest = 0;
-  int least = 0;
-  for (int c = 1; c < active_cores; ++c) {
-    if (core_load[static_cast<size_t>(c)] > core_load[static_cast<size_t>(busiest)]) busiest = c;
-    if (core_load[static_cast<size_t>(c)] < core_load[static_cast<size_t>(least)]) least = c;
-  }
-  if (busiest == least) {
-    return 0;
-  }
-  const double busy_load = static_cast<double>(core_load[static_cast<size_t>(busiest)]);
-  const double least_load = static_cast<double>(core_load[static_cast<size_t>(least)]);
-  if (busy_load < imbalance_factor * (least_load + 1.0)) {
-    return 0;
-  }
-  // Move the hottest non-draining group off the busiest core — but not one
-  // so hot the move would just invert the imbalance.
-  const uint64_t gap_half = static_cast<uint64_t>((busy_load - least_load) / 2.0);
-  int best_entry = -1;
-  uint64_t best_delta = 0;
-  for (size_t e = 0; e < hits_snapshot_.size(); ++e) {
-    if (Draining(static_cast<int>(e)) || CoreOf(static_cast<int>(e)) != busiest) {
-      continue;
-    }
-    if (delta[e] > best_delta && delta[e] <= gap_half) {
-      best_delta = delta[e];
-      best_entry = static_cast<int>(e);
-    }
-  }
-  if (best_entry < 0 || best_delta == 0) {
-    return 0;
-  }
-  ++rebalances_;
-  return MigrateGroup(best_entry, least) ? 1 : 0;
 }
 
 size_t FlowGroupSteering::DeferredDepth() const {

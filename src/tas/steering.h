@@ -18,8 +18,8 @@
 // which makes the §3.4 scale-up/down transitions byte-identical to the old
 // eager table rewrite whenever the affected cores are quiesced already.
 //
-// All decisions read deterministic simulator state (per-entry NIC packet
-// counts, per-core retired counters), so same-seed runs migrate identically.
+// All decisions read deterministic simulator state (per-core retired
+// counters), so same-seed runs migrate identically.
 // Only groups with a drain in flight carry state here; the redirection
 // table itself is the NIC's.
 #ifndef SRC_TAS_STEERING_H_
@@ -67,17 +67,9 @@ class FlowGroupSteering {
   // core has passed its drain target.
   void OnCoreProgress(int core);
 
-  // Load-aware migration: moves the hottest group from the busiest active
-  // core to the least-busy one when the interval's per-core packet loads
-  // diverge past the configured imbalance factor. Called from the slow
-  // path's MonitorCores interval; returns migrations requested (0 or 1 — one
-  // group per interval keeps the control loop stable).
-  int MaybeRebalance(int active_cores, double imbalance_factor);
-
   uint64_t migrations() const { return migrations_; }      // Drains completed.
   uint64_t group_moves() const { return group_moves_; }    // Entries flipped.
   uint64_t deferred_items() const { return deferred_items_; }
-  uint64_t rebalances() const { return rebalances_; }
 
   // --- Instantaneous drain state (gauges + diagnostic bundles) ---------------
   // Flows currently parked across all draining groups.
@@ -120,11 +112,9 @@ class FlowGroupSteering {
   // A finished drain's deferred buffer, kept for the next drain (steady-state
   // migrations allocate only when a drain parks more work than any before).
   std::vector<FlowId> spare_deferred_;
-  std::vector<uint64_t> hits_snapshot_;  // Per-entry NIC counts, last interval.
   uint64_t migrations_ = 0;
   uint64_t group_moves_ = 0;
   uint64_t deferred_items_ = 0;
-  uint64_t rebalances_ = 0;
 };
 
 }  // namespace tas

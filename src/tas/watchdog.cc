@@ -178,9 +178,7 @@ std::string SloWatchdog::ContextJson() const {
      << ",\"load_factor\":" << JsonNumber(table.LoadFactor())
      << ",\"avg_probe\":" << JsonNumber(table.AvgProbeLength())
      << ",\"probe_p50\":" << table.probe_hist().ApproxPercentile(50)
-     << ",\"probe_p99\":" << table.probe_hist().ApproxPercentile(99)
-     << ",\"rehash_in_progress\":" << (table.rehash_in_progress() ? "true" : "false")
-     << '}';
+     << ",\"probe_p99\":" << table.probe_hist().ApproxPercentile(99) << '}';
 
   SlowPath* slow = service_->slow_path();
   os << ",\"slow_path\":{\"exception_depth\":" << slow->exception_depth()

@@ -45,7 +45,7 @@ enum class FlowEventType : uint8_t {
   kOooAccept,           // a = wire seq, b = len, c = interval length after.
   kOooDrop,             // a = wire seq, b = len.
   kRxBufferDrop,        // a = wire seq, b = len.
-  kCcUpdate,            // a = rate [bps] or cwnd [bytes], b = ECN ppm, c = rtt us.
+  kCcUpdate,            // a = rate [bps], b = ECN ppm, c = rtt us.
   // Application-level proxy events (src/proxy), recorded with the client
   // connection's flow id.
   kProxyRequest,        // a = object id, b = request id, c = 1 if cache hit.

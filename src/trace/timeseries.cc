@@ -44,22 +44,6 @@ TimeSeries& TimeSeriesSampler::Series(const std::string& name, size_t max_points
   return *s;
 }
 
-TimeSeries* TimeSeriesSampler::Find(const std::string& name) {
-  auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : it->second;
-}
-
-const TimeSeries* TimeSeriesSampler::Find(const std::string& name) const {
-  auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : it->second;
-}
-
-void TimeSeriesSampler::AddProbe(const std::string& name, std::function<double()> fn,
-                                 size_t max_points) {
-  TAS_CHECK(fn != nullptr);
-  probes_.push_back(Probe{&Series(name, max_points), std::move(fn)});
-}
-
 void TimeSeriesSampler::AddSweepHook(std::function<void(TimeNs)> hook) {
   TAS_CHECK(hook != nullptr);
   hooks_.push_back(std::move(hook));
@@ -71,18 +55,9 @@ void TimeSeriesSampler::Start(TimeNs period) {
   task_->Start();
 }
 
-void TimeSeriesSampler::Stop() {
-  if (task_ != nullptr) {
-    task_->Stop();
-  }
-}
-
 void TimeSeriesSampler::SampleNow() {
   const TimeNs now = sim_->Now();
   ++sweeps_;
-  for (Probe& probe : probes_) {
-    probe.series->Append(now, probe.fn());
-  }
   for (auto& hook : hooks_) {
     hook(now);
   }

@@ -1,6 +1,5 @@
 #include "src/util/logging.h"
 
-#include <atomic>
 #include <cstring>
 
 namespace tas {
@@ -32,7 +31,7 @@ int InitialLogLevel() {
   return static_cast<int>(LogLevel::kInfo);
 }
 
-std::atomic<int> g_log_level{InitialLogLevel()};
+const LogLevel g_log_level = static_cast<LogLevel>(InitialLogLevel());
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -52,9 +51,7 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_log_level.store(static_cast<int>(level)); }
-
-LogLevel GetLogLevel() { return static_cast<LogLevel>(g_log_level.load()); }
+LogLevel GetLogLevel() { return g_log_level; }
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line) : level_(level) {
   const char* base = file;

@@ -4,10 +4,10 @@
 //   TAS_LOG(INFO) << "fast path core " << core << " online";
 //   TAS_CHECK(head <= tail) << "buffer corrupt";
 //
-// Severity is filtered at runtime via SetLogLevel(); FATAL aborts. The
+// Statements below the minimum severity are dropped; FATAL aborts. The
 // TAS_LOG_LEVEL environment variable (debug|info|warn|error, or 0-3) sets
-// the initial level before main() runs, so examples and benchmarks can turn
-// on debug logs without recompiling.
+// the level before main() runs, so examples and benchmarks can turn on
+// debug logs without recompiling.
 #ifndef SRC_UTIL_LOGGING_H_
 #define SRC_UTIL_LOGGING_H_
 
@@ -26,8 +26,7 @@ enum class LogLevel : int {
   kFatal = 4,
 };
 
-// Sets the minimum severity that is emitted. Default: kInfo.
-void SetLogLevel(LogLevel level);
+// The minimum severity that is emitted. Default: kInfo.
 LogLevel GetLogLevel();
 
 // One log statement. Accumulates the message and flushes on destruction.

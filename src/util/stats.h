@@ -50,7 +50,6 @@ class LatencyRecorder {
   double Median() const { return Percentile(50); }
   double Mean() const;
   double Max() const;
-  double Min() const;
   uint64_t count() const { return total_count_; }
 
   // CDF points (value, cumulative fraction) downsampled to at most
@@ -86,7 +85,6 @@ class LogHistogram {
   // covers p% (p=0 returns the first non-empty bucket's bound; an empty
   // histogram returns 0 for every p).
   uint64_t ApproxPercentile(double p) const;
-  std::string ToString() const;
 
  private:
   static constexpr int kBuckets = 64;

@@ -1,6 +1,6 @@
 // Application-level integration tests: the RPC echo pair, the key-value
 // store (correctness, mix, contention), bulk transfer, and the FlexStorm
-// pipeline, each across the relevant stacks.
+// pipeline, each across the relevant stacks, and the apps' close handlers.
 #include <gtest/gtest.h>
 
 #include "src/app/bulk.h"
@@ -18,6 +18,44 @@ LinkConfig FastLink() {
   link.propagation_delay = Us(2);
   return link;
 }
+
+// Sits between a stack and the app that registered with it: forwards every
+// callback to the app, records the connections that opened, and counts the
+// close callbacks the app received.
+class CloseSpy : public AppHandler {
+ public:
+  // Installs the spy in front of `app`, which must be the stack's handler.
+  CloseSpy(Stack* stack, AppHandler* app) : app_(app) { stack->SetHandler(this); }
+
+  void OnConnected(ConnId conn, bool success) override {
+    if (success) {
+      connected.push_back(conn);
+    }
+    app_->OnConnected(conn, success);
+  }
+  void OnAccepted(ConnId conn, uint16_t port) override {
+    accepted.push_back(conn);
+    app_->OnAccepted(conn, port);
+  }
+  void OnData(ConnId conn, size_t bytes) override { app_->OnData(conn, bytes); }
+  void OnSendSpace(ConnId conn, size_t bytes) override { app_->OnSendSpace(conn, bytes); }
+  void OnRemoteClosed(ConnId conn) override {
+    ++remote_closed;
+    app_->OnRemoteClosed(conn);
+  }
+  void OnClosed(ConnId conn) override {
+    ++closed;
+    app_->OnClosed(conn);
+  }
+
+  std::vector<ConnId> connected;
+  std::vector<ConnId> accepted;
+  size_t remote_closed = 0;
+  size_t closed = 0;
+
+ private:
+  AppHandler* app_;
+};
 
 class EchoOnStackTest : public ::testing::TestWithParam<StackKind> {};
 
@@ -284,6 +322,102 @@ TEST(FlexStormTest, BatchingRaisesOutputWait) {
   const double batched = run(Ms(5));
   const double unbatched = run(0);
   EXPECT_GT(batched, unbatched * 10);  // Batching dominates output wait.
+}
+
+// Closing the KV store's connections from both ends: the client closes
+// half, the server the other half. A connection only finishes on both sides
+// if the app at the far end answers the peer's FIN with its own close, so
+// every OnClosed below depends on the other app's OnRemoteClosed.
+TEST(CloseHandlerTest, KvServerAndClientCloseTheirConnections) {
+  HostSpec spec;
+  spec.stack = StackKind::kTas;
+  auto exp = Experiment::PointToPoint(spec, spec, FastLink());
+  KvServer server(&exp->sim(), exp->host(0).stack(), KvServerConfig{});
+  server.Start();
+  KvClientConfig cc;
+  cc.server_ip = exp->host(0).ip();
+  cc.num_connections = 8;
+  KvClient client(&exp->sim(), exp->host(1).stack(), cc);
+  client.Start();
+  CloseSpy server_spy(exp->host(0).stack(), &server);
+  CloseSpy client_spy(exp->host(1).stack(), &client);
+  exp->sim().RunUntil(Ms(20));
+  ASSERT_EQ(client_spy.connected.size(), 8u);
+  ASSERT_EQ(server_spy.accepted.size(), 8u);
+  ASSERT_GT(client.completed(), 0u);
+  for (size_t i = 0; i < 4; ++i) {
+    exp->host(1).stack()->Close(client_spy.connected[i]);
+    exp->host(0).stack()->Close(server_spy.accepted[4 + i]);
+  }
+  exp->sim().RunUntil(Ms(100));
+  EXPECT_EQ(server_spy.remote_closed, 8u);
+  EXPECT_EQ(client_spy.remote_closed, 8u);
+  EXPECT_EQ(server_spy.closed, 8u);
+  EXPECT_EQ(client_spy.closed, 8u);
+}
+
+// Each node of a three-node ring closes its outbound connection; the
+// downstream node's OnRemoteClosed must close it back. No spout runs, so no
+// tuple is emitted on a closed connection.
+TEST(CloseHandlerTest, FlexStormNodesCloseTheRing) {
+  std::vector<HostSpec> specs;
+  std::vector<LinkConfig> links;
+  for (int i = 0; i < 3; ++i) {
+    HostSpec spec;
+    spec.stack = StackKind::kTas;
+    spec.app_cores = 4;
+    specs.push_back(spec);
+    links.push_back(FastLink());
+  }
+  auto exp = Experiment::Star(specs, links);
+  FlexStormConfig config;
+  config.mux_batch_timeout = 0;
+  std::vector<std::unique_ptr<FlexStormNode>> nodes;
+  std::vector<std::unique_ptr<CloseSpy>> spies;
+  for (int i = 0; i < 3; ++i) {
+    nodes.push_back(std::make_unique<FlexStormNode>(
+        &exp->sim(), exp->host(i).stack(), exp->host(i).AppCorePtrs(), config));
+    nodes[i]->Start(exp->host((i + 1) % 3).ip());
+    spies.push_back(std::make_unique<CloseSpy>(exp->host(i).stack(), nodes[i].get()));
+  }
+  exp->sim().RunUntil(Ms(10));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(spies[i]->connected.size(), 1u);
+    exp->host(i).stack()->Close(spies[i]->connected[0]);
+  }
+  exp->sim().RunUntil(Ms(60));
+  for (int i = 0; i < 3; ++i) {
+    // The outbound and the inbound connection, each closed by both ends.
+    EXPECT_EQ(spies[i]->remote_closed, 2u) << "node " << i;
+    EXPECT_EQ(spies[i]->closed, 2u) << "node " << i;
+  }
+}
+
+// The sender closes every flow mid-transfer; the flow finishes on the
+// sender only once BulkReceiver's OnRemoteClosed closes the receiving end.
+TEST(CloseHandlerTest, BulkReceiverClosesWhenSenderDoes) {
+  HostSpec spec;
+  spec.stack = StackKind::kTas;
+  auto exp = Experiment::PointToPoint(spec, spec, FastLink());
+  BulkReceiver rx(&exp->sim(), exp->host(0).stack(), BulkReceiverConfig{});
+  rx.Start();
+  BulkSenderConfig sc;
+  sc.server_ip = exp->host(0).ip();
+  sc.num_flows = 4;
+  BulkSender tx(&exp->sim(), exp->host(1).stack(), sc);
+  tx.Start();
+  CloseSpy rx_spy(exp->host(0).stack(), &rx);
+  CloseSpy tx_spy(exp->host(1).stack(), &tx);
+  exp->sim().RunUntil(Ms(10));
+  ASSERT_EQ(tx_spy.connected.size(), 4u);
+  ASSERT_GT(rx.bytes_received(), 0u);
+  for (const ConnId conn : tx_spy.connected) {
+    exp->host(1).stack()->Close(conn);
+  }
+  exp->sim().RunUntil(Ms(100));
+  EXPECT_EQ(rx_spy.remote_closed, 4u);
+  EXPECT_EQ(rx_spy.closed, 4u);
+  EXPECT_EQ(tx_spy.closed, 4u);
 }
 
 }  // namespace

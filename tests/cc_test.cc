@@ -1,12 +1,13 @@
 // Tests for the congestion-control algorithms: the TAS rate-based DCTCP
-// control law (paper §3.2), window DCTCP, NewReno, TIMELY, and the RTT
-// estimator / RTO machinery.
+// control law (paper §3.2), window DCTCP, NewReno, TIMELY, a window policy
+// run as a rate, and the RTT estimator / RTO machinery.
 #include <gtest/gtest.h>
 
 #include "src/cc/dctcp_rate.h"
 #include "src/cc/dctcp_window.h"
 #include "src/cc/newreno.h"
 #include "src/cc/timely.h"
+#include "src/cc/window_rate.h"
 #include "src/tcp/rtt.h"
 
 namespace tas {
@@ -165,6 +166,26 @@ TEST(DctcpWindowTest, TimeoutCollapsesToMinimum) {
   }
   cc.OnTimeout();
   EXPECT_EQ(cc.cwnd(), config.mss * kMinCwndSegments);
+}
+
+TEST(WindowRateTest, PublishesOneWindowPerRtt) {
+  auto owned = std::make_unique<DctcpWindowCc>(WindowCcConfig{});
+  const DctcpWindowCc* window = owned.get();
+  WindowRateCc cc(std::move(owned), 10e6);
+  // No RTT sample yet: the window grows but the rate stays initial.
+  CcFeedback no_rtt = CleanAck(1448);
+  no_rtt.rtt = 0;
+  EXPECT_EQ(cc.Update(no_rtt), 10e6);
+  const uint64_t grown = window->cwnd();
+  EXPECT_EQ(grown, 11 * 1448u);
+  // First sample: cwnd x 8 / rtt, after the interval's ACKs grow cwnd.
+  EXPECT_DOUBLE_EQ(cc.Update(CleanAck(1448)), (grown + 1448) * 8e9 / 50e3);
+  // A timeout collapses the window, and the rate with it.
+  CcFeedback timeout;
+  timeout.rtt = Us(50);
+  timeout.retransmits = 1;
+  timeout.timed_out = true;
+  EXPECT_DOUBLE_EQ(cc.Update(timeout), 2 * 1448 * 8e9 / 50e3);
 }
 
 TEST(NewRenoTest, FastRetransmitHalves) {

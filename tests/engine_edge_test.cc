@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "src/cc/window_rate.h"
 #include "src/net/pcap.h"
 #include "src/harness/experiment.h"
 #include "src/tas/slow_path.h"
@@ -208,16 +209,17 @@ TEST(TasWindowModeTest, WindowEnforcementTransfersIntact) {
   streamer.Start();
   exp->sim().RunUntil(Ms(300));
   EXPECT_EQ(sink.received_, 300000u);
-  // The window actually bounded flight size at some point.
+  // The window policy ran as a rate: the sender enforces one congestion
+  // window per RTT, not the initial rate.
   TasService* tas = exp->host(1).tas();
-  bool saw_window = false;
-  for (FlowId id = 0; id < 4; ++id) {
-    Flow* flow = tas->GetFlow(id);
-    if (flow != nullptr && flow->cc_window > 0) {
-      saw_window = true;
-    }
-  }
-  EXPECT_TRUE(saw_window);
+  Flow* flow = tas->GetFlow(0);
+  ASSERT_NE(flow, nullptr);
+  const auto* cc = dynamic_cast<const WindowRateCc*>(flow->cold().cc.get());
+  ASSERT_NE(cc, nullptr);
+  const TimeNs rtt = static_cast<TimeNs>(flow->fs.rtt_est) * kNsPerUs;
+  ASSERT_GT(rtt, 0);
+  EXPECT_DOUBLE_EQ(flow->rate_bps, WindowRateCc::RateOf(cc->window().cwnd(), rtt));
+  EXPECT_NE(flow->rate_bps, spec.tas.dctcp.initial_bps);
 }
 
 TEST(TasWindowModeTest, WindowModeRecoversFromLoss) {

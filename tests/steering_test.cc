@@ -118,9 +118,9 @@ TEST_F(SteeringFixture, DrainRetargetsInsteadOfStacking) {
   EXPECT_EQ(steer->migrations(), 1u) << "one drain, retargeted — not two";
 }
 
-// Same seed + load-aware migration enabled twice: the steering decisions,
-// per-core retirement counters, and NIC per-entry hit counts must be
-// byte-identical across runs (the §3.4 controller reads only deterministic
+// Same seed twice, with the §3.4 core count stepped down and back up while
+// traffic is queued: the steering decisions and per-core retirement counters
+// must be byte-identical across runs (migration reads only deterministic
 // simulator state).
 TEST(SteeringDeterminismTest, SameSeedRerunsAreByteIdentical) {
   auto run = [] {
@@ -129,9 +129,6 @@ TEST(SteeringDeterminismTest, SameSeedRerunsAreByteIdentical) {
     spec.stack_cores = 4;
     spec.tas_overridden = true;
     spec.tas.max_fastpath_cores = 4;
-    spec.tas.group_migration = true;
-    spec.tas.migrate_imbalance = 1.05;
-    spec.tas.monitor_interval = Ms(1);
     HostSpec peer;
     auto exp = Experiment::PointToPoint(spec, peer, LinkConfig{});
     TasService* tas = exp->host(0).tas();
@@ -153,6 +150,13 @@ TEST(SteeringDeterminismTest, SameSeedRerunsAreByteIdentical) {
                                           tas->local_ip(), f->fs.local_port, f->fs.ack,
                                           f->fs.tx_tail, TcpFlags::kAck));
       }
+      // Migrate groups while the injected burst is still queued, so some
+      // of them drain rather than flip at once.
+      if (round == 8) {
+        tas->SetActiveCores(2);
+      } else if (round == 16) {
+        tas->SetActiveCores(4);
+      }
       exp->sim().RunUntil(exp->sim().Now() + Us(200));
       // Churn: freed ids must go stale before the slot is reused.
       const size_t victim = static_cast<size_t>(round) * 7 % ids.size();
@@ -169,13 +173,10 @@ TEST(SteeringDeterminismTest, SameSeedRerunsAreByteIdentical) {
     for (int i = 0; i < tas->max_cores(); ++i) {
       items = items * 1000003 + tas->fastpath(i)->items_processed();
     }
-    uint64_t hits = 0;
-    for (const uint64_t h : tas->nic()->entry_hits()) {
-      hits = hits * 1000003 + h;
-    }
     FlowGroupSteering* steer = tas->steering();
+    EXPECT_GT(steer->group_moves(), 0u);
     return std::tuple<uint64_t, uint64_t, uint64_t, uint64_t, uint64_t, TimeNs>(
-        items, hits, steer->group_moves(), steer->rebalances(),
+        items, steer->group_moves(), steer->migrations(), steer->deferred_items(),
         tas->stats().fastpath_rx_packets, exp->sim().Now());
   };
   const auto a = run();
