@@ -531,6 +531,8 @@ int Run() {
               << PerHostJson(c, [](const TasStats& s) { return s.pacing_rearms; })
               << ",\"pacing_rearm_saved_ns\":"
               << PerHostJson(c, [](const TasStats& s) { return s.pacing_rearm_saved_ns; })
+              << ",\"cc_bucket_growths\":"
+              << PerHostJson(c, [](const TasStats& s) { return s.cc_bucket_growths; })
               << ",\"sim_ms\":" << c.finished_at / 1000000 << "}";
     wall_churn << (i == 0 ? "[" : ",") << "{\"wall_ns\":" << c.wall_ns << "}";
     total_wall_ns += c.wall_ns;

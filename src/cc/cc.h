@@ -27,6 +27,11 @@ struct CcFeedback {
   // True if the application had no queued payload at sampling time: the
   // flow's rate is bounded by the app, not by congestion control.
   bool app_limited = false;
+  // True if the flow's next segment waits on its pacing timer with nothing
+  // unacknowledged in flight: the flow's own rate, not the network, is what
+  // held it, so an interval without ACKs says nothing about congestion
+  // (RFC 7661's rule: grow when congestion control is what limits the flow).
+  bool bucket_limited = false;
 };
 
 // Rate-based congestion control, evaluated by the TAS slow path.

@@ -36,7 +36,7 @@ double DctcpRateCc::Update(const CcFeedback& feedback) {
   const bool congested = fraction > 0 || feedback.retransmits > 0;
   if (slow_start_) {
     if (!congested) {
-      if (have_acks) {
+      if (have_acks || feedback.bucket_limited) {
         rate_bps_ *= 2;
       }
     } else {

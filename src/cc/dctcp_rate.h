@@ -2,7 +2,9 @@
 //
 // The DCTCP control law (rate decrease proportional to the fraction of ECN
 // marked bytes) applied to flow rates instead of windows:
-//  * slow start: double the rate every control interval until congestion;
+//  * slow start: double the rate every control interval that brought ACKs,
+//    or found the flow held by its own bucket with nothing in flight, until
+//    congestion;
 //  * congestion: rate *= (1 - alpha/2), alpha = EWMA of the marked fraction;
 //  * additive increase: add a configurable step (10 Mbps default);
 //  * retransmissions halve the rate (loss is a stronger signal than ECN);

@@ -31,7 +31,7 @@ double TimelyCc::Update(const CcFeedback& feedback) {
 
   if (slow_start_) {
     if (rtt < kTHigh && feedback.retransmits == 0) {
-      if (feedback.acked_bytes > 0) {
+      if (feedback.acked_bytes > 0 || feedback.bucket_limited) {
         rate_bps_ *= 2;
       }
       rate_bps_ = std::clamp(rate_bps_, kMinBps, kMaxBps);

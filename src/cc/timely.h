@@ -6,6 +6,9 @@
 // Thigh it decreases multiplicatively, and in between it reacts to the
 // normalized RTT gradient — negative gradient earns (possibly hyperactive)
 // additive increase, positive gradient a proportional decrease.
+// Slow start doubles the rate each interval that brought ACKs or found the
+// flow held by its own bucket (CcFeedback::bucket_limited), until the RTT
+// reaches Thigh or a segment is retransmitted.
 #ifndef SRC_CC_TIMELY_H_
 #define SRC_CC_TIMELY_H_
 

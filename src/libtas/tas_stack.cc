@@ -151,12 +151,16 @@ size_t TasStack::RecvAvailable(ConnId conn) const {
 }
 
 size_t TasStack::SendSpace(ConnId conn) const {
+  // Zero wherever Send would refuse: a closed TX side or a freed flow.
   const Conn* c = GetConn(conn);
-  if (c == nullptr) {
+  if (c == nullptr || c->tx_closed) {
     return 0;
   }
   const Flow* flow = const_cast<TasService*>(service_)->GetFlow(c->flow);
-  return flow == nullptr ? 0 : flow->fs.tx_size - flow->TxQueued();
+  if (flow == nullptr || flow->cstate == ConnState::kFreed) {
+    return 0;
+  }
+  return flow->fs.tx_size - flow->TxQueued();
 }
 
 size_t TasStack::Splice(ConnId from, ConnId to, size_t len) {

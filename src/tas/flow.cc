@@ -40,6 +40,7 @@ void FlowCold::Reset() {
   rx_mem.Release();
   tx_mem.Release();
   cc.reset();
+  cc_updated = 0;
   last_seq_sampled = 0;
   stalled_intervals = 0;
   fin_received = false;

@@ -50,6 +50,7 @@ struct FlowCold {
   RingStorage<uint32_t> tx_mem;
 
   std::unique_ptr<RateCc> cc;     // Congestion-control policy.
+  TimeNs cc_updated = 0;          // Last control-loop update (or allocation).
   uint32_t last_seq_sampled = 0;  // RTO detection: seq unchanged across
   int stalled_intervals = 0;      // control intervals with data outstanding.
   bool fin_received = false;      // Peer FIN consumed (ack covers it).
@@ -88,7 +89,8 @@ struct Flow {
   // rate_bps while the flow is idle, capped at a small burst, so an RPC
   // response is never delayed behind a stale pacing gap. A rate the slow
   // path publishes applies from that instant: a raised rate moves an armed
-  // pacing timer to when the bucket allows at the new rate.
+  // pacing timer to when the bucket allows at the new rate. A new flow
+  // starts with a full bucket (TasService::AllocateFlow).
   double rate_bps = 10e6;       // Enforced rate (TasService::PublishRate sets).
   double tx_tokens = 0;         // Bucket fill, in bytes.
   TimeNs tokens_updated = 0;

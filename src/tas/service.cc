@@ -112,6 +112,7 @@ void TasService::RegisterTraceInstrumentation(FlightRecorder* recorder) {
   }
   m.AddCounter("tas.slowpath.timeout_retransmits", &stats_.timeout_retransmits);
   m.AddCounter("tas.slowpath.handshake_retransmits", &stats_.handshake_retransmits);
+  m.AddCounter("tas.slowpath.cc_bucket_growths", &stats_.cc_bucket_growths);
   m.AddCounter("tas.slowpath.connections_established", &stats_.connections_established);
   m.AddCounter("tas.slowpath.connections_closed", &stats_.connections_closed);
   m.AddGauge("tas.slowpath.max_ahead_ns",
@@ -468,7 +469,11 @@ FlowId TasService::AllocateFlow(const FlowKey& key) {
   flow->fs.peer_port = key.peer_port;
   flow->mss = config_.mss;
   flow->cold().cc = MakeRateCc(config_);
+  flow->cold().cc_updated = sim_->Now();
   flow->rate_bps = flow->cold().cc->rate_bps();
+  // A new flow starts with a full bucket, whenever it opens.
+  flow->tx_tokens = flow->BurstBytes();
+  flow->tokens_updated = sim_->Now();
 
   // Our ISN anchors the transmit positions: the first payload byte is iss+1.
   const uint32_t iss = static_cast<uint32_t>(rng_.Next());

@@ -101,6 +101,9 @@ struct TasStats {
   // and the summed time by which they moved.
   uint64_t pacing_rearms = 0;
   uint64_t pacing_rearm_saved_ns = 0;
+  // Slow-start doublings granted in control intervals without ACKs because
+  // the flow was held by its own bucket (CcFeedback::bucket_limited).
+  uint64_t cc_bucket_growths = 0;
   uint64_t timeout_retransmits = 0;
   uint64_t handshake_retransmits = 0;  // SYN/SYN-ACK resends by the slow path.
   uint64_t exceptions = 0;

@@ -574,15 +574,21 @@ void SlowPath::RunCongestionControl(FlowId flow_id, Flow& flow) {
   ++control_iterations_;
   cpu_->Charge(CpuModule::kTcp, kCcIterationCycles);
   const TimeNs interval = service_->config().control_interval;
+  const TimeNs now = service_->sim()->Now();
 
   CcFeedback feedback;
   feedback.acked_bytes = flow.fs.cnt_ackb;
   feedback.ecn_bytes = flow.fs.cnt_ecnb;
   feedback.retransmits = flow.fs.cnt_frexmits;
   feedback.rtt = static_cast<TimeNs>(flow.fs.rtt_est) * kNsPerUs;
+  // The counters cover the time since this flow's own last update (cc.c's
+  // diff_ts), which is one interval only if the flow stayed on the list.
+  const TimeNs elapsed = now - flow.cold().cc_updated;
+  flow.cold().cc_updated = now;
   feedback.actual_tx_bps =
-      static_cast<double>(flow.fs.cnt_ackb) * 8.0 / ToSec(interval);
+      elapsed > 0 ? static_cast<double>(flow.fs.cnt_ackb) * 8.0 / ToSec(elapsed) : 0;
   feedback.app_limited = flow.TxAvailable() == 0;
+  feedback.bucket_limited = flow.cold().pacing_timer.valid() && flow.fs.tx_sent == 0;
 
   // Retransmission timeout detection (paper §3.2): outstanding data with no
   // ACK progress across control intervals triggers a fast-path reset. The
@@ -615,21 +621,25 @@ void SlowPath::RunCongestionControl(FlowId flow_id, Flow& flow) {
     // Instruct the fast path to reset and retransmit.
     flow.fs.seq = flow.fs.tx_tail;
     flow.fs.tx_sent = 0;
-    service_->flow_trace().Record(service_->sim()->Now(), flow_id,
-                                  FlowEventType::kTimeoutRetransmit, flow.fs.tx_tail,
-                                  static_cast<uint64_t>(kRtoStallIntervals));
+    service_->flow_trace().Record(now, flow_id, FlowEventType::kTimeoutRetransmit,
+                                  flow.fs.tx_tail, static_cast<uint64_t>(kRtoStallIntervals));
     service_->ScheduleFlowTx(flow_id, 0);
   }
 
-  service_->PublishRate(flow_id, flow, flow.cold().cc->Update(feedback));
+  RateCc& cc = *flow.cold().cc;
+  const double old_rate = cc.rate_bps();
+  const double rate = cc.Update(feedback);
+  if (feedback.bucket_limited && feedback.acked_bytes == 0 && rate > old_rate) {
+    service_->mutable_stats().cc_bucket_growths++;
+  }
+  service_->PublishRate(flow_id, flow, rate);
   if (service_->flow_trace().enabled(flow_id)) {
     // ECN fraction of acked bytes in parts per million (fits the integer slot).
     const uint64_t ecn_ppm =
         feedback.acked_bytes > 0
             ? feedback.ecn_bytes * 1'000'000u / feedback.acked_bytes
             : 0;
-    service_->flow_trace().Record(service_->sim()->Now(), flow_id,
-                                  FlowEventType::kCcUpdate,
+    service_->flow_trace().Record(now, flow_id, FlowEventType::kCcUpdate,
                                   static_cast<uint64_t>(flow.rate_bps), ecn_ppm,
                                   static_cast<uint64_t>(flow.fs.rtt_est));
   }

@@ -357,8 +357,9 @@ TEST(CloseHandlerTest, KvServerAndClientCloseTheirConnections) {
 }
 
 // Each node of a three-node ring closes its outbound connection; the
-// downstream node's OnRemoteClosed must close it back. No spout runs, so no
-// tuple is emitted on a closed connection.
+// downstream node's OnRemoteClosed must close it back. The spouts keep
+// emitting: a closed connection reports no send space, so its tuples wait
+// in the node's queue instead of being written.
 TEST(CloseHandlerTest, FlexStormNodesCloseTheRing) {
   std::vector<HostSpec> specs;
   std::vector<LinkConfig> links;
@@ -372,6 +373,7 @@ TEST(CloseHandlerTest, FlexStormNodesCloseTheRing) {
   auto exp = Experiment::Star(specs, links);
   FlexStormConfig config;
   config.mux_batch_timeout = 0;
+  config.spout_rate_tps = 50000;
   std::vector<std::unique_ptr<FlexStormNode>> nodes;
   std::vector<std::unique_ptr<CloseSpy>> spies;
   for (int i = 0; i < 3; ++i) {
@@ -383,6 +385,7 @@ TEST(CloseHandlerTest, FlexStormNodesCloseTheRing) {
   exp->sim().RunUntil(Ms(10));
   for (int i = 0; i < 3; ++i) {
     ASSERT_EQ(spies[i]->connected.size(), 1u);
+    ASSERT_GT(nodes[i]->completed(), 0u) << "node " << i;  // Tuples were flowing.
     exp->host(i).stack()->Close(spies[i]->connected[0]);
   }
   exp->sim().RunUntil(Ms(60));

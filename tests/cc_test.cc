@@ -39,6 +39,31 @@ TEST(DctcpRateTest, SlowStartDoublesUntilCongestion) {
   EXPECT_LT(rate, 40e6);
 }
 
+// An interval without ACKs grows the rate in slow start only when the flow
+// was held by its own bucket with nothing in flight (bucket_limited); an
+// idle flow, or one with bytes in flight, keeps its rate. Congestion
+// avoidance still grows on ACKs alone.
+TEST(DctcpRateTest, SlowStartGrowsWhileBucketLimited) {
+  DctcpRateConfig config;
+  config.initial_bps = 10e6;
+  DctcpRateCc cc(config);
+  CcFeedback held;
+  held.rtt = Us(50);
+  held.bucket_limited = true;
+  EXPECT_DOUBLE_EQ(cc.Update(held), 20e6);
+  EXPECT_DOUBLE_EQ(cc.Update(held), 40e6);
+  CcFeedback quiet;  // Idle, or bytes in flight: no ACKs, not held.
+  quiet.rtt = Us(50);
+  EXPECT_DOUBLE_EQ(cc.Update(quiet), 40e6);
+  EXPECT_TRUE(cc.in_slow_start());
+
+  CcFeedback congested = CleanAck(10000, 20e9);
+  congested.ecn_bytes = 5000;
+  const double after = cc.Update(congested);
+  ASSERT_FALSE(cc.in_slow_start());
+  EXPECT_DOUBLE_EQ(cc.Update(held), after);
+}
+
 TEST(DctcpRateTest, DecreaseProportionalToMarkedFraction) {
   DctcpRateConfig config;
   config.initial_bps = 1e9;
@@ -236,6 +261,21 @@ TEST(TimelyTest, SlowStartThenGradientControl) {
   f.rtt = Us(600);  // Above t_high: exit slow start.
   cc.Update(f);
   EXPECT_FALSE(cc.in_slow_start());
+}
+
+TEST(TimelyTest, SlowStartGrowsWhileBucketLimited) {
+  TimelyConfig config;
+  config.initial_bps = 10e6;
+  TimelyCc cc(config);
+  CcFeedback held;
+  held.rtt = Us(40);
+  held.bucket_limited = true;
+  EXPECT_DOUBLE_EQ(cc.Update(held), 20e6);
+  EXPECT_DOUBLE_EQ(cc.Update(held), 40e6);
+  CcFeedback quiet;  // Idle, or bytes in flight: no ACKs, not held.
+  quiet.rtt = Us(40);
+  EXPECT_DOUBLE_EQ(cc.Update(quiet), 40e6);
+  EXPECT_TRUE(cc.in_slow_start());
 }
 
 TEST(TimelyTest, HighRttDecreases) {

@@ -465,79 +465,222 @@ TEST(TasBufferTest, MegabyteThroughLazyBuffersIsByteExact) {
   EXPECT_EQ(first_bad, kTotal) << "first corrupted byte";
 }
 
-// A raised rate takes effect at once (paper §3.1-3.2: the slow path sets
-// the rate, the fast path's bucket enforces it). A flow opened once its
-// bucket has filled sends what the burst allows, and its next segment waits
-// on a pacing timer armed at the 10 Mbps initial rate. The control loop
-// doubles the rate once the first ACKs land, and the segment leaves when
-// the new rate allows, not at the stale gap, from the flow's one live
-// pacing event.
-TEST(TasRateTest, RaisedRateMovesArmedPacingTimer) {
-  HostSpec spec;
-  spec.stack = StackKind::kTas;
-  auto exp = Experiment::PointToPoint(spec, spec, LinkConfig{});
-  ByteSink sink(exp->host(0).stack());
-  exp->host(0).stack()->SetHandler(&sink);
-  exp->host(0).stack()->Listen(7000);
-  PatternSource source(exp->host(1).stack(), 200'000);
-  exp->host(1).stack()->SetHandler(&source);
-  Simulator& sim = exp->sim();
-  sim.At(Ms(2), [&] { exp->host(1).stack()->Connect(exp->host(0).ip(), 7000); });
-  TasService* tas = exp->host(1).tas();
-  const FlowKey key{20000, exp->host(0).ip(), 7000};  // The first ephemeral port.
-  const auto step_until = [&sim](auto done) {
-    while (!done() && sim.Now() < Ms(10)) {
-      sim.RunUntil(sim.Now() + Us(1));
+// One TAS sender (host 1) streaming `total` bytes to a TAS sink (host 0)
+// on a point-to-point link; the sender connects at `connect_at`.
+class PacedStream {
+ public:
+  explicit PacedStream(TimeNs connect_at = 0, size_t total = 200'000) {
+    HostSpec spec;
+    spec.stack = StackKind::kTas;
+    exp_ = Experiment::PointToPoint(spec, spec, LinkConfig{});
+    sink_ = std::make_unique<ByteSink>(exp_->host(0).stack());
+    exp_->host(0).stack()->SetHandler(sink_.get());
+    exp_->host(0).stack()->Listen(7000);
+    source_ = std::make_unique<PatternSource>(exp_->host(1).stack(), total);
+    exp_->host(1).stack()->SetHandler(source_.get());
+    exp_->sim().At(connect_at,
+                   [this] { exp_->host(1).stack()->Connect(exp_->host(0).ip(), 7000); });
+  }
+
+  Experiment& exp() { return *exp_; }
+  Simulator& sim() { return exp_->sim(); }
+  TasService* sender() { return exp_->host(1).tas(); }
+  TasService* receiver() { return exp_->host(0).tas(); }
+  // The sender's flow (the first ephemeral port), or null before the connect.
+  Flow* flow() { return sender()->LookupFlow(key()); }
+  FlowKey key() { return FlowKey{20000, exp_->host(0).ip(), 7000}; }
+  uint64_t segments_sent() { return sender()->stats().fastpath_tx_packets; }
+
+  // Runs in 1 us steps until `done()` holds or 10 ms of simulated time pass.
+  template <typename Done>
+  bool StepUntil(Done done) {
+    while (!done() && sim().Now() < Ms(10)) {
+      sim().RunUntil(sim().Now() + Us(1));
     }
     return done();
-  };
+  }
 
-  Flow* flow = nullptr;
-  ASSERT_TRUE(step_until([&] {
-    flow = tas->LookupFlow(key);
-    return flow != nullptr && flow->cold().pacing_timer.valid();
+ private:
+  std::unique_ptr<Experiment> exp_;
+  std::unique_ptr<ByteSink> sink_;
+  std::unique_ptr<PatternSource> source_;
+};
+
+// A new flow starts with a full bucket, so its first segments leave at the
+// same offset from its connect whenever it opens: at 0 ms as at 5 ms.
+TEST(TasRateTest, NewFlowStartsWithAFullBucket) {
+  std::vector<TimeNs> offsets[2];
+  const TimeNs connect_at[2] = {0, Ms(5)};
+  for (int i = 0; i < 2; ++i) {
+    PacedStream rig(connect_at[i]);
+    ASSERT_TRUE(rig.StepUntil([&] { return rig.flow() != nullptr; }));
+    EXPECT_DOUBLE_EQ(rig.flow()->tx_tokens, rig.flow()->BurstBytes());
+    uint64_t seen = 0;
+    while (offsets[i].size() < 4 && rig.StepUntil([&] { return rig.segments_sent() > seen; })) {
+      seen = rig.segments_sent();
+      offsets[i].push_back(rig.sim().Now() - connect_at[i]);
+    }
+  }
+  ASSERT_EQ(offsets[0].size(), 4u);
+  EXPECT_EQ(offsets[0], offsets[1]);
+}
+
+// A raised rate takes effect at once (paper §3.1-3.2: the slow path sets
+// the rate, the fast path's bucket enforces it). A new flow sends what its
+// full bucket allows, and its next segment waits on a pacing timer armed at
+// the 10 Mbps initial rate. Each control iteration doubles the rate (first
+// on the burst's ACKs, then because the bucket holds the flow), and each
+// doubling moves the flow's one live pacing event to when the new rate
+// allows, until the segment leaves.
+TEST(TasRateTest, RaisedRateMovesArmedPacingTimer) {
+  PacedStream rig;
+  TasService* tas = rig.sender();
+  Simulator& sim = rig.sim();
+  ASSERT_TRUE(rig.StepUntil([&] {
+    return rig.flow() != nullptr && rig.flow()->cold().pacing_timer.valid();
   }));
-  const FlowId id = tas->LookupFlowId(key);
+  Flow* flow = rig.flow();
+  const FlowId id = tas->LookupFlowId(rig.key());
   const TimeNs stale = flow->next_tx_time;
-  const uint64_t sent = tas->stats().fastpath_tx_packets;
+  const uint64_t sent = rig.segments_sent();
   const uint64_t cancelled = sim.cancelled_events();
   // The bucket as the timer was armed: `credit` bytes at `armed_at`, short
   // of the `len`-byte segment.
   const TimeNs armed_at = flow->tokens_updated;
   const double credit = flow->tx_tokens;
   const uint32_t len = flow->NextSegmentLen();
-  EXPECT_GT(sent, 0u);
+  EXPECT_EQ(sent, 2u);  // The full bucket's burst.
   EXPECT_DOUBLE_EQ(flow->rate_bps, 10e6);
   ASSERT_EQ(tas->stats().pacing_rearms, 0u);
+  tas->flow_trace().EnableFlow(id);  // Passive: stamps the segment's send time.
 
-  ASSERT_TRUE(step_until([&] { return tas->stats().pacing_rearms == 1; }));
-  EXPECT_DOUBLE_EQ(flow->rate_bps, 20e6);
-  // The bucket refills at the rate in force when it refills, so the segment
-  // may leave once `len - credit` bytes accrue at 20 Mbps from `armed_at`.
-  const TimeNs rearmed = flow->next_tx_time;
-  EXPECT_NEAR(static_cast<double>(rearmed),
-              static_cast<double>(armed_at) + (len - credit) * 8e9 / 20e6, 2.0);
-  EXPECT_LT(rearmed, stale);
-  EXPECT_EQ(tas->stats().pacing_rearm_saved_ns, static_cast<uint64_t>(stale - rearmed));
-  // One live pacing event: the stale one was cancelled, not left to fire.
-  EXPECT_TRUE(flow->cold().pacing_timer.valid());
-  EXPECT_EQ(sim.cancelled_events(), cancelled + 1);
-  EXPECT_EQ(tas->stats().fastpath_tx_packets, sent);
-
-  sim.RunUntil(rearmed - 1);
-  EXPECT_EQ(tas->stats().fastpath_tx_packets, sent);
-  sim.RunUntil(rearmed + Us(1));
-  EXPECT_EQ(tas->stats().fastpath_tx_packets, sent + 1);
+  TimeNs deadline = stale;
+  double rate = flow->rate_bps;
+  uint64_t rearms = 0;
+  while (rig.StepUntil([&] {
+    return tas->stats().pacing_rearms > rearms || rig.segments_sent() > sent;
+  })) {
+    if (rig.segments_sent() > sent) {
+      break;
+    }
+    ++rearms;
+    ASSERT_EQ(tas->stats().pacing_rearms, rearms);
+    EXPECT_DOUBLE_EQ(flow->rate_bps, 2 * rate);
+    rate = flow->rate_bps;
+    // The bucket refills at the rate in force when it refills, so the
+    // segment may leave once `len - credit` bytes accrue at the new rate
+    // from `armed_at`, or now if that instant has passed.
+    const TimeNs rearmed = flow->next_tx_time;
+    EXPECT_NEAR(static_cast<double>(rearmed),
+                std::max(static_cast<double>(sim.Now()),
+                         static_cast<double>(armed_at) + (len - credit) * 8e9 / rate),
+                2.0);
+    EXPECT_LT(rearmed, deadline);
+    deadline = rearmed;
+    // One live pacing event: each stale one was cancelled, not left to fire.
+    EXPECT_TRUE(flow->cold().pacing_timer.valid());
+    EXPECT_EQ(sim.cancelled_events(), cancelled + rearms);
+  }
+  // Successive re-arms, and the segment left at the last one's deadline
+  // (plus the fast-path core's dispatch), not before.
+  EXPECT_GE(rearms, 2u);
+  EXPECT_EQ(rig.segments_sent(), sent + 1);
+  TimeNs left_at = -1;
+  for (const FlowEvent& e : tas->flow_trace().Events()) {
+    if (e.type == FlowEventType::kDataTx && left_at < 0) {
+      left_at = e.t;
+    }
+  }
+  EXPECT_GE(left_at, deadline);
+  EXPECT_LE(left_at, deadline + Us(2));
+  EXPECT_EQ(tas->stats().pacing_rearm_saved_ns, static_cast<uint64_t>(stale - deadline));
 
   // A lowered rate leaves the armed timer alone: the bucket check when it
   // fires re-arms the flow.
-  ASSERT_TRUE(step_until([&] { return flow->cold().pacing_timer.valid(); }));
-  const TimeNs deadline = flow->next_tx_time;
+  ASSERT_TRUE(rig.StepUntil([&] { return flow->cold().pacing_timer.valid(); }));
+  const TimeNs armed = flow->next_tx_time;
   const uint64_t cancelled_before_cut = sim.cancelled_events();
   tas->PublishRate(id, *flow, flow->rate_bps / 2);
-  EXPECT_EQ(flow->next_tx_time, deadline);
+  EXPECT_EQ(flow->next_tx_time, armed);
   EXPECT_TRUE(flow->cold().pacing_timer.valid());
   EXPECT_EQ(sim.cancelled_events(), cancelled_before_cut);
+}
+
+// Slow start keeps doubling while a flow is held by its own bucket with
+// nothing in flight (RFC 7661's rule: grow when congestion control is what
+// limits the flow). An interval without ACKs then says nothing about the
+// network, so the flow doubles at every control iteration until its
+// segment leaves. A flow with bytes in flight and no ACKs does not grow,
+// and neither does an idle flow.
+TEST(TasRateTest, SlowStartGrowsWhileHeldByItsBucket) {
+  {
+    PacedStream rig;
+    TasService* tas = rig.sender();
+    const SlowPath& slow_path = *tas->slow_path();
+    // The burst is acked and the next segment waits on the bucket.
+    ASSERT_TRUE(rig.StepUntil([&] {
+      const Flow* f = rig.flow();
+      return f != nullptr && f->cold().pacing_timer.valid() && f->fs.tx_sent == 0;
+    }));
+    Flow* flow = rig.flow();
+    const uint64_t sent = rig.segments_sent();
+    const uint64_t growths = tas->stats().cc_bucket_growths;
+    uint64_t visits = slow_path.control_iterations();
+    double rate = flow->rate_bps;
+    int doublings = 0;
+    while (rig.StepUntil([&] {
+      return slow_path.control_iterations() > visits || rig.segments_sent() > sent;
+    })) {
+      if (rig.segments_sent() > sent) {
+        break;
+      }
+      // The flow is the host's only one, so each iteration visits it once.
+      ASSERT_EQ(slow_path.control_iterations(), visits + 1);
+      visits = slow_path.control_iterations();
+      ASSERT_DOUBLE_EQ(flow->rate_bps, 2 * rate) << "iteration " << doublings;
+      rate = flow->rate_bps;
+      ++doublings;
+    }
+    // The first doubling is the burst's ACKs'; the rest are the bucket's.
+    EXPECT_GE(doublings, 3);
+    EXPECT_EQ(tas->stats().cc_bucket_growths - growths, static_cast<uint64_t>(doublings - 1));
+    EXPECT_EQ(rig.segments_sent(), sent + 1);
+    // The sink's flow only acknowledges: idle, it keeps the initial rate
+    // through the whole transfer.
+    rig.sim().RunUntil(Ms(10));
+    const Flow* idle = rig.receiver()->LookupFlow(FlowKey{7000, rig.exp().host(1).ip(), 20000});
+    ASSERT_NE(idle, nullptr);
+    EXPECT_DOUBLE_EQ(idle->rate_bps, 10e6);
+    EXPECT_EQ(rig.receiver()->stats().cc_bucket_growths, 0u);
+  }
+
+  // The burst is out and its ACKs are lost: the next segment waits on the
+  // bucket with bytes in flight, and the rate holds until the timeout.
+  PacedStream rig;
+  TasService* tas = rig.sender();
+  ASSERT_TRUE(rig.StepUntil([&] {
+    return rig.flow() != nullptr && rig.flow()->cold().pacing_timer.valid();
+  }));
+  rig.exp().host_link(1)->SetDown(true);
+  const Flow* flow = rig.flow();
+  const uint64_t visits = tas->slow_path()->control_iterations();
+  // Until the timeout fires: the highest rate and the fewest bytes in flight.
+  double max_rate = 0;
+  uint32_t min_in_flight = UINT32_MAX;
+  ASSERT_TRUE(rig.StepUntil([&] {
+    if (tas->stats().timeout_retransmits > 0) {
+      return true;
+    }
+    const uint32_t in_flight = flow->fs.tx_sent;  // Packed field: copy first.
+    max_rate = std::max(max_rate, flow->rate_bps);
+    min_in_flight = std::min(min_in_flight, in_flight);
+    return false;
+  }));
+  EXPECT_DOUBLE_EQ(max_rate, 10e6);
+  EXPECT_GT(min_in_flight, 0u);
+  EXPECT_EQ(tas->stats().timeout_retransmits, 1u);
+  EXPECT_GE(tas->slow_path()->control_iterations() - visits, 10u);
+  EXPECT_EQ(tas->stats().cc_bucket_growths, 0u);
 }
 
 TEST(TasStateTest, BucketHelpersRoundTrip) {
