@@ -398,9 +398,12 @@ bool AuditFlowSlab() {
 }
 
 // Steps a TAS pair one control interval at a time until neither slow path
-// has work queued, no packet is in flight, and host 0's control-loop lists
-// kept their capacity over the interval: their working size, however long
-// the queued connects take. Returns false if that never happens.
+// has an exception or command queued, no packet is in flight, and host 0's
+// control-loop lists kept their capacity over the interval: their working
+// size, however long the queued connects take. A step may end on a tick
+// with that tick's control visits still queued; they are the steady state,
+// and the work queues they wait in count in control_list_capacity. Returns
+// false if that never happens.
 bool WarmUpControlLoop(Experiment* exp) {
   Simulator& sim = exp->sim();
   TasService* tas = exp->host(0).tas();
@@ -447,9 +450,10 @@ ControlWindow MeasureControlWindow(Experiment* exp, TimeNs window) {
 }
 
 // The slow path's control loop over a steady population of dirty and pending
-// flows. Each iteration swaps the service's dirty list with the slow path's
-// spare and rebuilds the pending scan list into its spare, so neither list
-// allocates once both have reached their working size.
+// flows. Each tick drains the service's dirty list into the executor's work
+// queue as one visit per flow and rebuilds the pending scan list into its
+// spare, so neither the lists nor the queue allocate once all have reached
+// their working size.
 bool AuditControlLoop() {
   HostSpec spec;
   spec.stack = StackKind::kTas;

@@ -47,7 +47,6 @@ class ExperimentContext {
       return false;
     }
     causal_ = CausalTracer(trace_capacity);
-    causal_.set_recorder(recorder());
     causal_sink_ = &causal_;
     return true;
   }
@@ -57,7 +56,6 @@ class ExperimentContext {
     }
     recorder_ = std::make_unique<FlightRecorder>(config);
     latency_.set_recorder(recorder());
-    causal_.set_recorder(recorder());
     return recorder();
   }
 

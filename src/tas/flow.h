@@ -96,7 +96,7 @@ struct Flow {
   TimeNs tokens_updated = 0;
   TimeNs next_tx_time = 0;      // Earliest next segment (bucket refill time).
   bool tx_pending = false;      // Work queued or pacing timer armed.
-  bool in_dirty = false;        // Queued for the next CC iteration.
+  bool in_dirty = false;        // Listed or queued for a control-loop visit.
   ConnState cstate = ConnState::kSynSent;
 
   // Refreshes the bucket to `now` and returns the available byte credit.

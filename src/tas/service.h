@@ -202,7 +202,7 @@ class TasService {
   // Publishes the slow path's new rate for the flow. A raised rate moves an
   // armed pacing timer to when the bucket allows at the new rate.
   void PublishRate(FlowId id, Flow& flow, double rate_bps);
-  // Marks a flow for the slow path's next congestion-control iteration.
+  // Lists a flow for a visit at the slow path's next control-loop tick.
   void MarkFlowDirty(FlowId id);
   void SetActiveCores(int count);
   Rng& rng() { return rng_; }

@@ -16,10 +16,6 @@ namespace {
 constexpr uint64_t kExceptionCycles = 600;
 constexpr uint64_t kCcIterationCycles = 120;
 
-// Synthetic span track for control-loop iterations (distinct from the
-// slow-path core's Charge track so iteration boundaries stay visible).
-constexpr int kControlLoopTrack = 1001;
-
 // Retransmission timeout (paper §3.2): control intervals without ACK
 // progress before the fast path is told to go back, and a floor on that wait
 // (RFC 6298 clamps RTO from below; datacenter stacks use low-millisecond
@@ -45,9 +41,6 @@ SlowPath::SlowPath(TasService* service, Core* cpu) : service_(service), cpu_(cpu
 SlowPath::~SlowPath() = default;
 
 void SlowPath::Start() {
-  if (service_->tracer().spans().enabled()) {
-    service_->tracer().spans().SetTrackName(kControlLoopTrack, "slowpath-control");
-  }
   cc_task_ = std::make_unique<PeriodicTask>(service_->sim(), service_->config().control_interval,
                                             [this] { ControlLoop(); });
   cc_task_->Start();
@@ -66,6 +59,9 @@ void SlowPath::EnqueueException(PacketPtr pkt) {
 
 void SlowPath::Enqueue(ExceptionClass cls, WorkItem item) {
   item.enqueued = service_->sim()->Now();
+  if (item.kind == WorkKind::kControl) {
+    ++queued_visits_;
+  }
   work_[static_cast<size_t>(cls)].push_back(std::move(item));
   exception_depth_hw_ = std::max<uint64_t>(exception_depth_hw_, exception_depth());
   MaybeProcess();
@@ -75,10 +71,10 @@ void SlowPath::MaybeProcess() {
   if (busy_) {
     return;
   }
-  // Flow class first: each of its segments costs one exception charge and
-  // comes from a connection that already exists, while each set-up item
-  // books a connection set-up or teardown on this core. Set-up items wait
-  // only while flow segments are queued.
+  // Flow class first: each of its items (a segment's exception, a control
+  // visit) is short and comes from a connection that already exists, while
+  // each set-up item books a connection set-up or teardown on this core.
+  // Set-up items wait only while flow-class items are queued.
   size_t cls = static_cast<size_t>(ExceptionClass::kFlow);
   if (work_[cls].empty()) {
     cls = static_cast<size_t>(ExceptionClass::kSetup);
@@ -87,22 +83,17 @@ void SlowPath::MaybeProcess() {
     }
   }
   busy_ = true;
-  Simulator* sim = service_->sim();
-  if (!cpu_->IdleAt(sim->Now())) {
-    // The control loop's charges hold the core: start when they end.
-    sim->At(cpu_->busy_until(), [this] {
-      busy_ = false;
-      MaybeProcess();
-    });
-    return;
-  }
   WorkItem next = std::move(work_[cls].front());
   work_[cls].pop_front();
   const TimeNs done = cpu_->Charge(CpuModule::kTcp, ItemCycles(next));
-  TasStats& stats = service_->mutable_stats();
-  stats.exception_count[cls]++;
-  stats.exception_wait_ns[cls] += done - next.enqueued;
-  sim->At(done, [this, item = std::move(next)]() mutable {
+  if (next.kind == WorkKind::kControl) {
+    --queued_visits_;
+  } else {
+    TasStats& stats = service_->mutable_stats();
+    stats.exception_count[cls]++;
+    stats.exception_wait_ns[cls] += done - next.enqueued;
+  }
+  service_->sim()->At(done, [this, item = std::move(next)]() mutable {
     busy_ = false;
     RunItem(std::move(item));
     MaybeProcess();
@@ -116,6 +107,8 @@ uint64_t SlowPath::ItemCycles(const WorkItem& item) const {
       return costs.connection_setup / 2;
     case WorkKind::kClose:
       return costs.connection_teardown / 2;
+    case WorkKind::kControl:
+      return kCcIterationCycles;
     case WorkKind::kSegment:
       break;
   }
@@ -134,14 +127,19 @@ void SlowPath::RunItem(WorkItem item) {
     HandleException(std::move(item.pkt));
     return;
   }
-  // The flow may have been released while the command waited.
+  // The flow may have been released while the item waited.
   Flow* flow = service_->flow_by_id(item.flow);
   if (flow == nullptr || flow->cstate == ConnState::kFreed) {
     return;
   }
+  if (item.kind == WorkKind::kControl) {
+    flow->in_dirty = false;
+    RunCongestionControl(item.flow, *flow);
+    return;
+  }
   if (item.kind == WorkKind::kConnect) {
     TraceState(item.flow, *flow);  // kSynSent (TasService::Connect set it).
-    SendSyn(*flow);
+    SendControl(*flow, TcpFlags::kSyn);
     service_->flow_trace().Record(service_->sim()->Now(), item.flow, FlowEventType::kSynTx, 0);
   } else {
     flow->cold().app_closed = true;
@@ -160,7 +158,7 @@ void SlowPath::HandleException(PacketPtr pkt) {
       // Retransmitted SYN for a half-open flow: re-send the SYN-ACK.
       Flow* flow = service_->flow_by_id(id);
       if (flow != nullptr && flow->cstate == ConnState::kSynRcvd) {
-        SendSynAck(*flow);
+        SendControl(*flow, TcpFlags::kSyn | TcpFlags::kAck);
       }
       return;
     }
@@ -218,7 +216,7 @@ void SlowPath::HandleSyn(const Packet& pkt) {
   flow.cstate = ConnState::kSynRcvd;
   service_->flow_trace().Record(service_->sim()->Now(), id, FlowEventType::kSynRx, irs);
   TraceState(id, flow);
-  SendSynAck(flow);
+  SendControl(flow, TcpFlags::kSyn | TcpFlags::kAck);
   service_->flow_trace().Record(service_->sim()->Now(), id, FlowEventType::kSynTx, 1);
   AddPending(id, flow);
 }
@@ -253,7 +251,7 @@ bool SlowPath::HandleFlowPacket(FlowId flow_id, Flow& flow, const Packet& pkt) {
         }
         flow.peer_wscale = pkt.tcp.has_wscale ? pkt.tcp.wscale : 0;
         SetPeerWindowBytes(flow.fs, pkt.tcp.window);
-        SendControlAck(flow);
+        SendControl(flow, TcpFlags::kAck);
         Establish(flow_id, flow, /*from_listener=*/false);
         return payload_for_fastpath;
       }
@@ -272,7 +270,7 @@ bool SlowPath::HandleFlowPacket(FlowId flow_id, Flow& flow, const Packet& pkt) {
     case ConnState::kCloseWait: {
       if (pkt.tcp.syn()) {
         // Retransmitted SYN-ACK: our handshake-completing ACK was lost.
-        SendControlAck(flow);
+        SendControl(flow, TcpFlags::kAck);
         return false;
       }
       if (pkt.tcp.fin()) {
@@ -318,7 +316,7 @@ bool SlowPath::HandleFlowPacket(FlowId flow_id, Flow& flow, const Packet& pkt) {
     }
     case ConnState::kTimeWait: {
       if (pkt.tcp.fin()) {
-        SendControlAck(flow);  // Retransmitted FIN: re-ACK.
+        SendControl(flow, TcpFlags::kAck);  // Retransmitted FIN: re-ACK.
       }
       return false;
     }
@@ -357,13 +355,13 @@ void SlowPath::HandleFin(FlowId flow_id, Flow& flow, const Packet& pkt) {
     fin_seq += len;
   }
   if (fin_seq != flow.fs.ack) {
-    SendControlAck(flow);  // Out-of-order FIN: duplicate ACK, peer resends.
+    SendControl(flow, TcpFlags::kAck);  // Out-of-order FIN: duplicate ACK, peer resends.
     return;
   }
   flow.fs.ack += 1;  // Consume the FIN.
   flow.cold().fin_received = true;
   flow.ReleaseFinishedRings();
-  SendControlAck(flow);
+  SendControl(flow, TcpFlags::kAck);
 
   NotifyRemoteClosed(flow);
 
@@ -419,65 +417,46 @@ void SlowPath::TrySendFin(FlowId flow_id, Flow& flow) {
   flow.cstate =
       flow.cstate == ConnState::kEstablished ? ConnState::kFinWait1 : ConnState::kLastAck;
   TraceState(flow_id, flow);
-  SendFin(flow);
+  SendControl(flow, TcpFlags::kFin | TcpFlags::kAck);
   service_->flow_trace().Record(service_->sim()->Now(), flow_id, FlowEventType::kFinTx,
                                 flow.fs.seq);
 }
 
-void SlowPath::SendSyn(Flow& flow) {
-  auto syn = service_->FlowSegment(flow.fs, flow.fs.seq - 1, 0, TcpFlags::kSyn);
-  syn->tcp.has_mss = true;
-  syn->tcp.mss = flow.mss;
-  syn->tcp.has_wscale = true;
-  syn->tcp.wscale = Flow::kWindowScale;
-  // Copy out first: fs is packed, and std::min would bind a reference to the
-  // misaligned field.
-  const uint32_t rx_size = flow.fs.rx_size;
-  syn->tcp.window = static_cast<uint16_t>(std::min<uint32_t>(rx_size, 0xFFFF));
-  syn->tcp.has_timestamps = true;
-  syn->tcp.ts_val = NowUs(service_->sim());
-  syn->enqueued_at = service_->sim()->Now();
-  flow.cold().last_ctrl_send = service_->sim()->Now();
-  service_->nic()->Transmit(std::move(syn));
-}
-
-void SlowPath::SendSynAck(Flow& flow) {
-  auto synack = service_->FlowSegment(flow.fs, flow.fs.seq - 1, flow.fs.ack,
-                                      TcpFlags::kSyn | TcpFlags::kAck);
-  synack->tcp.has_mss = true;
-  synack->tcp.mss = flow.mss;
-  synack->tcp.has_wscale = true;
-  synack->tcp.wscale = Flow::kWindowScale;
-  const uint32_t rx_size = flow.fs.rx_size;  // Packed field; see SendSyn.
-  synack->tcp.window = static_cast<uint16_t>(std::min<uint32_t>(rx_size, 0xFFFF));
-  synack->tcp.has_timestamps = true;
-  synack->tcp.ts_val = NowUs(service_->sim());
-  synack->tcp.ts_ecr = flow.ts_echo;
-  synack->enqueued_at = service_->sim()->Now();
-  flow.cold().last_ctrl_send = service_->sim()->Now();
-  service_->nic()->Transmit(std::move(synack));
-}
-
-void SlowPath::SendFin(Flow& flow) {
-  auto fin =
-      service_->FlowSegment(flow.fs, flow.fs.seq, flow.fs.ack, TcpFlags::kFin | TcpFlags::kAck);
-  fin->tcp.window = flow.WindowField();
-  fin->tcp.has_timestamps = true;
-  fin->tcp.ts_val = NowUs(service_->sim());
-  fin->tcp.ts_ecr = flow.ts_echo;
-  fin->enqueued_at = service_->sim()->Now();
-  flow.cold().last_ctrl_send = service_->sim()->Now();
-  service_->nic()->Transmit(std::move(fin));
-}
-
-void SlowPath::SendControlAck(Flow& flow) {
-  auto ack = service_->FlowSegment(flow.fs, flow.AckSeq(), flow.fs.ack, TcpFlags::kAck);
-  ack->tcp.window = flow.WindowField();
-  ack->tcp.has_timestamps = true;
-  ack->tcp.ts_val = NowUs(service_->sim());
-  ack->tcp.ts_ecr = flow.ts_echo;
-  ack->enqueued_at = service_->sim()->Now();
-  service_->nic()->Transmit(std::move(ack));
+void SlowPath::SendControl(Flow& flow, uint8_t flags) {
+  const bool syn = (flags & TcpFlags::kSyn) != 0;
+  const bool ack = (flags & TcpFlags::kAck) != 0;
+  // A SYN carries the ISN, one below the first data byte; a FIN the next
+  // byte; a bare ACK the sequence after any FIN already sent.
+  uint32_t seq = flow.AckSeq();
+  if (syn) {
+    seq = flow.fs.seq - 1;
+  } else if ((flags & TcpFlags::kFin) != 0) {
+    seq = flow.fs.seq;
+  }
+  auto seg = service_->FlowSegment(flow.fs, seq, ack ? flow.fs.ack : 0, flags);
+  if (syn) {
+    seg->tcp.has_mss = true;
+    seg->tcp.mss = flow.mss;
+    seg->tcp.has_wscale = true;
+    seg->tcp.wscale = Flow::kWindowScale;
+    // SYN windows are unscaled. Copy out first: fs is packed, and std::min
+    // would bind a reference to the misaligned field.
+    const uint32_t rx_size = flow.fs.rx_size;
+    seg->tcp.window = static_cast<uint16_t>(std::min<uint32_t>(rx_size, 0xFFFF));
+  } else {
+    seg->tcp.window = flow.WindowField();
+  }
+  seg->tcp.has_timestamps = true;
+  seg->tcp.ts_val = NowUs(service_->sim());
+  if (ack) {
+    seg->tcp.ts_ecr = flow.ts_echo;
+  }
+  const TimeNs now = service_->sim()->Now();
+  seg->enqueued_at = now;
+  if (flags != TcpFlags::kAck) {
+    flow.cold().last_ctrl_send = now;  // SYN, SYN-ACK and FIN retransmit on its age.
+  }
+  service_->nic()->Transmit(std::move(seg));
 }
 
 void SlowPath::Establish(FlowId flow_id, Flow& flow, bool from_listener) {
@@ -542,37 +521,30 @@ void SlowPath::AddPending(FlowId flow_id, Flow& flow) {
 }
 
 void SlowPath::ControlLoop() {
-  const TimeNs busy_before = cpu_->busy_until();
   // Congestion control for flows with recent activity (paper: the slow path
   // runs a control-loop iteration per flow every control interval; flows
   // without feedback and without outstanding data have nothing to update).
-  // Flows re-marked below land in the service's list, which now holds the
-  // previous iteration's emptied buffer.
-  dirty_scratch_.swap(service_->dirty_flows());
-  for (FlowId id : dirty_scratch_) {
-    Flow* flow = service_->flow_by_id(id);
-    if (flow == nullptr || flow->cstate == ConnState::kFreed) {
-      continue;
+  // A tick hands the dirty flows to the executor as one flow-class visit
+  // each, unless the previous pass is still queued: then they wait for the
+  // next tick, so a pass never queues behind its predecessor and set-up
+  // items run between passes. Under load the control period stretches
+  // instead of set-up starving. A flow keeps in_dirty set until its visit
+  // runs, so it is listed and queued once.
+  std::vector<FlowId>& dirty = service_->dirty_flows();
+  if (queued_visits_ == 0) {
+    for (FlowId id : dirty) {
+      const Flow* flow = service_->flow_by_id(id);
+      if (flow != nullptr && flow->cstate != ConnState::kFreed) {
+        Enqueue(ExceptionClass::kFlow, WorkItem{WorkKind::kControl, id, nullptr});
+      }
     }
-    flow->in_dirty = false;
-    RunCongestionControl(id, *flow);
+    dirty.clear();
   }
-  dirty_scratch_.clear();
   ScanPending();
-  SpanRecorder& spans = service_->tracer().spans();
-  if (spans.enabled()) {
-    // The iteration's charges occupy [max(now, prior busy), new busy front).
-    const TimeNs start = std::max(service_->sim()->Now(), busy_before);
-    const TimeNs end = cpu_->busy_until();
-    if (end > start) {
-      spans.Record(kControlLoopTrack, "control_loop", start, end);
-    }
-  }
 }
 
 void SlowPath::RunCongestionControl(FlowId flow_id, Flow& flow) {
   ++control_iterations_;
-  cpu_->Charge(CpuModule::kTcp, kCcIterationCycles);
   const TimeNs interval = service_->config().control_interval;
   const TimeNs now = service_->sim()->Now();
 
@@ -679,11 +651,11 @@ void SlowPath::ScanPending() {
           } else if (flow.cstate == ConnState::kSynSent) {
             service_->mutable_stats().handshake_retransmits++;
             service_->flow_trace().Record(now, id, FlowEventType::kHandshakeRetransmit, 1);
-            SendSyn(flow);
+            SendControl(flow, TcpFlags::kSyn);
           } else {
             service_->mutable_stats().handshake_retransmits++;
             service_->flow_trace().Record(now, id, FlowEventType::kHandshakeRetransmit, 2);
-            SendSynAck(flow);
+            SendControl(flow, TcpFlags::kSyn | TcpFlags::kAck);
           }
         }
         break;
@@ -706,7 +678,7 @@ void SlowPath::ScanPending() {
             still_pending = false;
           } else {
             service_->flow_trace().Record(now, id, FlowEventType::kHandshakeRetransmit, 3);
-            SendFin(flow);
+            SendControl(flow, TcpFlags::kFin | TcpFlags::kAck);
           }
         }
         break;

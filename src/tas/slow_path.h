@@ -29,18 +29,24 @@ class SlowPath {
 
   // --- The executor ----------------------------------------------------------
   // The slow-path core runs one work item at a time, never preempted: a
-  // segment the fast path forwarded, or an app's connect or close command.
-  // Each item is queued in its ExceptionClass; MaybeProcess serves the flow
+  // segment the fast path forwarded, an app's connect or close command, or
+  // one flow's control-loop visit. Each item is queued in its
+  // ExceptionClass (visits in the flow class); MaybeProcess serves the flow
   // class first and each class in arrival order, starts an item only when
   // the core is free, books the item's whole cost as one charge and applies
-  // its effects when that charge ends.
+  // its effects when that charge ends. Nothing else charges this core.
   void EnqueueException(PacketPtr pkt);
 
-  // Work items queued right now (both classes), and the deepest the queue
-  // has ever been. The watchdog's slow-path overload SLO reads the depth
-  // each check; the high-water mark lands in diagnostic bundles.
-  size_t exception_depth() const { return work_[0].size() + work_[1].size(); }
+  // Exceptions and commands queued right now (both classes; control visits
+  // are not exceptions), and the deepest that count has ever been. The
+  // watchdog's slow-path overload SLO reads the depth each check; the
+  // high-water mark lands in diagnostic bundles.
+  size_t exception_depth() const {
+    return work_[0].size() + work_[1].size() - queued_visits_;
+  }
   uint64_t exception_depth_hw() const { return exception_depth_hw_; }
+  // Control-loop visits queued right now.
+  size_t queued_visits() const { return queued_visits_; }
 
   // --- Commands from libTAS (via TasService) ---------------------------------
   void CmdListen(uint16_t port, uint64_t opaque, uint16_t context);
@@ -49,13 +55,14 @@ class SlowPath {
   void CmdConnect(FlowId flow_id);
   void CmdClose(FlowId flow_id);
 
+  // Control-loop visits run so far.
   uint64_t control_iterations() const { return control_iterations_; }
   // Summed capacity of the control loop's lists: both halves of the pending
-  // list and of the dirty list (the service holds one). It stops growing
-  // once the flow population does.
+  // list, the service's dirty list and the work queues the visits wait in.
+  // It stops growing once the flow population does.
   size_t control_list_capacity() const {
-    return pending_.capacity() + pending_next_.capacity() + dirty_scratch_.capacity() +
-           service_->dirty_flows().capacity();
+    return pending_.capacity() + pending_next_.capacity() +
+           service_->dirty_flows().capacity() + work_[0].capacity() + work_[1].capacity();
   }
 
   // FIN_WAIT_1 -> FIN_WAIT_2 (or TIME_WAIT once the peer's FIN is consumed)
@@ -69,9 +76,9 @@ class SlowPath {
     uint64_t opaque = 0;
     uint16_t context = 0;
   };
-  enum class WorkKind : uint8_t { kSegment, kConnect, kClose };
+  enum class WorkKind : uint8_t { kSegment, kConnect, kClose, kControl };
   // One job of the slow-path core: a forwarded segment (`pkt`), or a
-  // command on `flow`.
+  // command or control-loop visit on `flow`.
   struct WorkItem {
     WorkKind kind = WorkKind::kSegment;
     FlowId flow = kInvalidFlow;
@@ -93,10 +100,9 @@ class SlowPath {
   bool HandleFlowPacket(FlowId flow_id, Flow& flow, const Packet& pkt);
   void HandleFin(FlowId flow_id, Flow& flow, const Packet& pkt);
 
-  void SendSyn(Flow& flow);
-  void SendSynAck(Flow& flow);
-  void SendFin(Flow& flow);
-  void SendControlAck(Flow& flow);
+  // Sends the flow's SYN, SYN-ACK, FIN or bare ACK (`flags` picks which)
+  // from its current state.
+  void SendControl(Flow& flow, uint8_t flags);
   void Establish(FlowId flow_id, Flow& flow, bool from_listener);
   // Half-close notification (kConnFin): the peer's receive direction ended
   // but ours may keep transmitting. Terminal kConnClosed still follows from
@@ -119,15 +125,13 @@ class SlowPath {
   Core* cpu_;
   std::array<Fifo<WorkItem>, kNumExceptionClasses> work_;  // By ExceptionClass.
   uint64_t exception_depth_hw_ = 0;
-  // An item is in service, or the executor waits for the core to come free.
-  bool busy_ = false;
+  size_t queued_visits_ = 0;  // kControl items in work_.
+  bool busy_ = false;          // An item is in service.
   std::unordered_map<uint16_t, Listener> listeners_;
   std::vector<FlowId> pending_;  // Flows in handshake or teardown.
-  // Spare halves of the control loop's two lists: ControlLoop swaps the
-  // service's dirty list into dirty_scratch_ and ScanPending rebuilds
-  // pending_ into pending_next_. Both keep their capacity across
-  // iterations, so a steady flow population costs no allocation.
-  std::vector<FlowId> dirty_scratch_;
+  // Spare half of the pending list: ScanPending rebuilds pending_ into it,
+  // and both keep their capacity across iterations, so a steady flow
+  // population costs no allocation.
   std::vector<FlowId> pending_next_;
   std::unique_ptr<PeriodicTask> cc_task_;
   std::unique_ptr<PeriodicTask> monitor_task_;

@@ -4,7 +4,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "src/trace/flight_recorder.h"
 #include "src/util/logging.h"
 
 namespace tas {
@@ -290,9 +289,6 @@ void CausalTracer::Finish(uint64_t trace, TimeNs end) {
   e2e_stats_[ci].Add(static_cast<double>(e2e));
   ++completed_;
   MaybeRetainExemplar(trace, *r, end);
-  if (recorder_ != nullptr) {
-    recorder_->RecordCausal(end, trace, static_cast<uint8_t>(r->cls), e2e);
-  }
   ring_.Retire(trace);
 }
 

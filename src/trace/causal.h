@@ -35,8 +35,6 @@
 
 namespace tas {
 
-class FlightRecorder;
-
 // Carried on wire messages: which trace this request belongs to and which
 // span the receiving tier should parent its own span under. trace_id 0 means
 // "untraced" (tracing disabled or ring slot recycled).
@@ -194,9 +192,6 @@ class CausalTracer {
 
   explicit CausalTracer(size_t trace_capacity = 1u << 13);
 
-  // Every finished trace is also handed to `recorder` (null: none).
-  void set_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
-
   // Opens a trace whose clock starts at `start`; ids are never 0. If the
   // ring slot still holds a live trace, that oldest trace is dropped.
   uint64_t BeginTrace(TimeNs start);
@@ -283,7 +278,6 @@ class CausalTracer {
   TraceRec* Live(uint64_t id);
   void MaybeRetainExemplar(uint64_t id, const TraceRec& rec, TimeNs end);
 
-  FlightRecorder* recorder_ = nullptr;
   RecordRing<TraceRec> ring_;  // Allocated by the first BeginTrace.
   uint32_t next_span_id_ = 1;
 

@@ -6,7 +6,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "src/trace/causal.h"
 #include "src/trace/metric_registry.h"
 #include "src/util/logging.h"
 
@@ -25,12 +24,14 @@ std::string TsUs(TimeNs t) {
 constexpr int kPid = 1;
 // Recorder tracks sit above the flow tracks of the full-trace bundle
 // (kFlowTrackBase = 1<<20 there); one track per stream, and the trigger's
-// track just below them.
+// track just below them. Track ids are part of the bundle format and stay
+// fixed, so offset 2 is unused.
 constexpr uint64_t kRecorderTrackBase = 1u << 22;
 constexpr uint64_t kTriggerTrack = kRecorderTrackBase - 1;
 
 uint64_t StreamTrack(RecorderStream stream) {
-  return kRecorderTrackBase + static_cast<uint64_t>(stream);
+  constexpr uint64_t kOffset[kNumRecorderStreams] = {0, 1, 3};  // By RecorderStream.
+  return kRecorderTrackBase + kOffset[static_cast<size_t>(stream)];
 }
 
 }  // namespace
@@ -59,8 +60,6 @@ const char* RecorderStreamName(RecorderStream stream) {
       return "flow";
     case RecorderStream::kLatency:
       return "latency";
-    case RecorderStream::kCausal:
-      return "causal";
     case RecorderStream::kSlo:
       return "slo";
   }
@@ -85,8 +84,8 @@ std::vector<SloSpec> DefaultSlos() {
 
 FlightRecorder::FlightRecorder(const WatchdogConfig& config) : config_(config) {
   // In RecorderStream order.
-  for (size_t capacity : {config.flow_ring_capacity, config.latency_ring_capacity,
-                          kCausalRingCapacity, kSloRingCapacity}) {
+  for (size_t capacity :
+       {config.flow_ring_capacity, config.latency_ring_capacity, kSloRingCapacity}) {
     streams_.emplace_back(capacity);
   }
 }
@@ -116,16 +115,6 @@ void FlightRecorder::RecordLatency(TimeNs t, uint64_t e2e_ns, uint64_t queue_ns,
   rec.b = queue_ns;
   rec.c = service_ns;
   Append(RecorderStream::kLatency, rec);
-}
-
-void FlightRecorder::RecordCausal(TimeNs t, uint64_t trace_id, uint8_t request_class,
-                                  uint64_t e2e_ns) {
-  RecorderRecord rec;
-  rec.t = t;
-  rec.type = request_class;
-  rec.a = trace_id;
-  rec.b = e2e_ns;
-  Append(RecorderStream::kCausal, rec);
 }
 
 void FlightRecorder::RecordSlo(TimeNs t, SloKind kind, double measured, bool breached) {
@@ -212,10 +201,6 @@ void FlightRecorder::WriteBundleJsonl(const std::vector<RecorderRecord>& records
         os << ",\"e2e_ns\":" << rec.a << ",\"queue_ns\":" << rec.b
            << ",\"service_ns\":" << rec.c;
         break;
-      case RecorderStream::kCausal:
-        os << ",\"class\":\"" << RequestClassName(static_cast<RequestClass>(rec.type))
-           << "\",\"trace\":" << rec.a << ",\"e2e_ns\":" << rec.b;
-        break;
       case RecorderStream::kSlo:
         os << ",\"slo\":\"" << SloKindName(static_cast<SloKind>(rec.type))
            << "\",\"measured\":" << JsonNumber(rec.v) << ",\"breached\":" << rec.a;
@@ -279,14 +264,6 @@ void FlightRecorder::WriteBundlePerfetto(const SloTrigger& trigger,
         os << "{\"name\":\"e2e_us\",\"cat\":\"latency\",\"ph\":\"C\",\"ts\":" << TsUs(rec.t)
            << ",\"pid\":" << kPid << ",\"tid\":" << track << ",\"args\":{\"e2e_us\":"
            << JsonNumber(static_cast<double>(rec.a) / 1000.0) << "}}";
-        break;
-      case RecorderStream::kCausal:
-        sep();
-        os << "{\"name\":\"" << RequestClassName(static_cast<RequestClass>(rec.type))
-           << "\",\"cat\":\"causal\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << TsUs(rec.t)
-           << ",\"pid\":" << kPid << ",\"tid\":" << track
-           << ",\"args\":{\"e2e_us\":"
-           << JsonNumber(static_cast<double>(rec.b) / 1000.0) << "}}";
         break;
       case RecorderStream::kSlo:
         sep();

@@ -93,8 +93,8 @@ std::vector<SloSpec> DefaultSlos();
 
 // --- Recorder records --------------------------------------------------------
 
-enum class RecorderStream : uint8_t { kFlow = 0, kLatency, kCausal, kSlo };
-inline constexpr int kNumRecorderStreams = 4;
+enum class RecorderStream : uint8_t { kFlow = 0, kLatency, kSlo };
+inline constexpr int kNumRecorderStreams = 3;
 
 const char* RecorderStreamName(RecorderStream stream);
 
@@ -102,7 +102,6 @@ const char* RecorderStreamName(RecorderStream stream);
 // stream-typed:
 //   kFlow:    type = FlowEventType, a = flow id, b/c/d = event args a/b/c.
 //   kLatency: a = e2e ns, b = queue-wait ns, c = service ns.
-//   kCausal:  type = RequestClass, a = trace id, b = e2e ns.
 //   kSlo:     type = SloKind, v = measured value (a = 1 if breached).
 struct RecorderRecord {
   TimeNs t = 0;
@@ -137,7 +136,6 @@ struct SloTrigger {
 
 class FlightRecorder {
  public:
-  static constexpr size_t kCausalRingCapacity = 1u << 13;
   static constexpr size_t kSloRingCapacity = 1u << 12;
   // Bundles serialized per recorder; later triggers are recorded only.
   static constexpr int kMaxBundles = 4;
@@ -149,7 +147,6 @@ class FlightRecorder {
   // --- Taps (ring write only) ------------------------------------------------
   void RecordFlowEvent(const FlowEvent& e);
   void RecordLatency(TimeNs t, uint64_t e2e_ns, uint64_t queue_ns, uint64_t service_ns);
-  void RecordCausal(TimeNs t, uint64_t trace_id, uint8_t request_class, uint64_t e2e_ns);
   void RecordSlo(TimeNs t, SloKind kind, double measured, bool breached);
 
   // --- Window capture ---------------------------------------------------------
