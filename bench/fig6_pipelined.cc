@@ -36,7 +36,7 @@ void RunDirection(EchoServerConfig::Mode mode, const char* label) {
   for (uint64_t cycles : {uint64_t{250}, uint64_t{1000}}) {
     std::cout << "\n--- " << label << ", " << cycles << " cycles/message ---\n";
     // "TAS ctx drops" is the TAS server's tas.contexts.dropped_events: app
-    // events refused by a full context queue (ROADMAP item 1).
+    // events refused by a full context queue (ROADMAP [wakeups]).
     TablePrinter table({"Size [B]", "TAS mOps", "mTCP mOps", "Linux mOps", "TAS Gbps",
                         "TAS ctx drops"});
     for (size_t size : sizes) {

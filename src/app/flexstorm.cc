@@ -74,11 +74,10 @@ void FlexStormNode::SpoutTick() {
     tuple.created = sim_->Now();
     tuple.hops = 0;
     tuple.worker_done = sim_->Now();
+    // Backpressure: a saturated topology drops the tuple.
     if (out_connected_ && out_queue_.size() < kMuxQueueLimit / 2 &&
         mux_queue_.size() < kMuxQueueLimit / 2) {
       EnqueueMux(tuple);
-    } else {
-      ++spout_drops_;  // Backpressure: the topology is saturated.
     }
     SpoutTick();
   });
@@ -135,7 +134,6 @@ void FlexStormNode::HandleTuple(Tuple tuple, TimeNs arrival) {
 
 void FlexStormNode::EnqueueMux(Tuple tuple) {
   if (mux_queue_.size() >= kMuxQueueLimit) {
-    ++overflow_drops_;
     return;
   }
   mux_queue_.push_back(tuple);
@@ -167,7 +165,6 @@ void FlexStormNode::EmitTuple(const Tuple& tuple) {
   std::memcpy(buf.data(), &tuple.created, sizeof(tuple.created));
   std::memcpy(buf.data() + 8, &tuple.hops, sizeof(tuple.hops));
   if (out_queue_.size() >= kMuxQueueLimit) {
-    ++overflow_drops_;
     return;
   }
   out_queue_.push_back(std::move(buf));

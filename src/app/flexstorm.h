@@ -45,8 +45,6 @@ class FlexStormNode : public AppHandler {
   void Start(IpAddr next_ip);
 
   uint64_t completed() const { return completed_; }
-  uint64_t spout_drops() const { return spout_drops_; }
-  uint64_t overflow_drops() const { return overflow_drops_; }
   double Throughput() const;
   void BeginMeasurement();
 
@@ -95,8 +93,6 @@ class FlexStormNode : public AppHandler {
   size_t next_worker_ = 0;
 
   uint64_t completed_ = 0;
-  uint64_t spout_drops_ = 0;
-  uint64_t overflow_drops_ = 0;
   bool measuring_ = false;
   TimeNs measure_start_ = 0;
   uint64_t completed_at_start_ = 0;

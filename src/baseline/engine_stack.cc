@@ -30,6 +30,7 @@ EngineStack::EngineStack(Simulator* sim, HostPort* port, std::vector<Core*> app_
     }
   } else {
     stack_cores_ = app_cores_;  // Monolithic / run-to-completion: shared.
+    shared_cores_ = true;
   }
 
   NicConfig nic_config;
@@ -38,10 +39,23 @@ EngineStack::EngineStack(Simulator* sim, HostPort* port, std::vector<Core*> app_
   for (int q = 0; q < nic_->num_queues(); ++q) {
     nic_->SetRxNotify(q, [this, q] { DrainRxQueue(q); });
   }
-  batches_.resize(app_cores_.size());
   rx_queues_.resize(static_cast<size_t>(nic_->num_queues()));
-  collected_events_.resize(app_cores_.size());
-  collected_done_.resize(app_cores_.size(), 0);
+
+  const AppEventLoopConfig loop{config_.event_batch, config_.batch_timeout,
+                                config_.wakeup_latency};
+  app_events_.resize(app_cores_.size());
+  for (size_t c = 0; c < app_cores_.size(); ++c) {
+    // Run to completion on a shared core: it pops its next RX burst once the
+    // app events of the last one are dispatched.
+    AppEventLoop<PendingEvent>::IdleFn idle;
+    if (shared_cores_) {
+      idle = [this, c] { DrainRxQueue(static_cast<int>(c)); };
+    }
+    app_loops_.push_back(std::make_unique<AppEventLoop<PendingEvent>>(
+        sim_, app_cores_[c], &app_events_[c], loop,
+        [this](const PendingEvent& e) { return e.cheap() ? uint64_t{60} : config_.costs->rx_api; },
+        [this](const std::vector<PendingEvent>& batch) { DispatchBatch(batch); }, std::move(idle)));
+  }
 }
 
 EngineStack::~EngineStack() = default;
@@ -70,10 +84,8 @@ void EngineStack::Listen(uint16_t port) { listeners_.insert(port); }
 ConnId EngineStack::Connect(IpAddr dst_ip, uint16_t dst_port) {
   const uint16_t local_port = ports_.AllocateEphemeral();
   const ConnId id = next_conn_++;
-  const size_t app_core = next_app_core_rr_++ % app_cores_.size();
 
   ConnEntry entry;
-  entry.app_core = app_core;
   entry.passive = false;
   entry.tcp = std::make_unique<TcpConnection>(sim_, this, config_.tcp, nic_->ip(), local_port,
                                               dst_ip, dst_port,
@@ -88,6 +100,8 @@ ConnId EngineStack::Connect(IpAddr dst_ip, uint16_t dst_port) {
   probe.tcp.dst_port = local_port;
   entry.stack_core = static_cast<size_t>(
       nic_->RedirectionEntryQueue(nic_->RedirectionEntryFor(probe)));
+  entry.app_core =
+      shared_cores_ ? entry.stack_core : next_app_core_rr_++ % app_cores_.size();
 
   TcpConnection* tcp = entry.tcp.get();
   demux_[FlowKey{local_port, dst_ip, dst_port}] = id;
@@ -160,6 +174,9 @@ void EngineStack::DrainRxQueue(int queue) {
   if (rq.draining) {
     return;  // The pending burst's continuation re-drains.
   }
+  if (shared_cores_ && app_loops_[static_cast<size_t>(queue)]->draining()) {
+    return;  // The app dispatch re-drains when it has run.
+  }
   Core* core = stack_cores_[static_cast<size_t>(queue)];
   const StackCostModel& costs = *config_.costs;
   rq.batch.clear();
@@ -172,7 +189,6 @@ void EngineStack::DrainRxQueue(int queue) {
     // Bounded backlog: a real stack's softirq queue overflows under
     // persistent overload.
     if (core->busy_until() - sim_->Now() > kMaxBacklog) {
-      ++backlog_drops_;
       if (LatencyTracer* lt = sim_->context().latency_sink()) {
         lt->Abandon(pkt->lat_id);
       }
@@ -207,18 +223,19 @@ void EngineStack::DrainRxQueue(int queue) {
   sim_->At(done, [this, queue] {
     RxQueueState& q = rx_queues_[static_cast<size_t>(queue)];
     tx_collect_ = true;
-    collecting_ = true;
+    rx_retiring_ = true;
     for (PacketPtr& pkt : q.batch) {
       HandlePacket(queue, std::move(pkt));
     }
     q.batch.clear();
-    collecting_ = false;
+    rx_retiring_ = false;
     tx_collect_ = false;
-    if (!tx_batch_.empty()) {
-      nic_->TransmitBurst(tx_batch_.data(), tx_batch_.size());
-      tx_batch_.clear();
+    FlushTx();
+    // The burst's app events wake their loops together (epoll wakes once
+    // with many ready events).
+    for (auto& loop : app_loops_) {
+      loop->Wake();
     }
-    FlushCollectedEvents();
     q.draining = false;
     // The ring may still hold packets: a full burst leaves the remainder
     // behind, and the NIC only notifies on push-to-empty.
@@ -246,8 +263,8 @@ void EngineStack::HandlePacket(int queue, PacketPtr pkt) {
       listeners_.count(pkt->tcp.dst_port) != 0) {
     const ConnId id = next_conn_++;
     ConnEntry entry;
-    entry.app_core = next_app_core_rr_++ % app_cores_.size();
     entry.stack_core = static_cast<size_t>(queue);
+    entry.app_core = shared_cores_ ? entry.stack_core : next_app_core_rr_++ % app_cores_.size();
     entry.passive = true;
     entry.tcp = std::make_unique<TcpConnection>(
         sim_, this, config_.tcp, nic_->ip(), pkt->tcp.dst_port, pkt->ip.src,
@@ -283,10 +300,10 @@ void EngineStack::EmitPacket(TcpConnection* conn, PacketPtr pkt) {
   const TimeNs done = core->Charge(CpuModule::kTcp, cycles - costs.tx_driver);
   LatencyTracer* lt = sim_->context().latency_sink();
   if (tx_collect_) {
-    // Inside an RX burst continuation: CPU cost is charged above as usual,
-    // but the packet joins the burst's single transmit flush instead of
-    // scheduling its own departure event (NIC DMA is asynchronous with the
-    // descriptor-write the charge models).
+    // Inside an RX burst continuation or a shared-core app dispatch: CPU
+    // cost is charged above as usual, but the packet joins the burst's
+    // single transmit flush instead of scheduling its own departure event
+    // (NIC DMA is asynchronous with the descriptor-write the charge models).
     if (lt != nullptr) {
       // Leaves with the burst flush at this same instant: zero-width fp-tx.
       pkt->lat_id = lt->Begin(sim_->Now());
@@ -316,7 +333,7 @@ void EngineStack::OnConnected(TcpConnection* conn) {
                                     : PendingEvent::Kind::kConnected,
                      IdOf(conn)};
   event.port = conn->local_port();
-  DeliverEvent(entry->app_core, event, config_.costs->rx_api);
+  RaiseEvent(entry->app_core, event);
 }
 
 void EngineStack::OnConnectFailed(TcpConnection* conn) {
@@ -334,7 +351,7 @@ void EngineStack::OnConnectFailed(TcpConnection* conn) {
   sim_->After(0, [keep_alive] {});
   PendingEvent event{PendingEvent::Kind::kConnected, id};
   event.ok = false;
-  DeliverEvent(app_core, event, config_.costs->rx_api);
+  RaiseEvent(app_core, event);
 }
 
 void EngineStack::OnDataAvailable(TcpConnection* conn, size_t bytes) {
@@ -344,7 +361,7 @@ void EngineStack::OnDataAvailable(TcpConnection* conn, size_t bytes) {
   }
   PendingEvent event{PendingEvent::Kind::kData, IdOf(conn)};
   event.bytes = bytes;
-  DeliverEvent(entry->app_core, event, config_.costs->rx_api);
+  RaiseEvent(entry->app_core, event);
 }
 
 void EngineStack::OnSendSpace(TcpConnection* conn, size_t bytes) {
@@ -354,7 +371,7 @@ void EngineStack::OnSendSpace(TcpConnection* conn, size_t bytes) {
   }
   PendingEvent event{PendingEvent::Kind::kSendSpace, IdOf(conn)};
   event.bytes = bytes;
-  DeliverEvent(entry->app_core, event, 60);
+  RaiseEvent(entry->app_core, event);
 }
 
 void EngineStack::OnRemoteClose(TcpConnection* conn) {
@@ -362,8 +379,7 @@ void EngineStack::OnRemoteClose(TcpConnection* conn) {
   if (entry == nullptr) {
     return;
   }
-  DeliverEvent(entry->app_core, PendingEvent{PendingEvent::Kind::kRemoteClosed, IdOf(conn)},
-               config_.costs->rx_api);
+  RaiseEvent(entry->app_core, PendingEvent{PendingEvent::Kind::kRemoteClosed, IdOf(conn)});
 }
 
 void EngineStack::OnClosed(TcpConnection* conn) {
@@ -381,70 +397,34 @@ void EngineStack::OnClosed(TcpConnection* conn) {
   auto keep_alive = std::shared_ptr<TcpConnection>(entry->tcp.release());
   conns_.erase(id);
   PendingEvent event{PendingEvent::Kind::kClosed, id};
-  DeliverEvent(app_core, event, 60);
+  RaiseEvent(app_core, event);
   sim_->After(0, [keep_alive] {});  // Destroyed after the current event.
 }
 
 // --- Event delivery ------------------------------------------------------------
 
-void EngineStack::DeliverEvent(size_t app_core, PendingEvent event, uint64_t api_cycles) {
-  if (config_.event_batch <= 1) {
-    const TimeNs done =
-        app_cores_[app_core]->Charge(CpuModule::kSockets, api_cycles) + config_.wakeup_latency;
-    if (collecting_) {
-      // Per-event charges above are unchanged; the whole group raised by one
-      // RX burst dispatches together when the last charge retires.
-      collected_events_[app_core].push_back(event);
-      collected_done_[app_core] = std::max(collected_done_[app_core], done);
-      return;
-    }
-    sim_->At(done, [this, event] { DispatchEvent(event); });
-    return;
-  }
-  // mTCP-style batching: queue and flush on size or timeout.
-  Batch& batch = batches_[app_core];
-  batch.events.push_back(event);
-  if (batch.events.size() >= config_.event_batch) {
-    batch.flush_timer.Cancel();
-    FlushBatch(app_core);
-  } else if (!batch.flush_timer.valid()) {
-    batch.flush_timer =
-        sim_->After(config_.batch_timeout, [this, app_core] { FlushBatch(app_core); });
+void EngineStack::RaiseEvent(size_t app_core, const PendingEvent& event) {
+  app_events_[app_core].push_back(event);
+  if (!rx_retiring_) {
+    app_loops_[app_core]->Wake();
   }
 }
 
-void EngineStack::FlushCollectedEvents() {
-  for (size_t c = 0; c < collected_events_.size(); ++c) {
-    if (collected_events_[c].empty()) {
-      continue;
-    }
-    const TimeNs done = collected_done_[c];
-    collected_done_[c] = 0;
-    // The dispatch continuation runs app callbacks whose Sends emit packets
-    // synchronously; collect those too and ship them as one burst.
-    sim_->At(done, [this, events = std::move(collected_events_[c])] {
-      tx_collect_ = true;
-      for (const PendingEvent& e : events) {
-        DispatchEvent(e);
-      }
-      tx_collect_ = false;
-      if (!tx_batch_.empty()) {
-        nic_->TransmitBurst(tx_batch_.data(), tx_batch_.size());
-        tx_batch_.clear();
-      }
-    });
-    collected_events_[c] = std::vector<PendingEvent>();
+void EngineStack::DispatchBatch(const std::vector<PendingEvent>& batch) {
+  // On a shared core the dispatch's sends leave as one burst, like an RX
+  // burst's ACKs. On a dedicated stack core each waits for its own charge.
+  tx_collect_ = shared_cores_;
+  for (const PendingEvent& event : batch) {
+    DispatchEvent(event);
   }
+  tx_collect_ = false;
+  FlushTx();
 }
 
-void EngineStack::FlushBatch(size_t app_core) {
-  Batch& batch = batches_[app_core];
-  Core* core = app_cores_[app_core];
-  while (!batch.events.empty()) {
-    PendingEvent event = batch.events.front();
-    batch.events.pop_front();
-    const TimeNs done = core->Charge(CpuModule::kSockets, config_.costs->rx_api);
-    sim_->At(done, [this, event] { DispatchEvent(event); });
+void EngineStack::FlushTx() {
+  if (!tx_batch_.empty()) {
+    nic_->TransmitBurst(tx_batch_.data(), tx_batch_.size());
+    tx_batch_.clear();
   }
 }
 

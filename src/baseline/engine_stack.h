@@ -12,6 +12,12 @@
 //  * mTCP   — user-level stack on DEDICATED stack cores with BATCHED event
 //    hand-off to application cores (throughput via batching, latency cost).
 //
+// App events reach the application through one AppEventLoop per app core
+// (src/cpu/app_event_loop.h), the same loop libTAS drains its context queues
+// with. On shared-core stacks (Linux, IX) a connection's app core is its RSS
+// stack core, and the core runs to completion: an RX burst's app events are
+// dispatched before the core pops its next burst.
+//
 // The factories at the bottom encode the paper-calibrated parameters.
 #ifndef SRC_BASELINE_ENGINE_STACK_H_
 #define SRC_BASELINE_ENGINE_STACK_H_
@@ -22,6 +28,7 @@
 #include <vector>
 
 #include "src/baseline/stack_iface.h"
+#include "src/cpu/app_event_loop.h"
 #include "src/cpu/core.h"
 #include "src/cpu/cost_model.h"
 #include "src/nic/nic.h"
@@ -38,11 +45,12 @@ struct EngineStackConfig {
   int stack_cores = 0;
   const StackCostModel* costs = &LinuxCostModel();
   TcpConfig tcp;
-  // Scheduler/softirq wakeup cost added before app callbacks (Linux).
+  // Scheduler/softirq wakeup latency added to each app dispatch (Linux).
   TimeNs wakeup_latency = 0;
-  // Event batching toward the app (mTCP): deliver when `event_batch` events
-  // accumulated or `batch_timeout` elapsed.
-  size_t event_batch = 1;
+  // App-event hand-off (AppEventLoop): a dispatch takes up to `event_batch`
+  // events; with `batch_timeout` > 0 the loop waits until `event_batch`
+  // events are queued or `batch_timeout` has passed (mTCP's batching).
+  size_t event_batch = 16;
   TimeNs batch_timeout = 0;
 };
 
@@ -69,7 +77,6 @@ class EngineStack : public Stack, public TcpEngineHost {
   size_t num_connections() const { return conns_.size(); }
   Core* stack_core(size_t i) { return stack_cores_[i]; }
   size_t num_stack_cores() const { return stack_cores_.size(); }
-  uint64_t backlog_drops() const { return backlog_drops_; }
   TcpConnection* connection(ConnId conn);
   // Local-port use counts and the ephemeral cursor active opens draw from.
   PortTable& ports() { return ports_; }
@@ -89,6 +96,9 @@ class EngineStack : public Stack, public TcpEngineHost {
     size_t bytes = 0;
     bool ok = true;
     uint16_t port = 0;
+    // Send-space and close notices are a bookkeeping read; the rest pay the
+    // receive API.
+    bool cheap() const { return kind == Kind::kSendSpace || kind == Kind::kClosed; }
   };
 
   // --- TcpEngineHost ---------------------------------------------------------
@@ -102,12 +112,12 @@ class EngineStack : public Stack, public TcpEngineHost {
 
   void DrainRxQueue(int queue);
   void HandlePacket(int queue, PacketPtr pkt);
-  void DeliverEvent(size_t app_core, PendingEvent event, uint64_t api_cycles);
-  // Schedules one aggregated dispatch per app core for events gathered while
-  // `collecting_` (i.e. during an RX burst continuation).
-  void FlushCollectedEvents();
-  void FlushBatch(size_t app_core);
+  // Queues `event` for its app core's loop; an RX burst wakes the loops
+  // once, when it has retired.
+  void RaiseEvent(size_t app_core, const PendingEvent& event);
+  void DispatchBatch(const std::vector<PendingEvent>& batch);
   void DispatchEvent(const PendingEvent& event);
+  void FlushTx();
   ConnEntry* Entry(ConnId conn);
   const ConnEntry* Entry(ConnId conn) const;
   ConnId IdOf(TcpConnection* conn) const { return conn->opaque; }
@@ -119,6 +129,7 @@ class EngineStack : public Stack, public TcpEngineHost {
   std::vector<Core*> app_cores_;
   std::vector<std::unique_ptr<Core>> owned_stack_cores_;
   std::vector<Core*> stack_cores_;  // Aliases app_cores_ or owned cores.
+  bool shared_cores_ = false;       // Stack work runs on the app cores.
   AppHandler* handler_ = nullptr;
 
   std::unordered_map<ConnId, ConnEntry> conns_;
@@ -128,12 +139,9 @@ class EngineStack : public Stack, public TcpEngineHost {
   ConnId next_conn_ = 1;
   size_t next_app_core_rr_ = 0;
 
-  // Per-app-core batched event queues (mTCP mode).
-  struct Batch {
-    Fifo<PendingEvent> events;
-    EventHandle flush_timer;
-  };
-  std::vector<Batch> batches_;
+  // Per app core: the events raised for it and the loop that drains them.
+  std::vector<Fifo<PendingEvent>> app_events_;
+  std::vector<std::unique_ptr<AppEventLoop<PendingEvent>>> app_loops_;
 
   // Per-NIC-queue RX burst state (gathered by DrainRxQueue, retired by one
   // aggregated event). Buffers keep capacity across bursts.
@@ -142,16 +150,11 @@ class EngineStack : public Stack, public TcpEngineHost {
     bool draining = false;
   };
   std::vector<RxQueueState> rx_queues_;
-  // Packets emitted while a burst retires, flushed as one TransmitBurst.
+  // Packets emitted while a burst retires (or, on shared cores, while an
+  // app dispatch runs), flushed as one TransmitBurst.
   std::vector<PacketPtr> tx_batch_;
   bool tx_collect_ = false;
-  // App events raised while an RX burst retires: each is charged as it is
-  // raised, but a core's whole group dispatches with ONE event at the
-  // latest charge horizon (epoll wakes once with many ready events).
-  std::vector<std::vector<PendingEvent>> collected_events_;  // Per app core.
-  std::vector<TimeNs> collected_done_;                       // Per app core.
-  bool collecting_ = false;
-  uint64_t backlog_drops_ = 0;
+  bool rx_retiring_ = false;  // App events wait for the burst's end.
   Rng rng_;
 };
 

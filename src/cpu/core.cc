@@ -39,10 +39,6 @@ TimeNs Core::Charge(CpuModule module, uint64_t cycles) {
   return busy_until_;
 }
 
-void Core::Account(CpuModule module, uint64_t cycles) {
-  cycles_[static_cast<size_t>(module)] += cycles;
-}
-
 double Core::Utilization(TimeNs busy_ns_at_start, TimeNs window_start, TimeNs now) const {
   const TimeNs window = now - window_start;
   if (window <= 0) {

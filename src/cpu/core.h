@@ -50,13 +50,8 @@ class Core {
   // the returned time.
   TimeNs Charge(CpuModule module, uint64_t cycles);
 
-  // Accounts cycles without occupying the core timeline (e.g. work already
-  // covered by an enclosing Charge but attributed to a different module).
-  void Account(CpuModule module, uint64_t cycles);
-
   // Time at which previously charged work completes.
   TimeNs busy_until() const { return busy_until_; }
-  bool IdleAt(TimeNs t) const { return busy_until_ <= t; }
 
   // Cumulative busy nanoseconds (sum of charged durations).
   TimeNs busy_ns() const { return busy_ns_; }

@@ -16,8 +16,18 @@ TasStack::TasStack(TasService* service, std::vector<Core*> app_cores,
     ctx.id = service_->RegisterContext(ctx.queues.get());
     contexts_.push_back(std::move(ctx));
   }
+  // Each event is one poll iteration on the app thread (epoll/recv in
+  // sockets mode, a direct queue read in low-level mode): data events pay the
+  // receive API, bookkeeping events (tx-done, conn control) a queue read.
+  const AppEventLoopConfig loop{
+      static_cast<size_t>(std::max(1, service_->config().app_event_batch))};
   for (size_t i = 0; i < contexts_.size(); ++i) {
-    contexts_[i].queues->set_app_notify([this, i] { DrainEvents(i); });
+    Context& ctx = contexts_[i];
+    ctx.loop = std::make_unique<AppEventLoop<AppEvent>>(
+        service_->sim(), ctx.core, &ctx.queues->rx(), loop,
+        [this](const AppEvent& e) { return e.type == AppEventType::kRxData ? costs_->rx_api : 60; },
+        [this, i](const std::vector<AppEvent>& batch) { DispatchBatch(i, batch); });
+    ctx.queues->set_app_notify([loop = ctx.loop.get()] { loop->Wake(); });
   }
 }
 
@@ -222,56 +232,23 @@ void TasStack::ChargeApp(ConnId conn, uint64_t cycles) {
       static_cast<uint64_t>(static_cast<double>(cycles) * costs_->app_interference_factor));
 }
 
-void TasStack::DrainEvents(size_t context_index) {
-  Context& ctx = contexts_[context_index];
-  if (ctx.draining) {
-    return;
+void TasStack::DispatchBatch(size_t context_index, const std::vector<AppEvent>& batch) {
+  Context& c = contexts_[context_index];
+  TAS_CHECK(c.deferred.empty()) << "deferred pushes outlived their flush";
+  deferring_ = context_index;
+  for (const AppEvent& e : batch) {
+    DispatchEvent(context_index, e);
   }
-  // One doorbell drains a batch of events (mTCP-style batched delivery).
-  // Each event is still one poll iteration on the app thread — epoll/recv in
-  // sockets mode, a direct queue read in low-level mode — so every event is
-  // charged individually: data events pay the full receive-API cost,
-  // bookkeeping events (tx-done, conn control) a cheap queue read. The
-  // batch then retires with a single aggregated dispatch.
-  const size_t budget =
-      static_cast<size_t>(std::max(1, service_->config().app_event_batch));
-  ctx.batch.clear();
-  Fifo<AppEvent>& rx = ctx.queues->rx();
-  TimeNs done = 0;
-  while (ctx.batch.size() < budget && !rx.empty()) {
-    const AppEvent& event = ctx.batch.emplace_back(rx.front());
-    rx.pop_front();
-    const uint64_t cycles = event.type == AppEventType::kRxData ? costs_->rx_api : 60;
-    done = ctx.core->Charge(CpuModule::kSockets, cycles);
+  deferring_ = kNotDeferring;
+  if (!c.deferred.empty()) {
+    // All callbacks above charged c.core; their queue pushes ride one
+    // aggregated event at the batch's final work horizon instead of one
+    // each (each push would have been at or before this horizon). The
+    // context's next dispatch charges c.core again, so it completes at or
+    // after this flush and, on a tie, was scheduled after it.
+    const TimeNs when = std::max(service_->sim()->Now(), c.core->busy_until());
+    service_->sim()->At(when, [this, context_index] { FlushDeferred(context_index); });
   }
-  if (ctx.batch.empty()) {
-    return;
-  }
-  ctx.draining = true;
-  service_->sim()->At(done, [this, context_index] {
-    Context& c = contexts_[context_index];
-    // draining stays set through dispatch: handlers may push commands whose
-    // completion notifies this context again, and a nested drain would
-    // clobber the batch being iterated.
-    TAS_CHECK(c.deferred.empty()) << "deferred pushes outlived their flush";
-    deferring_ = context_index;
-    for (const AppEvent& e : c.batch) {
-      DispatchEvent(context_index, e);
-    }
-    deferring_ = kNotDeferring;
-    if (!c.deferred.empty()) {
-      // All callbacks above charged c.core; their queue pushes ride one
-      // aggregated event at the batch's final work horizon instead of one
-      // each (each push would have been at or before this horizon). The
-      // context's next dispatch charges c.core again, so it completes at or
-      // after this flush and, on a tie, was scheduled after it.
-      const TimeNs when =
-          std::max(service_->sim()->Now(), c.core->busy_until());
-      service_->sim()->At(when, [this, context_index] { FlushDeferred(context_index); });
-    }
-    c.draining = false;
-    DrainEvents(context_index);
-  });
 }
 
 void TasStack::FlushDeferred(size_t context_index) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/baseline/stack_iface.h"
+#include "src/cpu/app_event_loop.h"
 #include "src/tas/service.h"
 
 namespace tas {
@@ -67,16 +68,15 @@ class TasStack : public Stack {
     std::unique_ptr<AppContext> queues;
     uint16_t id = 0;       // TAS-side context id.
     Core* core = nullptr;  // App core this context's thread runs on.
-    bool draining = false;
-    // Events gathered for the current aggregated dispatch; keeps its
-    // capacity across drains.
-    std::vector<AppEvent> batch;
+    // Drains the context's RX queue onto `core` (src/cpu/app_event_loop.h).
+    std::unique_ptr<AppEventLoop<AppEvent>> loop;
     // Pushes the handlers of this context's in-flight dispatch deferred,
     // flushed by one event at its final horizon; keeps its capacity too.
     std::vector<DeferredPush> deferred;
   };
 
-  void DrainEvents(size_t context_index);
+  // Runs one batch the context's loop gathered, at its final horizon.
+  void DispatchBatch(size_t context_index, const std::vector<AppEvent>& batch);
   void DispatchEvent(size_t context_index, const AppEvent& event);
   Conn* GetConn(ConnId id);
   const Conn* GetConn(ConnId id) const;

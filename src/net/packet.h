@@ -122,7 +122,6 @@ struct Packet {
   // record.
   uint64_t lat_id = 0;
 
-  size_t payload_size() const { return payload.size(); }
   // Total bytes on the wire, including Ethernet framing.
   size_t WireBytes() const;
 

@@ -31,7 +31,6 @@ class Switch {
 
   // Connects a new port to the given link end; returns the port index.
   int AddPort(LinkEnd end);
-  size_t num_ports() const { return ports_.size(); }
   // The egress plug of a port — the handle fault schedules use to impair or
   // flap a specific switch uplink (port_end(p).link).
   LinkEnd port_end(int port) const;

@@ -44,10 +44,6 @@ class SimNic : public NetDevice {
   // each received frame after the checksum check, before RSS ring
   // placement; mutable mid-run.
   Impairment* AddRxImpairment(const ImpairmentSpec& spec) { return rx_pipeline_.Add(spec); }
-  bool RemoveRxImpairment(const Impairment* impairment) {
-    return rx_pipeline_.Remove(impairment);
-  }
-  ImpairmentPipeline& rx_pipeline() { return rx_pipeline_; }
 
   // --- Host side -----------------------------------------------------------
   PacketPtr PopRx(int queue);

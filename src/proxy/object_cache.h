@@ -36,8 +36,6 @@ class HotObjectCache {
   // budget holds. Objects larger than the whole budget are rejected.
   void Insert(uint32_t object_id, uint32_t body_len);
 
-  bool Contains(uint32_t object_id) const { return index_.count(object_id) != 0; }
-
   size_t bytes() const { return bytes_; }
   size_t entries() const { return lru_.size(); }
   size_t capacity_bytes() const { return capacity_; }

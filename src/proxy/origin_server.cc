@@ -22,7 +22,6 @@ uint32_t OriginServer::BodyBytes(uint32_t object_id) const {
 
 void OriginServer::OnAccepted(ConnId conn, uint16_t port) {
   (void)port;
-  ++conns_accepted_;
   conns_.emplace(conn, ConnState{});
 }
 

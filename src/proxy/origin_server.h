@@ -37,7 +37,6 @@ class OriginServer : public AppHandler {
   void Start();
 
   uint64_t requests_served() const { return requests_served_; }
-  uint64_t conns_accepted() const { return conns_accepted_; }
   uint64_t conns_closed_by_quota() const { return conns_closed_by_quota_; }
   uint32_t BodyBytes(uint32_t object_id) const;
 
@@ -75,7 +74,6 @@ class OriginServer : public AppHandler {
   OriginServerConfig config_;
   std::unordered_map<ConnId, ConnState> conns_;
   uint64_t requests_served_ = 0;
-  uint64_t conns_accepted_ = 0;
   uint64_t conns_closed_by_quota_ = 0;
 };
 

@@ -27,9 +27,6 @@ void ProxyServer::Start() {
   stack_->SetHandler(this);
   stack_->Listen(config_.listen_port);
   pool_.Start();
-  if (spans_ != nullptr) {
-    span_track_ = spans_->RegisterTrack("proxy-requests");
-  }
 }
 
 void ProxyServer::RegisterMetrics(MetricRegistry& registry) {
@@ -227,7 +224,6 @@ void ProxyServer::HandleClientData(ConnId conn, Client& client) {
     job.id = next_job_id_++;
     job.object_id = req.object_id;
     job.request_id = req.request_id;
-    job.started = sim_->Now();
     job.ctx = TraceContext{req.trace_id, req.parent_span};
     if (ct != nullptr) {
       // Request crossed client -> proxy; job span parents under the client's
@@ -596,11 +592,6 @@ void ProxyServer::FinishJob(ConnId conn, Client& client, Job& job) {
   if (tracer_ != nullptr) {
     tracer_->Record(sim_->Now(), conn, FlowEventType::kProxyResponse, job.request_id, body_len,
                     static_cast<uint64_t>(job.path));
-  }
-  if (spans_ != nullptr && span_track_ >= 0) {
-    static const char* kPathNames[] = {"proxy_hit", "proxy_store", "proxy_splice"};
-    spans_->Record(span_track_, kPathNames[static_cast<size_t>(job.path)], job.started,
-                   sim_->Now());
   }
   if (job.ctx.trace_id != 0) {
     if (CausalTracer* ct = sim_->context().causal_sink()) {

@@ -55,8 +55,6 @@ class ProxyServer : public AppHandler {
   void RegisterMetrics(MetricRegistry& registry);
   // Optional: emit kProxyRequest/kProxyResponse flow events (client flow id).
   void set_flow_tracer(FlowTracer* tracer) { tracer_ = tracer; }
-  // Optional: one span per request on the proxy-requests track.
-  void set_span_recorder(SpanRecorder* spans) { spans_ = spans; }
 
   const HotObjectCache& cache() const { return cache_; }
   const OriginPool& pool() const { return pool_; }
@@ -65,7 +63,6 @@ class ProxyServer : public AppHandler {
   uint64_t coalesced_requests() const { return coalesced_requests_; }
   uint64_t spliced_bytes() const { return spliced_bytes_; }
   uint64_t aborted_clients() const { return aborted_clients_; }
-  uint64_t mismatched_responses() const { return mismatched_responses_; }
   size_t live_clients() const { return clients_.size(); }
 
   // AppHandler:
@@ -92,7 +89,6 @@ class ProxyServer : public AppHandler {
     uint32_t splice_remaining = 0;
     std::vector<uint8_t> bytes;  // Header (+ body for buffered jobs).
     size_t sent = 0;             // Bytes of `bytes` handed to the stack.
-    TimeNs started = 0;
     // Causal tracing (DESIGN.md §12): the request's TraceContext off the
     // wire, this job's span, and whether the response came off someone
     // else's fetch (class "coalesced"; FanOutWaiters resets the flag).
@@ -161,8 +157,6 @@ class ProxyServer : public AppHandler {
   std::unordered_map<uint32_t, std::vector<Waiter>> pending_fetch_;
   std::vector<uint8_t> scratch_;
   FlowTracer* tracer_ = nullptr;
-  SpanRecorder* spans_ = nullptr;
-  int span_track_ = -1;  // Registered with the SpanRecorder.
   uint64_t next_job_id_ = 1;
 
   uint64_t requests_ = 0;

@@ -349,7 +349,6 @@ class PeriodicTask {
   void Start();
   void Stop();
   bool running() const { return running_; }
-  void set_period(TimeNs period) { period_ = period; }
 
  private:
   void Fire();

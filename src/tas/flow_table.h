@@ -172,9 +172,6 @@ class FlowSlab {
     return slot < slot_count_ && ChunkOf(slot).Live(slot % kChunkSlots);
   }
   Flow& SlotFlow(uint32_t slot) { return ChunkOf(slot).flows[slot % kChunkSlots]; }
-  FlowId SlotId(uint32_t slot) const {
-    return MakeFlowId(slot, ChunkOf(slot).generation[slot % kChunkSlots]);
-  }
 
   size_t live() const { return live_; }
   size_t capacity_slots() const { return chunks_.size() * kChunkSlots; }

@@ -38,31 +38,6 @@ uint32_t TsNow(Simulator* sim) { return static_cast<uint32_t>(sim->Now() / kNsPe
 
 }  // namespace
 
-const char* TcpStateName(TcpConnection::State state) {
-  switch (state) {
-    case TcpConnection::State::kClosed:
-      return "CLOSED";
-    case TcpConnection::State::kSynSent:
-      return "SYN_SENT";
-    case TcpConnection::State::kSynRcvd:
-      return "SYN_RCVD";
-    case TcpConnection::State::kEstablished:
-      return "ESTABLISHED";
-    case TcpConnection::State::kFinWait1:
-      return "FIN_WAIT_1";
-    case TcpConnection::State::kFinWait2:
-      return "FIN_WAIT_2";
-    case TcpConnection::State::kCloseWait:
-      return "CLOSE_WAIT";
-    case TcpConnection::State::kClosing:
-      return "CLOSING";
-    case TcpConnection::State::kLastAck:
-      return "LAST_ACK";
-    case TcpConnection::State::kTimeWait:
-      return "TIME_WAIT";
-  }
-  return "?";
-}
 
 TcpConnection::TcpConnection(Simulator* sim, TcpEngineHost* host, const TcpConfig& config,
                              IpAddr local_ip, uint16_t local_port, IpAddr remote_ip,

@@ -105,12 +105,10 @@ class TcpConnection {
   IpAddr remote_ip() const { return remote_ip_; }
   uint16_t remote_port() const { return remote_port_; }
   const RttEstimator& rtt() const { return rtt_; }
-  uint64_t bytes_sent() const { return snd_nxt_data_; }
   uint64_t bytes_acked() const { return snd_una_data_; }
   uint64_t bytes_received() const { return rcv_nxt_data_; }
   uint32_t fast_retransmits() const { return fast_retransmits_; }
   uint32_t timeout_retransmits() const { return timeout_retransmits_; }
-  WindowCc* congestion_control() { return cc_.get(); }
 
   // Application-defined tag (mirrors TAS's `opaque`).
   uint64_t opaque = 0;
@@ -203,8 +201,6 @@ class TcpConnection {
   uint64_t sendspace_pending_ = 0;  // Freed bytes awaiting app notification.
   bool destroying_ = false;
 };
-
-const char* TcpStateName(TcpConnection::State state);
 
 }  // namespace tas
 

@@ -3,11 +3,11 @@
 // A production TCP service needs a black box: when a p99 SLO burns or
 // retransmits spike, operators must get the evidence *window* without
 // re-running with full tracing on. The FlightRecorder continuously retains
-// the last W ms of four record streams — flow events, latency-anatomy
-// completions, causal-trace completions, and the watchdog's per-check SLO
-// measurements — in one RecordRing (record_ring.h) per stream:
-// fixed-capacity rings of POD records, overwrite-oldest, per-stream drop
-// counters, no storage until a stream's first record. Every tap is a plain
+// the last W ms of three record streams — flow events, latency-anatomy
+// completions, and the watchdog's per-check SLO measurements — in one
+// RecordRing (record_ring.h) per stream: fixed-capacity rings of POD
+// records, overwrite-oldest, per-stream drop counters, no storage until a
+// stream's first record. Every tap is a plain
 // array write; the armed-but-untriggered cost is a null/flag check per site
 // plus that write, and nothing on the simulation side changes (no CPU
 // charges, no RNG draws, no packets) — armed runs are timing-passive.
@@ -74,7 +74,7 @@ struct WatchdogConfig {
   // Evidence window: a trigger captures [breach - recorder_window, breach].
   TimeNs recorder_window = Ms(50);
   // Ring capacities of the flow and latency streams (rounded up to a power
-  // of two); the causal and SLO rings are FlightRecorder constants.
+  // of two); the SLO ring's is a FlightRecorder constant.
   size_t flow_ring_capacity = 1u << 14;
   size_t latency_ring_capacity = 1u << 14;
   // Empty = DefaultSlos() (conservative thresholds that never fire on a

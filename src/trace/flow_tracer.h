@@ -76,7 +76,6 @@ class FlowTracer {
   bool global() const { return global_; }
   // Per-flow opt-in (effective when the global switch is off).
   void EnableFlow(uint64_t flow) { per_flow_.insert(flow); }
-  void DisableFlow(uint64_t flow) { per_flow_.erase(flow); }
 
   // Forward every event to `recorder` (flight_recorder.h; null detaches) in
   // addition to (and independent of) this tracer's own ring. The recorder

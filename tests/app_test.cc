@@ -60,6 +60,7 @@ class CloseSpy : public AppHandler {
 class EchoOnStackTest : public ::testing::TestWithParam<StackKind> {};
 
 TEST_P(EchoOnStackTest, ClosedLoopEchoCompletes) {
+  constexpr size_t kConnections = 8;
   HostSpec server_spec;
   server_spec.stack = GetParam();
   server_spec.app_cores = 2;
@@ -76,7 +77,7 @@ TEST_P(EchoOnStackTest, ClosedLoopEchoCompletes) {
 
   EchoClientConfig cc;
   cc.server_ip = exp->host(0).ip();
-  cc.num_connections = 8;
+  cc.num_connections = kConnections;
   EchoClient client(&exp->sim(), exp->host(1).stack(), cc);
   client.Start();
 
@@ -84,14 +85,68 @@ TEST_P(EchoOnStackTest, ClosedLoopEchoCompletes) {
   client.BeginMeasurement();
   exp->sim().RunUntil(Ms(100));
   EXPECT_GT(client.Throughput(), 1000.0) << "echo loop stalled";
-  EXPECT_EQ(server.requests_served(), server.requests_served());
   EXPECT_GT(client.latency().Median(), 0.0);
+  // The app-event loop's invariant: a core gathers its next batch only once
+  // the previous dispatch has run, so its booked work stays within one
+  // batch. At depth 1 a batch holds at most one request per connection, and
+  // no stack spends kMaxRequestCycles (above Table 1's Linux total) on one.
+  constexpr uint64_t kMaxRequestCycles = 25000;
+  for (size_t i = 0; i < exp->host(0).num_app_cores(); ++i) {
+    const Core* core = exp->host(0).app_core(i);
+    EXPECT_LE(core->max_ahead_ns(), core->CyclesToTime(kConnections * kMaxRequestCycles))
+        << "app core " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStacks, EchoOnStackTest,
                          ::testing::Values(StackKind::kTas, StackKind::kTasLowLevel,
                                            StackKind::kLinux, StackKind::kIx,
                                            StackKind::kMtcp));
+
+// Fig 6's RX 32 B point at 1000 cycles on a smaller rig: a one-app-core
+// mTCP server behind ideal clients serves no more messages than its core's
+// cycles allow (each costs 1000 app cycles x mTCP's app-interference factor).
+TEST(EchoTest, PipelinedRxOnMtcpStaysUnderTheAppCoreCap) {
+  constexpr uint64_t kAppCycles = 1000;
+  constexpr TimeNs kWarmup = Ms(10);
+  constexpr TimeNs kWindow = Ms(10);
+  HostSpec server_spec;
+  server_spec.stack = StackKind::kMtcp;
+  server_spec.app_cores = 1;
+  server_spec.stack_cores = 1;
+  HostSpec client_spec;
+  client_spec.stack = StackKind::kIx;
+  client_spec.app_cores = 4;
+  client_spec.engine_overridden = true;
+  client_spec.engine = IxStackConfig();
+  client_spec.engine.costs = &MinimalCostModel();
+  auto exp = Experiment::PointToPoint(server_spec, client_spec, FastLink());
+
+  EchoServerConfig sc;
+  sc.request_bytes = 32;
+  sc.app_cycles = kAppCycles;
+  sc.mode = EchoServerConfig::Mode::kRxOnly;
+  EchoServer server(&exp->sim(), exp->host(0).stack(), sc);
+  server.Start();
+  EchoClientConfig cc;
+  cc.server_ip = exp->host(0).ip();
+  cc.num_connections = 32;
+  cc.request_bytes = 32;
+  cc.pipeline_depth = 16;
+  cc.mode = EchoServerConfig::Mode::kRxOnly;
+  EchoClient client(&exp->sim(), exp->host(1).stack(), cc);
+  client.Start();
+
+  exp->sim().RunUntil(kWarmup);
+  const uint64_t served_before = server.requests_served();
+  exp->sim().RunUntil(kWarmup + kWindow);
+  const uint64_t served = server.requests_served() - served_before;
+  const double cap = kCoreGhz * 1e9 /
+                     (static_cast<double>(kAppCycles) * MtcpCostModel().app_interference_factor) *
+                     ToSec(kWindow);
+  EXPECT_GT(served, 0u);
+  EXPECT_LE(static_cast<double>(served), cap);
+}
 
 TEST(EchoTest, ShortLivedConnectionsReconnect) {
   HostSpec spec;

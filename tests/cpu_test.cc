@@ -43,11 +43,9 @@ TEST(CoreTest, ModuleAccounting) {
   core.Charge(CpuModule::kDriver, 100);
   core.Charge(CpuModule::kTcp, 200);
   core.Charge(CpuModule::kTcp, 300);
-  core.Account(CpuModule::kSockets, 50);
   EXPECT_EQ(core.cycles(CpuModule::kDriver), 100u);
   EXPECT_EQ(core.cycles(CpuModule::kTcp), 500u);
-  EXPECT_EQ(core.cycles(CpuModule::kSockets), 50u);
-  EXPECT_EQ(core.total_cycles(), 650u);
+  EXPECT_EQ(core.total_cycles(), 600u);
 }
 
 TEST(CoreTest, UtilizationWindow) {
