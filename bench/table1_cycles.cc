@@ -1,8 +1,13 @@
 // Table 1 + Table 2 companion: CPU cycles per request by network stack
 // module, measured from the simulation's cycle accounting while a KV-style
 // RPC echo workload saturates the server (paper §2.2: 8 server cores, 32K
-// connections, small requests).
+// connections, small requests). Prints one BENCH_JSON record
+// (bench/bench_record.h) holding each stack's kilocycles per module and in
+// total.
+#include <sstream>
+
 #include "bench/bench_common.h"
+#include "bench/bench_record.h"
 
 namespace tas {
 namespace bench {
@@ -77,10 +82,22 @@ Breakdown MeasureBreakdown(StackKind kind) {
   return result;
 }
 
+// One stack's row of the record: {"driver":kc,...,"app":kc,"total":kc}.
+std::string KilocyclesJson(const Breakdown& b) {
+  std::ostringstream os;
+  const char* const keys[kNumCpuModules] = {"driver", "ip", "tcp", "sockets", "other", "app"};
+  for (int m = 0; m < kNumCpuModules; ++m) {
+    os << (m == 0 ? "{" : ",") << "\"" << keys[m] << "\":" << b.per_module[m] / 1000;
+  }
+  os << ",\"total\":" << b.total / 1000 << "}";
+  return os.str();
+}
+
 void Run() {
   PrintHeader("Table 1: CPU cycles per request by network stack module",
               "TAS paper Table 1 (kilocycles and % of total)");
   const StackKind kinds[] = {StackKind::kLinux, StackKind::kIx, StackKind::kTas};
+  const char* const names[] = {"linux", "ix", "tas"};
   Breakdown results[3];
   for (int i = 0; i < 3; ++i) {
     results[i] = MeasureBreakdown(kinds[i]);
@@ -101,6 +118,11 @@ void Run() {
                "100");
   table.Print();
   std::cout << "\nPaper totals: Linux 16.75 kc, IX 2.73 kc, TAS 2.57 kc per request.\n";
+  BenchRecord record("table1_cycles");
+  for (int i = 0; i < 3; ++i) {
+    record.DetJson(names[i], KilocyclesJson(results[i]));
+  }
+  record.Print();
 }
 
 }  // namespace

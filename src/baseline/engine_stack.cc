@@ -53,8 +53,9 @@ EngineStack::EngineStack(Simulator* sim, HostPort* port, std::vector<Core*> app_
     }
     app_loops_.push_back(std::make_unique<AppEventLoop<PendingEvent>>(
         sim_, app_cores_[c], &app_events_[c], loop,
-        [this](const PendingEvent& e) { return e.cheap() ? uint64_t{60} : config_.costs->rx_api; },
-        [this](const std::vector<PendingEvent>& batch) { DispatchBatch(batch); }, std::move(idle)));
+        [this](const PendingEvent& e) { return e.cheap() ? kEventReadCycles : config_.costs->rx_api; },
+        nullptr, [this](const std::vector<PendingEvent>& batch) { DispatchBatch(batch); },
+        std::move(idle)));
   }
 }
 

@@ -17,15 +17,22 @@ TasStack::TasStack(TasService* service, std::vector<Core*> app_cores,
     contexts_.push_back(std::move(ctx));
   }
   // Each event is one poll iteration on the app thread (epoll/recv in
-  // sockets mode, a direct queue read in low-level mode): data events pay the
-  // receive API, bookkeeping events (tx-done, conn control) a queue read.
+  // sockets mode, a direct queue read in low-level mode): an entry bringing
+  // received bytes pays the receive API, whatever else it carries; one that
+  // only frees send space, and connection control, pay a queue read. A data
+  // entry carrying both counts is two notifications of the poll's batch.
   const AppEventLoopConfig loop{
       static_cast<size_t>(std::max(1, service_->config().app_event_batch))};
   for (size_t i = 0; i < contexts_.size(); ++i) {
     Context& ctx = contexts_[i];
     ctx.loop = std::make_unique<AppEventLoop<AppEvent>>(
         service_->sim(), ctx.core, &ctx.queues->rx(), loop,
-        [this](const AppEvent& e) { return e.type == AppEventType::kRxData ? costs_->rx_api : 60; },
+        [this](const AppEvent& e) {
+          return e.type == AppEventType::kData && e.bytes > 0 ? costs_->rx_api : kEventReadCycles;
+        },
+        [](const AppEvent& e) -> size_t {
+          return e.type == AppEventType::kData && e.bytes > 0 && e.acked > 0 ? 2 : 1;
+        },
         [this, i](const std::vector<AppEvent>& batch) { DispatchBatch(i, batch); });
     ctx.queues->set_app_notify([loop = ctx.loop.get()] { loop->Wake(); });
   }
@@ -261,17 +268,18 @@ void TasStack::FlushDeferred(size_t context_index) {
 
 void TasStack::DispatchEvent(size_t /*context_index*/, const AppEvent& event) {
   switch (event.type) {
-    case AppEventType::kRxData: {
+    case AppEventType::kData: {
       Conn* c = GetConn(event.opaque);
-      if (c != nullptr && handler_ != nullptr) {
+      if (c == nullptr || handler_ == nullptr) {
+        return;
+      }
+      if (event.bytes > 0) {
         c->deliverable += event.bytes;
         handler_->OnData(event.opaque, event.bytes);
+        c = GetConn(event.opaque);  // The handler may have moved or closed it.
       }
-      return;
-    }
-    case AppEventType::kTxDone: {
-      if (GetConn(event.opaque) != nullptr && handler_ != nullptr) {
-        handler_->OnSendSpace(event.opaque, event.bytes);
+      if (event.acked > 0 && c != nullptr && !c->tx_closed) {
+        handler_->OnSendSpace(event.opaque, event.acked);
       }
       return;
     }

@@ -50,7 +50,7 @@ class TasStack : public Stack {
   struct Conn {
     FlowId flow = kInvalidFlow;
     size_t context = 0;       // Index into contexts_ == app core index.
-    size_t deliverable = 0;   // Bytes announced via kRxData, not yet Recv'd.
+    size_t deliverable = 0;   // Bytes announced via kData, not yet Recv'd.
     // Half-close is per direction: tx_closed when the app called Close()
     // (no more Sends), rx_closed when the peer's FIN arrived (no more data).
     // The entry lives until the terminal kConnClosed event.

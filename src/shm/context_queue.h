@@ -2,7 +2,7 @@
 // slow path (paper §3, Figures 1-3).
 //
 // A context is the unit an application thread polls: it owns one RX queue
-// (fast path -> app: payload-arrival, tx-done, and connection notifications)
+// (fast path -> app: one data entry per segment, and connection notifications)
 // and one TX queue (app -> fast path: send commands). Connection control
 // commands travel on a separate slow-path queue pair. Both queues are bounded
 // Fifos (src/util/fifo.h): the logical capacity is fixed at construction and
@@ -22,11 +22,12 @@ namespace tas {
 
 // Fast path -> application notifications (the "context RX queue").
 enum class AppEventType : uint8_t {
-  // `bytes` of new in-order payload are available in the flow's RX buffer.
-  kRxData,
-  // `bytes` of previously sent payload were acknowledged; TX buffer space
-  // was reclaimed (paper: "transmit payload buffer space reclamation").
-  kTxDone,
+  // The data path's one entry per segment (TAS's connection update): `bytes`
+  // of new in-order payload are available in the flow's RX buffer and
+  // `acked` bytes of previously sent payload were acknowledged, so their TX
+  // buffer space was reclaimed (paper: "transmit payload buffer space
+  // reclamation"). Either count may be zero, not both.
+  kData,
   // Outgoing connection is established (slow path completed the handshake).
   kConnOpened,
   // Outgoing connection attempt failed.
@@ -42,12 +43,17 @@ enum class AppEventType : uint8_t {
 };
 
 struct AppEvent {
-  AppEventType type = AppEventType::kRxData;
+  AppEventType type = AppEventType::kData;
   // Application-defined flow identifier (the `opaque` field of Table 3);
   // for kAcceptable it carries the listener's opaque value.
   uint64_t opaque = 0;
+  // kData: received bytes. kAcceptable, kConnOpened, kConnOpenFailed: the
+  // flow id.
   uint32_t bytes = 0;
+  // kData: acknowledged send bytes.
+  uint32_t acked = 0;
 };
+static_assert(sizeof(AppEvent) == 24, "the ack count rides in the entry's padding");
 
 // Application -> fast path commands (the "context TX queue").
 enum class TxCommandType : uint8_t {

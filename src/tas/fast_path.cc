@@ -216,14 +216,17 @@ void FastPathCore::FastPathRx(FlowId flow_id, Flow& flow, const Packet& pkt) {
     flow.ts_echo = pkt.tcp.ts_val;
   }
   const bool had_payload = !pkt.payload.empty();
-  if (had_payload) {
-    HandlePayload(flow_id, flow, pkt);
+  const uint32_t received = had_payload ? HandlePayload(flow_id, flow, pkt) : 0;
+  const uint32_t acked = pkt.tcp.ack_flag() ? HandleAck(flow_id, flow, pkt) : 0;
+  if (received > 0 || acked > 0) {
+    // One context-queue entry per segment carries both counts (TAS's
+    // connection update), so the app reads it once.
+    service_->context(flow.fs.context)
+        ->PushEvent(AppEvent{AppEventType::kData, flow.fs.opaque, received, acked});
   }
-  if (pkt.tcp.ack_flag()) {
-    HandleAck(flow_id, flow, pkt);
-    if (flow.cstate == ConnState::kFinWait1 && pkt.tcp.ack == flow.AckSeq()) {
-      service_->slow_path()->FinAcked(flow_id, flow);  // Data acking our FIN.
-    }
+  if (pkt.tcp.ack_flag() && flow.cstate == ConnState::kFinWait1 &&
+      pkt.tcp.ack == flow.AckSeq()) {
+    service_->slow_path()->FinAcked(flow_id, flow);  // Data acking our FIN.
   }
   if (had_payload) {
     // Fast path ACKs every received data packet (paper §3.1: important for
@@ -265,8 +268,6 @@ uint32_t FastPathCore::HandlePayload(FlowId flow_id, Flow& flow, const Packet& p
     }
     const uint32_t advanced = fs.ack - old_ack;
     trace.Record(now, flow_id, FlowEventType::kDataRx, seq, len, advanced);
-    service_->context(fs.context)->PushEvent(
-        AppEvent{AppEventType::kRxData, fs.opaque, advanced});
     return advanced;
   }
 
@@ -316,7 +317,7 @@ uint32_t FastPathCore::HandlePayload(FlowId flow_id, Flow& flow, const Packet& p
   return 0;
 }
 
-void FastPathCore::HandleAck(FlowId flow_id, Flow& flow, const Packet& pkt) {
+uint32_t FastPathCore::HandleAck(FlowId flow_id, Flow& flow, const Packet& pkt) {
   FlowState& fs = flow.fs;
   FlowTracer& trace = service_->flow_trace();
   const TimeNs now = service_->sim()->Now();
@@ -347,13 +348,11 @@ void FastPathCore::HandleAck(FlowId flow_id, Flow& flow, const Packet& pkt) {
     }
     trace.Record(now, flow_id, FlowEventType::kAckRx, pkt.tcp.ack, acked,
                  pkt.tcp.ece() ? 1 : 0);
-    service_->context(fs.context)->PushEvent(
-        AppEvent{AppEventType::kTxDone, fs.opaque, acked});
     service_->MarkFlowDirty(flow_id);
     if (flow.TxAvailable() > 0) {
       service_->ScheduleFlowTx(flow_id, flow.next_tx_time);
     }
-    return;
+    return acked;
   }
 
   if (acked == 0 && (fs.tx_sent > 0) && pkt.payload.empty()) {
@@ -377,6 +376,7 @@ void FastPathCore::HandleAck(FlowId flow_id, Flow& flow, const Packet& pkt) {
     // A window update: the sender may have stopped on the closed window.
     service_->ScheduleFlowTx(flow_id, flow.next_tx_time);
   }
+  return 0;
 }
 
 void FastPathCore::SendAck(FlowId flow_id, Flow& flow, bool ecn_echo, TimeNs enqueued_at) {

@@ -95,8 +95,12 @@ class FastPathCore {
   void EmitPacket(PacketPtr pkt);
 
   // Receive-side helpers.
+  // Posts one kData entry per segment that delivered bytes or freed send
+  // space, after the ACK and before a FIN_WAIT_1 flow's FIN is acked.
   void FastPathRx(FlowId flow_id, Flow& flow, const Packet& pkt);
-  void HandleAck(FlowId flow_id, Flow& flow, const Packet& pkt);
+  // HandleAck returns the send bytes the segment newly acknowledged,
+  // HandlePayload the bytes it delivered in order to the RX buffer.
+  uint32_t HandleAck(FlowId flow_id, Flow& flow, const Packet& pkt);
   uint32_t HandlePayload(FlowId flow_id, Flow& flow, const Packet& pkt);
   void SendAck(FlowId flow_id, Flow& flow, bool ecn_echo, TimeNs enqueued_at = kNoEnqueue);
   PacketPtr BuildDataPacket(Flow& flow, uint32_t wire_seq, uint32_t len);

@@ -350,7 +350,7 @@ void SlowPath::HandleFin(FlowId flow_id, Flow& flow, const Packet& pkt) {
       flow.fs.ack += len;
       flow.fs.rx_head += len;
       service_->context(flow.fs.context)
-          ->PushEvent(AppEvent{AppEventType::kRxData, flow.fs.opaque, len});
+          ->PushEvent(AppEvent{AppEventType::kData, flow.fs.opaque, len, 0});
     }
     fin_seq += len;
   }

@@ -27,7 +27,7 @@ namespace {
 const char* const kBaselines[] = {
     "perf_smoke.json",         "perf_smoke_latency.json", "proxy_cycles.json",
     "million_flow_churn.json", "watchdog_chaos.json",     "fig5_shortlived.json",
-    "fig14_proportionality.json",
+    "fig14_proportionality.json", "table1_cycles.json",
 };
 
 std::string BaselinePath(const std::string& name) {
@@ -89,6 +89,8 @@ TEST(BenchRecordGateTest, MillionFlowChurn) { GateBench("million_flow_churn.json
 
 TEST(BenchRecordGateTest, Fig5ShortLived) { GateBench("fig5_shortlived.json", "", ""); }
 
+TEST(BenchRecordGateTest, Table1Cycles) { GateBench("table1_cycles.json", "", ""); }
+
 TEST(BenchRecordGateTest, WatchdogChaos) {
   const std::string prefix = ::testing::TempDir() + "bench_gate_test.watchdog";
   GateBench("watchdog_chaos.json", "", "'" + prefix + "'");
@@ -119,6 +121,27 @@ TEST(BenchRecordGateTest, Fig5RecordHoldsThePapersCrossover) {
   EXPECT_LT(tas_over_linux[2], 1.0);
   EXPECT_GE(tas_over_linux[4], 1.0);
   EXPECT_GE(tas_over_linux[16], 1.0);
+}
+
+// The paper's Table 1 claim on the gated record (which Table1Cycles holds
+// the bench to): per request, TAS spends fewer cycles than IX, and IX far
+// fewer than Linux.
+TEST(BenchRecordGateTest, Table1RecordOrdersTheStacks) {
+  JsonNode record;
+  std::string error;
+  ASSERT_TRUE(ReadBenchRecord(ReadText(BaselinePath("table1_cycles.json")), &record, &error))
+      << error;
+  const JsonNode* det = record.Find("det");
+  std::map<std::string, double> total;
+  for (const char* stack : {"linux", "ix", "tas"}) {
+    const JsonNode* row = det->Find(stack);
+    ASSERT_NE(row, nullptr) << stack;
+    const JsonNode* kc = row->Find("total");
+    ASSERT_NE(kc, nullptr) << stack;
+    total[stack] = std::stod(kc->text);
+  }
+  EXPECT_LT(total["tas"], total["ix"]);
+  EXPECT_LT(total["ix"] * 4, total["linux"]);
 }
 
 // The Fig 14 record (which CI's Release job holds the bench to): every
@@ -201,6 +224,7 @@ TEST(BenchGateTest, OneDetLeafMovedByOneStepFailsAndIsNamed) {
       {"million_flow_churn.json", "\"det\":{", "events_per_packet", "det.events_per_packet"},
       {"watchdog_chaos.json", "\"det\":{", "timeout_retransmits", "det.timeout_retransmits"},
       {"fig5_shortlived.json", "\"det\":{", "tas_mops", "det.points[0].tas_mops"},
+      {"table1_cycles.json", "\"tas\":{", "sockets", "det.tas.sockets"},
   };
   for (const Case& c : cases) {
     const std::string base = ReadText(BaselinePath(c.baseline));

@@ -1,6 +1,10 @@
 // Tests for the simulated CPU cores and the calibrated cost models.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "src/cpu/app_event_loop.h"
 #include "src/cpu/core.h"
 #include "src/cpu/cost_model.h"
 
@@ -86,6 +90,58 @@ TEST(CoreTest, MaxAheadIsTheHighWaterOfBookedWork) {
   });
   sim.Run();
   EXPECT_EQ(core.max_ahead_ns(), 310);
+}
+
+// Runs an AppEventLoop (batch 16, 10 cycles per event) over `events`, each
+// worth its own value in notifications (or one each with `units_fn` null, as
+// EngineStack configures it), and returns the sizes of the batches it
+// dispatched.
+std::vector<size_t> DispatchedBatches(const std::vector<size_t>& events,
+                                      AppEventLoop<size_t>::UnitsFn units_fn) {
+  Simulator sim;
+  Core core(&sim, 0, 1.0);
+  Fifo<size_t> source(64);
+  std::vector<size_t> batches;
+  AppEventLoop<size_t> loop(
+      &sim, &core, &source, AppEventLoopConfig{16}, [](size_t) { return uint64_t{10}; },
+      std::move(units_fn),
+      [&batches](const std::vector<size_t>& batch) { batches.push_back(batch.size()); });
+  for (const size_t e : events) {
+    source.push_back(e);
+  }
+  loop.Wake();
+  sim.Run();
+  return batches;
+}
+
+// The batch limit counts notifications, not queue entries: 16 entries of two
+// notifications each (libTAS's data entries carrying received bytes and
+// freed send space) make two batches of 8, the same poll granularity as the
+// 32 one-notification entries they replace.
+TEST(AppEventLoopTest, BatchLimitCountsNotifications) {
+  const auto units = [](size_t e) { return e; };
+  EXPECT_EQ(DispatchedBatches(std::vector<size_t>(16, 2), units),
+            (std::vector<size_t>{8, 8}));
+  EXPECT_EQ(DispatchedBatches(std::vector<size_t>(32, 1), units),
+            (std::vector<size_t>{16, 16}));
+}
+
+// The last-entry rule: an entry that would take the batch past the limit
+// waits for the next batch, so no batch exceeds 16 notifications; a batch's
+// first entry always goes.
+TEST(AppEventLoopTest, EntryThatWouldOverflowTheBatchWaits) {
+  const auto units = [](size_t e) { return e; };
+  std::vector<size_t> events(15, 1);
+  events.push_back(2);
+  events.push_back(1);
+  EXPECT_EQ(DispatchedBatches(events, units), (std::vector<size_t>{15, 2}));
+  EXPECT_EQ(DispatchedBatches({20, 1}, units), (std::vector<size_t>{1, 1}));
+}
+
+// Without a units function (EngineStack) every event is one notification.
+TEST(AppEventLoopTest, NullUnitsCountsOnePerEvent) {
+  EXPECT_EQ(DispatchedBatches(std::vector<size_t>(16, 2), nullptr),
+            (std::vector<size_t>{16}));
 }
 
 TEST(CostModelTest, Table1TotalsMatchPaperBallpark) {

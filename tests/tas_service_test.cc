@@ -126,12 +126,12 @@ TEST(ContextQueueTest, NotifyOnlyOnEmptyToNonEmpty) {
   AppContext ctx(16);
   int notifications = 0;
   ctx.set_app_notify([&] { ++notifications; });
-  ctx.PushEvent(AppEvent{AppEventType::kRxData, 1, 10});
-  ctx.PushEvent(AppEvent{AppEventType::kRxData, 1, 10});
+  ctx.PushEvent(AppEvent{AppEventType::kData, 1, 10});
+  ctx.PushEvent(AppEvent{AppEventType::kData, 1, 10});
   EXPECT_EQ(notifications, 1);
   ctx.rx().pop_front();
   ctx.rx().pop_front();
-  ctx.PushEvent(AppEvent{AppEventType::kRxData, 1, 10});
+  ctx.PushEvent(AppEvent{AppEventType::kData, 1, 10});
   EXPECT_EQ(notifications, 2);
 }
 
@@ -152,7 +152,7 @@ TEST(ContextQueueTest, FullQueueCountsDrops) {
 TEST(ContextQueueTest, DefaultContextHolds8191Events) {
   AppContext ctx;
   for (uint32_t i = 0; i < 8191; ++i) {
-    ASSERT_TRUE(ctx.PushEvent(AppEvent{AppEventType::kRxData, 1, i}));
+    ASSERT_TRUE(ctx.PushEvent(AppEvent{AppEventType::kData, 1, i}));
   }
   EXPECT_EQ(ctx.dropped_events(), 0u);
   EXPECT_FALSE(ctx.PushEvent(AppEvent{}));

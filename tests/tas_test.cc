@@ -3,6 +3,10 @@
 // the Linux baseline stack (paper Table 4), and workload proportionality.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "src/harness/experiment.h"
 #include "src/tas/slow_path.h"
 
@@ -432,6 +436,119 @@ TEST(TasOooTest, SingleIntervalRule) {
   EXPECT_EQ(uint32_t{flow->fs.ooo_len}, 0u);
   ASSERT_EQ(server.per_conn_.size(), 1u);
   ExpectPattern(server.per_conn_.begin()->second, 500);
+}
+
+// The fast path's context-queue entries (paper §3.1), driven by crafted
+// segments from a Linux peer: the TAS server holds 300 sent bytes that the
+// peer has not acknowledged, and the link is down, so only the crafted
+// segments reach it.
+class DataEntryTest : public ::testing::Test, public AppHandler {
+ protected:
+  void SetUp() override {
+    HostSpec tas_spec;
+    tas_spec.stack = StackKind::kTas;
+    HostSpec peer_spec;
+    peer_spec.stack = StackKind::kLinux;
+    exp_ = Experiment::PointToPoint(tas_spec, peer_spec, TestLink());
+    stack_ = exp_->host(0).stack();
+    stack_->SetHandler(this);
+    stack_->Listen(7000);
+    exp_->host(1).stack()->SetHandler(&peer_log_);
+    const ConnId peer_conn = exp_->host(1).stack()->Connect(exp_->host(0).ip(), 7000);
+    exp_->sim().RunUntil(Ms(1));
+    ASSERT_EQ(peer_log_.connected.size(), 1u);
+    ASSERT_NE(conn_, kInvalidConn);
+    peer_ip_ = exp_->host(1).ip();
+    peer_port_ = exp_->host(1).engine()->connection(peer_conn)->local_port();
+    tas_ = exp_->host(0).tas();
+    flow_ = tas_->LookupFlow(FlowKey{7000, peer_ip_, peer_port_});
+    ASSERT_NE(flow_, nullptr);
+
+    exp_->host_link(0)->SetDown(true);
+    const std::vector<uint8_t> data(300, 7);
+    ASSERT_EQ(stack_->Send(conn_, data.data(), data.size()), data.size());
+    exp_->sim().RunUntil(exp_->sim().Now() + Us(50));
+    ASSERT_EQ(flow_->TxQueued(), 300u);
+  }
+
+  // The peer's next segment: `payload` in-order bytes, and an ACK for
+  // `acked` more of the server's bytes unless `with_ack` is false.
+  void Inject(uint32_t payload, uint32_t acked, bool with_ack = true) {
+    const uint32_t seq = flow_->fs.ack;
+    const uint32_t ack = flow_->fs.tx_tail + acked;
+    PacketPtr pkt = MakeTcpPacket(exp_->packet_pool(), peer_ip_, peer_port_, tas_->local_ip(),
+                                  7000, seq, with_ack ? ack : 0,
+                                  with_ack ? TcpFlags::kAck : uint8_t{0},
+                                  std::vector<uint8_t>(payload, 1));
+    pkt->tcp.window = 0xFFFF;
+    tas_->nic()->Receive(std::move(pkt));
+    exp_->sim().RunUntil(exp_->sim().Now() + Us(50));
+  }
+
+  // Holds the server context's entries in its queue: the app is not woken.
+  Fifo<AppEvent>& HoldEntries() {
+    AppContext* context = tas_->context(flow_->fs.context);
+    context->set_app_notify(nullptr);
+    return context->rx();
+  }
+
+  void OnAccepted(ConnId conn, uint16_t) override { conn_ = conn; }
+  void OnData(ConnId conn, size_t bytes) override {
+    calls_.push_back("data " + std::to_string(bytes));
+    std::vector<uint8_t> buf(bytes);
+    stack_->Recv(conn, buf.data(), bytes);
+    if (close_in_on_data_) {
+      stack_->Close(conn);
+    }
+  }
+  void OnSendSpace(ConnId, size_t bytes) override {
+    calls_.push_back("space " + std::to_string(bytes));
+  }
+
+  std::unique_ptr<Experiment> exp_;
+  Stack* stack_ = nullptr;
+  ConnLog peer_log_;
+  ConnId conn_ = kInvalidConn;
+  IpAddr peer_ip_ = 0;
+  uint16_t peer_port_ = 0;
+  TasService* tas_ = nullptr;
+  Flow* flow_ = nullptr;
+  bool close_in_on_data_ = false;
+  std::vector<std::string> calls_;
+};
+
+TEST_F(DataEntryTest, OneEntryPerSegmentCarriesBothCounts) {
+  Fifo<AppEvent>& entries = HoldEntries();
+  ASSERT_TRUE(entries.empty());
+  Inject(100, 40);                 // Payload and an ACK.
+  Inject(60, 0);                   // Payload, the ACK restates the old one.
+  Inject(50, 0, /*with_ack=*/false);  // Payload without the ACK flag.
+  Inject(0, 70);                   // A pure ACK.
+  ASSERT_EQ(entries.size(), 4u);
+  const uint32_t expected[4][2] = {{100, 40}, {60, 0}, {50, 0}, {0, 70}};
+  for (const auto& [bytes, acked] : expected) {
+    const AppEvent e = entries.front();
+    entries.pop_front();
+    EXPECT_EQ(e.type, AppEventType::kData);
+    EXPECT_EQ(e.opaque, conn_);
+    EXPECT_EQ(e.bytes, bytes);
+    EXPECT_EQ(e.acked, acked);
+  }
+}
+
+TEST_F(DataEntryTest, AppSeesDataBeforeSendSpace) {
+  Inject(100, 40);
+  Inject(0, 70);
+  EXPECT_EQ(calls_, (std::vector<std::string>{"data 100", "space 40", "space 70"}));
+}
+
+// An app that closes its sending side while handling the data learns of no
+// send space, from this entry or a later one.
+TEST_F(DataEntryTest, CloseInOnDataWithholdsSendSpace) {
+  close_in_on_data_ = true;
+  Inject(100, 40);
+  Inject(0, 70);
+  EXPECT_EQ(calls_, (std::vector<std::string>{"data 100"}));
 }
 
 }  // namespace
