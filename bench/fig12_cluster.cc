@@ -8,7 +8,14 @@
 // switch, 20 switches); TAS_SCALE=full runs k=8 (512 hosts, 80 switches).
 // Shape to reproduce: TAS's FCT distribution tracks DCTCP's closely in both
 // flow classes.
+//
+// Emits one BENCH_JSON record (bench/bench_record.h) whose det holds TAS's
+// and DCTCP's p50 and p99 FCT per flow class and TAS/DCTCP at each; CI and
+// bench_gate_test gate it against bench/baselines/fig12_cluster.json.
+#include <sstream>
+
 #include "bench/bench_common.h"
+#include "bench/bench_record.h"
 #include "src/harness/flowgen.h"
 
 namespace tas {
@@ -113,6 +120,17 @@ ClusterResult RunCluster(StackKind kind, CcAlgorithm algorithm) {
   return result;
 }
 
+// One flow class of the record: TAS's and DCTCP's p50 and p99 FCT [ms] and
+// TAS/DCTCP at each (percentile vectors hold {p50, p90, p99}).
+std::string FlowClassJson(const std::vector<double>& tas, const std::vector<double>& dctcp) {
+  std::ostringstream os;
+  os << "{\"tas_p50_ms\":" << tas[0] << ",\"tas_p99_ms\":" << tas[2]
+     << ",\"dctcp_p50_ms\":" << dctcp[0] << ",\"dctcp_p99_ms\":" << dctcp[2]
+     << ",\"tas_over_dctcp_p50\":" << tas[0] / dctcp[0]
+     << ",\"tas_over_dctcp_p99\":" << tas[2] / dctcp[2] << "}";
+  return os.str();
+}
+
 void Run() {
   PrintHeader("Fig 12: FatTree cluster — FCT distribution, short and long flows",
               "TAS paper Figure 12 (3-level FatTree, 1:4 oversubscription, ~30% load)");
@@ -137,6 +155,11 @@ void Run() {
   long_table.Print();
   std::cout << "\nPaper: TAS's FCT distributions are close to DCTCP's for both short and\n"
                "long flows; 100us is ample time for per-flow rate updates.\n";
+
+  BenchRecord record("fig12_cluster");
+  record.DetJson("short", FlowClassJson(tas.short_pcts, dctcp.short_pcts));
+  record.DetJson("long", FlowClassJson(tas.long_pcts, dctcp.long_pcts));
+  record.Print();
 }
 
 }  // namespace

@@ -15,7 +15,9 @@
 // path iterates over dirty and pending flows every control interval. The
 // pacing re-arm audit raises paced flows' rates every iteration, so a raise
 // that brings a segment forward cancels its flow's armed pacing timer and
-// arms an earlier one. Both warm up until the slow paths are idle and the
+// arms an earlier one. The set-up-steps audit re-issues connect and close
+// commands on a fixed set of flows, so the slow path charges set-up items in
+// steps. Both warm up until the slow paths are idle and the
 // control loop's lists stopped growing, not for a fixed time.
 //
 // The packet-path audit forwards bursts host -> link -> switch -> link -> NIC
@@ -480,6 +482,48 @@ bool AuditControlLoop() {
   return ok;
 }
 
+// The executor's set-up steps at a steady flow population: each round
+// re-issues the connect and close commands of 16 flows whose SYNs nobody
+// answers, so host 0's slow path charges 32 set-up items in steps (a
+// connect's 45,000 cycles in five, a close's 30,000 in three) and holds each
+// item between its steps. Once the work queues have their working size,
+// neither may allocate.
+bool AuditSetupSteps() {
+  HostSpec spec;
+  spec.stack = StackKind::kTas;
+  auto exp = Experiment::PointToPoint(spec, spec, LinkConfig{});
+  TasService* tas = exp->host(0).tas();
+  SlowPath* slow = tas->slow_path();
+  const std::vector<FlowId> flows = OpenUnansweredFlows(exp.get(), 16);
+  // A round's 32 items take ~0.57 ms of the slow-path core.
+  auto round = [&] {
+    for (FlowId id : flows) {
+      slow->CmdConnect(id);
+      slow->CmdClose(id);
+    }
+    exp->sim().RunUntil(exp->sim().Now() + Ms(1));
+  };
+  for (int i = 0; i < 4; ++i) {
+    round();
+  }
+  const uint64_t& served =
+      tas->stats().exception_count[static_cast<size_t>(ExceptionClass::kSetup)];
+  const uint64_t items_before = served;
+  const uint64_t steps_before = slow->setup_steps();
+  const uint64_t before = AllocCount();
+  for (int i = 0; i < 8; ++i) {
+    round();
+  }
+  const uint64_t allocs = AllocCount() - before;
+  const uint64_t items = served - items_before;
+  const uint64_t steps = slow->setup_steps() - steps_before;
+  const bool ok = allocs == 0 && items > 0 && steps > items;
+  std::printf("ALLOC_AUDIT slowpath_setup_steps allocs=%llu items=%llu steps=%llu %s\n",
+              static_cast<unsigned long long>(allocs), static_cast<unsigned long long>(items),
+              static_cast<unsigned long long>(steps), ok ? "PASS" : "FAIL");
+  return ok;
+}
+
 // A rate policy that raises the rate by 0.1% every control-loop iteration,
 // whatever the feedback.
 class RisingRateCc : public RateCc {
@@ -760,6 +804,7 @@ int main(int argc, char** argv) {
   ok &= tas::AuditFlowSlab();
   ok &= tas::AuditPortTable();
   ok &= tas::AuditControlLoop();
+  ok &= tas::AuditSetupSteps();
   ok &= tas::AuditPacingRearm();
   ok &= tas::AuditPacketPath();
   ok &= tas::AuditLibtasSend();

@@ -53,6 +53,7 @@ SimHost::SimHost(Simulator* sim, HostPort* port, const HostSpec& spec)
           config.watchdog.bundle_prefix = wd;
         }
       }
+      // libTAS is priced by this model whatever config.costs is, MinimalCostModel included.
       const StackCostModel* api = spec.stack == StackKind::kTas
                                       ? &TasSocketsCostModel()
                                       : &TasLowLevelCostModel();

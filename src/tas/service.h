@@ -48,7 +48,10 @@ struct TasConfig {
   // starting at dctcp.initial_bps until the flow's first RTT sample.
   CcAlgorithm cc_algorithm = CcAlgorithm::kDctcpRate;
   DctcpRateConfig dctcp;
-  TimeNs control_interval = Us(50);     // tau; paper default 2 RTTs.
+  // tau: the control loop's fixed period. Every dirty flow is visited once
+  // per tick; TAS's cc.c instead visits a flow once per 2 of its own RTTs
+  // (ROADMAP [due-rule]).
+  TimeNs control_interval = Us(50);
 
   // Connection parameters.
   uint16_t mss = 1448;

@@ -74,28 +74,69 @@ void SlowPath::MaybeProcess() {
   // Flow class first: each of its items (a segment's exception, a control
   // visit) is short and comes from a connection that already exists, while
   // each set-up item books a connection set-up or teardown on this core.
-  // Set-up items wait only while flow-class items are queued.
-  size_t cls = static_cast<size_t>(ExceptionClass::kFlow);
-  if (work_[cls].empty()) {
-    cls = static_cast<size_t>(ExceptionClass::kSetup);
-    if (work_[cls].empty()) {
+  // Set-up items wait only while flow-class items are queued. A set-up item
+  // in service yields at its step boundaries to forwarded segments only: a
+  // pass of visits would stretch every set-up it split.
+  Fifo<WorkItem>& flow = work_[static_cast<size_t>(ExceptionClass::kFlow)];
+  if (!flow.empty() && (!setup_in_service_ || flow.front().kind == WorkKind::kSegment)) {
+    busy_ = true;
+    WorkItem next = std::move(flow.front());
+    flow.pop_front();
+    const TimeNs done = cpu_->Charge(CpuModule::kTcp, ItemCycles(next));
+    if (next.kind == WorkKind::kControl) {
+      --queued_visits_;
+    } else {
+      TasStats& stats = service_->mutable_stats();
+      stats.exception_count[static_cast<size_t>(ExceptionClass::kFlow)]++;
+      stats.exception_wait_ns[static_cast<size_t>(ExceptionClass::kFlow)] += done - next.enqueued;
+    }
+    service_->sim()->At(done, [this, item = std::move(next)]() mutable {
+      busy_ = false;
+      RunItem(std::move(item));
+      MaybeProcess();
+    });
+    return;
+  }
+  if (!setup_in_service_) {
+    Fifo<WorkItem>& setup = work_[static_cast<size_t>(ExceptionClass::kSetup)];
+    if (setup.empty()) {
       return;
     }
+    setup_item_ = std::move(setup.front());
+    setup.pop_front();
+    setup_in_service_ = true;
+    setup_cycles_ = ItemCycles(setup_item_);
+    setup_charged_ = 0;
   }
+  ChargeSetupStep();
+}
+
+void SlowPath::ChargeSetupStep() {
   busy_ = true;
-  WorkItem next = std::move(work_[cls].front());
-  work_[cls].pop_front();
-  const TimeNs done = cpu_->Charge(CpuModule::kTcp, ItemCycles(next));
-  if (next.kind == WorkKind::kControl) {
-    --queued_visits_;
-  } else {
-    TasStats& stats = service_->mutable_stats();
-    stats.exception_count[cls]++;
-    stats.exception_wait_ns[cls] += done - next.enqueued;
+  const TimeNs start = std::max(service_->sim()->Now(), cpu_->busy_until());
+  const uint64_t step = std::min(kSetupStepCycles, setup_cycles_ - setup_charged_);
+  cpu_->Charge(CpuModule::kTcp, step);
+  // The step ends where the item's cumulative cycles put it: converting
+  // each step on its own would round the item's effects early.
+  const TimeNs end =
+      start + cpu_->CyclesToTime(setup_charged_ + step) - cpu_->CyclesToTime(setup_charged_);
+  setup_charged_ += step;
+  ++setup_steps_;
+  if (setup_charged_ < setup_cycles_) {
+    service_->sim()->At(end, [this] {
+      busy_ = false;
+      MaybeProcess();
+    });
+    return;
   }
-  service_->sim()->At(done, [this, item = std::move(next)]() mutable {
+  TasStats& stats = service_->mutable_stats();
+  stats.exception_count[static_cast<size_t>(ExceptionClass::kSetup)]++;
+  stats.exception_wait_ns[static_cast<size_t>(ExceptionClass::kSetup)] +=
+      end - setup_item_.enqueued;
+  service_->sim()->At(end, [this] {
     busy_ = false;
-    RunItem(std::move(item));
+    setup_in_service_ = false;
+    RunItem(std::move(setup_item_));
     MaybeProcess();
   });
 }

@@ -28,14 +28,24 @@ class SlowPath {
   Core* cpu() { return cpu_; }
 
   // --- The executor ----------------------------------------------------------
-  // The slow-path core runs one work item at a time, never preempted: a
-  // segment the fast path forwarded, an app's connect or close command, or
-  // one flow's control-loop visit. Each item is queued in its
-  // ExceptionClass (visits in the flow class); MaybeProcess serves the flow
-  // class first and each class in arrival order, starts an item only when
-  // the core is free, books the item's whole cost as one charge and applies
-  // its effects when that charge ends. Nothing else charges this core.
+  // The slow-path core runs one work item at a time: a segment the fast
+  // path forwarded, an app's connect or close command, or one flow's
+  // control-loop visit. Each item is queued in its ExceptionClass (visits
+  // in the flow class); MaybeProcess serves the flow class first and each
+  // class in arrival order, starts a charge only when the core is free and
+  // applies an item's effects when its last charge ends. A flow-class item
+  // is one charge. A set-up-class item is charged in steps of at most
+  // kSetupStepCycles, and at each step boundary a forwarded segment next in
+  // the flow class runs first; control visits wait for the item's last
+  // step. Nothing else charges this core.
   void EnqueueException(PacketPtr pkt);
+
+  // The largest step of a set-up item (a SYN that opens a flow, a connect,
+  // a close): 4.76 us at 2.1 GHz, so a known flow's segment waits for at
+  // most one step of set-up work. Chosen by a sweep on proxy_churn
+  // (DESIGN.md §4): smaller steps cut its p50 further but add a simulator
+  // event per step.
+  static constexpr uint64_t kSetupStepCycles = 10'000;
 
   // Exceptions and commands queued right now (both classes; control visits
   // are not exceptions), and the deepest that count has ever been. The
@@ -57,6 +67,9 @@ class SlowPath {
 
   // Control-loop visits run so far.
   uint64_t control_iterations() const { return control_iterations_; }
+  // Set-up steps charged so far: one per set-up item of at most
+  // kSetupStepCycles, more for a larger one.
+  uint64_t setup_steps() const { return setup_steps_; }
   // Summed capacity of the control loop's lists: both halves of the pending
   // list, the service's dirty list and the work queues the visits wait in.
   // It stops growing once the flow population does.
@@ -88,6 +101,9 @@ class SlowPath {
 
   void Enqueue(ExceptionClass cls, WorkItem item);
   void MaybeProcess();
+  // Charges the next step of the set-up item in service; its last step
+  // applies the item's effects.
+  void ChargeSetupStep();
   // The item's whole cost in cycles, decided when it is dequeued.
   uint64_t ItemCycles(const WorkItem& item) const;
   // Applies the item's effects; runs when its charge ends.
@@ -126,7 +142,14 @@ class SlowPath {
   std::array<Fifo<WorkItem>, kNumExceptionClasses> work_;  // By ExceptionClass.
   uint64_t exception_depth_hw_ = 0;
   size_t queued_visits_ = 0;  // kControl items in work_.
-  bool busy_ = false;          // An item is in service.
+  bool busy_ = false;          // A charge is running.
+  // The set-up item in service, held outside work_ between its steps, with
+  // its whole cost and the cycles charged so far.
+  bool setup_in_service_ = false;
+  WorkItem setup_item_;
+  uint64_t setup_cycles_ = 0;
+  uint64_t setup_charged_ = 0;
+  uint64_t setup_steps_ = 0;
   std::unordered_map<uint16_t, Listener> listeners_;
   std::vector<FlowId> pending_;  // Flows in handshake or teardown.
   // Spare half of the pending list: ScanPending rebuilds pending_ into it,

@@ -19,15 +19,16 @@
 #include <string>
 
 #include "bench/bench_record.h"
+#include "src/tas/slow_path.h"
 
 namespace tas {
 namespace bench {
 namespace {
 
 const char* const kBaselines[] = {
-    "perf_smoke.json",         "perf_smoke_latency.json", "proxy_cycles.json",
-    "million_flow_churn.json", "watchdog_chaos.json",     "fig5_shortlived.json",
-    "fig14_proportionality.json", "table1_cycles.json",
+    "perf_smoke.json",         "perf_smoke_latency.json",    "proxy_cycles.json",
+    "million_flow_churn.json", "watchdog_chaos.json",        "fig5_shortlived.json",
+    "table1_cycles.json",      "fig14_proportionality.json", "fig12_cluster.json",
 };
 
 std::string BaselinePath(const std::string& name) {
@@ -91,6 +92,8 @@ TEST(BenchRecordGateTest, Fig5ShortLived) { GateBench("fig5_shortlived.json", ""
 
 TEST(BenchRecordGateTest, Table1Cycles) { GateBench("table1_cycles.json", "", ""); }
 
+TEST(BenchRecordGateTest, Fig12Cluster) { GateBench("fig12_cluster.json", "", ""); }
+
 TEST(BenchRecordGateTest, WatchdogChaos) {
   const std::string prefix = ::testing::TempDir() + "bench_gate_test.watchdog";
   GateBench("watchdog_chaos.json", "", "'" + prefix + "'");
@@ -147,8 +150,8 @@ TEST(BenchRecordGateTest, Table1RecordOrdersTheStacks) {
 // The Fig 14 record (which CI's Release job holds the bench to): every
 // joining client's 256 connections are established within 20 ms of its
 // start, the five-client row carries at least 12 mOps of the ~12.5 offered,
-// and the slow-path core never booked more than one work item (a SYN's
-// exception plus set-up, 21,714 ns at 2.1 GHz) ahead of the clock.
+// and the slow-path core never booked more than one set-up step
+// (SlowPath::kSetupStepCycles, 4,761 ns at 2.1 GHz) ahead of the clock.
 TEST(BenchRecordGateTest, Fig14RecordSetsUpEveryJoiningClient) {
   JsonNode record;
   std::string error;
@@ -181,7 +184,7 @@ TEST(BenchRecordGateTest, Fig14RecordSetsUpEveryJoiningClient) {
   EXPECT_GE(five_client_mops, 12.0);
   const JsonNode* max_ahead = det->Find("slowpath_max_ahead_ns");
   ASSERT_NE(max_ahead, nullptr);
-  EXPECT_LE(std::stoll(max_ahead->text), 21714);
+  EXPECT_LE(std::stoll(max_ahead->text), CyclesToNs(SlowPath::kSetupStepCycles, kCoreGhz));
 }
 
 // --- The gate's rule ----------------------------------------------------------
@@ -225,6 +228,7 @@ TEST(BenchGateTest, OneDetLeafMovedByOneStepFailsAndIsNamed) {
       {"watchdog_chaos.json", "\"det\":{", "timeout_retransmits", "det.timeout_retransmits"},
       {"fig5_shortlived.json", "\"det\":{", "tas_mops", "det.points[0].tas_mops"},
       {"table1_cycles.json", "\"tas\":{", "sockets", "det.tas.sockets"},
+      {"fig12_cluster.json", "\"long\":{", "tas_p99_ms", "det.long.tas_p99_ms"},
   };
   for (const Case& c : cases) {
     const std::string base = ReadText(BaselinePath(c.baseline));

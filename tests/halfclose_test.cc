@@ -17,16 +17,17 @@
 // FIN_WAIT_2 there), while payload-less segments of closing flows and every
 // SYN/FIN/RST stay slow-path exceptions. Crafted segments pin both sides.
 //
-// The slow path is one non-preemptive executor: every job (a forwarded
-// segment, a SYN's connection set-up, an app's connect or close, a flow's
-// control-loop visit) is a queued work item whose effects land when its
-// charge ends. Segments of connections
-// it already tracks are served before queued set-up work, each class in
-// arrival order: a handshake-completing ACK (with the request it carries)
-// waits for at most the one item in service, the SYN-ACKs still leave in SYN
-// order, a connect's SYN or a close's FIN leaves only once its charge is
-// served, and a burst of connects is set up between control passes that fill
-// most of each interval.
+// The slow path is one executor: every job (a forwarded segment, a SYN's
+// connection set-up, an app's connect or close, a flow's control-loop
+// visit) is a queued work item whose effects land when its charge ends.
+// Segments of connections it already tracks are served before queued set-up
+// work, each class in arrival order, and a set-up item is charged in steps
+// at whose boundaries such a segment runs first: a handshake-completing ACK
+// (with the request it carries) waits for at most one step, the SYN-ACKs
+// still leave in SYN order, a connect's SYN or a close's FIN leaves only
+// once its whole charge is served, a pass of control visits never splits a
+// set-up, and a burst of connects is set up between control passes that
+// fill most of each interval.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -782,8 +783,9 @@ class TimedServer : public AppHandler {
 
 // A TAS listener fed crafted client segments, its replies caught by an egress
 // tap. Each SYN costs the slow path an exception charge plus half a
-// connection set-up (45,600 cycles, ~21.7 us); a segment of a connection the
-// slow path already tracks costs one exception charge (600 cycles); an app's
+// connection set-up (45,600 cycles, ~21.7 us, in steps of at most
+// SlowPath::kSetupStepCycles, ~4.76 us); a segment of a connection the slow
+// path already tracks costs one exception charge (600 cycles); an app's
 // close costs half a connection teardown (30,000 cycles, ~14.3 us). The
 // tests queue set-up work (SYNs, closes) and then segments of one SYN_RCVD
 // flow behind it.
@@ -861,6 +863,17 @@ class ExceptionClassTest : public ::testing::Test {
   TimeNs SlowPathCycles(uint64_t cycles) const {
     return tas_->slowpath_cpu()->CyclesToTime(cycles);
   }
+  // Runs in 100 ns slices until the slow-path core has a charge running.
+  bool RunUntilSlowPathBusy() {
+    const TimeNs limit = exp_->sim().Now() + Us(20);
+    while (tas_->slowpath_cpu()->busy_until() <= exp_->sim().Now()) {
+      if (exp_->sim().Now() >= limit) {
+        return false;
+      }
+      exp_->sim().RunUntil(exp_->sim().Now() + 100);
+    }
+    return true;
+  }
   uint64_t Count(ExceptionClass c) const {
     return tas_->stats().exception_count[static_cast<size_t>(c)];
   }
@@ -875,10 +888,10 @@ class ExceptionClassTest : public ::testing::Test {
 };
 
 // A handshake-completing ACK carrying a request, queued behind kSyns SYNs:
-// the app sees the connection and its data after at most the one set-up the
-// non-preemptive slow-path core is running when the ACK arrives plus the
-// ACK's own exception charge, not kSyns set-ups later; the SYN-ACKs still
-// leave in SYN arrival order.
+// the app sees the connection and its data after at most one step of the
+// set-up the slow-path core is running when the ACK arrives plus the ACK's
+// own exception charge, not kSyns set-ups later; the SYN-ACKs still leave in
+// SYN arrival order, all after the request's ACK.
 TEST_F(ExceptionClassTest, HandshakeAckWithDataOvertakesQueuedSyns) {
   const uint32_t iss = OpenToSynRcvd();
   const uint64_t flow_count = Count(ExceptionClass::kFlow);
@@ -891,10 +904,11 @@ TEST_F(ExceptionClassTest, HandshakeAckWithDataOvertakesQueuedSyns) {
   ASSERT_NO_FATAL_FAILURE(RunUntilSynsServed());
 
   const TimeNs exception = SlowPathCycles(600);
+  const TimeNs step = SlowPathCycles(SlowPath::kSetupStepCycles);
   const TimeNs set_up = SlowPathCycles(600 + tas_->config().costs->connection_setup / 2);
   // Fast-path RX, the context queue and the app's poll, on either side.
   const TimeNs delivery = Us(10);
-  const TimeNs bound = set_up + exception + delivery;
+  const TimeNs bound = step + exception + delivery;
   ASSERT_EQ(server_->accepted_at_.size(), 1u);
   EXPECT_LE(server_->accepted_at_[0] - arrival, bound);
   EXPECT_EQ(server_->data_bytes_, 100u);
@@ -909,14 +923,14 @@ TEST_F(ExceptionClassTest, HandshakeAckWithDataOvertakesQueuedSyns) {
                                      [](const TcpHeader& h) { return h.dst_port == kFlowPort; });
   ASSERT_NE(data_ack, tap_->sent.end());
   EXPECT_EQ(data_ack->ack, kPeerIsn + 1 + 100);
-  EXPECT_LE(data_ack - tap_->sent.begin(), 1);  // SYN-ACKs sent before it.
+  EXPECT_EQ(data_ack - tap_->sent.begin(), 0);  // No SYN-ACK sent before it.
 
   // The per-class counters hold the same story: one flow-class segment
   // that waited no longer than the bound, kSyns SYNs that waited longer.
   EXPECT_EQ(Count(ExceptionClass::kFlow) - flow_count, 1u);
   EXPECT_EQ(Count(ExceptionClass::kSetup) - setup_count, static_cast<uint64_t>(kSyns));
   EXPECT_GT(WaitNs(ExceptionClass::kFlow) - flow_wait, 0u);
-  EXPECT_LE(WaitNs(ExceptionClass::kFlow) - flow_wait, set_up + exception);
+  EXPECT_LE(WaitNs(ExceptionClass::kFlow) - flow_wait, step + exception);
   EXPECT_GT((WaitNs(ExceptionClass::kSetup) - setup_wait) / kSyns, set_up + exception);
 }
 
@@ -998,8 +1012,8 @@ TEST_F(SlowPathExecutorTest, CloseFinLeavesAfterItsCharge) {
 }
 
 // A handshake ACK carrying a request, arriving behind eight queued closes:
-// it is served after the close in service, before the other seven, and at
-// most one FIN leaves before the request's ACK.
+// it is served at the next step boundary of the close in service, before
+// the other seven, and the request's ACK leaves before any FIN.
 TEST_F(SlowPathExecutorTest, HandshakeAckOvertakesQueuedCloses) {
   constexpr int kCloses = 8;
   std::vector<ConnId> conns;
@@ -1024,8 +1038,8 @@ TEST_F(SlowPathExecutorTest, HandshakeAckOvertakesQueuedCloses) {
                          [](const TcpHeader& h) { return h.flags == kFinAck; }) == kCloses;
   }, arrival + Ms(1)));
 
-  const TimeNs teardown = SlowPathCycles(tas_->config().costs->connection_teardown / 2);
-  const TimeNs bound = teardown + SlowPathCycles(600) + Us(10);
+  const TimeNs bound =
+      SlowPathCycles(SlowPath::kSetupStepCycles) + SlowPathCycles(600) + Us(10);
   ASSERT_EQ(server_->accepted_at_.size(), static_cast<size_t>(kCloses + 1));
   EXPECT_LE(server_->accepted_at_.back() - arrival, bound);
   EXPECT_EQ(server_->data_bytes_, 100u);
@@ -1034,14 +1048,91 @@ TEST_F(SlowPathExecutorTest, HandshakeAckOvertakesQueuedCloses) {
                                      [](const TcpHeader& h) { return h.dst_port == kFlowPort; });
   ASSERT_NE(data_ack, tap_->sent.end());
   EXPECT_EQ(data_ack->ack, kPeerIsn + 1 + 100);
-  EXPECT_LE(data_ack - tap_->sent.begin(), 1);  // FINs sent before it.
+  EXPECT_EQ(data_ack - tap_->sent.begin(), 0);  // No FIN sent before it.
+}
+
+// A handshake ACK carrying a request that arrives just after a SYN's set-up
+// started waits for one step of it, not the whole set-up: the app sees the
+// connection and its data within one step, the ACK's exception charge and
+// delivery, and the request's ACK leaves before the SYN-ACK.
+TEST_F(SlowPathExecutorTest, ExceptionWaitsAtMostOneSetUpStep) {
+  const uint32_t iss = OpenToSynRcvd();
+  Inject(kFlowPort + 1, TcpFlags::kSyn, kPeerIsn, 0);
+  ASSERT_TRUE(RunUntilSlowPathBusy());
+  const TimeNs arrival = exp_->sim().Now();
+  Inject(kFlowPort, TcpFlags::kAck, kPeerIsn + 1, iss + 1, 100);
+  ASSERT_TRUE(RunUntilTrue(exp_.get(), [&] {
+    return server_->data_bytes_ > 0 && SynAcks().size() == 1;
+  }, arrival + Ms(1)));
+
+  const TimeNs bound =
+      SlowPathCycles(SlowPath::kSetupStepCycles) + SlowPathCycles(600) + Us(10);
+  ASSERT_EQ(server_->accepted_at_.size(), 1u);
+  EXPECT_LE(server_->accepted_at_[0] - arrival, bound);
+  EXPECT_EQ(server_->data_bytes_, 100u);
+  EXPECT_LE(server_->data_at_ - arrival, bound);
+  ASSERT_FALSE(tap_->sent.empty());
+  EXPECT_EQ(tap_->sent.front().dst_port, kFlowPort);
+  EXPECT_EQ(tap_->sent.front().ack, kPeerIsn + 1 + 100);
+}
+
+// A pass of control visits queued while a set-up item is in service waits
+// for the item's last step, so visits never stretch a set-up (the rule that
+// keeps Fig 14's joining clients from starving). The slow-path core's
+// charges tell the items apart by length: a SYN's set-up is four steps of
+// kSetupStepCycles and a 5,600-cycle last one, a visit is 120 cycles.
+TEST_F(SlowPathExecutorTest, ControlPassWaitsForTheSetUpInService) {
+  constexpr int kFlows = 32;
+  constexpr int kQueuedSyns = 4;
+  std::vector<FlowId> flows;
+  for (int i = 0; i < kFlows; ++i) {
+    const uint16_t port = static_cast<uint16_t>(kFlowPort + i);
+    ASSERT_NE(OpenToEstablished(port), kInvalidConn);
+    flows.push_back(tas_->LookupFlowId(FlowKey{kPort, exp_->host(1).ip(), port}));
+  }
+  std::vector<std::pair<TimeNs, TimeNs>> spans;
+  Core* core = tas_->slowpath_cpu();
+  core->set_span_listener(
+      [&spans](CpuModule, TimeNs start, TimeNs end) { spans.emplace_back(start, end); });
+  // The SYNs keep the core in set-up work for ~87 us, longer than one
+  // control interval, so the next tick queues the dirty flows' visits
+  // while one of the set-ups is in service.
+  ASSERT_LT(tas_->config().control_interval, Us(80));
+  ClearTap();
+  for (int i = 0; i < kQueuedSyns; ++i) {
+    Inject(static_cast<uint16_t>(kFlowPort + kFlows + i), TcpFlags::kSyn, kPeerIsn, 0);
+  }
+  ASSERT_TRUE(RunUntilSlowPathBusy());
+  for (FlowId id : flows) {
+    tas_->MarkFlowDirty(id);
+  }
+  ASSERT_TRUE(RunUntilTrue(exp_.get(), [&] { return SynAcks().size() == kQueuedSyns; },
+                           exp_->sim().Now() + Ms(1)));
+  exp_->sim().RunUntil(exp_->sim().Now() + Us(100));
+  core->set_span_listener(nullptr);
+
+  const uint64_t set_up = 600 + tas_->config().costs->connection_setup / 2;
+  const TimeNs step = SlowPathCycles(SlowPath::kSetupStepCycles);
+  const TimeNs last_step = SlowPathCycles(set_up % SlowPath::kSetupStepCycles);
+  const TimeNs visit = SlowPathCycles(120);
+  ASSERT_NE(last_step, step);
+  int passes_after_set_up = 0;
+  for (size_t i = 0; i + 1 < spans.size(); ++i) {
+    const TimeNs length = spans[i].second - spans[i].first;
+    const TimeNs next = spans[i + 1].second - spans[i + 1].first;
+    EXPECT_FALSE(length == step && next == visit)
+        << "a visit split a set-up at " << spans[i].second;
+    passes_after_set_up += length == last_step && next == visit;
+  }
+  // The pass was queued during a set-up and ran right after its last step.
+  EXPECT_EQ(passes_after_set_up, 1);
 }
 
 // Reduced churn between two TAS hosts (one request per connection, then
 // close and reconnect): neither slow-path core ever books work further
-// ahead of the clock than one work item (a SYN's exception plus set-up, the
-// largest). Control-loop visits are work items too, so a pass adds nothing
-// beyond that.
+// ahead of the clock than one set-up step, the largest single charge.
+// Control-loop visits are work items too, so a pass adds nothing beyond
+// that.
 TEST(SlowPathExecutorChurnTest, MaxAheadWithinOneItem) {
   HostSpec spec = TasSpec();
   auto exp = Experiment::PointToPoint(spec, spec, TestLink());
@@ -1061,9 +1152,9 @@ TEST(SlowPathExecutorChurnTest, MaxAheadWithinOneItem) {
   for (int host = 0; host < 2; ++host) {
     TasService* tas = exp->host(host).tas();
     const Core* core = tas->slowpath_cpu();
-    const TimeNs item = core->CyclesToTime(600 + tas->config().costs->connection_setup / 2);
+    const TimeNs step = core->CyclesToTime(SlowPath::kSetupStepCycles);
     EXPECT_GT(core->max_ahead_ns(), 0) << "host " << host;
-    EXPECT_LE(core->max_ahead_ns(), item) << "host " << host;
+    EXPECT_LE(core->max_ahead_ns(), step) << "host " << host;
   }
 }
 
@@ -1074,7 +1165,7 @@ TEST(SlowPathExecutorChurnTest, MaxAheadWithinOneItem) {
 // the dirty flows for the next one, so the control period stretches and
 // each SYN's set-up waits for at most one pass. The burst is established
 // within 4 ms (2.9 ms measured), and the slow-path core never books more
-// than one work item ahead.
+// than one set-up step ahead.
 TEST(SlowPathExecutorChurnTest, ConnectBurstEstablishedBetweenControlPasses) {
   constexpr size_t kLongLived = 384;
   constexpr size_t kBurst = 64;
@@ -1122,8 +1213,7 @@ TEST(SlowPathExecutorChurnTest, ConnectBurstEstablishedBetweenControlPasses) {
   exp->sim().RunUntil(start + Ms(4));
   EXPECT_EQ(tas->stats().connections_established, kLongLived + kBurst);
   const Core* core = tas->slowpath_cpu();
-  EXPECT_LE(core->max_ahead_ns(),
-            core->CyclesToTime(600 + tas->config().costs->connection_setup / 2));
+  EXPECT_LE(core->max_ahead_ns(), core->CyclesToTime(SlowPath::kSetupStepCycles));
 }
 
 }  // namespace
