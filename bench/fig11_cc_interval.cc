@@ -6,7 +6,16 @@
 // Shape to reproduce: TAS FCT matches DCTCP once tau exceeds the RTT; very
 // small tau causes rate fluctuation and longer FCTs; queue length grows
 // slowly with tau but stays near DCTCP's.
+//
+// Emits one BENCH_JSON record (bench/bench_record.h): the window baselines'
+// FCT and queue (TCP and DCTCP, which do not depend on tau and run once),
+// and per tau TAS's FCT and queue and TAS/DCTCP FCT. Tier-1's
+// bench_gate_test and CI gate it against
+// bench/baselines/fig11_cc_interval.json.
+#include <sstream>
+
 #include "bench/bench_common.h"
+#include "bench/bench_record.h"
 #include "src/harness/flowgen.h"
 
 namespace tas {
@@ -85,11 +94,23 @@ CcResult RunPoint(StackKind kind, CcAlgorithm algorithm, TimeNs tau) {
   return result;
 }
 
+// One window baseline's part of the record: its average FCT [ms] and queue.
+std::string ResultJson(const CcResult& r) {
+  std::ostringstream os;
+  os << "{\"fct_ms\":" << r.avg_fct_ms << ",\"queue_pkts\":" << r.avg_queue_pkts << "}";
+  return os.str();
+}
+
 void Run() {
   PrintHeader("Fig 11: single 10G link — FCT and queue vs control interval tau",
               "TAS paper Figure 11 (75% load, 100us RTT, Pareto flows)");
   const CcResult tcp = RunPoint(StackKind::kIx, CcAlgorithm::kNewReno, 0);
   const CcResult dctcp = RunPoint(StackKind::kIx, CcAlgorithm::kDctcpWindow, 0);
+
+  BenchRecord record("fig11_cc_interval");
+  record.DetJson("tcp", ResultJson(tcp));
+  record.DetJson("dctcp", ResultJson(dctcp));
+  std::ostringstream rows;
 
   std::vector<TimeNs> taus = {Us(50), Us(100), Us(200), Us(500), Ms(1)};
   if (FullScale()) {
@@ -102,10 +123,16 @@ void Run() {
     table.AddRow(ToUs(tau), Fmt(tas.avg_fct_ms, 3), Fmt(tas.avg_queue_pkts, 1),
                  Fmt(dctcp.avg_fct_ms, 3), Fmt(dctcp.avg_queue_pkts, 1),
                  Fmt(tcp.avg_fct_ms, 3), Fmt(tcp.avg_queue_pkts, 1));
+    rows << (rows.tellp() == 0 ? "[" : ",") << "{\"tau_us\":" << ToUs(tau)
+         << ",\"tas_fct_ms\":" << tas.avg_fct_ms << ",\"tas_queue_pkts\":" << tas.avg_queue_pkts
+         << ",\"tas_over_dctcp_fct\":" << tas.avg_fct_ms / dctcp.avg_fct_ms << "}";
   }
   table.Print();
   std::cout << "\nPaper: TAS FCT ~= DCTCP for tau > RTT; too-small tau slows convergence;\n"
                "TCP (no ECN) holds much longer queues than both DCTCP and TAS.\n";
+
+  record.DetJson("rows", rows.str() + "]");
+  record.Print();
 }
 
 }  // namespace

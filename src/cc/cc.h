@@ -16,6 +16,10 @@
 
 namespace tas {
 
+// The initial window, in segments (RFC 6928): the engine stacks' first cwnd
+// and a new TAS flow's first bucket credit (TasService::AllocateFlow).
+inline constexpr uint64_t kInitialCwndSegments = 10;
+
 // Feedback for one control-loop iteration of a flow.
 struct CcFeedback {
   uint64_t acked_bytes = 0;    // Bytes newly acknowledged this interval.

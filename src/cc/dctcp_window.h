@@ -13,8 +13,8 @@ struct WindowCcConfig {
   uint64_t mss = 1448;
 };
 
-// Window bounds shared by DCTCP and NewReno, in segments of `mss` and bytes.
-inline constexpr uint64_t kInitialCwndSegments = 10;
+// Window bounds shared by DCTCP and NewReno, in segments of `mss` and bytes
+// (the initial window, kInitialCwndSegments, is in cc.h).
 inline constexpr uint64_t kMinCwndSegments = 2;
 inline constexpr uint64_t kMaxCwndBytes = 1ull << 30;
 

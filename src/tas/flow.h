@@ -90,7 +90,8 @@ struct Flow {
   // response is never delayed behind a stale pacing gap. A rate the slow
   // path publishes applies from that instant: a raised rate moves an armed
   // pacing timer to when the bucket allows at the new rate. A new flow
-  // starts with a full bucket (TasService::AllocateFlow).
+  // starts with one initial window of credit (TasService::AllocateFlow),
+  // which may sit above the cap until it is spent.
   double rate_bps = 10e6;       // Enforced rate (TasService::PublishRate sets).
   double tx_tokens = 0;         // Bucket fill, in bytes.
   TimeNs tokens_updated = 0;
@@ -100,9 +101,13 @@ struct Flow {
   ConnState cstate = ConnState::kSynSent;
 
   // Refreshes the bucket to `now` and returns the available byte credit.
+  // Accrual stops at `burst_bytes`; credit already above it (the unspent
+  // initial window) is kept.
   double RefillTokens(TimeNs now, double burst_bytes) {
     const double delta = static_cast<double>(now - tokens_updated);
-    tx_tokens = std::min(burst_bytes, tx_tokens + rate_bps / 8e9 * delta);
+    if (tx_tokens < burst_bytes) {
+      tx_tokens = std::min(burst_bytes, tx_tokens + rate_bps / 8e9 * delta);
+    }
     tokens_updated = now;
     return tx_tokens;
   }

@@ -471,8 +471,10 @@ FlowId TasService::AllocateFlow(const FlowKey& key) {
   flow->cold().cc = MakeRateCc(config_);
   flow->cold().cc_updated = sim_->Now();
   flow->rate_bps = flow->cold().cc->rate_bps();
-  // A new flow starts with a full bucket, whenever it opens.
-  flow->tx_tokens = flow->BurstBytes();
+  // A new flow starts with one initial window of credit, whenever it opens:
+  // its first kInitialCwndSegments segments leave unpaced, as the engine
+  // stacks' first cwnd does. After that, the bucket paces at rate_bps.
+  flow->tx_tokens = static_cast<double>(kInitialCwndSegments * flow->mss);
   flow->tokens_updated = sim_->Now();
 
   // Our ISN anchors the transmit positions: the first payload byte is iss+1.

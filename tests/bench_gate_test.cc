@@ -29,6 +29,7 @@ const char* const kBaselines[] = {
     "perf_smoke.json",         "perf_smoke_latency.json",    "proxy_cycles.json",
     "million_flow_churn.json", "watchdog_chaos.json",        "fig5_shortlived.json",
     "table1_cycles.json",      "fig14_proportionality.json", "fig12_cluster.json",
+    "fig11_cc_interval.json",
 };
 
 std::string BaselinePath(const std::string& name) {
@@ -93,6 +94,8 @@ TEST(BenchRecordGateTest, Fig5ShortLived) { GateBench("fig5_shortlived.json", ""
 TEST(BenchRecordGateTest, Table1Cycles) { GateBench("table1_cycles.json", "", ""); }
 
 TEST(BenchRecordGateTest, Fig12Cluster) { GateBench("fig12_cluster.json", "", ""); }
+
+TEST(BenchRecordGateTest, Fig11CcInterval) { GateBench("fig11_cc_interval.json", "", ""); }
 
 TEST(BenchRecordGateTest, WatchdogChaos) {
   const std::string prefix = ::testing::TempDir() + "bench_gate_test.watchdog";
@@ -229,6 +232,7 @@ TEST(BenchGateTest, OneDetLeafMovedByOneStepFailsAndIsNamed) {
       {"fig5_shortlived.json", "\"det\":{", "tas_mops", "det.points[0].tas_mops"},
       {"table1_cycles.json", "\"tas\":{", "sockets", "det.tas.sockets"},
       {"fig12_cluster.json", "\"long\":{", "tas_p99_ms", "det.long.tas_p99_ms"},
+      {"fig11_cc_interval.json", "\"tau_us\":500", "tas_fct_ms", "det.rows[3].tas_fct_ms"},
   };
   for (const Case& c : cases) {
     const std::string base = ReadText(BaselinePath(c.baseline));

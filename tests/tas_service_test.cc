@@ -10,6 +10,7 @@
 
 #include "src/app/bulk.h"
 #include "src/app/rpc_echo.h"
+#include "src/cc/cc.h"
 #include "src/harness/experiment.h"
 #include "src/shm/context_queue.h"
 #include "src/tas/slow_path.h"
@@ -120,6 +121,10 @@ TEST(FlowBufferTest, TokenBucketRefills) {
   flow.tx_tokens = 0;
   // Burst cap limits accumulation over long idle.
   EXPECT_NEAR(flow.RefillTokens(1000000, 2896), 2896.0, 1.0);
+  // Credit above the cap (an unspent initial window) is kept, not clipped,
+  // and accrues nothing.
+  flow.tx_tokens = 14480;
+  EXPECT_DOUBLE_EQ(flow.RefillTokens(2000000, 2896), 14480.0);
 }
 
 TEST(ContextQueueTest, NotifyOnlyOnEmptyToNonEmpty) {
@@ -490,6 +495,7 @@ class PacedStream {
   Flow* flow() { return sender()->LookupFlow(key()); }
   FlowKey key() { return FlowKey{20000, exp_->host(0).ip(), 7000}; }
   uint64_t segments_sent() { return sender()->stats().fastpath_tx_packets; }
+  size_t bytes_received() { return sink_->data().size(); }
 
   // Runs in 1 us steps until `done()` holds or 10 ms of simulated time pass.
   template <typename Done>
@@ -506,30 +512,73 @@ class PacedStream {
   std::unique_ptr<PatternSource> source_;
 };
 
-// A new flow starts with a full bucket, so its first segments leave at the
-// same offset from its connect whenever it opens: at 0 ms as at 5 ms.
-TEST(TasRateTest, NewFlowStartsWithAFullBucket) {
+// A new flow starts with one initial window of credit, so its first
+// segments, the window and the two paced after it, leave at the same offset
+// from its connect whenever it opens: at 0 ms as at 5 ms.
+TEST(TasRateTest, NewFlowStartsWithAnInitialWindow) {
+  constexpr size_t kSegments = kInitialCwndSegments + 2;
   std::vector<TimeNs> offsets[2];
   const TimeNs connect_at[2] = {0, Ms(5)};
   for (int i = 0; i < 2; ++i) {
     PacedStream rig(connect_at[i]);
     ASSERT_TRUE(rig.StepUntil([&] { return rig.flow() != nullptr; }));
-    EXPECT_DOUBLE_EQ(rig.flow()->tx_tokens, rig.flow()->BurstBytes());
+    EXPECT_DOUBLE_EQ(rig.flow()->tx_tokens,
+                     static_cast<double>(kInitialCwndSegments * rig.flow()->mss));
     uint64_t seen = 0;
-    while (offsets[i].size() < 4 && rig.StepUntil([&] { return rig.segments_sent() > seen; })) {
+    while (offsets[i].size() < kSegments &&
+           rig.StepUntil([&] { return rig.segments_sent() > seen; })) {
       seen = rig.segments_sent();
       offsets[i].push_back(rig.sim().Now() - connect_at[i]);
     }
   }
-  ASSERT_EQ(offsets[0].size(), 4u);
+  ASSERT_EQ(offsets[0].size(), kSegments);
   EXPECT_EQ(offsets[0], offsets[1]);
 }
 
+// The first window leaves unpaced: exactly kInitialCwndSegments full
+// segments go out before the flow's first pacing wait. From then on the
+// bucket paces at the slow path's rate, and its credit never exceeds the
+// two-segment burst, however long the flow idles.
+TEST(TasRateTest, FirstWindowLeavesUnpacedThenBucketPaces) {
+  PacedStream rig;
+  TasService* tas = rig.sender();
+  ASSERT_TRUE(rig.StepUntil([&] { return rig.flow() != nullptr; }));
+  const FlowId id = tas->LookupFlowId(rig.key());
+  tas->flow_trace().EnableFlow(id);
+  Flow* flow = rig.flow();
+  // In 1 us steps, a pacing timer at 10 Mbps (1.16 ms per segment) cannot
+  // arm and fire unseen.
+  ASSERT_TRUE(rig.StepUntil([&] { return flow->cold().pacing_timer.valid(); }));
+  EXPECT_EQ(rig.segments_sent(), kInitialCwndSegments);
+  uint64_t full = 0;
+  for (const FlowEvent& e : tas->flow_trace().Events()) {
+    if (e.type == FlowEventType::kDataTx) {
+      EXPECT_EQ(e.b, flow->mss);
+      ++full;
+    }
+  }
+  EXPECT_EQ(full, kInitialCwndSegments);
+
+  // The window is spent: through the rest of the transfer and the idle time
+  // after it, the bucket holds at most two segments.
+  const double burst = flow->BurstBytes();
+  double max_tokens = 0;
+  rig.StepUntil([&] {
+    max_tokens = std::max(max_tokens, flow->tx_tokens);
+    return false;
+  });
+  EXPECT_EQ(rig.bytes_received(), 200'000u);
+  const uint32_t in_flight = flow->fs.tx_sent;  // Packed field: copy first.
+  EXPECT_EQ(in_flight, 0u);  // Everything acked: the flow is idle.
+  EXPECT_LE(max_tokens, burst);
+  EXPECT_DOUBLE_EQ(flow->RefillTokens(rig.sim().Now(), burst), burst);
+}
+
 // A raised rate takes effect at once (paper §3.1-3.2: the slow path sets
-// the rate, the fast path's bucket enforces it). A new flow sends what its
-// full bucket allows, and its next segment waits on a pacing timer armed at
-// the 10 Mbps initial rate. Each control iteration doubles the rate (first
-// on the burst's ACKs, then because the bucket holds the flow), and each
+// the rate, the fast path's bucket enforces it). A new flow sends its first
+// window, and its next segment waits on a pacing timer armed at the 10 Mbps
+// initial rate. Each control iteration doubles the rate (first on the
+// window's ACKs, then because the bucket holds the flow), and each
 // doubling moves the flow's one live pacing event to when the new rate
 // allows, until the segment leaves.
 TEST(TasRateTest, RaisedRateMovesArmedPacingTimer) {
@@ -549,7 +598,7 @@ TEST(TasRateTest, RaisedRateMovesArmedPacingTimer) {
   const TimeNs armed_at = flow->tokens_updated;
   const double credit = flow->tx_tokens;
   const uint32_t len = flow->NextSegmentLen();
-  EXPECT_EQ(sent, 2u);  // The full bucket's burst.
+  EXPECT_EQ(sent, kInitialCwndSegments);  // The first window.
   EXPECT_DOUBLE_EQ(flow->rate_bps, 10e6);
   ASSERT_EQ(tas->stats().pacing_rearms, 0u);
   tas->flow_trace().EnableFlow(id);  // Passive: stamps the segment's send time.
@@ -617,7 +666,7 @@ TEST(TasRateTest, SlowStartGrowsWhileHeldByItsBucket) {
     PacedStream rig;
     TasService* tas = rig.sender();
     const SlowPath& slow_path = *tas->slow_path();
-    // The burst is acked and the next segment waits on the bucket.
+    // The first window is acked and the next segment waits on the bucket.
     ASSERT_TRUE(rig.StepUntil([&] {
       const Flow* f = rig.flow();
       return f != nullptr && f->cold().pacing_timer.valid() && f->fs.tx_sent == 0;
@@ -641,7 +690,7 @@ TEST(TasRateTest, SlowStartGrowsWhileHeldByItsBucket) {
       rate = flow->rate_bps;
       ++doublings;
     }
-    // The first doubling is the burst's ACKs'; the rest are the bucket's.
+    // The first doubling is the window's ACKs'; the rest are the bucket's.
     EXPECT_GE(doublings, 3);
     EXPECT_EQ(tas->stats().cc_bucket_growths - growths, static_cast<uint64_t>(doublings - 1));
     EXPECT_EQ(rig.segments_sent(), sent + 1);
@@ -654,13 +703,13 @@ TEST(TasRateTest, SlowStartGrowsWhileHeldByItsBucket) {
     EXPECT_EQ(rig.receiver()->stats().cc_bucket_growths, 0u);
   }
 
-  // The burst is out and its ACKs are lost: the next segment waits on the
-  // bucket with bytes in flight, and the rate holds until the timeout.
+  // The first window is out and its ACKs are lost: the link goes down as
+  // its first segment leaves, before any ACK can return. The next segment
+  // waits on the bucket with bytes in flight, and the rate holds until the
+  // timeout.
   PacedStream rig;
   TasService* tas = rig.sender();
-  ASSERT_TRUE(rig.StepUntil([&] {
-    return rig.flow() != nullptr && rig.flow()->cold().pacing_timer.valid();
-  }));
+  ASSERT_TRUE(rig.StepUntil([&] { return rig.segments_sent() > 0; }));
   rig.exp().host_link(1)->SetDown(true);
   const Flow* flow = rig.flow();
   const uint64_t visits = tas->slow_path()->control_iterations();
@@ -678,6 +727,7 @@ TEST(TasRateTest, SlowStartGrowsWhileHeldByItsBucket) {
   }));
   EXPECT_DOUBLE_EQ(max_rate, 10e6);
   EXPECT_GT(min_in_flight, 0u);
+  EXPECT_TRUE(flow->cold().pacing_timer.valid());
   EXPECT_EQ(tas->stats().timeout_retransmits, 1u);
   EXPECT_GE(tas->slow_path()->control_iterations() - visits, 10u);
   EXPECT_EQ(tas->stats().cc_bucket_growths, 0u);
